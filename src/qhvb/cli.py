@@ -18,7 +18,9 @@ sampling is derived from the configured seed, so identical config and
 seed give byte-identical output.  A check that cannot run inside the
 configured coefficient window is reported as skipped with the window in
 its witness, never as a silent pass; the exit code is 0 only when every
-check passes, 1 otherwise, 2 for configuration errors."""
+check passes, 1 otherwise, 2 for configuration errors and for a command
+that cannot compute at the configuration (one line on stderr names the
+error)."""
 
 import argparse
 import json
@@ -27,7 +29,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .scalars import Scalar, Matrix, Echelon, NoSolution, ZERO, ONE, eval_at
+from .scalars import (Scalar, Matrix, Echelon, NoSolution, PoleError,
+                      ZERO, ONE, eval_at)
 from . import uea, coeff, repmod, homspace, bundle, calculus, connection
 
 
@@ -40,6 +43,11 @@ SUITES = ("hopf", "pairing", "actions", "haar", "idempotent", "projection",
 
 _FAILURES = (AssertionError, NoSolution, calculus.AxiomViolation,
              calculus.SplitError, calculus.DomainError, connection.NotLinear)
+
+# what a configuration the parser accepts can still make a command unable
+# to compute; verify turns these into per-check skips or failures first
+_UNCOMPUTABLE = (coeff.LevelOverflow, repmod.DecompositionError,
+                 calculus.SplitError, PoleError, NoSolution)
 
 
 class RunConfig:
@@ -1082,6 +1090,10 @@ def main(argv=None):
         return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
+        return 2
+    except _UNCOMPUTABLE as e:
+        print("%s: %s" % (type(e).__name__, " ".join(str(e).split())),
+              file=sys.stderr)
         return 2
 
 

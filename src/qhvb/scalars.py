@@ -11,12 +11,24 @@ Polynomials are plain tuples of ints (index = degree, no trailing zeros,
 () is the zero polynomial); reduction divides out the full Z[u] gcd and
 fixes the sign of the denominator's leading coefficient, so equal field
 elements have equal representations and ``==``/``hash`` are structural.
+Every path below produces exactly this canonical form.
+
+Normalisation.  The constructor reduces through `_pgcd`, which first
+splits off the common power of u, the integer contents and a common
+exponent stride (most operands are polynomials in u^2 or u^4), so a
+monomial or constant cofactor needs no remainder sequence; only the
+compressed primitive cofactors run the primitive PRS, on lists.  Products
+and quotients of reduced fractions skip the constructor: they cancel the
+two cross gcds (each skipped when its denominator is 1) and multiply the
+cofactors, which is already reduced (Henrici 1956; Knuth, TAOCP vol. 2,
+4.5.1).  Sums still go through the constructor.
 
 There is no floating point anywhere; specialization at a rational point
 goes through fractions.Fraction.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd as _igcd
 
 
@@ -52,103 +64,140 @@ def _pneg(a):
     return tuple(-x for x in a)
 
 
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a, b):
+    """Product of two trimmed polynomials (so the result is trimmed)."""
     if not a or not b:
         return ()
+    nz = [(j, y) for j, y in enumerate(b) if y]
     c = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    c[i + j] += x * y
-    return _ptrim(c)
+            for j, y in nz:
+                c[i + j] += x * y
+    return tuple(c)
 
 
-def _pscale(a, k):
-    if k == 0:
-        return ()
-    return tuple(x * k for x in a)
-
-
-def _pcontent(a):
-    g = 0
+def _pcontent(a, g=0):
+    """gcd of g and the coefficients of a (nonnegative)."""
     for x in a:
-        g = _igcd(g, abs(x))
+        g = _igcd(g, x)
         if g == 1:
             return 1
     return g
 
 
-def _pdiv_int(a, k):
-    # exact division of all coefficients by the integer k
-    return tuple(x // k for x in a)
+def _pquo(a, b):
+    """Exact quotient a / b of trimmed polynomials; ArithmeticError when b
+    does not divide a.  The power of u in b is divided out first, so a
+    monomial divisor costs one pass over a."""
+    v = 0
+    while not b[v]:
+        v += 1
+    db, lb = len(b) - 1 - v, b[-1]
+    nz = [(i, y) for i, y in enumerate(islice(b, v, len(b) - 1)) if y]
+    r = list(islice(a, v, None))
+    q = [0] * (len(r) - db)
+    for e in range(len(q) - 1, -1, -1):
+        t = r[e + db]
+        if t:
+            t, m = divmod(t, lb)
+            if m:
+                raise ArithmeticError("inexact polynomial division")
+            q[e] = t
+            for i, y in nz:
+                r[e + i] -= t * y
+    if any(a[:v]) or any(r[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(q)
 
 
-def _pdivmod(a, b):
-    """Exact-arithmetic division: returns (quot, rem) with fraction-free
-    validity only when b divides into a exactly at each step; used only
-    where exactness is guaranteed (division by a gcd, deflation)."""
-    assert b, "division by zero polynomial"
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(r) >= len(b) and any(r):
-        r = list(_ptrim(r))
-        if len(r) < len(b):
-            break
-        c, e = r[-1], len(r) - 1 - db
-        if c % lb != 0:
-            raise ArithmeticError("inexact polynomial division")
-        t = c // lb
-        q[e] = t
-        for i, x in enumerate(b):
-            r[e + i] -= t * x
-    return _ptrim(q), _ptrim(r)
-
-
-def _prem(a, b):
-    """Pseudo-remainder of a by b (fraction-free)."""
-    db, lb = len(b) - 1, b[-1]
-    r = list(a)
+def _prs(a, b):
+    """gcd of primitive polynomials a, b (lists, len(a) >= len(b) >= 2,
+    nonzero constant terms) by the primitive remainder sequence on
+    mutable lists.  Each remainder may carry any nonzero integer factor, since it
+    is made primitive; its power of u is dropped, since no divisor of b
+    is divisible by u.  Returns a primitive list of unspecified sign."""
     while True:
-        r = list(_ptrim(r))
-        if len(r) - 1 < db:
-            return _ptrim(r)
-        lr, e = r[-1], len(r) - 1 - db
-        r = [lb * x for x in r]
-        for i, x in enumerate(b):
-            r[e + i] -= lr * x
-
-
-def _pprim(a):
-    c = _pcontent(a)
-    if c in (0, 1):
-        return a
-    return _pdiv_int(a, c)
+        db, lb = len(b) - 1, b[-1]
+        nz = [(i, y) for i, y in enumerate(b) if y]
+        nz.pop()
+        r = a
+        while len(r) > db:
+            # r <- m*r - t*u^e*b, with the leading terms cancelling
+            lr = r.pop()
+            e = len(r) - db
+            if lr % lb:
+                g = _igcd(lb, lr)
+                m, t = lb // g, lr // g
+                r = [x * m for x in r]
+            else:
+                t = lr // lb
+            for i, y in nz:
+                r[e + i] -= t * y
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return b
+        v = 0
+        while not r[v]:
+            v += 1
+        if v:
+            del r[:v]
+        if len(r) == 1:
+            return [1]
+        c = _pcontent(r)
+        if c != 1:
+            r = [x // c for x in r]
+        a, b = b, r
 
 
 def _pgcd(a, b):
-    """gcd in Z[u]: content gcd times primitive-PRS gcd, positive leading
-    coefficient."""
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        ca, cb = _pcontent(a), _pcontent(b)
-        a, b = _pprim(a), _pprim(b)
-        if len(a) < len(b):
-            a, b = b, a
-        while b:
-            a, b = b, _pprim(_prem(a, b))
-        g = _pscale(a, _igcd(ca, cb))
-    if g and g[-1] < 0:
-        g = _pneg(g)
-    return g
+    """gcd in Z[u]: content gcd times the primitive gcd, positive leading
+    coefficient.
+
+    What needs no remainder sequence is split off first: the common power
+    u^v, the integer contents, and a common exponent stride s (both
+    cofactors are polynomials in u^s; gcd commutes with u^s -> u).  A
+    constant cofactor ends there with c*u^v; otherwise the compressed
+    primitive cofactors go through `_prs`."""
+    if not a or not b:
+        g = a or b
+        return _pneg(g) if g and g[-1] < 0 else g
+    va = 0
+    while not a[va]:
+        va += 1
+    vb = 0
+    while not b[vb]:
+        vb += 1
+    v = min(va, vb)
+    if len(a) - va == 1:
+        return (0,) * v + (_pcontent(b, a[va]),)
+    if len(b) - vb == 1:
+        return (0,) * v + (_pcontent(a, b[vb]),)
+    s = 0
+    for p, vp in ((a, va), (b, vb)):
+        for i in range(vp + 1, len(p)):
+            if p[i]:
+                s = _igcd(s, i - vp)
+                if s == 1:
+                    break
+    ca, cb = _pcontent(a), _pcontent(b)
+    A = list(islice(a, va, None, s))
+    B = list(islice(b, vb, None, s))
+    if ca != 1:
+        A = [x // ca for x in A]
+    if cb != 1:
+        B = [x // cb for x in B]
+    G = _prs(A, B) if len(A) >= len(B) else _prs(B, A)
+    c = _igcd(ca, cb)
+    if len(G) == 1:
+        return (0,) * v + (c,)
+    if G[-1] < 0:
+        c = -c
+    g = [0] * (v + s * (len(G) - 1) + 1)
+    for k, x in enumerate(G):
+        g[v + s * k] = c * x
+    return tuple(g)
 
 
 def _peval(a, x):
@@ -198,8 +247,7 @@ class Scalar:
             return
         g = _pgcd(num, den)
         if g != (1,):
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
+            num, den = _pquo(num, g), _pquo(den, g)
         if den[-1] < 0:
             num, den = _pneg(num), _pneg(den)
         self.num, self.den = num, den
@@ -274,7 +322,7 @@ class Scalar:
             other = Scalar(other)
         if not self.num or not other.num:
             return ZERO
-        return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -285,7 +333,10 @@ class Scalar:
             raise ZeroDivisionError("division by zero Scalar")
         if not self.num:
             return ZERO
-        return Scalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        c, d = other.num, other.den
+        if c[-1] < 0:
+            c, d = _pneg(c), _pneg(d)
+        return _product(self.num, self.den, d, c)
 
     def __rtruediv__(self, other):
         return Scalar(other) / self
@@ -340,6 +391,26 @@ class Scalar:
         return ns + "/" + ds
 
     __repr__ = __str__
+
+
+def _product(a, b, c, d):
+    """(a/b) * (c/d) for reduced fractions whose denominators have positive
+    leading coefficients.  Cancelling the cross gcds g1 = gcd(a, d) and
+    g2 = gcd(c, b) leaves (a/g1 * c/g2) / (b/g2 * d/g1), which is already
+    reduced with a positive leading coefficient below, so it is built
+    without a second normalisation."""
+    if d != (1,):
+        g = _pgcd(a, d)
+        if g != (1,):
+            a, d = _pquo(a, g), _pquo(d, g)
+    if b != (1,):
+        g = _pgcd(c, b)
+        if g != (1,):
+            c, b = _pquo(c, g), _pquo(b, g)
+    s = Scalar.__new__(Scalar)
+    s.num = _pmul(a, c)
+    s.den = b if d == (1,) else d if b == (1,) else _pmul(b, d)
+    return s
 
 
 ZERO = Scalar(0)

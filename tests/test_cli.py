@@ -181,3 +181,19 @@ def test_connection_command(tmp_path):
 def test_bad_command_rejected():
     with pytest.raises(SystemExit):
         cli.main(["explode"])
+
+
+@pytest.mark.parametrize("command", ["dims", "connection"])
+def test_small_window_exits_2_with_one_line(tmp_path, capsys, command):
+    # the level-6 products of these commands do not fit the n_max = 1
+    # window; the overflow is reported, not raised as a traceback
+    path = tmp_path / "small.cfg"
+    path.write_text("n_max = 1\n")
+    out = tmp_path / "out.json"
+    rc = cli.main([command, "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("LevelOverflow: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out.exists()

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import gcd as _igcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhvb import scalars as sc
 from qhvb.scalars import (
     Scalar,
     Matrix,
@@ -96,7 +98,23 @@ def test_pole_error():
 # field axioms on randomized samples
 
 small_ints = st.integers(min_value=-6, max_value=6)
-polys = st.lists(small_ints, min_size=0, max_size=4).map(tuple)
+dense_polys = st.lists(small_ints, min_size=0, max_size=4).map(tuple)
+
+
+@st.composite
+def shaped_polys(draw):
+    """u^v * p(u^s): the shifted and strided shapes the verifier produces
+    (q = u^4, v = u^2), up to degree 16."""
+    coeffs = draw(st.lists(small_ints, min_size=1, max_size=4))
+    s = draw(st.sampled_from((1, 2, 4)))
+    v = draw(st.integers(min_value=0, max_value=4))
+    p = [0] * (v + s * (len(coeffs) - 1) + 1)
+    for k, c in enumerate(coeffs):
+        p[v + s * k] = c
+    return _ptrim(p)
+
+
+polys = st.one_of(dense_polys, shaped_polys())
 nonzero_polys = polys.filter(lambda p: any(p))
 scalars = st.builds(Scalar, polys, nonzero_polys)
 nonzero_scalars = st.builds(Scalar, nonzero_polys, nonzero_polys)
@@ -242,3 +260,163 @@ def test_echelon_membership_and_canonical_reduction():
     # reduction is idempotent
     red = ech.reduce({0: ONE, 2: U})
     assert ech.reduce(red) == red
+
+
+# ----------------------------------------------------------------------
+# the seed's primitive-PRS gcd, kept verbatim as the oracle for the
+# normalisation kernel
+
+
+def _ptrim(c):
+    n = len(c)
+    while n and c[n - 1] == 0:
+        n -= 1
+    return tuple(c[:n])
+
+
+def _pneg(a):
+    return tuple(-x for x in a)
+
+
+def _pscale(a, k):
+    if k == 0:
+        return ()
+    return tuple(x * k for x in a)
+
+
+def _pcontent(a):
+    g = 0
+    for x in a:
+        g = _igcd(g, abs(x))
+        if g == 1:
+            return 1
+    return g
+
+
+def _pdiv_int(a, k):
+    # exact division of all coefficients by the integer k
+    return tuple(x // k for x in a)
+
+
+def _pdivmod(a, b):
+    """Exact-arithmetic division: returns (quot, rem) with fraction-free
+    validity only when b divides into a exactly at each step; used only
+    where exactness is guaranteed (division by a gcd, deflation)."""
+    assert b, "division by zero polynomial"
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) >= len(b) and any(r):
+        r = list(_ptrim(r))
+        if len(r) < len(b):
+            break
+        c, e = r[-1], len(r) - 1 - db
+        if c % lb != 0:
+            raise ArithmeticError("inexact polynomial division")
+        t = c // lb
+        q[e] = t
+        for i, x in enumerate(b):
+            r[e + i] -= t * x
+    return _ptrim(q), _ptrim(r)
+
+
+def _prem(a, b):
+    """Pseudo-remainder of a by b (fraction-free)."""
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    while True:
+        r = list(_ptrim(r))
+        if len(r) - 1 < db:
+            return _ptrim(r)
+        lr, e = r[-1], len(r) - 1 - db
+        r = [lb * x for x in r]
+        for i, x in enumerate(b):
+            r[e + i] -= lr * x
+
+
+def _pprim(a):
+    c = _pcontent(a)
+    if c in (0, 1):
+        return a
+    return _pdiv_int(a, c)
+
+
+def _pgcd(a, b):
+    """gcd in Z[u]: content gcd times primitive-PRS gcd, positive leading
+    coefficient."""
+    if not a:
+        g = b
+    elif not b:
+        g = a
+    else:
+        ca, cb = _pcontent(a), _pcontent(b)
+        a, b = _pprim(a), _pprim(b)
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _pprim(_prem(a, b))
+        g = _pscale(a, _igcd(ca, cb))
+    if g and g[-1] < 0:
+        g = _pneg(g)
+    return g
+
+
+def _oracle_canonical(num, den):
+    """(num, den) as the seed's Scalar constructor reduced them."""
+    num, den = _ptrim(num), _ptrim(den)
+    if not num:
+        return (), (1,)
+    g = _pgcd(num, den)
+    if g != (1,):
+        num, _ = _pdivmod(num, g)
+        den, _ = _pdivmod(den, g)
+    if den[-1] < 0:
+        num, den = _pneg(num), _pneg(den)
+    return num, den
+
+
+monomials = st.builds(
+    lambda c, v: (0,) * v + (c,),
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.integers(min_value=0, max_value=6))
+common_factors = st.one_of(monomials, shaped_polys(), dense_polys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, polys, common_factors)
+def test_pgcd_matches_prs_oracle(a, b, g):
+    g = _ptrim(g)
+    a, b = sc._pmul(_ptrim(a), g), sc._pmul(_ptrim(b), g)
+    got = sc._pgcd(a, b)
+    assert type(got) is tuple
+    assert got == _pgcd(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, nonzero_polys)
+def test_constructor_matches_oracle(num, den):
+    s = Scalar(num, den)
+    assert type(s.num) is tuple and type(s.den) is tuple
+    assert (s.num, s.den) == _oracle_canonical(num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalars, nonzero_scalars)
+def test_products_match_oracle(x, y):
+    p = x * y
+    assert type(p.num) is tuple and type(p.den) is tuple
+    assert (p.num, p.den) == _oracle_canonical(
+        sc._pmul(x.num, y.num), sc._pmul(x.den, y.den))
+    q = x / y
+    assert type(q.num) is tuple and type(q.den) is tuple
+    assert (q.num, q.den) == _oracle_canonical(
+        sc._pmul(x.num, y.den), sc._pmul(x.den, y.num))
+
+
+def test_inexact_quotient_raises():
+    with pytest.raises(ArithmeticError):
+        sc._pquo((1, 1), (1, 2))
+    with pytest.raises(ArithmeticError):
+        sc._pquo((1, 0, 1), (0, 1))
+    with pytest.raises(ArithmeticError):
+        sc._pquo((0, 0, 3), (0, 0, 2))
