@@ -264,6 +264,27 @@ def complete(lmodule):
     return Completion(lmodule)
 
 
+def idempotent_matrix(algebra, completion):
+    """The coefficient matrix of the bundle idempotent on W, as rows of
+    CoeffElements:
+
+        e_{beta alpha} = sum_r t_{beta, idx(r)} S(t_{idx(r), alpha}).
+    """
+    e = []
+    for beta in range(completion.dim_w):
+        row = []
+        for alpha in range(completion.dim_w):
+            acc = coeff.CoeffElement()
+            for idx in completion.v_index:
+                t1 = completion.coefficient(beta, idx)
+                t2 = completion.coefficient(idx, alpha)
+                if not (t1.is_zero() or t2.is_zero()):
+                    acc = acc + algebra.multiply(t1, algebra.antipode(t2))
+            row.append(acc)
+        e.append(row)
+    return e
+
+
 def wp(algebra, completion, element):
     """The map from W (x) E_q onto the sections: w_beta (x) a goes to
     sum_r v_r (x) S(t_{idx(r), beta}) a."""

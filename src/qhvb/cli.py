@@ -18,12 +18,14 @@ sampling is derived from the configured seed, so identical config and
 seed give byte-identical output.  A check that cannot run inside the
 configured coefficient window is reported as skipped with the window in
 its witness, never as a silent pass; the exit code is 0 only when every
-check passes, 1 otherwise, 2 for configuration errors and for a command
-that cannot compute at the configuration (one line on stderr names the
-error)."""
+check passes, 1 otherwise, 2 for configuration errors, for an --out
+path that cannot take the report (checked before any work starts) and
+for a command that cannot compute at the configuration (one line on
+stderr names the error)."""
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -31,11 +33,16 @@ from fractions import Fraction
 
 from .scalars import (Scalar, Matrix, Echelon, NoSolution, PoleError,
                       ZERO, ONE, eval_at)
-from . import uea, coeff, repmod, homspace, bundle, calculus, connection
+from . import (uea, coeff, repmod, homspace, bundle, calculus, connection,
+               scalars)
 
 
 class ConfigError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """The report cannot be written to the --out path."""
 
 
 SUITES = ("hopf", "pairing", "actions", "haar", "idempotent", "projection",
@@ -932,11 +939,26 @@ _SUITE_RUNNERS = {
 # commands
 
 
+def _check_out_path(out_path):
+    """Reject an --out path that cannot take a report before any work
+    starts: its directory must exist and it must not be a directory."""
+    if os.path.isdir(out_path):
+        raise OutputError("--out %s is a directory" % out_path)
+    directory = os.path.dirname(out_path) or "."
+    if not os.path.isdir(directory):
+        raise OutputError("--out %s: no such directory %s"
+                          % (out_path, directory))
+
+
 def _emit(payload, out_path):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise OutputError("cannot write %s: %s"
+                              % (out_path, e.strerror or e))
     else:
         sys.stdout.write(text)
 
@@ -949,6 +971,10 @@ def cmd_verify(cfg, out_path):
         _SUITE_RUNNERS[suite](ws, checks)
         print("suite %-11s %6.1fs" % (suite, time.time() - t0),
               file=sys.stderr)
+    info = scalars._cancel.cache_info()
+    print("gcd cofactor cache: %d hits, %d misses, %d/%d entries"
+          % (info.hits, info.misses, info.currsize, info.maxsize),
+          file=sys.stderr)
     checks.sort(key=lambda c: (c["suite"], c["anchor"]))
     summary = {status: sum(c["status"] == status for c in checks)
                for status in ("pass", "fail", "skip")}
@@ -985,19 +1011,8 @@ def cmd_idempotent(cfg, out_path):
     ws = _Workspace(cfg)
     N = min(cfg.n_max, 3)
     proj = ws.idempotent(cfg.weights, N)
-    comp = proj.completion
-    matrix = []
-    for beta in range(comp.dim_w):
-        row = []
-        for alpha in range(comp.dim_w):
-            acc = coeff.CoeffElement()
-            for r in range(proj.lmodule.dim):
-                idx = comp.v_index[r]
-                acc = acc + ws.algebra.multiply(
-                    comp.coefficient(beta, idx),
-                    ws.algebra.antipode(comp.coefficient(idx, alpha)))
-            row.append(str(acc))
-        matrix.append(row)
+    matrix = [[str(x) for x in row] for row in
+              bundle.idempotent_matrix(ws.algebra, proj.completion)]
     payload = {
         "config": cfg.as_dict(),
         "level": N,
@@ -1085,11 +1100,16 @@ def main(argv=None):
                         help="restrict verify to this suite (repeatable)")
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out_path(args.out)
         file_data = read_config_file(args.config) if args.config else {}
         cfg = build_config(file_data, seed=args.seed, suites=args.suite)
         return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
+        return 2
+    except OutputError as e:
+        print("output error: %s" % e, file=sys.stderr)
         return 2
     except _UNCOMPUTABLE as e:
         print("%s: %s" % (type(e).__name__, " ".join(str(e).split())),

@@ -46,21 +46,8 @@ class TensoredSectionSpace:
         self.N = N
         self.completion = bundle.complete(lmodule)
         self.dim_w = self.completion.dim_w
-        e = []
-        for beta in range(self.dim_w):
-            row = []
-            for alpha in range(self.dim_w):
-                acc = coeff.CoeffElement()
-                for r in range(lmodule.dim):
-                    idx = self.completion.v_index[r]
-                    t1 = self.completion.coefficient(beta, idx)
-                    t2 = self.completion.coefficient(idx, alpha)
-                    if not (t1.is_zero() or t2.is_zero()):
-                        acc = acc + self.algebra.multiply(
-                            t1, self.algebra.antipode(t2))
-                row.append(acc)
-            e.append(row)
-        self.e_matrix = e
+        e = self.e_matrix = bundle.idempotent_matrix(self.algebra,
+                                                     self.completion)
         # e^2 = e entrywise: the projectivity certificate for the
         # coefficient matrix realizing the relative tensor product
         for gamma in range(self.dim_w):

@@ -13,21 +13,27 @@ fixes the sign of the denominator's leading coefficient, so equal field
 elements have equal representations and ``==``/``hash`` are structural.
 Every path below produces exactly this canonical form.
 
-Normalisation.  The constructor reduces through `_pgcd`, which first
-splits off the common power of u, the integer contents and a common
-exponent stride (most operands are polynomials in u^2 or u^4), so a
-monomial or constant cofactor needs no remainder sequence; only the
-compressed primitive cofactors run the primitive PRS, on lists.  Products
-and quotients of reduced fractions skip the constructor: they cancel the
-two cross gcds (each skipped when its denominator is 1) and multiply the
-cofactors, which is already reduced (Henrici 1956; Knuth, TAOCP vol. 2,
-4.5.1).  Sums still go through the constructor.
+Normalisation.  Every gcd goes through `_pgcd`, which first splits off
+the common power of u, the integer contents and a common exponent stride
+(most operands are polynomials in u^2 or u^4), so a monomial or constant
+cofactor needs no remainder sequence; only the compressed primitive
+cofactors run the primitive PRS, on lists.  Arithmetic on reduced
+fractions skips the constructor (Henrici 1956; Knuth, TAOCP vol. 2,
+4.5.1).  Products and quotients cancel the two cross gcds (each skipped
+when its denominator is 1) and multiply the cofactors.  Sums cancel
+g = gcd(b, d) of the denominators first: a/b + c/d = t / (b1 d1 g) with
+t = a d1 + c b1 prime to b1 d1, so only gcd(t, g) is left to divide
+out.  Both results are already reduced.  A gcd is always taken together
+with its two cofactors, by `_cancel`, which keeps the last
+CANCEL_CACHE_SIZE results: the same denominator pairs recur close
+together in time.
 
 There is no floating point anywhere; specialization at a rational point
 goes through fractions.Fraction.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import gcd as _igcd
 
@@ -200,6 +206,22 @@ def _pgcd(a, b):
     return tuple(g)
 
 
+# how many gcd results `_cancel` keeps: repeated argument pairs recur
+# close together in time, and each entry holds up to five polynomials, so
+# a larger cache trades peak memory for fewer gcds
+CANCEL_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=CANCEL_CACHE_SIZE)
+def _cancel(a, b):
+    """(g, a/g, b/g) with g = gcd(a, b) for nonzero tuples a, b; the inputs
+    themselves when g = 1, so a coprime pair keeps no new tuples."""
+    g = _pgcd(a, b)
+    if g == (1,):
+        return (1,), a, b
+    return g, _pquo(a, g), _pquo(b, g)
+
+
 def _peval(a, x):
     acc = Fraction(0)
     for c in reversed(a):
@@ -245,9 +267,7 @@ class Scalar:
         if not num:
             self.num, self.den = (), (1,)
             return
-        g = _pgcd(num, den)
-        if g != (1,):
-            num, den = _pquo(num, g), _pquo(den, g)
+        _, num, den = _cancel(num, den)
         if den[-1] < 0:
             num, den = _pneg(num), _pneg(den)
         self.num, self.den = num, den
@@ -295,12 +315,7 @@ class Scalar:
             return other
         if not other.num:
             return self
-        if self.den == other.den:
-            return Scalar(_padd(self.num, other.num), self.den)
-        return Scalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        return _sum(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -400,16 +415,38 @@ def _product(a, b, c, d):
     reduced with a positive leading coefficient below, so it is built
     without a second normalisation."""
     if d != (1,):
-        g = _pgcd(a, d)
-        if g != (1,):
-            a, d = _pquo(a, g), _pquo(d, g)
+        _, a, d = _cancel(a, d)
     if b != (1,):
-        g = _pgcd(c, b)
-        if g != (1,):
-            c, b = _pquo(c, g), _pquo(b, g)
+        _, c, b = _cancel(c, b)
     s = Scalar.__new__(Scalar)
     s.num = _pmul(a, c)
     s.den = b if d == (1,) else d if b == (1,) else _pmul(b, d)
+    return s
+
+
+def _sum(a, b, c, d):
+    """a/b + c/d for nonzero reduced fractions whose denominators have
+    positive leading coefficients.  With g = gcd(b, d), b = g*b1 and
+    d = g*d1, the numerator t = a*d1 + c*b1 is prime to b1*d1, so the sum
+    is t/g' over b1*d1*g' once gcd(t, g) is cancelled from t and g.  A
+    polynomial operand (denominator 1) needs no gcd and takes no cache
+    entry."""
+    if b == d:
+        t, g, m = _padd(a, c), b, (1,)
+    elif b == (1,):
+        t, g, m = _padd(_pmul(a, d), c), (1,), d
+    elif d == (1,):
+        t, g, m = _padd(a, _pmul(c, b)), (1,), b
+    else:
+        g, b1, d1 = _cancel(b, d)
+        t, m = _padd(_pmul(a, d1), _pmul(c, b1)), _pmul(b1, d1)
+    if not t:
+        return ZERO
+    if g != (1,):
+        _, t, g = _cancel(t, g)
+    s = Scalar.__new__(Scalar)
+    s.num = t
+    s.den = g if m == (1,) else m if g == (1,) else _pmul(m, g)
     return s
 
 

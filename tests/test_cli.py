@@ -76,11 +76,18 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_verify_reduced_suites(tmp_path):
+def test_verify_reduced_suites(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = cli.main(["verify", "--suite", "haar", "--suite", "borelweil",
                    "--seed", "3", "--out", str(out)])
     assert rc == 0
+    # the gcd cofactor cache statistics go to stderr, never the report
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("suite ")] != []
+    stats = [line for line in err if line.startswith("gcd cofactor cache: ")]
+    assert len(stats) == 1
+    assert stats[0].endswith("/%d entries" % cli.scalars.CANCEL_CACHE_SIZE)
+    assert "cache" not in out.read_text()
     report = json.loads(out.read_text())
     assert report["config"]["seed"] == 3
     assert report["config"]["suites"] == ["haar", "borelweil"]
@@ -197,3 +204,20 @@ def test_small_window_exits_2_with_one_line(tmp_path, capsys, command):
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_unusable_out_path_exits_2_before_any_work(tmp_path, capsys, command):
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        rc = cli.main([command, "--suite", "hopf", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("output error: ")
+        assert captured.err.count("\n") == 1  # no suite ran
+        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_emit_write_failure_is_an_output_error(tmp_path):
+    with pytest.raises(cli.OutputError):
+        cli._emit({"ok": True}, str(tmp_path / "missing" / "report.json"))

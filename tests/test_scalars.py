@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd as _igcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qhvb import scalars as sc
 from qhvb.scalars import (
@@ -420,3 +420,90 @@ def test_inexact_quotient_raises():
         sc._pquo((1, 0, 1), (0, 1))
     with pytest.raises(ArithmeticError):
         sc._pquo((0, 0, 3), (0, 0, 2))
+
+
+# ----------------------------------------------------------------------
+# sums: Henrici's addition against the seed constructor, and the gcd
+# cofactor cache
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return _ptrim([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+
+
+@st.composite
+def sum_operands(draw):
+    """(x, y) with a shared denominator factor, an equal denominator, or
+    y = -x, besides unrelated pairs."""
+    kind = draw(st.sampled_from(("shared", "equal", "negated", "free")))
+    if kind == "free":
+        return draw(scalars), draw(scalars)
+    g = _ptrim(draw(common_factors))
+    assume(any(g))
+    x = Scalar(draw(polys), sc._pmul(g, draw(nonzero_polys)))
+    if kind == "negated":
+        return x, -x
+    if kind == "equal":
+        y = Scalar(draw(polys), x.den)
+        assume(not y or y.den == x.den)
+        return x, y
+    return x, Scalar(draw(polys), sc._pmul(g, draw(nonzero_polys)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_operands())
+def test_sums_match_oracle(xy):
+    x, y = xy
+    (a, b), (c, d) = (x.num, x.den), (y.num, y.den)
+    for s, c_sign in ((x + y, c), (x - y, _pneg(c))):
+        assert type(s.num) is tuple and type(s.den) is tuple
+        assert (s.num, s.den) == _oracle_canonical(
+            _padd(sc._pmul(a, d), sc._pmul(c_sign, b)), sc._pmul(b, d))
+
+
+def test_sum_cancels_through_both_gcds():
+    # 2/((u-1)(u+1)) - 3/((u-1)(u+2)): gcd(b, d) = u - 1, and the
+    # numerator 2(u+2) - 3(u+1) = -(u-1) cancels it again
+    x = Scalar((2,), (-1, 0, 1))
+    y = Scalar((3,), sc._pmul((-1, 1), (2, 1)))
+    s = x - y
+    assert (s.num, s.den) == ((-1,), (2, 3, 1))
+    # an equal denominator that the sum reduces: u/(u^2-1) - 1/(u^2-1)
+    s = Scalar((0, 1), (-1, 0, 1)) - Scalar((1,), (-1, 0, 1))
+    assert (s.num, s.den) == ((1,), (1, 1))
+    assert Scalar((1,), (1, 1)) - Scalar((1,), (1, 1)) is ZERO
+
+
+def test_cancel_cache_is_transparent():
+    rng = random.Random(11)
+    factors = [(-1, 1), (1, 1), (1, 0, 1), (0, 1), (-1, 0, 0, 0, 1), (3, 2)]
+
+    def operand():
+        den = (1,)
+        for f in rng.sample(factors, rng.randint(0, 3)):
+            den = sc._pmul(den, f)
+        num = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4)))
+        return Scalar(num if any(num) else (1,), den)
+
+    pairs = [(operand(), operand()) for _ in range(60)]
+
+    def batch():
+        return [tuple((s.num, s.den) for s in (x + y, x - y, x * y, x / y))
+                for x, y in pairs]
+
+    sc._cancel.cache_clear()
+    cold = batch()
+    warm = batch()
+    assert cold == warm
+    for (x, y), (s_add, _, s_mul, _) in zip(pairs, cold):
+        assert s_add == _oracle_canonical(
+            _padd(sc._pmul(x.num, y.den), sc._pmul(y.num, x.den)),
+            sc._pmul(x.den, y.den))
+        assert s_mul == _oracle_canonical(sc._pmul(x.num, y.num),
+                                          sc._pmul(x.den, y.den))
+    info = sc._cancel.cache_info()
+    assert info.maxsize == 256 == sc.CANCEL_CACHE_SIZE
+    assert info.currsize <= 256
+    assert info.hits > 0
