@@ -297,10 +297,11 @@ def from_rep(wc):
             raise AxiomViolation("coproduct of tangent functional")
 
     keys = sorted(set(m for x in X for m in x.terms))
+    idx = {m: r for r, m in enumerate(keys)}
     span = Matrix.zeros(len(keys), K)
     for b, x in enumerate(X):
         for m, s in x.terms.items():
-            span.a[keys.index(m)][b] = s
+            span.a[idx[m]][b] = s
     nondegenerate = span.rank() == K
     module = _tangent_module(X, K) if nondegenerate else None
     return CalculusData(wc, K, F, X, diagonal, nondegenerate, module)

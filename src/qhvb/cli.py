@@ -71,7 +71,10 @@ class RunConfig:
         if algebra != "sl2":
             raise ConfigError("unknown algebra %r (only sl2)" % (algebra,))
         self.algebra = algebra
-        theta = tuple(sorted(set(int(t) for t in theta)))
+        try:
+            theta = tuple(sorted(set(int(t) for t in theta)))
+        except (TypeError, ValueError):
+            raise ConfigError("theta must be integers: %r" % (theta,))
         for t in theta:
             if t != 1:
                 raise ConfigError("theta index %d out of range for the "
@@ -715,11 +718,12 @@ def _suite_calculus(ws, checks):
         for k in range(50):
             f = _random_coeff(rnd)
             w = calc.left_mult(f, calc.d0(_random_coeff(rnd)))
+            dw, df = calc.d(w), calc.d0(f)
             for x in gens:
-                if calc.reduce_mod_J(calc.dot_on_forms(x, calc.d(w))) != \
+                if calc.reduce_mod_J(calc.dot_on_forms(x, dw)) != \
                         calc.d(calc.reduce_mod_J(calc.dot_on_forms(x, w))):
                     return "translation equivariance fails on sample %d" % k
-                if calc.dot_on_forms(x, calc.d0(f)) != calc.d0(a.dot(x, f)):
+                if calc.dot_on_forms(x, df) != calc.d0(a.dot(x, f)):
                     return "degree-zero equivariance fails on sample %d" % k
         return True
 
@@ -822,11 +826,11 @@ def _suite_connection(ws, checks):
         rnd = _rng(cfg, "connection-perturbed")
         for n, conn in enumerate(_seeded_perturbations(tss, rnd, 10)):
             for s in tss.sections:
+                nabla_s, vec_s = conn.on_section(s), tss.from_section(s)
                 for g in homspace.podles_generators():
                     lhs = conn.on_section(s.times(g))
-                    rhs = tss.add(
-                        tss.right_mult(conn.on_section(s), calc.form0(g)),
-                        tss.right_mult(tss.from_section(s), calc.d0(g)))
+                    rhs = tss.add(tss.right_mult(nabla_s, calc.form0(g)),
+                                  tss.right_mult(vec_s, calc.d0(g)))
                     if not tss.equal(lhs, rhs):
                         return "connection law fails for perturbation %d" % n
         return True
@@ -844,10 +848,10 @@ def _suite_connection(ws, checks):
                                [x.scale(-ONE) for x in c2.apply(vec)])
 
             for s in tss.sections:
+                diff_s = diff(tss.from_section(s))
                 for g in homspace.podles_generators():
                     lhs = diff(tss.from_section(s.times(g)))
-                    rhs = tss.right_mult(diff(tss.from_section(s)),
-                                         calc.form0(g))
+                    rhs = tss.right_mult(diff_s, calc.form0(g))
                     if not tss.equal(lhs, rhs):
                         return "difference %d not right-linear" % n
         return True
@@ -974,6 +978,9 @@ def cmd_verify(cfg, out_path):
     info = scalars._cancel.cache_info()
     print("gcd cofactor cache: %d hits, %d misses, %d/%d entries"
           % (info.hits, info.misses, info.currsize, info.maxsize),
+          file=sys.stderr)
+    print("action matrix cache: %d entries"
+          % sum(len(mod._acts) for mod in repmod._IRREPS.values()),
           file=sys.stderr)
     checks.sort(key=lambda c: (c["suite"], c["anchor"]))
     summary = {status: sum(c["status"] == status for c in checks)

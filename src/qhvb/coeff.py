@@ -148,11 +148,9 @@ class PairingTable:
             monos = _class_monomials(d, N)
             m = Matrix.zeros(len(monos), len(cols))
             for r, mono in enumerate(monos):
-                acts = {}
+                x = uea.monomial(*mono)
                 for c, (n, i, j) in enumerate(cols):
-                    if n not in acts:
-                        acts[n] = repmod.irrep(n).act(uea.monomial(*mono))
-                    m.a[r][c] = acts[n][i, j]
+                    m.a[r][c] = repmod.irrep(n).act(x)[i, j]
             self.columns[d] = cols
             self.monomials[d] = monos
             self.matrix[d] = m
@@ -200,17 +198,12 @@ class Algebra:
         self._class_inv = {}
         self._antipode_blocks = {}
         self._star_blocks = {}
-        self._mono_act = {}
         self._pairing_tables = {}
 
     # -- pairing ------------------------------------------------------
 
     def _act_entry(self, n, mono, i, j):
-        mat = self._mono_act.get((n, mono))
-        if mat is None:
-            mat = repmod.irrep(n).act(uea.monomial(*mono))
-            self._mono_act[(n, mono)] = mat
-        return mat[i, j]
+        return repmod.irrep(n).act(uea.monomial(*mono))[i, j]
 
     def eval(self, f, x):
         """The dual pairing <f, x>."""

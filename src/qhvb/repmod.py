@@ -52,6 +52,8 @@ class Module:
             self._verify_relations()
         self.weights = self._diagonal_weights()
         self._pows = {}
+        self._acts = {}
+        self._zero = None
 
     def _verify_relations(self):
         e, f, k, k_inv = self.e, self.f, self.k, self.k_inv
@@ -89,7 +91,23 @@ class Module:
         return mats[n]
 
     def act(self, x):
-        """The matrix of a UEAElement on this module."""
+        """The matrix of a UEAElement on this module, memoised per module
+        by the element (UEAElements hash by value); every element acting
+        as zero shares one zero matrix.  The matrix is shared between
+        callers, so none may mutate it: every caller reads entries,
+        tensors, multiplies or transposes it into a new matrix."""
+        mat = self._acts.get(x)
+        if mat is None:
+            mat = self._act(x)
+            if mat.is_zero():
+                if self._zero is None:
+                    self._zero = mat
+                mat = self._zero
+            self._acts[x] = mat
+        return mat
+
+    def _act(self, x):
+        """The matrix of x built from powers of the generator matrices."""
         acc = Matrix.zeros(self.dim, self.dim)
         for (a, b, c), s in x.terms.items():
             m = self._power("f", a)

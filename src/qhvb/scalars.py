@@ -71,9 +71,14 @@ def _pneg(a):
 
 
 def _pmul(a, b):
-    """Product of two trimmed polynomials (so the result is trimmed)."""
+    """Product of two trimmed polynomials (so the result is trimmed).  A
+    unit operand returns the other one, which is already trimmed."""
     if not a or not b:
         return ()
+    if a == (1,):
+        return b
+    if b == (1,):
+        return a
     nz = [(j, y) for j, y in enumerate(b) if y]
     c = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -545,20 +550,16 @@ class Matrix:
         if isinstance(other, Scalar):
             return self.scale(other)
         assert self.cols == other.rows, "shape mismatch"
-        ot = other.a
+        # the nonzero (j, y) of each row t of the right factor; every
+        # entry (i, j) still sums its products over t in increasing order
+        nz = [[(j, y) for j, y in enumerate(row) if y] for row in other.a]
         out = []
-        for i in range(self.rows):
-            ai = self.a[i]
-            row = []
-            for j in range(other.cols):
-                acc = ZERO
-                for t in range(self.cols):
-                    x = ai[t]
-                    if x:
-                        y = ot[t][j]
-                        if y:
-                            acc = acc + x * y
-                row.append(acc)
+        for ai in self.a:
+            row = [ZERO] * other.cols
+            for x, nzt in zip(ai, nz):
+                if x:
+                    for j, y in nzt:
+                        row[j] = row[j] + x * y
             out.append(row)
         return Matrix(out)
 

@@ -249,3 +249,26 @@ def test_present_rejects_forms_outside_the_restriction():
         RESTRICTION.present(stray)
     with pytest.raises(calculus.DomainError):
         RESTRICTION.present(calculus.FormElement(3, {(0, 1, 2): coeff.unit()}))
+
+
+def test_cached_action_matrices_stay_intact():
+    # a reduced calculus run reads the shared matrices of Module.act
+    # through circle, dot, the F-shift transfer tables, the pairing
+    # tables and the R-matrix; none of them may write into one
+    rnd = random.Random(23)
+    for _ in range(3):
+        f = sample_coeff(rnd, max_level=1)
+        w = CALC.left_mult(f, CALC.d0(sample_coeff(rnd, max_level=1)))
+        CALC.d(CALC.multiply(w, w))
+        for x in (uea.E, uea.F, uea.K * uea.E):
+            CALC.reduce_mod_J(CALC.dot_on_forms(x, CALC.d(w)))
+    A.antipode(A.star(sample_coeff(rnd)))
+    A.pairing_table(2)
+    repmod.universal_R(repmod.irrep(1), repmod.irrep(2))
+    cached = 0
+    for mod in repmod._IRREPS.values():
+        for x, mat in list(mod._acts.items()):
+            assert mat == mod._act(x)
+            assert mod.act(x) is mat
+            cached += 1
+    assert cached > 0

@@ -76,6 +76,17 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", ["a", "1 1.5"])
+def test_non_integer_theta_is_a_config_error(tmp_path, capsys, theta):
+    path = tmp_path / "theta.cfg"
+    path.write_text("theta = %s\n" % theta)
+    rc = cli.main(["dims", "--config", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: theta must be integers")
+
+
 def test_verify_reduced_suites(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = cli.main(["verify", "--suite", "haar", "--suite", "borelweil",
@@ -87,6 +98,11 @@ def test_verify_reduced_suites(tmp_path, capsys):
     stats = [line for line in err if line.startswith("gcd cofactor cache: ")]
     assert len(stats) == 1
     assert stats[0].endswith("/%d entries" % cli.scalars.CANCEL_CACHE_SIZE)
+    acts = [line for line in err if line.startswith("action matrix cache: ")]
+    assert len(acts) == 1
+    count = int(acts[0].split(": ")[1].split()[0])
+    assert count == sum(len(m._acts) for m in cli.repmod._IRREPS.values())
+    assert count > 0
     assert "cache" not in out.read_text()
     report = json.loads(out.read_text())
     assert report["config"]["seed"] == 3

@@ -236,6 +236,59 @@ def test_tensor_mixed_product():
     assert a.tensor(b) * c.tensor(d) == (a * c).tensor(b * d)
 
 
+def _seed_matmul(a, b):
+    """The seed's Matrix.__mul__ (every (i, j, t) visited), kept verbatim
+    as the oracle of the product that iterates nonzeros."""
+    ot = b.a
+    out = []
+    for i in range(a.rows):
+        ai = a.a[i]
+        row = []
+        for j in range(b.cols):
+            acc = ZERO
+            for t in range(a.cols):
+                x = ai[t]
+                if x:
+                    y = ot[t][j]
+                    if y:
+                        acc = acc + x * y
+            row.append(acc)
+        out.append(row)
+    return Matrix(out)
+
+
+sparse_scalars = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ONE), scalars)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b) with a.cols == b.rows, non-square, sparse or dense, with an
+    optional all-zero row in a and all-zero column in b."""
+    r, t, c = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    entries = draw(st.sampled_from((sparse_scalars, nonzero_scalars)))
+    a = [[draw(entries) for _ in range(t)] for _ in range(r)]
+    b = [[draw(entries) for _ in range(c)] for _ in range(t)]
+    zero_row = draw(st.one_of(st.none(), st.integers(0, r - 1)))
+    if zero_row is not None:
+        a[zero_row] = [ZERO] * t
+    zero_col = draw(st.one_of(st.none(), st.integers(0, c - 1)))
+    if zero_col is not None:
+        for row in b:
+            row[zero_col] = ZERO
+    return Matrix(a), Matrix(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs())
+def test_matrix_product_matches_seed_loop(ab):
+    a, b = ab
+    got = a * b
+    want = _seed_matmul(a, b)
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert [[(x.num, x.den) for x in row] for row in got.a] \
+        == [[(x.num, x.den) for x in row] for row in want.a]
+
+
 # ----------------------------------------------------------------------
 # sparse echelon spans
 
@@ -411,6 +464,27 @@ def test_products_match_oracle(x, y):
     assert type(q.num) is tuple and type(q.den) is tuple
     assert (q.num, q.den) == _oracle_canonical(
         sc._pmul(x.num, y.den), sc._pmul(x.den, y.num))
+
+
+def _seed_pmul(a, b):
+    """The general product loop of _pmul, without the unit shortcut."""
+    if not a or not b:
+        return ()
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    return tuple(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys)
+def test_pmul_matches_general_loop(a, b):
+    a, b = _ptrim(a), _ptrim(b)
+    for x, y in ((a, b), ((1,), b), (a, (1,)), ((1,), (1,))):
+        got = sc._pmul(x, y)
+        assert type(got) is tuple
+        assert got == _seed_pmul(x, y)
 
 
 def test_inexact_quotient_raises():
