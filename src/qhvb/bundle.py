@@ -26,7 +26,7 @@ irreducible (or zero) by decomposing the resulting module.
 
 from fractions import Fraction
 
-from .scalars import Scalar, Matrix, Echelon, ZERO, ONE, NoSolution
+from .scalars import Scalar, Matrix, Echelon, Span, ZERO, ONE, NoSolution
 from . import uea, repmod, coeff, homspace
 
 _UPOW = Scalar.u_power
@@ -71,8 +71,8 @@ class Section:
         self.algebra = algebra
         self.lmodule = lmodule
         self.components = list(components)
-        if check:
-            assert self.satisfies_constraint((uea.K, uea.K_INV))
+        if check and not self.satisfies_constraint((uea.K, uea.K_INV)):
+            raise AssertionError("components violate the section constraint")
 
     def satisfies_constraint(self, generators):
         for x in generators:
@@ -234,9 +234,11 @@ class Completion:
         for r, beta in enumerate(self.v_index):
             self.i0.a[beta][r] = ONE
             self.p0.a[r][beta] = ONE
-        assert self.p0 * self.i0 == Matrix.identity(lmodule.dim)
+        if self.p0 * self.i0 != Matrix.identity(lmodule.dim):
+            raise AssertionError("p0 . i0 is not the identity")
         for r, beta in enumerate(self.v_index):
-            assert self.w_weight(beta) == lmodule.weights[r]
+            if self.w_weight(beta) != lmodule.weights[r]:
+                raise AssertionError("inclusion moves the weight of line %d" % r)
 
     def w_weight(self, beta):
         return self.w_module.weights[beta]
@@ -350,8 +352,8 @@ class BundleIdempotent:
         for beta, f in self.domain:
             image = self.apply({beta: f})
             self.columns.append(image)
-            again = self.apply(image)
-            assert _elements_equal(again, image)  # e^2 = e, column by column
+            if not _elements_equal(self.apply(image), image):
+                raise AssertionError("e^2 != e on column (%d, %s)" % (beta, f))
         ech = Echelon()
         for image in self.columns:
             ech.add(element_vector(image))
@@ -402,17 +404,8 @@ def generation_certificate(algebra, lmodule, N):
         for a in inv.elements:
             if a.level <= max(bound, 0):
                 products.append(zeta.times(a))
-    keys = sorted(set(k for s in products + basis for k in s.vector()))
-    idx = {k: r for r, k in enumerate(keys)}
-    m = Matrix.zeros(len(keys), len(products))
-    for c, s in enumerate(products):
-        for k, val in s.vector().items():
-            m.a[idx[k]][c] = val
-    rhs = Matrix.zeros(len(keys), len(basis))
-    for c, s in enumerate(basis):
-        for k, val in s.vector().items():
-            rhs.a[idx[k]][c] = val
-    solution = m.solve(rhs)
+    solution = Span([s.vector() for s in products]).coordinate_matrix(
+        [s.vector() for s in basis])
     return {"generators": len(gens), "sections": len(basis),
             "products": len(products), "solution": solution}
 
@@ -422,8 +415,9 @@ def holomorphic_sections(algebra, lmodule, N):
     k, k^{-1}, e as well (the raising generator acts by zero on V)."""
     gens = (uea.K, uea.K_INV, uea.E)
     out = sections_basis(algebra, lmodule, N, generators=gens)
-    for section in out:
-        assert section.satisfies_constraint(gens)
+    for j, section in enumerate(out):
+        if not section.satisfies_constraint(gens):
+            raise AssertionError("section %d is not holomorphic" % j)
     return out
 
 
@@ -434,21 +428,13 @@ def dot_module(algebra, sections):
     the decomposition exhibits its irreducible summands."""
     if not sections:
         return None, []
-    keys = sorted(set(k for s in sections for k in s.vector()))
-    idx = {k: r for r, k in enumerate(keys)}
-    span = Matrix.zeros(len(keys), len(sections))
-    for c, s in enumerate(sections):
-        for k, val in s.vector().items():
-            span.a[idx[k]][c] = val
+    span = Span([s.vector() for s in sections])
 
     def action_matrix(x):
-        rhs = Matrix.zeros(len(keys), len(sections))
-        for c, s in enumerate(sections):
-            image = s.dot(x)
-            for k, val in image.vector().items():
-                assert k in idx, "translation leaves the span"
-                rhs.a[idx[k]][c] = val
-        return span.solve(rhs)
+        try:
+            return span.coordinate_matrix([s.dot(x).vector() for s in sections])
+        except NoSolution:
+            raise AssertionError("translation leaves the span")
 
     mod = repmod.Module(action_matrix(uea.E), action_matrix(uea.F),
                         action_matrix(uea.K))

@@ -36,7 +36,7 @@ with theta; d^2 = 0 because theta^2 reduces to zero.
 
 import itertools
 
-from .scalars import Scalar, Matrix, Echelon, ZERO, ONE, eval_at, NoSolution
+from .scalars import Scalar, Matrix, Echelon, Span, ZERO, ONE, eval_at, NoSolution
 from . import uea, repmod, coeff, homspace
 
 _UPOW = Scalar.u_power
@@ -216,30 +216,18 @@ def _right_adjoint(x, g):
     return out
 
 
-def _tangent_module(X, K):
-    """Solve the right adjoint action on span{X_a} and return the module
-    it defines on the invariant forms: with X_a <| g = sum_b N(g)_{b a} X_b
-    the matrices M(g) = N(g)^T satisfy M(gh) = M(g) M(h), and they are
-    dual to the coaction under which the coefficient shift of the forms
-    is covariant (the Module constructor checks the defining relations;
-    the braiding construction checks the covariance)."""
-    keys = sorted(set(m for x in X for m in x.terms))
-    idx = {m: r for r, m in enumerate(keys)}
-    span = Matrix.zeros(len(keys), K)
-    for b, x in enumerate(X):
-        for m, s in x.terms.items():
-            span.a[idx[m]][b] = s
+def _tangent_module(span, X):
+    """Solve the right adjoint action in `span`, the Span of the X_a, and
+    return the module it defines on the invariant forms: with
+    X_a <| g = sum_b N(g)_{b a} X_b the matrices M(g) = N(g)^T satisfy
+    M(gh) = M(g) M(h), and they are dual to the coaction under which the
+    coefficient shift of the forms is covariant (the Module constructor
+    checks the relations; the braiding construction the covariance)."""
 
     def action(g):
-        rhs = Matrix.zeros(len(keys), K)
-        for a, x in enumerate(X):
-            image = _right_adjoint(x, g)
-            for m, s in image.terms.items():
-                if m not in idx:
-                    raise AxiomViolation("adjoint image leaves the tangent span")
-                rhs.a[idx[m]][a] = s
+        images = [_right_adjoint(x, g).terms for x in X]
         try:
-            return span.solve(rhs).transpose()
+            return span.coordinate_matrix(images).transpose()
         except NoSolution:
             raise AxiomViolation("adjoint image leaves the tangent span")
 
@@ -296,14 +284,9 @@ def from_rep(wc):
         if uea.coproduct(X[a]) != acc:
             raise AxiomViolation("coproduct of tangent functional")
 
-    keys = sorted(set(m for x in X for m in x.terms))
-    idx = {m: r for r, m in enumerate(keys)}
-    span = Matrix.zeros(len(keys), K)
-    for b, x in enumerate(X):
-        for m, s in x.terms.items():
-            span.a[idx[m]][b] = s
-    nondegenerate = span.rank() == K
-    module = _tangent_module(X, K) if nondegenerate else None
+    span = Span([x.terms for x in X])
+    nondegenerate = span.rank == K
+    module = _tangent_module(span, X) if nondegenerate else None
     return CalculusData(wc, K, F, X, diagonal, nondegenerate, module)
 
 
@@ -626,8 +609,8 @@ class BraidingSplit:
                 for j, (incj, prjj) in enumerate(members):
                     block = prji.mat * self.sigma * incj.mat
                     s = block[0, 0]
-                    assert block == Matrix.identity(n + 1).scale(s), \
-                        "braiding block is not scalar"
+                    if block != Matrix.identity(n + 1).scale(s):
+                        raise AssertionError("braiding block is not scalar")
                     m.a[i][j] = s
             roots = _monomial_roots(_char_poly(m))
             distinct = []
@@ -664,15 +647,21 @@ class BraidingSplit:
                         minus = minus + (inci.mat * prjj.mat).scale(s_minus[i, j])
         self.sigma_plus = plus
         self.sigma_minus = minus
-        assert self.sigma_plus - self.sigma_minus == self.sigma
+        if self.sigma_plus - self.sigma_minus != self.sigma:
+            raise AssertionError("sigma_+ - sigma_- != sigma")
         zero = Matrix.zeros(K * K, K * K)
-        assert self.sigma_plus * self.sigma_minus == zero
-        assert self.sigma_minus * self.sigma_plus == zero
+        if self.sigma_plus * self.sigma_minus != zero:
+            raise AssertionError("sigma_+ sigma_- != 0")
+        if self.sigma_minus * self.sigma_plus != zero:
+            raise AssertionError("sigma_- sigma_+ != 0")
         for g in ("e", "f", "k"):
             mat = getattr(tm, g)
-            assert self.sigma_plus * mat == mat * self.sigma_plus
-            assert self.sigma_minus * mat == mat * self.sigma_minus
-        assert self.sigma.eval_at(1) == repmod.flip_matrix(K, K).eval_at(1)
+            if self.sigma_plus * mat != mat * self.sigma_plus:
+                raise AssertionError("sigma_+ does not commute with %s" % g)
+            if self.sigma_minus * mat != mat * self.sigma_minus:
+                raise AssertionError("sigma_- does not commute with %s" % g)
+        if self.sigma.eval_at(1) != repmod.flip_matrix(K, K).eval_at(1):
+            raise AssertionError("sigma at u = 1 is not the flip")
 
 
 # ----------------------------------------------------------------------
@@ -754,18 +743,9 @@ class Restriction:
         basis = self.bases.get(w.degree)
         if basis is None:
             raise DomainError("degree outside the restriction tables")
-        keys = sorted(set(k for e in basis for k in e["form"].vector())
-                      | set(w.vector()))
-        idx = {k: r for r, k in enumerate(keys)}
-        m = Matrix.zeros(len(keys), len(basis))
-        for c, e in enumerate(basis):
-            for k, s in e["form"].vector().items():
-                m.a[idx[k]][c] = s
-        rhs = [ZERO] * len(keys)
-        for k, s in w.vector().items():
-            rhs[idx[k]] = s
+        span = Span([e["form"].vector() for e in basis])
         try:
-            return m.solve(rhs)
+            return span.coordinates(w.vector())
         except NoSolution:
             raise DomainError("form is outside the restricted calculus")
 

@@ -32,7 +32,7 @@ import time
 from fractions import Fraction
 
 from .scalars import (Scalar, Matrix, Echelon, NoSolution, PoleError,
-                      ZERO, ONE, eval_at)
+                      ONE, eval_at, accumulate)
 from . import (uea, coeff, repmod, homspace, bundle, calculus, connection,
                scalars)
 
@@ -264,14 +264,6 @@ def _random_invariant(rnd, elements, nterms=2):
     return out
 
 
-def _acc(d, key, s):
-    cur = d.get(key, ZERO) + s
-    if cur:
-        d[key] = cur
-    elif key in d:
-        del d[key]
-
-
 # ----------------------------------------------------------------------
 # verification suites
 
@@ -307,9 +299,9 @@ def _suite_hopf(ws, checks):
             left, right = {}, {}
             for (m1, m2), s in uea.coproduct(x).terms.items():
                 for (n1, n2), t in uea.coproduct(uea.monomial(*m1)).terms.items():
-                    _acc(left, (n1, n2, m2), s * t)
+                    accumulate(left, (n1, n2, m2), s * t)
                 for (n1, n2), t in uea.coproduct(uea.monomial(*m2)).terms.items():
-                    _acc(right, (m1, n1, n2), s * t)
+                    accumulate(right, (m1, n1, n2), s * t)
             if left != right:
                 return "coassociativity fails on %s" % (m,)
         return True
@@ -372,10 +364,10 @@ def _suite_hopf(ws, checks):
                 s = f1.terms[k1] * f2.terms[k2]
                 for g1, g2 in a.coproduct(coeff.basis_element(*k1)):
                     (l1,), (l2,) = list(g1.terms), list(g2.terms)
-                    _acc(left, (l1, l2, k2), s * g1.terms[l1] * g2.terms[l2])
+                    accumulate(left, (l1, l2, k2), s * g1.terms[l1] * g2.terms[l2])
                 for g1, g2 in a.coproduct(coeff.basis_element(*k2)):
                     (l1,), (l2,) = list(g1.terms), list(g2.terms)
-                    _acc(right, (k1, l1, l2), s * g1.terms[l1] * g2.terms[l2])
+                    accumulate(right, (k1, l1, l2), s * g1.terms[l1] * g2.terms[l2])
             if left != right:
                 return "coassociativity fails on t%s" % (key,)
         return True

@@ -24,7 +24,7 @@ the nondegeneracy certificate (PairingTable) is a per-class column
 rank computation.
 """
 
-from .scalars import Scalar, Matrix, Echelon, ZERO, ONE, NoSolution
+from .scalars import Matrix, ZERO, ONE, accumulate, LinComb
 from . import uea, repmod
 
 
@@ -33,55 +33,14 @@ class LevelOverflow(Exception):
     level window (the operation was not performed approximately)."""
 
 
-class CoeffElement:
+class CoeffElement(LinComb):
     """A finite Scalar-linear combination of Peter-Weyl coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {key: s for key, s in (terms or {}).items() if s}
+    __slots__ = ()
 
     @property
     def level(self):
         return max((n for (n, i, j) in self.terms), default=0)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, s in other.terms.items():
-            cur = out.get(key, ZERO) + s
-            if cur:
-                out[key] = cur
-            elif key in out:
-                del out[key]
-        return CoeffElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CoeffElement({key: -s for key, s in self.terms.items()})
-
-    def scale(self, s):
-        if isinstance(s, int):
-            s = Scalar(s)
-        if not s:
-            return CoeffElement()
-        return CoeffElement({key: s * t for key, t in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, CoeffElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def coefficient(self, key):
-        return self.terms.get(key, ZERO)
 
     def entries(self):
         """Sorted (n, i, j, scalar-string) rows for reports."""
@@ -252,13 +211,7 @@ class Algebra:
                     if not left:
                         continue
                     for s in range(p + 1):
-                        c = left * prj[s, col]
-                        if c:
-                            cur = out.get((p, r, s), ZERO) + c
-                            if cur:
-                                out[(p, r, s)] = cur
-                            elif (p, r, s) in out:
-                                del out[(p, r, s)]
+                        accumulate(out, (p, r, s), left * prj[s, col])
             self._pair_prod[key] = out
         return out
 
@@ -268,11 +221,7 @@ class Algebra:
             for (n, k, l), t in g.terms.items():
                 st = s * t
                 for key, c in self._basis_product(m, i, j, n, k, l).items():
-                    cur = out.get(key, ZERO) + st * c
-                    if cur:
-                        out[key] = cur
-                    elif key in out:
-                        del out[key]
+                    accumulate(out, key, st * c)
         top = max((p for (p, r, s) in out), default=0)
         if top > self.n_max:
             raise LevelOverflow(

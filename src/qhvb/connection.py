@@ -27,7 +27,7 @@ restriction of nabla^2 to the sections; its right-linear extension
 F-hat satisfies the operator identity nabla(F(zeta)) = F-hat(nabla(zeta)).
 """
 
-from .scalars import Scalar, Matrix, NoSolution, ZERO
+from .scalars import Scalar, Span, NoSolution
 from . import coeff, homspace, bundle, calculus
 
 
@@ -56,7 +56,9 @@ class TensoredSectionSpace:
                 for beta in range(self.dim_w):
                     acc = acc + self.algebra.multiply(e[gamma][beta],
                                                       e[beta][alpha])
-                assert acc == e[gamma][alpha], "idempotent matrix identity"
+                if acc != e[gamma][alpha]:
+                    raise AssertionError("idempotent matrix identity fails "
+                                         "at (%d, %d)" % (gamma, alpha))
         self.sections = bundle.sections_basis(self.algebra, lmodule, N)
 
     # -- elements --------------------------------------------------------
@@ -120,26 +122,8 @@ class TensoredSectionSpace:
     def section_coordinates(self, section):
         """Coordinates of a section in the stored basis; NoSolution if
         it lies outside the level window."""
-        def flatten(s):
-            d = {}
-            for r, f in enumerate(s.components):
-                for key, sc in f.terms.items():
-                    d[(r, key)] = sc
-            return d
-        basis = [flatten(s) for s in self.sections]
-        target = flatten(section)
-        index = {}
-        for d in basis + [target]:
-            for key in d:
-                index.setdefault(key, len(index))
-        m = Matrix.zeros(len(index), len(basis))
-        rhs = [ZERO] * len(index)
-        for j, d in enumerate(basis):
-            for key, sc in d.items():
-                m.a[index[key]][j] = sc
-        for key, sc in target.items():
-            rhs[index[key]] = sc
-        return m.solve(rhs)
+        span = Span([s.vector() for s in self.sections])
+        return span.coordinates(section.vector())
 
     # -- the distinguished connection -------------------------------------
 
@@ -265,24 +249,30 @@ class ConnectionMap:
         self._certify(on)
 
     def _certify(self, on):
-        """A(psi a) = A(psi) a exactly, for basis sections psi and the
-        invariant generators a, plus agreement with the prescribed
-        values when A was given on the sections basis."""
+        """A(psi a) = A(psi) a exactly, for the level-N basis sections psi
+        and a in {1, the three Podles generators}, plus agreement with the
+        prescribed values when A was given on the sections basis.  A
+        NotLinear names the failing section and test element and states
+        this scope: the certificate checks no other pair."""
         if self.a_map is None:
             return
         tss = self.tss
+        scope = ("certificate scope: the level-%d basis sections against 1 "
+                 "and the three Podles generators" % tss.N)
         tests = [coeff.unit()] + list(homspace.podles_generators())
         for j, section in enumerate(tss.sections):
             psi = tss.from_section(section)
             image = tss.reduce(self.a_map(psi))
             if on == "sections" and image != self._a_on_sections[j]:
-                raise NotLinear("perturbation is not right-linear")
+                raise NotLinear("basis section %d, a = 1: A(psi) differs from "
+                                "its prescribed value; %s" % (j, scope))
             for g in tests:
                 lhs = tss.reduce(self.a_map(
                     tss.from_section(section.times(g))))
                 rhs = tss.right_mult(image, tss.calc.form0(g))
                 if lhs != rhs:
-                    raise NotLinear("perturbation is not right-linear")
+                    raise NotLinear("basis section %d, a = %s: A(psi a) != "
+                                    "A(psi) a; %s" % (j, g, scope))
 
     def sections_matrix(self):
         """The perturbation expressed on the sections basis:

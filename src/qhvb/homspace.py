@@ -14,7 +14,7 @@ Levi part together with every raising generator) is also housed here;
 it cuts out the holomorphic sections used by the bundle machinery.
 """
 
-from .scalars import Matrix, Echelon, ZERO, NoSolution
+from .scalars import Matrix, Span, ZERO, NoSolution
 from . import uea, repmod, coeff
 
 
@@ -91,31 +91,22 @@ class InvariantBasis:
                     self.elements.append(coeff.CoeffElement(terms))
                     count += 1
             self.block_dims.append(count)
-        self.echelon = Echelon()
         for f in self.elements:
-            assert is_invariant(algebra, theta, f)
-            residual = self.echelon.add(dict(f.terms))
-            assert residual  # independence
-        assert self.echelon.rank == len(self.elements)
+            if not is_invariant(algebra, theta, f):
+                raise AssertionError("basis element %s is not invariant" % f)
+        self.span = Span([f.terms for f in self.elements])
+        if self.span.rank != len(self.elements):
+            raise AssertionError("invariant basis is linearly dependent")
 
     def contains(self, f):
         """Membership of a CoeffElement in the invariant span."""
-        return not self.echelon.reduce(dict(f.terms))
+        return self.coordinates(f) is not None
 
     def coordinates(self, f):
         """Coordinates of f in the basis, or None when f is outside the
-        span.  Solved exactly against the basis vectors."""
-        keys = sorted(set(k for g in self.elements for k in g.terms) | set(f.terms))
-        idx = {k: r for r, k in enumerate(keys)}
-        m = Matrix.zeros(len(keys), len(self.elements))
-        for c, g in enumerate(self.elements):
-            for k, s in g.terms.items():
-                m.a[idx[k]][c] = s
-        rhs = [ZERO] * len(keys)
-        for k, s in f.terms.items():
-            rhs[idx[k]] = s
+        span."""
         try:
-            return m.solve(rhs)
+            return self.span.coordinates(f.terms)
         except NoSolution:
             return None
 

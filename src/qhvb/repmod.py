@@ -58,11 +58,14 @@ class Module:
     def _verify_relations(self):
         e, f, k, k_inv = self.e, self.f, self.k, self.k_inv
         q = _QPOW(1)
-        assert k * e * k_inv == e.scale(q), "k e k^{-1} != q e"
-        assert k * f * k_inv == f.scale(_QPOW(-1)), "k f k^{-1} != q^{-1} f"
+        if k * e * k_inv != e.scale(q):
+            raise AssertionError("k e k^{-1} != q e")
+        if k * f * k_inv != f.scale(_QPOW(-1)):
+            raise AssertionError("k f k^{-1} != q^{-1} f")
         lhs = e * f - f * e
         rhs = (k * k - k_inv * k_inv).scale(ONE / _QDIFF)
-        assert lhs == rhs, "e f - f e != (k^2 - k^{-2})/(q - q^{-1})"
+        if lhs != rhs:
+            raise AssertionError("e f - f e != (k^2 - k^{-2})/(q - q^{-1})")
 
     def _diagonal_weights(self):
         """If k is diagonal with entries u^{2m}, the integer weights m;
@@ -128,9 +131,8 @@ class ModuleMap:
         self.mat = mat
         if check:
             for g in ("e", "f", "k"):
-                lhs = mat * getattr(source, g)
-                rhs = getattr(target, g) * mat
-                assert lhs == rhs, "not an intertwiner (fails on %s)" % g
+                if mat * getattr(source, g) != getattr(target, g) * mat:
+                    raise AssertionError("not an intertwiner (fails on %s)" % g)
 
     def __call__(self, vec):
         return self.mat.apply(vec)

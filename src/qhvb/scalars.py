@@ -28,6 +28,14 @@ with its two cofactors, by `_cancel`, which keeps the last
 CANCEL_CACHE_SIZE results: the same denominator pairs recur close
 together in time.
 
+Sparse vectors.  `LinComb` is the one sparse linear-combination type:
+nonzero Scalars keyed by basis labels, with the vector-space operations;
+the elements of U_q, U_q (x) U_q and T_q subclass it and add their own
+products.  `accumulate` adds one term into such a dict.  `Span` gives
+the rank of a family of sparse vectors and the coordinates of a vector
+in it (NoSolution outside), through an `Echelon` whose rows carry tags
+that record which inputs they combine.
+
 There is no floating point anywhere; specialization at a rational point
 goes through fractions.Fraction.
 """
@@ -280,11 +288,6 @@ class Scalar:
     # -- constructors
 
     @staticmethod
-    def from_fraction(fr):
-        fr = Fraction(fr)
-        return Scalar((fr.numerator,), (fr.denominator,))
-
-    @staticmethod
     def u_power(n):
         """u^n for any integer n."""
         if n >= 0:
@@ -295,11 +298,6 @@ class Scalar:
     def q_power(n):
         return Scalar.u_power(4 * n)
 
-    @staticmethod
-    def v_power(n):
-        """v^n with v = q^{1/2} = u^2."""
-        return Scalar.u_power(2 * n)
-
     # -- predicates
 
     def is_zero(self):
@@ -307,9 +305,6 @@ class Scalar:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_one(self):
-        return self.num == (1,) and self.den == (1,)
 
     # -- arithmetic
 
@@ -506,19 +501,8 @@ class Matrix:
     def identity(n):
         return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def diagonal(vals):
-        n = len(vals)
-        m = Matrix.zeros(n, n)
-        for i, v in enumerate(vals):
-            m.a[i][i] = v
-        return m
-
     def __getitem__(self, ij):
         return self.a[ij[0]][ij[1]]
-
-    def copy(self):
-        return Matrix(self.a)
 
     def __eq__(self, other):
         return (
@@ -751,5 +735,117 @@ class Echelon:
     def contains(self, vec):
         return not self.reduce(vec)
 
-    def pivot_keys(self):
-        return sorted(self.rows)
+
+# ----------------------------------------------------------------------
+# sparse linear combinations and the span solver
+
+
+def accumulate(d, key, s):
+    """Add the Scalar s into d[key], keeping only nonzero values."""
+    if not s:
+        return
+    cur = d.get(key)
+    if cur is None:
+        d[key] = s
+    else:
+        cur = cur + s
+        if cur:
+            d[key] = cur
+        else:
+            del d[key]
+
+
+class LinComb:
+    """A finite Scalar-linear combination of hashable keys: `terms` maps
+    each key to a nonzero Scalar.  Subclasses say what the keys are and
+    add their own products; the linear structure is shared, and elements
+    compare equal only within one subclass."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: s for k, s in (terms or {}).items() if s}
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, s in other.terms.items():
+            accumulate(out, k, s)
+        return type(self)(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for k, s in other.terms.items():
+            accumulate(out, k, -s)
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({k: -s for k, s in self.terms.items()})
+
+    def scale(self, s):
+        if isinstance(s, int):
+            s = Scalar(s)
+        if not s:
+            return type(self)()
+        return type(self)({k: s * t for k, t in self.terms.items()})
+
+    def coefficient(self, key):
+        return self.terms.get(key, ZERO)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class Span:
+    """The span of a list of sparse vectors (dicts from mutually
+    comparable keys to Scalars), for its rank and for the coordinates of
+    a vector in it.
+
+    Vector c enters an Echelon with its keys wrapped as (0, k) and one
+    tag key (1, c); tags sort after every column, so each row's pivot is
+    a column key and its tags record the combination of inputs it is.
+    A vector that reduces to tags only depends on the earlier ones and
+    is left out, so its coordinate is zero: the same particular solution
+    Matrix.solve returns, with every free variable zero."""
+
+    def __init__(self, vectors):
+        self.size = len(vectors)
+        self.echelon = Echelon()
+        for c, vec in enumerate(vectors):
+            v = {(0, k): s for k, s in vec.items()}
+            v[(1, c)] = ONE
+            v = self.echelon.reduce(v)
+            if min(v)[0] == 0:
+                self.echelon.add(v)
+
+    @property
+    def rank(self):
+        return self.echelon.rank
+
+    def coordinates(self, vec):
+        """The list x with sum_c x[c] vectors[c] = vec; NoSolution when
+        vec is outside the span."""
+        v = self.echelon.reduce({(0, k): s for k, s in vec.items()})
+        if v and min(v)[0] == 0:
+            raise NoSolution("vector outside the span")
+        x = [ZERO] * self.size
+        for (_, c), s in v.items():
+            x[c] = -s
+        return x
+
+    def coordinate_matrix(self, targets):
+        """The Matrix whose column j is coordinates(targets[j]); its shape
+        is len(vectors) x len(targets) also when targets is empty."""
+        m = Matrix.zeros(self.size, len(targets))
+        for j, vec in enumerate(targets):
+            for i, s in enumerate(self.coordinates(vec)):
+                m.a[i][j] = s
+        return m

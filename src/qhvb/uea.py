@@ -25,7 +25,7 @@ This is one of several equivalent normalizations in use; it is fixed
 here once and all downstream matrix coefficients inherit it.
 """
 
-from .scalars import Scalar, ZERO, ONE, qint
+from .scalars import Scalar, ZERO, ONE, qint, accumulate, LinComb
 
 _QPOW = Scalar.q_power
 
@@ -53,31 +53,16 @@ def _ef_normal(c, a):
     out = {}
     # e^{c-1} f^a, then append one e on the right
     for (x, y, z), s in _ef_normal(c - 1, a).items():
-        _accum(out, (x, y, z + 1), s)
+        accumulate(out, (x, y, z + 1), s)
     # [a] e^{c-1} f^{a-1} * (q^{-(a-1)} k^2 - q^{a-1} k^{-2}) / (q-q^{-1})
     co = qint(a) / _QDIFF
     for (x, y, z), s in _ef_normal(c - 1, a - 1).items():
         base = s * co
         # right-multiplying f^x k^y e^z by k^s picks up q^{-z*s}
-        _accum(out, (x, y + 2, z), base * _QPOW(-(a - 1)) * _QPOW(-2 * z))
-        _accum(out, (x, y - 2, z), -base * _QPOW(a - 1) * _QPOW(2 * z))
-    out = {m: s for m, s in out.items() if s}
+        accumulate(out, (x, y + 2, z), base * _QPOW(-(a - 1)) * _QPOW(-2 * z))
+        accumulate(out, (x, y - 2, z), -base * _QPOW(a - 1) * _QPOW(2 * z))
     _EF_MEMO[key] = out
     return out
-
-
-def _accum(d, key, s):
-    if not s:
-        return
-    cur = d.get(key)
-    if cur is None:
-        d[key] = s
-    else:
-        cur = cur + s
-        if cur:
-            d[key] = cur
-        else:
-            del d[key]
 
 
 def _mono_mul(m1, m2):
@@ -88,7 +73,7 @@ def _mono_mul(m1, m2):
     for (x, y, z), s in _ef_normal(c1, a2).items():
         # f^{a1} k^{b1} (f^x k^y e^z) k^{b2} e^{c2}
         coeff = s * _QPOW(-b1 * x - z * b2)
-        _accum(out, (a1 + x, b1 + y + b2, z + c2), coeff)
+        accumulate(out, (a1 + x, b1 + y + b2, z + c2), coeff)
     return out
 
 
@@ -96,41 +81,10 @@ def _mono_mul(m1, m2):
 # elements
 
 
-class UEAElement:
+class UEAElement(LinComb):
     """A finite Scalar-linear combination of PBW monomials f^a k^b e^c."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: s for m, s in (terms or {}).items() if s}
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, s in other.terms.items():
-            _accum(out, m, s)
-        return UEAElement(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, s in other.terms.items():
-            _accum(out, m, -s)
-        return UEAElement(out)
-
-    def __neg__(self):
-        return UEAElement({m: -s for m, s in self.terms.items()})
-
-    def scale(self, s):
-        if isinstance(s, int):
-            s = Scalar(s)
-        if not s:
-            return UEAElement()
-        return UEAElement({m: s * t for m, t in self.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -140,10 +94,10 @@ class UEAElement:
             for m2, s2 in other.terms.items():
                 s12 = s1 * s2
                 for m, s in _mono_mul(m1, m2).items():
-                    _accum(out, m, s12 * s)
+                    accumulate(out, m, s12 * s)
         return UEAElement(out)
 
-    __rmul__ = scale
+    __rmul__ = LinComb.scale
 
     def __pow__(self, n):
         assert n >= 0
@@ -151,15 +105,6 @@ class UEAElement:
         for _ in range(n):
             acc = acc * self
         return acc
-
-    def __eq__(self, other):
-        return isinstance(other, UEAElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def coefficient(self, mono):
-        return self.terms.get(mono, ZERO)
 
     def __str__(self):
         return format_element(self)
@@ -183,11 +128,6 @@ def zero():
     return UEAElement()
 
 
-def multiply(x, y):
-    """PBW-normal product (the algebra structure)."""
-    return x * y
-
-
 def counit(x):
     acc = ZERO
     for (a, b, c), s in x.terms.items():
@@ -200,32 +140,12 @@ def counit(x):
 # tensor square (for the coproduct)
 
 
-class TensorUEA:
+class TensorUEA(LinComb):
     """An element of U_q (x) U_q: a map from pairs of PBW monomials to
     Scalars -- the fully expanded canonical form, so equality of
     coproducts is a dict comparison."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: s for m, s in (terms or {}).items() if s}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, s in other.terms.items():
-            _accum(out, m, s)
-        return TensorUEA(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, s in other.terms.items():
-            _accum(out, m, -s)
-        return TensorUEA(out)
-
-    def scale(self, s):
-        if not s:
-            return TensorUEA()
-        return TensorUEA({m: s * t for m, t in self.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other):
         out = {}
@@ -236,11 +156,8 @@ class TensorUEA:
                 right = _mono_mul(r1, r2)
                 for ml, sl in left.items():
                     for mr, sr in right.items():
-                        _accum(out, (ml, mr), s12 * sl * sr)
+                        accumulate(out, (ml, mr), s12 * sl * sr)
         return TensorUEA(out)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorUEA) and self.terms == other.terms
 
     def flip(self):
         return TensorUEA({(r, l): s for (l, r), s in self.terms.items()})
@@ -253,7 +170,7 @@ class TensorUEA:
             rx = right_fn(UEAElement({r: ONE})) if right_fn else UEAElement({r: ONE})
             for ml, sl in lx.terms.items():
                 for mr, sr in rx.terms.items():
-                    _accum(out, (ml, mr), s * sl * sr)
+                    accumulate(out, (ml, mr), s * sl * sr)
         return TensorUEA(out)
 
     def contract(self):
@@ -284,11 +201,8 @@ class TensorUEA:
 
 def tensor(x, y):
     """Simple tensor of two elements."""
-    out = {}
-    for m1, s1 in x.terms.items():
-        for m2, s2 in y.terms.items():
-            _accum(out, (m1, m2), s1 * s2)
-    return TensorUEA(out)
+    return TensorUEA({(m1, m2): s1 * s2 for m1, s1 in x.terms.items()
+                      for m2, s2 in y.terms.items()})
 
 
 _DELTA_E_POW = {0: TensorUEA({((0, 0, 0), (0, 0, 0)): ONE})}
@@ -339,12 +253,7 @@ def iterated_coproduct(x, legs):
         nxt = {}
         for key, s in cur.items():
             for (m1, m2), s2 in _delta_mono(key[-1]).terms.items():
-                k2 = key[:-1] + (m1, m2)
-                v = nxt.get(k2, ZERO) + s * s2
-                if v:
-                    nxt[k2] = v
-                elif k2 in nxt:
-                    del nxt[k2]
+                accumulate(nxt, key[:-1] + (m1, m2), s * s2)
         cur = nxt
     return cur
 

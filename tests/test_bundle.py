@@ -161,6 +161,11 @@ def test_generation_certificate():
     # gives exactly one generator, and it generates
     cert = bundle.generation_certificate(A, bundle.LModule([0]), 2)
     assert cert["generators"] == 1
+    # no section up to level 1: the solution keeps one row per product
+    cert = bundle.generation_certificate(A, bundle.LModule([2, -2]), 1)
+    solution = cert["solution"]
+    assert (cert["products"], cert["sections"]) == (6, 0)
+    assert (solution.rows, solution.cols) == (6, 0)
 
 
 def test_two_sided_module_structure():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +241,21 @@ def test_unusable_out_path_exits_2_before_any_work(tmp_path, capsys, command):
 def test_emit_write_failure_is_an_output_error(tmp_path):
     with pytest.raises(cli.OutputError):
         cli._emit({"ok": True}, str(tmp_path / "missing" / "report.json"))
+
+
+def test_certificates_fail_under_optimised_python():
+    # the certificates raise instead of asserting, so python -O, which
+    # strips asserts, still reports a broken e^2 = e comparison
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; from qhvb import bundle, cli; "
+            "bundle._elements_equal = lambda x, y: False; "
+            "sys.exit(cli.main(['verify', '--suite', 'idempotent']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert [c["status"] for c in checks] == ["fail"] * 4
+    assert all(c["witness"].startswith("AssertionError: e^2 != e")
+               for c in checks)

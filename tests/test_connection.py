@@ -92,7 +92,10 @@ def test_sections_mode_certificate():
     n = len(TSS.sections)
     ident = [[Scalar(2) if i == j else Scalar(0) for j in range(n)]
              for i in range(n)]
-    with pytest.raises(connection.NotLinear):
+    with pytest.raises(connection.NotLinear,
+                       match="^basis section 0, a = 1: .*; certificate scope: "
+                             "the level-1 basis sections against 1 and the "
+                             "three Podles generators$"):
         connection.make_connection(TSS, ident, on="sections")
 
 

@@ -7,11 +7,12 @@ from math import gcd as _igcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qhvb import scalars as sc
+from qhvb import coeff, uea, scalars as sc
 from qhvb.scalars import (
     Scalar,
     Matrix,
     Echelon,
+    Span,
     qint,
     qfact,
     eval_at,
@@ -313,6 +314,64 @@ def test_echelon_membership_and_canonical_reduction():
     # reduction is idempotent
     red = ech.reduce({0: ONE, 2: U})
     assert ech.reduce(red) == red
+
+
+@st.composite
+def span_problems(draw):
+    """(vectors, target, keys): up to four sparse vectors over up to four
+    integer keys, some of them zero or combinations of earlier ones, and
+    a target that is a combination of them or an arbitrary vector (then
+    often outside the span)."""
+    keys = list(range(draw(st.integers(min_value=1, max_value=4))))
+
+    def sparse_vector():
+        return {k: s for k in keys if (s := draw(sparse_scalars))}
+
+    def combination(vectors):
+        out = {}
+        for vec in vectors:
+            c = draw(sparse_scalars)
+            for k, s in vec.items():
+                sc.accumulate(out, k, c * s)
+        return out
+
+    vectors = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(("free", "zero", "dependent")))
+        vectors.append({} if kind == "zero" else
+                       combination(vectors) if kind == "dependent" else
+                       sparse_vector())
+    target = (combination(vectors) if draw(st.booleans())
+              else sparse_vector())
+    return vectors, target, keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_problems())
+def test_span_matches_dense_solve(problem):
+    vectors, target, keys = problem
+    dense = Matrix([[vec.get(k, ZERO) for vec in vectors] for k in keys])
+    span = Span(vectors)
+    assert span.rank == dense.rank()
+    empty = span.coordinate_matrix([])
+    assert (empty.rows, empty.cols) == (dense.cols, 0)
+    try:
+        want = dense.solve([target.get(k, ZERO) for k in keys])
+    except NoSolution:
+        with pytest.raises(NoSolution):
+            span.coordinates(target)
+        return
+    assert span.coordinates(target) == want
+    assert span.coordinate_matrix([target]) == Matrix([[x] for x in want])
+
+
+def test_lincomb_types_and_scaling():
+    terms = {(0, 0, 0): U, (1, 0, 1): ONE}
+    assert coeff.CoeffElement(terms) != uea.UEAElement(terms)
+    assert uea.UEAElement(terms) == uea.UEAElement(dict(terms))
+    x = uea.UEAElement(terms)
+    assert 2 * x == x.scale(2) == x * 2
+    assert 0 * x == x.scale(ZERO) == uea.UEAElement()
 
 
 # ----------------------------------------------------------------------
