@@ -19,8 +19,11 @@ satisfy the structure identities
 all of which are verified exactly at construction.  The space of
 invariant one-forms has basis omega_a, a = 1..K; every form is written
 in left-trivialized coordinates as a sum of coefficients in T_q times
-words in the omega_a, where multiplication shifts coefficients through
-the word by F:
+words in the omega_a.  A FormElement holds these coordinates as one sparse
+combination whose terms map (word, Peter-Weyl key) to Scalars, so the
+ideal reduction and every span see the same columns; `coords` groups
+the terms by word and `form` is its inverse.  Multiplication shifts
+coefficients through the word by F:
 
     omega_a . b = sum_c (F_{a c} o b) omega_c,
     d b        = sum_c (X_c o b) omega_c = theta b - b theta,
@@ -36,7 +39,8 @@ with theta; d^2 = 0 because theta^2 reduces to zero.
 
 import itertools
 
-from .scalars import Scalar, Matrix, Echelon, Span, ZERO, ONE, eval_at, NoSolution
+from .scalars import (Scalar, Matrix, Echelon, Span, LinComb, ZERO, ONE,
+                      accumulate, eval_at, NoSolution)
 from . import uea, repmod, coeff, homspace
 
 _UPOW = Scalar.u_power
@@ -84,7 +88,8 @@ def _poly_div_linear(p, root):
         carry = p[i] + carry
         out[i - 1] = carry
         carry = carry * root
-    assert p[0] + carry == ZERO, "nonzero remainder in deflation"
+    if p[0] + carry != ZERO:
+        raise AssertionError("nonzero remainder in deflation")
     return out
 
 
@@ -293,61 +298,54 @@ def from_rep(wc):
 # ----------------------------------------------------------------------
 # forms
 
-class FormElement:
-    """A left-trivialized form: coordinates map length-n words in the
-    invariant one-form basis to coefficients in T_q."""
+class FormElement(LinComb):
+    """A left-trivialized form of degree n: terms map (word, Peter-Weyl
+    key) to nonzero Scalars, the word a length-n tuple of letters of the
+    invariant one-form basis.  Forms add only within one degree, and zero
+    forms of different degrees are unequal."""
 
-    def __init__(self, degree, coords=None, reduced=False):
+    __slots__ = ("degree",)
+
+    def __init__(self, degree, terms=None):
+        LinComb.__init__(self, terms)
         self.degree = degree
-        self.coords = {}
-        for key, f in (coords or {}).items():
-            assert len(key) == degree
-            if not f.is_zero():
-                self.coords[key] = f
-        self.reduced = reduced
 
-    def is_zero(self):
-        return not self.coords
+    def _new(self, terms):
+        return FormElement(self.degree, terms)
+
+    def __add__(self, other):
+        if other.degree != self.degree:
+            raise ValueError("adding forms of degrees %d and %d"
+                             % (self.degree, other.degree))
+        return LinComb.__add__(self, other)
+
+    def __eq__(self, other):
+        return LinComb.__eq__(self, other) and self.degree == other.degree
+
+    @property
+    def coords(self):
+        """The terms grouped by word: {word: CoeffElement}; the inverse
+        of `form`."""
+        out = {}
+        for (word, pw), s in self.terms.items():
+            out.setdefault(word, {})[pw] = s
+        return {word: coeff.CoeffElement(t) for word, t in out.items()}
 
     @property
     def level(self):
-        return max([f.level for f in self.coords.values()] or [0])
-
-    def _merge(self, other, sign):
-        assert self.degree == other.degree
-        out = dict(self.coords)
-        for key, f in other.coords.items():
-            g = out.get(key)
-            out[key] = f.scale(sign) if g is None else g + f.scale(sign)
-        return FormElement(self.degree, out)
-
-    def __add__(self, other):
-        return self._merge(other, ONE)
-
-    def __sub__(self, other):
-        return self._merge(other, -ONE)
-
-    def scale(self, s):
-        return FormElement(self.degree,
-                           {k: f.scale(s) for k, f in self.coords.items()},
-                           reduced=self.reduced)
-
-    def vector(self):
-        """Sparse coordinates keyed (word, peter-weyl key)."""
-        out = {}
-        for key, f in self.coords.items():
-            for pw, s in f.terms.items():
-                out[(key, pw)] = s
-        return out
-
-    def __eq__(self, other):
-        return self.degree == other.degree and self.coords == other.coords
+        return max((pw[0] for _, pw in self.terms), default=0)
 
     def __repr__(self):
-        if not self.coords:
+        if not self.terms:
             return "FormElement(%d, 0)" % self.degree
         bits = ["(%s) w%s" % (f, list(key)) for key, f in sorted(self.coords.items())]
         return "FormElement(%d, %s)" % (self.degree, " + ".join(bits))
+
+
+def form(degree, coords):
+    """The degree-n form with coordinates {word: CoeffElement}."""
+    return FormElement(degree, {(word, pw): s for word, f in coords.items()
+                                for pw, s in f.terms.items()})
 
 
 class Calculus:
@@ -366,23 +364,18 @@ class Calculus:
     # -- basic forms ---------------------------------------------------
 
     def form0(self, f):
-        return FormElement(0, {(): f}, reduced=True)
+        return form(0, {(): f})
 
     def zero(self, degree):
-        return FormElement(degree, {}, reduced=True)
+        return FormElement(degree)
 
     def theta(self):
-        return FormElement(1, {(a,): coeff.unit() for a in self.data.diagonal},
-                           reduced=True)
+        return form(1, {(a,): coeff.unit() for a in self.data.diagonal})
 
     def d0(self, f):
         """df = sum_c (X_c o f) omega_c; preserves coefficient levels."""
-        coords = {}
-        for c in range(self.K):
-            g = self.algebra.circle(self.data.X[c], f)
-            if not g.is_zero():
-                coords[(c,)] = g
-        return FormElement(1, coords, reduced=True)
+        return form(1, {(c,): self.algebra.circle(self.data.X[c], f)
+                        for c in range(self.K)})
 
     # -- multiplication ------------------------------------------------
 
@@ -431,15 +424,13 @@ class Calculus:
     def multiply(self, w1, w2):
         """(a (x) w_I)(b (x) w_J) = sum_C a ((F-word)_{I C} o b) (x) w_{C ++ J}."""
         out = {}
+        right = w2.coords
         for I, a in w1.coords.items():
-            for J, b in w2.coords.items():
+            for J, b in right.items():
                 for C, g in self._word_action(I, b):
-                    prod = self.algebra.multiply(a, g)
-                    if prod.is_zero():
-                        continue
-                    key = C + J
-                    acc = out.get(key)
-                    out[key] = prod if acc is None else acc + prod
+                    word = C + J
+                    for pw, s in self.algebra.multiply(a, g).terms.items():
+                        accumulate(out, (word, pw), s)
         return FormElement(w1.degree + w2.degree, out)
 
     def right_mult(self, w, b):
@@ -451,8 +442,8 @@ class Calculus:
     def d(self, w):
         """Graded commutator with theta, reduced: degree n goes to n+1."""
         th = self.theta()
-        out = self.multiply(th, w) - self.multiply(w, th).scale(
-            -ONE if w.degree % 2 else ONE)
+        out = self.multiply(th, w) + self.multiply(w, th).scale(
+            ONE if w.degree % 2 else -ONE)
         return self.reduce_mod_J(out)
 
     # -- braiding and the exterior ideal ---------------------------------
@@ -478,7 +469,10 @@ class Calculus:
                     if s:
                         kv[(a, b)] = s
                         w = wts[a] + wts[b]
-                        assert weight is None or weight == w
+                        if weight is not None and weight != w:
+                            raise AssertionError(
+                                "kernel vector of sigma_- mixes the weights "
+                                "%d and %d" % (weight, w))
                         weight = w
             out.append((weight, kv))
         return out
@@ -509,22 +503,19 @@ class Calculus:
         """Canonical representative modulo the exterior ideal, computed
         per Peter-Weyl key and per total letter weight."""
         if w.degree < 2:
-            return FormElement(w.degree, w.coords, reduced=True)
+            return w
         ech = self._j_echelon(w.degree)
         wts = self.data.module.weights
         per_pw = {}
-        for key, f in w.coords.items():
-            weight = sum(wts[a] for a in key)
-            for pw, s in f.terms.items():
-                per_pw.setdefault((pw, weight), {})[key] = s
-        coords = {}
+        for (word, pw), s in w.terms.items():
+            weight = sum(wts[a] for a in word)
+            per_pw.setdefault((pw, weight), {})[word] = s
+        terms = {}
         for (pw, weight), vec in per_pw.items():
             e = ech.get(weight)
-            red = e.reduce(vec) if e is not None else vec
-            for key, s in red.items():
-                acc = coords.setdefault(key, coeff.CoeffElement())
-                coords[key] = acc + coeff.basis_element(*pw, coeff=s)
-        return FormElement(w.degree, coords, reduced=True)
+            for word, s in (e.reduce(vec) if e is not None else vec).items():
+                terms[(word, pw)] = s
+        return FormElement(w.degree, terms)
 
     def omega_dims(self, n):
         """Dimension of the degree-n component of the exterior algebra
@@ -541,10 +532,8 @@ class Calculus:
     def dot_on_forms(self, x, w):
         """Left translation acts on the coefficients only (the invariant
         form legs are left-invariant)."""
-        return FormElement(w.degree,
-                           {key: self.algebra.dot(x, f)
-                            for key, f in w.coords.items()},
-                           reduced=w.reduced)
+        return form(w.degree, {key: self.algebra.dot(x, f)
+                               for key, f in w.coords.items()})
 
     def restrict(self, N):
         return Restriction(self, N)
@@ -691,7 +680,7 @@ class Restriction:
                     form = self._realize(combo)
                     if form.is_zero():
                         continue
-                    if ech.add(form.vector()):
+                    if ech.add(form.terms):
                         basis.append({"form": form, "presentation": combo})
                 filt.append(ech.rank)
             self.bases[degree] = basis
@@ -725,7 +714,7 @@ class Restriction:
         ech = self.echelons.get(w.degree)
         if ech is None:
             return False
-        return not ech.reduce(w.vector())
+        return not ech.reduce(w.terms)
 
     def closure_check(self, degree):
         """d maps the degree-n restricted space into the degree-(n+1)
@@ -743,9 +732,9 @@ class Restriction:
         basis = self.bases.get(w.degree)
         if basis is None:
             raise DomainError("degree outside the restriction tables")
-        span = Span([e["form"].vector() for e in basis])
+        span = Span([e["form"].terms for e in basis])
         try:
-            return span.coordinates(w.vector())
+            return span.coordinates(w.terms)
         except NoSolution:
             raise DomainError("form is outside the restricted calculus")
 

@@ -984,7 +984,7 @@ def cmd_verify(cfg, out_path):
 
 def _form_json(w):
     return {"(%s)" % ",".join(str(i) for i in key): str(ce)
-            for key, ce in sorted(w.coords.items()) if not ce.is_zero()}
+            for key, ce in sorted(w.coords.items())}
 
 
 def cmd_dims(cfg, out_path):

@@ -225,7 +225,8 @@ class Algebra:
         top = max((p for (p, r, s) in out), default=0)
         if top > self.n_max:
             raise LevelOverflow(
-                "product needs level %d beyond the window n_max=%d" % (top, self.n_max)
+                "product needs level %d beyond the coefficient window %d"
+                % (top, self.n_max)
             )
         return CoeffElement(out)
 

@@ -60,6 +60,9 @@ class TensoredSectionSpace:
                     raise AssertionError("idempotent matrix identity fails "
                                          "at (%d, %d)" % (gamma, alpha))
         self.sections = bundle.sections_basis(self.algebra, lmodule, N)
+        self._section_span = Span([s.vector() for s in self.sections])
+        self._generators = [self.generator(alpha)
+                            for alpha in range(self.dim_w)]
 
     # -- elements --------------------------------------------------------
 
@@ -71,19 +74,25 @@ class TensoredSectionSpace:
         assert len(degrees) == 1
         return degrees.pop()
 
-    def project(self, vec):
-        """Left multiplication by the idempotent matrix, reduced."""
-        degree = self.degree_of(vec)
+    def extend(self, values, vec):
+        """The right-linear map taking the beta-th generating vector
+        (zeta_beta, or the beta-th basis section) to values[beta], at
+        sum_beta zeta_beta (x) vec[beta]: coordinate gamma is
+        sum_beta values[beta][gamma] vec[beta], reduced."""
+        degree = values[0][0].degree + self.degree_of(vec)
         out = []
-        for beta in range(self.dim_w):
+        for gamma in range(self.dim_w):
             acc = self.calc.zero(degree)
-            for alpha in range(self.dim_w):
-                g = self.e_matrix[beta][alpha]
-                if g.is_zero() or vec[alpha].is_zero():
-                    continue
-                acc = acc + self.calc.left_mult(g, vec[alpha])
+            for beta, psi in enumerate(vec):
+                v = values[beta][gamma]
+                if v and psi:
+                    acc = acc + self.calc.multiply(v, psi)
             out.append(self.calc.reduce_mod_J(acc))
         return out
+
+    def project(self, vec):
+        """Left multiplication by the idempotent matrix, reduced."""
+        return self.extend(self._generators, vec)
 
     def reduce(self, vec):
         return [self.calc.reduce_mod_J(w) for w in vec]
@@ -122,8 +131,7 @@ class TensoredSectionSpace:
     def section_coordinates(self, section):
         """Coordinates of a section in the stored basis; NoSolution if
         it lies outside the level window."""
-        span = Span([s.vector() for s in self.sections])
-        return span.coordinates(section.vector())
+        return self._section_span.coordinates(section.vector())
 
     # -- the distinguished connection -------------------------------------
 
@@ -143,20 +151,11 @@ class TensoredSectionSpace:
         Leibniz rule: sum_beta partial(zeta_beta) psi_beta
         + zeta_beta (x) d(psi_beta).  Computed independently of
         nabla0 so their agreement is a real check."""
-        degree = self.degree_of(vec)
-        out = self.zero(degree + 1)
-        for beta in range(self.dim_w):
-            if vec[beta].is_zero():
-                continue
-            pg = self.partial(self.section_from_generator(beta))
-            term1 = [self.calc.multiply(pg[gamma], vec[beta])
-                     for gamma in range(self.dim_w)]
-            gen = self.generator(beta)
-            dpsi = self.calc.d(vec[beta])
-            term2 = [self.calc.multiply(gen[gamma], dpsi)
-                     for gamma in range(self.dim_w)]
-            out = self.add(out, self.add(term1, term2))
-        return self.reduce(out)
+        partials = [self.partial(self.section_from_generator(beta))
+                    for beta in range(self.dim_w)]
+        return self.add(self.extend(partials, vec),
+                        self.extend(self._generators,
+                                    [self.calc.d(w) for w in vec]))
 
     def section_from_generator(self, beta):
         element = {beta: coeff.unit()}
@@ -164,9 +163,7 @@ class TensoredSectionSpace:
 
 
 def _as_one_form(calc, entry):
-    if isinstance(entry, int):
-        entry = Scalar(entry)
-    if isinstance(entry, Scalar):
+    if isinstance(entry, (int, Scalar)):
         return calc.theta().scale(entry)
     assert isinstance(entry, calculus.FormElement) and entry.degree == 1
     return entry
@@ -192,16 +189,10 @@ class ConnectionMap:
             assert len(lam) == tss.dim_w
             assert all(len(row) == tss.dim_w for row in lam)
 
+            columns = list(zip(*lam))
+
             def a_map(vec):
-                out = []
-                for beta in range(tss.dim_w):
-                    acc = calc.zero(tss.degree_of(vec) + 1)
-                    for alpha in range(tss.dim_w):
-                        if not vec[alpha].is_zero():
-                            acc = acc + calc.multiply(lam[beta][alpha],
-                                                      vec[alpha])
-                    out.append(acc)
-                return tss.project(out)
+                return tss.project(tss.extend(columns, vec))
 
             self.a_map = a_map
         elif on == "sections":
@@ -209,14 +200,8 @@ class ConnectionMap:
                  for row in perturbation]
             assert len(m) == len(tss.sections)
             assert all(len(row) == len(tss.sections) for row in m)
-            on_sections = []
-            for j in range(len(tss.sections)):
-                acc = tss.zero(1)
-                for i, section in enumerate(tss.sections):
-                    if not m[i][j].is_zero():
-                        acc = tss.add(acc, tss.right_mult(
-                            tss.from_section(section), m[i][j]))
-                on_sections.append(tss.reduce(acc))
+            sections = [tss.from_section(s) for s in tss.sections]
+            on_sections = [tss.extend(sections, col) for col in zip(*m)]
             on_generators = []
             for beta in range(tss.dim_w):
                 try:
@@ -230,18 +215,11 @@ class ConnectionMap:
                     if cj:
                         acc = tss.add(acc, [w.scale(cj)
                                             for w in on_sections[j]])
-                on_generators.append(tss.reduce(acc))
+                on_generators.append(acc)
             self._a_on_sections = on_sections
 
             def a_map(vec):
-                out = tss.zero(tss.degree_of(vec) + 1)
-                for beta in range(tss.dim_w):
-                    if vec[beta].is_zero():
-                        continue
-                    out = tss.add(out, [
-                        calc.multiply(on_generators[beta][gamma], vec[beta])
-                        for gamma in range(tss.dim_w)])
-                return tss.reduce(out)
+                return tss.extend(on_generators, vec)
 
             self.a_map = a_map
         else:
@@ -262,13 +240,12 @@ class ConnectionMap:
         tests = [coeff.unit()] + list(homspace.podles_generators())
         for j, section in enumerate(tss.sections):
             psi = tss.from_section(section)
-            image = tss.reduce(self.a_map(psi))
+            image = self.a_map(psi)
             if on == "sections" and image != self._a_on_sections[j]:
                 raise NotLinear("basis section %d, a = 1: A(psi) differs from "
                                 "its prescribed value; %s" % (j, scope))
             for g in tests:
-                lhs = tss.reduce(self.a_map(
-                    tss.from_section(section.times(g))))
+                lhs = self.a_map(tss.from_section(section.times(g)))
                 rhs = tss.right_mult(image, tss.calc.form0(g))
                 if lhs != rhs:
                     raise NotLinear("basis section %d, a = %s: A(psi a) != "
@@ -286,7 +263,7 @@ class ConnectionMap:
         cmat = [tss.section_coordinates(tss.section_from_generator(beta))
                 for beta in range(tss.dim_w)]
         for j, section in enumerate(tss.sections):
-            avec = tss.reduce(self.a_map(tss.from_section(section)))
+            avec = self.a_map(tss.from_section(section))
             for i in range(n):
                 acc = tss.calc.zero(1)
                 for beta in range(tss.dim_w):
@@ -298,9 +275,9 @@ class ConnectionMap:
     def apply(self, vec):
         out = self.tss.nabla0(vec)
         if self.a_map is not None:
-            out = self.tss.add(out, self.tss.reduce(self.a_map(vec)))
+            out = self.tss.add(out, self.a_map(vec))
         assert self.tss.degree_of(out) == self.tss.degree_of(vec) + 1
-        return self.tss.reduce(out)
+        return out
 
     def on_section(self, section):
         return self.apply(self.tss.from_section(section))
@@ -325,16 +302,7 @@ class CurvatureMap:
     def hat(self, vec):
         """F-hat(sum_beta zeta_beta (x) psi_beta)
         = sum_beta F(zeta_beta) psi_beta."""
-        tss = self.conn.tss
-        calc = tss.calc
-        out = tss.zero(tss.degree_of(vec) + 2)
-        for beta in range(tss.dim_w):
-            if vec[beta].is_zero():
-                continue
-            fb = self.on_generators[beta]
-            out = tss.add(out, [calc.multiply(fb[gamma], vec[beta])
-                                for gamma in range(tss.dim_w)])
-        return tss.reduce(out)
+        return self.conn.tss.extend(self.on_generators, vec)
 
     def is_zero(self):
         return all(w.is_zero() for v in self.on_generators + self.on_sections

@@ -772,27 +772,29 @@ class LinComb:
     def __bool__(self):
         return bool(self.terms)
 
+    def _new(self, terms):
+        """An element of the same kind with the given terms; every linear
+        operation builds its result through this hook."""
+        return type(self)(terms)
+
     def __add__(self, other):
         out = dict(self.terms)
         for k, s in other.terms.items():
             accumulate(out, k, s)
-        return type(self)(out)
+        return self._new(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for k, s in other.terms.items():
-            accumulate(out, k, -s)
-        return type(self)(out)
+        return self + (-other)
 
     def __neg__(self):
-        return type(self)({k: -s for k, s in self.terms.items()})
+        return self._new({k: -s for k, s in self.terms.items()})
 
     def scale(self, s):
         if isinstance(s, int):
             s = Scalar(s)
         if not s:
-            return type(self)()
-        return type(self)({k: s * t for k, t in self.terms.items()})
+            return self._new({})
+        return self._new({k: s * t for k, t in self.terms.items()})
 
     def coefficient(self, key):
         return self.terms.get(key, ZERO)

@@ -86,11 +86,11 @@ def test_leibniz_in_degree_zero():
 def test_word_action_respects_the_algebra():
     rnd = random.Random(13)
     for a in range(DATA.K):
-        w = calculus.FormElement(1, {(a,): coeff.unit()})
+        w = calculus.form(1, {(a,): coeff.unit()})
         assert CALC.right_mult(w, coeff.unit()) == w
     for _ in range(8):
         key = tuple(rnd.randrange(DATA.K) for _ in range(2))
-        w = calculus.FormElement(2, {key: coeff.unit()})
+        w = calculus.form(2, {key: coeff.unit()})
         f = sample_coeff(rnd, max_level=1)
         g = sample_coeff(rnd, max_level=1)
         lhs = CALC.right_mult(CALC.right_mult(w, f), g)
@@ -141,16 +141,35 @@ def test_exterior_ideal_is_two_sided():
     xs = [coeff.basis_element(1, i, j) for i in range(2) for j in range(2)]
     for a in range(DATA.K):
         for b in range(DATA.K):
-            w = calculus.FormElement(2, {(a, b): coeff.unit()})
+            w = calculus.form(2, {(a, b): coeff.unit()})
             red = CALC.reduce_mod_J(w)
             for x in xs:
                 assert CALC.reduce_mod_J(CALC.right_mult(w, x)) \
                     == CALC.reduce_mod_J(CALC.right_mult(red, x))
     # left multiplication leaves the letters alone
     f = sample_coeff(rnd)
-    w = calculus.FormElement(2, {(1, 2): coeff.unit()})
+    w = calculus.form(2, {(1, 2): coeff.unit()})
     assert CALC.reduce_mod_J(CALC.left_mult(f, w)) \
         == CALC.left_mult(f, CALC.reduce_mod_J(w))
+
+
+def test_forms_regroup_by_word_and_keep_their_degree():
+    rnd = random.Random(29)
+    f = sample_coeff(rnd, max_level=1)
+    w1 = CALC.d0(f)
+    w2 = CALC.multiply(CALC.left_mult(f, w1), CALC.d0(sample_coeff(rnd, 1)))
+    for w in (w1, w2, CALC.reduce_mod_J(w2)):
+        assert not w.is_zero()
+        assert calculus.form(w.degree, w.coords) == w
+        for zero in (w - w, w.scale(0), -w + w):
+            assert zero.is_zero() and zero.degree == w.degree
+        assert (-w).degree == w.degree
+    assert CALC.zero(1) != CALC.zero(2)
+    assert CALC.zero(1) == w1 - w1
+    with pytest.raises(ValueError):
+        w1 + w2
+    with pytest.raises(ValueError):
+        w2 - CALC.zero(1)
 
 
 def test_theta_squares_to_zero():
@@ -244,11 +263,11 @@ def test_circle_on_forms_goes_through_coordinates():
 
 
 def test_present_rejects_forms_outside_the_restriction():
-    stray = calculus.FormElement(1, {(0,): coeff.basis_element(1, 0, 0)})
+    stray = calculus.form(1, {(0,): coeff.basis_element(1, 0, 0)})
     with pytest.raises(calculus.DomainError):
         RESTRICTION.present(stray)
     with pytest.raises(calculus.DomainError):
-        RESTRICTION.present(calculus.FormElement(3, {(0, 1, 2): coeff.unit()}))
+        RESTRICTION.present(calculus.form(3, {(0, 1, 2): coeff.unit()}))
 
 
 def test_cached_action_matrices_stay_intact():

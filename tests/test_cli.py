@@ -221,6 +221,8 @@ def test_small_window_exits_2_with_one_line(tmp_path, capsys, command):
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("LevelOverflow: ")
+    assert "coefficient window 4" in captured.err
+    assert "n_max=" not in captured.err
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert not out.exists()
@@ -243,19 +245,50 @@ def test_emit_write_failure_is_an_output_error(tmp_path):
         cli._emit({"ok": True}, str(tmp_path / "missing" / "report.json"))
 
 
-def test_certificates_fail_under_optimised_python():
-    # the certificates raise instead of asserting, so python -O, which
-    # strips asserts, still reports a broken e^2 = e comparison
+def _run_optimised(code):
+    """Run `code` in a child `python -O`, which strips asserts."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_certificates_fail_under_optimised_python():
+    # the certificates raise instead of asserting, so python -O still
+    # reports a broken e^2 = e comparison
     code = ("import sys; from qhvb import bundle, cli; "
             "bundle._elements_equal = lambda x, y: False; "
             "sys.exit(cli.main(['verify', '--suite', 'idempotent']))")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = _run_optimised(code)
     assert proc.returncode == 1, proc.stderr
     checks = json.loads(proc.stdout)["checks"]
     assert [c["status"] for c in checks] == ["fail"] * 4
     assert all(c["witness"].startswith("AssertionError: e^2 != e")
                for c in checks)
+
+
+def test_calculus_result_checks_raise_under_optimised_python():
+    # t^2 + 1 leaves remainder 2 on division by t - 1, and the kernel
+    # vector w_0 w_0 + w_1 w_1 mixes the weights 4 and 0
+    code = """
+from types import SimpleNamespace as NS
+from qhvb import calculus
+from qhvb.scalars import ONE, ZERO
+mixed = NS(K=2, data=NS(module=NS(weights=[2, 0])),
+           braiding=lambda: NS(sigma_minus=NS(
+               kernel=lambda: [[ONE, ZERO, ZERO, ONE]])))
+for fn in (lambda: calculus._poly_div_linear([ONE, ZERO, ONE], ONE),
+           lambda: calculus.Calculus._kernel_vectors(mixed)):
+    try:
+        fn()
+    except AssertionError as exc:
+        print(exc)
+    else:
+        print("no error")
+"""
+    proc = _run_optimised(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "nonzero remainder in deflation",
+        "kernel vector of sigma_- mixes the weights 4 and 0"]

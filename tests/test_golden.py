@@ -1,8 +1,8 @@
 """Byte-identical outputs.  Canonical forms over Q(u) are unique, so a
 change to the arithmetic kernel that keeps them reproduces these files
-exactly.  The sweep report is the benchmark's reference, read in place;
-the default-config dims/haar/idempotent outputs in golden/ were recorded
-before the gcd rewrite."""
+exactly.  The three benchmark references are read in place; the
+default-config dims/haar/idempotent outputs in golden/ were recorded
+before the gcd rewrite, and connection before forms became LinCombs."""
 
 from pathlib import Path
 
@@ -11,22 +11,29 @@ import pytest
 from qhvb import cli
 
 TESTS = Path(__file__).resolve().parent
-SWEEP_REFERENCE = (TESTS.parent / "perfbench" / "references"
-                   / "verify-algebra-sweep" / "seed-0.json")
-SWEEP_SUITES = ("hopf", "pairing", "actions", "haar", "idempotent",
-                "projection", "borelweil")
+REFERENCES = TESTS.parent / "perfbench" / "references"
+# the suites of each benchmark workload, as perfbench/run.py runs them
+WORKLOAD_SUITES = {
+    "verify-algebra-sweep": ("hopf", "pairing", "actions", "haar",
+                             "idempotent", "projection", "borelweil"),
+    "verify-calculus": ("calculus", "closure"),
+    "verify-connection": ("connection", "curvature"),
+}
 
 
-def test_algebra_sweep_report_matches_reference(tmp_path):
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SUITES))
+def test_verify_report_matches_reference(tmp_path, workload):
     out = tmp_path / "report.json"
     args = ["verify", "--seed", "0", "--out", str(out)]
-    for suite in SWEEP_SUITES:
+    for suite in WORKLOAD_SUITES[workload]:
         args += ["--suite", suite]
     assert cli.main(args) == 0
-    assert out.read_bytes() == SWEEP_REFERENCE.read_bytes()
+    reference = REFERENCES / workload / "seed-0.json"
+    assert out.read_bytes() == reference.read_bytes()
 
 
-@pytest.mark.parametrize("command", ["dims", "haar", "idempotent"])
+@pytest.mark.parametrize("command", ["connection", "dims", "haar",
+                                     "idempotent"])
 def test_default_config_output_matches_golden(tmp_path, command):
     out = tmp_path / (command + ".json")
     assert cli.main([command, "--out", str(out)]) == 0
