@@ -26,7 +26,7 @@ irreducible (or zero) by decomposing the resulting module.
 
 from fractions import Fraction
 
-from .scalars import Scalar, Matrix, Echelon, Span, ZERO, ONE, NoSolution
+from .scalars import Scalar, Matrix, Echelon, Span, ONE, NoSolution, accumulate
 from . import uea, repmod, coeff, homspace
 
 _UPOW = Scalar.u_power
@@ -140,8 +140,8 @@ class Section:
 
 def _constraint_rows(lmodule, generators, n):
     """The stacked linear system expressing the section constraint on the
-    level-n block.  Unknowns are coefficients c[(r, i, j)]; for each
-    generator x the condition is
+    level-n block, as sparse rows keyed by unknown index.  Unknowns are
+    coefficients c[(r, i, j)]; for each generator x the condition is
 
         sum_j pi_n(x)_{kj} c[(r, i, j)] = sum_{r'} S(x)_{r r'} c[(r', i, k)].
     """
@@ -158,29 +158,19 @@ def _constraint_rows(lmodule, generators, n):
         for r in range(dim_v):
             for i in range(block):
                 for k in range(block):
-                    row = [ZERO] * len(unknowns)
+                    row = {}
                     for j in range(block):
-                        if pi[k, j]:
-                            row[col[(r, i, j)]] = row[col[(r, i, j)]] + pi[k, j]
+                        accumulate(row, col[(r, i, j)], pi[k, j])
                     for r2 in range(dim_v):
-                        if sx[r, r2]:
-                            c = col[(r2, i, k)]
-                            row[c] = row[c] - sx[r, r2]
-                    if any(row):
+                        accumulate(row, col[(r2, i, k)], -sx[r, r2])
+                    if row:
                         rows.append(row)
     return unknowns, rows
 
 
 def _constraint_kernel(lmodule, generators, n):
     unknowns, rows = _constraint_rows(lmodule, generators, n)
-    if not rows:
-        kernel = [[ONE if c == c0 else ZERO for c in range(len(unknowns))]
-                  for c0 in range(len(unknowns))]
-    else:
-        stack = Matrix.zeros(len(rows), len(unknowns))
-        for r, row in enumerate(rows):
-            stack.a[r] = row
-        kernel = stack.kernel()
+    kernel = Echelon(rows).kernel(len(unknowns))
     sections = []
     for vec in kernel:
         comps = [coeff.CoeffElement() for _ in range(lmodule.dim)]

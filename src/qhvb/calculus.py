@@ -395,14 +395,15 @@ class Calculus:
             self._transfer[n] = table
         return table
 
-    def _word_action(self, word, b):
+    def _word_action(self, word, b, blocks):
         """All pairs (new word C, (F_{a1 c1} ... F_{an cn}) o b) for the
         given word (a1..an); the shift operators act on each Peter-Weyl
-        block of b by right multiplication with transposed F-blocks,
-        rightmost letter first."""
+        block of b (blocks, from Algebra._to_blocks) by right
+        multiplication with transposed F-blocks, rightmost letter
+        first."""
         if not word:
             return [((), b)]
-        states = {(): self.algebra._to_blocks(b)}
+        states = {(): blocks}
         for a in reversed(word):
             nxt = {}
             for suffix, blocks in states.items():
@@ -422,12 +423,17 @@ class Calculus:
                 for key, blocks in states.items()]
 
     def multiply(self, w1, w2):
-        """(a (x) w_I)(b (x) w_J) = sum_C a ((F-word)_{I C} o b) (x) w_{C ++ J}."""
+        """(a (x) w_I)(b (x) w_J) = sum_C a ((F-word)_{I C} o b) (x) w_{C ++ J}.
+        Each right coefficient b goes to Peter-Weyl blocks once per call,
+        when a nonempty left word first needs it."""
         out = {}
         right = w2.coords
+        blocks = {}
         for I, a in w1.coords.items():
             for J, b in right.items():
-                for C, g in self._word_action(I, b):
+                if I and J not in blocks:
+                    blocks[J] = self.algebra._to_blocks(b)
+                for C, g in self._word_action(I, b, blocks.get(J)):
                     word = C + J
                     for pw, s in self.algebra.multiply(a, g).terms.items():
                         accumulate(out, (word, pw), s)

@@ -51,6 +51,12 @@ SUITES = ("hopf", "pairing", "actions", "haar", "idempotent", "projection",
 _FAILURES = (AssertionError, NoSolution, calculus.AxiomViolation,
              calculus.SplitError, calculus.DomainError, connection.NotLinear)
 
+# the largest form word space, K^degree words over K = (irrep + 1)^2
+# letters, that `dims` and `connection` may build: 4^5, the degree-5
+# space of `dims` at irrep = 1 (larger spaces ran for minutes with no
+# output)
+WORD_SPACE_CAP = 1024
+
 # what a configuration the parser accepts can still make a command unable
 # to compute; verify turns these into per-check skips or failures first
 _UNCOMPUTABLE = (coeff.LevelOverflow, repmod.DecompositionError,
@@ -987,7 +993,25 @@ def _form_json(w):
             for key, ce in sorted(w.coords.items())}
 
 
+def _check_word_space(cfg, command, degree):
+    """ConfigError, before any work, when the command would build forms
+    of this degree on more than WORD_SPACE_CAP words."""
+    K = (cfg.irrep + 1) ** 2
+    # K ** degree is cheap to compute while K is within the cap
+    small = K <= WORD_SPACE_CAP
+    if small and K ** degree <= WORD_SPACE_CAP:
+        return
+    words = "%d^%d" % (K, degree)
+    if small and K ** degree < 10 ** 20:
+        words += " = %d" % K ** degree
+    raise ConfigError(
+        "%s at irrep = %d builds degree-%d forms on %s words, above the "
+        "word-space cap %d" % (command, cfg.irrep, degree, words,
+                               WORD_SPACE_CAP))
+
+
 def cmd_dims(cfg, out_path):
+    _check_word_space(cfg, "dims", (cfg.irrep + 1) ** 2 + 1)
     ws = _Workspace(cfg)
     calc = ws.calc()
     K = calc.data.K
@@ -1027,6 +1051,7 @@ def cmd_idempotent(cfg, out_path):
 
 
 def cmd_connection(cfg, out_path):
+    _check_word_space(cfg, "connection", 3)
     ws = _Workspace(cfg)
     tss = ws.tss()
     conn = ws.conn0()

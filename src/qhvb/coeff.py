@@ -88,14 +88,15 @@ def _class_monomials(d, N):
 class PairingTable:
     """Evaluation matrix of Peter-Weyl basis elements (level <= N)
     against the per-class PBW monomial families; certifies that
-    evaluation separates the basis (full column rank per class) and
-    reconstructs elements from their values."""
+    evaluation separates the basis (full column rank per class, each
+    rank computed once) and reconstructs elements from their values."""
 
     def __init__(self, N):
         self.N = N
         self.columns = {}
         self.monomials = {}
         self.matrix = {}
+        self.ranks = {}
         for d in range(-N, N + 1):
             cols = [
                 (n, i, i - d)
@@ -113,16 +114,17 @@ class PairingTable:
             self.columns[d] = cols
             self.monomials[d] = monos
             self.matrix[d] = m
+            self.ranks[d] = m.rank()
 
     def full_column_rank(self):
-        return all(m.rank() == m.cols for d, m in self.matrix.items())
+        return all(self.ranks[d] == m.cols for d, m in self.matrix.items())
 
     def certify(self):
         for d, m in self.matrix.items():
-            if m.rank() != m.cols:
+            if self.ranks[d] != m.cols:
                 raise AssertionError(
                     "pairing table rank deficiency in class d=%d (rank %d of %d)"
-                    % (d, m.rank(), m.cols)
+                    % (d, self.ranks[d], m.cols)
                 )
         return True
 

@@ -14,7 +14,7 @@ Levi part together with every raising generator) is also housed here;
 it cuts out the holomorphic sections used by the bundle machinery.
 """
 
-from .scalars import Matrix, Span, ZERO, NoSolution
+from .scalars import Echelon, Span, ZERO, NoSolution
 from . import uea, repmod, coeff
 
 
@@ -58,12 +58,9 @@ def _joint_right_kernel(generators, n):
         mat = m.act(x)
         eps = uea.counit(x)
         for r in range(n + 1):
-            row = [mat[r, c] - (eps if r == c else ZERO) for c in range(n + 1)]
-            rows.append(row)
-    stack = Matrix.zeros(len(rows), n + 1)
-    for r, row in enumerate(rows):
-        stack.a[r] = row
-    return stack.kernel()
+            rows.append({c: s for c in range(n + 1)
+                         if (s := mat[r, c] - (eps if r == c else ZERO))})
+    return Echelon(rows).kernel(n + 1)
 
 
 class InvariantBasis:

@@ -34,7 +34,9 @@ the elements of U_q, U_q (x) U_q and T_q subclass it and add their own
 products.  `accumulate` adds one term into such a dict.  `Span` gives
 the rank of a family of sparse vectors and the coordinates of a vector
 in it (NoSolution outside), through an `Echelon` whose rows carry tags
-that record which inputs they combine.
+that record which inputs they combine.  `Echelon` is the only
+elimination: the dense `Matrix` reads its rank, rref and kernel off an
+`Echelon` of its rows and solves through a `Span` of its columns.
 
 There is no floating point anywhere; specialization at a rational point
 goes through fractions.Fraction.
@@ -52,6 +54,17 @@ class PoleError(ArithmeticError):
 
 class NoSolution(Exception):
     """Raised when an exact linear system has no solution."""
+
+
+def _residual_witness(residual):
+    """The smallest key of a nonzero sparse residual with its Scalar, cut
+    to about 80 characters, and the residual's size."""
+    key = min(residual)
+    s = str(residual[key])
+    if len(s) > 80:
+        s = s[:77] + "..."
+    return "residual %r -> %s (%d nonzero %s)" % (
+        key, s, len(residual), "entry" if len(residual) == 1 else "entries")
 
 
 # ----------------------------------------------------------------------
@@ -483,7 +496,8 @@ def eval_at(s, u0):
 
 
 class Matrix:
-    """A dense matrix of Scalars with exact Gauss-Jordan elimination."""
+    """A dense matrix of Scalars.  Rank, kernel, solve and inverse run on
+    the sparse Echelon below, the one elimination in this package."""
 
     __slots__ = ("rows", "cols", "a")
 
@@ -580,75 +594,53 @@ class Matrix:
     def is_zero(self):
         return all(not x for row in self.a for x in row)
 
+    def _echelon(self):
+        """An Echelon of the nonzero rows, keyed by column index."""
+        return Echelon({j: x for j, x in enumerate(row) if x} for row in self.a)
+
+    def _columns(self):
+        """The columns as sparse vectors keyed by row index."""
+        return [{i: row[j] for i, row in enumerate(self.a) if row[j]}
+                for j in range(self.cols)]
+
     def rref(self):
-        """Reduced row echelon form; returns (R, pivot_columns)."""
-        m = [row[:] for row in self.a]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = ONE / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(m), pivots
+        """Reduced row echelon form, read off the Echelon of the rows;
+        returns (R, pivot_columns)."""
+        ech = self._echelon()
+        pivots = sorted(ech.rows)
+        R = Matrix.zeros(self.rows, self.cols)
+        for r, pc in enumerate(pivots):
+            for c, s in ech.rows[pc].items():
+                R.a[r][c] = s
+        return R, pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return self._echelon().rank
 
     def kernel(self):
         """Basis of the right kernel, as a list of column vectors."""
-        red, pivots = self.rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
-        basis = []
-        for fc in free:
-            v = [ZERO] * self.cols
-            v[fc] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.a[r][fc]
-            basis.append(v)
-        return basis
+        return self._echelon().kernel(self.cols)
 
     def solve(self, rhs):
         """Solve self * x = rhs exactly; raises NoSolution if inconsistent.
         rhs may be a vector (list) or a Matrix of right-hand sides; returns
         the same shape.  With a nontrivial kernel the particular solution
         with zero free variables is returned."""
-        vec = not isinstance(rhs, Matrix)
-        B = Matrix([[x] for x in rhs]) if vec else rhs
-        assert B.rows == self.rows
-        aug = Matrix([self.a[i] + B.a[i] for i in range(self.rows)])
-        red, pivots = aug.rref()
-        for r, pc in enumerate(pivots):
-            if pc >= self.cols:
-                raise NoSolution("inconsistent linear system")
-        X = Matrix.zeros(self.cols, B.cols)
-        for r, pc in enumerate(pivots):
-            for j in range(B.cols):
-                X.a[pc][j] = red.a[r][self.cols + j]
-        if vec:
-            return [X.a[i][0] for i in range(self.cols)]
-        return X
+        span = Span(self._columns())
+        if not isinstance(rhs, Matrix):
+            assert len(rhs) == self.rows
+            return span.coordinates(dict(enumerate(rhs)))
+        assert rhs.rows == self.rows
+        return span.coordinate_matrix(rhs._columns())
 
     def inverse(self):
         assert self.rows == self.cols
         X = self.solve(Matrix.identity(self.rows))
-        if (self * X) != Matrix.identity(self.rows):
-            raise NoSolution("matrix is singular")
+        R = self * X - Matrix.identity(self.rows)
+        if not R.is_zero():
+            raise NoSolution("matrix is singular: " + _residual_witness(
+                {(i, j): x for i, row in enumerate(R.a)
+                 for j, x in enumerate(row) if x}))
         return X
 
     def eval_at(self, u0):
@@ -661,18 +653,6 @@ class Matrix:
     __repr__ = __str__
 
 
-def kernel(m):
-    return m.kernel()
-
-
-def solve(m, rhs):
-    return m.solve(rhs)
-
-
-def rank(m):
-    return m.rank()
-
-
 # ----------------------------------------------------------------------
 # sparse echelon spans (the workhorse for ideal quotients and span ranks)
 
@@ -682,10 +662,13 @@ class Echelon:
     vectors.  Vectors are dicts mapping hashable, mutually comparable
     column keys to Scalars; the pivot of a row is its smallest key.  Rows
     are kept fully inter-reduced with pivot coefficient 1, so reduction
-    against the span is canonical."""
+    against the span is canonical: with integer keys 0..n-1 the rows
+    are the reduced row echelon form of the vectors added."""
 
-    def __init__(self):
+    def __init__(self, vectors=()):
         self.rows = {}  # pivot key -> {key: Scalar}
+        for vec in vectors:
+            self.add(vec)
 
     @property
     def rank(self):
@@ -734,6 +717,22 @@ class Echelon:
 
     def contains(self, vec):
         return not self.reduce(vec)
+
+    def kernel(self, n):
+        """Basis of the right kernel of the rows over the columns 0..n-1,
+        as column vectors: free column fc gives fc -> 1 and each pivot
+        column pc -> -row_pc[fc]."""
+        basis = []
+        for fc in range(n):
+            if fc in self.rows:
+                continue
+            v = [ZERO] * n
+            v[fc] = ONE
+            for pc, row in self.rows.items():
+                if fc in row:
+                    v[pc] = -row[fc]
+            basis.append(v)
+        return basis
 
 
 # ----------------------------------------------------------------------
@@ -837,7 +836,8 @@ class Span:
         vec is outside the span."""
         v = self.echelon.reduce({(0, k): s for k, s in vec.items()})
         if v and min(v)[0] == 0:
-            raise NoSolution("vector outside the span")
+            raise NoSolution("vector outside the span: " + _residual_witness(
+                {k: s for (t, k), s in v.items() if t == 0}))
         x = [ZERO] * self.size
         for (_, c), s in v.items():
             x[c] = -s

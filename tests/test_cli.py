@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,32 @@ def test_small_window_exits_2_with_one_line(tmp_path, capsys, command):
     assert "n_max=" not in captured.err
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, irrep, degree, words", [
+    ("dims", 2, 10, "9^10 = 3486784401"),
+    ("dims", 3, 17, "16^17"),
+    ("connection", 3, 3, "16^3 = 4096"),
+    ("connection", 10 ** 6, 3, "1000002000001^3"),
+])
+def test_word_space_cap_exits_2_before_the_calculus(tmp_path, capsys, command,
+                                                    irrep, degree, words):
+    # these configurations ran for minutes with no output; the cap turns
+    # them into one line on stderr before any calculus is built
+    path = tmp_path / "big.cfg"
+    path.write_text("irrep = %d\n" % irrep)
+    out = tmp_path / "out.json"
+    t0 = time.perf_counter()
+    rc = cli.main([command, "--config", str(path), "--out", str(out)])
+    assert time.perf_counter() - t0 < 1
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: %s at irrep = %d builds degree-%d forms on %s words, "
+        "above the word-space cap %d\n"
+        % (command, irrep, degree, words, cli.WORD_SPACE_CAP))
+    assert cli.WORD_SPACE_CAP == 4 ** 5  # the degree-5 space of dims at irrep = 1
     assert not out.exists()
 
 

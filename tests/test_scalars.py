@@ -16,8 +16,6 @@ from qhvb.scalars import (
     qint,
     qfact,
     eval_at,
-    kernel,
-    rank,
     PoleError,
     NoSolution,
     ZERO,
@@ -167,24 +165,24 @@ def test_powers():
 
 
 def test_kernel_identity_empty():
-    assert kernel(Matrix.identity(3)) == []
+    assert Matrix.identity(3).kernel() == []
 
 
 def test_rank_zero_matrix():
-    assert rank(Matrix.zeros(2, 2)) == 0
+    assert Matrix.zeros(2, 2).rank() == 0
 
 
 def test_kernel_derived_example():
     # kernel of [[1, u], [u, u^2]] is spanned by (-u, 1); the oracle is
     # direct verification m.v = 0 plus the rank-nullity count
     m = Matrix([[ONE, U], [U, U * U]])
-    basis = kernel(m)
+    basis = m.kernel()
     assert len(basis) == 1
     v = basis[0]
     assert m.apply(v) == [ZERO, ZERO]
     # proportional to (-u, 1)
     assert v[0] * ONE == -U * v[1]
-    assert rank(m) + len(basis) == m.cols
+    assert m.rank() + len(basis) == m.cols
 
 
 def _random_scalar(rng, deg=2):
@@ -291,6 +289,187 @@ def test_matrix_product_matches_seed_loop(ab):
 
 
 # ----------------------------------------------------------------------
+# the seed's dense Gauss-Jordan elimination (Matrix.rref, kernel, solve
+# and inverse), kept verbatim as functions of the matrix: the oracle of
+# the same methods on Echelon and Span
+
+
+def _seed_rref(self):
+    """Reduced row echelon form; returns (R, pivot_columns)."""
+    m = [row[:] for row in self.a]
+    pivots = []
+    r = 0
+    for c in range(self.cols):
+        pr = None
+        for i in range(r, self.rows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(self.rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == self.rows:
+            break
+    return Matrix(m), pivots
+
+
+def _seed_kernel(self):
+    """Basis of the right kernel, as a list of column vectors."""
+    red, pivots = _seed_rref(self)
+    pivset = set(pivots)
+    free = [c for c in range(self.cols) if c not in pivset]
+    basis = []
+    for fc in free:
+        v = [ZERO] * self.cols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.a[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _seed_solve(self, rhs):
+    """Solve self * x = rhs exactly; raises NoSolution if inconsistent.
+    rhs may be a vector (list) or a Matrix of right-hand sides; returns
+    the same shape.  With a nontrivial kernel the particular solution
+    with zero free variables is returned."""
+    vec = not isinstance(rhs, Matrix)
+    B = Matrix([[x] for x in rhs]) if vec else rhs
+    assert B.rows == self.rows
+    aug = Matrix([self.a[i] + B.a[i] for i in range(self.rows)])
+    red, pivots = _seed_rref(aug)
+    for r, pc in enumerate(pivots):
+        if pc >= self.cols:
+            raise NoSolution("inconsistent linear system")
+    X = Matrix.zeros(self.cols, B.cols)
+    for r, pc in enumerate(pivots):
+        for j in range(B.cols):
+            X.a[pc][j] = red.a[r][self.cols + j]
+    if vec:
+        return [X.a[i][0] for i in range(self.cols)]
+    return X
+
+
+def _seed_inverse(self):
+    assert self.rows == self.cols
+    X = _seed_solve(self, Matrix.identity(self.rows))
+    if (self * X) != Matrix.identity(self.rows):
+        raise NoSolution("matrix is singular")
+    return X
+
+
+def _exact(x):
+    """Structural form of a Scalar, a vector, a list of vectors or a
+    Matrix, so that equal results are equal representations."""
+    if isinstance(x, Scalar):
+        return (x.num, x.den)
+    if isinstance(x, Matrix):
+        return ("matrix", x.rows, x.cols, _exact(x.a))
+    return [_exact(y) for y in x]
+
+
+def _outcome(fn, *args):
+    """fn(*args) in structural form, or NoSolution."""
+    try:
+        return _exact(fn(*args))
+    except NoSolution:
+        return NoSolution
+
+
+@st.composite
+def elimination_problems(draw):
+    """(m, rhs_vec, rhs_mat): a matrix of up to 4 x 5, sparse or dense,
+    with an optional zero row, zero column and rows that combine earlier
+    ones (so rank-deficient), and right-hand sides that lie in its column
+    span or are arbitrary (then often inconsistent)."""
+    r, c = (draw(st.integers(min_value=1, max_value=n)) for n in (4, 5))
+    entries = draw(st.sampled_from((sparse_scalars, nonzero_scalars)))
+    rows = []
+    for _ in range(r):
+        if rows and draw(st.booleans()):
+            coeffs = [draw(sparse_scalars) for _ in rows]
+            rows.append([sum((k * row[j] for k, row in zip(coeffs, rows)),
+                             ZERO) for j in range(c)])
+        else:
+            rows.append([draw(entries) for _ in range(c)])
+    zero_row = draw(st.one_of(st.none(), st.integers(0, r - 1)))
+    if zero_row is not None:
+        rows[zero_row] = [ZERO] * c
+    zero_col = draw(st.one_of(st.none(), st.integers(0, c - 1)))
+    if zero_col is not None:
+        for row in rows:
+            row[zero_col] = ZERO
+    m = Matrix(rows)
+
+    def rhs():
+        if draw(st.booleans()):
+            return m.apply([draw(sparse_scalars) for _ in range(c)])
+        return [draw(sparse_scalars) for _ in range(r)]
+
+    rhs_vec = rhs()
+    columns = [rhs() for _ in range(draw(st.integers(0, 2)))]
+    rhs_mat = Matrix([[col[i] for col in columns] for i in range(r)])
+    return m, rhs_vec, rhs_mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(elimination_problems())
+def test_elimination_matches_seed_gauss_jordan(problem):
+    m, rhs_vec, rhs_mat = problem
+    red, pivots = m.rref()
+    want_red, want_pivots = _seed_rref(m)
+    assert pivots == want_pivots
+    assert _exact(red) == _exact(want_red)
+    assert m.rank() == len(want_pivots)
+    assert _exact(m.kernel()) == _exact(_seed_kernel(m))
+    assert _outcome(m.solve, rhs_vec) == _outcome(_seed_solve, m, rhs_vec)
+    assert _outcome(m.solve, rhs_mat) == _outcome(_seed_solve, m, rhs_mat)
+    k = min(m.rows, m.cols)
+    square = Matrix([row[:k] for row in m.a[:k]])
+    assert _outcome(Matrix.inverse, square) == _outcome(_seed_inverse, square)
+
+
+def test_kernel_of_no_rows_is_the_unit_vectors():
+    units = [[ONE if i == j else ZERO for i in range(3)] for j in range(3)]
+    assert Echelon().kernel(3) == units
+    assert Echelon([{}, {}]).kernel(3) == units
+    assert Matrix.zeros(2, 3).kernel() == _seed_kernel(Matrix.zeros(2, 3)) == units
+    assert Echelon().kernel(0) == []
+
+
+def test_no_solution_names_the_residual():
+    # the residual of {"a": 1, "zz": u^2} modulo the span of {"a": 1}
+    with pytest.raises(NoSolution, match=r"'zz' -> u\^2 \(1 nonzero entr"):
+        Span([{"a": ONE}]).coordinates({"a": ONE, "zz": U * U})
+    # a long Scalar is cut to about 80 characters
+    long = sum((Scalar.u_power(k) for k in range(40)), ZERO)
+    with pytest.raises(NoSolution) as info:
+        Span([]).coordinates({7: long, 9: ONE})
+    msg = str(info.value)
+    assert "7 -> " in msg and "2 nonzero entries" in msg
+    assert str(long) not in msg and len(msg) < 160
+    # e_0 - column 0 leaves -1 at row 1
+    with pytest.raises(NoSolution, match=r"1 -> -1 \(1 nonzero entr"):
+        Matrix([[ONE, ONE], [ONE, ONE]]).inverse()
+
+
+def test_inverse_certificate_names_the_residual(monkeypatch):
+    # a wrong solution must not pass the self * X == I certificate
+    monkeypatch.setattr(Matrix, "solve", lambda self, rhs: rhs)
+    with pytest.raises(NoSolution, match=r"singular: residual \(0, 1\) -> u "
+                                         r"\(1 nonzero entry\)"):
+        Matrix([[ONE, U], [ZERO, ONE]]).inverse()
+
+
+# ----------------------------------------------------------------------
 # sparse echelon spans
 
 
@@ -302,7 +481,7 @@ def test_echelon_matches_dense_rank():
         ech = Echelon()
         for row in m.a:
             ech.add({j: x for j, x in enumerate(row) if x})
-        assert ech.rank == m.rank()
+        assert ech.rank == len(_seed_rref(m)[1])
 
 
 def test_echelon_membership_and_canonical_reduction():
@@ -352,11 +531,11 @@ def test_span_matches_dense_solve(problem):
     vectors, target, keys = problem
     dense = Matrix([[vec.get(k, ZERO) for vec in vectors] for k in keys])
     span = Span(vectors)
-    assert span.rank == dense.rank()
+    assert span.rank == len(_seed_rref(dense)[1])
     empty = span.coordinate_matrix([])
     assert (empty.rows, empty.cols) == (dense.cols, 0)
     try:
-        want = dense.solve([target.get(k, ZERO) for k in keys])
+        want = _seed_solve(dense, [target.get(k, ZERO) for k in keys])
     except NoSolution:
         with pytest.raises(NoSolution):
             span.coordinates(target)
