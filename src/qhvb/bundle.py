@@ -14,8 +14,10 @@ highest weight, no sharing) yields mutually inverse right-module maps
     im(zeta)         = sum_{r, beta}  w_beta (x) t_{beta, idx(r)} f_r
 
 whose composite e = im . wp is an explicit idempotent exhibiting the
-sections as a finite-type projective module.  Elements of W (x) E_q are
-stored as dicts mapping the W basis index to CoeffElements.
+sections as a finite-type projective module.  Sections and elements of
+W (x) E_q are both coeff.CoeffVectors, LinCombs whose terms map (index,
+Peter-Weyl key) to Scalars, the index a weight line of V or a W basis
+index beta.
 
 Holomorphic sections impose the constraint for the parabolic generators
 as well; V extends to the parabolic subalgebra by letting the raising
@@ -26,7 +28,8 @@ irreducible (or zero) by decomposing the resulting module.
 
 from fractions import Fraction
 
-from .scalars import Scalar, Matrix, Echelon, Span, ONE, NoSolution, accumulate
+from .scalars import (Scalar, Matrix, Echelon, Span, LinComb, ONE,
+                      NoSolution, accumulate)
 from . import uea, repmod, coeff, homspace
 
 _UPOW = Scalar.u_power
@@ -61,81 +64,54 @@ class LModule:
         return "LModule(%s)" % (list(self.weights),)
 
 
-class Section:
-    """An element of V (x) T_q satisfying the defining constraint
-    x o zeta = (S(x) (x) id) zeta for the Cartan generators, stored as
-    one CoeffElement per weight line of V."""
+def simple_tensor(beta, f):
+    """The element w_beta (x) f of W (x) E_q."""
+    return coeff.CoeffVector({(beta, pw): s for pw, s in f.terms.items()})
 
-    def __init__(self, algebra, lmodule, components, check=True):
-        assert len(components) == lmodule.dim
+
+class Section(coeff.CoeffVector):
+    """An element of V (x) T_q satisfying the defining constraint
+    x o zeta = (S(x) (x) id) zeta for the Cartan generators; the index
+    of a term is the weight line r of V."""
+
+    __slots__ = ("algebra", "lmodule")
+
+    def __init__(self, algebra, lmodule, terms=None, check=True):
+        coeff.CoeffVector.__init__(self, terms)
         self.algebra = algebra
         self.lmodule = lmodule
-        self.components = list(components)
         if check and not self.satisfies_constraint((uea.K, uea.K_INV)):
             raise AssertionError("components violate the section constraint")
+
+    def _new(self, terms):
+        return Section(self.algebra, self.lmodule, terms, check=False)
 
     def satisfies_constraint(self, generators):
         for x in generators:
             sx = self.lmodule.action(uea.antipode(x))
-            for r in range(self.lmodule.dim):
-                want = coeff.CoeffElement()
-                for r2 in range(self.lmodule.dim):
-                    if sx[r, r2]:
-                        want = want + self.components[r2].scale(sx[r, r2])
-                if self.algebra.circle(x, self.components[r]) != want:
-                    return False
+            want = {}
+            for (r2, pw), s in self.terms.items():
+                for r in range(self.lmodule.dim):
+                    accumulate(want, (r, pw), sx[r, r2] * s)
+            if self.map(lambda f: self.algebra.circle(x, f)).terms != want:
+                return False
         return True
-
-    @property
-    def level(self):
-        return max([f.level for f in self.components if not f.is_zero()] or [0])
-
-    def is_zero(self):
-        return all(f.is_zero() for f in self.components)
-
-    def __add__(self, other):
-        assert self.lmodule is other.lmodule
-        comps = [a + b for a, b in zip(self.components, other.components)]
-        return Section(self.algebra, self.lmodule, comps, check=False)
-
-    def __sub__(self, other):
-        assert self.lmodule is other.lmodule
-        comps = [a - b for a, b in zip(self.components, other.components)]
-        return Section(self.algebra, self.lmodule, comps, check=False)
-
-    def scale(self, s):
-        return Section(self.algebra, self.lmodule,
-                       [f.scale(s) for f in self.components], check=False)
 
     def times(self, a):
         """Right action of an invariant element."""
-        comps = [self.algebra.multiply(f, a) for f in self.components]
-        return Section(self.algebra, self.lmodule, comps, check=False)
+        return self.map(lambda f: self.algebra.multiply(f, a))
 
     def left_times(self, a):
         """Left action of an invariant element."""
-        comps = [self.algebra.multiply(a, f) for f in self.components]
-        return Section(self.algebra, self.lmodule, comps, check=False)
+        return self.map(lambda f: self.algebra.multiply(a, f))
 
     def dot(self, x):
         """Left translation of a UEAElement, componentwise."""
-        comps = [self.algebra.dot(x, f) for f in self.components]
-        return Section(self.algebra, self.lmodule, comps, check=False)
-
-    def vector(self):
-        """Sparse coordinates keyed (component, peter-weyl key)."""
-        out = {}
-        for r, f in enumerate(self.components):
-            for key, s in f.terms.items():
-                out[(r, key)] = s
-        return out
+        return self.map(lambda f: self.algebra.dot(x, f))
 
     def __eq__(self, other):
-        return (self.lmodule is other.lmodule
-                and self.components == other.components)
-
-    def __repr__(self):
-        return "Section(%s)" % ", ".join(str(f) for f in self.components)
+        return (LinComb.__eq__(self, other)
+                and self.lmodule is other.lmodule)
 
 
 def _constraint_rows(lmodule, generators, n):
@@ -169,16 +145,10 @@ def _constraint_rows(lmodule, generators, n):
 
 
 def _constraint_kernel(lmodule, generators, n):
+    """The level-n kernel vectors, as terms keyed (r, (n, i, j))."""
     unknowns, rows = _constraint_rows(lmodule, generators, n)
-    kernel = Echelon(rows).kernel(len(unknowns))
-    sections = []
-    for vec in kernel:
-        comps = [coeff.CoeffElement() for _ in range(lmodule.dim)]
-        for c, (r, i, j) in enumerate(unknowns):
-            if vec[c]:
-                comps[r] = comps[r] + coeff.basis_element(n, i, j, vec[c])
-        sections.append(comps)
-    return sections
+    return [{(r, (n, i, j)): s for (r, i, j), s in zip(unknowns, vec)}
+            for vec in Echelon(rows).kernel(len(unknowns))]
 
 
 def sections_basis(algebra, lmodule, N, generators=(uea.K, uea.K_INV)):
@@ -189,8 +159,8 @@ def sections_basis(algebra, lmodule, N, generators=(uea.K, uea.K_INV)):
     assert N <= algebra.n_max
     out = []
     for n in range(N + 1):
-        for comps in _constraint_kernel(lmodule, generators, n):
-            out.append(Section(algebra, lmodule, comps))
+        for terms in _constraint_kernel(lmodule, generators, n):
+            out.append(Section(algebra, lmodule, terms))
     return out
 
 
@@ -281,17 +251,15 @@ def wp(algebra, completion, element):
     """The map from W (x) E_q onto the sections: w_beta (x) a goes to
     sum_r v_r (x) S(t_{idx(r), beta}) a."""
     V = completion.lmodule
-    comps = [coeff.CoeffElement() for _ in range(V.dim)]
-    for beta, a in element.items():
-        if a.is_zero():
-            continue
+    out = {}
+    for beta, a in element.coords.items():
         for r in range(V.dim):
             t = completion.coefficient(completion.v_index[r], beta)
             if t.is_zero():
                 continue
-            st = algebra.antipode(t)
-            comps[r] = comps[r] + algebra.multiply(st, a)
-    return Section(algebra, V, comps)
+            for pw, s in algebra.multiply(algebra.antipode(t), a).terms.items():
+                accumulate(out, (r, pw), s)
+    return Section(algebra, V, out)
 
 
 def im(algebra, completion, section):
@@ -300,28 +268,15 @@ def im(algebra, completion, section):
     are invariant because the coefficient column weight cancels the
     section weight."""
     out = {}
-    for r in range(completion.lmodule.dim):
-        f = section.components[r]
-        if f.is_zero():
-            continue
+    for r, f in section.coords.items():
         idx = completion.v_index[r]
         for beta in range(completion.dim_w):
             t = completion.coefficient(beta, idx)
             if t.is_zero():
                 continue
-            g = algebra.multiply(t, f)
-            if not g.is_zero():
-                out[beta] = out.get(beta, coeff.CoeffElement()) + g
-    return {beta: g for beta, g in out.items() if not g.is_zero()}
-
-
-def element_vector(element):
-    """Sparse coordinates of a W (x) E_q element, keyed (beta, pw key)."""
-    out = {}
-    for beta, g in element.items():
-        for key, s in g.terms.items():
-            out[(beta, key)] = s
-    return out
+            for pw, s in algebra.multiply(t, f).terms.items():
+                accumulate(out, (beta, pw), s)
+    return coeff.CoeffVector(out)
 
 
 class BundleIdempotent:
@@ -340,13 +295,13 @@ class BundleIdempotent:
                        for f in inv.elements]
         self.columns = []
         for beta, f in self.domain:
-            image = self.apply({beta: f})
+            image = self.apply(simple_tensor(beta, f))
             self.columns.append(image)
-            if not _elements_equal(self.apply(image), image):
+            if self.apply(image) != image:
                 raise AssertionError("e^2 != e on column (%d, %s)" % (beta, f))
         ech = Echelon()
         for image in self.columns:
-            ech.add(element_vector(image))
+            ech.add(image.terms)
         self.rank = ech.rank
         levels = set(self.completion.blocks)
         self.matched_level = N + max(levels) if len(levels) == 1 else None
@@ -360,12 +315,6 @@ class BundleIdempotent:
                   wp(self.algebra, self.completion, element))
 
 
-def _elements_equal(x, y):
-    keys = set(x) | set(y)
-    zero = coeff.CoeffElement()
-    return all(x.get(k, zero) == y.get(k, zero) for k in keys)
-
-
 def idempotent(algebra, lmodule, N):
     return BundleIdempotent(algebra, lmodule, N)
 
@@ -374,7 +323,7 @@ def generators(algebra, lmodule):
     """The canonical generating sections zeta_alpha = wp(w_alpha (x) 1),
     one per W basis vector."""
     completion = complete(lmodule)
-    return [wp(algebra, completion, {alpha: coeff.unit()})
+    return [wp(algebra, completion, simple_tensor(alpha, coeff.unit()))
             for alpha in range(completion.dim_w)]
 
 
@@ -394,8 +343,8 @@ def generation_certificate(algebra, lmodule, N):
         for a in inv.elements:
             if a.level <= max(bound, 0):
                 products.append(zeta.times(a))
-    solution = Span([s.vector() for s in products]).coordinate_matrix(
-        [s.vector() for s in basis])
+    solution = Span([s.terms for s in products]).coordinate_matrix(
+        [s.terms for s in basis])
     return {"generators": len(gens), "sections": len(basis),
             "products": len(products), "solution": solution}
 
@@ -418,11 +367,11 @@ def dot_module(algebra, sections):
     the decomposition exhibits its irreducible summands."""
     if not sections:
         return None, []
-    span = Span([s.vector() for s in sections])
+    span = Span([s.terms for s in sections])
 
     def action_matrix(x):
         try:
-            return span.coordinate_matrix([s.dot(x).vector() for s in sections])
+            return span.coordinate_matrix([s.dot(x).terms for s in sections])
         except NoSolution:
             raise AssertionError("translation leaves the span")
 

@@ -35,6 +35,14 @@ invariant forms and sigma = sigma_+ - sigma_- is its unique splitting
 with sigma_+ sigma_- = 0 classified by the sign of each eigenvalue at
 u = 1.  The differential in higher degree is the graded commutator
 with theta; d^2 = 0 because theta^2 reduces to zero.
+
+Every form a Calculus method returns is in normal form: the canonical
+representative modulo that ideal, with no pivot word of the ideal's
+echelon.  Calculus.multiply is the one place that reduces.  This is
+sound because the ideal is two-sided, because sums, scalings and the
+coefficient-only translation keep a form free of pivot words, and
+because forms of degree at most one are already normal.  So two forms
+are equal in the exterior algebra exactly when they are ==.
 """
 
 import itertools
@@ -298,16 +306,18 @@ def from_rep(wc):
 # ----------------------------------------------------------------------
 # forms
 
-class FormElement(LinComb):
+class FormElement(coeff.CoeffVector):
     """A left-trivialized form of degree n: terms map (word, Peter-Weyl
     key) to nonzero Scalars, the word a length-n tuple of letters of the
     invariant one-form basis.  Forms add only within one degree, and zero
-    forms of different degrees are unequal."""
+    forms of different degrees are unequal.  The forms a Calculus returns
+    are in normal form modulo the exterior ideal, so == is equality in
+    the exterior algebra."""
 
     __slots__ = ("degree",)
 
     def __init__(self, degree, terms=None):
-        LinComb.__init__(self, terms)
+        coeff.CoeffVector.__init__(self, terms)
         self.degree = degree
 
     def _new(self, terms):
@@ -321,19 +331,6 @@ class FormElement(LinComb):
 
     def __eq__(self, other):
         return LinComb.__eq__(self, other) and self.degree == other.degree
-
-    @property
-    def coords(self):
-        """The terms grouped by word: {word: CoeffElement}; the inverse
-        of `form`."""
-        out = {}
-        for (word, pw), s in self.terms.items():
-            out.setdefault(word, {})[pw] = s
-        return {word: coeff.CoeffElement(t) for word, t in out.items()}
-
-    @property
-    def level(self):
-        return max((pw[0] for _, pw in self.terms), default=0)
 
     def __repr__(self):
         if not self.terms:
@@ -423,9 +420,11 @@ class Calculus:
                 for key, blocks in states.items()]
 
     def multiply(self, w1, w2):
-        """(a (x) w_I)(b (x) w_J) = sum_C a ((F-word)_{I C} o b) (x) w_{C ++ J}.
-        Each right coefficient b goes to Peter-Weyl blocks once per call,
-        when a nonempty left word first needs it."""
+        """(a (x) w_I)(b (x) w_J) = sum_C a ((F-word)_{I C} o b) (x) w_{C ++ J},
+        in normal form: the product is reduced modulo the exterior ideal,
+        whatever the representatives of the factors.  Each right
+        coefficient b goes to Peter-Weyl blocks once per call, when a
+        nonempty left word first needs it."""
         out = {}
         right = w2.coords
         blocks = {}
@@ -437,7 +436,7 @@ class Calculus:
                     word = C + J
                     for pw, s in self.algebra.multiply(a, g).terms.items():
                         accumulate(out, (word, pw), s)
-        return FormElement(w1.degree + w2.degree, out)
+        return self.reduce_mod_J(FormElement(w1.degree + w2.degree, out))
 
     def right_mult(self, w, b):
         return self.multiply(w, self.form0(b))
@@ -446,11 +445,10 @@ class Calculus:
         return self.multiply(self.form0(a), w)
 
     def d(self, w):
-        """Graded commutator with theta, reduced: degree n goes to n+1."""
+        """Graded commutator with theta: degree n goes to n+1."""
         th = self.theta()
-        out = self.multiply(th, w) + self.multiply(w, th).scale(
+        return self.multiply(th, w) + self.multiply(w, th).scale(
             ONE if w.degree % 2 else -ONE)
-        return self.reduce_mod_J(out)
 
     # -- braiding and the exterior ideal ---------------------------------
 
@@ -538,8 +536,7 @@ class Calculus:
     def dot_on_forms(self, x, w):
         """Left translation acts on the coefficients only (the invariant
         form legs are left-invariant)."""
-        return form(w.degree, {key: self.algebra.dot(x, f)
-                               for key, f in w.coords.items()})
+        return w.map(lambda f: self.algebra.dot(x, f))
 
     def restrict(self, N):
         return Restriction(self, N)
@@ -710,12 +707,13 @@ class Restriction:
         form = self.calc.form0(a)
         for b in bs:
             form = self.calc.multiply(form, self.calc.d0(b))
-        return self.calc.reduce_mod_J(form)
+        return form
 
     def dims(self):
         return {degree: len(self.bases[degree]) for degree in self.bases}
 
     def contains(self, w):
+        # w may be built outside the calculus, so it is reduced here
         w = self.calc.reduce_mod_J(w)
         ech = self.echelons.get(w.degree)
         if ech is None:
@@ -757,7 +755,7 @@ class Restriction:
                 form = calc.multiply(
                     form, calc.d0(algebra.circle(uea.monomial(*leg), b)))
             out = out + form
-        return calc.reduce_mod_J(out)
+        return out
 
     def circle_on_forms(self, p, w):
         """The subalgebra action on a restricted form, through its basis
@@ -768,11 +766,3 @@ class Restriction:
             if c:
                 out = out + self.circle_presented(p, entry["presentation"]).scale(c)
         return out
-
-    def report(self):
-        return {
-            "level_bound": self.N,
-            "dims": self.dims(),
-            "filtration": self.filtration,
-            "closure": {n: all(self.closure_check(n)) for n in (0, 1)},
-        }

@@ -31,8 +31,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .scalars import (Scalar, Matrix, Echelon, NoSolution, PoleError,
-                      ONE, eval_at, accumulate)
+from .scalars import (Scalar, Matrix, Echelon, LinComb, NoSolution,
+                      PoleError, ONE, eval_at, accumulate)
 from . import (uea, coeff, repmod, homspace, bundle, calculus, connection,
                scalars)
 
@@ -52,10 +52,15 @@ _FAILURES = (AssertionError, NoSolution, calculus.AxiomViolation,
              calculus.SplitError, calculus.DomainError, connection.NotLinear)
 
 # the largest form word space, K^degree words over K = (irrep + 1)^2
-# letters, that `dims` and `connection` may build: 4^5, the degree-5
-# space of `dims` at irrep = 1 (larger spaces ran for minutes with no
-# output)
+# letters, that `dims`, `connection` and the suites of `verify` may
+# build: 4^5, the degree-5 space of `dims` at irrep = 1 (larger spaces
+# ran for minutes with no output)
 WORD_SPACE_CAP = 1024
+
+# the degree of the largest forms each verify suite builds, given K:
+# forms-top-degree reads degree K + 1, closure takes d of degree-1 forms
+_SUITE_FORM_DEGREE = {"calculus": lambda K: K + 1, "closure": lambda K: 2,
+                      "connection": lambda K: 3, "curvature": lambda K: 3}
 
 # what a configuration the parser accepts can still make a command unable
 # to compute; verify turns these into per-check skips or failures first
@@ -571,6 +576,9 @@ def _suite_projection(ws, checks):
     V = bundle.LModule(cfg.weights)
     comp = bundle.complete(V)
 
+    def wp(beta, f):
+        return bundle.wp(a, comp, bundle.simple_tensor(beta, f))
+
     def retraction():
         basis = bundle.sections_basis(a, V, 3)
         for zeta in basis:
@@ -582,7 +590,7 @@ def _suite_projection(ws, checks):
         basis = bundle.sections_basis(a, V, 3)
         ech = Echelon()
         for zeta in basis:
-            if not ech.add(bundle.element_vector(bundle.im(a, comp, zeta))):
+            if not ech.add(bundle.im(a, comp, zeta).terms):
                 return "inclusion image is rank deficient"
         return True
 
@@ -591,13 +599,13 @@ def _suite_projection(ws, checks):
         ech = Echelon()
         for beta in range(comp.dim_w):
             for f in inv.elements:
-                ech.add(bundle.wp(a, comp, {beta: f}).vector())
+                ech.add(wp(beta, f).terms)
         sections = bundle.sections_basis(a, V, 3)
         if ech.rank != len(sections):
             return "projection images span rank %d != %d" \
                 % (ech.rank, len(sections))
         for zeta in sections:
-            if ech.reduce(zeta.vector()):
+            if ech.reduce(zeta.terms):
                 return "a section escapes the projection image"
         return True
 
@@ -610,17 +618,18 @@ def _suite_projection(ws, checks):
             f = rnd.choice(inv.elements)
             g = rnd.choice(small)
             beta = rnd.randint(0, comp.dim_w - 1)
-            if bundle.wp(a, comp, {beta: a.multiply(f, g)}) != \
-                    bundle.wp(a, comp, {beta: f}).times(g):
-                return "projection not right-linear on sample %d" % k
+            witness = _residual(wp(beta, a.multiply(f, g)),
+                                wp(beta, f).times(g))
+            if witness:
+                return "projection not right-linear on sample %d: %s" \
+                    % (k, witness)
             zeta = rnd.choice(basis)
-            lhs = bundle.im(a, comp, zeta.times(g))
-            rhs = {key: a.multiply(h, g)
-                   for key, h in bundle.im(a, comp, zeta).items()}
-            keys = set(lhs) | set(rhs)
-            zero = coeff.CoeffElement()
-            if any(lhs.get(key, zero) != rhs.get(key, zero) for key in keys):
-                return "inclusion not right-linear on sample %d" % k
+            witness = _residual(
+                bundle.im(a, comp, zeta.times(g)),
+                bundle.im(a, comp, zeta).map(lambda h: a.multiply(h, g)))
+            if witness:
+                return "inclusion not right-linear on sample %d: %s" \
+                    % (k, witness)
         return True
 
     _check(checks, "projection", "projection-retraction",
@@ -679,8 +688,7 @@ def _suite_calculus(ws, checks):
             if k % 2:
                 w = calc.form0(f)
             else:
-                w = calc.reduce_mod_J(
-                    calc.left_mult(f, calc.d0(_random_coeff(rnd))))
+                w = calc.left_mult(f, calc.d0(_random_coeff(rnd)))
             if not calc.d(calc.d(w)).is_zero():
                 return "d^2 != 0 on sample %d" % k
         return True
@@ -701,9 +709,8 @@ def _suite_calculus(ws, checks):
                 w2 = calc.form0(g)
             sign = -ONE if w1.degree % 2 else ONE
             lhs = calc.d(calc.multiply(w1, w2))
-            rhs = calc.reduce_mod_J(
-                calc.multiply(calc.d(w1), w2)
-                + calc.multiply(w1, calc.d(w2)).scale(sign))
+            rhs = (calc.multiply(calc.d(w1), w2)
+                   + calc.multiply(w1, calc.d(w2)).scale(sign))
             if lhs != rhs:
                 return "product rule fails on sample %d" % k
         return True
@@ -718,8 +725,7 @@ def _suite_calculus(ws, checks):
             w = calc.left_mult(f, calc.d0(_random_coeff(rnd)))
             dw, df = calc.d(w), calc.d0(f)
             for x in gens:
-                if calc.reduce_mod_J(calc.dot_on_forms(x, dw)) != \
-                        calc.d(calc.reduce_mod_J(calc.dot_on_forms(x, w))):
+                if calc.dot_on_forms(x, dw) != calc.d(calc.dot_on_forms(x, w)):
                     return "translation equivariance fails on sample %d" % k
                 if calc.dot_on_forms(x, df) != calc.d0(a.dot(x, f)):
                     return "degree-zero equivariance fails on sample %d" % k
@@ -754,14 +760,12 @@ def _suite_closure(ws, checks):
         return run
 
     def epsilon_trivial():
-        calc = ws.calc()
         restriction = ws.restriction()
         for degree in (0, 1, 2):
             for entry in restriction.bases[degree]:
-                red = calc.reduce_mod_J(entry["form"])
                 for p in (uea.K, uea.K_INV):
                     if restriction.circle_presented(
-                            p, entry["presentation"]) != red:
+                            p, entry["presentation"]) != entry["form"]:
                         return "a Levi generator moves a degree-%d form" \
                             % degree
         return True
@@ -775,12 +779,25 @@ def _suite_closure(ws, checks):
            epsilon_trivial)
 
 
+def _residual(lhs, rhs):
+    """None when lhs == rhs, else a witness: for LinCombs the residual
+    lhs - rhs, for vectors of forms its first nonzero coordinate."""
+    if lhs == rhs:
+        return None
+    if isinstance(lhs, LinComb):
+        return scalars._residual_witness((lhs - rhs).terms)
+    gamma = next(g for g in range(len(lhs)) if lhs[g] != rhs[g])
+    return "coordinate %d: %s" % (gamma, scalars._residual_witness(
+        (lhs[gamma] - rhs[gamma]).terms))
+
+
 def _connection_law(tss, calc, conn, psi, w):
+    """The _residual witness of the connection law at (psi, w)."""
     sign = -ONE if tss.degree_of(psi) % 2 else ONE
     lhs = conn.apply(tss.right_mult(psi, w))
     rhs = tss.add(tss.right_mult(conn.apply(psi), w),
                   [x.scale(sign) for x in tss.right_mult(psi, calc.d(w))])
-    return tss.equal(lhs, rhs)
+    return _residual(lhs, rhs)
 
 
 def _seeded_perturbations(tss, rnd, count):
@@ -814,8 +831,9 @@ def _suite_connection(ws, checks):
                 w = calc.form0(_random_invariant(rnd, inv))
             else:
                 w = calc.d0(_random_invariant(rnd, inv))
-            if not _connection_law(tss, calc, conn, psi, w):
-                return "connection law fails on sample %d" % k
+            witness = _connection_law(tss, calc, conn, psi, w)
+            if witness:
+                return "connection law fails on sample %d: %s" % (k, witness)
         return True
 
     def law_perturbed():
@@ -829,8 +847,10 @@ def _suite_connection(ws, checks):
                     lhs = conn.on_section(s.times(g))
                     rhs = tss.add(tss.right_mult(nabla_s, calc.form0(g)),
                                   tss.right_mult(vec_s, calc.d0(g)))
-                    if not tss.equal(lhs, rhs):
-                        return "connection law fails for perturbation %d" % n
+                    witness = _residual(lhs, rhs)
+                    if witness:
+                        return "connection law fails for perturbation %d: " \
+                            "%s" % (n, witness)
         return True
 
     def differences():
@@ -850,8 +870,9 @@ def _suite_connection(ws, checks):
                 for g in homspace.podles_generators():
                     lhs = diff(tss.from_section(s.times(g)))
                     rhs = tss.right_mult(diff_s, calc.form0(g))
-                    if not tss.equal(lhs, rhs):
-                        return "difference %d not right-linear" % n
+                    witness = _residual(lhs, rhs)
+                    if witness:
+                        return "difference %d not right-linear: %s" % (n, witness)
         return True
 
     _check(checks, "connection", "connection-law-nabla0",
@@ -966,6 +987,10 @@ def _emit(payload, out_path):
 
 
 def cmd_verify(cfg, out_path):
+    for suite in cfg.suites:
+        if suite in _SUITE_FORM_DEGREE:
+            _check_word_space(cfg, "verify suite " + suite,
+                              _SUITE_FORM_DEGREE[suite]((cfg.irrep + 1) ** 2))
     ws = _Workspace(cfg)
     checks = []
     for suite in cfg.suites:

@@ -64,6 +64,31 @@ class CoeffElement(LinComb):
     __repr__ = __str__
 
 
+class CoeffVector(LinComb):
+    """A vector with entries in T_q: terms map (index, Peter-Weyl key) to
+    nonzero Scalars.  The index is a word for a form, a weight line for
+    a section, and a W basis index for an element of W (x) E_q."""
+
+    __slots__ = ()
+
+    @property
+    def coords(self):
+        """The terms grouped by index: {index: CoeffElement}."""
+        out = {}
+        for (i, pw), s in self.terms.items():
+            out.setdefault(i, {})[pw] = s
+        return {i: CoeffElement(t) for i, t in out.items()}
+
+    @property
+    def level(self):
+        return max((pw[0] for _, pw in self.terms), default=0)
+
+    def map(self, fn):
+        """The vector with fn applied to every nonzero entry."""
+        return self._new({(i, pw): s for i, f in self.coords.items()
+                          for pw, s in fn(f).terms.items()})
+
+
 def unit():
     return CoeffElement({(0, 0, 0): ONE})
 

@@ -60,7 +60,7 @@ class TensoredSectionSpace:
                     raise AssertionError("idempotent matrix identity fails "
                                          "at (%d, %d)" % (gamma, alpha))
         self.sections = bundle.sections_basis(self.algebra, lmodule, N)
-        self._section_span = Span([s.vector() for s in self.sections])
+        self._section_span = Span([s.terms for s in self.sections])
         self._generators = [self.generator(alpha)
                             for alpha in range(self.dim_w)]
 
@@ -78,7 +78,7 @@ class TensoredSectionSpace:
         """The right-linear map taking the beta-th generating vector
         (zeta_beta, or the beta-th basis section) to values[beta], at
         sum_beta zeta_beta (x) vec[beta]: coordinate gamma is
-        sum_beta values[beta][gamma] vec[beta], reduced."""
+        sum_beta values[beta][gamma] vec[beta]."""
         degree = values[0][0].degree + self.degree_of(vec)
         out = []
         for gamma in range(self.dim_w):
@@ -87,28 +87,30 @@ class TensoredSectionSpace:
                 v = values[beta][gamma]
                 if v and psi:
                     acc = acc + self.calc.multiply(v, psi)
-            out.append(self.calc.reduce_mod_J(acc))
+            out.append(acc)
         return out
 
     def project(self, vec):
-        """Left multiplication by the idempotent matrix, reduced."""
+        """Left multiplication by the idempotent matrix."""
         return self.extend(self._generators, vec)
 
-    def reduce(self, vec):
-        return [self.calc.reduce_mod_J(w) for w in vec]
-
     def is_invariant(self, vec):
-        return self.project(vec) == self.reduce(vec)
+        return self.project(vec) == vec
+
+    def _coordinates(self, section):
+        """The W coordinates of im(section), one CoeffElement per beta."""
+        coords = bundle.im(self.algebra, self.completion, section).coords
+        return [coords.get(beta, coeff.CoeffElement())
+                for beta in range(self.dim_w)]
 
     def from_section(self, section):
-        el = bundle.im(self.algebra, self.completion, section)
-        return [self.calc.form0(el.get(beta, coeff.CoeffElement()))
-                for beta in range(self.dim_w)]
+        return [self.calc.form0(f) for f in self._coordinates(section)]
 
     def to_section(self, vec):
         assert self.degree_of(vec) == 0
-        element = {beta: w.coords.get((), coeff.CoeffElement())
-                   for beta, w in enumerate(vec)}
+        element = coeff.CoeffVector({(beta, pw): s
+                                     for beta, w in enumerate(vec)
+                                     for (_, pw), s in w.terms.items()})
         return bundle.wp(self.algebra, self.completion, element)
 
     def generator(self, alpha):
@@ -119,28 +121,22 @@ class TensoredSectionSpace:
 
     def right_mult(self, vec, w):
         """Right multiplication by a form, coordinatewise."""
-        return [self.calc.reduce_mod_J(self.calc.multiply(psi, w))
-                for psi in vec]
+        return [self.calc.multiply(psi, w) for psi in vec]
 
     def add(self, v1, v2):
         return [a + b for a, b in zip(v1, v2)]
 
-    def equal(self, v1, v2):
-        return self.reduce(v1) == self.reduce(v2)
-
     def section_coordinates(self, section):
         """Coordinates of a section in the stored basis; NoSolution if
         it lies outside the level window."""
-        return self._section_span.coordinates(section.vector())
+        return self._section_span.coordinates(section.terms)
 
     # -- the distinguished connection -------------------------------------
 
     def partial(self, section):
         """The chain im, coordinatewise d, project."""
-        el = bundle.im(self.algebra, self.completion, section)
-        return self.project([
-            self.calc.d0(el.get(beta, coeff.CoeffElement()))
-            for beta in range(self.dim_w)])
+        return self.project([self.calc.d0(f)
+                             for f in self._coordinates(section)])
 
     def nabla0(self, vec):
         """The Grassmann realization e . (id (x) d)."""
@@ -158,8 +154,8 @@ class TensoredSectionSpace:
                                     [self.calc.d(w) for w in vec]))
 
     def section_from_generator(self, beta):
-        element = {beta: coeff.unit()}
-        return bundle.wp(self.algebra, self.completion, element)
+        return bundle.wp(self.algebra, self.completion,
+                         bundle.simple_tensor(beta, coeff.unit()))
 
 
 def _as_one_form(calc, entry):
@@ -317,7 +313,7 @@ class CurvatureMap:
             for g in homspace.podles_generators():
                 lhs = conn.apply(conn.on_section(section.times(g)))
                 rhs = tss.right_mult(f_val, tss.calc.form0(g))
-                if not tss.equal(lhs, rhs):
+                if lhs != rhs:
                     return False
         return True
 
@@ -328,7 +324,7 @@ class CurvatureMap:
         for section, f_val in zip(tss.sections, self.on_sections):
             lhs = self.conn.apply(f_val)
             rhs = self.hat(self.conn.on_section(section))
-            results.append(tss.equal(lhs, rhs))
+            results.append(lhs == rhs)
         return results
 
 

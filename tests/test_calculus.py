@@ -153,6 +153,19 @@ def test_exterior_ideal_is_two_sided():
         == CALC.left_mult(f, CALC.reduce_mod_J(w))
 
 
+def test_calculus_returns_normal_forms():
+    # multiply reduces modulo the exterior ideal, so every form the
+    # calculus returns is fixed by reduce_mod_J and == is equality in the
+    # exterior algebra
+    t = [coeff.basis_element(1, i, j) for i in range(2) for j in range(2)]
+    w1 = CALC.left_mult(t[0], CALC.d0(t[1]))
+    w2 = CALC.multiply(w1, CALC.d0(t[2]))
+    for w in (CALC.multiply(w1, CALC.d0(t[3])), w2, CALC.d(w1), CALC.d(w2),
+              CALC.dot_on_forms(uea.E, w2), w2 - w2.scale(3)):
+        assert w.degree >= 2 and not w.is_zero()
+        assert CALC.reduce_mod_J(w) == w
+
+
 def test_forms_regroup_by_word_and_keep_their_degree():
     rnd = random.Random(29)
     f = sample_coeff(rnd, max_level=1)

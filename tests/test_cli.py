@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qhvb import cli
+from qhvb import bundle, cli, connection
 
 
 def test_default_config():
@@ -255,6 +255,61 @@ def test_word_space_cap_exits_2_before_the_calculus(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def test_verify_word_space_cap_exits_2_before_any_suite(tmp_path, capsys):
+    # forms-top-degree builds degree K + 1 = 10 forms at irrep = 2
+    path = tmp_path / "big.cfg"
+    path.write_text("irrep = 2\n")
+    out = tmp_path / "out.json"
+    t0 = time.perf_counter()
+    rc = cli.main(["verify", "--suite", "hopf", "--suite", "calculus",
+                   "--config", str(path), "--out", str(out)])
+    assert time.perf_counter() - t0 < 1
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: verify suite calculus at irrep = 2 builds degree-10 "
+        "forms on 9^10 = 3486784401 words, above the word-space cap %d\n"
+        % cli.WORD_SPACE_CAP)
+    assert not out.exists()
+    # a suite that builds no forms still runs at irrep = 2
+    assert cli.main(["verify", "--suite", "hopf", "--config", str(path),
+                     "--out", str(out)]) == 0
+
+
+def _break_section_times(monkeypatch):
+    times = bundle.Section.times
+    monkeypatch.setattr(bundle.Section, "times",
+                        lambda self, a: times(self, a).scale(2))
+
+
+def _break_nabla0(monkeypatch):
+    nabla0 = connection.TensoredSectionSpace.nabla0
+    monkeypatch.setattr(connection.TensoredSectionSpace, "nabla0",
+                        lambda self, vec: [w.scale(2)
+                                           for w in nabla0(self, vec)])
+
+
+@pytest.mark.parametrize("suite, breaker, failing", [
+    ("projection", _break_section_times, ["projection-right-linear"]),
+    ("connection", _break_nabla0,
+     ["connection-law-nabla0", "connection-law-perturbed"]),
+])
+def test_failing_check_names_its_residual(tmp_path, monkeypatch, suite,
+                                          breaker, failing):
+    breaker(monkeypatch)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", suite, "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    fails = {c["anchor"]: c["witness"] for c in checks
+             if c["status"] == "fail"}
+    assert sorted(fails) == failing
+    for witness in fails.values():
+        assert "residual" in witness and "nonzero" in witness
+        if suite == "connection":
+            assert ": coordinate " in witness
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_unusable_out_path_exits_2_before_any_work(tmp_path, capsys, command):
     for out in (tmp_path / "missing" / "report.json", tmp_path):
@@ -284,8 +339,8 @@ def _run_optimised(code):
 def test_certificates_fail_under_optimised_python():
     # the certificates raise instead of asserting, so python -O still
     # reports a broken e^2 = e comparison
-    code = ("import sys; from qhvb import bundle, cli; "
-            "bundle._elements_equal = lambda x, y: False; "
+    code = ("import sys; from qhvb import coeff, cli; "
+            "coeff.CoeffVector.__eq__ = lambda x, y: False; "
             "sys.exit(cli.main(['verify', '--suite', 'idempotent']))")
     proc = _run_optimised(code)
     assert proc.returncode == 1, proc.stderr

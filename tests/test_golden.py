@@ -2,7 +2,9 @@
 change to the arithmetic kernel that keeps them reproduces these files
 exactly.  The three benchmark references are read in place; the
 default-config dims/haar/idempotent outputs in golden/ were recorded
-before the gcd rewrite, and connection before forms became LinCombs."""
+before the gcd rewrite, connection before forms became LinCombs, and the
+two-weight (weights = 1 -1) connection and idempotent outputs before
+bundle vectors became LinCombs."""
 
 from pathlib import Path
 
@@ -38,3 +40,14 @@ def test_default_config_output_matches_golden(tmp_path, command):
     out = tmp_path / (command + ".json")
     assert cli.main([command, "--out", str(out)]) == 0
     assert out.read_bytes() == (TESTS / "golden" / (command + ".json")).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["connection", "idempotent"])
+def test_two_weight_output_matches_golden(tmp_path, command):
+    # dim W = 4 with two weight lines; the default bundle has one
+    config = tmp_path / "v1m1.cfg"
+    config.write_text("weights = 1 -1\n")
+    out = tmp_path / (command + ".json")
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    golden = TESTS / "golden" / (command + "-v1m1.json")
+    assert out.read_bytes() == golden.read_bytes()

@@ -8,7 +8,7 @@ span, and the comodule property by re-expanding right coproduct legs."""
 
 import random
 
-from qhvb.scalars import Scalar, ZERO
+from qhvb.scalars import Scalar
 from qhvb import uea, repmod, coeff, homspace
 
 U = Scalar.u_power

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from qhvb.scalars import Scalar, Matrix, ZERO, ONE, qint, eval_at
+from qhvb.scalars import Scalar, Matrix, ONE, qint, eval_at
 from qhvb import uea, repmod
 
 Q = Scalar.q_power
