@@ -350,7 +350,6 @@ class Calculus:
 
     def __init__(self, algebra, data):
         assert data.nondegenerate, "degenerate calculus (zero tangent space)"
-        assert data.module.weights is not None
         self.algebra = algebra
         self.data = data
         self.K = data.K
@@ -459,77 +458,40 @@ class Calculus:
         return self._split
 
     def _kernel_vectors(self):
-        """Basis of ker sigma_- as weight-homogeneous sparse vectors
-        keyed by letter pairs, with their total weights."""
-        split = self.braiding()
-        wts = self.data.module.weights
-        out = []
-        for vec in split.sigma_minus.kernel():
-            kv = {}
-            weight = None
-            for a in range(self.K):
-                for b in range(self.K):
-                    s = vec[a * self.K + b]
-                    if s:
-                        kv[(a, b)] = s
-                        w = wts[a] + wts[b]
-                        if weight is not None and weight != w:
-                            raise AssertionError(
-                                "kernel vector of sigma_- mixes the weights "
-                                "%d and %d" % (weight, w))
-                        weight = w
-            out.append((weight, kv))
-        return out
+        """Basis of ker sigma_- as sparse vectors keyed by letter pairs."""
+        return [{divmod(i, self.K): s for i, s in enumerate(vec) if s}
+                for vec in self.braiding().sigma_minus.kernel()]
 
     def _j_echelon(self, degree):
-        """Per-weight echelon bases of the degree-n piece of the ideal
-        generated by ker sigma_-; the coefficient factor is free."""
-        cached = self._j_ech.get(degree)
-        if cached is not None:
-            return cached
-        wts = self.data.module.weights
-        ech = {}
-        if degree >= 2:
+        """Echelon basis of the degree-n piece of the ideal generated by
+        ker sigma_-, in word space; the coefficient factor is free."""
+        ech = self._j_ech.get(degree)
+        if ech is None:
+            ech = Echelon()
             kernel = self._kernel_vectors()
             letters = range(self.K)
             for i in range(degree - 1):
                 for prefix in itertools.product(letters, repeat=i):
-                    wp = sum(wts[a] for a in prefix)
                     for suffix in itertools.product(letters, repeat=degree - 2 - i):
-                        ws = sum(wts[a] for a in suffix)
-                        for wk, kv in kernel:
-                            vec = {prefix + ab + suffix: s for ab, s in kv.items()}
-                            ech.setdefault(wp + wk + ws, Echelon()).add(vec)
-        self._j_ech[degree] = ech
+                        for kv in kernel:
+                            ech.add({prefix + ab + suffix: s for ab, s in kv.items()})
+            self._j_ech[degree] = ech
         return ech
 
     def reduce_mod_J(self, w):
         """Canonical representative modulo the exterior ideal, computed
-        per Peter-Weyl key and per total letter weight."""
-        if w.degree < 2:
-            return w
+        per Peter-Weyl key."""
         ech = self._j_echelon(w.degree)
-        wts = self.data.module.weights
         per_pw = {}
         for (word, pw), s in w.terms.items():
-            weight = sum(wts[a] for a in word)
-            per_pw.setdefault((pw, weight), {})[word] = s
-        terms = {}
-        for (pw, weight), vec in per_pw.items():
-            e = ech.get(weight)
-            for word, s in (e.reduce(vec) if e is not None else vec).items():
-                terms[(word, pw)] = s
-        return FormElement(w.degree, terms)
+            per_pw.setdefault(pw, {})[word] = s
+        return FormElement(w.degree, {(word, pw): s for pw, vec in per_pw.items()
+                                      for word, s in ech.reduce(vec).items()})
 
     def omega_dims(self, n):
         """Dimension of the degree-n component of the exterior algebra
         over the invariant forms."""
-        if n == 0:
-            return 1
-        if n == 1:
-            return self.K
-        rank = sum(e.rank for e in self._j_echelon(n).values())
-        return self.K ** n - rank
+        return self.K ** n - self._j_echelon(n).rank
 
     # -- covariance actions ----------------------------------------------
 

@@ -275,6 +275,18 @@ def _random_invariant(rnd, elements, nterms=2):
     return out
 
 
+def _seeded_norms(ws):
+    """The 20 seeded nonzero elements f of level <= 1, each with its
+    squared norm h(f* f), drawn lazily."""
+    rnd = _rng(ws.cfg, "haar")
+    done = 0
+    while done < 20:
+        f = _random_coeff(rnd, max_level=1, nterms=2)
+        if not f.is_zero():
+            done += 1
+            yield f, ws.algebra.haar_norm_sq(f)
+
+
 # ----------------------------------------------------------------------
 # verification suites
 
@@ -522,14 +534,7 @@ def _suite_haar(ws, checks):
         return True
 
     def positivity():
-        rnd = _rng(cfg, "haar")
-        done = 0
-        while done < 20:
-            f = _random_coeff(rnd, max_level=1, nterms=2)
-            if f.is_zero():
-                continue
-            done += 1
-            norm = a.haar_norm_sq(f)
+        for _, norm in _seeded_norms(ws):
             if not norm:
                 return "vanishing squared norm of a nonzero element"
             for u0 in cfg.samples:
@@ -1101,17 +1106,9 @@ def cmd_connection(cfg, out_path):
 
 
 def cmd_haar(cfg, out_path):
-    ws = _Workspace(cfg)
-    rnd = _rng(cfg, "haar")
     rows = []
     ok = True
-    done = 0
-    while done < 20:
-        f = _random_coeff(rnd, max_level=1, nterms=2)
-        if f.is_zero():
-            continue
-        done += 1
-        norm = ws.algebra.haar_norm_sq(f)
+    for f, norm in _seeded_norms(_Workspace(cfg)):
         values = {}
         for u0 in cfg.samples:
             val = eval_at(norm, u0)

@@ -142,17 +142,6 @@ class TensoredSectionSpace:
         """The Grassmann realization e . (id (x) d)."""
         return self.project([self.calc.d(w) for w in vec])
 
-    def nabla0_chain(self, vec):
-        """The same map through the generator presentation and the
-        Leibniz rule: sum_beta partial(zeta_beta) psi_beta
-        + zeta_beta (x) d(psi_beta).  Computed independently of
-        nabla0 so their agreement is a real check."""
-        partials = [self.partial(self.section_from_generator(beta))
-                    for beta in range(self.dim_w)]
-        return self.add(self.extend(partials, vec),
-                        self.extend(self._generators,
-                                    [self.calc.d(w) for w in vec]))
-
     def section_from_generator(self, beta):
         return bundle.wp(self.algebra, self.completion,
                          bundle.simple_tensor(beta, coeff.unit()))

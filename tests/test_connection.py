@@ -47,12 +47,18 @@ def test_partial_explicit_formula():
 
 
 def test_nabla0_realizations_agree():
+    # the Leibniz-rule form sum_beta partial(zeta_beta) psi_beta
+    # + zeta_beta (x) d(psi_beta) has second term project(d psi) =
+    # nabla0(psi); its first term is e.de.psi, zero on invariant psi
+    # because e.de.e = 0
+    partials = [TSS.partial(TSS.section_from_generator(beta))
+                for beta in range(TSS.dim_w)]
     for s in TSS.sections:
         psi = TSS.from_section(s)
-        assert TSS.nabla0(psi) == TSS.nabla0_chain(psi)
-        assert TSS.nabla0(psi) == TSS.partial(s)
         one = TSS.nabla0(psi)
-        assert TSS.nabla0(one) == TSS.nabla0_chain(one)
+        assert one == TSS.partial(s)
+        assert TSS.extend(partials, psi) == TSS.zero(1)
+        assert TSS.extend(partials, one) == TSS.zero(2)
 
 
 def test_graded_connection_law():
