@@ -480,8 +480,10 @@ class Calculus:
 
     def reduce_mod_J(self, w):
         """Canonical representative modulo the exterior ideal, computed
-        per Peter-Weyl key."""
+        per Peter-Weyl key; w itself where the ideal is zero."""
         ech = self._j_echelon(w.degree)
+        if not ech.rows:
+            return w
         per_pw = {}
         for (word, pw), s in w.terms.items():
             per_pw.setdefault(pw, {})[word] = s

@@ -478,12 +478,16 @@ def _suite_actions(ws, checks):
             x = uea.monomial(*rnd.choice(monomials))
             y = uea.monomial(*rnd.choice(monomials))
             h = _random_coeff(rnd)
-            if a.circle(x, a.circle(y, h)) != a.circle(x * y, h):
-                return "circle composition fails on sample %d" % k
-            if a.dot(x, a.dot(y, h)) != a.dot(x * y, h):
-                return "dot composition fails on sample %d" % k
-            if a.circle(x, a.dot(y, h)) != a.dot(y, a.circle(x, h)):
-                return "actions do not commute on sample %d" % k
+            for failure, lhs, rhs in (
+                    ("circle composition fails",
+                     a.circle(x, a.circle(y, h)), a.circle(x * y, h)),
+                    ("dot composition fails",
+                     a.dot(x, a.dot(y, h)), a.dot(x * y, h)),
+                    ("actions do not commute",
+                     a.circle(x, a.dot(y, h)), a.dot(y, a.circle(x, h)))):
+                witness = _residual(lhs, rhs)
+                if witness:
+                    return "%s on sample %d: %s" % (failure, k, witness)
         return True
 
     def module_algebra():
@@ -499,8 +503,10 @@ def _suite_actions(ws, checks):
                 rhs = rhs + a.multiply(
                     a.circle(uea.monomial(*m1), f),
                     a.circle(uea.monomial(*m2), g)).scale(s)
-            if lhs != rhs:
-                return "module-algebra law fails on sample %d" % k
+            witness = _residual(lhs, rhs)
+            if witness:
+                return "module-algebra law fails on sample %d: %s" \
+                    % (k, witness)
         return True
 
     _check(checks, "actions", "actions-commute",
@@ -694,8 +700,10 @@ def _suite_calculus(ws, checks):
                 w = calc.form0(f)
             else:
                 w = calc.left_mult(f, calc.d0(_random_coeff(rnd)))
-            if not calc.d(calc.d(w)).is_zero():
-                return "d^2 != 0 on sample %d" % k
+            ddw = calc.d(calc.d(w))
+            witness = _residual(ddw, calc.zero(ddw.degree))
+            if witness:
+                return "d^2 != 0 on sample %d: %s" % (k, witness)
         return True
 
     def leibniz():
@@ -716,8 +724,9 @@ def _suite_calculus(ws, checks):
             lhs = calc.d(calc.multiply(w1, w2))
             rhs = (calc.multiply(calc.d(w1), w2)
                    + calc.multiply(w1, calc.d(w2)).scale(sign))
-            if lhs != rhs:
-                return "product rule fails on sample %d" % k
+            witness = _residual(lhs, rhs)
+            if witness:
+                return "product rule fails on sample %d: %s" % (k, witness)
         return True
 
     def equivariance():
@@ -730,10 +739,15 @@ def _suite_calculus(ws, checks):
             w = calc.left_mult(f, calc.d0(_random_coeff(rnd)))
             dw, df = calc.d(w), calc.d0(f)
             for x in gens:
-                if calc.dot_on_forms(x, dw) != calc.d(calc.dot_on_forms(x, w)):
-                    return "translation equivariance fails on sample %d" % k
-                if calc.dot_on_forms(x, df) != calc.d0(a.dot(x, f)):
-                    return "degree-zero equivariance fails on sample %d" % k
+                for failure, lhs, rhs in (
+                        ("translation equivariance fails",
+                         calc.dot_on_forms(x, dw),
+                         calc.d(calc.dot_on_forms(x, w))),
+                        ("degree-zero equivariance fails",
+                         calc.dot_on_forms(x, df), calc.d0(a.dot(x, f)))):
+                    witness = _residual(lhs, rhs)
+                    if witness:
+                        return "%s on sample %d: %s" % (failure, k, witness)
         return True
 
     _check(checks, "calculus", "structure-functionals",

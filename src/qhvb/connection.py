@@ -16,15 +16,16 @@ are themselves the coefficients of the presentation
 so right-linear maps extend from their values on the generating
 sections by right multiplication in the last leg.
 
-The distinguished connection is nabla0 = e . (id (x) d); on sections it
-is the chain im -> coordinatewise d -> project.  Every connection is
-nabla0 + A with A right-linear into one-form coefficients, given here
-either as a W-matrix of one-forms acting by left multiplication or by
-its values on the sections basis (a scalar entry means that multiple of
-theta); both presentations pass through an exact right-linearity
-certificate against the invariant generators.  The curvature is the
-restriction of nabla^2 to the sections; its right-linear extension
-F-hat satisfies the operator identity nabla(F(zeta)) = F-hat(nabla(zeta)).
+Every connection is e . (d + Lambda) for one W-matrix Lambda of
+one-forms acting by left multiplication (Connes 1994; Hajac-Majid 1999):
+nabla0 = e . d is Lambda = 0, and A = nabla - nabla0 = e . Lambda.
+Values on the sections basis (a scalar entry means that multiple of
+theta) become Lambda through the generator presentation, and A passes an
+exact right-linearity certificate against the invariant generators.  On
+sections nabla0 is the chain im -> coordinatewise d -> project.  The
+curvature is the restriction of nabla^2 to the sections; its
+right-linear extension F-hat satisfies the operator identity
+nabla(F(zeta)) = F-hat(nabla(zeta)).
 """
 
 from .scalars import Scalar, Span, NoSolution
@@ -138,10 +139,6 @@ class TensoredSectionSpace:
         return self.project([self.calc.d0(f)
                              for f in self._coordinates(section)])
 
-    def nabla0(self, vec):
-        """The Grassmann realization e . (id (x) d)."""
-        return self.project([self.calc.d(w) for w in vec])
-
     def section_from_generator(self, beta):
         return bundle.wp(self.algebra, self.completion,
                          bundle.simple_tensor(beta, coeff.unit()))
@@ -154,87 +151,83 @@ def _as_one_form(calc, entry):
     return entry
 
 
-class ConnectionMap:
-    """nabla = nabla0 + A.  The perturbation is either a W-matrix of
-    one-forms acting by left multiplication (on="coordinates") or its
-    values on the sections basis, one column per basis section, extended
-    right-linearly through the generator presentation (on="sections").
-    A scalar entry stands for that multiple of theta.  Both forms pass
-    an exact right-linearity certificate against the invariant
-    generators; NotLinear if it fails."""
+def _combine(forms, scalars, zero):
+    """sum_k scalars[k] forms[k]."""
+    return sum((w.scale(c) for w, c in zip(forms, scalars) if c), zero)
 
-    def __init__(self, tss, perturbation=None, on="coordinates"):
+
+_SCOPE = ("certificate scope: the level-%d basis sections against 1 and the "
+          "three Podles generators")
+
+
+class ConnectionMap:
+    """nabla = e . (d + Lambda) on the realization, for a W-matrix Lambda
+    of one-forms acting by left multiplication; Lambda = None is nabla0.
+    A scalar entry stands for that multiple of theta.  The perturbation
+    A = e . Lambda passes an exact right-linearity certificate against
+    the invariant generators; NotLinear if it fails."""
+
+    def __init__(self, tss, perturbation=None):
         self.tss = tss
-        calc = tss.calc
-        if perturbation is None:
-            self.a_map = None
-        elif on == "coordinates":
-            lam = [[_as_one_form(calc, entry) for entry in row]
+        self.columns = None
+        if perturbation is not None:
+            lam = [[_as_one_form(tss.calc, entry) for entry in row]
                    for row in perturbation]
             assert len(lam) == tss.dim_w
             assert all(len(row) == tss.dim_w for row in lam)
+            self.columns = list(zip(*lam))
+        self._certify()
 
-            columns = list(zip(*lam))
+    @classmethod
+    def from_sections(cls, tss, m):
+        """The connection whose perturbation takes the j-th basis section
+        to sum_i zeta_i (x) m_ij.  Its value on a generator zeta_beta,
+        through the section coordinates c of zeta_beta, is
+        sum_i zeta_i (x) (m c)_i: it lies in the realization, and these
+        values are the columns of Lambda.  NotLinear unless A
+        reproduces the prescribed values."""
+        m = [[_as_one_form(tss.calc, entry) for entry in row] for row in m]
+        assert len(m) == len(tss.sections)
+        assert all(len(row) == len(tss.sections) for row in m)
+        try:
+            cmat = [tss.section_coordinates(tss.section_from_generator(beta))
+                    for beta in range(tss.dim_w)]
+        except NoSolution:
+            raise NotLinear("level window does not contain the generators")
+        sections = [tss.from_section(s) for s in tss.sections]
+        zero = tss.calc.zero(1)
+        on_generators = [tss.extend(sections, [_combine(row, c, zero)
+                                               for row in m])
+                         for c in cmat]
+        conn = cls(tss, list(zip(*on_generators)))
+        for j, psi in enumerate(sections):
+            if conn.perturbation(psi) != tss.extend(sections,
+                                                    [row[j] for row in m]):
+                raise NotLinear("basis section %d, a = 1: A(psi) differs from "
+                                "its prescribed value; %s" % (j, _SCOPE % tss.N))
+        return conn
 
-            def a_map(vec):
-                return tss.project(tss.extend(columns, vec))
+    def perturbation(self, vec):
+        """A(vec) = e . Lambda . vec, for Lambda not None."""
+        return self.tss.project(self.tss.extend(self.columns, vec))
 
-            self.a_map = a_map
-        elif on == "sections":
-            m = [[_as_one_form(calc, entry) for entry in row]
-                 for row in perturbation]
-            assert len(m) == len(tss.sections)
-            assert all(len(row) == len(tss.sections) for row in m)
-            sections = [tss.from_section(s) for s in tss.sections]
-            on_sections = [tss.extend(sections, col) for col in zip(*m)]
-            on_generators = []
-            for beta in range(tss.dim_w):
-                try:
-                    c = tss.section_coordinates(
-                        tss.section_from_generator(beta))
-                except NoSolution:
-                    raise NotLinear(
-                        "level window does not contain the generators")
-                acc = tss.zero(1)
-                for j, cj in enumerate(c):
-                    if cj:
-                        acc = tss.add(acc, [w.scale(cj)
-                                            for w in on_sections[j]])
-                on_generators.append(acc)
-            self._a_on_sections = on_sections
-
-            def a_map(vec):
-                return tss.extend(on_generators, vec)
-
-            self.a_map = a_map
-        else:
-            raise ValueError("on must be 'coordinates' or 'sections'")
-        self._certify(on)
-
-    def _certify(self, on):
+    def _certify(self):
         """A(psi a) = A(psi) a exactly, for the level-N basis sections psi
-        and a in {1, the three Podles generators}, plus agreement with the
-        prescribed values when A was given on the sections basis.  A
-        NotLinear names the failing section and test element and states
-        this scope: the certificate checks no other pair."""
-        if self.a_map is None:
+        and a in {1, the three Podles generators}.  A NotLinear names the
+        failing section and test element and states this scope: the
+        certificate checks no other pair."""
+        if self.columns is None:
             return
         tss = self.tss
-        scope = ("certificate scope: the level-%d basis sections against 1 "
-                 "and the three Podles generators" % tss.N)
         tests = [coeff.unit()] + list(homspace.podles_generators())
         for j, section in enumerate(tss.sections):
-            psi = tss.from_section(section)
-            image = self.a_map(psi)
-            if on == "sections" and image != self._a_on_sections[j]:
-                raise NotLinear("basis section %d, a = 1: A(psi) differs from "
-                                "its prescribed value; %s" % (j, scope))
+            image = self.perturbation(tss.from_section(section))
             for g in tests:
-                lhs = self.a_map(tss.from_section(section.times(g)))
+                lhs = self.perturbation(tss.from_section(section.times(g)))
                 rhs = tss.right_mult(image, tss.calc.form0(g))
                 if lhs != rhs:
                     raise NotLinear("basis section %d, a = %s: A(psi a) != "
-                                    "A(psi) a; %s" % (j, g, scope))
+                                    "A(psi) a; %s" % (j, g, _SCOPE % tss.N))
 
     def sections_matrix(self):
         """The perturbation expressed on the sections basis:
@@ -242,34 +235,31 @@ class ConnectionMap:
         recovered through the generator coordinates."""
         tss = self.tss
         n = len(tss.sections)
-        m = [[tss.calc.zero(1) for _ in range(n)] for _ in range(n)]
-        if self.a_map is None:
-            return m
+        zero = tss.calc.zero(1)
+        if self.columns is None:
+            return [[zero] * n for _ in range(n)]
         cmat = [tss.section_coordinates(tss.section_from_generator(beta))
                 for beta in range(tss.dim_w)]
-        for j, section in enumerate(tss.sections):
-            avec = self.a_map(tss.from_section(section))
-            for i in range(n):
-                acc = tss.calc.zero(1)
-                for beta in range(tss.dim_w):
-                    if cmat[beta][i]:
-                        acc = acc + avec[beta].scale(cmat[beta][i])
-                m[i][j] = acc
-        return m
+        images = [self.perturbation(tss.from_section(s)) for s in tss.sections]
+        return [[_combine(image, [c[i] for c in cmat], zero) for image in images]
+                for i in range(n)]
 
     def apply(self, vec):
-        out = self.tss.nabla0(vec)
-        if self.a_map is not None:
-            out = self.tss.add(out, self.a_map(vec))
-        assert self.tss.degree_of(out) == self.tss.degree_of(vec) + 1
+        """e . (d vec + Lambda vec), with one projection."""
+        tss = self.tss
+        out = [tss.calc.d(w) for w in vec]
+        if self.columns is not None:
+            out = tss.add(out, tss.extend(self.columns, vec))
+        out = tss.project(out)
+        assert tss.degree_of(out) == tss.degree_of(vec) + 1
         return out
 
     def on_section(self, section):
         return self.apply(self.tss.from_section(section))
 
 
-def make_connection(tss, perturbation=None, on="coordinates"):
-    return ConnectionMap(tss, perturbation, on)
+def make_connection(tss, perturbation=None):
+    return ConnectionMap(tss, perturbation)
 
 
 class CurvatureMap:

@@ -42,14 +42,13 @@ class Module:
     """A finite-dimensional left U_q(sl2) module with exact action
     matrices.  The defining relations are checked at construction."""
 
-    def __init__(self, e, f, k, check=True):
+    def __init__(self, e, f, k):
         self.dim = e.rows
         self.e = e
         self.f = f
         self.k = k
         self.k_inv = k.inverse()
-        if check:
-            self._verify_relations()
+        self._verify_relations()
         self.weights = self._diagonal_weights()
         self._pows = {}
         self._acts = {}
@@ -124,15 +123,14 @@ class ModuleMap:
     """A linear map between modules; intertwining with e, f, k is
     checked at construction."""
 
-    def __init__(self, source, target, mat, check=True):
+    def __init__(self, source, target, mat):
         assert mat.cols == source.dim and mat.rows == target.dim
         self.source = source
         self.target = target
         self.mat = mat
-        if check:
-            for g in ("e", "f", "k"):
-                if mat * getattr(source, g) != getattr(target, g) * mat:
-                    raise AssertionError("not an intertwiner (fails on %s)" % g)
+        for g in ("e", "f", "k"):
+            if mat * getattr(source, g) != getattr(target, g) * mat:
+                raise AssertionError("not an intertwiner (fails on %s)" % g)
 
     def __call__(self, vec):
         return self.mat.apply(vec)

@@ -338,18 +338,11 @@ def format_element(x):
     return " + ".join(bits)
 
 
-def pbw_monomials(max_degree, k_range=None):
-    """All PBW monomials (a, b, c) with a + |b| + c <= max_degree (the
-    default) or with a, c <= max_degree and b in k_range if given."""
+def pbw_monomials(max_degree):
+    """All PBW monomials (a, b, c) with a + |b| + c <= max_degree."""
     out = []
-    if k_range is None:
-        for a in range(max_degree + 1):
-            for c in range(max_degree + 1 - a):
-                for b in range(-(max_degree - a - c), max_degree - a - c + 1):
-                    out.append((a, b, c))
-    else:
-        for a in range(max_degree + 1):
-            for c in range(max_degree + 1):
-                for b in k_range:
-                    out.append((a, b, c))
+    for a in range(max_degree + 1):
+        for c in range(max_degree + 1 - a):
+            for b in range(-(max_degree - a - c), max_degree - a - c + 1):
+                out.append((a, b, c))
     return sorted(out)

@@ -33,12 +33,13 @@ def sample_coeff(rnd, max_level=2):
     return f
 
 
-def nonzero(draw, image=lambda x: x):
-    """Redraw a seeded sample until its image (by default the sample
-    itself) is nonzero, so that no check compares zero with zero."""
+def nonzero(draw, images=lambda x: [x]):
+    """Redraw a seeded sample until each of its images (by default the
+    sample itself) is nonzero, so that no check compares zero with
+    zero."""
     while True:
         x = draw()
-        if not image(x).is_zero():
+        if not any(y.is_zero() for y in images(x)):
             return x
 
 
@@ -230,7 +231,8 @@ def test_d_squared_vanishes():
         w1 = nonzero(lambda: CALC.d(CALC.form0(sample_coeff(rnd))))
         assert CALC.d(w1).is_zero()
         w = nonzero(lambda: CALC.left_mult(sample_coeff(rnd),
-                                           CALC.d0(sample_coeff(rnd))), CALC.d)
+                                           CALC.d0(sample_coeff(rnd))),
+                    lambda w: [CALC.d(w)])
         assert CALC.d(CALC.d(w)).is_zero()
 
 
@@ -259,15 +261,21 @@ def test_graded_leibniz():
 
 def test_translation_commutes_with_d():
     rnd = random.Random(17)
+    gens = (uea.E, uea.F, uea.K, uea.K * uea.E)
+
+    def translates(w):
+        return [CALC.dot_on_forms(x, w) for x in gens]
+
     for _ in range(6):
-        f = nonzero(lambda: sample_coeff(rnd), CALC.d0)
+        f = nonzero(lambda: sample_coeff(rnd),
+                    lambda f: translates(CALC.d0(f)))
         w = nonzero(lambda: CALC.left_mult(f, CALC.d0(sample_coeff(rnd))),
-                    CALC.d)
-        for x in (uea.E, uea.F, uea.K, uea.K * uea.E):
-            assert CALC.dot_on_forms(x, CALC.d(w)) \
-                == CALC.d(CALC.dot_on_forms(x, w))
-            assert CALC.dot_on_forms(x, CALC.d0(f)) \
-                == CALC.d0(A.dot(x, f))
+                    lambda w: translates(CALC.d(w)))
+        for x, x_dw, x_df in zip(gens, translates(CALC.d(w)),
+                                 translates(CALC.d0(f))):
+            assert not x_dw.is_zero() and not x_df.is_zero()
+            assert x_dw == CALC.d(CALC.dot_on_forms(x, w))
+            assert x_df == CALC.d0(A.dot(x, f))
 
 
 RESTRICTION = CALC.restrict(3)

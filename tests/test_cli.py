@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhvb import bundle, cli, connection
+from qhvb import bundle, calculus, cli, coeff, connection
 
 
 def test_default_config():
@@ -288,16 +288,38 @@ def _break_section_times(monkeypatch):
 
 
 def _break_nabla0(monkeypatch):
-    nabla0 = connection.TensoredSectionSpace.nabla0
-    monkeypatch.setattr(connection.TensoredSectionSpace, "nabla0",
+    # 2.(nabla0 + A) breaks the law of every connection, nabla0 included,
+    # and keeps their differences right-linear
+    apply = connection.ConnectionMap.apply
+    monkeypatch.setattr(connection.ConnectionMap, "apply",
                         lambda self, vec: [w.scale(2)
-                                           for w in nabla0(self, vec)])
+                                           for w in apply(self, vec)])
+
+
+def _break_calculus(monkeypatch):
+    # d as the ungraded commutator with theta (wrong on odd forms), and
+    # translations scaled by degree + 1
+    dot = calculus.Calculus.dot_on_forms
+    monkeypatch.setattr(calculus.Calculus, "d", lambda self, w:
+                        self.multiply(self.theta(), w)
+                        - self.multiply(w, self.theta()))
+    monkeypatch.setattr(calculus.Calculus, "dot_on_forms", lambda self, x, w:
+                        dot(self, x, w).scale(w.degree + 1))
+
+
+def _break_circle(monkeypatch):
+    circle = coeff.Algebra.circle
+    monkeypatch.setattr(coeff.Algebra, "circle",
+                        lambda self, x, f: circle(self, x, f).scale(2))
 
 
 @pytest.mark.parametrize("suite, breaker, failing", [
     ("projection", _break_section_times, ["projection-right-linear"]),
     ("connection", _break_nabla0,
      ["connection-law-nabla0", "connection-law-perturbed"]),
+    ("calculus", _break_calculus,
+     ["d-squared-zero", "graded-leibniz", "translation-equivariance"]),
+    ("actions", _break_circle, ["actions-commute", "circle-module-algebra"]),
 ])
 def test_failing_check_names_its_residual(tmp_path, monkeypatch, suite,
                                           breaker, failing):

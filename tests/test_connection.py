@@ -48,14 +48,15 @@ def test_partial_explicit_formula():
 
 def test_nabla0_realizations_agree():
     # the Leibniz-rule form sum_beta partial(zeta_beta) psi_beta
-    # + zeta_beta (x) d(psi_beta) has second term project(d psi) =
-    # nabla0(psi); its first term is e.de.psi, zero on invariant psi
-    # because e.de.e = 0
+    # + zeta_beta (x) d(psi_beta) has second term e.d(psi), the
+    # connection with Lambda = 0; its first term is e.de.psi, zero on
+    # invariant psi because e.de.e = 0
     partials = [TSS.partial(TSS.section_from_generator(beta))
                 for beta in range(TSS.dim_w)]
     for s in TSS.sections:
         psi = TSS.from_section(s)
-        one = TSS.nabla0(psi)
+        one = CONN0.apply(psi)
+        assert one == TSS.project([CALC.d(w) for w in psi])
         assert one == TSS.partial(s)
         assert TSS.extend(partials, psi) == TSS.zero(1)
         assert TSS.extend(partials, one) == TSS.zero(2)
@@ -89,6 +90,32 @@ def test_connection_law_with_perturbation():
                 assert lhs == rhs
 
 
+def test_apply_projects_once(monkeypatch):
+    # e.(d + Lambda) is one projection per application, for nabla0 and
+    # for a perturbed connection alike
+    calls = []
+    project = connection.TensoredSectionSpace.project
+    monkeypatch.setattr(connection.TensoredSectionSpace, "project",
+                        lambda self, vec: calls.append(1) or project(self, vec))
+    psi = TSS.from_section(TSS.sections[0])
+    for conn in (CONN0, CONN_A):
+        del calls[:]
+        conn.apply(psi)
+        assert len(calls) == 1
+
+
+def test_perturbation_is_e_lambda():
+    # apply = nabla0 + A with A = e.Lambda, Lambda = diag(theta, 3 theta)
+    lam = [[CALC.theta(), CALC.zero(1)], [CALC.zero(1), CALC.theta().scale(3)]]
+    for s in TSS.sections:
+        for psi in (TSS.from_section(s), CONN0.on_section(s)):
+            a_psi = TSS.project([CALC.multiply(lam[g][0], psi[0])
+                                 + CALC.multiply(lam[g][1], psi[1])
+                                 for g in range(TSS.dim_w)])
+            assert CONN_A.perturbation(psi) == a_psi
+            assert CONN_A.apply(psi) == TSS.add(CONN0.apply(psi), a_psi)
+
+
 def test_sections_mode_certificate():
     # tensoring on the right by theta is not right-linear, so the
     # identity-times-theta table must be rejected
@@ -99,12 +126,12 @@ def test_sections_mode_certificate():
                        match="^basis section 0, a = 1: .*; certificate scope: "
                              "the level-1 basis sections against 1 and the "
                              "three Podles generators$"):
-        connection.make_connection(TSS, ident, on="sections")
+        connection.ConnectionMap.from_sections(TSS, ident)
 
 
 def test_sections_mode_round_trip():
     m = CONN_A.sections_matrix()
-    conn_b = connection.make_connection(TSS, m, on="sections")
+    conn_b = connection.ConnectionMap.from_sections(TSS, m)
     for s in TSS.sections:
         psi = TSS.from_section(s)
         assert CONN_A.apply(psi) == conn_b.apply(psi)
@@ -161,12 +188,13 @@ def test_curvature_regression():
 def test_trivial_bundle():
     tt = connection.TensoredSectionSpace(CALC, bundle.LModule([0]), 2)
     assert tt.dim_w == 1
+    conn = connection.make_connection(tt)
     for s in tt.sections:
         f = s.coords[0]
         assert tt.partial(s) == [CALC.d0(f)]
         psi = tt.from_section(s)
-        assert tt.nabla0(psi) == [CALC.d(psi[0])]
-    F = connection.curvature(connection.make_connection(tt))
+        assert conn.apply(psi) == [CALC.d(psi[0])]
+    F = connection.curvature(conn)
     assert F.is_zero()
 
 

@@ -14,24 +14,16 @@ from qhvb import cli
 
 TESTS = Path(__file__).resolve().parent
 REFERENCES = TESTS.parent / "perfbench" / "references"
-# the suites of each benchmark workload, as perfbench/run.py runs them
-WORKLOAD_SUITES = {
-    "verify-algebra-sweep": ("hopf", "pairing", "actions", "haar",
-                             "idempotent", "projection", "borelweil"),
-    "verify-calculus": ("calculus", "closure"),
-    "verify-connection": ("connection", "curvature"),
-}
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOAD_SUITES))
-def test_verify_report_matches_reference(tmp_path, workload):
-    out = tmp_path / "report.json"
-    args = ["verify", "--seed", "0", "--out", str(out)]
-    for suite in WORKLOAD_SUITES[workload]:
-        args += ["--suite", suite]
-    assert cli.main(args) == 0
+@pytest.mark.parametrize("workload", ["verify-algebra-sweep",
+                                      "verify-calculus", "verify-connection"])
+def test_verify_report_matches_reference(verify_reports, workload):
+    # the run is shared with the acceptance criteria (tests/conftest.py)
+    rc, report = verify_reports.report(workload)
+    assert rc == 0
     reference = REFERENCES / workload / "seed-0.json"
-    assert out.read_bytes() == reference.read_bytes()
+    assert report == reference.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["connection", "dims", "haar",
