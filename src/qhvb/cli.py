@@ -908,15 +908,18 @@ def _suite_curvature(ws, checks):
     def right_linear():
         F = ws.curvature0()
         if not F.linearity_check():
-            return "curvature not right-linear over the invariants"
+            j, g, lhs, rhs = next(F.linearity_failures())
+            return "curvature not right-linear over the invariants on " \
+                "basis section %d, a = %s: %s" % (j, g, _residual(lhs, rhs))
         return True
 
     def bianchi():
         F = ws.curvature0()
         flags = F.bianchi_check()
         if not all(flags):
-            return "operator identity fails on sections %s" % (
-                [n for n, ok in enumerate(flags) if not ok],)
+            failing = [n for n, ok in enumerate(flags) if not ok]
+            return "operator identity fails on sections %s; section %d: %s" \
+                % (failing, failing[0], _residual(*F.bianchi_sides(failing[0])))
         return True
 
     def trivial_flat():

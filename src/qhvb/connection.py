@@ -20,8 +20,11 @@ Every connection is e . (d + Lambda) for one W-matrix Lambda of
 one-forms acting by left multiplication (Connes 1994; Hajac-Majid 1999):
 nabla0 = e . d is Lambda = 0, and A = nabla - nabla0 = e . Lambda.
 Values on the sections basis (a scalar entry means that multiple of
-theta) become Lambda through the generator presentation, and A passes an
-exact right-linearity certificate against the invariant generators.  On
+theta) become Lambda through the generator presentation.  A passes an
+exact right-linearity certificate against the invariant generators: a
+Lambda with scalar entries through the basis perturbations E_ij theta in
+its support, each certified once per TensoredSectionSpace (A is linear
+in Lambda), and any other Lambda on its own columns.  On
 sections nabla0 is the chain im -> coordinatewise d -> project.  The
 curvature is the restriction of nabla^2 to the sections; its
 right-linear extension F-hat satisfies the operator identity
@@ -64,6 +67,9 @@ class TensoredSectionSpace:
         self._section_span = Span([s.terms for s in self.sections])
         self._generators = [self.generator(alpha)
                             for alpha in range(self.dim_w)]
+        # the entries (i, j) whose basis perturbation E_ij theta passed
+        # the right-linearity certificate (see ConnectionMap)
+        self.certified = set()
 
     # -- elements --------------------------------------------------------
 
@@ -165,18 +171,42 @@ class ConnectionMap:
     of one-forms acting by left multiplication; Lambda = None is nabla0.
     A scalar entry stands for that multiple of theta.  The perturbation
     A = e . Lambda passes an exact right-linearity certificate against
-    the invariant generators; NotLinear if it fails."""
+    the invariant generators; NotLinear if it fails.
+
+    A is linear in Lambda (extend, project and Calculus.multiply are
+    Q(u)-linear): for scalar entries c_ij,
+    A(psi a) - A(psi) a = sum c_ij (A_ij(psi a) - A_ij(psi) a) with
+    A_ij = e . E_ij theta.  So a scalar Lambda is certified through the
+    connections E_ij theta with c_ij != 0, each once per
+    TensoredSectionSpace; a Lambda with a form-valued entry is certified
+    on its own columns."""
 
     def __init__(self, tss, perturbation=None):
         self.tss = tss
         self.columns = None
-        if perturbation is not None:
-            lam = [[_as_one_form(tss.calc, entry) for entry in row]
-                   for row in perturbation]
-            assert len(lam) == tss.dim_w
-            assert all(len(row) == tss.dim_w for row in lam)
-            self.columns = list(zip(*lam))
-        self._certify()
+        if perturbation is None:
+            return
+        lam = [[_as_one_form(tss.calc, entry) for entry in row]
+               for row in perturbation]
+        assert len(lam) == tss.dim_w
+        assert all(len(row) == tss.dim_w for row in lam)
+        self.columns = list(zip(*lam))
+        if not all(isinstance(entry, (int, Scalar))
+                   for row in perturbation for entry in row):
+            self._certify()
+            return
+        for i, row in enumerate(perturbation):
+            for j, c in enumerate(row):
+                if c and (i, j) not in tss.certified:
+                    basis = [[tss.calc.zero(1)] * tss.dim_w
+                             for _ in range(tss.dim_w)]
+                    basis[i][j] = tss.calc.theta()
+                    try:
+                        ConnectionMap(tss, basis)
+                    except NotLinear as exc:
+                        raise NotLinear("Lambda basis entry (%d, %d): %s"
+                                        % (i, j, exc)) from None
+                    tss.certified.add((i, j))
 
     @classmethod
     def from_sections(cls, tss, m):
@@ -196,16 +226,14 @@ class ConnectionMap:
             raise NotLinear("level window does not contain the generators")
         sections = [tss.from_section(s) for s in tss.sections]
         zero = tss.calc.zero(1)
-        on_generators = [tss.extend(sections, [_combine(row, c, zero)
-                                               for row in m])
-                         for c in cmat]
-        conn = cls(tss, list(zip(*on_generators)))
+        columns = [tss.extend(sections, [_combine(row, c, zero) for row in m])
+                   for c in cmat]
         for j, psi in enumerate(sections):
-            if conn.perturbation(psi) != tss.extend(sections,
-                                                    [row[j] for row in m]):
+            if tss.project(tss.extend(columns, psi)) != tss.extend(
+                    sections, [row[j] for row in m]):
                 raise NotLinear("basis section %d, a = 1: A(psi) differs from "
                                 "its prescribed value; %s" % (j, _SCOPE % tss.N))
-        return conn
+        return cls(tss, list(zip(*columns)))
 
     def perturbation(self, vec):
         """A(vec) = e . Lambda . vec, for Lambda not None."""
@@ -216,8 +244,6 @@ class ConnectionMap:
         and a in {1, the three Podles generators}.  A NotLinear names the
         failing section and test element and states this scope: the
         certificate checks no other pair."""
-        if self.columns is None:
-            return
         tss = self.tss
         tests = [coeff.unit()] + list(homspace.podles_generators())
         for j, section in enumerate(tss.sections):
@@ -283,28 +309,35 @@ class CurvatureMap:
         return all(w.is_zero() for v in self.on_generators + self.on_sections
                    for w in v)
 
-    def linearity_check(self):
-        """F(zeta a) = F(zeta) a on every basis section and invariant
-        generator."""
+    def linearity_failures(self):
+        """(j, a, F(zeta_j a), F(zeta_j) a) wherever the two differ, for
+        the basis sections zeta_j and the invariant generators a."""
         tss = self.conn.tss
         conn = self.conn
-        for f_val, section in zip(self.on_sections, tss.sections):
+        for j, (f_val, section) in enumerate(zip(self.on_sections,
+                                                 tss.sections)):
             for g in homspace.podles_generators():
                 lhs = conn.apply(conn.on_section(section.times(g)))
                 rhs = tss.right_mult(f_val, tss.calc.form0(g))
                 if lhs != rhs:
-                    return False
-        return True
+                    yield j, g, lhs, rhs
+
+    def linearity_check(self):
+        """F(zeta a) = F(zeta) a on every basis section and invariant
+        generator."""
+        return next(self.linearity_failures(), None) is None
+
+    def bianchi_sides(self, j):
+        """nabla(F(zeta_j)) and F-hat(nabla(zeta_j)) for the j-th basis
+        section."""
+        section = self.conn.tss.sections[j]
+        return (self.conn.apply(self.on_sections[j]),
+                self.hat(self.conn.on_section(section)))
 
     def bianchi_check(self):
         """nabla(F(zeta)) = F-hat(nabla(zeta)) on every basis section."""
-        tss = self.conn.tss
-        results = []
-        for section, f_val in zip(tss.sections, self.on_sections):
-            lhs = self.conn.apply(f_val)
-            rhs = self.hat(self.conn.on_section(section))
-            results.append(lhs == rhs)
-        return results
+        return [lhs == rhs for lhs, rhs in map(self.bianchi_sides,
+                                               range(len(self.on_sections)))]
 
 
 def curvature(conn):

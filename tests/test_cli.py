@@ -296,6 +296,15 @@ def _break_nabla0(monkeypatch):
                                            for w in apply(self, vec)])
 
 
+def _break_curvature_hat(monkeypatch):
+    # F-hat with F(zeta_0) doubled; at the default config both sides of
+    # the Bianchi identity vanish, so scaling all of F-hat would not show
+    def hat(self, vec):
+        doubled = [w.scale(2) for w in self.on_generators[0]]
+        return self.conn.tss.extend([doubled] + self.on_generators[1:], vec)
+    monkeypatch.setattr(connection.CurvatureMap, "hat", hat)
+
+
 def _break_calculus(monkeypatch):
     # d as the ungraded commutator with theta (wrong on odd forms), and
     # translations scaled by degree + 1
@@ -317,6 +326,8 @@ def _break_circle(monkeypatch):
     ("projection", _break_section_times, ["projection-right-linear"]),
     ("connection", _break_nabla0,
      ["connection-law-nabla0", "connection-law-perturbed"]),
+    ("curvature", _break_section_times, ["curvature-right-linear"]),
+    ("curvature", _break_curvature_hat, ["bianchi-operator-identity"]),
     ("calculus", _break_calculus,
      ["d-squared-zero", "graded-leibniz", "translation-equivariance"]),
     ("actions", _break_circle, ["actions-commute", "circle-module-algebra"]),
@@ -332,7 +343,7 @@ def test_failing_check_names_its_residual(tmp_path, monkeypatch, suite,
     assert sorted(fails) == failing
     for witness in fails.values():
         assert "residual" in witness and "nonzero" in witness
-        if suite == "connection":
+        if suite in ("connection", "curvature"):
             assert ": coordinate " in witness
 
 

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from qhvb import coeff, repmod, calculus, bundle, homspace, connection
+from qhvb import coeff, repmod, calculus, bundle, homspace, connection, cli
 from qhvb.scalars import Scalar
 
 A = coeff.Algebra(10)
@@ -75,7 +77,6 @@ def test_graded_connection_law():
 
 
 def test_connection_law_with_perturbation():
-    import random
     rnd = random.Random(11)
     for _ in range(3):
         lam = [[Scalar(rnd.randint(-3, 3)) if i == j else Scalar(0)
@@ -90,13 +91,19 @@ def test_connection_law_with_perturbation():
                 assert lhs == rhs
 
 
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    fn = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *args:
+                        calls.append(1) or fn(self, *args))
+    return calls
+
+
 def test_apply_projects_once(monkeypatch):
     # e.(d + Lambda) is one projection per application, for nabla0 and
     # for a perturbed connection alike
-    calls = []
-    project = connection.TensoredSectionSpace.project
-    monkeypatch.setattr(connection.TensoredSectionSpace, "project",
-                        lambda self, vec: calls.append(1) or project(self, vec))
+    calls = _count_calls(monkeypatch, connection.TensoredSectionSpace,
+                         "project")
     psi = TSS.from_section(TSS.sections[0])
     for conn in (CONN0, CONN_A):
         del calls[:]
@@ -114,6 +121,76 @@ def test_perturbation_is_e_lambda():
                                  for g in range(TSS.dim_w)])
             assert CONN_A.perturbation(psi) == a_psi
             assert CONN_A.apply(psi) == TSS.add(CONN0.apply(psi), a_psi)
+
+
+def test_verify_certifies_basis_entries_once(monkeypatch, tmp_path):
+    # the connection and curvature suites build 13 diagonal scalar
+    # perturbations, which certify the two entries E_ii theta between
+    # them; certifying each Lambda on its own columns makes 130
+    # perturbation calls and 392 projections
+    perturbations = _count_calls(monkeypatch, connection.ConnectionMap,
+                                 "perturbation")
+    projections = _count_calls(monkeypatch, connection.TensoredSectionSpace,
+                               "project")
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--seed", "0", "--suite", "connection",
+                     "--suite", "curvature", "--out", str(out)]) == 0
+    assert len(perturbations) <= 40
+    assert len(projections) <= 282
+
+
+def test_scalar_lambda_certifies_new_basis_entries_only(monkeypatch):
+    monkeypatch.setattr(TSS, "certified", set())
+    calls = _count_calls(monkeypatch, connection.ConnectionMap, "perturbation")
+    # two sections, each against 1 and three generators, per basis entry
+    per_entry = len(TSS.sections) * 5
+    connection.make_connection(TSS, [[1, 0], [0, Scalar(3)]])
+    assert len(calls) == 2 * per_entry
+    assert TSS.certified == {(0, 0), (1, 1)}
+    del calls[:]
+    connection.make_connection(TSS, [[Scalar(-2), 0], [0, 1]])
+    assert calls == []
+    connection.make_connection(TSS, [[0, 0], [Scalar(2), 0]])
+    assert len(calls) == per_entry
+    assert TSS.certified == {(0, 0), (1, 1), (1, 0)}
+
+
+def test_direct_certificate_is_the_oracle(monkeypatch):
+    # the same Lambda with form entries c.theta runs the certificate on
+    # its own columns and builds the same connection
+    calls = _count_calls(monkeypatch, connection.ConnectionMap, "perturbation")
+    rnd = random.Random(5)
+    for _ in range(3):
+        lam = [[Scalar(rnd.randint(-3, 3)) for _ in range(TSS.dim_w)]
+               for _ in range(TSS.dim_w)]
+        via_basis = connection.make_connection(TSS, lam)
+        del calls[:]
+        direct = connection.make_connection(
+            TSS, [[CALC.theta().scale(c) for c in row] for row in lam])
+        assert len(calls) == len(TSS.sections) * 5
+        for s in TSS.sections:
+            psi = TSS.from_section(s)
+            assert via_basis.apply(psi) == direct.apply(psi)
+
+
+def test_broken_product_fails_both_certificates(monkeypatch):
+    # a right factor of degree 0 doubles a form of positive degree, so
+    # (theta f) g = 4 theta f g but theta (f g) = 2 theta f g
+    multiply = calculus.Calculus.multiply
+    monkeypatch.setattr(calculus.Calculus, "multiply", lambda self, x, y:
+                        multiply(self, x, y).scale(
+                            2 if x.degree and not y.degree else 1))
+    monkeypatch.setattr(TSS, "certified", set())
+    tail = (r"basis section 0, a = 1: A\(psi a\) != A\(psi\) a; "
+            r"certificate scope: the level-1 basis sections against 1 and "
+            r"the three Podles generators$")
+    with pytest.raises(connection.NotLinear,
+                       match=r"^Lambda basis entry \(0, 0\): " + tail):
+        connection.make_connection(TSS, [[1, 0], [0, 3]])
+    with pytest.raises(connection.NotLinear, match="^" + tail):
+        connection.make_connection(TSS, [[CALC.theta(), CALC.zero(1)],
+                                         [CALC.zero(1), CALC.theta()]])
+    assert TSS.certified == set()
 
 
 def test_sections_mode_certificate():
