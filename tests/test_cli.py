@@ -326,11 +326,11 @@ def _break_circle(monkeypatch):
     ("projection", _break_section_times, ["projection-right-linear"]),
     ("connection", _break_nabla0,
      ["connection-law-nabla0", "connection-law-perturbed"]),
-    ("curvature", _break_section_times, ["curvature-right-linear"]),
-    ("curvature", _break_curvature_hat, ["bianchi-operator-identity"]),
     ("calculus", _break_calculus,
      ["d-squared-zero", "graded-leibniz", "translation-equivariance"]),
     ("actions", _break_circle, ["actions-commute", "circle-module-algebra"]),
+    ("curvature", _break_section_times, ["curvature-right-linear"]),
+    ("curvature", _break_curvature_hat, ["bianchi-operator-identity"]),
 ])
 def test_failing_check_names_its_residual(tmp_path, monkeypatch, suite,
                                           breaker, failing):
