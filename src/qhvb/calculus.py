@@ -676,13 +676,15 @@ class Restriction:
     def dims(self):
         return {degree: len(self.bases[degree]) for degree in self.bases}
 
-    def contains(self, w):
+    def remainder(self, w):
+        """The terms of w left over after reduction against the
+        restricted basis of its degree: empty exactly when w lies in the
+        restricted span (all of w when no basis of that degree is
+        stored)."""
         # w may be built outside the calculus, so it is reduced here
         w = self.calc.reduce_mod_J(w)
         ech = self.echelons.get(w.degree)
-        if ech is None:
-            return False
-        return not ech.reduce(w.terms)
+        return ech.reduce(w.terms) if ech is not None else w.terms
 
     def closure_check(self, degree):
         """d maps the degree-n restricted space into the degree-(n+1)
@@ -690,7 +692,7 @@ class Restriction:
         results = []
         for entry in self.bases[degree]:
             image = self.calc.d(entry["form"])
-            results.append(image.is_zero() or self.contains(image))
+            results.append(image.is_zero() or not self.remainder(image))
         return results
 
     def present(self, w):

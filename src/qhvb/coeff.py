@@ -10,7 +10,9 @@ the dual pairing, (fg)(x) = sum f(x_(1)) g(x_(2)), and re-expanded in
 the basis using the exact Clebsch-Gordan embeddings from
 repmod.decompose; the coproduct, counit, antipode, star, the two
 translation actions, and the Haar functional all land back in the
-basis.
+basis.  The coproduct is a CoeffTensor, the scalars.Tensor keyed by
+pairs of Peter-Weyl keys, D t_{ij} = sum_k t_{ik} (x) t_{kj}, as the
+coproduct of U_q is a uea.TensorUEA.
 
 Every algebra carries a level window n_max; any operation that would
 produce a nonzero coefficient beyond the window raises LevelOverflow
@@ -24,7 +26,7 @@ the nondegeneracy certificate (PairingTable) is a per-class column
 rank computation.
 """
 
-from .scalars import Matrix, ZERO, ONE, accumulate, LinComb
+from .scalars import Matrix, ZERO, ONE, accumulate, LinComb, Tensor
 from . import uea, repmod
 
 
@@ -62,6 +64,13 @@ class CoeffElement(LinComb):
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+class CoeffTensor(Tensor):
+    """An element of T_q (x) T_q keyed by pairs of Peter-Weyl keys."""
+
+    __slots__ = ()
+    leg = CoeffElement
 
 
 class CoeffVector(LinComb):
@@ -140,9 +149,6 @@ class PairingTable:
             self.monomials[d] = monos
             self.matrix[d] = m
             self.ranks[d] = m.rank()
-
-    def full_column_rank(self):
-        return all(self.ranks[d] == m.cols for d, m in self.matrix.items())
 
     def certify(self):
         for d, m in self.matrix.items():
@@ -260,14 +266,10 @@ class Algebra:
     # -- coalgebra ------------------------------------------------------
 
     def coproduct(self, f):
-        """D t_{ij} = sum_k t_{ik} (x) t_{kj}, as a list of pairs."""
-        out = []
-        for (n, i, j), s in f.terms.items():
-            for k in range(n + 1):
-                out.append(
-                    (CoeffElement({(n, i, k): s}), CoeffElement({(n, k, j): ONE}))
-                )
-        return out
+        """D t_{ij} = sum_k t_{ik} (x) t_{kj}."""
+        return CoeffTensor({((n, i, k), (n, k, j)): s
+                            for (n, i, j), s in f.terms.items()
+                            for k in range(n + 1)})
 
     def counit(self, f):
         acc = ZERO

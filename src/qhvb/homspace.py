@@ -139,15 +139,10 @@ def comodule_check(algebra, theta, N):
     basis = invariants(algebra, theta, N)
     violations = []
     for f in basis.elements:
-        # group Delta(f) by left leg and test each accumulated right leg
-        right = {}
-        for f1, f2 in algebra.coproduct(f):
-            assert len(f1.terms) == 1
-            ((key, s),) = f1.terms.items()
-            acc = right.setdefault(key, coeff.CoeffElement())
-            right[key] = acc + f2.scale(s)
-        for key, leg in right.items():
-            if not basis.contains(leg):
+        # group Delta(f) by left key and test each accumulated right leg
+        for left, right in algebra.coproduct(f).pairs():
+            if not basis.contains(right):
+                (key,) = left.terms
                 violations.append({"element": str(f), "left_leg": list(key)})
     return {
         "theta": list(theta.theta),

@@ -31,9 +31,11 @@ together in time.
 Sparse vectors.  `LinComb` is the one sparse linear-combination type:
 nonzero Scalars keyed by basis labels, with the vector-space operations;
 the elements of U_q, U_q (x) U_q and T_q subclass it and add their own
-products.  `accumulate` adds one term into such a dict.  `Span` gives
-the rank of a family of sparse vectors and the coordinates of a vector
-in it (NoSolution outside), through an `Echelon` whose rows carry tags
+products.  `Tensor` is the LinComb keyed by pairs of leg keys, and both
+tensor squares, where the two coproducts land, subclass it.
+`accumulate` adds one term into such a dict.  `Span` gives the rank of
+a family of sparse vectors and the coordinates of a vector in it
+(NoSolution outside), through an `Echelon` whose rows carry tags
 that record which inputs they combine.  `Echelon` is the only
 elimination: the dense `Matrix` reads its rank, rref and kernel off an
 `Echelon` of its rows and solves through a `Span` of its columns.
@@ -803,6 +805,48 @@ class LinComb:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
+
+
+class Tensor(LinComb):
+    """An element of a tensor square: `terms` maps pairs (left key,
+    right key) to Scalars -- the fully expanded canonical form, so
+    equality of coproducts is a dict comparison.  `leg` is the LinComb
+    class of either leg."""
+
+    __slots__ = ()
+    leg = LinComb
+
+    def flip(self):
+        return self._new({(r, l): s for (l, r), s in self.terms.items()})
+
+    def map_legs(self, left_fn=None, right_fn=None):
+        """Apply linear maps (leg -> leg) to the legs."""
+        out = {}
+        for (l, r), s in self.terms.items():
+            lx = left_fn(self.leg({l: ONE})) if left_fn else self.leg({l: ONE})
+            rx = right_fn(self.leg({r: ONE})) if right_fn else self.leg({r: ONE})
+            for ml, sl in lx.terms.items():
+                for mr, sr in rx.terms.items():
+                    accumulate(out, (ml, mr), s * sl * sr)
+        return self._new(out)
+
+    def contract(self, fn=lambda x, y: x * y):
+        """The sum of s fn(l, r) over the terms s l (x) r, with l and r as
+        leg basis elements; fn defaults to the legs' product and may
+        return any LinComb.  The zero tensor contracts to the zero leg."""
+        acc = None
+        for (l, r), s in self.terms.items():
+            term = fn(self.leg({l: ONE}), self.leg({r: ONE})).scale(s)
+            acc = term if acc is None else acc + term
+        return self.leg() if acc is None else acc
+
+    def pairs(self):
+        """The element as a list of (left basis element, right leg)
+        pairs, grouped by left key."""
+        grouped = {}
+        for (l, r), s in self.terms.items():
+            grouped.setdefault(l, {})[r] = s
+        return [(self.leg({l: ONE}), self.leg(rs)) for l, rs in grouped.items()]
 
 
 class Span:

@@ -25,7 +25,7 @@ This is one of several equivalent normalizations in use; it is fixed
 here once and all downstream matrix coefficients inherit it.
 """
 
-from .scalars import Scalar, ZERO, ONE, qint, accumulate, LinComb
+from .scalars import Scalar, ZERO, ONE, qint, accumulate, LinComb, Tensor
 
 _QPOW = Scalar.q_power
 
@@ -140,12 +140,11 @@ def counit(x):
 # tensor square (for the coproduct)
 
 
-class TensorUEA(LinComb):
-    """An element of U_q (x) U_q: a map from pairs of PBW monomials to
-    Scalars -- the fully expanded canonical form, so equality of
-    coproducts is a dict comparison."""
+class TensorUEA(Tensor):
+    """An element of U_q (x) U_q keyed by pairs of PBW monomials."""
 
     __slots__ = ()
+    leg = UEAElement
 
     def __mul__(self, other):
         out = {}
@@ -158,35 +157,6 @@ class TensorUEA(LinComb):
                     for mr, sr in right.items():
                         accumulate(out, (ml, mr), s12 * sl * sr)
         return TensorUEA(out)
-
-    def flip(self):
-        return TensorUEA({(r, l): s for (l, r), s in self.terms.items()})
-
-    def map_legs(self, left_fn=None, right_fn=None):
-        """Apply linear maps (UEAElement -> UEAElement) to the legs."""
-        out = {}
-        for (l, r), s in self.terms.items():
-            lx = left_fn(UEAElement({l: ONE})) if left_fn else UEAElement({l: ONE})
-            rx = right_fn(UEAElement({r: ONE})) if right_fn else UEAElement({r: ONE})
-            for ml, sl in lx.terms.items():
-                for mr, sr in rx.terms.items():
-                    accumulate(out, (ml, mr), s * sl * sr)
-        return TensorUEA(out)
-
-    def contract(self):
-        """Multiply the two legs together (the map M: x (x) y -> xy)."""
-        acc = UEAElement()
-        for (l, r), s in self.terms.items():
-            acc = acc + (UEAElement({l: ONE}) * UEAElement({r: ONE})).scale(s)
-        return acc
-
-    def pairs(self):
-        """The element as a list of (left UEAElement, right monomial
-        UEAElement) pairs, grouped by left monomial."""
-        grouped = {}
-        for (l, r), s in self.terms.items():
-            grouped.setdefault(l, {})[r] = s
-        return [(UEAElement({l: ONE}), UEAElement(rs)) for l, rs in grouped.items()]
 
     def __str__(self):
         if not self.terms:

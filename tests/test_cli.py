@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhvb import bundle, calculus, cli, coeff, connection
+from qhvb import bundle, calculus, cli, coeff, connection, scalars, uea
 
 
 def test_default_config():
@@ -322,6 +322,24 @@ def _break_circle(monkeypatch):
                         lambda self, x, f: circle(self, x, f).scale(2))
 
 
+def _break_uq_counit(monkeypatch):
+    counit = uea.counit
+    monkeypatch.setattr(uea, "counit", lambda x: counit(x) * 2)
+
+
+def _break_tq_counit(monkeypatch):
+    counit = coeff.Algebra.counit
+    monkeypatch.setattr(coeff.Algebra, "counit",
+                        lambda self, f: counit(self, f) * 2)
+
+
+def _break_closure(monkeypatch):
+    # d(w) + theta w: the images of the restricted forms leave the span
+    d = calculus.Calculus.d
+    monkeypatch.setattr(calculus.Calculus, "d", lambda self, w:
+                        d(self, w) + self.multiply(self.theta(), w))
+
+
 @pytest.mark.parametrize("suite, breaker, failing", [
     ("projection", _break_section_times, ["projection-right-linear"]),
     ("connection", _break_nabla0,
@@ -331,6 +349,9 @@ def _break_circle(monkeypatch):
     ("actions", _break_circle, ["actions-commute", "circle-module-algebra"]),
     ("curvature", _break_section_times, ["curvature-right-linear"]),
     ("curvature", _break_curvature_hat, ["bianchi-operator-identity"]),
+    ("hopf", _break_uq_counit, ["uq-antipode", "uq-counit"]),
+    ("hopf", _break_tq_counit, ["tq-antipode", "tq-counit"]),
+    ("closure", _break_closure, ["d-closure-degree-0", "d-closure-degree-1"]),
 ])
 def test_failing_check_names_its_residual(tmp_path, monkeypatch, suite,
                                           breaker, failing):
@@ -345,6 +366,49 @@ def test_failing_check_names_its_residual(tmp_path, monkeypatch, suite,
         assert "residual" in witness and "nonzero" in witness
         if suite in ("connection", "curvature"):
             assert ": coordinate " in witness
+
+
+def _failures(out):
+    return {c["anchor"]: c["witness"]
+            for c in json.loads(out.read_text())["checks"]
+            if c["status"] == "fail"}
+
+
+def test_rank_deficient_pairing_table_names_class_and_rank(tmp_path,
+                                                           monkeypatch):
+    # every rank read one short: the level-1 table already falls short in
+    # its first class, d = -1, which has one column
+    rank = scalars.Matrix.rank
+    monkeypatch.setattr(scalars.Matrix, "rank", lambda self: rank(self) - 1)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "pairing", "--out", str(out)]) == 1
+    assert _failures(out) == {"pairing-nondegenerate": (
+        "AssertionError: pairing table rank deficiency in class d=-1 "
+        "(rank 0 of 1)")}
+
+
+def test_hopf_suite_calls_coproducts_patched_after_import(tmp_path,
+                                                          monkeypatch):
+    # the tracer wraps uea.coproduct and coeff.Algebra.coproduct after
+    # qhvb is imported; the hopf suite must still call the wrappers
+    calls = {"uq": 0, "tq": 0}
+    uq, tq = uea.coproduct, coeff.Algebra.coproduct
+
+    def uq_counted(x):
+        calls["uq"] += 1
+        return uq(x)
+
+    def tq_counted(self, f):
+        calls["tq"] += 1
+        return tq(self, f)
+
+    monkeypatch.setattr(uea, "coproduct", uq_counted)
+    monkeypatch.setattr(coeff.Algebra, "coproduct", tq_counted)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "hopf", "--out", str(out)]) == 0
+    # each of the four axioms reads the coproduct of every basis element
+    assert calls["uq"] >= 4 * len(uea.pbw_monomials(4))
+    assert calls["tq"] >= 4 * len(cli._TQ_BASIS)
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))

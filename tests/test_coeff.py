@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from qhvb.scalars import Scalar, Matrix, ZERO, ONE, eval_at, NoSolution
+from qhvb.scalars import (Scalar, Matrix, ZERO, ONE, eval_at, NoSolution,
+                          Tensor)
 from qhvb import uea, repmod, coeff
 
 Q = Scalar.q_power
@@ -30,6 +31,11 @@ def random_element(rng, max_level=2, nterms=3):
         j = rng.randint(0, n)
         terms[(n, i, j)] = Scalar(rng.randint(-3, 3)) + Scalar((0, rng.randint(0, 2)))
     return coeff.CoeffElement(terms)
+
+
+def leg(key, s=ONE):
+    """The leg s t[key] of a coproduct term."""
+    return coeff.CoeffElement({key: s})
 
 
 def sample_monomials():
@@ -137,9 +143,9 @@ def test_coproduct_counit_axioms():
                 f = coeff.basis_element(n, i, j)
                 left = coeff.CoeffElement()
                 right = coeff.CoeffElement()
-                for f1, f2 in a.coproduct(f):
-                    left = left + f2.scale(a.counit(f1))
-                    right = right + f1.scale(a.counit(f2))
+                for (k1, k2), s in a.coproduct(f).terms.items():
+                    left = left + leg(k2, s).scale(a.counit(leg(k1)))
+                    right = right + leg(k1, s).scale(a.counit(leg(k2)))
                 assert left == f
                 assert right == f
     # counit is multiplicative
@@ -148,6 +154,44 @@ def test_coproduct_counit_axioms():
         f = random_element(rng, 1)
         g = random_element(rng, 1)
         assert a.counit(a.multiply(f, g)) == a.counit(f) * a.counit(g)
+
+
+def _simple_tensors(t, left_fn, right_fn):
+    """sum s left_fn(l) (x) right_fn(r) over the terms s l (x) r of t, as a
+    sum of simple tensors built term by term."""
+    acc = type(t)()
+    for (l, r), s in t.terms.items():
+        lx, rx = left_fn(t.leg({l: ONE})), right_fn(t.leg({r: ONE}))
+        acc = acc + type(t)({(ml, mr): s * sl * sr
+                             for ml, sl in lx.terms.items()
+                             for mr, sr in rx.terms.items()})
+    return acc
+
+
+def test_coproduct_is_a_tensor():
+    a = alg()
+    # D t[1;0,1] = t[1;0,0] (x) t[1;0,1] + t[1;0,1] (x) t[1;1,1]
+    dt = a.coproduct(coeff.basis_element(1, 0, 1))
+    assert dt == coeff.CoeffTensor({((1, 0, 0), (1, 0, 1)): ONE,
+                                    ((1, 0, 1), (1, 1, 1)): ONE})
+    assert isinstance(dt, Tensor) and isinstance(uea.coproduct(uea.E), Tensor)
+    assert dt != uea.TensorUEA(dt.terms)  # the two tensor kinds differ
+    # map_legs agrees with the leg-by-leg expansion on both tensor kinds
+    rng = random.Random(413)
+    for _ in range(4):
+        t = a.coproduct(random_element(rng, 2))
+        assert t.map_legs(a.star, a.antipode) == \
+            _simple_tensors(t, a.star, a.antipode)
+        assert t.map_legs(None, a.star) == \
+            _simple_tensors(t, lambda x: x, a.star)
+    monos = uea.pbw_monomials(2)
+    for _ in range(4):
+        t = uea.coproduct(uea.monomial(*rng.choice(monos))
+                          + uea.monomial(*rng.choice(monos)))
+        assert t.map_legs(uea.star, uea.antipode) == \
+            _simple_tensors(t, uea.star, uea.antipode)
+        assert t.map_legs(uea.antipode) == \
+            _simple_tensors(t, uea.antipode, lambda x: x)
 
 
 def test_coproduct_is_multiplicative_functionally():
@@ -163,8 +207,8 @@ def test_coproduct_is_multiplicative_functionally():
             for mb in monos:
                 x, y = uea.monomial(*ma), uea.monomial(*mb)
                 lhs = ZERO
-                for p1, p2 in a.coproduct(prod):
-                    lhs = lhs + a.eval(p1, x) * a.eval(p2, y)
+                for (k1, k2), s in a.coproduct(prod).terms.items():
+                    lhs = lhs + s * a.eval(leg(k1), x) * a.eval(leg(k2), y)
                 # (D(f)D(g))(x (x) y) = f(xy-legs) pattern via the pairing
                 rhs = a.eval(prod, x * y)
                 assert lhs == rhs
@@ -186,9 +230,9 @@ def test_antipode_block_and_axiom():
                 # antipode axiom: M(S (x) id) D = unit . counit
                 acc = coeff.CoeffElement()
                 acc2 = coeff.CoeffElement()
-                for f1, f2 in a.coproduct(f):
-                    acc = acc + a.multiply(a.antipode(f1), f2)
-                    acc2 = acc2 + a.multiply(f1, a.antipode(f2))
+                for (k1, k2), s in a.coproduct(f).terms.items():
+                    acc = acc + a.multiply(a.antipode(leg(k1, s)), leg(k2))
+                    acc2 = acc2 + a.multiply(leg(k1, s), a.antipode(leg(k2)))
                 want = coeff.unit().scale(a.counit(f))
                 assert acc == want
                 assert acc2 == want
@@ -262,13 +306,13 @@ def test_circle_against_pairing_definition():
         x = uea.monomial(*rng.choice(monos))
         f = random_element(rng, 2)
         want = coeff.CoeffElement()
-        for f1, f2 in a.coproduct(f):
-            want = want + f1.scale(a.eval(f2, x))
+        for (k1, k2), s in a.coproduct(f).terms.items():
+            want = want + leg(k1, s).scale(a.eval(leg(k2), x))
         assert a.circle(x, f) == want
         # x . f = sum <f_(1), S^{-1}(x)> f_(2)
         want = coeff.CoeffElement()
-        for f1, f2 in a.coproduct(f):
-            want = want + f2.scale(a.eval(f1, uea.antipode_inv(x)))
+        for (k1, k2), s in a.coproduct(f).terms.items():
+            want = want + leg(k2, s).scale(a.eval(leg(k1), uea.antipode_inv(x)))
         assert a.dot(x, f) == want
 
 
@@ -320,9 +364,9 @@ def test_haar_two_sided_invariance():
         f = random_element(rng, 2)
         left = coeff.CoeffElement()
         right = coeff.CoeffElement()
-        for f1, f2 in a.coproduct(f):
-            left = left + f1.scale(a.haar(f2))
-            right = right + f2.scale(a.haar(f1))
+        for (k1, k2), s in a.coproduct(f).terms.items():
+            left = left + leg(k1, s).scale(a.haar(leg(k2)))
+            right = right + leg(k2, s).scale(a.haar(leg(k1)))
         want = coeff.unit().scale(a.haar(f))
         assert left == want
         assert right == want
@@ -346,7 +390,8 @@ def test_pairing_table_certificate_and_expand():
     a = alg()
     for N in (1, 2, 3, 4):
         table = a.pairing_table(N)
-        assert table.full_column_rank()
+        for d, m in table.matrix.items():
+            assert table.ranks[d] == m.cols
     rng = random.Random(412)
     for _ in range(6):
         f = random_element(rng, 3)

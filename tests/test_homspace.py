@@ -119,7 +119,7 @@ def test_comodule_membership_is_sharp():
     basis = homspace.invariants(a, homspace.ThetaChoice(), 2)
     outside = coeff.basis_element(2, 0, 0)
     right = {}
-    for f1, f2 in a.coproduct(outside):
-        ((key, s),) = f1.terms.items()
-        right[key] = right.get(key, coeff.CoeffElement()) + f2.scale(s)
+    for (key, k2), s in a.coproduct(outside).terms.items():
+        right[key] = right.get(key, coeff.CoeffElement()) \
+            + coeff.CoeffElement({k2: s})
     assert any(not basis.contains(leg) for leg in right.values())
