@@ -155,8 +155,11 @@ def sections_basis(algebra, lmodule, N, generators=(uea.K, uea.K_INV)):
     """Basis of the sections up to Peter-Weyl level N, blockwise.  For a
     weight line m the level-n block contributes the column j = (n+m)/2
     when that is an admissible integer, so (n+1) sections per matching
-    line; the weight-multiplicity count is the test oracle."""
-    assert N <= algebra.n_max
+    line; the weight-multiplicity count is the test oracle.  LevelOverflow
+    when N is beyond the coefficient window."""
+    if N > algebra.n_max:
+        raise coeff.LevelOverflow("sections of level %d beyond the "
+                                  "coefficient window %d" % (N, algebra.n_max))
     out = []
     for n in range(N + 1):
         for terms in _constraint_kernel(lmodule, generators, n):

@@ -15,13 +15,20 @@ Configuration is a flat key = value text file (see RunConfig for the
 keys) with --seed/--suite flag overrides.  Reports are canonical JSON:
 sorted keys, no wall-clock data (timings go to stderr), and all random
 sampling is derived from the configured seed, so identical config and
-seed give byte-identical output.  A check that cannot run inside the
-configured coefficient window is reported as skipped with the window in
-its witness, never as a silent pass; the exit code is 0 only when every
-check passes, 1 otherwise, 2 for configuration errors, for an --out
-path that cannot take the report (checked before any work starts) and
-for a command that cannot compute at the configuration (one line on
-stderr names the error)."""
+seed give byte-identical output.
+
+Every check of a verify suite yields its comparisons, (where, lhs, rhs)
+for an identity of exact values or a failure string for any other
+condition, and _check alone compares them: a failing check's witness
+names where it failed and the nonzero residual lhs - rhs.  A check that
+cannot run inside the configured coefficient window, or on a bundle
+with a weight line that has no section at the connection's section
+level, is reported as skipped with the reason in its witness, never as
+a silent pass; the exit code is 0 only when every check passes, 1
+otherwise, 2 for configuration errors, for an --out path that cannot
+take the report (checked before any work starts) and for a command that
+cannot compute at the configuration (one line on stderr names the
+error)."""
 
 import argparse
 import collections
@@ -63,10 +70,14 @@ WORD_SPACE_CAP = 1024
 _SUITE_FORM_DEGREE = {"calculus": lambda K: K + 1, "closure": lambda K: 2,
                       "connection": lambda K: 3, "curvature": lambda K: 3}
 
+# what makes a check impossible at the configuration: verify reports it as
+# a skip, and a workspace object that raised it raises it again on reuse
+_SKIPS = (coeff.LevelOverflow, connection.NoSections)
+
 # what a configuration the parser accepts can still make a command unable
 # to compute; verify turns these into per-check skips or failures first
-_UNCOMPUTABLE = (coeff.LevelOverflow, repmod.DecompositionError,
-                 calculus.SplitError, PoleError, NoSolution)
+_UNCOMPUTABLE = _SKIPS + (repmod.DecompositionError, calculus.SplitError,
+                          PoleError, NoSolution)
 
 
 class RunConfig:
@@ -199,7 +210,7 @@ def build_config(file_data, seed=None, suites=None):
 
 
 # ----------------------------------------------------------------------
-# shared objects, memoized per run (a window failure replays on reuse)
+# shared objects, memoized per run (a skip replays on reuse)
 
 
 class _Workspace:
@@ -216,7 +227,7 @@ class _Workspace:
             return value
         try:
             value = builder()
-        except coeff.LevelOverflow as e:
+        except _SKIPS as e:
             self._cache[key] = e
             raise
         self._cache[key] = value
@@ -293,23 +304,50 @@ def _seeded_norms(ws):
 
 
 def _check(checks, suite, anchor, name, fn):
+    """Run one check and append its report line.  fn() yields the
+    check's comparisons lazily: (where, lhs, rhs) for an identity, or a
+    failure string for a condition that is not an equality; a check that
+    only runs a certificate returns None and fails by raising.  The
+    first unequal pair ends the check as a fail with the witness
+    "<where>: <residual>", and the first string as a fail with that
+    string; _SKIPS end it as a skip and _FAILURES as a fail, each named
+    in its witness."""
+    line = {"suite": suite, "anchor": anchor, "name": name, "status": "pass"}
     try:
-        result = fn()
-    except coeff.LevelOverflow as e:
-        checks.append({"suite": suite, "anchor": anchor, "name": name,
-                       "status": "skip", "witness": str(e)})
-        return
+        for item in fn() or ():
+            if isinstance(item, str):
+                witness = item
+            else:
+                where, lhs, rhs = item
+                witness = _residual(lhs, rhs)
+                witness = witness and "%s: %s" % (where, witness)
+            if witness:
+                line.update(status="fail", witness=witness)
+                break
+    except _SKIPS as e:
+        line.update(status="skip", witness=str(e))
     except _FAILURES as e:
-        checks.append({"suite": suite, "anchor": anchor, "name": name,
-                       "status": "fail",
-                       "witness": "%s: %s" % (type(e).__name__, e)})
-        return
-    if result is True:
-        checks.append({"suite": suite, "anchor": anchor, "name": name,
-                       "status": "pass"})
-    else:
-        checks.append({"suite": suite, "anchor": anchor, "name": name,
-                       "status": "fail", "witness": str(result)})
+        line.update(status="fail", witness="%s: %s" % (type(e).__name__, e))
+    checks.append(line)
+
+
+def _residual(lhs, rhs):
+    """None when lhs == rhs, else what differs: for LinCombs the
+    residual lhs - rhs, for vectors of forms its first nonzero
+    coordinate, for Matrices the nonzero entries of lhs - rhs, and for
+    anything else the two values."""
+    if lhs == rhs:
+        return None
+    if isinstance(lhs, LinComb):
+        return scalars._residual_witness((lhs - rhs).terms)
+    if isinstance(lhs, Matrix):
+        return scalars._residual_witness(
+            {(i, j): x for i, row in enumerate((lhs - rhs).a)
+             for j, x in enumerate(row) if x})
+    if isinstance(lhs, list) and lhs and isinstance(lhs[0], LinComb):
+        gamma = next(g for g in range(len(lhs)) if lhs[g] != rhs[g])
+        return "coordinate %d: %s" % (gamma, _residual(lhs[gamma], rhs[gamma]))
+    return "%s != %s" % (lhs, rhs)
 
 
 _TQ_BASIS = [(n, i, j) for n in range(3)
@@ -363,15 +401,9 @@ def _hopf_axioms(checks, tag, scope, basis, ops, pairs, star_extra=None):
         for key in basis:
             x = ops.element(key)
             for failure, lhs, rhs in axiom(x, ops.coproduct(x)):
-                witness = _residual(lhs, rhs)
-                if witness:
-                    return "%s on %r = %s: %s" % (failure, key, x, witness)
+                yield "%s on %r = %s" % (failure, key, x), lhs, rhs
         for k, (lhs, rhs) in enumerate(samples):
-            witness = _residual(lhs, rhs)
-            if witness:
-                return "star not anti-multiplicative on sample %d: %s" \
-                    % (k, witness)
-        return True
+            yield "star not anti-multiplicative on sample %d" % k, lhs, rhs
 
     anti = ((ops.star(ops.multiply(x, y)),
              ops.multiply(ops.star(y), ops.star(x))) for x, y in pairs)
@@ -420,7 +452,6 @@ def _suite_pairing(ws, checks):
         # a table certifies its rank per class, naming a deficient class
         for N in (1, 2, 3, 4):
             ws.algebra.pairing_table(N)
-        return True
 
     _check(checks, "pairing", "pairing-nondegenerate",
            "dual pairing separates coefficients, levels <= 4", full_rank)
@@ -444,10 +475,7 @@ def _suite_actions(ws, checks):
                      a.dot(x, a.dot(y, h)), a.dot(x * y, h)),
                     ("actions do not commute",
                      a.circle(x, a.dot(y, h)), a.dot(y, a.circle(x, h)))):
-                witness = _residual(lhs, rhs)
-                if witness:
-                    return "%s on sample %d: %s" % (failure, k, witness)
-        return True
+                yield "%s on sample %d" % (failure, k), lhs, rhs
 
     def module_algebra():
         rnd = _rng(cfg, "actions-module")
@@ -456,14 +484,10 @@ def _suite_actions(ws, checks):
             x = rnd.choice(gens)
             f = _random_coeff(rnd, max_level=1, nterms=2)
             g = _random_coeff(rnd, max_level=1, nterms=2)
-            lhs = a.circle(x, a.multiply(f, g))
-            rhs = uea.coproduct(x).contract(
-                lambda l, r: a.multiply(a.circle(l, f), a.circle(r, g)))
-            witness = _residual(lhs, rhs)
-            if witness:
-                return "module-algebra law fails on sample %d: %s" \
-                    % (k, witness)
-        return True
+            yield ("module-algebra law fails on sample %d" % k,
+                   a.circle(x, a.multiply(f, g)),
+                   uea.coproduct(x).contract(lambda l, r: a.multiply(
+                       a.circle(l, f), a.circle(r, g))))
 
     _check(checks, "actions", "actions-commute",
            "translations compose and commute, 100 seeded triples",
@@ -478,7 +502,7 @@ def _suite_haar(ws, checks):
     cfg = ws.cfg
 
     def unit_value():
-        return a.haar(coeff.unit()) == ONE or "haar(1) != 1"
+        yield "normalization h(1) = 1 fails", a.haar(coeff.unit()), ONE
 
     def invariance():
         for key in _TQ_BASIS:
@@ -487,20 +511,15 @@ def _suite_haar(ws, checks):
             want = coeff.unit().scale(a.haar(f))
             for lhs in (df.contract(lambda l, r: l.scale(a.haar(r))),
                         df.contract(lambda l, r: r.scale(a.haar(l)))):
-                witness = _residual(lhs, want)
-                if witness:
-                    return "invariance fails on %r = %s: %s" \
-                        % (key, f, witness)
-        return True
+                yield "invariance fails on %r = %s" % (key, f), lhs, want
 
     def positivity():
         for _, norm in _seeded_norms(ws):
             if not norm:
-                return "vanishing squared norm of a nonzero element"
+                yield "vanishing squared norm of a nonzero element"
             for u0 in cfg.samples:
                 if eval_at(norm, u0) <= 0:
-                    return "norm not positive at u0=%s" % u0
-        return True
+                    yield "norm not positive at u0=%s" % u0
 
     _check(checks, "haar", "haar-unit",
            "invariant functional normalization", unit_value)
@@ -518,14 +537,11 @@ def _suite_idempotent(ws, checks):
 
         def squared(weights=weights):
             ws.idempotent(weights, 3)  # e^2 = e is certified columnwise
-            return True
 
         def rank(weights=weights):
             proj = ws.idempotent(weights, 3)
-            if proj.rank != proj.sections_dim:
-                return "rank %d != sections dimension %s" \
-                    % (proj.rank, proj.sections_dim)
-            return True
+            yield "rank against the sections dimension", proj.rank, \
+                proj.sections_dim
 
         _check(checks, "idempotent", "idempotent-squared-" + tag,
                "idempotent squared equals itself, V=%s, N=3" % label,
@@ -540,24 +556,24 @@ def _suite_projection(ws, checks):
     cfg = ws.cfg
     V = bundle.LModule(cfg.weights)
     comp = bundle.complete(V)
+    # a weight-m line has sections from level |m| on, and the images of
+    # the level <= 2 invariants on it reach level |m| + 2
+    m = max(abs(w) for w in cfg.weights)
 
     def wp(beta, f):
         return bundle.wp(a, comp, bundle.simple_tensor(beta, f))
 
     def retraction():
-        basis = bundle.sections_basis(a, V, 3)
-        for zeta in basis:
-            if bundle.wp(a, comp, bundle.im(a, comp, zeta)) != zeta:
-                return "retraction fails on a basis section"
-        return True
+        for j, zeta in enumerate(bundle.sections_basis(a, V, m + 2)):
+            yield "retraction fails on basis section %d" % j, \
+                bundle.wp(a, comp, bundle.im(a, comp, zeta)), zeta
 
     def injective():
-        basis = bundle.sections_basis(a, V, 3)
         ech = Echelon()
-        for zeta in basis:
+        for j, zeta in enumerate(bundle.sections_basis(a, V, m + 2)):
             if not ech.add(bundle.im(a, comp, zeta).terms):
-                return "inclusion image is rank deficient"
-        return True
+                yield "inclusion image is rank deficient at basis " \
+                    "section %d" % j
 
     def surjective():
         inv = ws.invariants(2)
@@ -565,37 +581,30 @@ def _suite_projection(ws, checks):
         for beta in range(comp.dim_w):
             for f in inv.elements:
                 ech.add(wp(beta, f).terms)
-        sections = bundle.sections_basis(a, V, 3)
-        if ech.rank != len(sections):
-            return "projection images span rank %d != %d" \
-                % (ech.rank, len(sections))
-        for zeta in sections:
-            if ech.reduce(zeta.terms):
-                return "a section escapes the projection image"
-        return True
+        sections = [s for s in bundle.sections_basis(a, V, m + 2)
+                    if s.level <= max(abs(cfg.weights[r])
+                                      for r in s.coords) + 2]
+        yield "projection images span rank", ech.rank, len(sections)
+        for j, zeta in enumerate(sections):
+            yield "section %d escapes the projection image" % j, \
+                LinComb(ech.reduce(zeta.terms)), LinComb()
 
     def right_linear():
         rnd = _rng(cfg, "projection")
         inv = ws.invariants(2)
-        basis = [s for s in bundle.sections_basis(a, V, 3) if s.level <= 2]
+        basis = [s for s in bundle.sections_basis(a, V, m + 2)
+                 if s.level <= m + 1]
         small = [f for f in inv.elements if f.level <= 2]
         for k in range(10):
             f = rnd.choice(inv.elements)
             g = rnd.choice(small)
             beta = rnd.randint(0, comp.dim_w - 1)
-            witness = _residual(wp(beta, a.multiply(f, g)),
-                                wp(beta, f).times(g))
-            if witness:
-                return "projection not right-linear on sample %d: %s" \
-                    % (k, witness)
+            yield ("projection not right-linear on sample %d" % k,
+                   wp(beta, a.multiply(f, g)), wp(beta, f).times(g))
             zeta = rnd.choice(basis)
-            witness = _residual(
-                bundle.im(a, comp, zeta.times(g)),
-                bundle.im(a, comp, zeta).map(lambda h: a.multiply(h, g)))
-            if witness:
-                return "inclusion not right-linear on sample %d: %s" \
-                    % (k, witness)
-        return True
+            yield ("inclusion not right-linear on sample %d" % k,
+                   bundle.im(a, comp, zeta.times(g)),
+                   bundle.im(a, comp, zeta).map(lambda h: a.multiply(h, g)))
 
     _check(checks, "projection", "projection-retraction",
            "projection retracts the inclusion on the sections basis",
@@ -614,36 +623,26 @@ def _suite_calculus(ws, checks):
 
     def axioms():
         calculus.from_rep(repmod.irrep(cfg.irrep))
-        return True
 
     def classical_limit():
         calc = ws.calc()
-        split = calc.braiding()
         K = calc.data.K
-        if split.sigma.eval_at(1) != repmod.flip_matrix(K, K).eval_at(1):
-            return "braiding does not specialize to the flip"
-        return True
+        yield ("braiding at u=1 against the flip",
+               Matrix(calc.braiding().sigma.eval_at(1)),
+               Matrix(repmod.flip_matrix(K, K).eval_at(1)))
 
     def projectors():
-        calc = ws.calc()
-        split = calc.braiding()
-        K = calc.data.K
-        zero = Matrix.zeros(K * K, K * K)
-        if split.sigma_plus * split.sigma_minus != zero:
-            return "sigma+ sigma- != 0"
-        if split.sigma_minus * split.sigma_plus != zero:
-            return "sigma- sigma+ != 0"
-        if split.sigma_plus - split.sigma_minus != split.sigma:
-            return "sigma+ - sigma- != sigma"
-        return True
+        split = ws.calc().braiding()
+        zero = Matrix.zeros(split.sigma.rows, split.sigma.cols)
+        yield "sigma+ sigma-", split.sigma_plus * split.sigma_minus, zero
+        yield "sigma- sigma+", split.sigma_minus * split.sigma_plus, zero
+        yield ("sigma+ - sigma- against sigma",
+               split.sigma_plus - split.sigma_minus, split.sigma)
 
     def top_degree():
         calc = ws.calc()
         K = calc.data.K
-        dim = calc.omega_dims(K + 1)
-        if dim != 0:
-            return "dim of the degree-%d forms is %d" % (K + 1, dim)
-        return True
+        yield "dim of the degree-%d forms" % (K + 1), calc.omega_dims(K + 1), 0
 
     def d_squared():
         calc = ws.calc()
@@ -655,10 +654,7 @@ def _suite_calculus(ws, checks):
             else:
                 w = calc.left_mult(f, calc.d0(_random_coeff(rnd)))
             ddw = calc.d(calc.d(w))
-            witness = _residual(ddw, calc.zero(ddw.degree))
-            if witness:
-                return "d^2 != 0 on sample %d: %s" % (k, witness)
-        return True
+            yield "d^2 != 0 on sample %d" % k, ddw, calc.zero(ddw.degree)
 
     def leibniz():
         calc = ws.calc()
@@ -675,13 +671,10 @@ def _suite_calculus(ws, checks):
             else:
                 w2 = calc.form0(g)
             sign = -ONE if w1.degree % 2 else ONE
-            lhs = calc.d(calc.multiply(w1, w2))
-            rhs = (calc.multiply(calc.d(w1), w2)
+            yield ("product rule fails on sample %d" % k,
+                   calc.d(calc.multiply(w1, w2)),
+                   calc.multiply(calc.d(w1), w2)
                    + calc.multiply(w1, calc.d(w2)).scale(sign))
-            witness = _residual(lhs, rhs)
-            if witness:
-                return "product rule fails on sample %d: %s" % (k, witness)
-        return True
 
     def equivariance():
         calc = ws.calc()
@@ -693,16 +686,11 @@ def _suite_calculus(ws, checks):
             w = calc.left_mult(f, calc.d0(_random_coeff(rnd)))
             dw, df = calc.d(w), calc.d0(f)
             for x in gens:
-                for failure, lhs, rhs in (
-                        ("translation equivariance fails",
-                         calc.dot_on_forms(x, dw),
-                         calc.d(calc.dot_on_forms(x, w))),
-                        ("degree-zero equivariance fails",
-                         calc.dot_on_forms(x, df), calc.d0(a.dot(x, f)))):
-                    witness = _residual(lhs, rhs)
-                    if witness:
-                        return "%s on sample %d: %s" % (failure, k, witness)
-        return True
+                yield ("translation equivariance fails on sample %d" % k,
+                       calc.dot_on_forms(x, dw),
+                       calc.d(calc.dot_on_forms(x, w)))
+                yield ("degree-zero equivariance fails on sample %d" % k,
+                       calc.dot_on_forms(x, df), calc.d0(a.dot(x, f)))
 
     _check(checks, "calculus", "structure-functionals",
            "shift functionals satisfy the structure identities", axioms)
@@ -725,27 +713,24 @@ def _suite_closure(ws, checks):
     def closure(degree):
         def run():
             restriction = ws.restriction()
-            flags = restriction.closure_check(degree)
-            if not all(flags):
-                n = flags.index(False)
-                rest = restriction.remainder(
-                    ws.calc().d(restriction.bases[degree][n]["form"]))
-                return "d image escapes the restricted span in degree %d " \
-                    "on basis entry %d: %s" \
-                    % (degree, n, scalars._residual_witness(rest))
-            return True
+            for n, ok in enumerate(restriction.closure_check(degree)):
+                if not ok:
+                    yield ("d image escapes the restricted span in degree "
+                           "%d on basis entry %d" % (degree, n),
+                           LinComb(restriction.remainder(ws.calc().d(
+                               restriction.bases[degree][n]["form"]))),
+                           LinComb())
         return run
 
     def epsilon_trivial():
         restriction = ws.restriction()
         for degree in (0, 1, 2):
-            for entry in restriction.bases[degree]:
+            for n, entry in enumerate(restriction.bases[degree]):
                 for p in (uea.K, uea.K_INV):
-                    if restriction.circle_presented(
-                            p, entry["presentation"]) != entry["form"]:
-                        return "a Levi generator moves a degree-%d form" \
-                            % degree
-        return True
+                    yield ("Levi generator %s moves the degree-%d basis "
+                           "entry %d" % (p, degree, n),
+                           restriction.circle_presented(
+                               p, entry["presentation"]), entry["form"])
 
     _check(checks, "closure", "d-closure-degree-0",
            "restricted forms closed under d in degree 0", closure(0))
@@ -756,25 +741,12 @@ def _suite_closure(ws, checks):
            epsilon_trivial)
 
 
-def _residual(lhs, rhs):
-    """None when lhs == rhs, else a witness: for LinCombs the residual
-    lhs - rhs, for vectors of forms its first nonzero coordinate."""
-    if lhs == rhs:
-        return None
-    if isinstance(lhs, LinComb):
-        return scalars._residual_witness((lhs - rhs).terms)
-    gamma = next(g for g in range(len(lhs)) if lhs[g] != rhs[g])
-    return "coordinate %d: %s" % (gamma, scalars._residual_witness(
-        (lhs[gamma] - rhs[gamma]).terms))
-
-
 def _connection_law(tss, calc, conn, psi, w):
-    """The _residual witness of the connection law at (psi, w)."""
+    """The two sides of the connection law at (psi, w)."""
     sign = -ONE if tss.degree_of(psi) % 2 else ONE
-    lhs = conn.apply(tss.right_mult(psi, w))
-    rhs = tss.add(tss.right_mult(conn.apply(psi), w),
-                  [x.scale(sign) for x in tss.right_mult(psi, calc.d(w))])
-    return _residual(lhs, rhs)
+    return (conn.apply(tss.right_mult(psi, w)),
+            tss.add(tss.right_mult(conn.apply(psi), w),
+                    [x.scale(sign) for x in tss.right_mult(psi, calc.d(w))]))
 
 
 def _seeded_perturbations(tss, rnd, count):
@@ -808,10 +780,8 @@ def _suite_connection(ws, checks):
                 w = calc.form0(_random_invariant(rnd, inv))
             else:
                 w = calc.d0(_random_invariant(rnd, inv))
-            witness = _connection_law(tss, calc, conn, psi, w)
-            if witness:
-                return "connection law fails on sample %d: %s" % (k, witness)
-        return True
+            yield ("connection law fails on sample %d" % k,
+                   *_connection_law(tss, calc, conn, psi, w))
 
     def law_perturbed():
         tss = ws.tss()
@@ -821,14 +791,10 @@ def _suite_connection(ws, checks):
             for s in tss.sections:
                 nabla_s, vec_s = conn.on_section(s), tss.from_section(s)
                 for g in homspace.podles_generators():
-                    lhs = conn.on_section(s.times(g))
-                    rhs = tss.add(tss.right_mult(nabla_s, calc.form0(g)),
-                                  tss.right_mult(vec_s, calc.d0(g)))
-                    witness = _residual(lhs, rhs)
-                    if witness:
-                        return "connection law fails for perturbation %d: " \
-                            "%s" % (n, witness)
-        return True
+                    yield ("connection law fails for perturbation %d" % n,
+                           conn.on_section(s.times(g)),
+                           tss.add(tss.right_mult(nabla_s, calc.form0(g)),
+                                   tss.right_mult(vec_s, calc.d0(g))))
 
     def differences():
         tss = ws.tss()
@@ -845,12 +811,9 @@ def _suite_connection(ws, checks):
             for s in tss.sections:
                 diff_s = diff(tss.from_section(s))
                 for g in homspace.podles_generators():
-                    lhs = diff(tss.from_section(s.times(g)))
-                    rhs = tss.right_mult(diff_s, calc.form0(g))
-                    witness = _residual(lhs, rhs)
-                    if witness:
-                        return "difference %d not right-linear: %s" % (n, witness)
-        return True
+                    yield ("difference %d not right-linear" % n,
+                           diff(tss.from_section(s.times(g))),
+                           tss.right_mult(diff_s, calc.form0(g)))
 
     _check(checks, "connection", "connection-law-nabla0",
            "distinguished connection law, 50 seeded pairs", law_nabla0)
@@ -861,32 +824,28 @@ def _suite_connection(ws, checks):
 
 
 def _suite_curvature(ws, checks):
-    cfg = ws.cfg
-
     def right_linear():
         F = ws.curvature0()
         if not F.linearity_check():
             j, g, lhs, rhs = next(F.linearity_failures())
-            return "curvature not right-linear over the invariants on " \
-                "basis section %d, a = %s: %s" % (j, g, _residual(lhs, rhs))
-        return True
+            yield ("curvature not right-linear over the invariants on basis "
+                   "section %d, a = %s" % (j, g), lhs, rhs)
 
     def bianchi():
         F = ws.curvature0()
-        flags = F.bianchi_check()
-        if not all(flags):
-            failing = [n for n, ok in enumerate(flags) if not ok]
-            return "operator identity fails on sections %s; section %d: %s" \
-                % (failing, failing[0], _residual(*F.bianchi_sides(failing[0])))
-        return True
+        failing = [n for n, ok in enumerate(F.bianchi_check()) if not ok]
+        if failing:
+            yield ("operator identity fails on sections %s; section %d"
+                   % (failing, failing[0]), *F.bianchi_sides(failing[0]))
 
     def trivial_flat():
-        calc = ws.calc()
-        tt = connection.TensoredSectionSpace(calc, bundle.LModule([0]), 2)
+        tt = connection.TensoredSectionSpace(ws.calc(), bundle.LModule([0]), 2)
         F = connection.curvature(connection.make_connection(tt))
-        if not F.is_zero():
-            return "trivial line bundle has nonzero curvature"
-        return True
+        for label, values in (("generator", F.on_generators),
+                              ("basis section", F.on_sections)):
+            for n, vec in enumerate(values):
+                yield ("trivial line bundle curvature on %s %d" % (label, n),
+                       vec, tt.zero(2))
 
     _check(checks, "curvature", "curvature-right-linear",
            "curvature is right-linear over the invariants", right_linear)
@@ -901,19 +860,13 @@ def _suite_borelweil(ws, checks):
 
     def dimension():
         holo = bundle.holomorphic_sections(a, bundle.LModule([-1]), 4)
-        want = repmod.irrep(1).dim
-        if len(holo) != want:
-            return "holomorphic sections dimension %d != %d" \
-                % (len(holo), want)
-        return True
+        yield ("holomorphic sections dimension", len(holo),
+               repmod.irrep(1).dim)
 
     def irreducible():
         holo = bundle.holomorphic_sections(a, bundle.LModule([-1]), 4)
-        mod, parts = bundle.dot_module(a, holo)
-        if len(parts) != 1 or parts[0][0] != 1:
-            return "translation module decomposes as %s" % (
-                [n for n, _, _ in parts],)
-        return True
+        yield ("highest weights of the translation module",
+               [n for n, _, _ in bundle.dot_module(a, holo)[1]], [1])
 
     _check(checks, "borelweil", "borel-weil-dimension",
            "holomorphic sections of the first dominant line have the "

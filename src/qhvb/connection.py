@@ -39,11 +39,21 @@ class NotLinear(Exception):
     """A perturbation failed the right-linearity certificate."""
 
 
+class NoSections(Exception):
+    """A weight line of the bundle has no section at the section level."""
+
+
 class TensoredSectionSpace:
     """The realization e(W (x) Omega) of the sections tensored with the
-    restricted forms, at a fixed section level window."""
+    restricted forms, at a fixed section level window.  A weight-m line
+    has sections from level |m| on; NoSections, before any other work,
+    when some line has none at level <= N."""
 
     def __init__(self, calc, lmodule, N):
+        for m in lmodule.weights:
+            if abs(m) > N:
+                raise NoSections("no section of weight %s at level <= %d"
+                                 % (m, N))
         self.calc = calc
         self.algebra = calc.algebra
         self.lmodule = lmodule

@@ -340,6 +340,18 @@ def _break_closure(monkeypatch):
                         d(self, w) + self.multiply(self.theta(), w))
 
 
+def _break_wp(monkeypatch):
+    wp = bundle.wp
+    monkeypatch.setattr(bundle, "wp", lambda algebra, completion, element:
+                        wp(algebra, completion, element).scale(2))
+
+
+def _break_circle_presented(monkeypatch):
+    circle = calculus.Restriction.circle_presented
+    monkeypatch.setattr(calculus.Restriction, "circle_presented",
+                        lambda self, p, combo: circle(self, p, combo).scale(2))
+
+
 @pytest.mark.parametrize("suite, breaker, failing", [
     ("projection", _break_section_times, ["projection-right-linear"]),
     ("connection", _break_nabla0,
@@ -352,6 +364,8 @@ def _break_closure(monkeypatch):
     ("hopf", _break_uq_counit, ["uq-antipode", "uq-counit"]),
     ("hopf", _break_tq_counit, ["tq-antipode", "tq-counit"]),
     ("closure", _break_closure, ["d-closure-degree-0", "d-closure-degree-1"]),
+    ("projection", _break_wp, ["projection-retraction"]),
+    ("closure", _break_circle_presented, ["levi-epsilon-triviality"]),
 ])
 def test_failing_check_names_its_residual(tmp_path, monkeypatch, suite,
                                           breaker, failing):
@@ -366,6 +380,69 @@ def test_failing_check_names_its_residual(tmp_path, monkeypatch, suite,
         assert "residual" in witness and "nonzero" in witness
         if suite in ("connection", "curvature"):
             assert ": coordinate " in witness
+
+
+def _checked(fn):
+    checks = []
+    cli._check(checks, "suite", "anchor", "name", fn)
+    line, = checks
+    assert (line["suite"], line["anchor"], line["name"]) == (
+        "suite", "anchor", "name")
+    return line["status"], line.get("witness")
+
+
+def test_check_compares_each_kind_of_value():
+    one = scalars.Scalar(1)
+    f = coeff.basis_element(1, 0, 1)
+    w = calculus.FormElement(1, {((0,), (1, 0, 1)): one})
+    m = scalars.Matrix.identity(2)
+    assert _checked(lambda: None) == ("pass", None)
+    assert _checked(lambda: iter([("x", f, f), ("v", [w, w], [w, w]),
+                                  ("m", m, m), ("n", 3, 3)])) == ("pass", None)
+    assert _checked(lambda: iter([("sample 4", f.scale(2), f)])) == (
+        "fail", "sample 4: residual (1, 0, 1) -> 1 (1 nonzero entry)")
+    assert _checked(lambda: iter([("vec", [w, w], [w, w.scale(3)])])) == (
+        "fail", "vec: coordinate 1: residual ((0,), (1, 0, 1)) -> -2 "
+        "(1 nonzero entry)")
+    assert _checked(lambda: iter([("mat", m, m.scale(one + one))])) == (
+        "fail", "mat: residual (0, 0) -> -1 (2 nonzero entries)")
+    assert _checked(lambda: iter([("rank", 3, 4)])) == (
+        "fail", "rank: 3 != 4")
+    assert _checked(lambda: iter(["not positive"])) == (
+        "fail", "not positive")
+
+
+def test_check_stops_at_the_first_failure():
+    seen = []
+
+    def comparisons():
+        for k in range(5):
+            seen.append(k)
+            yield "sample %d" % k, k, min(k, 2)
+
+    assert _checked(comparisons) == ("fail", "sample 3: 3 != 2")
+    assert seen == [0, 1, 2, 3]
+
+
+def test_check_skips_and_fails_on_raised_errors():
+    def raising(exc):
+        def fn():
+            raise exc
+        return fn
+
+    assert _checked(raising(coeff.LevelOverflow("beyond the window"))) == (
+        "skip", "beyond the window")
+    assert _checked(raising(connection.NoSections("no section"))) == (
+        "skip", "no section")
+    assert _checked(raising(AssertionError("e^2 != e"))) == (
+        "fail", "AssertionError: e^2 != e")
+
+    def overflow_after_one():
+        yield "first", 1, 1
+        raise coeff.LevelOverflow("partway")
+
+    # an error partway through the comparisons counts the same
+    assert _checked(overflow_after_one) == ("skip", "partway")
 
 
 def _failures(out):
@@ -485,3 +562,76 @@ def test_config_space_exits_cleanly(command, n_max, weights):
     assert code in (0, 1, 2)
     if code == 2:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+@pytest.mark.parametrize("n_max, weights", [
+    (2, weights) for weights in [str(m) for m in range(-4, 5)]
+    + ["1 2", "1 3", "3 -3 1"]] + [(1, "3")])
+def test_projection_suite_runs_at_every_weight(tmp_path, n_max, weights):
+    # the section levels follow the largest |weight|, so every weight
+    # ends in a report with no fail: a check whose sections or products
+    # leave the coefficient window skips
+    path = tmp_path / "run.cfg"
+    path.write_text("n_max = %d\nweights = %s\n" % (n_max, weights))
+    out = tmp_path / "report.json"
+    rc = cli.main(["verify", "--suite", "projection", "--config", str(path),
+                   "--out", str(out)])
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["fail"] == 0
+    assert summary["pass"] + summary["skip"] == 4
+    assert rc == (1 if summary["skip"] else 0)
+
+
+@pytest.mark.parametrize("weights, skipped", [
+    ("2", []), ("1 2", []), ("3", ["projection-retraction"])])
+def test_projection_suite_at_weights_beyond_one(tmp_path, weights, skipped):
+    # a weight-m line starts at level |m|, so every check reads sections
+    # at levels that follow the weights; at weight 3 only the retraction's
+    # products leave the default window
+    path = tmp_path / "run.cfg"
+    path.write_text("weights = %s\n" % weights)
+    out = tmp_path / "report.json"
+    rc = cli.main(["verify", "--suite", "projection", "--config", str(path),
+                   "--out", str(out)])
+    assert rc == (1 if skipped else 0)
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["anchor"] for c in checks if c["status"] != "pass"] == skipped
+    assert all(c["status"] == "skip" for c in checks if c["status"] != "pass")
+
+
+def test_connection_suites_skip_a_weight_without_sections(tmp_path):
+    # the connection's sections have level <= 1, and a weight-2 line has
+    # none; the trivial-flat check builds its own trivial bundle
+    path = tmp_path / "run.cfg"
+    path.write_text("weights = 2\n")
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "connection", "--suite",
+                     "curvature", "--config", str(path),
+                     "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    witness = "no section of weight 2 at level <= 1"
+    assert {c["anchor"]: (c["status"], c.get("witness")) for c in checks} == {
+        "connection-law-nabla0": ("skip", witness),
+        "connection-law-perturbed": ("skip", witness),
+        "connection-difference-linear": ("skip", witness),
+        "curvature-right-linear": ("skip", witness),
+        "bianchi-operator-identity": ("skip", witness),
+        "curvature-trivial-flat": ("pass", None)}
+    ws = cli._Workspace(cli.RunConfig(weights=(2,), n_max=2))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(connection.NoSections) as exc:
+            ws.tss()
+        errors.append(exc.value)
+    assert errors[0] is errors[1]  # cached like a LevelOverflow
+
+
+def test_connection_command_without_sections_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("weights = 2\n")
+    out = tmp_path / "conn.json"
+    assert cli.main(["connection", "--config", str(path),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "NoSections: no section of weight 2 at level <= 1\n")
+    assert not out.exists()
