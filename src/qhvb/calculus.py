@@ -33,16 +33,17 @@ the quotient of the tensor algebra on the omega_a by the two-sided
 ideal generated by ker sigma_-, where sigma is the braiding on the
 invariant forms and sigma = sigma_+ - sigma_- is its unique splitting
 with sigma_+ sigma_- = 0 classified by the sign of each eigenvalue at
-u = 1.  The differential in higher degree is the graded commutator
-with theta; d^2 = 0 because theta^2 reduces to zero.
+u = 1.  The differential in higher degree is d w = theta w -
+(-1)^n w theta; d^2 = 0 because theta^2 reduces to zero.
 
 Every form a Calculus method returns is in normal form: the canonical
 representative modulo that ideal, with no pivot word of the ideal's
-echelon.  Calculus.multiply is the one place that reduces.  This is
-sound because the ideal is two-sided, because sums, scalings and the
-coefficient-only translation keep a form free of pivot words, and
-because forms of degree at most one are already normal.  So two forms
-are equal in the exterior algebra exactly when they are ==.
+echelon.  The ideal lives in _j_echelon; multiply reduces against it,
+and d reads its tables off it.  This is sound because the ideal is
+two-sided, because sums, scalings and the coefficient-only translation
+keep a form free of pivot words, and because forms of degree at most
+one are already normal.  So two forms are equal in the exterior
+algebra exactly when they are ==.
 """
 
 import itertools
@@ -356,6 +357,7 @@ class Calculus:
         self._transfer = {}
         self._split = None
         self._j_ech = {}
+        self._d_tables = {}
 
     # -- basic forms ---------------------------------------------------
 
@@ -443,11 +445,51 @@ class Calculus:
     def left_mult(self, a, w):
         return self.multiply(self.form0(a), w)
 
+    def _d_table(self, J, n):
+        """The nonzero M_{J,n,N} of d as pairs (N, M), built once per
+        word J, normal or not, and level n; each M is a new matrix."""
+        table = self._d_tables.get((J, n))
+        if table is None:
+            ech = self._j_echelon(len(J) + 1)
+            transfer = self._f_transfer(n)
+            eye = Matrix.identity(n + 1).scale(ONE if len(J) % 2 else -ONE)
+            words = [((c,) + J, transfer[a][c]) for c in range(self.K)
+                     for a in self.data.diagonal if transfer[a][c] is not None]
+            words += [(J + (a,), eye) for a in self.data.diagonal]
+            mats = {}
+            for word, t in words:
+                for N, s in ech.reduce({word: ONE}).items():
+                    mats.setdefault(N, []).append(t.scale(s))
+            table = []
+            for N, terms in mats.items():
+                m = sum(terms[1:], terms[0])
+                if not m.is_zero():
+                    table.append((N, m))
+            self._d_tables[(J, n)] = table
+        return table
+
     def d(self, w):
-        """Graded commutator with theta: degree n goes to n+1."""
-        th = self.theta()
-        return self.multiply(th, w) + self.multiply(w, th).scale(
-            ONE if w.degree % 2 else -ONE)
+        """d w = theta w - (-1)^n w theta, in normal form whatever the
+        representative w.  As theta has unit coefficients and
+        F o 1 = eps(F) 1, d(b w_J) = sum_N (H_{J,N} o b) w_N with
+
+            H_{J,N} = sum_{a diagonal, c} rho(c J)_N F_{a c}
+                      - (-1)^{|J|} sum_{a diagonal} rho(J a)_N eps,
+
+        rho(W) the reduction of the word W modulo the exterior ideal.  On
+        a level-n block B of b, H_{J,N} o b is B M_{J,n,N} (_d_table)."""
+        if w.level > self.algebra.n_max:
+            raise coeff.LevelOverflow(
+                "product needs level %d beyond the coefficient window %d"
+                % (w.level, self.algebra.n_max))
+        out = {}
+        for J, b in w.coords.items():
+            for n, blk in self.algebra._to_blocks(b).items():
+                for N, m in self._d_table(J, n):
+                    for i, row in enumerate((blk * m).a):
+                        for j, s in enumerate(row):
+                            accumulate(out, (N, (n, i, j)), s)
+        return FormElement(w.degree + 1, out)
 
     # -- braiding and the exterior ideal ---------------------------------
 
@@ -721,14 +763,4 @@ class Restriction:
                 form = calc.multiply(
                     form, calc.d0(algebra.circle(uea.monomial(*leg), b)))
             out = out + form
-        return out
-
-    def circle_on_forms(self, p, w):
-        """The subalgebra action on a restricted form, through its basis
-        presentation."""
-        coords = self.present(w)
-        out = self.calc.zero(w.degree)
-        for c, entry in zip(coords, self.bases[w.degree]):
-            if c:
-                out = out + self.circle_presented(p, entry["presentation"]).scale(c)
         return out

@@ -315,10 +315,6 @@ class CurvatureMap:
         = sum_beta F(zeta_beta) psi_beta."""
         return self.conn.tss.extend(self.on_generators, vec)
 
-    def is_zero(self):
-        return all(w.is_zero() for v in self.on_generators + self.on_sections
-                   for w in v)
-
     def linearity_failures(self):
         """(j, a, F(zeta_j a), F(zeta_j) a) wherever the two differ, for
         the basis sections zeta_j and the invariant generators a."""

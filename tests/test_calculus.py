@@ -75,6 +75,14 @@ def test_trivial_representation_is_degenerate():
         calculus.Calculus(A, data)
 
 
+def graded_commutator(w):
+    """The oracle of Calculus.d: theta w - (-1)^n w theta, through the
+    word-space products of multiply."""
+    th = CALC.theta()
+    sign = -ONE if w.degree % 2 else ONE
+    return CALC.multiply(th, w) - CALC.multiply(w, th).scale(sign)
+
+
 def test_differential_is_commutator_with_theta():
     rnd = random.Random(11)
     th = CALC.theta()
@@ -82,6 +90,20 @@ def test_differential_is_commutator_with_theta():
         f = sample_coeff(rnd)
         w = CALC.form0(f)
         assert CALC.d0(f) == CALC.multiply(th, w) - CALC.multiply(w, th)
+        assert CALC.d(w) == CALC.d0(f)
+    # seeded word-space forms of degree 0-3, most of them not normal
+    samples = [calculus.form(2, {(1, 2): coeff.unit()})]
+    for degree in range(4):
+        for _ in range(10):
+            samples.append(calculus.form(degree, {
+                tuple(rnd.randrange(DATA.K) for _ in range(degree)):
+                    sample_coeff(rnd) for _ in range(rnd.randint(1, 3))}))
+    assert sum(CALC.reduce_mod_J(w) != w for w in samples) >= 10
+    for w in samples:
+        dw = CALC.d(w)
+        assert dw == graded_commutator(w)
+        assert dw == CALC.d(CALC.reduce_mod_J(w))
+        assert CALC.reduce_mod_J(dw) == dw
 
 
 def test_leibniz_in_degree_zero():
@@ -189,9 +211,9 @@ def test_exterior_ideal_is_two_sided():
 
 
 def test_calculus_returns_normal_forms():
-    # multiply reduces modulo the exterior ideal, so every form the
-    # calculus returns is fixed by reduce_mod_J and == is equality in the
-    # exterior algebra
+    # multiply reduces modulo the exterior ideal and d reads tables on
+    # normal words, so every form the calculus returns is fixed by
+    # reduce_mod_J and == is equality in the exterior algebra
     t = [coeff.basis_element(1, i, j) for i in range(2) for j in range(2)]
     w1 = CALC.left_mult(t[0], CALC.d0(t[1]))
     w2 = CALC.multiply(w1, CALC.d0(t[2]))
@@ -234,6 +256,38 @@ def test_d_squared_vanishes():
                                            CALC.d0(sample_coeff(rnd))),
                     lambda w: [CALC.d(w)])
         assert CALC.d(CALC.d(w)).is_zero()
+
+
+def test_d_reads_its_tables_only(monkeypatch):
+    # d reads one cached table per (word, level) it is given and calls
+    # neither multiply nor reduce_mod_J; the tables are new matrices,
+    # never the cached transfer blocks
+    rnd = random.Random(15)
+    forms = []
+    for _ in range(10):
+        forms.append(nonzero(lambda: CALC.form0(sample_coeff(rnd)),
+                             lambda w: [CALC.d(w)]))
+        forms.append(nonzero(lambda: CALC.left_mult(
+            sample_coeff(rnd), CALC.d0(sample_coeff(rnd))),
+            lambda w: [CALC.d(w)]))
+    calc = calculus.Calculus(A, DATA)
+    calls = []
+    for name in ("multiply", "reduce_mod_J"):
+        fn = getattr(calculus.Calculus, name)
+        monkeypatch.setattr(calculus.Calculus, name,
+                            lambda self, *args, fn=fn, name=name:
+                            calls.append(name) or fn(self, *args))
+    used = set()
+    for w in forms:
+        dw = calc.d(w)
+        assert calc.d(dw).is_zero()
+        used |= {(J, pw[0]) for x in (w, dw) for J, pw in x.terms}
+    assert calls == []
+    assert set(calc._d_tables) == used
+    transfer = {id(t) for table in calc._transfer.values()
+                for row in table for t in row if t is not None}
+    assert not any(id(m) in transfer for table in calc._d_tables.values()
+                   for _, m in table)
 
 
 def test_graded_leibniz():
@@ -312,9 +366,21 @@ def test_subalgebra_action_commutes_with_d():
             assert lhs == rhs
 
 
+def circle_on_forms(restriction, p, w):
+    """The subalgebra action on a restricted form, through its basis
+    presentation."""
+    coords = restriction.present(w)
+    out = restriction.calc.zero(w.degree)
+    for c, entry in zip(coords, restriction.bases[w.degree]):
+        if c:
+            out = out + restriction.circle_presented(
+                p, entry["presentation"]).scale(c)
+    return out
+
+
 def test_circle_on_forms_goes_through_coordinates():
     entry = RESTRICTION.bases[1][2]
-    got = RESTRICTION.circle_on_forms(uea.E, entry["form"])
+    got = circle_on_forms(RESTRICTION, uea.E, entry["form"])
     assert got == RESTRICTION.circle_presented(uea.E, entry["presentation"])
 
 
