@@ -38,12 +38,20 @@ u = 1.  The differential in higher degree is d w = theta w -
 
 Every form a Calculus method returns is in normal form: the canonical
 representative modulo that ideal, with no pivot word of the ideal's
-echelon.  The ideal lives in _j_echelon; multiply reduces against it,
-and d reads its tables off it.  This is sound because the ideal is
-two-sided, because sums, scalings and the coefficient-only translation
-keep a form free of pivot words, and because forms of degree at most
-one are already normal.  So two forms are equal in the exterior
-algebra exactly when they are ==.
+echelon.  The ideal lives in _j_echelon, and multiply and d read tables
+built off it.  With rho(W) the reduction of the word W and T_{I,C}(n)
+the product of the transposed level-n blocks of F_{a_k c_k} ...
+F_{a_1 c_1} for I = (a_1..a_k), C = (c_1..c_k), the product table
+
+    M_{I,J,n,N} = sum_C rho(C J)_N T_{I,C}(n)
+
+takes a level-n block B of b to the coefficient B M_{I,J,n,N} of w_N in
+w_I . b w_J, already reduced; d's table adds those of the diagonal
+letters (a,) to the products rho(J a)_N by theta on the right.  This is
+sound because the ideal is two-sided, because sums, scalings and the
+coefficient-only translation keep a form free of pivot words, and
+because forms of degree at most one are already normal.  So two forms
+are equal in the exterior algebra exactly when they are ==.
 """
 
 import itertools
@@ -346,6 +354,16 @@ def form(degree, coords):
                                 for pw, s in f.terms.items()})
 
 
+def _nonzero_sums(mats):
+    """The pairs (N, sum of the matrices mats[N]) with a nonzero sum."""
+    table = []
+    for N, terms in mats.items():
+        m = sum(terms[1:], terms[0])
+        if not m.is_zero():
+            table.append((N, m))
+    return table
+
+
 class Calculus:
     """The calculus operations bound to a coefficient algebra window."""
 
@@ -357,6 +375,7 @@ class Calculus:
         self._transfer = {}
         self._split = None
         self._j_ech = {}
+        self._product_tables = {}
         self._d_tables = {}
 
     # -- basic forms ---------------------------------------------------
@@ -393,51 +412,77 @@ class Calculus:
             self._transfer[n] = table
         return table
 
-    def _word_action(self, word, b, blocks):
-        """All pairs (new word C, (F_{a1 c1} ... F_{an cn}) o b) for the
-        given word (a1..an); the shift operators act on each Peter-Weyl
-        block of b (blocks, from Algebra._to_blocks) by right
-        multiplication with transposed F-blocks, rightmost letter
-        first."""
-        if not word:
-            return [((), b)]
-        states = {(): blocks}
-        for a in reversed(word):
-            nxt = {}
-            for suffix, blocks in states.items():
-                for c in range(self.K):
-                    res = {}
-                    for n, blk in blocks.items():
-                        t = self._f_transfer(n)[a][c]
+    def _product_table(self, I, J, n):
+        """The nonzero M_{I,J,n,N} = sum_C rho(C J)_N T_{I,C}(n) of
+        multiply as pairs (N, M), built once per nonempty left word I,
+        right word J, normal or not, and level n; each M is a new
+        matrix.  T_{I,C}(n) = t[a_k][c_k] ... t[a_1][c_1] for
+        I = (a_1..a_k), C = (c_1..c_k) and t = _f_transfer(n): the
+        shift operators act on a level-n block by right multiplication,
+        rightmost letter first."""
+        table = self._product_tables.get((I, J, n))
+        if table is None:
+            transfer = self._f_transfer(n)
+            states = {(): None}
+            for a in reversed(I):
+                nxt = {}
+                for suffix, m in states.items():
+                    for c, t in enumerate(transfer[a]):
                         if t is None:
                             continue
-                        m = blk * t
-                        if any(any(r) for r in m.a):
-                            res[n] = m
-                    if res:
-                        nxt[(c,) + suffix] = res
-            states = nxt
-        return [(key, self.algebra._from_blocks(blocks))
-                for key, blocks in states.items()]
+                        p = t if m is None else m * t
+                        if not p.is_zero():
+                            nxt[(c,) + suffix] = p
+                states = nxt
+            ech = self._j_echelon(len(I) + len(J))
+            mats = {}
+            for C, t in states.items():
+                for N, s in ech.reduce({C + J: ONE}).items():
+                    mats.setdefault(N, []).append(t.scale(s))
+            table = _nonzero_sums(mats)
+            self._product_tables[(I, J, n)] = table
+        return table
 
     def multiply(self, w1, w2):
         """(a (x) w_I)(b (x) w_J) = sum_C a ((F-word)_{I C} o b) (x) w_{C ++ J},
-        in normal form: the product is reduced modulo the exterior ideal,
-        whatever the representatives of the factors.  Each right
-        coefficient b goes to Peter-Weyl blocks once per call, when a
-        nonempty left word first needs it."""
+        in normal form whatever the representatives of the factors.
+        Reduction modulo the exterior ideal is linear word by word, so
+        the product is sum_N a h_{I,N} (x) w_N with
+
+            h_{I,N} = sum_J sum_n B_{J,n} M_{I,J,n,N},
+
+        B_{J,n} the level-n Peter-Weyl block of b_J and M the product
+        table (_product_table); for I = () it is h_N = sum_J rho(J)_N b_J.
+        So each pair (left word, normal word) costs one coefficient
+        product, and the word layer is contracted before it."""
         out = {}
         right = w2.coords
         blocks = {}
         for I, a in w1.coords.items():
-            for J, b in right.items():
-                if I and J not in blocks:
-                    blocks[J] = self.algebra._to_blocks(b)
-                for C, g in self._word_action(I, b, blocks.get(J)):
-                    word = C + J
+            h = {}
+            if I:
+                for J, b in right.items():
+                    if J not in blocks:
+                        blocks[J] = self.algebra._to_blocks(b)
+                    for n, blk in blocks[J].items():
+                        for N, m in self._product_table(I, J, n):
+                            terms = h.setdefault(N, {})
+                            for i, row in enumerate((blk * m).a):
+                                for j, s in enumerate(row):
+                                    accumulate(terms, (n, i, j), s)
+            else:
+                ech = self._j_echelon(w2.degree)
+                for J, b in right.items():
+                    for N, s in ech.reduce({J: ONE}).items():
+                        terms = h.setdefault(N, {})
+                        for pw, x in b.terms.items():
+                            accumulate(terms, pw, s * x)
+            for N, terms in h.items():
+                if terms:
+                    g = coeff.CoeffElement(terms)
                     for pw, s in self.algebra.multiply(a, g).terms.items():
-                        accumulate(out, (word, pw), s)
-        return self.reduce_mod_J(FormElement(w1.degree + w2.degree, out))
+                        accumulate(out, (N, pw), s)
+        return FormElement(w1.degree + w2.degree, out)
 
     def right_mult(self, w, b):
         return self.multiply(w, self.form0(b))
@@ -447,24 +492,21 @@ class Calculus:
 
     def _d_table(self, J, n):
         """The nonzero M_{J,n,N} of d as pairs (N, M), built once per
-        word J, normal or not, and level n; each M is a new matrix."""
+        word J, normal or not, and level n: the theta w half is the sum
+        of the product tables of the diagonal letters (a,), the w theta
+        half is rho(J a)_N times the identity.  No M is a cached transfer
+        block."""
         table = self._d_tables.get((J, n))
         if table is None:
             ech = self._j_echelon(len(J) + 1)
-            transfer = self._f_transfer(n)
             eye = Matrix.identity(n + 1).scale(ONE if len(J) % 2 else -ONE)
-            words = [((c,) + J, transfer[a][c]) for c in range(self.K)
-                     for a in self.data.diagonal if transfer[a][c] is not None]
-            words += [(J + (a,), eye) for a in self.data.diagonal]
             mats = {}
-            for word, t in words:
-                for N, s in ech.reduce({word: ONE}).items():
-                    mats.setdefault(N, []).append(t.scale(s))
-            table = []
-            for N, terms in mats.items():
-                m = sum(terms[1:], terms[0])
-                if not m.is_zero():
-                    table.append((N, m))
+            for a in self.data.diagonal:
+                for N, m in self._product_table((a,), J, n):
+                    mats.setdefault(N, []).append(m)
+                for N, s in ech.reduce({J + (a,): ONE}).items():
+                    mats.setdefault(N, []).append(eye.scale(s))
+            table = _nonzero_sums(mats)
             self._d_tables[(J, n)] = table
         return table
 

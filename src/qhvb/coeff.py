@@ -20,10 +20,9 @@ instead of truncating.
 
 The pairing respects the "diagonal class" d = i - j: t^{(n)}_{ij}
 pairs nonzero with the PBW monomial f^a k^b e^c only when a - c =
-i - j.  All basis re-expansions (antipode, star, reconstruction from
-evaluations) therefore split into small exact solves per class, and
-the nondegeneracy certificate (PairingTable) is a per-class column
-rank computation.
+i - j.  The basis re-expansions of the antipode and the star therefore
+split into small exact solves per class, and the nondegeneracy
+certificate (PairingTable) is a per-class column rank computation.
 """
 
 from .scalars import Matrix, ZERO, ONE, accumulate, LinComb, Tensor
@@ -123,7 +122,7 @@ class PairingTable:
     """Evaluation matrix of Peter-Weyl basis elements (level <= N)
     against the per-class PBW monomial families; certifies that
     evaluation separates the basis (full column rank per class, each
-    rank computed once) and reconstructs elements from their values."""
+    rank computed once)."""
 
     def __init__(self, N):
         self.N = N
@@ -159,25 +158,6 @@ class PairingTable:
                 )
         return True
 
-    def expand(self, value_fn):
-        """Reconstruct the CoeffElement of level <= N whose pairing with
-        every family monomial matches value_fn((a, b, c)); raises
-        NoSolution if no such element exists.  The result is the unique
-        window element interpolating the sample values: callers must know
-        on other grounds that their functional is supported on levels
-        <= N, since a higher-level functional can agree with a window
-        element on the finite sample family."""
-        terms = {}
-        for d, cols in self.columns.items():
-            rhs = [value_fn(mono) for mono in self.monomials[d]]
-            if not any(rhs):
-                continue
-            sol = self.matrix[d].solve(rhs)
-            for c, key in enumerate(cols):
-                if sol[c]:
-                    terms[key] = sol[c]
-        return CoeffElement(terms)
-
 
 class Algebra:
     """T_q with a level window n_max and all derived tables cached."""
@@ -212,11 +192,6 @@ class Algebra:
             table.certify()
             self._pairing_tables[N] = table
         return table
-
-    def from_evaluations(self, value_fn, N):
-        """Reconstruct an element known to have level <= N from its
-        pairings (see PairingTable.expand for the membership caveat)."""
-        return self.pairing_table(N).expand(value_fn)
 
     # -- multiplication ------------------------------------------------
 

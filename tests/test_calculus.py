@@ -13,8 +13,8 @@ import random
 
 import pytest
 
-from qhvb.scalars import Scalar, Matrix, ZERO, ONE
-from qhvb import uea, repmod, coeff, calculus
+from qhvb.scalars import Scalar, Matrix, ZERO, ONE, accumulate
+from qhvb import uea, repmod, coeff, calculus, cli
 
 U = Scalar.u_power
 A = coeff.Algebra(6)
@@ -31,6 +31,14 @@ def sample_coeff(rnd, max_level=2):
             f = f + coeff.basis_element(n, rnd.randint(0, n), rnd.randint(0, n),
                                         coeff=Scalar(c))
     return f
+
+
+def random_form(rnd, degree, max_level=2):
+    """A seeded word-space form of the given degree on one to three
+    random words, often not normal."""
+    return calculus.form(degree, {
+        tuple(rnd.randrange(DATA.K) for _ in range(degree)):
+            sample_coeff(rnd, max_level) for _ in range(rnd.randint(1, 3))})
 
 
 def nonzero(draw, images=lambda x: [x]):
@@ -95,9 +103,7 @@ def test_differential_is_commutator_with_theta():
     samples = [calculus.form(2, {(1, 2): coeff.unit()})]
     for degree in range(4):
         for _ in range(10):
-            samples.append(calculus.form(degree, {
-                tuple(rnd.randrange(DATA.K) for _ in range(degree)):
-                    sample_coeff(rnd) for _ in range(rnd.randint(1, 3))}))
+            samples.append(random_form(rnd, degree))
     assert sum(CALC.reduce_mod_J(w) != w for w in samples) >= 10
     for w in samples:
         dw = CALC.d(w)
@@ -256,6 +262,114 @@ def test_d_squared_vanishes():
                                            CALC.d0(sample_coeff(rnd))),
                     lambda w: [CALC.d(w)])
         assert CALC.d(CALC.d(w)).is_zero()
+
+
+def word_action(calc, word, blocks):
+    """All pairs (new word C, (F_{a1 c1} ... F_{an cn}) o b) for the
+    word (a1..an) and the Peter-Weyl blocks of b; the shift operators act
+    on each block by right multiplication with transposed F-blocks,
+    rightmost letter first."""
+    states = {(): blocks}
+    for a in reversed(word):
+        nxt = {}
+        for suffix, blocks in states.items():
+            for c in range(calc.K):
+                res = {}
+                for n, blk in blocks.items():
+                    t = calc._f_transfer(n)[a][c]
+                    if t is None:
+                        continue
+                    m = blk * t
+                    if any(any(r) for r in m.a):
+                        res[n] = m
+                if res:
+                    nxt[(c,) + suffix] = res
+        states = nxt
+    return [(key, calc.algebra._from_blocks(blocks))
+            for key, blocks in states.items()]
+
+
+def word_product(calc, w1, w2):
+    """The oracle of Calculus.multiply: sum_C a ((F-word)_{I C} o b) w_{C J}
+    word by word, one coefficient product per (I, C, J), reduced modulo
+    the exterior ideal afterwards."""
+    out = {}
+    for I, a in w1.coords.items():
+        for J, b in w2.coords.items():
+            shifted = (word_action(calc, I, calc.algebra._to_blocks(b))
+                       if I else [((), b)])
+            for C, g in shifted:
+                for pw, s in calc.algebra.multiply(a, g).terms.items():
+                    accumulate(out, (C + J, pw), s)
+    return calc.reduce_mod_J(calculus.FormElement(w1.degree + w2.degree, out))
+
+
+def product_samples():
+    """Seeded pairs of word-space forms of degrees 0-3 with a total
+    degree of at most 4; the pairs of degree 2 x 2 are mostly not normal
+    on either side."""
+    rnd = random.Random(31)
+    pairs = [(CALC.theta(), CALC.theta())]
+    for d1 in range(4):
+        for d2 in range(min(3, 4 - d1) + 1):
+            for _ in range(24 if d1 == d2 == 2 else 3):
+                pairs.append((random_form(rnd, d1), random_form(rnd, d2)))
+    return pairs
+
+
+def test_multiply_matches_the_word_product():
+    # the table-driven product equals the word-by-word product reduced
+    # afterwards, and it is normal whatever the representatives
+    pairs = product_samples()
+    assert len(pairs) >= 40
+    assert sum(CALC.reduce_mod_J(w1) != w1 and CALC.reduce_mod_J(w2) != w2
+               for w1, w2 in pairs) >= 10
+    nonzero_products = 0
+    for w1, w2 in pairs:
+        got = CALC.multiply(w1, w2)
+        assert got == word_product(CALC, w1, w2)
+        assert got.degree == w1.degree + w2.degree
+        assert CALC.reduce_mod_J(got) == got
+        nonzero_products += not got.is_zero()
+    assert nonzero_products >= 30
+
+
+def test_multiply_reads_its_tables_only(monkeypatch):
+    # multiply reads one cached table per (left word, right word, level)
+    # with a nonempty left word and never calls reduce_mod_J; the tables
+    # are new matrices, never the cached transfer blocks
+    pairs = product_samples()
+    calc = calculus.Calculus(A, DATA)
+    calls = []
+    fn = calculus.Calculus.reduce_mod_J
+    monkeypatch.setattr(calculus.Calculus, "reduce_mod_J",
+                        lambda self, w: calls.append(w) or fn(self, w))
+    used = set()
+    for w1, w2 in pairs:
+        calc.multiply(w1, w2)
+        used |= {(I, J, pw[0]) for I in w1.coords if I for J, pw in w2.terms}
+    assert calls == []
+    assert set(calc._product_tables) == used
+    assert calc._d_tables == {}
+    transfer = {id(t) for table in calc._transfer.values()
+                for row in table for t in row if t is not None}
+    assert not any(id(m) in transfer for table in calc._product_tables.values()
+                   for _, m in table)
+
+
+def test_verify_contracts_words_before_coefficient_products(monkeypatch,
+                                                           tmp_path):
+    # the calculus and closure suites make one coefficient product per
+    # (left word, normal word) pair; one per (left word, shifted word,
+    # right word) made 3,741
+    calls = []
+    fn = coeff.Algebra.multiply
+    monkeypatch.setattr(coeff.Algebra, "multiply", lambda self, f, g:
+                        calls.append(1) or fn(self, f, g))
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--seed", "0", "--suite", "calculus",
+                     "--suite", "closure", "--out", str(out)]) == 0
+    assert 0 < len(calls) <= 2200
 
 
 def test_d_reads_its_tables_only(monkeypatch):

@@ -292,3 +292,7 @@ def test_level_overflow_propagates():
         connection.make_connection(tss, [[1, 0], [0, 3]])
     with pytest.raises(coeff.LevelOverflow):
         narrow.d(calculus.form(1, {(0,): coeff.basis_element(5, 0, 1)}))
+    with pytest.raises(coeff.LevelOverflow, match="^product needs level 5 "
+                       "beyond the coefficient window 4$"):
+        narrow.multiply(calculus.form(1, {(0,): coeff.basis_element(3, 0, 1)}),
+                        narrow.d0(coeff.basis_element(2, 1, 0)))
