@@ -101,10 +101,6 @@ class Section(coeff.CoeffVector):
         """Right action of an invariant element."""
         return self.map(lambda f: self.algebra.multiply(f, a))
 
-    def left_times(self, a):
-        """Left action of an invariant element."""
-        return self.map(lambda f: self.algebra.multiply(a, f))
-
     def dot(self, x):
         """Left translation of a UEAElement, componentwise."""
         return self.map(lambda f: self.algebra.dot(x, f))
@@ -225,10 +221,6 @@ class Completion:
         return "Completion(%r -> blocks %s)" % (self.lmodule, self.blocks)
 
 
-def complete(lmodule):
-    return Completion(lmodule)
-
-
 def idempotent_matrix(algebra, completion):
     """The coefficient matrix of the bundle idempotent on W, as rows of
     CoeffElements:
@@ -291,7 +283,7 @@ class BundleIdempotent:
     def __init__(self, algebra, lmodule, N):
         self.algebra = algebra
         self.lmodule = lmodule
-        self.completion = complete(lmodule)
+        self.completion = Completion(lmodule)
         self.N = N
         inv = homspace.invariants(algebra, homspace.ThetaChoice(), N)
         self.domain = [(beta, f) for beta in range(self.completion.dim_w)
@@ -320,36 +312,6 @@ class BundleIdempotent:
 
 def idempotent(algebra, lmodule, N):
     return BundleIdempotent(algebra, lmodule, N)
-
-
-def generators(algebra, lmodule):
-    """The canonical generating sections zeta_alpha = wp(w_alpha (x) 1),
-    one per W basis vector."""
-    completion = complete(lmodule)
-    return [wp(algebra, completion, simple_tensor(alpha, coeff.unit()))
-            for alpha in range(completion.dim_w)]
-
-
-def generation_certificate(algebra, lmodule, N):
-    """Solve every basis section of level <= N as an E_q-combination
-    sum_alpha zeta_alpha a_alpha, exactly.  zeta_alpha has level n_alpha
-    (the highest weight of its summand), so coefficients of level up to
-    N - n_alpha suffice for each alpha.  Returns the solved coordinate
-    matrix; raises NoSolution if some section is not generated."""
-    completion = complete(lmodule)
-    gens = generators(algebra, lmodule)
-    inv = homspace.invariants(algebra, homspace.ThetaChoice(), N)
-    basis = sections_basis(algebra, lmodule, N)
-    products = []
-    for alpha, zeta in enumerate(gens):
-        bound = N - completion.blocks[completion.block_of(alpha)[0]]
-        for a in inv.elements:
-            if a.level <= max(bound, 0):
-                products.append(zeta.times(a))
-    solution = Span([s.terms for s in products]).coordinate_matrix(
-        [s.terms for s in basis])
-    return {"generators": len(gens), "sections": len(basis),
-            "products": len(products), "solution": solution}
 
 
 def holomorphic_sections(algebra, lmodule, N):

@@ -71,10 +71,6 @@ class SplitError(Exception):
     """The braiding does not split by eigenvalue sign at u = 1."""
 
 
-class DomainError(Exception):
-    """A form lies outside the restricted calculus."""
-
-
 # ----------------------------------------------------------------------
 # polynomials over the scalar field (for eigenvalue extraction);
 # coefficient lists are lowest-degree first
@@ -564,7 +560,9 @@ class Calculus:
 
     def reduce_mod_J(self, w):
         """Canonical representative modulo the exterior ideal, computed
-        per Peter-Weyl key; w itself where the ideal is zero."""
+        per Peter-Weyl key; w itself where the ideal is zero.  No code of
+        the package calls it, since every form a Calculus returns is
+        already normal; the tests use it as the oracle of normal form."""
         ech = self._j_echelon(w.degree)
         if not ech.rows:
             return w
@@ -764,9 +762,8 @@ class Restriction:
         """The terms of w left over after reduction against the
         restricted basis of its degree: empty exactly when w lies in the
         restricted span (all of w when no basis of that degree is
-        stored)."""
-        # w may be built outside the calculus, so it is reduced here
-        w = self.calc.reduce_mod_J(w)
+        stored).  w must be in normal form, as every form a Calculus
+        returns is; the basis is stored in normal form too."""
         ech = self.echelons.get(w.degree)
         return ech.reduce(w.terms) if ech is not None else w.terms
 
@@ -778,19 +775,6 @@ class Restriction:
             image = self.calc.d(entry["form"])
             results.append(image.is_zero() or not self.remainder(image))
         return results
-
-    def present(self, w):
-        """Coordinates of a form in the stored basis; DomainError when
-        the form lies outside the restricted span."""
-        w = self.calc.reduce_mod_J(w)
-        basis = self.bases.get(w.degree)
-        if basis is None:
-            raise DomainError("degree outside the restriction tables")
-        span = Span([e["form"].terms for e in basis])
-        try:
-            return span.coordinates(w.terms)
-        except NoSolution:
-            raise DomainError("form is outside the restricted calculus")
 
     def circle_presented(self, p, combo):
         """p o (a db_1 ... db_n) = sum (p_(1) o a) d(p_(2) o b_1) ...,

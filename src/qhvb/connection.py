@@ -58,7 +58,7 @@ class TensoredSectionSpace:
         self.algebra = calc.algebra
         self.lmodule = lmodule
         self.N = N
-        self.completion = bundle.complete(lmodule)
+        self.completion = bundle.Completion(lmodule)
         self.dim_w = self.completion.dim_w
         e = self.e_matrix = bundle.idempotent_matrix(self.algebra,
                                                      self.completion)
@@ -74,7 +74,6 @@ class TensoredSectionSpace:
                     raise AssertionError("idempotent matrix identity fails "
                                          "at (%d, %d)" % (gamma, alpha))
         self.sections = bundle.sections_basis(self.algebra, lmodule, N)
-        self._section_span = Span([s.terms for s in self.sections])
         self._generators = [self.generator(alpha)
                             for alpha in range(self.dim_w)]
         # the entries (i, j) whose basis perturbation E_ij theta passed
@@ -111,9 +110,6 @@ class TensoredSectionSpace:
         """Left multiplication by the idempotent matrix."""
         return self.extend(self._generators, vec)
 
-    def is_invariant(self, vec):
-        return self.project(vec) == vec
-
     def _coordinates(self, section):
         """The W coordinates of im(section), one CoeffElement per beta."""
         coords = bundle.im(self.algebra, self.completion, section).coords
@@ -122,13 +118,6 @@ class TensoredSectionSpace:
 
     def from_section(self, section):
         return [self.calc.form0(f) for f in self._coordinates(section)]
-
-    def to_section(self, vec):
-        assert self.degree_of(vec) == 0
-        element = coeff.CoeffVector({(beta, pw): s
-                                     for beta, w in enumerate(vec)
-                                     for (_, pw), s in w.terms.items()})
-        return bundle.wp(self.algebra, self.completion, element)
 
     def generator(self, alpha):
         """The coordinates of zeta_alpha = wp(w_alpha (x) 1): the
@@ -142,11 +131,6 @@ class TensoredSectionSpace:
 
     def add(self, v1, v2):
         return [a + b for a, b in zip(v1, v2)]
-
-    def section_coordinates(self, section):
-        """Coordinates of a section in the stored basis; NoSolution if
-        it lies outside the level window."""
-        return self._section_span.coordinates(section.terms)
 
     # -- the distinguished connection -------------------------------------
 
@@ -229,8 +213,9 @@ class ConnectionMap:
         m = [[_as_one_form(tss.calc, entry) for entry in row] for row in m]
         assert len(m) == len(tss.sections)
         assert all(len(row) == len(tss.sections) for row in m)
+        span = Span([s.terms for s in tss.sections])
         try:
-            cmat = [tss.section_coordinates(tss.section_from_generator(beta))
+            cmat = [span.coordinates(tss.section_from_generator(beta).terms)
                     for beta in range(tss.dim_w)]
         except NoSolution:
             raise NotLinear("level window does not contain the generators")
@@ -264,21 +249,6 @@ class ConnectionMap:
                 if lhs != rhs:
                     raise NotLinear("basis section %d, a = %s: A(psi a) != "
                                     "A(psi) a; %s" % (j, g, _SCOPE % tss.N))
-
-    def sections_matrix(self):
-        """The perturbation expressed on the sections basis:
-        A(zeta_j) = sum_i zeta_i (x) m_ij with one-form entries m_ij,
-        recovered through the generator coordinates."""
-        tss = self.tss
-        n = len(tss.sections)
-        zero = tss.calc.zero(1)
-        if self.columns is None:
-            return [[zero] * n for _ in range(n)]
-        cmat = [tss.section_coordinates(tss.section_from_generator(beta))
-                for beta in range(tss.dim_w)]
-        images = [self.perturbation(tss.from_section(s)) for s in tss.sections]
-        return [[_combine(image, [c[i] for c in cmat], zero) for image in images]
-                for i in range(n)]
 
     def apply(self, vec):
         """e . (d vec + Lambda vec), with one projection."""
@@ -344,7 +314,3 @@ class CurvatureMap:
         """nabla(F(zeta)) = F-hat(nabla(zeta)) on every basis section."""
         return [lhs == rhs for lhs, rhs in map(self.bianchi_sides,
                                                range(len(self.on_sections)))]
-
-
-def curvature(conn):
-    return CurvatureMap(conn)

@@ -10,11 +10,12 @@ form a subalgebra E_q of the coefficient algebra.  For the Cartan
 choice E_q is the Podles sphere: the level-n block contributes its
 zero-right-weight column, so levels contribute n + 1 invariants when n
 is even and none when n is odd.  The parabolic subalgebra U_p (the
-Levi part together with every raising generator) is also housed here;
-it cuts out the holomorphic sections used by the bundle machinery.
+Levi part together with every raising generator) cuts out the
+holomorphic sections; `bundle.holomorphic_sections` imposes its
+generators.
 """
 
-from .scalars import Echelon, Span, ZERO, NoSolution
+from .scalars import Echelon, ZERO
 from . import uea, repmod, coeff
 
 
@@ -32,13 +33,6 @@ class ThetaChoice:
         gens = [uea.K, uea.K_INV]
         if self.theta:
             gens += [uea.E, uea.F]
-        return gens
-
-    def parabolic_generators(self):
-        """Hopf generators of U_p: U_l together with the raising generator."""
-        gens = [uea.K, uea.K_INV, uea.E]
-        if self.theta:
-            gens.append(uea.F)
         return gens
 
     def __repr__(self):
@@ -91,21 +85,8 @@ class InvariantBasis:
         for f in self.elements:
             if not is_invariant(algebra, theta, f):
                 raise AssertionError("basis element %s is not invariant" % f)
-        self.span = Span([f.terms for f in self.elements])
-        if self.span.rank != len(self.elements):
+        if Echelon(f.terms for f in self.elements).rank != len(self.elements):
             raise AssertionError("invariant basis is linearly dependent")
-
-    def contains(self, f):
-        """Membership of a CoeffElement in the invariant span."""
-        return self.coordinates(f) is not None
-
-    def coordinates(self, f):
-        """Coordinates of f in the basis, or None when f is outside the
-        span."""
-        try:
-            return self.span.coordinates(f.terms)
-        except NoSolution:
-            return None
 
 
 def invariants(algebra, theta, N):
@@ -129,26 +110,3 @@ def podles_generators():
     """The three level-2 invariants t^{(2)}_{i,1} generating the Podles
     sphere, in row order i = 0, 1, 2."""
     return [coeff.basis_element(2, i, 1) for i in range(3)]
-
-
-def comodule_check(algebra, theta, N):
-    """Verify Delta(f) lies in T_q (x) span(E_q) for every basis element
-    f of E_q up to level N, by re-expanding the right coproduct legs in
-    the invariant basis.  Returns a report dict with any violations
-    (each carrying the offending element and left-leg witness)."""
-    basis = invariants(algebra, theta, N)
-    violations = []
-    for f in basis.elements:
-        # group Delta(f) by left key and test each accumulated right leg
-        for left, right in algebra.coproduct(f).pairs():
-            if not basis.contains(right):
-                (key,) = left.terms
-                violations.append({"element": str(f), "left_leg": list(key)})
-    return {
-        "theta": list(theta.theta),
-        "level_bound": N,
-        "block_dims": basis.block_dims,
-        "checked": len(basis.elements),
-        "violations": violations,
-        "passed": not violations,
-    }

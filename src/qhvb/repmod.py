@@ -311,24 +311,6 @@ def universal_R(m1, m2):
     return cartan_factor(m1, m2) * theta
 
 
-def universal_R_inverse(m1, m2):
-    """The inverse R-matrix, via the closed-form series for Theta^{-1}
-    (checked against universal_R in the tests)."""
-    dim = m1.dim * m2.dim
-    nmax = min(i for i, mod in ((m1.dim, m1), (m2.dim, m2)))
-    d = theta_inverse_coefficients(nmax)
-    theta_inv = Matrix.zeros(dim, dim)
-    for n in range(nmax + 1):
-        # k^n e^n is the PBW monomial (0, n, n); k^{-n} f^n is not PBW
-        # (it is q^{n^2} f^n k^{-n}), so build it as an honest product
-        a_n = m1.act(uea.monomial(0, n, n))
-        b_n = m2.act(uea.K_INV ** n * uea.F ** n)
-        if a_n.is_zero() or b_n.is_zero():
-            break
-        theta_inv = theta_inv + a_n.tensor(b_n).scale(d[n])
-    return theta_inv * cartan_factor(m1, m2).inverse()
-
-
 def flip_matrix(d1, d2):
     """The flip V1 (x) V2 -> V2 (x) V1 on tensor-basis indices."""
     m = Matrix.zeros(d1 * d2, d1 * d2)
@@ -336,10 +318,3 @@ def flip_matrix(d1, d2):
         for j in range(d2):
             m.a[j * d1 + i][i * d2 + j] = ONE
     return m
-
-
-def braiding_map(m1, m2):
-    """flip . R as a ModuleMap m1 (x) m2 -> m2 (x) m1 (the check at
-    construction proves the intertwining property of R)."""
-    mat = flip_matrix(m1.dim, m2.dim) * universal_R(m1, m2)
-    return ModuleMap(tensor(m1, m2), tensor(m2, m1), mat)

@@ -479,14 +479,6 @@ def qint(n):
     return acc
 
 
-def qfact(n):
-    """[n]! = [1][2]...[n]."""
-    acc = ONE
-    for i in range(2, n + 1):
-        acc = acc * qint(i)
-    return acc
-
-
 def eval_at(s, u0):
     """Exact specialization of a Scalar at a rational u0 (PoleError at a
     zero of the denominator)."""
@@ -717,9 +709,6 @@ class Echelon:
         self.rows[pivot] = row
         return v
 
-    def contains(self, vec):
-        return not self.reduce(vec)
-
     def kernel(self, n):
         """Basis of the right kernel of the rows over the columns 0..n-1,
         as column vectors: free column fc gives fc -> 1 and each pivot
@@ -816,9 +805,6 @@ class Tensor(LinComb):
     __slots__ = ()
     leg = LinComb
 
-    def flip(self):
-        return self._new({(r, l): s for (l, r), s in self.terms.items()})
-
     def map_legs(self, left_fn=None, right_fn=None):
         """Apply linear maps (leg -> leg) to the legs."""
         out = {}
@@ -839,14 +825,6 @@ class Tensor(LinComb):
             term = fn(self.leg({l: ONE}), self.leg({r: ONE})).scale(s)
             acc = term if acc is None else acc + term
         return self.leg() if acc is None else acc
-
-    def pairs(self):
-        """The element as a list of (left basis element, right leg)
-        pairs, grouped by left key."""
-        grouped = {}
-        for (l, r), s in self.terms.items():
-            grouped.setdefault(l, {})[r] = s
-        return [(self.leg({l: ONE}), self.leg(rs)) for l, rs in grouped.items()]
 
 
 class Span:

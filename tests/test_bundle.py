@@ -11,8 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from qhvb.scalars import Scalar, Echelon
+from qhvb.scalars import Scalar, Echelon, Span
 from qhvb import uea, coeff, homspace, bundle
+
+from oracles import contains, invariant_span
 
 U = Scalar.u_power
 A = coeff.Algebra(6)
@@ -46,21 +48,22 @@ def test_trivial_bundle_sections_are_invariants():
     V = bundle.LModule([0])
     sections = bundle.sections_basis(A, V, 4)
     basis = homspace.invariants(A, homspace.ThetaChoice(), 4)
+    span = invariant_span(basis)
     assert len(sections) == len(basis.elements)
     for s in sections:
-        assert basis.contains(s.coords[0])
+        assert contains(span, s.coords[0])
 
 
 def test_half_integral_weight_has_no_sections():
     V = bundle.LModule([Fraction(1, 2)])
     assert bundle.sections_basis(A, V, 4) == []
     with pytest.raises(AssertionError):
-        bundle.complete(V)
+        bundle.Completion(V)
 
 
 def test_completion_structure():
     V = bundle.LModule([1, -1])
-    comp = bundle.complete(V)
+    comp = bundle.Completion(V)
     assert comp.blocks == [1, 1]
     assert comp.dim_w == 4
     assert comp.v_index == [0, 3]  # weight +1 in copy one, -1 in copy two
@@ -69,21 +72,29 @@ def test_completion_structure():
     # cross-summand matrix coefficients vanish
     assert comp.coefficient(0, 2).is_zero()
     assert comp.coefficient(1, 0) == coeff.basis_element(1, 1, 0)
-    trivial = bundle.complete(bundle.LModule([0]))
+    trivial = bundle.Completion(bundle.LModule([0]))
     assert trivial.dim_w == 1
     assert trivial.coefficient(0, 0) == coeff.unit()
 
 
+def generators(algebra, lmodule):
+    """The canonical generating sections zeta_alpha = wp(w_alpha (x) 1),
+    one per W basis vector."""
+    completion = bundle.Completion(lmodule)
+    return [bundle.wp(algebra, completion,
+                      bundle.simple_tensor(alpha, coeff.unit()))
+            for alpha in range(completion.dim_w)]
+
+
 def test_generators_and_their_form():
     V = bundle.LModule([1])
-    comp = bundle.complete(V)
-    gens = bundle.generators(A, V)
+    gens = generators(A, V)
     assert len(gens) == 2
     for alpha, zeta in enumerate(gens):
         want = A.antipode(coeff.basis_element(1, 0, alpha))
         assert zeta.coords[0] == want
     # trivial bundle: the single generator is the unit
-    gens0 = bundle.generators(A, bundle.LModule([0]))
+    gens0 = generators(A, bundle.LModule([0]))
     assert len(gens0) == 1
     assert gens0[0].coords[0] == coeff.unit()
 
@@ -92,7 +103,7 @@ def test_wp_im_roundtrip_and_linearity():
     rng = random.Random(601)
     for weights in [(0,), (1,), (1, -1)]:
         V = bundle.LModule(weights)
-        comp = bundle.complete(V)
+        comp = bundle.Completion(V)
         basis = bundle.sections_basis(A, V, 3)
         inv = homspace.invariants(A, homspace.ThetaChoice(), 2)
         for zeta in basis:
@@ -124,7 +135,7 @@ def test_wp_im_roundtrip_and_linearity():
 def test_wp_surjectivity_onto_sections():
     # wp images of W (x) E_q^{<=N} span the sections of level <= N + 1
     V = bundle.LModule([1])
-    comp = bundle.complete(V)
+    comp = bundle.Completion(V)
     inv = homspace.invariants(A, homspace.ThetaChoice(), 2)
     ech = Echelon()
     for beta in range(comp.dim_w):
@@ -151,21 +162,48 @@ def test_idempotent_certificates():
         assert image == bundle.simple_tensor(beta, f)
 
 
+def generation_certificate(algebra, lmodule, N):
+    """Solve every basis section of level <= N as an E_q-combination
+    sum_alpha zeta_alpha a_alpha, exactly.  zeta_alpha has level n_alpha
+    (the highest weight of its summand), so coefficients of level up to
+    N - n_alpha suffice for each alpha.  Returns the solved coordinate
+    matrix; raises NoSolution if some section is not generated."""
+    completion = bundle.Completion(lmodule)
+    gens = generators(algebra, lmodule)
+    inv = homspace.invariants(algebra, homspace.ThetaChoice(), N)
+    basis = bundle.sections_basis(algebra, lmodule, N)
+    products = []
+    for alpha, zeta in enumerate(gens):
+        bound = N - completion.blocks[completion.block_of(alpha)[0]]
+        for a in inv.elements:
+            if a.level <= max(bound, 0):
+                products.append(zeta.times(a))
+    solution = Span([s.terms for s in products]).coordinate_matrix(
+        [s.terms for s in basis])
+    return {"generators": len(gens), "sections": len(basis),
+            "products": len(products), "solution": solution}
+
+
 def test_generation_certificate():
     for weights in [(1,), (1, -1)]:
         V = bundle.LModule(weights)
         for N in (1, 3):
-            cert = bundle.generation_certificate(A, V, N)
+            cert = generation_certificate(A, V, N)
             assert cert["sections"] == sum(expected_section_dims(weights, N))
     # generators need not be independent: V = {0} completed in irrep(0)
     # gives exactly one generator, and it generates
-    cert = bundle.generation_certificate(A, bundle.LModule([0]), 2)
+    cert = generation_certificate(A, bundle.LModule([0]), 2)
     assert cert["generators"] == 1
     # no section up to level 1: the solution keeps one row per product
-    cert = bundle.generation_certificate(A, bundle.LModule([2, -2]), 1)
+    cert = generation_certificate(A, bundle.LModule([2, -2]), 1)
     solution = cert["solution"]
     assert (cert["products"], cert["sections"]) == (6, 0)
     assert (solution.rows, solution.cols) == (6, 0)
+
+
+def left_times(section, a):
+    """Left action of an invariant element on a section."""
+    return section.map(lambda f: section.algebra.multiply(a, f))
 
 
 def test_two_sided_module_structure():
@@ -178,11 +216,11 @@ def test_two_sided_module_structure():
         zeta = rng.choice([s for s in basis if s.level <= 2])
         a = rng.choice(small)
         b = rng.choice(small)
-        left = zeta.left_times(a)
+        left = left_times(zeta, a)
         right = zeta.times(b)
         assert left.satisfies_constraint((uea.K, uea.K_INV))
         assert right.satisfies_constraint((uea.K, uea.K_INV))
-        assert zeta.left_times(a).times(b) == zeta.times(b).left_times(a)
+        assert left_times(zeta, a).times(b) == left_times(zeta.times(b), a)
 
 
 def test_borel_weil_dimensions():

@@ -322,6 +322,14 @@ def _break_circle(monkeypatch):
                         lambda self, x, f: circle(self, x, f).scale(2))
 
 
+def _break_haar(monkeypatch):
+    # h also reads the coefficient of t[1;0,0]: h(1) = 1 still, and the
+    # squared norms at seed 0 stay positive, but h is not invariant
+    haar = coeff.Algebra.haar
+    monkeypatch.setattr(coeff.Algebra, "haar", lambda self, f:
+                        haar(self, f) + f.coefficient((1, 0, 0)))
+
+
 def _break_uq_counit(monkeypatch):
     counit = uea.counit
     monkeypatch.setattr(uea, "counit", lambda x: counit(x) * 2)
@@ -366,6 +374,10 @@ def _break_circle_presented(monkeypatch):
     ("closure", _break_closure, ["d-closure-degree-0", "d-closure-degree-1"]),
     ("projection", _break_wp, ["projection-retraction"]),
     ("closure", _break_circle_presented, ["levi-epsilon-triviality"]),
+    ("curvature", _break_calculus,
+     ["bianchi-operator-identity", "curvature-right-linear",
+      "curvature-trivial-flat"]),
+    ("haar", _break_haar, ["haar-invariance"]),
 ])
 def test_failing_check_names_its_residual(tmp_path, monkeypatch, suite,
                                           breaker, failing):

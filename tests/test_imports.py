@@ -1,6 +1,11 @@
 """No module of the package or of the tests imports a name it never
 uses.  A name is used when some expression reads it, alone or as the
-base of an attribute, or when the module's `__all__` lists it."""
+base of an attribute, or when the module's `__all__` lists it.
+
+The package defines no function, method or class that its own code never
+reads: code only the tests use lives in tests/.  The check goes by name,
+so a definition counts as read when any expression of the package reads
+that name, alone or as an attribute."""
 
 import ast
 from pathlib import Path
@@ -47,3 +52,69 @@ def test_no_unused_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+# definitions no code of the package reads, each with why it stays there
+UNREAD_ALLOWED = {
+    "calculus.Calculus.reduce_mod_J":
+        "tracer-wrapped: perfbench/tracer.py lists it in SPANS",
+    "scalars.Matrix.rref":
+        "tracer-wrapped: perfbench/tracer.py lists it in SPANS",
+    "connection.ConnectionMap.from_sections":
+        "README API: a perturbation given on the sections basis",
+    "repmod.universal_R":
+        "README API: the truncated universal R-matrix",
+}
+
+
+def unread_definitions(sources):
+    """Sorted "module.qualified.name" of every function, method and class
+    defined in sources ({module: source}), dunders excluded, whose name no
+    expression in any of the sources reads, alone or as an attribute."""
+    defined = []
+
+    def collect(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    defined.append(("%s.%s%s" % (module, prefix, name), name))
+                collect(module, child, prefix + name + ".")
+            else:
+                collect(module, child, prefix)
+
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        collect(module, tree, "")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    return sorted(qualified for qualified, name in defined
+                  if name not in read)
+
+
+def test_the_definition_scan_sees_calls_and_attributes():
+    sources = {
+        "a": ("class Kept:\n"
+              "    def used(self): pass\n"
+              "    def unused(self): pass\n"
+              "    def __repr__(self): return 'k'\n"
+              "def helper(): pass\n"
+              "def orphan():\n"
+              "    def inner(): pass\n"
+              "    return Kept().used\n"),
+        "b": "from a import helper\nhelper()\n",
+    }
+    assert unread_definitions(sources) == [
+        "a.Kept.unused", "a.orphan", "a.orphan.inner"]
+
+
+def test_every_definition_of_the_package_is_read():
+    sources = {path.stem: path.read_text()
+               for path in sorted((ROOT / "src" / "qhvb").glob("*.py"))}
+    assert unread_definitions(sources) == sorted(UNREAD_ALLOWED)

@@ -165,18 +165,42 @@ def test_theta_coefficients_against_linear_solve():
     assert sol[1] == repmod.theta_coefficient(2)
 
 
+def braiding_map(m1, m2):
+    """flip . R as a ModuleMap m1 (x) m2 -> m2 (x) m1 (the check at
+    construction proves the intertwining property of R)."""
+    mat = repmod.flip_matrix(m1.dim, m2.dim) * repmod.universal_R(m1, m2)
+    return repmod.ModuleMap(repmod.tensor(m1, m2), repmod.tensor(m2, m1), mat)
+
+
+def universal_R_inverse(m1, m2):
+    """The inverse R-matrix, via the closed-form series for Theta^{-1}."""
+    dim = m1.dim * m2.dim
+    nmax = min(m1.dim, m2.dim)
+    d = repmod.theta_inverse_coefficients(nmax)
+    theta_inv = Matrix.zeros(dim, dim)
+    for n in range(nmax + 1):
+        # k^n e^n is the PBW monomial (0, n, n); k^{-n} f^n is not PBW
+        # (it is q^{n^2} f^n k^{-n}), so build it as an honest product
+        a_n = m1.act(uea.monomial(0, n, n))
+        b_n = m2.act(uea.K_INV ** n * uea.F ** n)
+        if a_n.is_zero() or b_n.is_zero():
+            break
+        theta_inv = theta_inv + a_n.tensor(b_n).scale(d[n])
+    return theta_inv * repmod.cartan_factor(m1, m2).inverse()
+
+
 def test_r_matrix_intertwines_all_small_pairs():
     for a, b in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (0, 2)]:
         m1, m2 = repmod.irrep(a), repmod.irrep(b)
         # ModuleMap verifies flip . R intertwines the two tensor orders
-        repmod.braiding_map(m1, m2)
+        braiding_map(m1, m2)
 
 
 def test_r_matrix_inverse():
     for a, b in [(1, 1), (1, 2), (2, 2), (3, 1)]:
         m1, m2 = repmod.irrep(a), repmod.irrep(b)
         r = repmod.universal_R(m1, m2)
-        rinv = repmod.universal_R_inverse(m1, m2)
+        rinv = universal_R_inverse(m1, m2)
         assert r * rinv == Matrix.identity(m1.dim * m2.dim)
         assert rinv * r == Matrix.identity(m1.dim * m2.dim)
 
@@ -216,7 +240,7 @@ def test_r_matrix_classical_limit_is_identity():
     # at u = 1 both the Cartan factor and Theta collapse, so the
     # braiding flip . R degenerates to the plain flip
     m1, m2 = repmod.irrep(1), repmod.irrep(2)
-    bmat = repmod.braiding_map(m1, m2).mat
+    bmat = braiding_map(m1, m2).mat
     fmat = repmod.flip_matrix(m1.dim, m2.dim)
     for i in range(bmat.rows):
         for j in range(bmat.cols):
