@@ -38,22 +38,26 @@ u = 1.  The differential in higher degree is d w = theta w -
 
 Every form a Calculus method returns is in normal form: the canonical
 representative modulo that ideal, with no pivot word of the ideal's
-echelon.  The ideal lives in _j_echelon, and multiply and d read tables
-built off it.  With rho(W) the reduction of the word W and T_{I,C}(n)
-the product of the transposed level-n blocks of F_{a_k c_k} ...
-F_{a_1 c_1} for I = (a_1..a_k), C = (c_1..c_k), the product table
+echelon.  The ideal lives in _j_echelon, and multiply, d and d0 read
+tables built off it through one contraction, _contract.  With rho(W)
+the reduction of the word W and T_{I,C}(n) the product of the
+transposed level-n blocks of F_{a_k c_k} ... F_{a_1 c_1} for
+I = (a_1..a_k), C = (c_1..c_k), the identity for I = (), the product
+table
 
     M_{I,J,n,N} = sum_C rho(C J)_N T_{I,C}(n)
 
 takes a level-n block B of b to the coefficient B M_{I,J,n,N} of w_N in
-w_I . b w_J, already reduced; d's table adds those of the diagonal
-letters (a,) to the products rho(J a)_N by theta on the right.  This is
+w_I . b w_J, already reduced; for I = () it is rho(J)_N times the
+identity.  d's table adds those of the diagonal letters (a,) on J to
+-(-1)^{|J|} times those of the unit word on the words J a.  This is
 sound because the ideal is two-sided, because sums, scalings and the
 coefficient-only translation keep a form free of pivot words, and
 because forms of degree at most one are already normal.  So two forms
 are equal in the exterior algebra exactly when they are ==.
 """
 
+import functools
 import itertools
 
 from .scalars import (Scalar, Matrix, Echelon, Span, LinComb, ZERO, ONE,
@@ -386,9 +390,9 @@ class Calculus:
         return form(1, {(a,): coeff.unit() for a in self.data.diagonal})
 
     def d0(self, f):
-        """df = sum_c (X_c o f) omega_c; preserves coefficient levels."""
-        return form(1, {(c,): self.algebra.circle(self.data.X[c], f)
-                        for c in range(self.K)})
+        """df = sum_c (X_c o f) omega_c, the d of the degree-0 form f
+        through the same tables; preserves coefficient levels."""
+        return self._differential(0, {(): f})
 
     # -- multiplication ------------------------------------------------
 
@@ -410,23 +414,24 @@ class Calculus:
 
     def _product_table(self, I, J, n):
         """The nonzero M_{I,J,n,N} = sum_C rho(C J)_N T_{I,C}(n) of
-        multiply as pairs (N, M), built once per nonempty left word I,
-        right word J, normal or not, and level n; each M is a new
-        matrix.  T_{I,C}(n) = t[a_k][c_k] ... t[a_1][c_1] for
-        I = (a_1..a_k), C = (c_1..c_k) and t = _f_transfer(n): the
-        shift operators act on a level-n block by right multiplication,
+        multiply as pairs (N, M), built once per left word I, right
+        word J, normal or not, and level n; each M is a new matrix.
+        T_{I,C}(n) = t[a_k][c_k] ... t[a_1][c_1] for I = (a_1..a_k),
+        C = (c_1..c_k) and t = _f_transfer(n), and the identity for
+        I = (), where M is rho(J)_N times the identity: the shift
+        operators act on a level-n block by right multiplication,
         rightmost letter first."""
         table = self._product_tables.get((I, J, n))
         if table is None:
             transfer = self._f_transfer(n)
-            states = {(): None}
+            states = {(): Matrix.identity(n + 1)}
             for a in reversed(I):
                 nxt = {}
                 for suffix, m in states.items():
                     for c, t in enumerate(transfer[a]):
                         if t is None:
                             continue
-                        p = t if m is None else m * t
+                        p = m * t
                         if not p.is_zero():
                             nxt[(c,) + suffix] = p
                 states = nxt
@@ -439,6 +444,24 @@ class Calculus:
             self._product_tables[(I, J, n)] = table
         return table
 
+    @staticmethod
+    def _contract(coords, table):
+        """h_N = sum_J sum_n B_{J,n} M_{J,n,N} as {N: {Peter-Weyl key:
+        Scalar}}, B_{J,n} the level-n block of coords[J] and (N, M) the
+        pairs of table(J, n): the one right translation of a form's
+        coefficients through tables on (word, level).  B is read off
+        the nonzero entries, so the entry x at (n, i, t) adds x times
+        row t of M at (n, i, j)."""
+        h = {}
+        for J, b in coords.items():
+            for (n, i, t), x in b.terms.items():
+                for N, m in table(J, n):
+                    terms = h.setdefault(N, {})
+                    for j, y in enumerate(m.a[t]):
+                        if y:
+                            accumulate(terms, (n, i, j), x * y)
+        return h
+
     def multiply(self, w1, w2):
         """(a (x) w_I)(b (x) w_J) = sum_C a ((F-word)_{I C} o b) (x) w_{C ++ J},
         in normal form whatever the representatives of the factors.
@@ -448,31 +471,13 @@ class Calculus:
             h_{I,N} = sum_J sum_n B_{J,n} M_{I,J,n,N},
 
         B_{J,n} the level-n Peter-Weyl block of b_J and M the product
-        table (_product_table); for I = () it is h_N = sum_J rho(J)_N b_J.
-        So each pair (left word, normal word) costs one coefficient
-        product, and the word layer is contracted before it."""
+        table (_product_table), for I = () too.  So each pair (left
+        word, normal word) costs one coefficient product, and the word
+        layer is contracted before it."""
         out = {}
         right = w2.coords
-        blocks = {}
         for I, a in w1.coords.items():
-            h = {}
-            if I:
-                for J, b in right.items():
-                    if J not in blocks:
-                        blocks[J] = self.algebra._to_blocks(b)
-                    for n, blk in blocks[J].items():
-                        for N, m in self._product_table(I, J, n):
-                            terms = h.setdefault(N, {})
-                            for i, row in enumerate((blk * m).a):
-                                for j, s in enumerate(row):
-                                    accumulate(terms, (n, i, j), s)
-            else:
-                ech = self._j_echelon(w2.degree)
-                for J, b in right.items():
-                    for N, s in ech.reduce({J: ONE}).items():
-                        terms = h.setdefault(N, {})
-                        for pw, x in b.terms.items():
-                            accumulate(terms, pw, s * x)
+            h = self._contract(right, functools.partial(self._product_table, I))
             for N, terms in h.items():
                 if terms:
                     g = coeff.CoeffElement(terms)
@@ -480,28 +485,24 @@ class Calculus:
                         accumulate(out, (N, pw), s)
         return FormElement(w1.degree + w2.degree, out)
 
-    def right_mult(self, w, b):
-        return self.multiply(w, self.form0(b))
-
     def left_mult(self, a, w):
         return self.multiply(self.form0(a), w)
 
     def _d_table(self, J, n):
         """The nonzero M_{J,n,N} of d as pairs (N, M), built once per
-        word J, normal or not, and level n: the theta w half is the sum
-        of the product tables of the diagonal letters (a,), the w theta
-        half is rho(J a)_N times the identity.  No M is a cached transfer
-        block."""
+        word J, normal or not, and level n from product tables only: the
+        theta w half is the sum of the tables of the diagonal letters
+        (a,) on J, the w theta half -(-1)^{|J|} times those of the unit
+        word on J a.  No M is a cached transfer block."""
         table = self._d_tables.get((J, n))
         if table is None:
-            ech = self._j_echelon(len(J) + 1)
-            eye = Matrix.identity(n + 1).scale(ONE if len(J) % 2 else -ONE)
+            sign = ONE if len(J) % 2 else -ONE
             mats = {}
             for a in self.data.diagonal:
                 for N, m in self._product_table((a,), J, n):
                     mats.setdefault(N, []).append(m)
-                for N, s in ech.reduce({J + (a,): ONE}).items():
-                    mats.setdefault(N, []).append(eye.scale(s))
+                for N, m in self._product_table((), J + (a,), n):
+                    mats.setdefault(N, []).append(m.scale(sign))
             table = _nonzero_sums(mats)
             self._d_tables[(J, n)] = table
         return table
@@ -520,14 +521,14 @@ class Calculus:
             raise coeff.LevelOverflow(
                 "product needs level %d beyond the coefficient window %d"
                 % (w.level, self.algebra.n_max))
-        out = {}
-        for J, b in w.coords.items():
-            for n, blk in self.algebra._to_blocks(b).items():
-                for N, m in self._d_table(J, n):
-                    for i, row in enumerate((blk * m).a):
-                        for j, s in enumerate(row):
-                            accumulate(out, (N, (n, i, j)), s)
-        return FormElement(w.degree + 1, out)
+        return self._differential(w.degree, w.coords)
+
+    def _differential(self, degree, coords):
+        """d of the degree-n form with the coefficients {word:
+        CoeffElement}, read off the d tables."""
+        h = self._contract(coords, self._d_table)
+        return FormElement(degree + 1, {(N, pw): s for N, terms in h.items()
+                                        for pw, s in terms.items()})
 
     # -- braiding and the exterior ideal ---------------------------------
 
@@ -768,13 +769,11 @@ class Restriction:
         return ech.reduce(w.terms) if ech is not None else w.terms
 
     def closure_check(self, degree):
-        """d maps the degree-n restricted space into the degree-(n+1)
-        one; returns the per-element results."""
-        results = []
-        for entry in self.bases[degree]:
-            image = self.calc.d(entry["form"])
-            results.append(image.is_zero() or not self.remainder(image))
-        return results
+        """The remainder of d of each degree-n basis entry against the
+        degree-(n+1) restricted basis: d maps the degree-n restricted
+        space into the degree-(n+1) one exactly when all are empty."""
+        return [self.remainder(self.calc.d(entry["form"]))
+                for entry in self.bases[degree]]
 
     def circle_presented(self, p, combo):
         """p o (a db_1 ... db_n) = sum (p_(1) o a) d(p_(2) o b_1) ...,

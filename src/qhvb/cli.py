@@ -712,14 +712,10 @@ def _suite_calculus(ws, checks):
 def _suite_closure(ws, checks):
     def closure(degree):
         def run():
-            restriction = ws.restriction()
-            for n, ok in enumerate(restriction.closure_check(degree)):
-                if not ok:
-                    yield ("d image escapes the restricted span in degree "
-                           "%d on basis entry %d" % (degree, n),
-                           LinComb(restriction.remainder(ws.calc().d(
-                               restriction.bases[degree][n]["form"]))),
-                           LinComb())
+            for n, rest in enumerate(ws.restriction().closure_check(degree)):
+                yield ("d image escapes the restricted span in degree "
+                       "%d on basis entry %d" % (degree, n), LinComb(rest),
+                       LinComb())
         return run
 
     def epsilon_trivial():
@@ -938,6 +934,11 @@ def cmd_verify(cfg, out_path):
     print("action matrix cache: %d entries"
           % sum(len(mod._acts) for mod in repmod._IRREPS.values()),
           file=sys.stderr)
+    calc = ws._cache.get("calc")
+    tables = ((calc._product_tables, calc._d_tables)
+              if isinstance(calc, calculus.Calculus) else ((), ()))
+    print("calculus table cache: %d product tables, %d d tables"
+          % tuple(map(len, tables)), file=sys.stderr)
     checks.sort(key=lambda c: (c["suite"], c["anchor"]))
     summary = {status: sum(c["status"] == status for c in checks)
                for status in ("pass", "fail", "skip")}

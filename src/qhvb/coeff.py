@@ -43,10 +43,6 @@ class CoeffElement(LinComb):
     def level(self):
         return max((n for (n, i, j) in self.terms), default=0)
 
-    def entries(self):
-        """Sorted (n, i, j, scalar-string) rows for reports."""
-        return [[n, i, j, str(self.terms[(n, i, j)])] for (n, i, j) in sorted(self.terms)]
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -315,9 +315,6 @@ class Scalar:
 
     # -- predicates
 
-    def is_zero(self):
-        return not self.num
-
     def __bool__(self):
         return bool(self.num)
 
@@ -785,9 +782,6 @@ class LinComb:
         if not s:
             return self._new({})
         return self._new({k: s * t for k, t in self.terms.items()})
-
-    def coefficient(self, key):
-        return self.terms.get(key, ZERO)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms

@@ -124,10 +124,6 @@ K = monomial(0, 1, 0)
 K_INV = monomial(0, -1, 0)
 
 
-def zero():
-    return UEAElement()
-
-
 def counit(x):
     acc = ZERO
     for (a, b, c), s in x.terms.items():

@@ -42,6 +42,11 @@ def random_form(rnd, degree, max_level=2):
             sample_coeff(rnd, max_level) for _ in range(rnd.randint(1, 3))})
 
 
+def right_mult(w, b):
+    """The form w times the degree-0 form b."""
+    return CALC.multiply(w, CALC.form0(b))
+
+
 def nonzero(draw, images=lambda x: [x]):
     """Redraw a seeded sample until each of its images (by default the
     sample itself) is nonzero, so that no check compares zero with
@@ -113,13 +118,31 @@ def test_differential_is_commutator_with_theta():
         assert CALC.reduce_mod_J(dw) == dw
 
 
+def circle_d0(calc, f):
+    """The oracle of Calculus.d0: sum_c (X_c o f) omega_c through the
+    right translation of the coefficient algebra."""
+    return calculus.form(1, {(c,): calc.algebra.circle(calc.data.X[c], f)
+                             for c in range(calc.K)})
+
+
+def test_d0_matches_the_circle_oracle():
+    rnd = random.Random(19)
+    samples = [coeff.unit(), coeff.basis_element(3, 1, 2)]
+    samples += [nonzero(lambda: sample_coeff(rnd, max_level=3))
+                for _ in range(12)]
+    for f in samples:
+        assert CALC.d0(f) == circle_d0(CALC, f)
+    assert CALC.d0(coeff.unit()).is_zero()
+    assert sum(not CALC.d0(f).is_zero() for f in samples) >= 12
+
+
 def test_leibniz_in_degree_zero():
     rnd = random.Random(12)
     for _ in range(12):
         f = sample_coeff(rnd)
         g = sample_coeff(rnd)
         lhs = CALC.d0(A.multiply(f, g))
-        rhs = CALC.right_mult(CALC.d0(f), g) + CALC.left_mult(f, CALC.d0(g))
+        rhs = right_mult(CALC.d0(f), g) + CALC.left_mult(f, CALC.d0(g))
         assert lhs == rhs
 
 
@@ -127,14 +150,14 @@ def test_word_action_respects_the_algebra():
     rnd = random.Random(13)
     for a in range(DATA.K):
         w = calculus.form(1, {(a,): coeff.unit()})
-        assert CALC.right_mult(w, coeff.unit()) == w
+        assert right_mult(w, coeff.unit()) == w
     for _ in range(8):
         key = tuple(rnd.randrange(DATA.K) for _ in range(2))
         w = calculus.form(2, {key: coeff.unit()})
         f = sample_coeff(rnd, max_level=1)
         g = sample_coeff(rnd, max_level=1)
-        lhs = CALC.right_mult(CALC.right_mult(w, f), g)
-        rhs = CALC.right_mult(w, A.multiply(f, g))
+        lhs = right_mult(right_mult(w, f), g)
+        rhs = right_mult(w, A.multiply(f, g))
         assert lhs == rhs
 
 
@@ -210,7 +233,7 @@ def test_exterior_ideal_is_two_sided():
             w = calculus.form(2, {(a, b): coeff.unit()})
             red = CALC.reduce_mod_J(w)
             for x in xs:
-                assert CALC.right_mult(w, x) == CALC.right_mult(red, x)
+                assert right_mult(w, x) == right_mult(red, x)
     # left multiplication leaves the letters alone
     f = sample_coeff(rnd)
     w = calculus.form(2, {(1, 2): coeff.unit()})
@@ -305,6 +328,38 @@ def word_product(calc, w1, w2):
     return calc.reduce_mod_J(calculus.FormElement(w1.degree + w2.degree, out))
 
 
+def unit_word_product(calc, a, w):
+    """The oracle of Calculus.multiply with the unit word on the left:
+    a sum_N (sum_J rho(J)_N b_J) w_N, each word J of w reduced modulo
+    the exterior ideal, one coefficient product per normal word N."""
+    h = {}
+    for J, b in w.coords.items():
+        for N, s in calc._j_echelon(w.degree).reduce({J: ONE}).items():
+            terms = h.setdefault(N, {})
+            for pw, x in b.terms.items():
+                accumulate(terms, pw, s * x)
+    out = {}
+    for N, terms in h.items():
+        for pw, s in calc.algebra.multiply(a, coeff.CoeffElement(terms)).terms.items():
+            accumulate(out, (N, pw), s)
+    return calculus.FormElement(w.degree, out)
+
+
+def test_unit_word_product_matches_the_reduction_oracle():
+    # the unit word reads rho(J)_N times the identity from its product
+    # tables; the oracle reduces each word J directly
+    rnd = random.Random(37)
+    samples = [(coeff.unit(), CALC.theta())]
+    for degree in range(4):
+        for _ in range(6):
+            samples.append(nonzero(
+                lambda: (sample_coeff(rnd), random_form(rnd, degree)),
+                lambda pair: [CALC.left_mult(*pair)]))
+    assert sum(CALC.reduce_mod_J(w) != w for _, w in samples) >= 6
+    for a, w in samples:
+        assert CALC.left_mult(a, w) == unit_word_product(CALC, a, w)
+
+
 def product_samples():
     """Seeded pairs of word-space forms of degrees 0-3 with a total
     degree of at most 4; the pairs of degree 2 x 2 are mostly not normal
@@ -336,8 +391,8 @@ def test_multiply_matches_the_word_product():
 
 
 def test_multiply_reads_its_tables_only(monkeypatch):
-    # multiply reads one cached table per (left word, right word, level)
-    # with a nonempty left word and never calls reduce_mod_J; the tables
+    # multiply reads one cached table per (left word, right word, level),
+    # the unit word included, and never calls reduce_mod_J; the tables
     # are new matrices, never the cached transfer blocks
     pairs = product_samples()
     calc = calculus.Calculus(A, DATA)
@@ -348,8 +403,9 @@ def test_multiply_reads_its_tables_only(monkeypatch):
     used = set()
     for w1, w2 in pairs:
         calc.multiply(w1, w2)
-        used |= {(I, J, pw[0]) for I in w1.coords if I for J, pw in w2.terms}
+        used |= {(I, J, pw[0]) for I in w1.coords for J, pw in w2.terms}
     assert calls == []
+    assert any(I == () for I, _, _ in used)
     assert set(calc._product_tables) == used
     assert calc._d_tables == {}
     transfer = {id(t) for table in calc._transfer.values()
@@ -358,19 +414,34 @@ def test_multiply_reads_its_tables_only(monkeypatch):
                    for _, m in table)
 
 
+@pytest.mark.parametrize("suites, limit", [
+    (("calculus", "closure"), 2200),
+    (("connection", "curvature"), 7957),
+], ids=["calculus-closure", "connection-curvature"])
 def test_verify_contracts_words_before_coefficient_products(monkeypatch,
-                                                           tmp_path):
+                                                           tmp_path, capsys,
+                                                           suites, limit):
     # the calculus and closure suites make one coefficient product per
     # (left word, normal word) pair; one per (left word, shifted word,
-    # right word) made 3,741
+    # right word) made 3,741.  The connection and curvature suites make
+    # 7,957, most of them in TensoredSectionSpace.project and right_mult
     calls = []
     fn = coeff.Algebra.multiply
     monkeypatch.setattr(coeff.Algebra, "multiply", lambda self, f, g:
                         calls.append(1) or fn(self, f, g))
     out = tmp_path / "report.json"
-    assert cli.main(["verify", "--seed", "0", "--suite", "calculus",
-                     "--suite", "closure", "--out", str(out)]) == 0
-    assert 0 < len(calls) <= 2200
+    args = ["verify", "--seed", "0", "--out", str(out)]
+    for suite in suites:
+        args += ["--suite", suite]
+    assert cli.main(args) == 0
+    assert 0 < len(calls) <= limit
+    # the calculus table caches the run built are counted on stderr
+    err = capsys.readouterr().err.splitlines()
+    tables = [line.split(": ")[1] for line in err
+              if line.startswith("calculus table cache: ")]
+    assert len(tables) == 1
+    products, _, _, ds, _, _ = tables[0].split()
+    assert int(products) > 0 and int(ds) > 0
 
 
 def test_d_reads_its_tables_only(monkeypatch):
@@ -458,8 +529,10 @@ def test_restriction_dimension_regression():
 
 
 def test_restriction_closed_under_d():
-    assert all(RESTRICTION.closure_check(0))
-    assert all(RESTRICTION.closure_check(1))
+    for degree in (0, 1):
+        rests = RESTRICTION.closure_check(degree)
+        assert len(rests) == RESTRICTION.dims()[degree]
+        assert not any(rests)
 
 
 def test_levi_generators_act_trivially_on_restricted_forms():

@@ -112,6 +112,9 @@ def test_verify_reduced_suites(tmp_path, capsys):
     count = int(acts[0].split(": ")[1].split()[0])
     assert count == sum(len(m._acts) for m in cli.repmod._IRREPS.values())
     assert count > 0
+    # neither suite builds a Calculus, so its table caches are empty
+    tables = [line for line in err if line.startswith("calculus table cache: ")]
+    assert tables == ["calculus table cache: 0 product tables, 0 d tables"]
     assert "cache" not in out.read_text()
     report = json.loads(out.read_text())
     assert report["config"]["seed"] == 3
@@ -327,7 +330,7 @@ def _break_haar(monkeypatch):
     # squared norms at seed 0 stay positive, but h is not invariant
     haar = coeff.Algebra.haar
     monkeypatch.setattr(coeff.Algebra, "haar", lambda self, f:
-                        haar(self, f) + f.coefficient((1, 0, 0)))
+                        haar(self, f) + f.terms.get((1, 0, 0), scalars.ZERO))
 
 
 def _break_uq_counit(monkeypatch):

@@ -117,7 +117,7 @@ def test_quantum_determinant():
     p1 = a.multiply(coeff.basis_element(1, 0, 0), coeff.basis_element(1, 1, 1))
     p2 = a.multiply(coeff.basis_element(1, 0, 1), coeff.basis_element(1, 1, 0))
     key = next(k for k in p2.terms if k[0] == 2)
-    lam = p1.coefficient(key) / p2.coefficient(key)
+    lam = p1.terms.get(key, ZERO) / p2.terms[key]
     det = p1 - p2.scale(lam)
     assert det == coeff.unit()
     # independent check: the determinant pairs like the counit
@@ -450,7 +450,6 @@ def test_pairing_table_certificate_and_expand():
 
 def test_entries_and_str():
     f = coeff.basis_element(1, 0, 1, U(2)) + coeff.unit()
-    assert f.entries() == [[0, 0, 0, "1"], [1, 0, 1, "u^2"]]
     assert "t[1;0,1]" in str(f)
     assert coeff.CoeffElement().level == 0
     assert f.level == 1

@@ -7,7 +7,7 @@ from math import gcd as _igcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qhvb import coeff, uea, scalars as sc
+from qhvb import coeff, repmod, uea, scalars as sc
 from qhvb.scalars import (
     Scalar,
     Matrix,
@@ -89,8 +89,14 @@ def qfact(n):
 
 
 def test_qfact():
+    # the coefficients of the quasi-R-matrix Theta, pinned to their
+    # closed form c_n = (q - q^-1)^n q^{n(n-3)/2} / [n]!
     assert qfact(0) == ONE
     assert qfact(3) == qint(2) * qint(3)
+    q = Scalar.q_power
+    for n in range(6):
+        want = (q(1) - q(-1)) ** n * q(n * (n - 3) // 2) / qfact(n)
+        assert repmod.theta_coefficient(n) == want
 
 
 def test_pole_error():

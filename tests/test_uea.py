@@ -254,6 +254,6 @@ def test_format_element():
     assert str(uea.E) == "e"
     assert str(uea.F * uea.K) == "f k"
     assert str(uea.K * uea.F) == "(%s) f k" % Q(-1)
-    assert str(uea.zero()) == "0"
+    assert str(uea.UEAElement()) == "0"
     assert str(uea.UNIT) == "1"
     assert "e^2" in str(uea.E * uea.E)
