@@ -517,10 +517,7 @@ class Calculus:
 
         rho(W) the reduction of the word W modulo the exterior ideal.  On
         a level-n block B of b, H_{J,N} o b is B M_{J,n,N} (_d_table)."""
-        if w.level > self.algebra.n_max:
-            raise coeff.LevelOverflow(
-                "product needs level %d beyond the coefficient window %d"
-                % (w.level, self.algebra.n_max))
+        self.algebra.check_window(w.level)
         return self._differential(w.degree, w.coords)
 
     def _differential(self, degree, coords):

@@ -939,6 +939,10 @@ def cmd_verify(cfg, out_path):
               if isinstance(calc, calculus.Calculus) else ((), ()))
     print("calculus table cache: %d product tables, %d d tables"
           % tuple(map(len, tables)), file=sys.stderr)
+    tss = ws._cache.get("tss")
+    rows = tss._rows if isinstance(tss, connection.TensoredSectionSpace) else ()
+    print("connection table cache: %d projection rows" % len(rows),
+          file=sys.stderr)
     checks.sort(key=lambda c: (c["suite"], c["anchor"]))
     summary = {status: sum(c["status"] == status for c in checks)
                for status in ("pass", "fail", "skip")}

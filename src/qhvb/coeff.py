@@ -226,13 +226,27 @@ class Algebra:
                 st = s * t
                 for key, c in self._basis_product(m, i, j, n, k, l).items():
                     accumulate(out, key, st * c)
-        top = max((p for (p, r, s) in out), default=0)
-        if top > self.n_max:
+        self.check_window(max((p for (p, r, s) in out), default=0))
+        return CoeffElement(out)
+
+    def times_basis(self, f, key):
+        """f t_key in the Peter-Weyl basis as {key: Scalar}: the basis
+        products of f's terms with t_key, summed.  Unlike multiply it
+        makes no window check; a caller that sums these checks the sum."""
+        out = {}
+        for (m, i, j), s in f.terms.items():
+            for k, c in self._basis_product(m, i, j, *key).items():
+                accumulate(out, k, s * c)
+        return out
+
+    def check_window(self, level):
+        """LevelOverflow when an exact product has a nonzero coefficient
+        at this level beyond the window."""
+        if level > self.n_max:
             raise LevelOverflow(
                 "product needs level %d beyond the coefficient window %d"
-                % (top, self.n_max)
+                % (level, self.n_max)
             )
-        return CoeffElement(out)
 
     # -- coalgebra ------------------------------------------------------
 

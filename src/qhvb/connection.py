@@ -24,14 +24,16 @@ theta) become Lambda through the generator presentation.  A passes an
 exact right-linearity certificate against the invariant generators: a
 Lambda with scalar entries through the basis perturbations E_ij theta in
 its support, each certified once per TensoredSectionSpace (A is linear
-in Lambda), and any other Lambda on its own columns.  On
-sections nabla0 is the chain im -> coordinatewise d -> project.  The
-curvature is the restriction of nabla^2 to the sections; its
-right-linear extension F-hat satisfies the operator identity
-nabla(F(zeta)) = F-hat(nabla(zeta)).
+in Lambda), and any other Lambda on its own columns.  On sections
+nabla0 is the chain im -> coordinatewise d -> project.  project, the
+left multiplication by e, reads cached rows of e: one list
+e_{gamma beta} t_key per (gamma, beta, Peter-Weyl key), so it makes no
+coefficient product.  The curvature is the restriction of nabla^2 to
+the sections; its right-linear extension F-hat satisfies the operator
+identity nabla(F(zeta)) = F-hat(nabla(zeta)).
 """
 
-from .scalars import Scalar, Span, NoSolution
+from .scalars import Scalar, Span, NoSolution, accumulate
 from . import coeff, homspace, bundle, calculus
 
 
@@ -74,8 +76,8 @@ class TensoredSectionSpace:
                     raise AssertionError("idempotent matrix identity fails "
                                          "at (%d, %d)" % (gamma, alpha))
         self.sections = bundle.sections_basis(self.algebra, lmodule, N)
-        self._generators = [self.generator(alpha)
-                            for alpha in range(self.dim_w)]
+        # (gamma, beta, Peter-Weyl key) -> e_{gamma beta} t_key (see project)
+        self._rows = {}
         # the entries (i, j) whose basis perturbation E_ij theta passed
         # the right-linearity certificate (see ConnectionMap)
         self.certified = set()
@@ -106,9 +108,44 @@ class TensoredSectionSpace:
             out.append(acc)
         return out
 
+    def _row(self, gamma, beta, key):
+        """e_{gamma beta} t_key in the Peter-Weyl basis as a list of
+        (key, Scalar), built once from the basis products."""
+        row = self._rows.get((gamma, beta, key))
+        if row is None:
+            row = list(self.algebra.times_basis(self.e_matrix[gamma][beta],
+                                                key).items())
+            self._rows[(gamma, beta, key)] = row
+        return row
+
     def project(self, vec):
-        """Left multiplication by the idempotent matrix."""
-        return self.extend(self._generators, vec)
+        """Left multiplication by the idempotent matrix on a vector of
+        normal forms: coordinate gamma is sum_beta e_{gamma beta} psi_beta.
+        Every entry x at (word, key) of psi_beta adds x times the cached
+        row e_{gamma beta} t_key at that word, so project makes no
+        coefficient product.  Each (gamma, beta) product is checked
+        against the window word by word before it is added, as one
+        Algebra.multiply per word of Calculus.multiply would be; extend
+        with the generator columns is the oracle."""
+        degree = self.degree_of(vec)
+        out = []
+        for gamma, e_row in enumerate(self.e_matrix):
+            acc = {}
+            for beta, psi in enumerate(vec):
+                if not e_row[beta]:
+                    continue
+                product = {}
+                for (word, key), x in psi.terms.items():
+                    terms = product.setdefault(word, {})
+                    for pw, y in self._row(gamma, beta, key):
+                        accumulate(terms, pw, x * y)
+                for word, terms in product.items():
+                    self.algebra.check_window(
+                        max((n for n, _, _ in terms), default=0))
+                    for pw, s in terms.items():
+                        accumulate(acc, (word, pw), s)
+            out.append(calculus.FormElement(degree, acc))
+        return out
 
     def _coordinates(self, section):
         """The W coordinates of im(section), one CoeffElement per beta."""

@@ -16,6 +16,7 @@ import pytest
 from qhvb.scalars import (Scalar, Matrix, Span, ZERO, ONE, accumulate,
                           NoSolution)
 from qhvb import uea, repmod, coeff, calculus, cli
+from test_cli import _break_calculus
 
 U = Scalar.u_power
 A = coeff.Algebra(6)
@@ -288,6 +289,77 @@ def test_d_squared_vanishes():
         assert CALC.d(CALC.d(w)).is_zero()
 
 
+def normal_words(calc):
+    """Every normal word, degree by degree up to the top degree: the
+    words that are no pivot of the ideal's echelon."""
+    out = []
+    for degree in itertools.count():
+        pivots = calc._j_echelon(degree).rows
+        words = [w for w in itertools.product(range(calc.K), repeat=degree)
+                 if w not in pivots]
+        if not words:
+            return out
+        out += words
+
+
+def d_matrices(calc, J, n):
+    """{N: M_{J,n,N}} read through d: d maps a level-n block B of the
+    coefficient of w_J to sum_N B M_{J,n,N} w_N, so row t of M_{J,n,N}
+    is the row-0 block of the coefficient of w_N in d(t[n;0,t] w_J)."""
+    mats = {}
+    for t in range(n + 1):
+        dw = calc.d(calculus.form(len(J), {J: coeff.basis_element(n, 0, t)}))
+        for (N, (_, _, j)), s in dw.terms.items():
+            mats.setdefault(N, Matrix.zeros(n + 1, n + 1)).a[t][j] = s
+    return mats
+
+
+def d_squared_failures(calc):
+    """The (J, n) with sum_N M_{J,n,N} M_{N,n,P} != 0 for some normal
+    word P, over every normal word J and level n <= the window: d^2 = 0
+    on every form of the window exactly when there are none."""
+    memo = {}
+
+    def table(J, n):
+        if (J, n) not in memo:
+            memo[(J, n)] = d_matrices(calc, J, n)
+        return memo[(J, n)]
+
+    failures = []
+    for J in normal_words(calc):
+        for n in range(calc.algebra.n_max + 1):
+            square = {}
+            for N, m in table(J, n).items():
+                for P, m2 in table(N, n).items():
+                    square[P] = square[P] + m * m2 if P in square else m * m2
+            if any(not m.is_zero() for m in square.values()):
+                failures.append((J, n))
+    return failures
+
+
+def test_d_squared_vanishes_on_the_whole_window():
+    # 16 normal words times the levels 0..10 of the default window: 176
+    # table products, every one zero; the matrices read through d are
+    # the d tables
+    window = cli.RunConfig().coefficient_window
+    calc = calculus.Calculus(coeff.Algebra(window), DATA)
+    words = normal_words(calc)
+    assert len(words) == sum(calc.omega_dims(k) for k in range(5)) == 16
+    assert d_squared_failures(calc) == []
+    for J in words:
+        for n in range(window + 1):
+            assert d_matrices(calc, J, n) == dict(calc._d_table(J, n))
+
+
+def test_ungraded_d_fails_the_window_certificate(monkeypatch):
+    # the ungraded commutator with theta, the calculus mutant of
+    # test_cli, breaks d^2 = 0 on 44 of the 80 (word, level) pairs of
+    # window 4
+    _break_calculus(monkeypatch)
+    calc = calculus.Calculus(coeff.Algebra(4), DATA)
+    assert len(d_squared_failures(calc)) == 44
+
+
 def word_action(calc, word, blocks):
     """All pairs (new word C, (F_{a1 c1} ... F_{an cn}) o b) for the
     word (a1..an) and the Peter-Weyl blocks of b; the shift operators act
@@ -416,7 +488,7 @@ def test_multiply_reads_its_tables_only(monkeypatch):
 
 @pytest.mark.parametrize("suites, limit", [
     (("calculus", "closure"), 2200),
-    (("connection", "curvature"), 7957),
+    (("connection", "curvature"), 4600),
 ], ids=["calculus-closure", "connection-curvature"])
 def test_verify_contracts_words_before_coefficient_products(monkeypatch,
                                                            tmp_path, capsys,
@@ -424,7 +496,8 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
     # the calculus and closure suites make one coefficient product per
     # (left word, normal word) pair; one per (left word, shifted word,
     # right word) made 3,741.  The connection and curvature suites make
-    # 7,957, most of them in TensoredSectionSpace.project and right_mult
+    # 4,524, most of them in right_mult; with one product per (gamma,
+    # beta, word) in TensoredSectionSpace.project they made 7,957
     calls = []
     fn = coeff.Algebra.multiply
     monkeypatch.setattr(coeff.Algebra, "multiply", lambda self, f, g:
@@ -442,6 +515,13 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
     assert len(tables) == 1
     products, _, _, ds, _, _ = tables[0].split()
     assert int(products) > 0 and int(ds) > 0
+    # so are the projection rows of the workspace's TensoredSectionSpace
+    rows = [line for line in err
+            if line.startswith("connection table cache: ")]
+    assert len(rows) == 1 and rows[0].endswith(" projection rows")
+    count = int(rows[0].split(": ")[1].split()[0])
+    assert (count > 0) == ("connection" in suites)
+    assert "cache" not in out.read_text()
 
 
 def test_d_reads_its_tables_only(monkeypatch):

@@ -115,6 +115,8 @@ def test_verify_reduced_suites(tmp_path, capsys):
     # neither suite builds a Calculus, so its table caches are empty
     tables = [line for line in err if line.startswith("calculus table cache: ")]
     assert tables == ["calculus table cache: 0 product tables, 0 d tables"]
+    rows = [line for line in err if line.startswith("connection table cache: ")]
+    assert rows == ["connection table cache: 0 projection rows"]
     assert "cache" not in out.read_text()
     report = json.loads(out.read_text())
     assert report["config"]["seed"] == 3
@@ -363,6 +365,38 @@ def _break_circle_presented(monkeypatch):
                         lambda self, p, combo: circle(self, p, combo).scale(2))
 
 
+def _break_projection(monkeypatch):
+    # the row e_{00} t[0;0,0] of project doubled: project is no longer
+    # left multiplication by the idempotent matrix, and no longer
+    # commutes with right multiplication
+    row = connection.TensoredSectionSpace._row
+    monkeypatch.setattr(connection.TensoredSectionSpace, "_row",
+                        lambda self, gamma, beta, key:
+                        [(pw, s * 2) for pw, s in row(self, gamma, beta, key)]
+                        if (gamma, beta, key) == (0, 0, (0, 0, 0))
+                        else row(self, gamma, beta, key))
+
+
+def _break_lambda_side(monkeypatch):
+    # apply lets Lambda act from the right, e . (d psi + psi Lambda),
+    # while the certified perturbation keeps it on the left: the law
+    # fails, and the difference e . psi (Lambda1 - Lambda2) of two such
+    # maps is not right-linear
+    apply = connection.ConnectionMap.apply
+
+    def right_acting(self, vec):
+        tss, calc = self.tss, self.tss.calc
+        out = apply(connection.ConnectionMap(tss), vec)
+        if self.columns is None:
+            return out
+        zero = calc.zero(tss.degree_of(vec) + 1)
+        return tss.add(out, tss.project([
+            sum((calc.multiply(psi, column[gamma])
+                 for psi, column in zip(vec, self.columns)), zero)
+            for gamma in range(tss.dim_w)]))
+    monkeypatch.setattr(connection.ConnectionMap, "apply", right_acting)
+
+
 @pytest.mark.parametrize("suite, breaker, failing", [
     ("projection", _break_section_times, ["projection-right-linear"]),
     ("connection", _break_nabla0,
@@ -381,6 +415,10 @@ def _break_circle_presented(monkeypatch):
      ["bianchi-operator-identity", "curvature-right-linear",
       "curvature-trivial-flat"]),
     ("haar", _break_haar, ["haar-invariance"]),
+    ("curvature", _break_projection,
+     ["bianchi-operator-identity", "curvature-right-linear"]),
+    ("connection", _break_lambda_side,
+     ["connection-difference-linear", "connection-law-perturbed"]),
 ])
 def test_failing_check_names_its_residual(tmp_path, monkeypatch, suite,
                                           breaker, failing):
@@ -395,6 +433,27 @@ def test_failing_check_names_its_residual(tmp_path, monkeypatch, suite,
         assert "residual" in witness and "nonzero" in witness
         if suite in ("connection", "curvature"):
             assert ": coordinate " in witness
+
+
+def test_broken_projection_fails_the_connection_laws(tmp_path, monkeypatch):
+    # the doubled row breaks the law of nabla0, and the certificate of
+    # E_00 theta rejects the seeded perturbations before their law and
+    # difference checks compare anything
+    _break_projection(monkeypatch)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "connection", "--out",
+                     str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    fails = {c["anchor"]: c["witness"] for c in checks
+             if c["status"] == "fail"}
+    assert sorted(fails) == ["connection-difference-linear",
+                             "connection-law-nabla0",
+                             "connection-law-perturbed"]
+    assert ": coordinate " in fails["connection-law-nabla0"]
+    assert "residual" in fails["connection-law-nabla0"]
+    for anchor in ("connection-difference-linear", "connection-law-perturbed"):
+        assert fails[anchor].startswith(
+            "NotLinear: Lambda basis entry (0, 0): basis section 0, ")
 
 
 def _checked(fn):

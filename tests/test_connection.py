@@ -3,6 +3,7 @@ import random
 import pytest
 from qhvb import coeff, repmod, calculus, bundle, homspace, connection, cli
 from qhvb.scalars import Scalar, Span
+from test_calculus import sample_coeff
 
 A = coeff.Algebra(10)
 CALC = calculus.Calculus(A, calculus.from_rep(repmod.irrep(1)))
@@ -141,6 +142,90 @@ def test_apply_projects_once(monkeypatch):
         del calls[:]
         conn.apply(psi)
         assert len(calls) == 1
+
+
+def sample_form(rnd, calc, degree):
+    """A seeded form of degree 0, 1 or 2, in normal form."""
+    if degree == 0:
+        return calc.form0(sample_coeff(rnd))
+    one = calc.left_mult(sample_coeff(rnd), calc.d0(sample_coeff(rnd)))
+    if degree == 1:
+        return one
+    return calc.multiply(one, sample_form(rnd, calc, 1))
+
+
+def project_oracle(tss, vec):
+    """e . vec through Calculus.multiply: extend by the generator
+    columns, which are the columns of the idempotent matrix."""
+    return tss.extend([tss.generator(alpha) for alpha in range(tss.dim_w)],
+                      vec)
+
+
+@pytest.mark.parametrize("weights", [[1], [1, -1]], ids=["1", "1_-1"])
+def test_project_matches_the_extend_oracle(weights):
+    tss = connection.TensoredSectionSpace(CALC, bundle.LModule(weights), 1)
+    rnd = random.Random(23)
+    for degree in (0, 1, 2):
+        for _ in range(3):
+            while True:
+                vec = [sample_form(rnd, CALC, degree)
+                       for _ in range(tss.dim_w)]
+                expected = project_oracle(tss, vec)
+                if not all(w.is_zero() for w in expected):
+                    break
+            assert tss.project(vec) == expected
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the LevelOverflow it raises."""
+    try:
+        return fn(*args)
+    except coeff.LevelOverflow as exc:
+        return str(exc)
+
+
+def test_project_raises_where_the_oracle_overflows():
+    # e has level 2, so at window 4 a level-3 entry needs level 5 and a
+    # level-4 entry level 6; the first word that overflows names its
+    # level, in coordinate order and then word order
+    narrow = calculus.Calculus(coeff.Algebra(4), CALC.data)
+    tss = connection.TensoredSectionSpace(narrow, V, 1)
+    low, mid, high = (coeff.basis_element(n, 1, 1) for n in (2, 3, 4))
+    zero = narrow.zero(1)
+    vectors = [
+        [calculus.form(1, {(0,): low, (1,): low}), zero],
+        [calculus.form(1, {(0,): mid, (1,): high}), zero],
+        [calculus.form(1, {(1,): high, (0,): mid}), zero],
+        [zero, calculus.form(1, {(2,): low + high})],
+        [calculus.form(1, {(0,): low}), calculus.form(1, {(3,): mid})],
+    ]
+    outcomes = [_outcome(tss.project, vec) for vec in vectors]
+    assert outcomes == [_outcome(project_oracle, tss, vec)
+                        for vec in vectors]
+    window = "product needs level %d beyond the coefficient window 4"
+    assert outcomes[1:] == [window % 5, window % 6, window % 6, window % 5]
+    assert outcomes[0] != tss.zero(1)
+
+
+def test_project_makes_no_coefficient_product(monkeypatch):
+    # the rows e_{gamma beta} t_key come from the basis products, and
+    # project reads them; the cached rows are the coefficient products
+    tss = connection.TensoredSectionSpace(CALC, V, 1)
+    rnd = random.Random(29)
+    vecs = [[sample_form(rnd, CALC, degree) for _ in range(tss.dim_w)]
+            for degree in (0, 1, 2)]
+    calls = _count_calls(monkeypatch, coeff.Algebra, "multiply")
+    assert tss._rows == {}
+    cold = [tss.project(vec) for vec in vecs]
+    assert calls == [] and tss._rows
+    rows = dict(tss._rows)
+    assert [tss.project(vec) for vec in vecs] == cold
+    assert calls == [] and tss._rows == rows
+    monkeypatch.undo()
+    for (gamma, beta, key), row in rows.items():
+        assert tss.e_matrix[gamma][beta]
+        assert dict(row) == A.multiply(tss.e_matrix[gamma][beta],
+                                       coeff.basis_element(*key)).terms
 
 
 def test_perturbation_is_e_lambda():
