@@ -765,11 +765,10 @@ def _suite_connection(ws, checks):
         inv = ws.invariants(2).elements
         for k in range(50):
             combo = tss.zero(0)
-            for s in tss.sections:
+            for vec in tss.vectors:
                 c = rnd.randint(-2, 2)
                 if c:
-                    combo = tss.add(combo, [x.scale(Scalar(c))
-                                            for x in tss.from_section(s)])
+                    combo = tss.add(combo, [x.scale(Scalar(c)) for x in vec])
             psi = tss.right_mult(combo, calc.theta()) if k % 3 == 2 else combo
             pick = k % 3
             if pick == 0:
@@ -783,18 +782,19 @@ def _suite_connection(ws, checks):
         tss = ws.tss()
         calc = ws.calc()
         rnd = _rng(cfg, "connection-perturbed")
+        gens = homspace.podles_generators()
+        # the Leibniz term zeta_j (x) da, once per (j, a)
+        leibniz = {}
         for n, conn in enumerate(_seeded_perturbations(tss, rnd, 10)):
-            for s in tss.sections:
-                nabla_s, vec_s = conn.on_section(s), tss.from_section(s)
-                for g in homspace.podles_generators():
-                    yield ("connection law fails for perturbation %d" % n,
-                           conn.on_section(s.times(g)),
-                           tss.add(tss.right_mult(nabla_s, calc.form0(g)),
-                                   tss.right_mult(vec_s, calc.d0(g))))
+            for j, g, lhs, rhs in tss.right_linearity(conn.apply, gens):
+                if (j, g) not in leibniz:
+                    leibniz[(j, g)] = tss.right_mult(tss.vectors[j],
+                                                     calc.d0(g))
+                yield ("connection law fails for perturbation %d" % n,
+                       lhs, tss.add(rhs, leibniz[(j, g)]))
 
     def differences():
         tss = ws.tss()
-        calc = ws.calc()
         rnd = _rng(cfg, "connection-differences")
         conns = [ws.conn0()] + _seeded_perturbations(tss, rnd, 3)
         for n in range(len(conns) - 1):
@@ -804,12 +804,9 @@ def _suite_connection(ws, checks):
                 return tss.add(c1.apply(vec),
                                [x.scale(-ONE) for x in c2.apply(vec)])
 
-            for s in tss.sections:
-                diff_s = diff(tss.from_section(s))
-                for g in homspace.podles_generators():
-                    yield ("difference %d not right-linear" % n,
-                           diff(tss.from_section(s.times(g))),
-                           tss.right_mult(diff_s, calc.form0(g)))
+            for _, _, lhs, rhs in tss.right_linearity(
+                    diff, homspace.podles_generators()):
+                yield "difference %d not right-linear" % n, lhs, rhs
 
     _check(checks, "connection", "connection-law-nabla0",
            "distinguished connection law, 50 seeded pairs", law_nabla0)
@@ -821,9 +818,9 @@ def _suite_connection(ws, checks):
 
 def _suite_curvature(ws, checks):
     def right_linear():
-        failure = next(ws.curvature0().linearity_failures(), None)
-        if failure is not None:
-            j, g, lhs, rhs = failure
+        F = ws.curvature0()
+        for j, g, lhs, rhs in F.conn.tss.right_linearity(
+                F.apply, homspace.podles_generators(), F.on_sections):
             yield ("curvature not right-linear over the invariants on basis "
                    "section %d, a = %s" % (j, g), lhs, rhs)
 
@@ -1022,7 +1019,7 @@ def cmd_connection(cfg, out_path):
     bianchi = F.bianchi_check()
     payload = {
         "config": cfg.as_dict(),
-        "partial_on_sections": [[_form_json(w) for w in tss.partial(s)]
+        "partial_on_sections": [[_form_json(w) for w in conn.on_section(s)]
                                 for s in tss.sections],
         "nabla0_on_generators": [
             [_form_json(w) for w in conn.apply(tss.generator(alpha))]

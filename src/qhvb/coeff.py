@@ -164,8 +164,7 @@ class Algebra:
         self._cg = {}
         self._pair_prod = {}
         self._class_inv = {}
-        self._antipode_blocks = {}
-        self._star_blocks = {}
+        self._blocks = {}
         self._pairing_tables = {}
 
     # -- pairing ------------------------------------------------------
@@ -286,49 +285,41 @@ class Algebra:
         coeffs = inv.apply(vals)
         return {(n, i, j): c for (i, j), c in zip(pairs, coeffs) if c}
 
-    def _antipode_block(self, n):
-        block = self._antipode_blocks.get(n)
+    def _block(self, n, star):
+        """{(i, j): image of t_ij} at level n under the antipode, or
+        under the star when star is set; both keep the level.
+        S(t_ij)(x) = t_ij(S x) lies in the class i - j of t_ij, and
+        t_ij*(x) = conj t_ij((S x)*) in the class j - i, since (S mono)*
+        reverses the class; conjugation fixes Scalars."""
+        block = self._blocks.get((n, star))
         if block is None:
-            block = {}
             mod = repmod.irrep(n)
+
+            def value(mono, i, j):
+                x = uea.antipode(uea.monomial(*mono))
+                if star:
+                    return mod.act(uea.star(x))[i, j].conj()
+                return mod.act(x)[i, j]
+
+            block = {}
             for i in range(n + 1):
                 for j in range(n + 1):
-                    # S(t_{ij})(x) = t_{ij}(S(x)), again of level n and
-                    # the same diagonal class
-                    def value_fn(mono, i=i, j=j):
-                        return mod.act(uea.antipode(uea.monomial(*mono)))[i, j]
-
-                    block[(i, j)] = CoeffElement(self._solve_in_class(n, i - j, value_fn))
-            self._antipode_blocks[n] = block
+                    block[(i, j)] = CoeffElement(self._solve_in_class(
+                        n, j - i if star else i - j,
+                        lambda mono, i=i, j=j: value(mono, i, j)))
+            self._blocks[(n, star)] = block
         return block
 
     def antipode(self, f):
         acc = CoeffElement()
         for (n, i, j), s in f.terms.items():
-            acc = acc + self._antipode_block(n)[(i, j)].scale(s)
+            acc = acc + self._block(n, False)[(i, j)].scale(s)
         return acc
-
-    def _star_block(self, n):
-        block = self._star_blocks.get(n)
-        if block is None:
-            block = {}
-            mod = repmod.irrep(n)
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    # f*(x) = conj f((S x)*); conjugation fixes Scalars.
-                    # (S mono)* reverses the class, so t_{ij}* lives in
-                    # class j - i.
-                    def value_fn(mono, i=i, j=j):
-                        return mod.act(uea.star(uea.antipode(uea.monomial(*mono))))[i, j].conj()
-
-                    block[(i, j)] = CoeffElement(self._solve_in_class(n, j - i, value_fn))
-            self._star_blocks[n] = block
-        return block
 
     def star(self, f):
         acc = CoeffElement()
         for (n, i, j), s in f.terms.items():
-            acc = acc + self._star_block(n)[(i, j)].scale(s.conj())
+            acc = acc + self._block(n, True)[(i, j)].scale(s.conj())
         return acc
 
     # -- translation actions ---------------------------------------------

@@ -24,13 +24,16 @@ theta) become Lambda through the generator presentation.  A passes an
 exact right-linearity certificate against the invariant generators: a
 Lambda with scalar entries through the basis perturbations E_ij theta in
 its support, each certified once per TensoredSectionSpace (A is linear
-in Lambda), and any other Lambda on its own columns.  On sections
-nabla0 is the chain im -> coordinatewise d -> project.  project, the
-left multiplication by e, reads cached rows of e: one list
-e_{gamma beta} t_key per (gamma, beta, Peter-Weyl key), so it makes no
-coefficient product.  The curvature is the restriction of nabla^2 to
-the sections; its right-linear extension F-hat satisfies the operator
-identity nabla(F(zeta)) = F-hat(nabla(zeta)).
+in Lambda), and any other Lambda on its own columns.  That certificate,
+the law and difference checks of verify and the curvature's
+right-linearity are one walk, TensoredSectionSpace.right_linearity, over
+section vectors built once per space.  On sections nabla0 is the chain
+im -> coordinatewise d -> project.  project, the left multiplication by
+e, reads cached rows of e: one list e_{gamma beta} t_key per (gamma,
+beta, Peter-Weyl key), so it makes no coefficient product.  The
+curvature is the restriction of nabla^2 to the sections; its
+right-linear extension F-hat satisfies the operator identity
+nabla(F(zeta)) = F-hat(nabla(zeta)).
 """
 
 from .scalars import Scalar, Span, NoSolution, accumulate
@@ -76,6 +79,10 @@ class TensoredSectionSpace:
                     raise AssertionError("idempotent matrix identity fails "
                                          "at (%d, %d)" % (gamma, alpha))
         self.sections = bundle.sections_basis(self.algebra, lmodule, N)
+        # the realization of each basis section, and of zeta_j a per
+        # (j, a) once the right-linearity walk reads it
+        self.vectors = [self.from_section(s) for s in self.sections]
+        self._products = {}
         # (gamma, beta, Peter-Weyl key) -> e_{gamma beta} t_key (see project)
         self._rows = {}
         # the entries (i, j) whose basis perturbation E_ij theta passed
@@ -147,14 +154,11 @@ class TensoredSectionSpace:
             out.append(calculus.FormElement(degree, acc))
         return out
 
-    def _coordinates(self, section):
-        """The W coordinates of im(section), one CoeffElement per beta."""
-        coords = bundle.im(self.algebra, self.completion, section).coords
-        return [coords.get(beta, coeff.CoeffElement())
-                for beta in range(self.dim_w)]
-
     def from_section(self, section):
-        return [self.calc.form0(f) for f in self._coordinates(section)]
+        """The W coordinates of im(section), as degree-0 forms."""
+        coords = bundle.im(self.algebra, self.completion, section).coords
+        return [self.calc.form0(coords.get(beta, coeff.CoeffElement()))
+                for beta in range(self.dim_w)]
 
     def generator(self, alpha):
         """The coordinates of zeta_alpha = wp(w_alpha (x) 1): the
@@ -169,12 +173,20 @@ class TensoredSectionSpace:
     def add(self, v1, v2):
         return [a + b for a, b in zip(v1, v2)]
 
-    # -- the distinguished connection -------------------------------------
-
-    def partial(self, section):
-        """The chain im, coordinatewise d, project."""
-        return self.project([self.calc.d0(f)
-                             for f in self._coordinates(section)])
+    def right_linearity(self, op, tests, images=None):
+        """(j, a, op(zeta_j a), op(zeta_j) a) for every basis section
+        zeta_j and test element a, lazily, in section order and then in
+        test order; images[j], when given, is op(zeta_j).  The vectors of
+        zeta_j and zeta_j a are each built once per space."""
+        for j, vec in enumerate(self.vectors):
+            image = op(vec) if images is None else images[j]
+            for a in tests:
+                product = self._products.get((j, a))
+                if product is None:
+                    product = self._products[(j, a)] = self.from_section(
+                        self.sections[j].times(a))
+                yield (j, a, op(product),
+                       self.right_mult(image, self.calc.form0(a)))
 
     def section_from_generator(self, beta):
         return bundle.wp(self.algebra, self.completion,
@@ -256,13 +268,13 @@ class ConnectionMap:
                     for beta in range(tss.dim_w)]
         except NoSolution:
             raise NotLinear("level window does not contain the generators")
-        sections = [tss.from_section(s) for s in tss.sections]
         zero = tss.calc.zero(1)
-        columns = [tss.extend(sections, [_combine(row, c, zero) for row in m])
+        columns = [tss.extend(tss.vectors,
+                              [_combine(row, c, zero) for row in m])
                    for c in cmat]
-        for j, psi in enumerate(sections):
+        for j, psi in enumerate(tss.vectors):
             if tss.project(tss.extend(columns, psi)) != tss.extend(
-                    sections, [row[j] for row in m]):
+                    tss.vectors, [row[j] for row in m]):
                 raise NotLinear("basis section %d, a = 1: A(psi) differs from "
                                 "its prescribed value; %s" % (j, _SCOPE % tss.N))
         return cls(tss, list(zip(*columns)))
@@ -278,14 +290,10 @@ class ConnectionMap:
         certificate checks no other pair."""
         tss = self.tss
         tests = [coeff.unit()] + list(homspace.podles_generators())
-        for j, section in enumerate(tss.sections):
-            image = self.perturbation(tss.from_section(section))
-            for g in tests:
-                lhs = self.perturbation(tss.from_section(section.times(g)))
-                rhs = tss.right_mult(image, tss.calc.form0(g))
-                if lhs != rhs:
-                    raise NotLinear("basis section %d, a = %s: A(psi a) != "
-                                    "A(psi) a; %s" % (j, g, _SCOPE % tss.N))
+        for j, g, lhs, rhs in tss.right_linearity(self.perturbation, tests):
+            if lhs != rhs:
+                raise NotLinear("basis section %d, a = %s: A(psi a) != "
+                                "A(psi) a; %s" % (j, g, _SCOPE % tss.N))
 
     def apply(self, vec):
         """e . (d vec + Lambda vec), with one projection."""
@@ -307,45 +315,42 @@ def make_connection(tss, perturbation=None):
 
 class CurvatureMap:
     """The restriction of nabla^2 to the sections, together with its
-    right-linear extension through the generator presentation."""
+    right-linear extension through the generator presentation.
+    nabla_sections[j] = nabla(zeta_j) is computed once; F(zeta_j) and the
+    Bianchi sides read it."""
 
     def __init__(self, conn):
         self.conn = conn
         tss = conn.tss
-        self.on_generators = [conn.apply(conn.apply(tss.generator(alpha)))
+        self.on_generators = [self.apply(tss.generator(alpha))
                               for alpha in range(tss.dim_w)]
-        self.on_sections = [conn.apply(conn.on_section(s))
-                            for s in tss.sections]
+        self.nabla_sections, self.on_sections = [], []
+        for vec in tss.vectors:
+            self.nabla_sections.append(conn.apply(vec))
+            self.on_sections.append(conn.apply(self.nabla_sections[-1]))
+
+    def apply(self, vec):
+        """F(vec) = nabla(nabla(vec))."""
+        return self.conn.apply(self.conn.apply(vec))
 
     def hat(self, vec):
         """F-hat(sum_beta zeta_beta (x) psi_beta)
         = sum_beta F(zeta_beta) psi_beta."""
         return self.conn.tss.extend(self.on_generators, vec)
 
-    def linearity_failures(self):
-        """(j, a, F(zeta_j a), F(zeta_j) a) wherever the two differ, for
-        the basis sections zeta_j and the invariant generators a."""
-        tss = self.conn.tss
-        conn = self.conn
-        for j, (f_val, section) in enumerate(zip(self.on_sections,
-                                                 tss.sections)):
-            for g in homspace.podles_generators():
-                lhs = conn.apply(conn.on_section(section.times(g)))
-                rhs = tss.right_mult(f_val, tss.calc.form0(g))
-                if lhs != rhs:
-                    yield j, g, lhs, rhs
-
     def linearity_check(self):
         """F(zeta a) = F(zeta) a on every basis section and invariant
         generator."""
-        return next(self.linearity_failures(), None) is None
+        return all(lhs == rhs for _, _, lhs, rhs in
+                   self.conn.tss.right_linearity(
+                       self.apply, homspace.podles_generators(),
+                       self.on_sections))
 
     def bianchi_sides(self, j):
         """nabla(F(zeta_j)) and F-hat(nabla(zeta_j)) for the j-th basis
         section."""
-        section = self.conn.tss.sections[j]
         return (self.conn.apply(self.on_sections[j]),
-                self.hat(self.conn.on_section(section)))
+                self.hat(self.nabla_sections[j]))
 
     def bianchi_check(self):
         """nabla(F(zeta)) = F-hat(nabla(zeta)) on every basis section."""

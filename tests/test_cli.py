@@ -456,6 +456,50 @@ def test_broken_projection_fails_the_connection_laws(tmp_path, monkeypatch):
             "NotLinear: Lambda basis entry (0, 0): basis section 0, ")
 
 
+def _double_haar(monkeypatch):
+    # h(f) doubled: still invariant, and the squared norms still positive
+    haar = coeff.Algebra.haar
+    monkeypatch.setattr(coeff.Algebra, "haar",
+                        lambda self, f: haar(self, f) * 2)
+
+
+def _negate_star(monkeypatch):
+    # f* negated: h(f* f) changes sign, and h(1) and invariance stay
+    star = coeff.Algebra.star
+    monkeypatch.setattr(coeff.Algebra, "star",
+                        lambda self, f: star(self, f).scale(-1))
+
+
+def _drop_holomorphic_constraint(monkeypatch):
+    # holomorphic sections without the constraint of the raising
+    # generator e: every section of the line up to the level
+    monkeypatch.setattr(bundle, "holomorphic_sections",
+                        lambda algebra, lmodule, N: bundle.sections_basis(
+                            algebra, lmodule, N,
+                            generators=(uea.K, uea.K_INV)))
+
+
+@pytest.mark.parametrize("suite, breaker, witnesses", [
+    ("haar", _double_haar,
+     {"haar-unit": "normalization h(1) = 1 fails: 2 != 1"}),
+    ("haar", _negate_star,
+     {"haar-positivity": "norm not positive at u0=1/2"}),
+    ("borelweil", _drop_holomorphic_constraint,
+     {"borel-weil-dimension": "holomorphic sections dimension: 6 != 2",
+      "borel-weil-irreducible": "highest weights of the translation "
+                                "module: [3, 1] != [1]"}),
+], ids=["haar-unit", "haar-positivity", "borel-weil"])
+def test_mutant_fails_exactly_its_anchors(tmp_path, monkeypatch, suite,
+                                          breaker, witnesses):
+    # the witnesses of these checks are not residuals of forms
+    breaker(monkeypatch)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", suite, "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert {c["anchor"]: c["witness"] for c in checks
+            if c["status"] != "pass"} == witnesses
+
+
 def _checked(fn):
     checks = []
     cli._check(checks, "suite", "anchor", "name", fn)

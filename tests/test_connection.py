@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -63,14 +64,14 @@ def test_realization_shape():
 def test_partial_leibniz():
     for s in TSS.sections:
         for g in PODLES:
-            lhs = TSS.partial(s.times(g))
-            rhs = TSS.add(TSS.right_mult(TSS.partial(s), CALC.form0(g)),
+            lhs = CONN0.on_section(s.times(g))
+            rhs = TSS.add(TSS.right_mult(CONN0.on_section(s), CALC.form0(g)),
                           TSS.right_mult(TSS.from_section(s), CALC.d0(g)))
             assert lhs == rhs
 
 
 def test_partial_explicit_formula():
-    # partial(zeta) assembled section-by-section from the generator
+    # nabla0(zeta) assembled section-by-section from the generator
     # columns and the differentials of the idempotent coefficients
     for s in TSS.sections:
         el = bundle.im(A, TSS.completion, s)
@@ -78,21 +79,25 @@ def test_partial_explicit_formula():
         for beta, a_beta in el.coords.items():
             out = TSS.add(out, TSS.right_mult(TSS.generator(beta),
                                               CALC.d0(a_beta)))
-        assert out == TSS.partial(s)
+        assert out == CONN0.on_section(s)
 
 
 def test_nabla0_realizations_agree():
-    # the Leibniz-rule form sum_beta partial(zeta_beta) psi_beta
+    # the Leibniz-rule form sum_beta nabla0(zeta_beta) psi_beta
     # + zeta_beta (x) d(psi_beta) has second term e.d(psi), the
     # connection with Lambda = 0; its first term is e.de.psi, zero on
     # invariant psi because e.de.e = 0
-    partials = [TSS.partial(TSS.section_from_generator(beta))
+    partials = [CONN0.on_section(TSS.section_from_generator(beta))
                 for beta in range(TSS.dim_w)]
     for s in TSS.sections:
         psi = TSS.from_section(s)
         one = CONN0.apply(psi)
         assert one == TSS.project([CALC.d(w) for w in psi])
-        assert one == TSS.partial(s)
+        # the chain im, coordinatewise d0, project
+        coords = bundle.im(A, TSS.completion, s).coords
+        assert one == TSS.project([CALC.d0(coords.get(beta,
+                                                      coeff.CoeffElement()))
+                                   for beta in range(TSS.dim_w)])
         assert TSS.extend(partials, psi) == TSS.zero(1)
         assert TSS.extend(partials, one) == TSS.zero(2)
 
@@ -256,6 +261,24 @@ def test_verify_certifies_basis_entries_once(monkeypatch, tmp_path):
     assert len(projections) <= 282
 
 
+def test_verify_builds_each_section_vector_once(monkeypatch, tmp_path):
+    # a TensoredSectionSpace builds the vector of each basis section in
+    # __init__ and that of zeta_j a once per test element a: the
+    # workspace's space has 2 sections against 1 and the three Podles
+    # generators, the trivial bundle's space 4 sections and no product.
+    # Rebuilding them in every right-linearity loop made 239 calls
+    calls = collections.Counter()
+    fn = connection.TensoredSectionSpace.from_section
+    monkeypatch.setattr(connection.TensoredSectionSpace, "from_section",
+                        lambda self, section:
+                        calls.update([self]) or fn(self, section))
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--seed", "0", "--suite", "connection",
+                     "--suite", "curvature", "--out", str(out)]) == 0
+    assert sorted((len(tss.sections), n) for tss, n in calls.items()) == [
+        (2, 2 * 5), (4, 4)]
+
+
 def test_scalar_lambda_certifies_new_basis_entries_only(monkeypatch):
     monkeypatch.setattr(TSS, "certified", set())
     calls = _count_calls(monkeypatch, connection.ConnectionMap, "perturbation")
@@ -392,7 +415,7 @@ def test_trivial_bundle():
     conn = connection.make_connection(tt)
     for s in tt.sections:
         f = s.coords[0]
-        assert tt.partial(s) == [CALC.d0(f)]
+        assert conn.on_section(s) == [CALC.d0(f)]
         psi = tt.from_section(s)
         assert conn.apply(psi) == [CALC.d(psi[0])]
     F = connection.CurvatureMap(conn)
@@ -404,7 +427,8 @@ def test_level_overflow_propagates():
                                calculus.from_rep(repmod.irrep(1)))
     tss = connection.TensoredSectionSpace(narrow, V, 1)
     with pytest.raises(coeff.LevelOverflow):
-        tss.partial(tss.sections[0].times(PODLES[0]))
+        connection.make_connection(tss).on_section(
+            tss.sections[0].times(PODLES[0]))
     with pytest.raises(coeff.LevelOverflow):
         connection.make_connection(tss, [[1, 0], [0, 3]])
     with pytest.raises(coeff.LevelOverflow):

@@ -4,7 +4,9 @@ exactly.  The three benchmark references are read in place; the
 default-config dims/haar/idempotent outputs in golden/ were recorded
 before the gcd rewrite, connection before forms became LinCombs, and the
 two-weight (weights = 1 -1) connection and idempotent outputs before
-bundle vectors became LinCombs."""
+bundle vectors became LinCombs, and the connection and curvature suites
+at n_max = 1 and at weights = 1 -1 before one right-linearity walk
+replaced the four loops of those suites."""
 
 from pathlib import Path
 
@@ -42,4 +44,20 @@ def test_two_weight_output_matches_golden(tmp_path, command):
     out = tmp_path / (command + ".json")
     assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
     golden = TESTS / "golden" / (command + "-v1m1.json")
+    assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name, config, rc", [
+    ("n1", "n_max = 1\n", 1),
+    ("v1m1", "weights = 1 -1\n", 0),
+])
+def test_connection_suites_match_golden(tmp_path, name, config, rc):
+    # at n_max = 1 (window 4) four checks skip, each witness naming the
+    # first product that overflows; at weights = 1 -1 every check runs
+    path = tmp_path / (name + ".cfg")
+    path.write_text(config)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--config", str(path), "--suite", "connection",
+                     "--suite", "curvature", "--out", str(out)]) == rc
+    golden = TESTS / "golden" / ("verify-connection-%s.json" % name)
     assert out.read_bytes() == golden.read_bytes()
