@@ -9,9 +9,9 @@ The package builds, bottom up:
 * ``coeff``      -- the coefficient Hopf algebra spanned by matrix elements
                     t^(n)_ij, the dual pairing, the two translation actions
                     and the Haar functional,
-* ``homspace``   -- quantum homogeneous space subalgebras (Podles sphere),
 * ``bundle``     -- section modules of induced bundles and the projectivity
                     idempotent,
+* ``homspace``   -- the Podles sphere, the sections of the trivial line,
 * ``calculus``   -- left covariant differential calculi, the braiding split
                     and higher order forms,
 * ``connection`` -- the Grassmann connection, its perturbations, and

@@ -14,10 +14,12 @@ highest weight, no sharing) yields mutually inverse right-module maps
     im(zeta)         = sum_{r, beta}  w_beta (x) t_{beta, idx(r)} f_r
 
 whose composite e = im . wp is an explicit idempotent exhibiting the
-sections as a finite-type projective module.  Sections and elements of
-W (x) E_q are both coeff.CoeffVectors, LinCombs whose terms map (index,
-Peter-Weyl key) to Scalars, the index a weight line of V or a W basis
-index beta.
+sections as a finite-type projective module.  The Podles sphere E_q
+itself is H_q of the trivial line V = [0] (see `homspace.invariants`),
+and the idempotent reads the E_q of its domain off the same solver.
+Sections and elements of W (x) E_q are both coeff.CoeffVectors,
+LinCombs whose terms map (index, Peter-Weyl key) to Scalars, the index
+a weight line of V or a W basis index beta.
 
 Holomorphic sections impose the constraint for the parabolic generators
 as well; V extends to the parabolic subalgebra by letting the raising
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 from .scalars import (Scalar, Matrix, Echelon, Span, LinComb, ONE,
                       NoSolution, accumulate)
-from . import uea, repmod, coeff, homspace
+from . import uea, repmod, coeff
 
 _UPOW = Scalar.u_power
 
@@ -140,13 +142,6 @@ def _constraint_rows(lmodule, generators, n):
     return unknowns, rows
 
 
-def _constraint_kernel(lmodule, generators, n):
-    """The level-n kernel vectors, as terms keyed (r, (n, i, j))."""
-    unknowns, rows = _constraint_rows(lmodule, generators, n)
-    return [{(r, (n, i, j)): s for (r, i, j), s in zip(unknowns, vec)}
-            for vec in Echelon(rows).kernel(len(unknowns))]
-
-
 def sections_basis(algebra, lmodule, N, generators=(uea.K, uea.K_INV)):
     """Basis of the sections up to Peter-Weyl level N, blockwise.  For a
     weight line m the level-n block contributes the column j = (n+m)/2
@@ -158,8 +153,10 @@ def sections_basis(algebra, lmodule, N, generators=(uea.K, uea.K_INV)):
                                   "coefficient window %d" % (N, algebra.n_max))
     out = []
     for n in range(N + 1):
-        for terms in _constraint_kernel(lmodule, generators, n):
-            out.append(Section(algebra, lmodule, terms))
+        unknowns, rows = _constraint_rows(lmodule, generators, n)
+        for vec in Echelon(rows).kernel(len(unknowns)):
+            out.append(Section(algebra, lmodule, {
+                (r, (n, i, j)): s for (r, i, j), s in zip(unknowns, vec)}))
     return out
 
 
@@ -285,9 +282,10 @@ class BundleIdempotent:
         self.lmodule = lmodule
         self.completion = Completion(lmodule)
         self.N = N
-        inv = homspace.invariants(algebra, homspace.ThetaChoice(), N)
+        # E_q up to level N: the sections of the trivial line
+        inv = [s.coords[0] for s in sections_basis(algebra, LModule([0]), N)]
         self.domain = [(beta, f) for beta in range(self.completion.dim_w)
-                       for f in inv.elements]
+                       for f in inv]
         self.columns = []
         for beta, f in self.domain:
             image = self.apply(simple_tensor(beta, f))

@@ -712,9 +712,7 @@ class Restriction:
     def __init__(self, calc, N):
         self.calc = calc
         self.N = N
-        algebra = calc.algebra
-        inv = homspace.invariants(algebra, homspace.ThetaChoice(), N)
-        self.invariants = inv
+        self.invariants = homspace.invariants(calc.algebra, N)
         self.bases = {}
         self.echelons = {}
         self.filtration = {}
@@ -737,7 +735,7 @@ class Restriction:
     def _presentations(self, degree, bound):
         """Tuples (a, (b_1..b_degree)) of invariant basis elements with
         total level exactly `bound`."""
-        elements = self.invariants.elements
+        elements = self.invariants
         out = []
         for a in elements:
             for bs in itertools.product(elements, repeat=degree):

@@ -2,6 +2,7 @@
 the package calls."""
 
 from qhvb.scalars import ONE, NoSolution, Span
+from qhvb import uea
 
 
 def pairs(t):
@@ -13,9 +14,17 @@ def pairs(t):
     return [(t.leg({l: ONE}), t.leg(rs)) for l, rs in grouped.items()]
 
 
-def invariant_span(basis):
-    """The Span of the elements of a homspace.InvariantBasis."""
-    return Span([f.terms for f in basis.elements])
+def invariant_span(elements):
+    """The Span of a list of CoeffElements, such as homspace.invariants."""
+    return Span([f.terms for f in elements])
+
+
+def is_invariant(algebra, f):
+    """Does f satisfy x o f = eps(x) f for the Cartan generators k, k^-1?"""
+    for x in (uea.K, uea.K_INV):
+        if algebra.circle(x, f) != f.scale(uea.counit(x)):
+            return False
+    return True
 
 
 def coordinates(span, f):

@@ -14,7 +14,7 @@ import pytest
 from qhvb.scalars import Scalar, Echelon, Span
 from qhvb import uea, coeff, homspace, bundle
 
-from oracles import contains, invariant_span
+from oracles import contains, invariant_span, is_invariant
 
 U = Scalar.u_power
 A = coeff.Algebra(6)
@@ -47,9 +47,9 @@ def test_sections_dimension_oracle():
 def test_trivial_bundle_sections_are_invariants():
     V = bundle.LModule([0])
     sections = bundle.sections_basis(A, V, 4)
-    basis = homspace.invariants(A, homspace.ThetaChoice(), 4)
+    basis = homspace.invariants(A, 4)
     span = invariant_span(basis)
-    assert len(sections) == len(basis.elements)
+    assert len(sections) == len(basis)
     for s in sections:
         assert contains(span, s.coords[0])
 
@@ -105,7 +105,7 @@ def test_wp_im_roundtrip_and_linearity():
         V = bundle.LModule(weights)
         comp = bundle.Completion(V)
         basis = bundle.sections_basis(A, V, 3)
-        inv = homspace.invariants(A, homspace.ThetaChoice(), 2)
+        inv = homspace.invariants(A, 2)
         for zeta in basis:
             assert bundle.wp(A, comp, bundle.im(A, comp, zeta)) == zeta
         # im is injective on the basis
@@ -116,11 +116,11 @@ def test_wp_im_roundtrip_and_linearity():
         # the E_q legs of im are invariant
         for zeta in rng.sample(basis, min(3, len(basis))):
             for leg in bundle.im(A, comp, zeta).coords.values():
-                assert homspace.is_invariant(A, homspace.ThetaChoice(), leg)
+                assert is_invariant(A, leg)
         # right linearity of both maps
         for _ in range(4):
-            a = rng.choice(inv.elements)
-            b = rng.choice([f for f in inv.elements if f.level <= 2])
+            a = rng.choice(inv)
+            b = rng.choice([f for f in inv if f.level <= 2])
             beta = rng.randint(0, comp.dim_w - 1)
             lhs = bundle.wp(A, comp,
                             bundle.simple_tensor(beta, A.multiply(a, b)))
@@ -136,10 +136,10 @@ def test_wp_surjectivity_onto_sections():
     # wp images of W (x) E_q^{<=N} span the sections of level <= N + 1
     V = bundle.LModule([1])
     comp = bundle.Completion(V)
-    inv = homspace.invariants(A, homspace.ThetaChoice(), 2)
+    inv = homspace.invariants(A, 2)
     ech = Echelon()
     for beta in range(comp.dim_w):
-        for f in inv.elements:
+        for f in inv:
             ech.add(bundle.wp(A, comp, bundle.simple_tensor(beta, f)).terms)
     sections = bundle.sections_basis(A, V, 3)
     assert ech.rank == len(sections)
@@ -170,12 +170,12 @@ def generation_certificate(algebra, lmodule, N):
     matrix; raises NoSolution if some section is not generated."""
     completion = bundle.Completion(lmodule)
     gens = generators(algebra, lmodule)
-    inv = homspace.invariants(algebra, homspace.ThetaChoice(), N)
+    inv = homspace.invariants(algebra, N)
     basis = bundle.sections_basis(algebra, lmodule, N)
     products = []
     for alpha, zeta in enumerate(gens):
         bound = N - completion.blocks[completion.block_of(alpha)[0]]
-        for a in inv.elements:
+        for a in inv:
             if a.level <= max(bound, 0):
                 products.append(zeta.times(a))
     solution = Span([s.terms for s in products]).coordinate_matrix(
@@ -210,8 +210,8 @@ def test_two_sided_module_structure():
     rng = random.Random(602)
     V = bundle.LModule([1])
     basis = bundle.sections_basis(A, V, 3)
-    inv = homspace.invariants(A, homspace.ThetaChoice(), 2)
-    small = [f for f in inv.elements if f.level <= 2]
+    inv = homspace.invariants(A, 2)
+    small = [f for f in inv if f.level <= 2]
     for _ in range(5):
         zeta = rng.choice([s for s in basis if s.level <= 2])
         a = rng.choice(small)

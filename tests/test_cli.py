@@ -479,6 +479,29 @@ def _drop_holomorphic_constraint(monkeypatch):
                             generators=(uea.K, uea.K_INV)))
 
 
+def _forget_section_rows(monkeypatch):
+    # im reads each section leg t[n;i,j] as t[n;0,j], so sections that
+    # differ only in their Peter-Weyl row share one image
+    im = bundle.im
+
+    def collapsed(algebra, completion, section):
+        terms = {}
+        for (r, (n, i, j)), s in section.terms.items():
+            scalars.accumulate(terms, (r, (n, 0, j)), s)
+        return im(algebra, completion, section._new(terms))
+    monkeypatch.setattr(bundle, "im", collapsed)
+
+
+def _drop_last_section_of_each_level(monkeypatch):
+    # the section solver loses the last kernel vector of every level
+    # block: the sections left stay independent and the invariants (the
+    # trivial line's sections) lose the unit and one level-2 element
+    class ShortKernel(scalars.Echelon):
+        def kernel(self, n):
+            return super().kernel(n)[:-1]
+    monkeypatch.setattr(bundle, "Echelon", ShortKernel)
+
+
 @pytest.mark.parametrize("suite, breaker, witnesses", [
     ("haar", _double_haar,
      {"haar-unit": "normalization h(1) = 1 fails: 2 != 1"}),
@@ -488,7 +511,22 @@ def _drop_holomorphic_constraint(monkeypatch):
      {"borel-weil-dimension": "holomorphic sections dimension: 6 != 2",
       "borel-weil-irreducible": "highest weights of the translation "
                                 "module: [3, 1] != [1]"}),
-], ids=["haar-unit", "haar-positivity", "borel-weil"])
+    ("projection", _forget_section_rows,
+     {"projection-retraction": "retraction fails on basis section 1: "
+                               "residual (0, (1, 0, 1)) -> 1 "
+                               "(2 nonzero entries)",
+      "inclusion-injective": "inclusion image is rank deficient at basis "
+                             "section 1",
+      "projection-right-linear": "inclusion not right-linear on sample 2: "
+                                 "residual (0, (2, 0, 1)) -> "
+                                 "(-u^30 - u^22)/(u^32 + u^24 + 2*u^16 "
+                                 "+ u^8 + 1) (7 nonzero entries)"}),
+    ("projection", _drop_last_section_of_each_level,
+     {"projection-surjective": "section 3 escapes the projection image: "
+                               "residual (0, (3, 2, 2)) -> 1 "
+                               "(1 nonzero entry)"}),
+], ids=["haar-unit", "haar-positivity", "borel-weil", "inclusion-injective",
+        "projection-surjective"])
 def test_mutant_fails_exactly_its_anchors(tmp_path, monkeypatch, suite,
                                           breaker, witnesses):
     # the witnesses of these checks are not residuals of forms

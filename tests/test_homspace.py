@@ -2,76 +2,101 @@
 
 The dimension oracle is classical weight theory: Cartan invariance of
 the right index picks the zero-weight columns of irrep(n), so even
-levels contribute n + 1 invariants and odd levels none.  Closure under
-multiplication is checked by re-expanding products in the invariant
-span, and the comodule property by re-expanding right coproduct legs."""
+levels contribute n + 1 invariants and odd levels none.  The invariance
+conditions solved as their own joint right kernel are the element-wise
+oracle of `homspace.invariants`, which reads the trivial line's
+sections.  Closure under multiplication is checked by re-expanding
+products in the invariant span, and the comodule property by
+re-expanding right coproduct legs."""
 
 import random
 
-from qhvb.scalars import Scalar
+import pytest
+
+from qhvb.scalars import Echelon, Scalar, ZERO
 from qhvb import uea, repmod, coeff, homspace
 
-from oracles import contains, coordinates, invariant_span, pairs
+from oracles import (contains, coordinates, invariant_span, is_invariant,
+                     pairs)
 
 U = Scalar.u_power
 
 
-def parabolic_generators(theta):
-    """Hopf generators of U_p: U_l together with the raising generator."""
-    gens = [uea.K, uea.K_INV, uea.E]
-    if theta.theta:
-        gens.append(uea.F)
-    return gens
+def _joint_right_kernel(generators, n):
+    """Column vectors v with pi_n(x) v = eps(x) v for every generator x.
+
+    Under circle the right coproduct leg is hit, and on the level-n block
+    circle(x, sum_j C_ij t_ij) = sum_ik (C pi_n(x)^T)_ik t_ik, so the
+    invariance condition is exactly that every row of C lies in this
+    joint kernel."""
+    m = repmod.irrep(n)
+    rows = []
+    for x in generators:
+        mat = m.act(x)
+        eps = uea.counit(x)
+        for r in range(n + 1):
+            rows.append({c: s for c in range(n + 1)
+                         if (s := mat[r, c] - (eps if r == c else ZERO))})
+    return Echelon(rows).kernel(n + 1)
 
 
-def test_theta_choice():
-    cartan = homspace.ThetaChoice()
-    assert cartan.theta == ()
-    gens = cartan.levi_generators()
-    assert uea.K in gens and uea.K_INV in gens and uea.E not in gens
-    par = parabolic_generators(cartan)
-    assert uea.E in par and uea.F not in par
-    full = homspace.ThetaChoice((1,))
-    assert uea.E in full.levi_generators()
-    assert uea.F in parabolic_generators(full)
+def joint_kernel_invariants(N):
+    """The invariance conditions of the Cartan generators solved as their
+    own joint right kernel, block by block: the oracle of
+    homspace.invariants, which reads E_q off the trivial line's
+    sections."""
+    elements = []
+    for n in range(N + 1):
+        kernel = _joint_right_kernel([uea.K, uea.K_INV], n)
+        for vec in kernel:
+            for i in range(n + 1):
+                terms = {}
+                for j in range(n + 1):
+                    if vec[j]:
+                        terms[(n, i, j)] = vec[j]
+                elements.append(coeff.CoeffElement(terms))
+    return elements
+
+
+def test_invariants_match_the_joint_kernel_oracle():
+    a = coeff.Algebra(6)
+    for N in range(7):
+        assert homspace.invariants(a, N) == joint_kernel_invariants(N)
 
 
 def test_block_dimensions_match_weight_oracle():
     a = coeff.Algebra(6)
-    theta = homspace.ThetaChoice()
-    basis = homspace.invariants(a, theta, 5)
+    elements = homspace.invariants(a, 5)
+    counts = [sum(1 for f in elements if f.level == n) for n in range(6)]
     # oracle: count zero-weight columns of irrep(n), times n + 1 rows
     for n in range(6):
         weights = repmod.irrep(n).weights
         zero_cols = sum(1 for w in weights if w == 0)
-        assert basis.block_dims[n] == (n + 1) * zero_cols
-    assert basis.block_dims == [1, 0, 3, 0, 5, 0]
+        assert counts[n] == (n + 1) * zero_cols
+    assert counts == [1, 0, 3, 0, 5, 0]
 
 
-def test_trivial_homogeneous_space():
-    # Theta = {1} makes U_l everything, so only the unit survives
+def test_invariants_beyond_the_window_overflow():
     a = coeff.Algebra(4)
-    basis = homspace.invariants(a, homspace.ThetaChoice((1,)), 3)
-    assert basis.block_dims == [1, 0, 0, 0]
-    assert basis.elements == [coeff.unit()]
+    with pytest.raises(coeff.LevelOverflow):
+        homspace.invariants(a, 5)
 
 
 def test_is_invariant():
     a = coeff.Algebra(4)
-    theta = homspace.ThetaChoice()
-    assert homspace.is_invariant(a, theta, coeff.unit())
-    assert not homspace.is_invariant(a, theta, coeff.basis_element(1, 0, 0))
+    assert is_invariant(a, coeff.unit())
+    assert not is_invariant(a, coeff.basis_element(1, 0, 0))
     for g in homspace.podles_generators():
-        assert homspace.is_invariant(a, theta, g)
+        assert is_invariant(a, g)
     # invariance survives products
     prod = a.multiply(homspace.podles_generators()[0], homspace.podles_generators()[2])
-    assert homspace.is_invariant(a, theta, prod)
+    assert is_invariant(a, prod)
+    assert all(is_invariant(a, f) for f in homspace.invariants(a, 4))
 
 
 def test_podles_generators_are_the_level_two_block():
     a = coeff.Algebra(4)
-    basis = homspace.invariants(a, homspace.ThetaChoice(), 2)
-    span = invariant_span(basis)
+    span = invariant_span(homspace.invariants(a, 2))
     for g in homspace.podles_generators():
         assert contains(span, g)
         coords = coordinates(span, g)
@@ -83,11 +108,10 @@ def test_podles_generators_are_the_level_two_block():
 
 def test_multiplicative_closure():
     a = coeff.Algebra(6)
-    theta = homspace.ThetaChoice()
-    basis = homspace.invariants(a, theta, 4)
+    basis = homspace.invariants(a, 4)
     span = invariant_span(basis)
     rng = random.Random(501)
-    small = [f for f in basis.elements if f.level <= 2]
+    small = [f for f in basis if f.level <= 2]
     for _ in range(12):
         f = rng.choice(small)
         g = rng.choice(small)
@@ -112,25 +136,23 @@ def test_podles_sphere_relations_shape():
             assert set(n for (n, i, j) in prod.terms) <= {0, 2, 4}
 
 
-def comodule_check(algebra, theta, N):
+def comodule_check(algebra, N):
     """Verify Delta(f) lies in T_q (x) span(E_q) for every basis element
     f of E_q up to level N, by re-expanding the right coproduct legs in
     the invariant basis.  Returns a report dict with any violations
     (each carrying the offending element and left-leg witness)."""
-    basis = homspace.invariants(algebra, theta, N)
+    basis = homspace.invariants(algebra, N)
     span = invariant_span(basis)
     violations = []
-    for f in basis.elements:
+    for f in basis:
         # group Delta(f) by left key and test each accumulated right leg
         for left, right in pairs(algebra.coproduct(f)):
             if not contains(span, right):
                 (key,) = left.terms
                 violations.append({"element": str(f), "left_leg": list(key)})
     return {
-        "theta": list(theta.theta),
         "level_bound": N,
-        "block_dims": basis.block_dims,
-        "checked": len(basis.elements),
+        "checked": len(basis),
         "violations": violations,
         "passed": not violations,
     }
@@ -138,22 +160,18 @@ def comodule_check(algebra, theta, N):
 
 def test_comodule_check_passes():
     a = coeff.Algebra(6)
-    theta = homspace.ThetaChoice()
     for N in (0, 2, 4):
-        report = comodule_check(a, theta, N)
+        report = comodule_check(a, N)
         assert report["passed"]
         assert report["violations"] == []
-        assert report["checked"] == sum(report["block_dims"])
-    report = comodule_check(a, homspace.ThetaChoice((1,)), 2)
-    assert report["passed"]
+        assert report["checked"] == {0: 1, 2: 4, 4: 9}[N]
 
 
 def test_comodule_membership_is_sharp():
     # the right legs of a *non*-invariant element escape the span,
     # confirming the membership test has teeth
     a = coeff.Algebra(4)
-    basis = homspace.invariants(a, homspace.ThetaChoice(), 2)
-    span = invariant_span(basis)
+    span = invariant_span(homspace.invariants(a, 2))
     outside = coeff.basis_element(2, 0, 0)
     right = {}
     for (key, k2), s in a.coproduct(outside).terms.items():

@@ -60,6 +60,8 @@ UNREAD_ALLOWED = {
         "tracer-wrapped: perfbench/tracer.py lists it in SPANS",
     "scalars.Matrix.rref":
         "tracer-wrapped: perfbench/tracer.py lists it in SPANS",
+    "connection.ConnectionMap.on_section":
+        "tracer-wrapped: perfbench/tracer.py lists it in SPANS",
     "connection.ConnectionMap.from_sections":
         "README API: a perturbation given on the sections basis",
     "repmod.universal_R":
