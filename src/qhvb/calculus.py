@@ -61,7 +61,8 @@ import functools
 import itertools
 
 from .scalars import (Scalar, Matrix, Echelon, Span, LinComb, ZERO, ONE,
-                      accumulate, eval_at, NoSolution)
+                      add_row, eval_at, finish_sum, merge_sums,
+                      NoSolution)
 from . import uea, repmod, coeff, homspace
 
 _UPOW = Scalar.u_power
@@ -451,16 +452,16 @@ class Calculus:
         pairs of table(J, n): the one right translation of a form's
         coefficients through tables on (word, level).  B is read off
         the nonzero entries, so the entry x at (n, i, t) adds x times
-        row t of M at (n, i, j)."""
+        row t of M at (n, i, j), into one unreduced sum per N that is
+        finished once."""
         h = {}
         for J, b in coords.items():
             for (n, i, t), x in b.terms.items():
                 for N, m in table(J, n):
-                    terms = h.setdefault(N, {})
-                    for j, y in enumerate(m.a[t]):
-                        if y:
-                            accumulate(terms, (n, i, j), x * y)
-        return h
+                    add_row(h.setdefault(N, {}),
+                            [((n, i, j), y) for j, y in enumerate(m.a[t]) if y],
+                            x)
+        return {N: finish_sum(terms) for N, terms in h.items()}
 
     def multiply(self, w1, w2):
         """(a (x) w_I)(b (x) w_J) = sum_C a ((F-word)_{I C} o b) (x) w_{C ++ J},
@@ -473,17 +474,17 @@ class Calculus:
         B_{J,n} the level-n Peter-Weyl block of b_J and M the product
         table (_product_table), for I = () too.  So each pair (left
         word, normal word) costs one coefficient product, and the word
-        layer is contracted before it."""
+        layer is contracted before it.  The products merge into one
+        unreduced sum, finished once per form."""
         out = {}
         right = w2.coords
         for I, a in w1.coords.items():
             h = self._contract(right, functools.partial(self._product_table, I))
             for N, terms in h.items():
                 if terms:
-                    g = coeff.CoeffElement(terms)
-                    for pw, s in self.algebra.multiply(a, g).terms.items():
-                        accumulate(out, (N, pw), s)
-        return FormElement(w1.degree + w2.degree, out)
+                    merge_sums(out, N, self.algebra.product_terms(
+                        a, coeff.CoeffElement(terms)))
+        return FormElement(w1.degree + w2.degree, finish_sum(out))
 
     def left_mult(self, a, w):
         return self.multiply(self.form0(a), w)

@@ -21,14 +21,14 @@ Every check of a verify suite yields its comparisons, (where, lhs, rhs)
 for an identity of exact values or a failure string for any other
 condition, and _check alone compares them: a failing check's witness
 names where it failed and the nonzero residual lhs - rhs.  A check that
-cannot run inside the configured coefficient window, or on a bundle
-with a weight line that has no section at the connection's section
-level, is reported as skipped with the reason in its witness, never as
-a silent pass; the exit code is 0 only when every check passes, 1
-otherwise, 2 for configuration errors, for an --out path that cannot
-take the report (checked before any work starts) and for a command that
-cannot compute at the configuration (one line on stderr names the
-error)."""
+cannot run inside the configured coefficient window, or on a connection
+space whose section level leaves a weight line without a section (the
+workspace reads that level off the weights, so none does), is reported
+as skipped with the reason in its witness, never as a silent pass;
+the exit code is 0 only when every check passes, 1 otherwise, 2 for
+configuration errors, for an --out path that cannot take the report
+(checked before any work starts) and for a command that cannot compute
+at the configuration (one line on stderr names the error)."""
 
 import argparse
 import collections
@@ -241,8 +241,11 @@ class _Workspace:
         return self._get("restriction", lambda: self.calc().restrict(3))
 
     def tss(self):
+        # a weight-m line has sections from level |m| on, so every line
+        # has one at level max |m|
+        level = max(abs(m) for m in self.cfg.weights)
         return self._get("tss", lambda: connection.TensoredSectionSpace(
-            self.calc(), bundle.LModule(self.cfg.weights), 1))
+            self.calc(), bundle.LModule(self.cfg.weights), level))
 
     def conn0(self):
         return self._get("conn0",
@@ -930,6 +933,12 @@ def cmd_verify(cfg, out_path):
     info = scalars._cancel.cache_info()
     print("gcd cofactor cache: %d hits, %d misses, %d/%d entries"
           % (info.hits, info.misses, info.currsize, info.maxsize),
+          file=sys.stderr)
+    print("unreduced sums: %d finished, %d cancelled, %d denominator "
+          "products, %d lcm pairs"
+          % (scalars.SUM_STATS["finished"], scalars.SUM_STATS["cancelled"],
+             scalars._den_pair_product.cache_info().currsize,
+             scalars._den_lcm.cache_info().currsize),
           file=sys.stderr)
     print("action matrix cache: %d entries"
           % sum(len(mod._acts) for mod in repmod._IRREPS.values()),

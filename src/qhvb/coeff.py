@@ -25,7 +25,8 @@ split into small exact solves per class, and the nondegeneracy
 certificate (PairingTable) is a per-class column rank computation.
 """
 
-from .scalars import Matrix, ZERO, ONE, accumulate, LinComb, Tensor
+from .scalars import (Matrix, ZERO, ONE, accumulate, add_row, finish_sum,
+                      LinComb, Tensor)
 from . import uea, repmod
 
 
@@ -218,15 +219,23 @@ class Algebra:
             self._pair_prod[key] = out
         return out
 
-    def multiply(self, f, g):
+    def product_terms(self, f, g):
+        """f g in the Peter-Weyl basis as an unreduced sum (see
+        scalars.add_row), checked against the window: each pair of terms
+        applies its basis product as one row.  The one coefficient
+        product; multiply finishes it."""
         out = {}
         for (m, i, j), s in f.terms.items():
             for (n, k, l), t in g.terms.items():
-                st = s * t
-                for key, c in self._basis_product(m, i, j, n, k, l).items():
-                    accumulate(out, key, st * c)
-        self.check_window(max((p for (p, r, s) in out), default=0))
-        return CoeffElement(out)
+                add_row(out, self._basis_product(m, i, j, n, k, l).items(),
+                        s, t)
+        self.check_sum(out)
+        return out
+
+    def multiply(self, f, g):
+        """f g in the Peter-Weyl basis: product_terms, cancelled once per
+        entry."""
+        return CoeffElement(finish_sum(self.product_terms(f, g)))
 
     def times_basis(self, f, key):
         """f t_key in the Peter-Weyl basis as {key: Scalar}: the basis
@@ -234,9 +243,8 @@ class Algebra:
         makes no window check; a caller that sums these checks the sum."""
         out = {}
         for (m, i, j), s in f.terms.items():
-            for k, c in self._basis_product(m, i, j, *key).items():
-                accumulate(out, k, s * c)
-        return out
+            add_row(out, self._basis_product(m, i, j, *key).items(), s)
+        return finish_sum(out)
 
     def check_window(self, level):
         """LevelOverflow when an exact product has a nonzero coefficient
@@ -246,6 +254,12 @@ class Algebra:
                 "product needs level %d beyond the coefficient window %d"
                 % (level, self.n_max)
             )
+
+    def check_sum(self, terms):
+        """check_window on the highest level of an unreduced sum over
+        Peter-Weyl keys (see product_terms) with a nonzero numerator."""
+        self.check_window(max((n for (n, _, _), (num, _) in terms.items()
+                               if num), default=0))
 
     # -- coalgebra ------------------------------------------------------
 

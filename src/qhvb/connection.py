@@ -30,13 +30,14 @@ right-linearity are one walk, TensoredSectionSpace.right_linearity, over
 section vectors built once per space.  On sections nabla0 is the chain
 im -> coordinatewise d -> project.  project, the left multiplication by
 e, reads cached rows of e: one list e_{gamma beta} t_key per (gamma,
-beta, Peter-Weyl key), so it makes no coefficient product.  The
+beta, Peter-Weyl key), so it makes no coefficient product, and it sums
+each coordinate unreduced with one cancellation per entry.  The
 curvature is the restriction of nabla^2 to the sections; its
 right-linear extension F-hat satisfies the operator identity
 nabla(F(zeta)) = F-hat(nabla(zeta)).
 """
 
-from .scalars import Scalar, Span, NoSolution, accumulate
+from .scalars import Scalar, Span, NoSolution, add_row, finish_sum, merge_sums
 from . import coeff, homspace, bundle, calculus
 
 
@@ -130,10 +131,12 @@ class TensoredSectionSpace:
         normal forms: coordinate gamma is sum_beta e_{gamma beta} psi_beta.
         Every entry x at (word, key) of psi_beta adds x times the cached
         row e_{gamma beta} t_key at that word, so project makes no
-        coefficient product.  Each (gamma, beta) product is checked
-        against the window word by word before it is added, as one
-        Algebra.multiply per word of Calculus.multiply would be; extend
-        with the generator columns is the oracle."""
+        coefficient product.  The products of one (gamma, beta) are
+        unreduced sums per word (scalars.add_row); each is checked
+        against the window on its unreduced entries, as one coefficient
+        product per word of Calculus.multiply would be, and merges
+        unreduced into coordinate gamma, which is cancelled once per
+        entry.  extend with the generator columns is the oracle."""
         degree = self.degree_of(vec)
         out = []
         for gamma, e_row in enumerate(self.e_matrix):
@@ -143,15 +146,12 @@ class TensoredSectionSpace:
                     continue
                 product = {}
                 for (word, key), x in psi.terms.items():
-                    terms = product.setdefault(word, {})
-                    for pw, y in self._row(gamma, beta, key):
-                        accumulate(terms, pw, x * y)
+                    add_row(product.setdefault(word, {}),
+                            self._row(gamma, beta, key), x)
                 for word, terms in product.items():
-                    self.algebra.check_window(
-                        max((n for n, _, _ in terms), default=0))
-                    for pw, s in terms.items():
-                        accumulate(acc, (word, pw), s)
-            out.append(calculus.FormElement(degree, acc))
+                    self.algebra.check_sum(terms)
+                    merge_sums(acc, word, terms)
+            out.append(calculus.FormElement(degree, finish_sum(acc)))
         return out
 
     def from_section(self, section):

@@ -28,12 +28,25 @@ with its two cofactors, by `_cancel`, which keeps the last
 CANCEL_CACHE_SIZE results: the same denominator pairs recur close
 together in time.
 
+A sum of many products cancels once per entry instead.  `add_row` adds
+x * y for each (key, y) of a row into a dict of unreduced pairs
+(numerator, denominator): a product multiplies the numerators over the
+product of the denominators, and two entries over different
+denominators meet over their lcm (Henrici 1956; Gustavson 1978 for the
+row-wise product).  Few denominators occur, so the products and the
+lcms with their cofactors are looked up in two tables that keep the
+last DEN_TABLE_SIZE pairs each.  `finish_sum` then cancels each nonzero entry with one gcd,
+outside the `_cancel` cache, and returns canonical Scalars, so nothing
+outside such a sum sees an unreduced value.  A vanishing sum has the
+numerator (), so a window check can read the unreduced entries.
+
 Sparse vectors.  `LinComb` is the one sparse linear-combination type:
 nonzero Scalars keyed by basis labels, with the vector-space operations;
 the elements of U_q, U_q (x) U_q and T_q subclass it and add their own
 products.  `Tensor` is the LinComb keyed by pairs of leg keys, and both
 tensor squares, where the two coproducts land, subclass it.
-`accumulate` adds one term into such a dict.  `Span` gives the rank of
+`accumulate` adds one term into such a dict, and `add_row` a whole row
+of products into an unreduced sum.  `Span` gives the rank of
 a family of sparse vectors and the coordinates of a vector in it
 (NoSolution outside), through an `Echelon` whose rows carry tags
 that record which inputs they combine.  `Echelon` is the only
@@ -740,6 +753,91 @@ def accumulate(d, key, s):
             d[key] = cur
         else:
             del d[key]
+
+
+# ----------------------------------------------------------------------
+# unreduced sums of products
+
+# how many products and lcms of denominators each of the two tables of
+# unreduced sums keeps: a verify run meets about 1,500 pairs at the
+# default config and about 12,000 at weights = 2, whose large lcms would
+# otherwise be kept for the life of the process
+DEN_TABLE_SIZE = 4096
+# the entries finish_sum has built, and how many of them cancelled
+SUM_STATS = {"finished": 0, "cancelled": 0}
+
+
+@lru_cache(maxsize=DEN_TABLE_SIZE)
+def _den_pair_product(b, d):
+    return _pmul(b, d)
+
+
+def _den_product(b, d):
+    if b == (1,):
+        return d
+    if d == (1,):
+        return b
+    return _den_pair_product(b, d)
+
+
+@lru_cache(maxsize=DEN_TABLE_SIZE)
+def _den_lcm(b, d):
+    """(l, l/b, l/d) for l = lcm(b, d)."""
+    g = _pgcd(b, d)
+    fb, fd = (d, b) if g == (1,) else (_pquo(d, g), _pquo(b, g))
+    return _pmul(b, fb), fb, fd
+
+
+def _merge(acc, key, n, d):
+    """Add n/d into the unreduced entry acc[key]."""
+    cur = acc.get(key)
+    if cur is None or not cur[0]:
+        acc[key] = (n, d)
+    elif cur[1] == d:
+        acc[key] = (_padd(cur[0], n), d)
+    else:
+        l, fa, fb = _den_lcm(cur[1], d)
+        acc[key] = (_padd(_pmul(cur[0], fa), _pmul(n, fb)), l)
+
+
+def add_row(acc, row, *factors):
+    """Add x * y at key k into the unreduced sum acc for each (k, Scalar
+    y) of row, x the product of the Scalar factors.  acc maps keys to
+    pairs (numerator, denominator) that are never cancelled: a product
+    multiplies the numerators over the product of the denominators, and
+    two entries over different denominators meet over their lcm.  A sum
+    that vanishes has the numerator ()."""
+    num, den = (1,), (1,)
+    for x in factors:
+        num, den = _pmul(num, x.num), _den_product(den, x.den)
+    for k, y in row:
+        _merge(acc, k, _pmul(num, y.num), _den_product(den, y.den))
+
+
+def merge_sums(acc, index, terms):
+    """Add every unreduced entry terms[k] into acc[(index, k)]."""
+    for k, (n, d) in terms.items():
+        _merge(acc, (index, k), n, d)
+
+
+def finish_sum(acc):
+    """The nonzero entries of an unreduced sum as canonical Scalars, one
+    gcd per entry over a denominator other than 1.  The gcd is taken
+    outside the `_cancel` cache, whose pairs recur and these do not."""
+    out = {}
+    for k, (n, d) in acc.items():
+        if not n:
+            continue
+        if d != (1,):
+            g = _pgcd(n, d)
+            if g != (1,):
+                n, d = _pquo(n, g), _pquo(d, g)
+                SUM_STATS["cancelled"] += 1
+        s = Scalar.__new__(Scalar)
+        s.num, s.den = n, d
+        out[k] = s
+    SUM_STATS["finished"] += len(out)
+    return out
 
 
 class LinComb:

@@ -1,8 +1,8 @@
 """Reference code that several test modules share and that no code in
 the package calls."""
 
-from qhvb.scalars import ONE, NoSolution, Span
-from qhvb import uea
+from qhvb.scalars import ONE, NoSolution, Span, accumulate
+from qhvb import calculus, coeff, uea
 
 
 def pairs(t):
@@ -39,3 +39,78 @@ def coordinates(span, f):
 def contains(span, f):
     """Membership of a CoeffElement in the span."""
     return coordinates(span, f) is not None
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the LevelOverflow it raises."""
+    try:
+        return fn(*args)
+    except coeff.LevelOverflow as exc:
+        return str(exc)
+
+
+# ----------------------------------------------------------------------
+# the per-term loops of the four row products, before they summed
+# unreduced (scalars.add_row): each adds x * y into a dict of canonical
+# Scalars term by term
+
+
+def algebra_multiply(algebra, f, g):
+    """coeff.Algebra.multiply, one accumulate per basis-product term."""
+    out = {}
+    for (m, i, j), s in f.terms.items():
+        for (n, k, l), t in g.terms.items():
+            st = s * t
+            for key, c in algebra._basis_product(m, i, j, n, k, l).items():
+                accumulate(out, key, st * c)
+    algebra.check_window(max((p for (p, r, s) in out), default=0))
+    return coeff.CoeffElement(out)
+
+
+def times_basis(algebra, f, key):
+    """coeff.Algebra.times_basis, one accumulate per basis-product term."""
+    out = {}
+    for (m, i, j), s in f.terms.items():
+        for k, c in algebra._basis_product(m, i, j, *key).items():
+            accumulate(out, k, s * c)
+    return out
+
+
+def contract(coords, table):
+    """calculus.Calculus._contract, one accumulate per nonzero table
+    entry; an N whose sum vanishes maps to {}."""
+    h = {}
+    for J, b in coords.items():
+        for (n, i, t), x in b.terms.items():
+            for N, m in table(J, n):
+                terms = h.setdefault(N, {})
+                for j, y in enumerate(m.a[t]):
+                    if y:
+                        accumulate(terms, (n, i, j), x * y)
+    return h
+
+
+def project(tss, vec):
+    """connection.TensoredSectionSpace.project, one accumulate per row
+    term, with the rows e_{gamma beta} t_key of the times_basis oracle;
+    each (gamma, beta) product is checked word by word."""
+    degree = tss.degree_of(vec)
+    out = []
+    for gamma, e_row in enumerate(tss.e_matrix):
+        acc = {}
+        for beta, psi in enumerate(vec):
+            if not e_row[beta]:
+                continue
+            product = {}
+            for (word, key), x in psi.terms.items():
+                terms = product.setdefault(word, {})
+                for pw, y in times_basis(tss.algebra, e_row[beta],
+                                         key).items():
+                    accumulate(terms, pw, x * y)
+            for word, terms in product.items():
+                tss.algebra.check_window(
+                    max((n for n, _, _ in terms), default=0))
+                for pw, s in terms.items():
+                    accumulate(acc, (word, pw), s)
+        out.append(calculus.FormElement(degree, acc))
+    return out

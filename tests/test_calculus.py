@@ -8,6 +8,7 @@ differential is exercised through the Maurer-Cartan commutator identity,
 graded Leibniz, d^2 = 0, and commutation with both translation actions;
 the restricted calculus dimensions are frozen regressions."""
 
+import functools
 import itertools
 import random
 
@@ -15,8 +16,9 @@ import pytest
 
 from qhvb.scalars import (Scalar, Matrix, Span, ZERO, ONE, accumulate,
                           NoSolution)
-from qhvb import uea, repmod, coeff, calculus, cli
+from qhvb import uea, repmod, coeff, calculus, cli, scalars
 from test_cli import _break_calculus
+import oracles
 
 U = Scalar.u_power
 A = coeff.Algebra(6)
@@ -462,6 +464,26 @@ def test_multiply_matches_the_word_product():
     assert nonzero_products >= 30
 
 
+def test_contract_matches_the_per_term_oracle():
+    # the product and d tables contract into one unreduced sum per N,
+    # finished once; the per-term loop gives the same Scalars, in the
+    # same order of N
+    pairs = product_samples()
+    calc = calculus.Calculus(A, DATA)
+    nonempty = 0
+    for w1, w2 in pairs:
+        right = w2.coords
+        tables = [functools.partial(calc._product_table, I)
+                  for I in w1.coords] + [calc._d_table]
+        for table in tables:
+            got = {N: t for N, t in calc._contract(right, table).items() if t}
+            want = {N: t for N, t in oracles.contract(right, table).items()
+                    if t}
+            assert got == want and list(got) == list(want)
+            nonempty += bool(got)
+    assert nonempty >= 60
+
+
 def test_multiply_reads_its_tables_only(monkeypatch):
     # multiply reads one cached table per (left word, right word, level),
     # the unit word included, and never calls reduce_mod_J; the tables
@@ -486,29 +508,43 @@ def test_multiply_reads_its_tables_only(monkeypatch):
                    for _, m in table)
 
 
-@pytest.mark.parametrize("suites, limit", [
-    (("calculus", "closure"), 2200),
-    (("connection", "curvature"), 3700),
+@pytest.mark.parametrize("suites, limit, gcd_limit", [
+    (("calculus", "closure"), 2200, None),
+    (("connection", "curvature"), 3700, 30000),
 ], ids=["calculus-closure", "connection-curvature"])
 def test_verify_contracts_words_before_coefficient_products(monkeypatch,
                                                            tmp_path, capsys,
-                                                           suites, limit):
+                                                           suites, limit,
+                                                           gcd_limit):
     # the calculus and closure suites make one coefficient product per
     # (left word, normal word) pair; one per (left word, shifted word,
     # right word) made 3,741.  The connection and curvature suites make
     # 3,658, most of them in right_mult; with one product per (gamma,
     # beta, word) in TensoredSectionSpace.project they made 7,957, and
-    # with section vectors rebuilt by each right-linearity loop 4,524
+    # with section vectors rebuilt by each right-linearity loop 4,524.
+    # product_terms is the one coefficient product: Algebra.multiply
+    # finishes it, and Calculus.multiply merges its terms unreduced
     calls = []
-    fn = coeff.Algebra.multiply
-    monkeypatch.setattr(coeff.Algebra, "multiply", lambda self, f, g:
+    fn = coeff.Algebra.product_terms
+    monkeypatch.setattr(coeff.Algebra, "product_terms", lambda self, f, g:
                         calls.append(1) or fn(self, f, g))
+    # every gcd, from cold scalar caches: the connection and curvature
+    # suites made 75,574 when each sum and product cancelled at once,
+    # and about 25,700 with one cancellation per entry of a row product
+    gcds = []
+    pgcd = scalars._pgcd
+    monkeypatch.setattr(scalars, "_pgcd", lambda a, b:
+                        gcds.append(1) or pgcd(a, b))
+    for cache in (scalars._cancel, scalars._den_pair_product,
+                  scalars._den_lcm):
+        cache.cache_clear()
     out = tmp_path / "report.json"
     args = ["verify", "--seed", "0", "--out", str(out)]
     for suite in suites:
         args += ["--suite", suite]
     assert cli.main(args) == 0
     assert 0 < len(calls) <= limit
+    assert gcd_limit is None or len(gcds) <= gcd_limit
     # the calculus table caches the run built are counted on stderr
     err = capsys.readouterr().err.splitlines()
     tables = [line.split(": ")[1] for line in err
@@ -522,7 +558,18 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
     assert len(rows) == 1 and rows[0].endswith(" projection rows")
     count = int(rows[0].split(": ")[1].split()[0])
     assert (count > 0) == ("connection" in suites)
+    # and the unreduced sums with their denominator tables
+    sums = [line for line in err if line.startswith("unreduced sums: ")]
+    assert len(sums) == 1
+    finished, _, cancelled, _, products, _, _, lcms, _, _ = (
+        sums[0].split(": ")[1].split())
+    assert 0 < int(cancelled) < int(finished)
+    assert (int(products), int(lcms)) == (
+        scalars._den_pair_product.cache_info().currsize,
+        scalars._den_lcm.cache_info().currsize)
+    assert 0 < int(products) and 0 < int(lcms)
     assert "cache" not in out.read_text()
+    assert "unreduced" not in out.read_text()
 
 
 def test_d_reads_its_tables_only(monkeypatch):

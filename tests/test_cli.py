@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -107,6 +108,10 @@ def test_verify_reduced_suites(tmp_path, capsys):
     stats = [line for line in err if line.startswith("gcd cofactor cache: ")]
     assert len(stats) == 1
     assert stats[0].endswith("/%d entries" % cli.scalars.CANCEL_CACHE_SIZE)
+    sums = [line for line in err if line.startswith("unreduced sums: ")]
+    assert len(sums) == 1
+    assert re.fullmatch(r"unreduced sums: \d+ finished, \d+ cancelled, "
+                        r"\d+ denominator products, \d+ lcm pairs", sums[0])
     acts = [line for line in err if line.startswith("action matrix cache: ")]
     assert len(acts) == 1
     count = int(acts[0].split(": ")[1].split()[0])
@@ -118,6 +123,7 @@ def test_verify_reduced_suites(tmp_path, capsys):
     rows = [line for line in err if line.startswith("connection table cache: ")]
     assert rows == ["connection table cache: 0 projection rows"]
     assert "cache" not in out.read_text()
+    assert "unreduced" not in out.read_text()
     report = json.loads(out.read_text())
     assert report["config"]["seed"] == 3
     assert report["config"]["suites"] == ["haar", "borelweil"]
@@ -755,15 +761,24 @@ def test_projection_suite_at_weights_beyond_one(tmp_path, weights, skipped):
     assert all(c["status"] == "skip" for c in checks if c["status"] != "pass")
 
 
-def test_connection_suites_skip_a_weight_without_sections(tmp_path):
-    # the connection's sections have level <= 1, and a weight-2 line has
-    # none; the trivial-flat check builds its own trivial bundle
-    path = tmp_path / "run.cfg"
-    path.write_text("weights = 2\n")
+def _weight_2_at_level_1(monkeypatch):
+    """Build the workspace's TensoredSectionSpace on a weight-2 line at
+    section level 1, where it has no section.  The workspace itself
+    reads the level off the weights, so no config reaches NoSections."""
+    monkeypatch.setattr(cli._Workspace, "tss", lambda self: self._get(
+        "tss", lambda: connection.TensoredSectionSpace(
+            self.calc(), bundle.LModule([2]), 1)))
+
+
+def test_connection_suites_skip_a_weight_without_sections(monkeypatch,
+                                                          tmp_path):
+    # every check that reads the workspace's space skips with the
+    # NoSections witness; the trivial-flat check builds its own trivial
+    # bundle
+    _weight_2_at_level_1(monkeypatch)
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--suite", "connection", "--suite",
-                     "curvature", "--config", str(path),
-                     "--out", str(out)]) == 1
+                     "curvature", "--out", str(out)]) == 1
     checks = json.loads(out.read_text())["checks"]
     witness = "no section of weight 2 at level <= 1"
     assert {c["anchor"]: (c["status"], c.get("witness")) for c in checks} == {
@@ -773,7 +788,7 @@ def test_connection_suites_skip_a_weight_without_sections(tmp_path):
         "curvature-right-linear": ("skip", witness),
         "bianchi-operator-identity": ("skip", witness),
         "curvature-trivial-flat": ("pass", None)}
-    ws = cli._Workspace(cli.RunConfig(weights=(2,), n_max=2))
+    ws = cli._Workspace(cli.RunConfig(n_max=2))
     errors = []
     for _ in range(2):
         with pytest.raises(connection.NoSections) as exc:
@@ -782,12 +797,11 @@ def test_connection_suites_skip_a_weight_without_sections(tmp_path):
     assert errors[0] is errors[1]  # cached like a LevelOverflow
 
 
-def test_connection_command_without_sections_exits_2(tmp_path, capsys):
-    path = tmp_path / "run.cfg"
-    path.write_text("weights = 2\n")
+def test_connection_command_without_sections_exits_2(monkeypatch, tmp_path,
+                                                      capsys):
+    _weight_2_at_level_1(monkeypatch)
     out = tmp_path / "conn.json"
-    assert cli.main(["connection", "--config", str(path),
-                     "--out", str(out)]) == 2
+    assert cli.main(["connection", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "NoSections: no section of weight 2 at level <= 1\n")
     assert not out.exists()

@@ -15,6 +15,7 @@ import pytest
 from qhvb.scalars import (Scalar, Matrix, ZERO, ONE, eval_at, NoSolution,
                           Tensor, Span)
 from qhvb import uea, repmod, coeff
+import oracles
 
 Q = Scalar.q_power
 U = Scalar.u_power
@@ -124,6 +125,27 @@ def test_quantum_determinant():
     for mono in sample_monomials():
         x = uea.monomial(*mono)
         assert a.eval(det, x) == uea.counit(x)
+
+
+def test_row_products_match_the_per_term_oracles():
+    # multiply and times_basis sum their rows unreduced and finish once
+    # per entry; the per-term loops they replaced give the same Scalars,
+    # and the same LevelOverflow at window 4
+    rng = random.Random(403)
+    for n_max in (4, 6):
+        a = alg(n_max)
+        for _ in range(12):
+            f = random_element(rng, max_level=3, nterms=4)
+            g = random_element(rng, max_level=2, nterms=3)
+            assert oracles.outcome(a.multiply, f, g) == oracles.outcome(
+                oracles.algebra_multiply, a, f, g)
+            key = next(iter(g.terms))
+            assert a.times_basis(f, key) == oracles.times_basis(a, f, key)
+    a = alg(4)
+    f, g = coeff.basis_element(3, 1, 2), coeff.basis_element(2, 0, 1)
+    assert oracles.outcome(a.multiply, f, g) == oracles.outcome(
+        oracles.algebra_multiply, a, f, g) == (
+        "product needs level 5 beyond the coefficient window 4")
 
 
 def test_level_overflow():

@@ -5,6 +5,7 @@ import pytest
 from qhvb import coeff, repmod, calculus, bundle, homspace, connection, cli
 from qhvb.scalars import Scalar, Span
 from test_calculus import sample_coeff
+import oracles
 
 A = coeff.Algebra(10)
 CALC = calculus.Calculus(A, calculus.from_rep(repmod.irrep(1)))
@@ -179,14 +180,8 @@ def test_project_matches_the_extend_oracle(weights):
                 if not all(w.is_zero() for w in expected):
                     break
             assert tss.project(vec) == expected
-
-
-def _outcome(fn, *args):
-    """fn(*args), or the message of the LevelOverflow it raises."""
-    try:
-        return fn(*args)
-    except coeff.LevelOverflow as exc:
-        return str(exc)
+            # and the per-term loop it replaced
+            assert oracles.project(tss, vec) == expected
 
 
 def test_project_raises_where_the_oracle_overflows():
@@ -204,8 +199,10 @@ def test_project_raises_where_the_oracle_overflows():
         [zero, calculus.form(1, {(2,): low + high})],
         [calculus.form(1, {(0,): low}), calculus.form(1, {(3,): mid})],
     ]
-    outcomes = [_outcome(tss.project, vec) for vec in vectors]
-    assert outcomes == [_outcome(project_oracle, tss, vec)
+    outcomes = [oracles.outcome(tss.project, vec) for vec in vectors]
+    assert outcomes == [oracles.outcome(project_oracle, tss, vec)
+                        for vec in vectors]
+    assert outcomes == [oracles.outcome(oracles.project, tss, vec)
                         for vec in vectors]
     window = "product needs level %d beyond the coefficient window 4"
     assert outcomes[1:] == [window % 5, window % 6, window % 6, window % 5]
@@ -219,7 +216,7 @@ def test_project_makes_no_coefficient_product(monkeypatch):
     rnd = random.Random(29)
     vecs = [[sample_form(rnd, CALC, degree) for _ in range(tss.dim_w)]
             for degree in (0, 1, 2)]
-    calls = _count_calls(monkeypatch, coeff.Algebra, "multiply")
+    calls = _count_calls(monkeypatch, coeff.Algebra, "product_terms")
     assert tss._rows == {}
     cold = [tss.project(vec) for vec in vecs]
     assert calls == [] and tss._rows
@@ -231,6 +228,31 @@ def test_project_makes_no_coefficient_product(monkeypatch):
         assert tss.e_matrix[gamma][beta]
         assert dict(row) == A.multiply(tss.e_matrix[gamma][beta],
                                        coeff.basis_element(*key)).terms
+        assert dict(row) == oracles.times_basis(A, tss.e_matrix[gamma][beta],
+                                                key)
+
+
+def _unprojected_lambda(self, vec):
+    """The mutant e . d + Lambda: Lambda vec is left unprojected."""
+    tss = self.tss
+    out = tss.project([tss.calc.d(w) for w in vec])
+    if self.columns is not None:
+        out = tss.add(out, tss.extend(self.columns, vec))
+    return out
+
+
+def test_nabla_lands_in_the_realization(monkeypatch):
+    # e . (d + Lambda) ends with the projection, so project fixes nabla
+    # psi, for nabla0 and a scalar Lambda on the basis sections and the
+    # generators; no verify check compares project(nabla psi) with nabla
+    # psi, so the mutant e . d + Lambda passes verify and fails here
+    vecs = TSS.vectors + [TSS.generator(a) for a in range(TSS.dim_w)]
+    for conn in (CONN0, CONN_A):
+        assert all(is_invariant(TSS, conn.apply(vec)) for vec in vecs)
+    monkeypatch.setattr(connection.ConnectionMap, "apply",
+                        _unprojected_lambda)
+    assert all(is_invariant(TSS, CONN0.apply(vec)) for vec in vecs)
+    assert not any(is_invariant(TSS, CONN_A.apply(vec)) for vec in vecs)
 
 
 def test_perturbation_is_e_lambda():

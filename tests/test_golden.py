@@ -6,7 +6,9 @@ before the gcd rewrite, connection before forms became LinCombs, and the
 two-weight (weights = 1 -1) connection and idempotent outputs before
 bundle vectors became LinCombs, and the connection and curvature suites
 at n_max = 1 and at weights = 1 -1 before one right-linearity walk
-replaced the four loops of those suites."""
+replaced the four loops of those suites.  The connection at weights = 2,
+on the sections of level 2, was recorded before the row products summed
+unreduced."""
 
 from pathlib import Path
 
@@ -34,6 +36,18 @@ def test_default_config_output_matches_golden(tmp_path, command):
     out = tmp_path / (command + ".json")
     assert cli.main([command, "--out", str(out)]) == 0
     assert out.read_bytes() == (TESTS / "golden" / (command + ".json")).read_bytes()
+
+
+def test_weight_two_connection_matches_golden(tmp_path):
+    # the weight-2 line has sections from level 2 on, and the connection
+    # reads its sections at that level
+    config = tmp_path / "v2.cfg"
+    config.write_text("weights = 2\n")
+    out = tmp_path / "connection.json"
+    assert cli.main(["connection", "--config", str(config),
+                     "--out", str(out)]) == 0
+    golden = TESTS / "golden" / "connection-v2.json"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["connection", "idempotent"])

@@ -833,3 +833,129 @@ def test_cancel_cache_is_transparent():
     assert info.maxsize == 256 == sc.CANCEL_CACHE_SIZE
     assert info.currsize <= 256
     assert info.hits > 0
+
+
+# ----------------------------------------------------------------------
+# unreduced sums of products (scalars.add_row) against the term-by-term
+# canonical sum
+
+# the non-cyclotomic denominators of the pairing suite:
+# u^6 + u^4 - 1 and u^12 + u^10 - u^8 - u^6 - 1
+PAIRING_DENS = ((-1, 0, 0, 0, 1, 0, 1),
+                (-1, 0, 0, 0, 0, 0, -1, 0, -1, 0, 1, 0, 1))
+sum_dens = st.one_of(
+    nonzero_polys,
+    st.integers(min_value=-6, max_value=6).filter(bool).map(lambda c: (c,)),
+    st.sampled_from(PAIRING_DENS + ((2,), (4,), (1, 1), (-1, 0, 1))))
+sum_scalars = st.builds(Scalar, polys, sum_dens)
+row_keys = st.integers(min_value=0, max_value=3)
+
+
+@st.composite
+def row_terms(draw):
+    """(factors, row) pairs over four keys.  Each row may come back
+    negated on a later term, so that whole entries cancel to zero."""
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        factors = draw(st.lists(sum_scalars, min_size=1, max_size=2))
+        row = draw(st.lists(st.tuples(row_keys, sum_scalars), max_size=4))
+        terms.append((factors, row))
+        if draw(st.booleans()):
+            terms.append((factors, [(k, -y) for k, y in row]))
+    return terms
+
+
+def _term_by_term(terms):
+    out = {}
+    for factors, row in terms:
+        x = ONE
+        for f in factors:
+            x = x * f
+        for k, y in row:
+            sc.accumulate(out, k, x * y)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(row_terms())
+def test_unreduced_sum_matches_the_term_by_term_sum(terms):
+    acc = {}
+    for factors, row in terms:
+        sc.add_row(acc, row, *factors)
+    expected = _term_by_term(terms)
+    # a vanishing entry keeps the empty numerator until the finish
+    assert {k for k, (n, _) in acc.items() if n} == set(expected)
+    got = sc.finish_sum(acc)
+    assert got == expected
+    for s in got.values():
+        assert type(s.num) is tuple and type(s.den) is tuple
+        assert (s.num, s.den) == _oracle_canonical(s.num, s.den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_terms(), row_terms())
+def test_merged_sums_match_the_term_by_term_sum(left, right):
+    acc = {}
+    for index, terms in enumerate((left, right, left)):
+        part = {}
+        for factors, row in terms:
+            sc.add_row(part, row, *factors)
+        sc.merge_sums(acc, index % 2, part)
+    expected = {}
+    for index, terms in enumerate((left, right, left)):
+        for k, s in _term_by_term(terms).items():
+            sc.accumulate(expected, (index % 2, k), s)
+    assert sc.finish_sum(acc) == expected
+
+
+def test_unreduced_sum_cancels_to_zero_and_content():
+    # 1/2 + 1/(2u) - (u + 1)/(2u) vanishes; 1/4 + 1/4 is 1/2, whose
+    # integer content cancels in the finish
+    x, y = Scalar(1, 2), Scalar((1,), (0, 2))
+    acc = {}
+    sc.add_row(acc, [("a", x), ("b", ONE)], ONE)
+    sc.add_row(acc, [("a", y), ("b", Scalar(1, 4))], ONE)
+    sc.add_row(acc, [("a", -Scalar((1, 1), (0, 2))), ("b", Scalar(1, 4))],
+               ONE)
+    assert acc["a"][0] == ()
+    assert sc.finish_sum(acc) == {"b": Scalar(3, 2)}
+    stats = dict(sc.SUM_STATS)
+    assert sc.finish_sum({"c": ((2,), (4,))}) == {"c": Scalar(1, 2)}
+    assert sc.SUM_STATS["finished"] == stats["finished"] + 1
+    assert sc.SUM_STATS["cancelled"] == stats["cancelled"] + 1
+
+
+def test_unreduced_sum_over_the_pairing_denominators():
+    # entries over both pairing denominators and their product meet over
+    # lcms, and the two cross terms of entry 1 cancel
+    a, b = PAIRING_DENS
+    x, y = Scalar((1,), a), Scalar((0, 0, 1), b)
+    z = Scalar((1, 1), sc._pmul(a, b))
+    terms = [([y], [(0, x), (1, y)]), ([x], [(0, y), (1, -y)]),
+             ([x, z], [(0, x), (1, z)])]
+    acc = {}
+    for factors, row in terms:
+        sc.add_row(acc, row, *factors)
+    got = sc.finish_sum(acc)
+    assert got == _term_by_term(terms)
+    assert got[0].den == sc._pmul(sc._pmul(a, a), sc._pmul(a, b))
+
+
+def test_cancelled_terms_above_the_window_do_not_overflow():
+    # basis products seeded so that the level-3 terms of f g cancel in
+    # the window-2 algebra: the unreduced numerator there is (), and
+    # neither the product nor the per-term oracle raises LevelOverflow
+    from oracles import algebra_multiply
+    a = coeff.Algebra(2)
+    a._pair_prod[(1, 0, 0, 2, 0, 0)] = {(3, 0, 0): U, (1, 0, 0): ONE}
+    a._pair_prod[(1, 1, 1, 2, 0, 0)] = {(3, 0, 0): -U, (1, 1, 1): ONE}
+    f = coeff.basis_element(1, 0, 0) + coeff.basis_element(1, 1, 1)
+    g = coeff.basis_element(2, 0, 0)
+    terms = a.product_terms(f, g)
+    assert terms[(3, 0, 0)][0] == ()
+    expected = coeff.CoeffElement({(1, 0, 0): ONE, (1, 1, 1): ONE})
+    assert a.multiply(f, g) == algebra_multiply(a, f, g) == expected
+    a._pair_prod[(1, 1, 1, 2, 0, 0)] = {(3, 0, 0): -ONE, (1, 1, 1): ONE}
+    for product in (a.multiply, lambda f, g: algebra_multiply(a, f, g)):
+        with pytest.raises(coeff.LevelOverflow, match="needs level 3 "):
+            product(f, g)
