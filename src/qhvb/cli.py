@@ -937,7 +937,7 @@ def cmd_verify(cfg, out_path):
     print("unreduced sums: %d finished, %d cancelled, %d denominator "
           "products, %d lcm pairs"
           % (scalars.SUM_STATS["finished"], scalars.SUM_STATS["cancelled"],
-             scalars._den_pair_product.cache_info().currsize,
+             scalars._den_product.cache_info().currsize,
              scalars._den_lcm.cache_info().currsize),
           file=sys.stderr)
     print("action matrix cache: %d entries"

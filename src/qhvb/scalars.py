@@ -35,10 +35,11 @@ product of the denominators, and two entries over different
 denominators meet over their lcm (Henrici 1956; Gustavson 1978 for the
 row-wise product).  Few denominators occur, so the products and the
 lcms with their cofactors are looked up in two tables that keep the
-last DEN_TABLE_SIZE pairs each.  `finish_sum` then cancels each nonzero entry with one gcd,
-outside the `_cancel` cache, and returns canonical Scalars, so nothing
-outside such a sum sees an unreduced value.  A vanishing sum has the
-numerator (), so a window check can read the unreduced entries.
+last DEN_TABLE_SIZE pairs each.  `finish_sum` then cancels each nonzero
+entry with one gcd, outside the `_cancel` cache, and returns canonical
+Scalars, so nothing outside such a sum sees an unreduced value.  A
+vanishing sum has the numerator (), so a window check can read the
+unreduced entries.
 
 Sparse vectors.  `LinComb` is the one sparse linear-combination type:
 nonzero Scalars keyed by basis labels, with the vector-space operations;
@@ -768,16 +769,8 @@ SUM_STATS = {"finished": 0, "cancelled": 0}
 
 
 @lru_cache(maxsize=DEN_TABLE_SIZE)
-def _den_pair_product(b, d):
-    return _pmul(b, d)
-
-
 def _den_product(b, d):
-    if b == (1,):
-        return d
-    if d == (1,):
-        return b
-    return _den_pair_product(b, d)
+    return _pmul(b, d)
 
 
 @lru_cache(maxsize=DEN_TABLE_SIZE)

@@ -535,7 +535,7 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
     pgcd = scalars._pgcd
     monkeypatch.setattr(scalars, "_pgcd", lambda a, b:
                         gcds.append(1) or pgcd(a, b))
-    for cache in (scalars._cancel, scalars._den_pair_product,
+    for cache in (scalars._cancel, scalars._den_product,
                   scalars._den_lcm):
         cache.cache_clear()
     out = tmp_path / "report.json"
@@ -565,7 +565,7 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
         sums[0].split(": ")[1].split())
     assert 0 < int(cancelled) < int(finished)
     assert (int(products), int(lcms)) == (
-        scalars._den_pair_product.cache_info().currsize,
+        scalars._den_product.cache_info().currsize,
         scalars._den_lcm.cache_info().currsize)
     assert 0 < int(products) and 0 < int(lcms)
     assert "cache" not in out.read_text()
