@@ -22,11 +22,13 @@ The pairing respects the "diagonal class" d = i - j: t^{(n)}_{ij}
 pairs nonzero with the PBW monomial f^a k^b e^c only when a - c =
 i - j.  The basis re-expansions of the antipode and the star therefore
 split into small exact solves per class, and the nondegeneracy
-certificate (PairingTable) is a per-class column rank computation.
+certificate (PairingTable) is a per-class column rank computation,
+certified by specialization mod p (scalars.rank_lower_bound) with the
+exact rank over Q(u) as its fallback.
 """
 
 from .scalars import (Matrix, ZERO, ONE, accumulate, add_row, finish_sum,
-                      LinComb, Tensor)
+                      rank_lower_bound, LinComb, Tensor)
 from . import uea, repmod
 
 
@@ -119,7 +121,13 @@ class PairingTable:
     """Evaluation matrix of Peter-Weyl basis elements (level <= N)
     against the per-class PBW monomial families; certifies that
     evaluation separates the basis (full column rank per class, each
-    rank computed once)."""
+    rank computed once).
+
+    A class whose specialization mod p (scalars.rank_lower_bound) has
+    full column rank records the column count: that rank is exact, since
+    the rank over Q(u) is at least the rank mod p, and no Q(u)
+    elimination runs.  Any other class, rank deficient or not certified
+    at that point, records the exact Matrix.rank."""
 
     def __init__(self, N):
         self.N = N
@@ -144,7 +152,8 @@ class PairingTable:
             self.columns[d] = cols
             self.monomials[d] = monos
             self.matrix[d] = m
-            self.ranks[d] = m.rank()
+            self.ranks[d] = (m.cols if rank_lower_bound(m.a) == m.cols
+                             else m.rank())
 
     def certify(self):
         for d, m in self.matrix.items():
@@ -338,41 +347,37 @@ class Algebra:
 
     # -- translation actions ---------------------------------------------
 
-    def _to_blocks(self, f):
-        blocks = {}
-        for (n, i, j), s in f.terms.items():
-            blk = blocks.get(n)
-            if blk is None:
-                blk = blocks[n] = Matrix.zeros(n + 1, n + 1)
-            blk.a[i][j] = s
-        return blocks
-
     @staticmethod
-    def _from_blocks(blocks):
-        terms = {}
-        for n, blk in blocks.items():
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    if blk.a[i][j]:
-                        terms[(n, i, j)] = blk.a[i][j]
-        return CoeffElement(terms)
+    def _action_rows(x, f):
+        """{n: rows of pi_n(x)} for the levels n of f's terms, read from
+        the memoised action matrices (repmod.Module.act)."""
+        levels = {n for n, _, _ in f.terms}
+        return {n: repmod.irrep(n).act(x).a for n in levels}
 
     def circle(self, x, f):
-        """Right translation: x o f = sum f_(1) <f_(2), x>; on blocks the
-        coefficient matrix C goes to C pi_n(x)^T."""
-        blocks = self._to_blocks(f)
-        return self._from_blocks(
-            {n: blk * repmod.irrep(n).act(x).transpose() for n, blk in blocks.items()}
-        )
+        """Right translation: x o f = sum f_(1) <f_(2), x>.  On the level-n
+        block of coefficients C it is C pi_n(x)^T, so each term s t_ij
+        adds s pi_n(x)_kj at (n, i, k), read off the memoised action
+        matrix term by term."""
+        act = self._action_rows(x, f)
+        out = {}
+        for (n, i, j), s in f.terms.items():
+            for k, row in enumerate(act[n]):
+                if row[j]:
+                    accumulate(out, (n, i, k), s * row[j])
+        return CoeffElement(out)
 
     def dot(self, x, f):
-        """Left translation: x . f = sum <f_(1), S^{-1}(x)> f_(2); on
-        blocks C goes to pi_n(S^{-1} x)^T C."""
-        xs = uea.antipode_inv(x)
-        blocks = self._to_blocks(f)
-        return self._from_blocks(
-            {n: repmod.irrep(n).act(xs).transpose() * blk for n, blk in blocks.items()}
-        )
+        """Left translation: x . f = sum <f_(1), S^{-1}(x)> f_(2).  On the
+        level-n block C it is pi_n(S^{-1} x)^T C, so each term s t_ij adds
+        s pi_n(S^{-1} x)_ik at (n, k, j), term by term as in circle."""
+        act = self._action_rows(uea.antipode_inv(x), f)
+        out = {}
+        for (n, i, j), s in f.terms.items():
+            for k, y in enumerate(act[n][i]):
+                if y:
+                    accumulate(out, (n, k, j), s * y)
+        return CoeffElement(out)
 
     # -- Haar functional -------------------------------------------------
 

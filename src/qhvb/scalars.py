@@ -54,6 +54,16 @@ that record which inputs they combine.  `Echelon` is the only
 elimination: the dense `Matrix` reads its rank, rref and kernel off an
 `Echelon` of its rows and solves through a `Span` of its columns.
 
+Ranks by specialization.  `rank_lower_bound` maps a matrix to F_p by
+u -> U0 (p = PRIME) and eliminates there, on machine-size integers.
+The fractions whose denominator does not vanish at U0 mod p form a local
+ring, and specialization is a ring map from it onto F_p; so a minor that
+is nonzero mod p is the image of a nonzero minor over Q(u), and the rank
+over Q(u) is at least the rank mod p.  When that bound reaches the column
+count it certifies full column rank exactly, with no Q(u) elimination;
+any other outcome says nothing, and the caller falls back to the exact
+rank.  A denominator that vanishes at U0 mod p gives no bound at all.
+
 There is no floating point anywhere; specialization at a rational point
 goes through fractions.Fraction.
 """
@@ -494,6 +504,58 @@ def eval_at(s, u0):
     """Exact specialization of a Scalar at a rational u0 (PoleError at a
     zero of the denominator)."""
     return s.eval_at(u0)
+
+
+# ----------------------------------------------------------------------
+# ranks by specialization mod p
+
+# the prime field and the point u = U0 of rank_lower_bound
+PRIME = 2 ** 61 - 1
+U0 = 1000003
+
+
+def _peval_mod(a):
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * U0 + c) % PRIME
+    return acc
+
+
+def rank_lower_bound(rows):
+    """The rank over F_p of the rows (sequences of Scalars) specialized
+    at u = U0 mod p = PRIME, found by sparse forward elimination; None
+    when some denominator vanishes there.  The rank over Q(u) is at least
+    this (see the module docstring), so a bound equal to the column count
+    certifies full column rank."""
+    specialized = []
+    for row in rows:
+        v = {}
+        for j, x in enumerate(row):
+            if x:
+                d = _peval_mod(x.den)
+                if not d:
+                    return None
+                y = _peval_mod(x.num) * pow(d, -1, PRIME) % PRIME
+                if y:
+                    v[j] = y
+        specialized.append(v)
+    pivots = {}  # pivot column -> row with pivot entry 1
+    for v in specialized:
+        while v:
+            j = min(v)
+            row = pivots.get(j)
+            if row is None:
+                inv = pow(v[j], -1, PRIME)
+                pivots[j] = {k: y * inv % PRIME for k, y in v.items()}
+                break
+            f = v[j]
+            for k, y in row.items():
+                z = (v.get(k, 0) - f * y) % PRIME
+                if z:
+                    v[k] = z
+                else:
+                    v.pop(k, None)
+    return len(pivots)
 
 
 # ----------------------------------------------------------------------

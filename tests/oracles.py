@@ -1,8 +1,8 @@
 """Reference code that several test modules share and that no code in
 the package calls."""
 
-from qhvb.scalars import ONE, NoSolution, Span, accumulate
-from qhvb import calculus, coeff, uea
+from qhvb.scalars import ONE, Matrix, NoSolution, Span, accumulate
+from qhvb import calculus, coeff, repmod, uea
 
 
 def pairs(t):
@@ -114,3 +114,43 @@ def project(tss, vec):
                     accumulate(acc, (word, pw), s)
         out.append(calculus.FormElement(degree, acc))
     return out
+
+
+# ----------------------------------------------------------------------
+# the translation actions on dense coefficient blocks, before they ran
+# term by term
+
+
+def to_blocks(f):
+    """{n: the (n+1) x (n+1) Matrix of f's level-n coefficients}."""
+    blocks = {}
+    for (n, i, j), s in f.terms.items():
+        blk = blocks.get(n)
+        if blk is None:
+            blk = blocks[n] = Matrix.zeros(n + 1, n + 1)
+        blk.a[i][j] = s
+    return blocks
+
+
+def from_blocks(blocks):
+    """The CoeffElement with the given level blocks."""
+    terms = {}
+    for n, blk in blocks.items():
+        for i in range(n + 1):
+            for j in range(n + 1):
+                if blk.a[i][j]:
+                    terms[(n, i, j)] = blk.a[i][j]
+    return coeff.CoeffElement(terms)
+
+
+def circle(x, f):
+    """coeff.Algebra.circle on blocks: C goes to C pi_n(x)^T."""
+    return from_blocks({n: blk * repmod.irrep(n).act(x).transpose()
+                        for n, blk in to_blocks(f).items()})
+
+
+def dot(x, f):
+    """coeff.Algebra.dot on blocks: C goes to pi_n(S^{-1} x)^T C."""
+    xs = uea.antipode_inv(x)
+    return from_blocks({n: repmod.irrep(n).act(xs).transpose() * blk
+                        for n, blk in to_blocks(f).items()})

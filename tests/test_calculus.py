@@ -383,7 +383,7 @@ def word_action(calc, word, blocks):
                 if res:
                     nxt[(c,) + suffix] = res
         states = nxt
-    return [(key, calc.algebra._from_blocks(blocks))
+    return [(key, oracles.from_blocks(blocks))
             for key, blocks in states.items()]
 
 
@@ -394,7 +394,7 @@ def word_product(calc, w1, w2):
     out = {}
     for I, a in w1.coords.items():
         for J, b in w2.coords.items():
-            shifted = (word_action(calc, I, calc.algebra._to_blocks(b))
+            shifted = (word_action(calc, I, oracles.to_blocks(b))
                        if I else [((), b)])
             for C, g in shifted:
                 for pw, s in calc.algebra.multiply(a, g).terms.items():

@@ -470,7 +470,8 @@ def _double_haar(monkeypatch):
 
 
 def _negate_star(monkeypatch):
-    # f* negated: h(f* f) changes sign, and h(1) and invariance stay
+    # f* negated: h(f* f) changes sign, and h(1) and invariance stay; in
+    # the hopf suite the star stays involutive but leaves the coproduct
     star = coeff.Algebra.star
     monkeypatch.setattr(coeff.Algebra, "star",
                         lambda self, f: star(self, f).scale(-1))
@@ -508,6 +509,41 @@ def _drop_last_section_of_each_level(monkeypatch):
     monkeypatch.setattr(bundle, "Echelon", ShortKernel)
 
 
+def _break_uq_coassociativity(monkeypatch):
+    # D(k) gains g (x) g^2 + g^2 (x) g with g = k - k^-1: the counit kills
+    # either leg (eps g = 0), both antipode contractions cancel (S g = -g)
+    # and g* = g keeps it star-compatible, so only coassociativity, which
+    # reads the coproducts of the legs, sees it
+    g = uea.K - uea.K_INV
+    extra = uea.tensor(g, g * g) + uea.tensor(g * g, g)
+    coproduct = uea.coproduct
+    monkeypatch.setattr(uea, "coproduct", lambda x: coproduct(x) + extra.scale(
+        x.terms.get((0, 1, 0), scalars.ZERO)))
+
+
+def _break_tq_coassociativity(monkeypatch):
+    # the same term in T_q: g = t[1;0,0] - t[1;1,1] has eps g = 0,
+    # S g = -g and g* = -g, so D(t[1;0,0]) gains g (x) g^2 + g^2 (x) g and
+    # D(t[1;1,1]), the star of t[1;0,0], loses it
+    g = coeff.basis_element(1, 0, 0) - coeff.basis_element(1, 1, 1)
+    g2 = coeff.Algebra(2).multiply(g, g)
+    extra = coeff.CoeffTensor({(l, r): s * t for x, y in ((g, g2), (g2, g))
+                               for l, s in x.terms.items()
+                               for r, t in y.terms.items()})
+    coproduct = coeff.Algebra.coproduct
+    monkeypatch.setattr(coeff.Algebra, "coproduct", lambda self, f: coproduct(
+        self, f) + extra.scale(f.terms.get((1, 0, 0), scalars.ZERO)
+                               - f.terms.get((1, 1, 1), scalars.ZERO)))
+
+
+def _invert_k_under_star(monkeypatch):
+    # the star of U_q with k* = k^-1 instead of k: still an involution,
+    # but not compatible with the coproduct; the star of T_q is read off
+    # it through the pairing, so it breaks too
+    monkeypatch.setattr(uea, "star", lambda x: uea.UEAElement(
+        {(c, -b, a): s.conj() for (a, b, c), s in x.terms.items()}))
+
+
 @pytest.mark.parametrize("suite, breaker, witnesses", [
     ("haar", _double_haar,
      {"haar-unit": "normalization h(1) = 1 fails: 2 != 1"}),
@@ -531,8 +567,28 @@ def _drop_last_section_of_each_level(monkeypatch):
      {"projection-surjective": "section 3 escapes the projection image: "
                                "residual (0, (3, 2, 2)) -> 1 "
                                "(1 nonzero entry)"}),
+    ("hopf", _break_uq_coassociativity,
+     {"uq-coassociativity": "coassociativity fails on (0, -1, 2) = "
+                            "k^-1 e^2: residual ((0, -1, 2), (0, -2, 0), "
+                            "(0, -1, 0)) -> 1 (12 nonzero entries)"}),
+    ("hopf", _invert_k_under_star,
+     {"uq-star": "star incompatible with the coproduct on (0, -3, 1) = "
+                 "k^-3 e: residual ((0, 2, 0), (1, 3, 0)) -> 1 "
+                 "(4 nonzero entries)",
+      "tq-star": "star incompatible with the coproduct on (1, 0, 0) = "
+                 "t[1;0,0]: residual ((1, 0, 1), (1, 1, 0)) -> 1 "
+                 "(2 nonzero entries)"}),
+    ("hopf", _break_tq_coassociativity,
+     {"tq-coassociativity": "coassociativity fails on (1, 0, 0) = "
+                            "t[1;0,0]: residual ((0, 0, 0), (0, 0, 0), "
+                            "(1, 0, 0)) -> -3 (128 nonzero entries)"}),
+    ("hopf", _negate_star,
+     {"tq-star": "star incompatible with the coproduct on (0, 0, 0) = 1: "
+                 "residual ((0, 0, 0), (0, 0, 0)) -> -2 "
+                 "(1 nonzero entry)"}),
 ], ids=["haar-unit", "haar-positivity", "borel-weil", "inclusion-injective",
-        "projection-surjective"])
+        "projection-surjective", "uq-coassociativity", "uq-star",
+        "tq-coassociativity", "tq-star"])
 def test_mutant_fails_exactly_its_anchors(tmp_path, monkeypatch, suite,
                                           breaker, witnesses):
     # the witnesses of these checks are not residuals of forms
@@ -613,17 +669,61 @@ def _failures(out):
             if c["status"] == "fail"}
 
 
+def _count_ranks(monkeypatch):
+    """The list that gets one entry per exact Matrix.rank call."""
+    calls = []
+    rank = scalars.Matrix.rank
+    monkeypatch.setattr(scalars.Matrix, "rank",
+                        lambda self: calls.append(1) or rank(self))
+    return calls
+
+
+def test_pairing_tables_certify_without_exact_ranks(tmp_path, monkeypatch):
+    # every class of the tables up to level 4 has full column rank mod p,
+    # so the suite runs no Q(u) elimination for its ranks
+    ranks = _count_ranks(monkeypatch)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--seed", "0", "--suite", "pairing",
+                     "--out", str(out)]) == 0
+    assert ranks == []
+
+
+def test_sweep_suites_gcd_count(tmp_path, monkeypatch):
+    # every gcd of the seven suites without a Calculus at seed 0, from
+    # cold scalar caches: 6,036 with exact Q(u) ranks of the pairing
+    # tables and dense block translations, about 2,900 with the ranks
+    # certified mod p and the translations term by term
+    gcds = []
+    pgcd = scalars._pgcd
+    monkeypatch.setattr(scalars, "_pgcd", lambda a, b:
+                        gcds.append(1) or pgcd(a, b))
+    for cache in (scalars._cancel, scalars._den_product,
+                  scalars._den_lcm):
+        cache.cache_clear()
+    out = tmp_path / "report.json"
+    args = ["verify", "--seed", "0", "--out", str(out)]
+    for suite in ("hopf", "pairing", "actions", "haar", "idempotent",
+                  "projection", "borelweil"):
+        args += ["--suite", suite]
+    assert cli.main(args) == 0
+    assert len(gcds) <= 3300
+
+
 def test_rank_deficient_pairing_table_names_class_and_rank(tmp_path,
                                                            monkeypatch):
-    # every rank read one short: the level-1 table already falls short in
-    # its first class, d = -1, which has one column
-    rank = scalars.Matrix.rank
-    monkeypatch.setattr(scalars.Matrix, "rank", lambda self: rank(self) - 1)
+    # each class keeps only the first monomial of its family: the level-1
+    # table's class d = 0 has three columns and one row, so its bound mod
+    # p falls short, and the exact rank it falls back to names the class
+    ranks = _count_ranks(monkeypatch)
+    monomials = coeff._class_monomials
+    monkeypatch.setattr(coeff, "_class_monomials",
+                        lambda d, N: monomials(d, N)[:1])
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--suite", "pairing", "--out", str(out)]) == 1
     assert _failures(out) == {"pairing-nondegenerate": (
-        "AssertionError: pairing table rank deficiency in class d=-1 "
-        "(rank 0 of 1)")}
+        "AssertionError: pairing table rank deficiency in class d=0 "
+        "(rank 1 of 3)")}
+    assert ranks
 
 
 def test_hopf_suite_calls_coproducts_patched_after_import(tmp_path,

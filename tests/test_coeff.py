@@ -339,6 +339,29 @@ def test_circle_against_pairing_definition():
         assert a.dot(x, f) == want
 
 
+def test_translations_match_the_block_oracle(monkeypatch):
+    # circle and dot run term by term on the memoised action matrices;
+    # the dense block forms C pi_n(x)^T and pi_n(S^-1 x)^T C are their
+    # oracle, on random elements up to the window.  The oracle runs
+    # first, so every action matrix is memoised when the translations
+    # run, and they make no Matrix product of their own
+    a = alg()
+    rng = random.Random(410)
+    xs = [uea.UNIT, uea.E, uea.F, uea.K, uea.K_INV, uea.E * uea.F,
+          uea.K * uea.E] + [uea.monomial(*m) for m in uea.pbw_monomials(2)]
+    products = []
+    mul = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__", lambda self, other:
+                        products.append(1) or mul(self, other))
+    for x in xs:
+        for _ in range(3):
+            f = random_element(rng, a.n_max, nterms=8)
+            want = oracles.circle(x, f), oracles.dot(x, f)
+            del products[:]
+            assert (a.circle(x, f), a.dot(x, f)) == want
+            assert products == []
+
+
 def test_haar_values_and_uniqueness():
     a = alg()
     assert a.haar(coeff.unit()) == ONE

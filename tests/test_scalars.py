@@ -959,3 +959,78 @@ def test_cancelled_terms_above_the_window_do_not_overflow():
     for product in (a.multiply, lambda f, g: algebra_multiply(a, f, g)):
         with pytest.raises(coeff.LevelOverflow, match="needs level 3 "):
             product(f, g)
+
+
+# ----------------------------------------------------------------------
+# ranks by specialization mod p
+
+
+def _vanishes_mod_p(poly):
+    """Does poly vanish at u = U0 mod PRIME?  Evaluated over Q first."""
+    return sc._peval(poly, sc.U0) % sc.PRIME == 0
+
+
+@st.composite
+def rank_problems(draw):
+    """A matrix of up to 5 x 4 over the sum denominators (integer
+    contents and the pairing denominators among them), with optional
+    zero rows and rows that combine earlier ones."""
+    r, c = (draw(st.integers(min_value=1, max_value=n)) for n in (5, 4))
+    entries = st.one_of(st.just(ZERO), sum_scalars)
+    rows = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(("new", "zero", "combination")))
+        if kind == "zero":
+            rows.append([ZERO] * c)
+        elif kind == "combination" and rows:
+            coeffs = [draw(entries) for _ in rows]
+            rows.append([sum((k * row[j] for k, row in zip(coeffs, rows)),
+                             ZERO) for j in range(c)])
+        else:
+            rows.append([draw(entries) for _ in range(c)])
+    return Matrix(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_problems())
+def test_rank_lower_bound_is_a_lower_bound(m):
+    bound = sc.rank_lower_bound(m.a)
+    if any(_vanishes_mod_p(x.den) for row in m.a for x in row):
+        assert bound is None
+        return
+    rank = m.rank()
+    assert bound <= rank
+    # a full column rank keeps its minor nonzero at the point
+    if rank == m.cols:
+        assert bound == m.cols
+
+
+def test_rank_lower_bound_certifies_full_rank_over_the_pairing_denominators():
+    a, b = (Scalar((1,), d) for d in PAIRING_DENS)
+    m = [[a, b, ONE], [ONE, a * b, U], [b, ONE, a + b], [ONE, ONE, ONE]]
+    assert Matrix(m).rank() == sc.rank_lower_bound(m) == 3
+    # the third row made the sum of the first two: still rank 3 over the
+    # fourth row, and rank 2 without it
+    m[2] = [x + y for x, y in zip(m[0], m[1])]
+    assert Matrix(m).rank() == sc.rank_lower_bound(m) == 3
+    assert Matrix(m[:3]).rank() == sc.rank_lower_bound(m[:3]) == 2
+
+
+def test_rank_lower_bound_over_integer_contents_and_zero_rows():
+    half, quarter = Scalar(1, 2), Scalar((1, 1), (4,))
+    m = [[ZERO, ZERO], [half, quarter], [ZERO, ZERO], [ONE, 2 * quarter]]
+    assert Matrix(m).rank() == sc.rank_lower_bound(m) == 1
+    assert sc.rank_lower_bound([[ZERO, ZERO]]) == sc.rank_lower_bound([]) == 0
+    m[3] = [ONE, Scalar(1, 3)]
+    assert Matrix(m).rank() == sc.rank_lower_bound(m) == 2
+
+
+def test_rank_lower_bound_gives_none_at_a_pole():
+    # 1/(u - U0), and 1/(u - U0 - p), which vanishes only mod p; either
+    # one in any row leaves no bound, even after full rank is reached
+    for den in ((-sc.U0, 1), (-sc.U0 - sc.PRIME, 1)):
+        pole = Scalar((1,), den)
+        assert sc.rank_lower_bound([[pole]]) is None
+        assert sc.rank_lower_bound([[ONE, ZERO], [ZERO, ONE],
+                                    [pole, ONE]]) is None
+    assert sc.rank_lower_bound([[Scalar((1,), (-sc.U0 + 1, 1))]]) == 1
