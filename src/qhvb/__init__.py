@@ -5,7 +5,7 @@ The package builds, bottom up:
 * ``scalars``    -- the field Q(u) (with q = u^4) and exact linear algebra,
 * ``uea``        -- the Hopf algebra U_q(sl2) in PBW normal form,
 * ``repmod``     -- finite dimensional modules, Clebsch-Gordan data and the
-                    truncated universal R-matrix,
+                    Theta-series coefficients of the R-matrix,
 * ``coeff``      -- the coefficient Hopf algebra spanned by matrix elements
                     t^(n)_ij, the dual pairing, the two translation actions
                     and the Haar functional,

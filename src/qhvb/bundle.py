@@ -274,8 +274,10 @@ def im(algebra, completion, section):
 class BundleIdempotent:
     """The composite e = im . wp on W (x) (E_q up to level N), stored
     columnwise on the product basis w_beta (x) f.  e^2 = e is certified
-    by applying e to each column image; the rank is compared with the
-    number of sections at the matched level N + max block weight."""
+    by applying e to each column image; the rank is compared with
+    sections_dim, the sum over the weight lines m of their sections up to
+    level N + |m|.  matched_level is N + |m| when every line has the
+    same |m|, and None otherwise."""
 
     def __init__(self, algebra, lmodule, N):
         self.algebra = algebra
@@ -298,10 +300,9 @@ class BundleIdempotent:
         self.rank = ech.rank
         levels = set(self.completion.blocks)
         self.matched_level = N + max(levels) if len(levels) == 1 else None
-        self.sections_dim = None
-        if self.matched_level is not None:
-            self.sections_dim = len(sections_basis(algebra, lmodule,
-                                                   self.matched_level))
+        self.sections_dim = sum(
+            len(sections_basis(algebra, LModule([m]), N + level))
+            for m, level in zip(lmodule.weights, self.completion.blocks))
 
     def apply(self, element):
         return im(self.algebra, self.completion,

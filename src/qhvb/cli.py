@@ -162,8 +162,9 @@ class RunConfig:
 def read_config_file(path):
     data = {}
     try:
-        lines = open(path).read().splitlines()
-    except OSError as e:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError("cannot read config file: %s" % e)
     for raw in lines:
         line = raw.split("#", 1)[0].strip()

@@ -18,13 +18,12 @@ sections by right multiplication in the last leg.
 
 Every connection is e . (d + Lambda) for one W-matrix Lambda of
 one-forms acting by left multiplication (Connes 1994; Hajac-Majid 1999):
-nabla0 = e . d is Lambda = 0, and A = nabla - nabla0 = e . Lambda.
-Values on the sections basis (a scalar entry means that multiple of
-theta) become Lambda through the generator presentation.  A passes an
-exact right-linearity certificate against the invariant generators: a
-Lambda with scalar entries through the basis perturbations E_ij theta in
-its support, each certified once per TensoredSectionSpace (A is linear
-in Lambda), and any other Lambda on its own columns.  That certificate,
+nabla0 = e . d is Lambda = 0, and A = nabla - nabla0 = e . Lambda.  A
+scalar entry of Lambda means that multiple of theta.  A passes an exact
+right-linearity certificate against the invariant generators: a Lambda
+with scalar entries through the basis perturbations E_ij theta in its
+support, each certified once per TensoredSectionSpace (A is linear in
+Lambda), and any other Lambda on its own columns.  That certificate,
 the law and difference checks of verify and the curvature's
 right-linearity are one walk, TensoredSectionSpace.right_linearity, over
 section vectors built once per space.  On sections nabla0 is the chain
@@ -37,7 +36,7 @@ right-linear extension F-hat satisfies the operator identity
 nabla(F(zeta)) = F-hat(nabla(zeta)).
 """
 
-from .scalars import Scalar, Span, NoSolution, add_row, finish_sum, merge_sums
+from .scalars import Scalar, add_row, finish_sum, merge_sums
 from . import coeff, homspace, bundle, calculus
 
 
@@ -102,9 +101,8 @@ class TensoredSectionSpace:
 
     def extend(self, values, vec):
         """The right-linear map taking the beta-th generating vector
-        (zeta_beta, or the beta-th basis section) to values[beta], at
-        sum_beta zeta_beta (x) vec[beta]: coordinate gamma is
-        sum_beta values[beta][gamma] vec[beta]."""
+        zeta_beta to values[beta], at sum_beta zeta_beta (x) vec[beta]:
+        coordinate gamma is sum_beta values[beta][gamma] vec[beta]."""
         degree = values[0][0].degree + self.degree_of(vec)
         out = []
         for gamma in range(self.dim_w):
@@ -188,21 +186,12 @@ class TensoredSectionSpace:
                 yield (j, a, op(product),
                        self.right_mult(image, self.calc.form0(a)))
 
-    def section_from_generator(self, beta):
-        return bundle.wp(self.algebra, self.completion,
-                         bundle.simple_tensor(beta, coeff.unit()))
-
 
 def _as_one_form(calc, entry):
     if isinstance(entry, (int, Scalar)):
         return calc.theta().scale(entry)
     assert isinstance(entry, calculus.FormElement) and entry.degree == 1
     return entry
-
-
-def _combine(forms, scalars, zero):
-    """sum_k scalars[k] forms[k]."""
-    return sum((w.scale(c) for w, c in zip(forms, scalars) if c), zero)
 
 
 _SCOPE = ("certificate scope: the level-%d basis sections against 1 and the "
@@ -250,34 +239,6 @@ class ConnectionMap:
                         raise NotLinear("Lambda basis entry (%d, %d): %s"
                                         % (i, j, exc)) from None
                     tss.certified.add((i, j))
-
-    @classmethod
-    def from_sections(cls, tss, m):
-        """The connection whose perturbation takes the j-th basis section
-        to sum_i zeta_i (x) m_ij.  Its value on a generator zeta_beta,
-        through the section coordinates c of zeta_beta, is
-        sum_i zeta_i (x) (m c)_i: it lies in the realization, and these
-        values are the columns of Lambda.  NotLinear unless A
-        reproduces the prescribed values."""
-        m = [[_as_one_form(tss.calc, entry) for entry in row] for row in m]
-        assert len(m) == len(tss.sections)
-        assert all(len(row) == len(tss.sections) for row in m)
-        span = Span([s.terms for s in tss.sections])
-        try:
-            cmat = [span.coordinates(tss.section_from_generator(beta).terms)
-                    for beta in range(tss.dim_w)]
-        except NoSolution:
-            raise NotLinear("level window does not contain the generators")
-        zero = tss.calc.zero(1)
-        columns = [tss.extend(tss.vectors,
-                              [_combine(row, c, zero) for row in m])
-                   for c in cmat]
-        for j, psi in enumerate(tss.vectors):
-            if tss.project(tss.extend(columns, psi)) != tss.extend(
-                    tss.vectors, [row[j] for row in m]):
-                raise NotLinear("basis section %d, a = 1: A(psi) differs from "
-                                "its prescribed value; %s" % (j, _SCOPE % tss.N))
-        return cls(tss, list(zip(*columns)))
 
     def perturbation(self, vec):
         """A(vec) = e . Lambda . vec, for Lambda not None."""

@@ -1,5 +1,5 @@
 """Finite-dimensional U_q(sl2) modules: irreps, tensor products,
-decomposition into irreducibles, and the R-matrix.
+decomposition into irreducibles, and the Theta series of the R-matrix.
 
 A Module stores exact matrices for the generators and verifies the
 defining relations at construction.  The irreducible V_n (n >= 0) has
@@ -22,11 +22,12 @@ times a finite unipotent series
 
 The coefficients are forced by quasi-triangularity for the k-balanced
 coproduct: R D(x) = D^op(x) R has a unique solution of this shape with
-c_0 = 1 (the tests re-derive c_n from that linear system).
+c_0 = 1.  The L-operators of the calculus read c_n and the coefficients
+of Theta^{-1}; the tests build R from them and re-derive c_n from that
+linear system.
 """
 
 from .scalars import Scalar, Matrix, ZERO, ONE, qint, NoSolution
-from . import uea
 
 
 class DecompositionError(Exception):
@@ -131,9 +132,6 @@ class ModuleMap:
         for g in ("e", "f", "k"):
             if mat * getattr(source, g) != getattr(target, g) * mat:
                 raise AssertionError("not an intertwiner (fails on %s)" % g)
-
-    def __call__(self, vec):
-        return self.mat.apply(vec)
 
 
 _IRREPS = {}
@@ -252,11 +250,7 @@ def decompose(mod):
 
 
 # ----------------------------------------------------------------------
-# R-matrix
-
-_THETA_A = uea.K * uea.E
-_THETA_B = uea.K_INV * uea.F
-
+# the Theta series of the R-matrix
 
 def theta_coefficient(n):
     """c_n in Theta = sum_n c_n (ke)^n (x) (k^{-1}f)^n."""
@@ -283,32 +277,6 @@ def theta_inverse_coefficients(nmax):
             s = s + chat[n - m] * d[m] * _QPOW(-2 * m * (n - m))
         d.append(-s)
     return d
-
-
-def cartan_factor(m1, m2):
-    """The diagonal operator u^{2 m m'} on a pair of weight modules."""
-    assert m1.weights is not None and m2.weights is not None
-    dim = m1.dim * m2.dim
-    c = Matrix.zeros(dim, dim)
-    for i, wi in enumerate(m1.weights):
-        for j, wj in enumerate(m2.weights):
-            c.a[i * m2.dim + j][i * m2.dim + j] = _UPOW(2 * wi * wj)
-    return c
-
-
-def universal_R(m1, m2):
-    """The R-matrix on m1 (x) m2 (in the tensor basis of `tensor`)."""
-    dim = m1.dim * m2.dim
-    theta = Matrix.identity(dim)
-    n = 1
-    while True:
-        a_n = m1.act(_THETA_A ** n)
-        b_n = m2.act(_THETA_B ** n)
-        if a_n.is_zero() or b_n.is_zero():
-            break
-        theta = theta + a_n.tensor(b_n).scale(theta_coefficient(n))
-        n += 1
-    return cartan_factor(m1, m2) * theta
 
 
 def flip_matrix(d1, d2):

@@ -1,7 +1,7 @@
 """Reference code that several test modules share and that no code in
 the package calls."""
 
-from qhvb.scalars import ONE, Matrix, NoSolution, Span, accumulate
+from qhvb.scalars import ONE, Matrix, NoSolution, Scalar, Span, accumulate
 from qhvb import calculus, coeff, repmod, uea
 
 
@@ -154,3 +154,38 @@ def dot(x, f):
     xs = uea.antipode_inv(x)
     return from_blocks({n: repmod.irrep(n).act(xs).transpose() * blk
                         for n, blk in to_blocks(f).items()})
+
+
+# ----------------------------------------------------------------------
+# the R-matrix on a pair of weight modules, the oracle of the Theta-series
+# coefficients repmod.theta_coefficient that the L-operators read
+
+_THETA_A = uea.K * uea.E
+_THETA_B = uea.K_INV * uea.F
+
+
+def cartan_factor(m1, m2):
+    """The diagonal operator u^{2 m m'} on a pair of weight modules."""
+    assert m1.weights is not None and m2.weights is not None
+    dim = m1.dim * m2.dim
+    c = Matrix.zeros(dim, dim)
+    for i, wi in enumerate(m1.weights):
+        for j, wj in enumerate(m2.weights):
+            c.a[i * m2.dim + j][i * m2.dim + j] = Scalar.u_power(2 * wi * wj)
+    return c
+
+
+def universal_R(m1, m2):
+    """The R-matrix C Theta on m1 (x) m2 (in the tensor basis of
+    repmod.tensor), with Theta = sum_n c_n (ke)^n (x) (k^{-1}f)^n."""
+    dim = m1.dim * m2.dim
+    theta = Matrix.identity(dim)
+    n = 1
+    while True:
+        a_n = m1.act(_THETA_A ** n)
+        b_n = m2.act(_THETA_B ** n)
+        if a_n.is_zero() or b_n.is_zero():
+            break
+        theta = theta + a_n.tensor(b_n).scale(repmod.theta_coefficient(n))
+        n += 1
+    return cartan_factor(m1, m2) * theta

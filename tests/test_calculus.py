@@ -723,7 +723,7 @@ def test_present_rejects_forms_outside_the_restriction():
 def test_cached_action_matrices_stay_intact():
     # a reduced calculus run reads the shared matrices of Module.act
     # through circle, dot, the F-shift transfer tables, the pairing
-    # tables and the R-matrix; none of them may write into one
+    # tables and the R-matrix oracle; none of them may write into one
     rnd = random.Random(23)
     for _ in range(3):
         f = sample_coeff(rnd, max_level=1)
@@ -733,7 +733,7 @@ def test_cached_action_matrices_stay_intact():
             CALC.dot_on_forms(x, CALC.d(w))
     A.antipode(A.star(sample_coeff(rnd)))
     A.pairing_table(2)
-    repmod.universal_R(repmod.irrep(1), repmod.irrep(2))
+    oracles.universal_R(repmod.irrep(1), repmod.irrep(2))
     cached = 0
     for mod in repmod._IRREPS.values():
         for x, mat in list(mod._acts.items()):

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhvb import bundle, calculus, cli, coeff, connection, scalars, uea
+from qhvb import (bundle, calculus, cli, coeff, connection, repmod, scalars,
+                  uea)
 
 
 def test_default_config():
@@ -95,6 +96,20 @@ def test_non_integer_theta_is_a_config_error(tmp_path, capsys, theta):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error: theta must be integers")
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"weights = 1\n\xff\xfe bad\n")
+    out = tmp_path / "haar.json"
+    rc = cli.main(["haar", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "config error: cannot read config file: 'utf-8' codec can't decode "
+        "byte 0xff in position 12: invalid start byte"]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_verify_reduced_suites(tmp_path, capsys):
@@ -187,6 +202,22 @@ def test_idempotent_command(tmp_path):
     matrix = payload["coefficient_matrix"]
     assert len(matrix) == 2 and len(matrix[0]) == 2
     assert "t[2;" in matrix[0][0]
+
+
+@pytest.mark.parametrize("weights, rank", [
+    ("0 1", 10), ("0 2", 12), ("2 -1", 14), ("0 0 1", 14)])
+def test_idempotent_command_at_mixed_block_weights(tmp_path, weights, rank):
+    # the lines reach different levels N + |m|; the rank is the sum of
+    # their section counts
+    path = tmp_path / "mixed.cfg"
+    path.write_text("weights = %s\n" % weights)
+    out = tmp_path / "idem.json"
+    assert cli.main(["idempotent", "--config", str(path),
+                     "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["rank"] == payload["sections_dim"] == rank
+    assert payload["matched_level"] is None
+    assert payload["ok"] is True
 
 
 def test_haar_command(tmp_path):
@@ -403,7 +434,8 @@ def _break_lambda_side(monkeypatch):
     monkeypatch.setattr(connection.ConnectionMap, "apply", right_acting)
 
 
-@pytest.mark.parametrize("suite, breaker, failing", [
+# (suites, mutant, the anchors it fails with a residual of forms)
+RESIDUAL_MUTANTS = [
     ("projection", _break_section_times, ["projection-right-linear"]),
     ("connection", _break_nabla0,
      ["connection-law-nabla0", "connection-law-perturbed"]),
@@ -425,13 +457,25 @@ def _break_lambda_side(monkeypatch):
      ["bianchi-operator-identity", "curvature-right-linear"]),
     ("connection", _break_lambda_side,
      ["connection-difference-linear", "connection-law-perturbed"]),
-])
+]
+
+
+def _verify_mutant(tmp_path, suite):
+    """The checks of a failing `verify` run over the space-separated
+    suites."""
+    out = tmp_path / "report.json"
+    args = ["verify", "--out", str(out)]
+    for name in suite.split():
+        args += ["--suite", name]
+    assert cli.main(args) == 1
+    return json.loads(out.read_text())["checks"]
+
+
+@pytest.mark.parametrize("suite, breaker, failing", RESIDUAL_MUTANTS)
 def test_failing_check_names_its_residual(tmp_path, monkeypatch, suite,
                                           breaker, failing):
     breaker(monkeypatch)
-    out = tmp_path / "report.json"
-    assert cli.main(["verify", "--suite", suite, "--out", str(out)]) == 1
-    checks = json.loads(out.read_text())["checks"]
+    checks = _verify_mutant(tmp_path, suite)
     fails = {c["anchor"]: c["witness"] for c in checks
              if c["status"] == "fail"}
     assert sorted(fails) == failing
@@ -544,7 +588,51 @@ def _invert_k_under_star(monkeypatch):
         {(c, -b, a): s.conj() for (a, b, c), s in x.terms.items()}))
 
 
-@pytest.mark.parametrize("suite, breaker, witnesses", [
+def _keep_first_class_monomial(monkeypatch):
+    # each class of the pairing tables keeps only the first monomial of
+    # its family: the level-1 table's class d = 0 has three columns and
+    # one row
+    monomials = coeff._class_monomials
+    monkeypatch.setattr(coeff, "_class_monomials",
+                        lambda d, N: monomials(d, N)[:1])
+
+
+def _double_theta_c1(monkeypatch):
+    # c_1 of the Theta series doubled: the L-operators read it, and the
+    # adjoint action they define no longer keeps the tangent space
+    theta_coefficient = repmod.theta_coefficient
+    monkeypatch.setattr(repmod, "theta_coefficient", lambda n:
+                        theta_coefficient(n) * (2 if n == 1 else 1))
+
+
+def _drop_last_kernel_vector(monkeypatch):
+    # the exterior ideal loses the last vector of ker sigma_-: one
+    # quadratic relation too few, so forms survive above the top degree
+    kernel_vectors = calculus.Calculus._kernel_vectors
+    monkeypatch.setattr(calculus.Calculus, "_kernel_vectors",
+                        lambda self: kernel_vectors(self)[:-1])
+
+
+def _double_braiding(monkeypatch):
+    # sigma doubled: its eigenvalues are no longer signed powers of u, so
+    # the projector split fails (sigma u^4 would pass every check, since
+    # only ker sigma_- and sigma at u = 1 are read)
+    braiding_matrix = calculus._braiding_matrix
+    monkeypatch.setattr(calculus, "_braiding_matrix",
+                        lambda wc, F: braiding_matrix(wc, F).scale(2))
+
+
+_TANGENT_SPAN = "AxiomViolation: adjoint image leaves the tangent span"
+_SPLIT = "SplitError: eigenvalue is not a signed power of u"
+_CALCULUS_ANCHORS = ["braiding-classical-limit", "braiding-projectors",
+                     "d-squared-zero", "forms-top-degree", "graded-leibniz",
+                     "structure-functionals", "translation-equivariance",
+                     "d-closure-degree-0", "d-closure-degree-1",
+                     "levi-epsilon-triviality"]
+_E_SQUARED = "AssertionError: e^2 != e on column (0, 1)"
+
+# (suites, mutant, {anchor: witness} of every check it does not pass)
+WITNESS_MUTANTS = [
     ("haar", _double_haar,
      {"haar-unit": "normalization h(1) = 1 fails: 2 != 1"}),
     ("haar", _negate_star,
@@ -586,18 +674,56 @@ def _invert_k_under_star(monkeypatch):
      {"tq-star": "star incompatible with the coproduct on (0, 0, 0) = 1: "
                  "residual ((0, 0, 0), (0, 0, 0)) -> -2 "
                  "(1 nonzero entry)"}),
-], ids=["haar-unit", "haar-positivity", "borel-weil", "inclusion-injective",
-        "projection-surjective", "uq-coassociativity", "uq-star",
-        "tq-coassociativity", "tq-star"])
+    ("calculus closure", _double_theta_c1,
+     dict.fromkeys(_CALCULUS_ANCHORS, _TANGENT_SPAN)),
+    ("calculus closure", _drop_last_kernel_vector,
+     {"d-squared-zero": "d^2 != 0 on sample 1: residual ((3, 3), (1, 1, 1)) "
+                        "-> (u^8 - 1)/(u^8) (1 nonzero entry)",
+      "forms-top-degree": "dim of the degree-5 forms: 2 != 0",
+      "graded-leibniz": "product rule fails on sample 1: residual ((3, 3), "
+                        "(0, 0, 0)) -> (-12*u^32 + 24*u^24 - 24*u^16 "
+                        "+ 24*u^8 - 12)/(u^12 + u^4) (3 nonzero entries)",
+      "d-closure-degree-1": "d image escapes the restricted span in degree 1 "
+                            "on basis entry 3: residual ((3, 3), (4, 0, 2)) "
+                            "-> (u^48 - 2*u^40 + u^32 + 2*u^24 - 3*u^16 "
+                            "+ 1)/(u^16) (1 nonzero entry)"}),
+    ("calculus closure", _double_braiding,
+     dict.fromkeys([a for a in _CALCULUS_ANCHORS
+                    if a != "structure-functionals"], _SPLIT)),
+    ("pairing", _keep_first_class_monomial,
+     {"pairing-nondegenerate": "AssertionError: pairing table rank "
+                               "deficiency in class d=0 (rank 1 of 3)"}),
+    ("idempotent", _break_wp,
+     dict.fromkeys(["idempotent-squared-v1", "idempotent-rank-v1",
+                    "idempotent-squared-v1m1", "idempotent-rank-v1m1"],
+                   _E_SQUARED)),
+]
+
+
+@pytest.mark.parametrize("suite, breaker, witnesses", WITNESS_MUTANTS, ids=[
+    "haar-unit", "haar-positivity", "borel-weil", "inclusion-injective",
+    "projection-surjective", "uq-coassociativity", "uq-star",
+    "tq-coassociativity", "tq-star", "structure-functionals",
+    "forms-top-degree", "braiding", "pairing-nondegenerate", "idempotent"])
 def test_mutant_fails_exactly_its_anchors(tmp_path, monkeypatch, suite,
                                           breaker, witnesses):
-    # the witnesses of these checks are not residuals of forms
+    # exact witnesses, most of them not residuals of forms
     breaker(monkeypatch)
-    out = tmp_path / "report.json"
-    assert cli.main(["verify", "--suite", suite, "--out", str(out)]) == 1
-    checks = json.loads(out.read_text())["checks"]
+    checks = _verify_mutant(tmp_path, suite)
     assert {c["anchor"]: c["witness"] for c in checks
             if c["status"] != "pass"} == witnesses
+
+
+def test_mutant_tables_cover_every_anchor(verify_reports):
+    # every check of the default report has a mutant that fails it
+    declared = {anchor for _, _, failing in RESIDUAL_MUTANTS
+                for anchor in failing}
+    declared |= {anchor for _, _, witnesses in WITNESS_MUTANTS
+                 for anchor in witnesses}
+    anchors = {c["anchor"] for suite in cli.SUITES
+               for c in verify_reports.checks(suite)}
+    assert len(anchors) == 40
+    assert declared == anchors
 
 
 def _checked(fn):
@@ -711,13 +837,11 @@ def test_sweep_suites_gcd_count(tmp_path, monkeypatch):
 
 def test_rank_deficient_pairing_table_names_class_and_rank(tmp_path,
                                                            monkeypatch):
-    # each class keeps only the first monomial of its family: the level-1
-    # table's class d = 0 has three columns and one row, so its bound mod
-    # p falls short, and the exact rank it falls back to names the class
+    # the class d = 0 of the level-1 table has three columns and one row,
+    # so its bound mod p falls short, and the exact rank it falls back to
+    # names the class
     ranks = _count_ranks(monkeypatch)
-    monomials = coeff._class_monomials
-    monkeypatch.setattr(coeff, "_class_monomials",
-                        lambda d, N: monomials(d, N)[:1])
+    _keep_first_class_monomial(monkeypatch)
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--suite", "pairing", "--out", str(out)]) == 1
     assert _failures(out) == {"pairing-nondegenerate": (

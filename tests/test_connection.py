@@ -3,7 +3,7 @@ import random
 
 import pytest
 from qhvb import coeff, repmod, calculus, bundle, homspace, connection, cli
-from qhvb.scalars import Scalar, Span
+from qhvb.scalars import Scalar
 from test_calculus import sample_coeff
 import oracles
 
@@ -31,23 +31,6 @@ def to_section(tss, vec):
     return bundle.wp(tss.algebra, tss.completion, element)
 
 
-def sections_matrix(conn):
-    """The perturbation of conn expressed on the sections basis:
-    A(zeta_j) = sum_i zeta_i (x) m_ij with one-form entries m_ij,
-    recovered through the generator coordinates."""
-    tss = conn.tss
-    n = len(tss.sections)
-    zero = tss.calc.zero(1)
-    if conn.columns is None:
-        return [[zero] * n for _ in range(n)]
-    span = Span([s.terms for s in tss.sections])
-    cmat = [span.coordinates(tss.section_from_generator(beta).terms)
-            for beta in range(tss.dim_w)]
-    images = [conn.perturbation(tss.from_section(s)) for s in tss.sections]
-    return [[connection._combine(image, [c[i] for c in cmat], zero)
-             for image in images] for i in range(n)]
-
-
 def test_realization_shape():
     assert TSS.dim_w == 2
     assert len(TSS.sections) == 2
@@ -60,6 +43,11 @@ def test_realization_shape():
     # a raw coordinate vector is moved by the idempotent
     raw = [CALC.form0(coeff.unit()), CALC.zero(0)]
     assert not is_invariant(TSS, raw)
+    # the generator columns are im o wp of w_beta (x) 1
+    for beta in range(TSS.dim_w):
+        zeta = bundle.wp(A, TSS.completion,
+                         bundle.simple_tensor(beta, coeff.unit()))
+        assert TSS.from_section(zeta) == TSS.generator(beta)
 
 
 def test_partial_leibniz():
@@ -88,8 +76,7 @@ def test_nabla0_realizations_agree():
     # + zeta_beta (x) d(psi_beta) has second term e.d(psi), the
     # connection with Lambda = 0; its first term is e.de.psi, zero on
     # invariant psi because e.de.e = 0
-    partials = [CONN0.on_section(TSS.section_from_generator(beta))
-                for beta in range(TSS.dim_w)]
+    partials = [CONN0.apply(TSS.generator(beta)) for beta in range(TSS.dim_w)]
     for s in TSS.sections:
         psi = TSS.from_section(s)
         one = CONN0.apply(psi)
@@ -368,29 +355,6 @@ def test_broken_product_fails_both_certificates(monkeypatch):
         connection.make_connection(TSS, [[CALC.theta(), CALC.zero(1)],
                                          [CALC.zero(1), CALC.theta()]])
     assert TSS.certified == set()
-
-
-def test_sections_mode_certificate():
-    # tensoring on the right by theta is not right-linear, so the
-    # identity-times-theta table must be rejected
-    n = len(TSS.sections)
-    ident = [[Scalar(2) if i == j else Scalar(0) for j in range(n)]
-             for i in range(n)]
-    with pytest.raises(connection.NotLinear,
-                       match="^basis section 0, a = 1: .*; certificate scope: "
-                             "the level-1 basis sections against 1 and the "
-                             "three Podles generators$"):
-        connection.ConnectionMap.from_sections(TSS, ident)
-
-
-def test_sections_mode_round_trip():
-    m = sections_matrix(CONN_A)
-    conn_b = connection.ConnectionMap.from_sections(TSS, m)
-    for s in TSS.sections:
-        psi = TSS.from_section(s)
-        assert CONN_A.apply(psi) == conn_b.apply(psi)
-        one = CONN0.on_section(s)
-        assert CONN_A.apply(one) == conn_b.apply(one)
 
 
 def test_difference_right_linear():

@@ -1,8 +1,11 @@
 """Tests for modules, decomposition, and the R-matrix.
 
-The R-matrix oracle re-derives the Theta-series coefficients from the
-quasi-triangularity equations R D(x) = D^op(x) R as an exact linear
-system, independently of the closed form shipped in repmod."""
+The R-matrix is built in tests/oracles.py from the Theta-series
+coefficients of repmod.  The tests check that flip . R intertwines,
+that R is invertible, Yang-Baxter and the classical limit, and they
+re-derive the coefficients from the equations R D(x) = D^op(x) R as an
+exact linear system, independently of the closed form shipped in
+repmod."""
 
 import itertools
 import random
@@ -11,6 +14,7 @@ import pytest
 
 from qhvb.scalars import Scalar, Matrix, ONE, qint, eval_at
 from qhvb import uea, repmod
+import oracles
 
 Q = Scalar.q_power
 U = Scalar.u_power
@@ -141,7 +145,7 @@ def test_theta_coefficients_against_linear_solve():
     m = repmod.irrep(2)
     t = repmod.tensor(m, m)
     dim = t.dim
-    c = repmod.cartan_factor(m, m)
+    c = oracles.cartan_factor(m, m)
     a_gen = uea.K * uea.E
     b_gen = uea.K_INV * uea.F
     tn = [Matrix.identity(dim)]
@@ -168,7 +172,7 @@ def test_theta_coefficients_against_linear_solve():
 def braiding_map(m1, m2):
     """flip . R as a ModuleMap m1 (x) m2 -> m2 (x) m1 (the check at
     construction proves the intertwining property of R)."""
-    mat = repmod.flip_matrix(m1.dim, m2.dim) * repmod.universal_R(m1, m2)
+    mat = repmod.flip_matrix(m1.dim, m2.dim) * oracles.universal_R(m1, m2)
     return repmod.ModuleMap(repmod.tensor(m1, m2), repmod.tensor(m2, m1), mat)
 
 
@@ -186,7 +190,7 @@ def universal_R_inverse(m1, m2):
         if a_n.is_zero() or b_n.is_zero():
             break
         theta_inv = theta_inv + a_n.tensor(b_n).scale(d[n])
-    return theta_inv * repmod.cartan_factor(m1, m2).inverse()
+    return theta_inv * oracles.cartan_factor(m1, m2).inverse()
 
 
 def test_r_matrix_intertwines_all_small_pairs():
@@ -199,7 +203,7 @@ def test_r_matrix_intertwines_all_small_pairs():
 def test_r_matrix_inverse():
     for a, b in [(1, 1), (1, 2), (2, 2), (3, 1)]:
         m1, m2 = repmod.irrep(a), repmod.irrep(b)
-        r = repmod.universal_R(m1, m2)
+        r = oracles.universal_R(m1, m2)
         rinv = universal_R_inverse(m1, m2)
         assert r * rinv == Matrix.identity(m1.dim * m2.dim)
         assert rinv * r == Matrix.identity(m1.dim * m2.dim)
@@ -230,9 +234,9 @@ def test_yang_baxter():
     for da, db, dc in [(1, 1, 1), (1, 2, 1), (2, 1, 2)]:
         ma, mb, mc = repmod.irrep(da), repmod.irrep(db), repmod.irrep(dc)
         dims = (ma.dim, mb.dim, mc.dim)
-        r12 = _embed_pair(repmod.universal_R(ma, mb), dims, 0, 1)
-        r13 = _embed_pair(repmod.universal_R(ma, mc), dims, 0, 2)
-        r23 = _embed_pair(repmod.universal_R(mb, mc), dims, 1, 2)
+        r12 = _embed_pair(oracles.universal_R(ma, mb), dims, 0, 1)
+        r13 = _embed_pair(oracles.universal_R(ma, mc), dims, 0, 2)
+        r23 = _embed_pair(oracles.universal_R(mb, mc), dims, 1, 2)
         assert r12 * r13 * r23 == r23 * r13 * r12
 
 
