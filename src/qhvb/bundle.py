@@ -108,8 +108,10 @@ class Section(coeff.CoeffVector):
         return self.map(lambda f: self.algebra.dot(x, f))
 
     def __eq__(self, other):
+        # sections over equal weight lists are elements of one module,
+        # whichever LModule object each was built on
         return (LinComb.__eq__(self, other)
-                and self.lmodule is other.lmodule)
+                and self.lmodule.weights == other.lmodule.weights)
 
 
 def _constraint_rows(lmodule, generators, n):
@@ -284,8 +286,17 @@ class BundleIdempotent:
         self.lmodule = lmodule
         self.completion = Completion(lmodule)
         self.N = N
-        # E_q up to level N: the sections of the trivial line
-        inv = [s.coords[0] for s in sections_basis(algebra, LModule([0]), N)]
+        # the sections of each weight line m up to a level, solved once
+        # per (m, level): E_q up to level N is the trivial line's
+        lines = {}
+
+        def line_sections(m, level):
+            if (m, level) not in lines:
+                lines[(m, level)] = sections_basis(algebra, LModule([m]),
+                                                   level)
+            return lines[(m, level)]
+
+        inv = [s.coords[0] for s in line_sections(0, N)]
         self.domain = [(beta, f) for beta in range(self.completion.dim_w)
                        for f in inv]
         self.columns = []
@@ -301,7 +312,7 @@ class BundleIdempotent:
         levels = set(self.completion.blocks)
         self.matched_level = N + max(levels) if len(levels) == 1 else None
         self.sections_dim = sum(
-            len(sections_basis(algebra, LModule([m]), N + level))
+            len(line_sections(m, N + level))
             for m, level in zip(lmodule.weights, self.completion.blocks))
 
     def apply(self, element):

@@ -211,27 +211,43 @@ def build_config(file_data, seed=None, suites=None):
 
 
 # ----------------------------------------------------------------------
-# shared objects, memoized per run (a skip replays on reuse)
+# shared objects: what the seed cannot change is built once per process,
+# the rest once per run (a skip replays on reuse)
+
+# coefficient window -> (its coeff.Algebra, {key: object or skip} of the
+# seed-free workspace objects), read by every workspace of the process
+_SHARED = {}
 
 
 class _Workspace:
+    """The objects the suites of one run share.  The Algebra, the bundle
+    idempotents, the invariants and the projection suite's sections are
+    fixed by the window and the weights, not by the seed, so they live
+    in the process-wide memo of the window; the calculus and connection
+    objects, whose caches stderr reports per run, live in this run's
+    memo.  A failing certificate raises and is memoised in neither."""
+
     def __init__(self, cfg):
         self.cfg = cfg
-        self.algebra = coeff.Algebra(cfg.coefficient_window)
+        window = cfg.coefficient_window
+        if window not in _SHARED:
+            _SHARED[window] = (coeff.Algebra(window), {})
+        self.algebra, self._shared = _SHARED[window]
         self._cache = {}
 
-    def _get(self, key, builder):
-        if key in self._cache:
-            value = self._cache[key]
+    def _get(self, key, builder, memo=None):
+        memo = self._cache if memo is None else memo
+        if key in memo:
+            value = memo[key]
             if isinstance(value, Exception):
                 raise value
             return value
         try:
             value = builder()
         except _SKIPS as e:
-            self._cache[key] = e
+            memo[key] = e
             raise
-        self._cache[key] = value
+        memo[key] = value
         return value
 
     def calc(self):
@@ -259,11 +275,19 @@ class _Workspace:
     def idempotent(self, weights, N):
         return self._get(("idempotent", weights, N),
                          lambda: bundle.idempotent(
-                             self.algebra, bundle.LModule(weights), N))
+                             self.algebra, bundle.LModule(weights), N),
+                         self._shared)
 
     def invariants(self, N):
         return self._get(("invariants", N),
-                         lambda: homspace.invariants(self.algebra, N))
+                         lambda: homspace.invariants(self.algebra, N),
+                         self._shared)
+
+    def sections(self, weights, N):
+        return self._get(("sections", weights, N),
+                         lambda: bundle.sections_basis(
+                             self.algebra, bundle.LModule(weights), N),
+                         self._shared)
 
 
 def _rng(cfg, suite):
@@ -337,13 +361,17 @@ def _check(checks, suite, anchor, name, fn):
 
 def _residual(lhs, rhs):
     """None when lhs == rhs, else what differs: for LinCombs the
-    residual lhs - rhs, for vectors of forms its first nonzero
-    coordinate, for Matrices the nonzero entries of lhs - rhs, and for
-    anything else the two values."""
+    residual lhs - rhs, or the two kinds when their terms are equal (for
+    sections, the two weight lists), for vectors of forms its first
+    nonzero coordinate, for Matrices the nonzero entries of lhs - rhs,
+    and for anything else the two values."""
     if lhs == rhs:
         return None
     if isinstance(lhs, LinComb):
-        return scalars._residual_witness((lhs - rhs).terms)
+        residual = (lhs - rhs).terms
+        if residual:
+            return scalars._residual_witness(residual)
+        return "equal terms, but %s != %s" % (_kind(lhs), _kind(rhs))
     if isinstance(lhs, Matrix):
         return scalars._residual_witness(
             {(i, j): x for i, row in enumerate((lhs - rhs).a)
@@ -352,6 +380,14 @@ def _residual(lhs, rhs):
         gamma = next(g for g in range(len(lhs)) if lhs[g] != rhs[g])
         return "coordinate %d: %s" % (gamma, _residual(lhs[gamma], rhs[gamma]))
     return "%s != %s" % (lhs, rhs)
+
+
+def _kind(value):
+    """The type of a value, with the weights of a section's module."""
+    if isinstance(value, bundle.Section):
+        return "Section over weights [%s]" % ", ".join(
+            str(m) for m in value.lmodule.weights)
+    return type(value).__name__
 
 
 _TQ_BASIS = [(n, i, j) for n in range(3)
@@ -569,8 +605,7 @@ def _suite_projection(ws, checks):
 
     def sections():
         # solved once for the four checks; an overflow replays as a skip
-        return ws._get(("sections", cfg.weights, m + 2),
-                       lambda: bundle.sections_basis(a, V, m + 2))
+        return ws.sections(cfg.weights, m + 2)
 
     def retraction():
         for j, zeta in enumerate(sections()):
@@ -943,6 +978,16 @@ def cmd_verify(cfg, out_path):
           file=sys.stderr)
     print("action matrix cache: %d entries"
           % sum(len(mod._acts) for mod in repmod._IRREPS.values()),
+          file=sys.stderr)
+    built = collections.Counter(
+        key[0] for _, memo in _SHARED.values() for key, value in memo.items()
+        if not isinstance(value, Exception))
+    # the invariants are the sections of the trivial line
+    print("shared tables: %d windows, %d idempotents, %d section bases, "
+          "%d monomial matrices"
+          % (len(_SHARED), built["idempotent"],
+             built["sections"] + built["invariants"],
+             sum(len(mod._monos) for mod in repmod._IRREPS.values())),
           file=sys.stderr)
     calc = ws._cache.get("calc")
     tables = ((calc._product_tables, calc._d_tables)

@@ -166,7 +166,10 @@ class PairingTable:
 
 
 class Algebra:
-    """T_q with a level window n_max and all derived tables cached."""
+    """T_q with a level window n_max and all derived tables cached.  The
+    tables depend on the window alone, so `qhvb verify` builds one
+    Algebra per window and process and every run at that window reads
+    it; a caller that writes into a table builds its own Algebra."""
 
     def __init__(self, n_max=6):
         assert n_max >= 2

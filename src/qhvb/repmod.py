@@ -52,6 +52,7 @@ class Module:
         self._verify_relations()
         self.weights = self._diagonal_weights()
         self._pows = {}
+        self._monos = {}
         self._acts = {}
         self._zero = None
 
@@ -98,7 +99,9 @@ class Module:
         by the element (UEAElements hash by value); every element acting
         as zero shares one zero matrix.  The matrix is shared between
         callers, so none may mutate it: every caller reads entries,
-        tensors, multiplies or transposes it into a new matrix."""
+        tensors, multiplies or transposes it into a new matrix.  A new
+        element costs no matrix product when its PBW monomials have
+        acted before (see _monomial)."""
         mat = self._acts.get(x)
         if mat is None:
             mat = self._act(x)
@@ -109,14 +112,29 @@ class Module:
             self._acts[x] = mat
         return mat
 
-    def _act(self, x):
-        """The matrix of x built from powers of the generator matrices."""
-        acc = Matrix.zeros(self.dim, self.dim)
-        for (a, b, c), s in x.terms.items():
+    def _monomial(self, mono):
+        """The nonzero entries (i, j, Scalar) of the matrix of the PBW
+        monomial f^a k^b e^c, built once per module from the cached
+        generator powers."""
+        entries = self._monos.get(mono)
+        if entries is None:
+            a, b, c = mono
             m = self._power("f", a)
             m = m * (self._power("k", b) if b >= 0 else self._power("K", -b))
             m = m * self._power("e", c)
-            acc = acc + m.scale(s)
+            entries = [(i, j, y) for i, row in enumerate(m.a)
+                       for j, y in enumerate(row) if y]
+            self._monos[mono] = entries
+        return entries
+
+    def _act(self, x):
+        """The matrix of x: s times each term's monomial entries, summed
+        into a zero matrix."""
+        acc = Matrix.zeros(self.dim, self.dim)
+        rows = acc.a
+        for mono, s in x.terms.items():
+            for i, j, y in self._monomial(mono):
+                rows[i][j] = rows[i][j] + s * y
         return acc
 
 

@@ -157,6 +157,28 @@ def dot(x, f):
 
 
 # ----------------------------------------------------------------------
+# the action matrices of repmod.Module.act, before they summed cached
+# monomial entries: one dense product per PBW term, from powers built
+# here rather than read from the module's caches
+
+
+def module_act(mod, x):
+    """The matrix of the UEAElement x on mod, as sum_t s_t f^a k^b e^c
+    over its terms, each a dense product of generator powers."""
+    def power(m, n):
+        acc = Matrix.identity(mod.dim)
+        for _ in range(n):
+            acc = acc * m
+        return acc
+
+    acc = Matrix.zeros(mod.dim, mod.dim)
+    for (a, b, c), s in x.terms.items():
+        k = power(mod.k, b) if b >= 0 else power(mod.k_inv, -b)
+        acc = acc + (power(mod.f, a) * k * power(mod.e, c)).scale(s)
+    return acc
+
+
+# ----------------------------------------------------------------------
 # the R-matrix on a pair of weight modules, the oracle of the Theta-series
 # coefficients repmod.theta_coefficient that the L-operators read
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhvb.scalars import Scalar, Echelon, Span
+from qhvb.scalars import Scalar, Echelon, Span, ONE
 from qhvb import uea, coeff, homspace, bundle
 
 from oracles import contains, invariant_span, is_invariant
@@ -59,6 +59,32 @@ def test_half_integral_weight_has_no_sections():
     assert bundle.sections_basis(A, V, 4) == []
     with pytest.raises(AssertionError):
         bundle.Completion(V)
+
+
+def test_sections_compare_by_weights():
+    # a section is an element of H_q(V) for V's weight list, whichever
+    # LModule object carries it; equal terms over another list differ
+    unit = {(0, (0, 0, 0)): ONE}
+    trivial = bundle.Section(A, bundle.LModule([0]), unit)
+    assert trivial == bundle.Section(A, bundle.LModule([0]), unit)
+    assert trivial != bundle.Section(A, bundle.LModule([0, 0]), unit)
+    assert trivial != bundle.Section(A, bundle.LModule([0]),
+                                     {(0, (0, 0, 0)): ONE + ONE})
+    assert (bundle.sections_basis(A, bundle.LModule([1, -1]), 3)
+            == bundle.sections_basis(A, bundle.LModule([1, -1]), 3))
+
+
+def test_idempotent_solves_each_line_once(monkeypatch):
+    # at weights 0 0 1 the domain and both weight-0 lines read the
+    # trivial line's sections up to level 3, and the weight-1 line its
+    # sections up to level 4: two solves, where one per use made four
+    calls = []
+    solve = bundle.sections_basis
+    monkeypatch.setattr(bundle, "sections_basis", lambda algebra, V, N:
+                        calls.append((V.weights, N)) or solve(algebra, V, N))
+    proj = bundle.idempotent(A, bundle.LModule([0, 0, 1]), 3)
+    assert sorted(calls) == [((0,), 3), ((1,), 4)]
+    assert proj.rank == proj.sections_dim
 
 
 def test_completion_structure():

@@ -514,6 +514,7 @@ def test_multiply_reads_its_tables_only(monkeypatch):
 ], ids=["calculus-closure", "connection-curvature"])
 def test_verify_contracts_words_before_coefficient_products(monkeypatch,
                                                            tmp_path, capsys,
+                                                           cold_tables,
                                                            suites, limit,
                                                            gcd_limit):
     # the calculus and closure suites make one coefficient product per
@@ -528,9 +529,10 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
     fn = coeff.Algebra.product_terms
     monkeypatch.setattr(coeff.Algebra, "product_terms", lambda self, f, g:
                         calls.append(1) or fn(self, f, g))
-    # every gcd, from cold scalar caches: the connection and curvature
-    # suites made 75,574 when each sum and product cancelled at once,
-    # and about 25,700 with one cancellation per entry of a row product
+    # every gcd, from cold scalar caches and a cold window algebra: the
+    # connection and curvature suites made 75,574 when each sum and
+    # product cancelled at once, and about 25,700 with one cancellation
+    # per entry of a row product
     gcds = []
     pgcd = scalars._pgcd
     monkeypatch.setattr(scalars, "_pgcd", lambda a, b:
@@ -544,6 +546,9 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
         args += ["--suite", suite]
     assert cli.main(args) == 0
     assert 0 < len(calls) <= limit
+    # the run built the basis products it multiplies by
+    (algebra, _), = cold_tables.values()
+    assert algebra._pair_prod
     assert gcd_limit is None or len(gcds) <= gcd_limit
     # the calculus table caches the run built are counted on stderr
     err = capsys.readouterr().err.splitlines()
@@ -737,7 +742,7 @@ def test_cached_action_matrices_stay_intact():
     cached = 0
     for mod in repmod._IRREPS.values():
         for x, mat in list(mod._acts.items()):
-            assert mat == mod._act(x)
+            assert mat == oracles.module_act(mod, x)
             assert mod.act(x) is mat
             cached += 1
     assert cached > 0

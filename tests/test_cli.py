@@ -132,6 +132,16 @@ def test_verify_reduced_suites(tmp_path, capsys):
     count = int(acts[0].split(": ")[1].split()[0])
     assert count == sum(len(m._acts) for m in cli.repmod._IRREPS.values())
     assert count > 0
+    # the seed-free tables the process shares between runs
+    shared = [line for line in err if line.startswith("shared tables: ")]
+    assert len(shared) == 1
+    match = re.fullmatch(r"shared tables: (\d+) windows, (\d+) idempotents, "
+                         r"(\d+) section bases, (\d+) monomial matrices",
+                         shared[0])
+    assert match
+    assert int(match[1]) == len(cli._SHARED) > 0
+    assert int(match[4]) == sum(len(m._monos)
+                                for m in cli.repmod._IRREPS.values()) > 0
     # neither suite builds a Calculus, so its table caches are empty
     tables = [line for line in err if line.startswith("calculus table cache: ")]
     assert tables == ["calculus table cache: 0 product tables, 0 d tables"]
@@ -139,6 +149,7 @@ def test_verify_reduced_suites(tmp_path, capsys):
     assert rows == ["connection table cache: 0 projection rows"]
     assert "cache" not in out.read_text()
     assert "unreduced" not in out.read_text()
+    assert "shared" not in out.read_text()
     report = json.loads(out.read_text())
     assert report["config"]["seed"] == 3
     assert report["config"]["suites"] == ["haar", "borelweil"]
@@ -460,22 +471,24 @@ RESIDUAL_MUTANTS = [
 ]
 
 
-def _verify_mutant(tmp_path, suite):
+def _verify_mutant(tmp_path, suite, cold_tables):
     """The checks of a failing `verify` run over the space-separated
-    suites."""
+    suites, on the empty memo of the cold_tables fixture: a table warm
+    from an earlier run would hide the mutant."""
     out = tmp_path / "report.json"
     args = ["verify", "--out", str(out)]
     for name in suite.split():
         args += ["--suite", name]
     assert cli.main(args) == 1
+    assert list(cold_tables) == [cli.RunConfig().coefficient_window]
     return json.loads(out.read_text())["checks"]
 
 
 @pytest.mark.parametrize("suite, breaker, failing", RESIDUAL_MUTANTS)
-def test_failing_check_names_its_residual(tmp_path, monkeypatch, suite,
-                                          breaker, failing):
+def test_failing_check_names_its_residual(tmp_path, monkeypatch, cold_tables,
+                                          suite, breaker, failing):
     breaker(monkeypatch)
-    checks = _verify_mutant(tmp_path, suite)
+    checks = _verify_mutant(tmp_path, suite, cold_tables)
     fails = {c["anchor"]: c["witness"] for c in checks
              if c["status"] == "fail"}
     assert sorted(fails) == failing
@@ -705,11 +718,11 @@ WITNESS_MUTANTS = [
     "projection-surjective", "uq-coassociativity", "uq-star",
     "tq-coassociativity", "tq-star", "structure-functionals",
     "forms-top-degree", "braiding", "pairing-nondegenerate", "idempotent"])
-def test_mutant_fails_exactly_its_anchors(tmp_path, monkeypatch, suite,
-                                          breaker, witnesses):
+def test_mutant_fails_exactly_its_anchors(tmp_path, monkeypatch, cold_tables,
+                                          suite, breaker, witnesses):
     # exact witnesses, most of them not residuals of forms
     breaker(monkeypatch)
-    checks = _verify_mutant(tmp_path, suite)
+    checks = _verify_mutant(tmp_path, suite, cold_tables)
     assert {c["anchor"]: c["witness"] for c in checks
             if c["status"] != "pass"} == witnesses
 
@@ -754,6 +767,24 @@ def test_check_compares_each_kind_of_value():
         "fail", "rank: 3 != 4")
     assert _checked(lambda: iter(["not positive"])) == (
         "fail", "not positive")
+
+
+def test_residual_names_the_kinds_of_equal_terms():
+    # unequal values whose difference has no terms: two kinds of
+    # LinComb, or two sections over different weight lists
+    one = {(0, 0, 0): scalars.ONE}
+    assert cli._residual(scalars.LinComb(one), coeff.CoeffElement(one)) == (
+        "equal terms, but LinComb != CoeffElement")
+    algebra = coeff.Algebra(2)
+    unit = {(0, (0, 0, 0)): scalars.ONE}
+    trivial = bundle.Section(algebra, bundle.LModule([0]), unit)
+    doubled = bundle.Section(algebra, bundle.LModule([0, 0]), unit)
+    assert cli._residual(trivial, doubled) == (
+        "equal terms, but Section over weights [0] != Section over weights "
+        "[0, 0]")
+    assert _checked(lambda: iter([("section", trivial, doubled)])) == (
+        "fail", "section: equal terms, but Section over weights [0] != "
+        "Section over weights [0, 0]")
 
 
 def test_check_stops_at_the_first_failure():
@@ -804,21 +835,46 @@ def _count_ranks(monkeypatch):
     return calls
 
 
-def test_pairing_tables_certify_without_exact_ranks(tmp_path, monkeypatch):
+def test_pairing_tables_certify_without_exact_ranks(tmp_path, monkeypatch,
+                                                   cold_tables):
     # every class of the tables up to level 4 has full column rank mod p,
-    # so the suite runs no Q(u) elimination for its ranks
+    # so the suite runs no Q(u) elimination for its ranks; the tables
+    # are built by this run, not read warm
     ranks = _count_ranks(monkeypatch)
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--seed", "0", "--suite", "pairing",
                      "--out", str(out)]) == 0
+    (algebra, _), = cold_tables.values()
+    assert sorted(algebra._pairing_tables) == [1, 2, 3, 4]
     assert ranks == []
 
 
-def test_sweep_suites_gcd_count(tmp_path, monkeypatch):
+SWEEP_SUITES = ("hopf", "pairing", "actions", "haar", "idempotent",
+                "projection", "borelweil")
+SWEEP_REFERENCES = (Path(__file__).resolve().parents[1] / "perfbench"
+                    / "references" / "verify-algebra-sweep")
+
+
+def _sweep(tmp_path, seed):
+    """The exit code and report bytes of `verify` over the seven suites
+    without a Calculus, as the benchmark's sweep runs them."""
+    out = tmp_path / ("seed-%d.json" % seed)
+    args = ["verify", "--seed", str(seed), "--out", str(out)]
+    for suite in SWEEP_SUITES:
+        args += ["--suite", suite]
+    return cli.main(args), out.read_bytes()
+
+
+def _sweep_reference(seed):
+    return (SWEEP_REFERENCES / ("seed-%d.json" % seed)).read_bytes()
+
+
+def test_sweep_suites_gcd_count(tmp_path, monkeypatch, cold_tables):
     # every gcd of the seven suites without a Calculus at seed 0, from
-    # cold scalar caches: 6,036 with exact Q(u) ranks of the pairing
-    # tables and dense block translations, about 2,900 with the ranks
-    # certified mod p and the translations term by term
+    # cold scalar caches and cold seed-free tables: 6,036 with exact
+    # Q(u) ranks of the pairing tables and dense block translations,
+    # about 2,900 with the ranks certified mod p and the translations
+    # term by term
     gcds = []
     pgcd = scalars._pgcd
     monkeypatch.setattr(scalars, "_pgcd", lambda a, b:
@@ -826,17 +882,60 @@ def test_sweep_suites_gcd_count(tmp_path, monkeypatch):
     for cache in (scalars._cancel, scalars._den_product,
                   scalars._den_lcm):
         cache.cache_clear()
-    out = tmp_path / "report.json"
-    args = ["verify", "--seed", "0", "--out", str(out)]
-    for suite in ("hopf", "pairing", "actions", "haar", "idempotent",
-                  "projection", "borelweil"):
-        args += ["--suite", suite]
-    assert cli.main(args) == 0
+    assert _sweep(tmp_path, 0)[0] == 0
+    (algebra, memo), = cold_tables.values()
+    assert sorted(algebra._pairing_tables) == [1, 2, 3, 4]
+    assert sorted(key[0] for key in memo) == [
+        "idempotent", "idempotent", "invariants", "sections"]
     assert len(gcds) <= 3300
 
 
+def test_warm_sweep_equals_cold(tmp_path, monkeypatch, cold_tables):
+    # a second seed in one process reads the window's pairing tables and
+    # idempotents from the first, and reports what a cold run reports;
+    # its action matrices sum cached monomials, so it makes 62 matrix
+    # products where rebuilding the tables made 831
+    builds = []
+    mul = scalars.Matrix.__mul__
+    monkeypatch.setattr(scalars.Matrix, "__mul__", lambda self, other:
+                        builds.append("product") or mul(self, other))
+
+    def count_builds(cls):
+        init = cls.__init__
+
+        def counted(self, *args):
+            builds.append(cls.__name__)
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    count_builds(coeff.PairingTable)
+    count_builds(bundle.BundleIdempotent)
+    counts = []
+    for seed in (0, 1):
+        builds.clear()
+        assert _sweep(tmp_path, seed) == (0, _sweep_reference(seed))
+        counts.append(sorted(builds))
+    cold, warm = counts
+    assert cold.count("BundleIdempotent") == 2
+    assert cold.count("PairingTable") == 4
+    assert set(warm) == {"product"} and len(warm) <= 100
+
+
+def test_failing_certificate_is_not_shared(tmp_path, monkeypatch,
+                                           cold_tables):
+    # the doubled wp fails the idempotent's e^2 = e certificate, which is
+    # never memoised, so a plain run after it builds the idempotents anew
+    with monkeypatch.context() as mutant:
+        _break_wp(mutant)
+        rc, report = _sweep(tmp_path, 0)
+    assert rc == 1
+    assert _E_SQUARED in report.decode()
+    assert _sweep(tmp_path, 0) == (0, _sweep_reference(0))
+
+
 def test_rank_deficient_pairing_table_names_class_and_rank(tmp_path,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           cold_tables):
     # the class d = 0 of the level-1 table has three columns and one row,
     # so its bound mod p falls short, and the exact rank it falls back to
     # names the class

@@ -44,6 +44,32 @@ def test_act_is_homomorphism():
     assert m.act(uea.UNIT) == Matrix.identity(3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: repmod.irrep(1),
+    lambda: repmod.irrep(3),
+    lambda: repmod.tensor(repmod.irrep(1), repmod.irrep(2)),
+    lambda: repmod.direct_sum([repmod.irrep(2), repmod.irrep(0),
+                               repmod.irrep(1)]),
+], ids=["irrep-1", "irrep-3", "tensor-1-2", "sum-2-0-1"])
+def test_act_matches_the_dense_oracle(build):
+    # Module.act sums cached monomial entries; the oracle multiplies
+    # fresh generator powers per term.  Every PBW monomial of degree
+    # <= 4, negative k-powers among them, then seeded sums of them
+    mod = build()
+    monos = uea.pbw_monomials(4)
+    assert any(b < 0 for _, b, _ in monos)
+    for mono in monos:
+        x = uea.monomial(*mono)
+        assert mod.act(x) == oracles.module_act(mod, x)
+    rng = random.Random(43)
+    for _ in range(20):
+        x = uea.UEAElement()
+        for mono in rng.sample(monos, 3):
+            x = x + uea.monomial(*mono, coeff=Scalar(rng.randint(-2, 2))
+                                 + U(rng.randint(-3, 3)))
+        assert mod.act(x) == oracles.module_act(mod, x)
+
+
 def test_tensor_weights_are_sums():
     t = repmod.tensor(repmod.irrep(2), repmod.irrep(1))
     assert t.weights == [3, 1, 1, -1, -1, -3]
