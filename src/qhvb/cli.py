@@ -221,11 +221,12 @@ _SHARED = {}
 
 class _Workspace:
     """The objects the suites of one run share.  The Algebra, the bundle
-    idempotents, the invariants and the projection suite's sections are
-    fixed by the window and the weights, not by the seed, so they live
-    in the process-wide memo of the window; the calculus and connection
-    objects, whose caches stderr reports per run, live in this run's
-    memo.  A failing certificate raises and is memoised in neither."""
+    idempotents, the invariants, the projection suite's sections and the
+    Borel-Weil suite's holomorphic sections are fixed by the window and
+    the weights, not by the seed, so they live in the process-wide memo
+    of the window; the calculus and connection objects, whose caches
+    stderr reports per run, live in this run's memo.  A failing
+    certificate raises and is memoised in neither."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -286,6 +287,12 @@ class _Workspace:
     def sections(self, weights, N):
         return self._get(("sections", weights, N),
                          lambda: bundle.sections_basis(
+                             self.algebra, bundle.LModule(weights), N),
+                         self._shared)
+
+    def holomorphic(self, weights, N):
+        return self._get(("holomorphic", weights, N),
+                         lambda: bundle.holomorphic_sections(
                              self.algebra, bundle.LModule(weights), N),
                          self._shared)
 
@@ -894,12 +901,12 @@ def _suite_borelweil(ws, checks):
     a = ws.algebra
 
     def dimension():
-        holo = bundle.holomorphic_sections(a, bundle.LModule([-1]), 4)
+        holo = ws.holomorphic((-1,), 4)
         yield ("holomorphic sections dimension", len(holo),
                repmod.irrep(1).dim)
 
     def irreducible():
-        holo = bundle.holomorphic_sections(a, bundle.LModule([-1]), 4)
+        holo = ws.holomorphic((-1,), 4)
         yield ("highest weights of the translation module",
                [n for n, _, _ in bundle.dot_module(a, holo)[1]], [1])
 
@@ -966,10 +973,12 @@ def cmd_verify(cfg, out_path):
         _SUITE_RUNNERS[suite](ws, checks)
         print("suite %-11s %6.1fs" % (suite, time.time() - t0),
               file=sys.stderr)
-    info = scalars._cancel.cache_info()
-    print("gcd cofactor cache: %d hits, %d misses, %d/%d entries"
-          % (info.hits, info.misses, info.currsize, info.maxsize),
-          file=sys.stderr)
+    for name, cache in (("gcd cofactor cache", scalars._cancel),
+                        ("primitive gcd cache", scalars._primitive_gcd)):
+        info = cache.cache_info()
+        print("%s: %d hits, %d misses, %d/%d entries"
+              % (name, info.hits, info.misses, info.currsize, info.maxsize),
+              file=sys.stderr)
     print("unreduced sums: %d finished, %d cancelled, %d denominator "
           "products, %d lcm pairs"
           % (scalars.SUM_STATS["finished"], scalars.SUM_STATS["cancelled"],
@@ -982,11 +991,12 @@ def cmd_verify(cfg, out_path):
     built = collections.Counter(
         key[0] for _, memo in _SHARED.values() for key, value in memo.items()
         if not isinstance(value, Exception))
-    # the invariants are the sections of the trivial line
+    # the invariants are the sections of the trivial line, and the
+    # holomorphic sections those that e also annihilates
     print("shared tables: %d windows, %d idempotents, %d section bases, "
           "%d monomial matrices"
           % (len(_SHARED), built["idempotent"],
-             built["sections"] + built["invariants"],
+             built["sections"] + built["invariants"] + built["holomorphic"],
              sum(len(mod._monos) for mod in repmod._IRREPS.values())),
           file=sys.stderr)
     calc = ws._cache.get("calc")

@@ -27,7 +27,7 @@ of Theta^{-1}; the tests build R from them and re-derive c_n from that
 linear system.
 """
 
-from .scalars import Scalar, Matrix, ZERO, ONE, qint, NoSolution
+from .scalars import Scalar, Matrix, ZERO, ONE, qint, NoSolution, PoleError
 
 
 class DecompositionError(Exception):
@@ -77,11 +77,13 @@ class Module:
                 if i != j and self.k[i, j]:
                     return None
             d = self.k[i, i]
-            # recognize u^{2m}: numerator/denominator are single powers
-            num, den = d.num, d.den
-            if sum(1 for t in num if t) != 1 or sum(1 for t in den if t) != 1:
+            # recognize u^{2m}: u^t is 2^t at u = 2, and any other entry
+            # fails the comparison with the power of u read off there
+            try:
+                x = d.eval_at(2)
+            except PoleError:
                 return None
-            twice = (len(num) - 1) - (len(den) - 1)
+            twice = x.numerator.bit_length() - x.denominator.bit_length()
             if twice % 2 or d != _UPOW(twice):
                 return None
             ws.append(twice // 2)

@@ -7,26 +7,36 @@ pairings, the Cartan factor of the R-matrix on integral weights -- an
 integer power of u.
 
 A Scalar is a reduced fraction of integer-coefficient polynomials in u.
-Polynomials are plain tuples of ints (index = degree, no trailing zeros,
-() is the zero polynomial); reduction divides out the full Z[u] gcd and
-fixes the sign of the denominator's leading coefficient, so equal field
-elements have equal representations and ``==``/``hash`` are structural.
-Every path below produces exactly this canonical form.
+A polynomial is a flat tuple (e0, c0, e1, c1, ...) of its nonzero terms
+c_i u^{e_i}, exponents ascending (() is the zero polynomial, (0, 1) the
+unit); reduction divides out the full Z[u] gcd and fixes the sign of the
+denominator's leading coefficient, so equal field elements have equal
+representations and ``==``/``hash`` are structural.  Every path below
+produces exactly this canonical form, and no other module reads it: the
+constructor takes ints and dense coefficient sequences (index = degree).
+Almost every polynomial the verifier meets is u^v P(u^8), since the
+q-numbers [n] = (q^n - q^-n)/(q - q^-1) with q = u^4 are polynomials in
+q^2, so sums and products touch the nonzero terms only (Johnson 1974):
+a sum merges two exponent runs, a monomial factor shifts and scales the
+other one, and a binomial factor adds two such copies.
 
 Normalisation.  Every gcd goes through `_pgcd`, which first splits off
 the common power of u, the integer contents and a common exponent stride
-(most operands are polynomials in u^2 or u^4), so a monomial or constant
-cofactor needs no remainder sequence; only the compressed primitive
-cofactors run the primitive PRS, on lists.  Arithmetic on reduced
+(most operands are polynomials in u^8), so a monomial or constant gcd
+needs no remainder sequence; only the compressed primitive cofactors
+run the primitive PRS, on dense lists, and both cofactors are divided by
+the gcd there before they are expanded again.  A shift or an integer
+multiple of a polynomial compresses to the same tuple, so compressed
+pairs recur much more often than the polynomials, and `_primitive_gcd`
+keeps the last PRS_CACHE_SIZE of them.  Arithmetic on reduced
 fractions skips the constructor (Henrici 1956; Knuth, TAOCP vol. 2,
 4.5.1).  Products and quotients cancel the two cross gcds (each skipped
 when its denominator is 1) and multiply the cofactors.  Sums cancel
 g = gcd(b, d) of the denominators first: a/b + c/d = t / (b1 d1 g) with
 t = a d1 + c b1 prime to b1 d1, so only gcd(t, g) is left to divide
-out.  Both results are already reduced.  A gcd is always taken together
-with its two cofactors, by `_cancel`, which keeps the last
-CANCEL_CACHE_SIZE results: the same denominator pairs recur close
-together in time.
+out.  Both results are already reduced.  A gcd always comes with its
+two cofactors, and `_cancel` keeps the last CANCEL_CACHE_SIZE results:
+the same denominator pairs recur close together in time.
 
 A sum of many products cancels once per entry instead.  `add_row` adds
 x * y for each (key, y) of a row into a dict of unreduced pairs
@@ -70,7 +80,6 @@ goes through fractions.Fraction.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from math import gcd as _igcd
 
 
@@ -94,66 +103,114 @@ def _residual_witness(residual):
 
 
 # ----------------------------------------------------------------------
-# integer-coefficient polynomials as tuples
+# integer-coefficient polynomials as flat tuples of nonzero terms
+
+# the polynomial 1
+_P1 = (0, 1)
 
 
-def _ptrim(c):
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
+def _sparse(c):
+    """The flat form of a dense coefficient sequence (index = degree)."""
+    out = []
+    for e, x in enumerate(c):
+        if x:
+            out += e, x
+    return tuple(out)
 
 
 def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    c = list(a)
-    for i, x in enumerate(b):
-        c[i] += x
-    return _ptrim(c)
+    """Sum of two polynomials, by one merge of their exponent runs."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if a[-2] < b[0]:
+        return a + b
+    if b[-2] < a[0]:
+        return b + a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ea, eb = a[i], b[j]
+        if ea < eb:
+            out += ea, a[i + 1]
+            i += 2
+        elif eb < ea:
+            out += eb, b[j + 1]
+            j += 2
+        else:
+            x = a[i + 1] + b[j + 1]
+            if x:
+                out += ea, x
+            i += 2
+            j += 2
+    if i < na:
+        out += a[i:]
+    elif j < nb:
+        out += b[j:]
+    return tuple(out)
 
 
 def _pneg(a):
-    return tuple(-x for x in a)
+    out = list(a)
+    out[1::2] = [-x for x in a[1::2]]
+    return tuple(out)
 
 
 def _pmul(a, b):
-    """Product of two trimmed polynomials (so the result is trimmed).  A
-    unit operand returns the other one, which is already trimmed."""
+    """Product of two polynomials.  A monomial operand shifts and scales
+    the other one (the unit returns it), and a binomial one adds two such
+    copies."""
     if not a or not b:
         return ()
-    if a == (1,):
+    if a == _P1:
         return b
-    if b == (1,):
+    if b == _P1:
         return a
-    nz = [(j, y) for j, y in enumerate(b) if y]
-    c = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 2:
+        e, c = b
+        if len(a) == 2:
+            return a[0] + e, a[1] * c
+        out = []
+        for i in range(0, len(a), 2):
+            out += a[i] + e, a[i + 1] * c
+        return tuple(out)
+    if len(b) == 4:
+        # a binomial factor: the sum of two shifted and scaled copies
+        e, c, f, d = b
+        p, q = [], []
+        for i in range(0, len(a), 2):
+            p += a[i] + e, a[i + 1] * c
+            q += a[i] + f, a[i + 1] * d
+        return _padd(tuple(p), tuple(q))
+    # a dense accumulator over the exponent range: a dict of the same
+    # terms was about 10 % faster here but raised the peak RSS of the
+    # connection suites by 1.8 %
+    a0, b0 = a[0], b[0]
+    acc = [0] * (a[-2] + b[-2] - a0 - b0 + 1)
+    terms = [(e - b0, y) for e, y in zip(b[::2], b[1::2])]
+    for i in range(0, len(a), 2):
+        k, ca = a[i] - a0, a[i + 1]
+        for j, cb in terms:
+            acc[k + j] += ca * cb
+    lo = a0 + b0
+    out = []
+    for k, x in enumerate(acc):
         if x:
-            for j, y in nz:
-                c[i + j] += x * y
-    return tuple(c)
+            out += lo + k, x
+    return tuple(out)
 
 
-def _pcontent(a, g=0):
-    """gcd of g and the coefficients of a (nonnegative)."""
-    for x in a:
-        g = _igcd(g, x)
-        if g == 1:
-            return 1
-    return g
-
-
-def _pquo(a, b):
-    """Exact quotient a / b of trimmed polynomials; ArithmeticError when b
-    does not divide a.  The power of u in b is divided out first, so a
-    monomial divisor costs one pass over a."""
-    v = 0
-    while not b[v]:
-        v += 1
-    db, lb = len(b) - 1 - v, b[-1]
-    nz = [(i, y) for i, y in enumerate(islice(b, v, len(b) - 1)) if y]
-    r = list(islice(a, v, None))
+def _lquo(a, b):
+    """Exact quotient a / b of dense coefficient sequences whose constant
+    terms are nonzero, as a tuple; ArithmeticError when b does not
+    divide a."""
+    db, lb = len(b) - 1, b[-1]
+    nz = [(i, y) for i, y in enumerate(b[:db]) if y]
+    r = list(a)
     q = [0] * (len(r) - db)
     for e in range(len(q) - 1, -1, -1):
         t = r[e + db]
@@ -164,7 +221,7 @@ def _pquo(a, b):
             q[e] = t
             for i, y in nz:
                 r[e + i] -= t * y
-    if any(a[:v]) or any(r[:db]):
+    if any(r[:db]):
         raise ArithmeticError("inexact polynomial division")
     return tuple(q)
 
@@ -172,9 +229,10 @@ def _pquo(a, b):
 def _prs(a, b):
     """gcd of primitive polynomials a, b (lists, len(a) >= len(b) >= 2,
     nonzero constant terms) by the primitive remainder sequence on
-    mutable lists.  Each remainder may carry any nonzero integer factor, since it
-    is made primitive; its power of u is dropped, since no divisor of b
-    is divisible by u.  Returns a primitive list of unspecified sign."""
+    mutable lists, which it consumes.  Each remainder may carry any
+    nonzero integer factor, since it is made primitive; its power of u is
+    dropped, since no divisor of b is divisible by u.  Returns a
+    primitive list of unspecified sign."""
     while True:
         db, lb = len(b) - 1, b[-1]
         nz = [(i, y) for i, y in enumerate(b) if y]
@@ -203,59 +261,100 @@ def _prs(a, b):
             del r[:v]
         if len(r) == 1:
             return [1]
-        c = _pcontent(r)
+        c = _igcd(*r)
         if c != 1:
             r = [x // c for x in r]
         a, b = b, r
 
 
+def _unshift(a, v, c):
+    """a / (c u^v) for a monomial c u^v that divides a."""
+    if not v and c == 1:
+        return a
+    out = list(a)
+    if v:
+        out[::2] = [x - v for x in a[::2]]
+    if c != 1:
+        out[1::2] = [x // c for x in a[1::2]]
+    return tuple(out)
+
+
+def _compress(a, s, c):
+    """The dense tuple of P with a = c u^v P(u^s), v the lowest exponent
+    of a."""
+    v = a[0]
+    n = (a[-2] - v) // s + 1
+    if 2 * n == len(a):
+        # no gaps: the coefficients in order
+        return a[1::2] if c == 1 else tuple([x // c for x in a[1::2]])
+    out = [0] * n
+    for e, x in zip(a[::2], a[1::2]):
+        out[(e - v) // s] = x // c
+    return tuple(out)
+
+
+def _expand(p, v, s, c):
+    """c u^v P(u^s) for the dense sequence p of P."""
+    out = []
+    for k, x in enumerate(p):
+        if x:
+            out += v + s * k, c * x
+    return tuple(out)
+
+
+# how many compressed gcds `_primitive_gcd` keeps: the shifts and integer
+# multiples of a polynomial all compress to one tuple, so pairs recur
+# much more often than the polynomials themselves (of the remainder
+# sequences on the connection suites, 51 % are found at 128 entries,
+# 61 % at 256 and 74 % at 1,024); a larger cache trades peak memory for
+# fewer remainder sequences
+PRS_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=PRS_CACHE_SIZE)
+def _primitive_gcd(A, B):
+    """(G, A/G, B/G) for primitive dense tuples A, B of length 2 or more
+    with nonzero constant terms and their gcd G of positive leading
+    coefficient, all tuples; None when G = 1."""
+    P, Q = (A, B) if len(A) >= len(B) else (B, A)
+    G = _prs(list(P), list(Q))
+    if len(G) == 1:
+        return None
+    if G[-1] < 0:
+        G = [-x for x in G]
+    # a primitive divisor of the same degree is the operand up to sign
+    QA = (A[-1] // G[-1],) if len(A) == len(G) else _lquo(A, G)
+    QB = (B[-1] // G[-1],) if len(B) == len(G) else _lquo(B, G)
+    return tuple(G), QA, QB
+
+
 def _pgcd(a, b):
-    """gcd in Z[u]: content gcd times the primitive gcd, positive leading
-    coefficient.
+    """(g, a/g, b/g) for nonzero polynomials a, b and their gcd g in
+    Z[u]: content gcd times the primitive gcd, positive leading
+    coefficient; a and b themselves when g = 1.
 
     What needs no remainder sequence is split off first: the common power
     u^v, the integer contents, and a common exponent stride s (both
     cofactors are polynomials in u^s; gcd commutes with u^s -> u).  A
-    constant cofactor ends there with c*u^v; otherwise the compressed
-    primitive cofactors go through `_prs`."""
-    if not a or not b:
-        g = a or b
-        return _pneg(g) if g and g[-1] < 0 else g
-    va = 0
-    while not a[va]:
-        va += 1
-    vb = 0
-    while not b[vb]:
-        vb += 1
-    v = min(va, vb)
-    if len(a) - va == 1:
-        return (0,) * v + (_pcontent(b, a[va]),)
-    if len(b) - vb == 1:
-        return (0,) * v + (_pcontent(a, b[vb]),)
-    s = 0
-    for p, vp in ((a, va), (b, vb)):
-        for i in range(vp + 1, len(p)):
-            if p[i]:
-                s = _igcd(s, i - vp)
-                if s == 1:
-                    break
-    ca, cb = _pcontent(a), _pcontent(b)
-    A = list(islice(a, va, None, s))
-    B = list(islice(b, vb, None, s))
-    if ca != 1:
-        A = [x // ca for x in A]
-    if cb != 1:
-        B = [x // cb for x in B]
-    G = _prs(A, B) if len(A) >= len(B) else _prs(B, A)
-    c = _igcd(ca, cb)
-    if len(G) == 1:
-        return (0,) * v + (c,)
-    if G[-1] < 0:
-        c = -c
-    g = [0] * (v + s * (len(G) - 1) + 1)
-    for k, x in enumerate(G):
-        g[v + s * k] = c * x
-    return tuple(g)
+    monomial operand ends there with g = c*u^v; otherwise the compressed
+    primitive cofactors go through `_primitive_gcd`, which divides both
+    by their gcd before they are expanded again."""
+    va, vb = a[0], b[0]
+    v = va if va < vb else vb
+    if len(a) == 2 or len(b) == 2:
+        c = _igcd(a[1], *b[1::2]) if len(a) == 2 else _igcd(b[1], *a[1::2])
+    else:
+        s = _igcd(*[e - va for e in a[2::2]], *[e - vb for e in b[2::2]])
+        ca, cb = _igcd(*a[1::2]), _igcd(*b[1::2])
+        c = _igcd(ca, cb)
+        found = _primitive_gcd(_compress(a, s, ca), _compress(b, s, cb))
+        if found:
+            G, QA, QB = found
+            return (_expand(G, v, s, c), _expand(QA, va - v, s, ca // c),
+                    _expand(QB, vb - v, s, cb // c))
+    if not v and c == 1:
+        return _P1, a, b
+    return (v, c), _unshift(a, v, c), _unshift(b, v, c)
 
 
 # how many gcd results `_cancel` keeps: repeated argument pairs recur
@@ -266,29 +365,22 @@ CANCEL_CACHE_SIZE = 256
 
 @lru_cache(maxsize=CANCEL_CACHE_SIZE)
 def _cancel(a, b):
-    """(g, a/g, b/g) with g = gcd(a, b) for nonzero tuples a, b; the inputs
-    themselves when g = 1, so a coprime pair keeps no new tuples."""
-    g = _pgcd(a, b)
-    if g == (1,):
-        return (1,), a, b
-    return g, _pquo(a, g), _pquo(b, g)
+    """`_pgcd`, keeping the last CANCEL_CACHE_SIZE results: the inputs
+    themselves come back when g = 1, so a coprime pair keeps no new
+    tuples."""
+    return _pgcd(a, b)
 
 
 def _peval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+    return sum((c * x ** e for e, c in zip(a[::2], a[1::2])), Fraction(0))
 
 
 def _pstr(a):
     if not a:
         return "0"
     parts = []
-    for e in range(len(a) - 1, -1, -1):
-        c = a[e]
-        if c == 0:
-            continue
+    for i in range(len(a) - 2, -1, -2):
+        e, c = a[i], a[i + 1]
         if e == 0:
             t = str(abs(c))
         elif e == 1:
@@ -312,12 +404,14 @@ class Scalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1,)):
-        num = _ptrim((num,)) if isinstance(num, int) else _ptrim(num)
-        den = _ptrim((den,)) if isinstance(den, int) else _ptrim(den)
+        num = _sparse((num,) if isinstance(num, int) else num)
+        den = _sparse((den,) if isinstance(den, int) else den)
         if not den:
             raise ZeroDivisionError("zero denominator in Scalar")
+        if den == _P1:
+            den = _P1
         if not num:
-            self.num, self.den = (), (1,)
+            self.num, self.den = (), _P1
             return
         _, num, den = _cancel(num, den)
         if den[-1] < 0:
@@ -432,12 +526,14 @@ class Scalar:
         return _peval(self.num, u0) / d
 
     def __str__(self):
-        if self.den == (1,):
+        if self.den == _P1:
             return _pstr(self.num)
         ns, ds = _pstr(self.num), _pstr(self.den)
-        if len(self.num) > 1 or (self.num and self.num[0] < 0):
+        # a numerator of positive degree or a negative constant, and a
+        # denominator of positive degree, are parenthesised
+        if self.num[-2] or self.num[-1] < 0:
             ns = "(" + ns + ")"
-        if len(self.den) > 1:
+        if self.den[-2]:
             ds = "(" + ds + ")"
         return ns + "/" + ds
 
@@ -450,13 +546,13 @@ def _product(a, b, c, d):
     g2 = gcd(c, b) leaves (a/g1 * c/g2) / (b/g2 * d/g1), which is already
     reduced with a positive leading coefficient below, so it is built
     without a second normalisation."""
-    if d != (1,):
+    if d != _P1:
         _, a, d = _cancel(a, d)
-    if b != (1,):
+    if b != _P1:
         _, c, b = _cancel(c, b)
     s = Scalar.__new__(Scalar)
     s.num = _pmul(a, c)
-    s.den = b if d == (1,) else d if b == (1,) else _pmul(b, d)
+    s.den = b if d == _P1 else d if b == _P1 else _pmul(b, d)
     return s
 
 
@@ -468,21 +564,21 @@ def _sum(a, b, c, d):
     polynomial operand (denominator 1) needs no gcd and takes no cache
     entry."""
     if b == d:
-        t, g, m = _padd(a, c), b, (1,)
-    elif b == (1,):
-        t, g, m = _padd(_pmul(a, d), c), (1,), d
-    elif d == (1,):
-        t, g, m = _padd(a, _pmul(c, b)), (1,), b
+        t, g, m = _padd(a, c), b, _P1
+    elif b == _P1:
+        t, g, m = _padd(_pmul(a, d), c), _P1, d
+    elif d == _P1:
+        t, g, m = _padd(a, _pmul(c, b)), _P1, b
     else:
         g, b1, d1 = _cancel(b, d)
         t, m = _padd(_pmul(a, d1), _pmul(c, b1)), _pmul(b1, d1)
     if not t:
         return ZERO
-    if g != (1,):
+    if g != _P1:
         _, t, g = _cancel(t, g)
     s = Scalar.__new__(Scalar)
     s.num = t
-    s.den = g if m == (1,) else m if g == (1,) else _pmul(m, g)
+    s.den = g if m == _P1 else m if g == _P1 else _pmul(m, g)
     return s
 
 
@@ -515,10 +611,8 @@ U0 = 1000003
 
 
 def _peval_mod(a):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * U0 + c) % PRIME
-    return acc
+    return sum(c * pow(U0, e, PRIME)
+               for e, c in zip(a[::2], a[1::2])) % PRIME
 
 
 def rank_lower_bound(rows):
@@ -838,9 +932,8 @@ def _den_product(b, d):
 @lru_cache(maxsize=DEN_TABLE_SIZE)
 def _den_lcm(b, d):
     """(l, l/b, l/d) for l = lcm(b, d)."""
-    g = _pgcd(b, d)
-    fb, fd = (d, b) if g == (1,) else (_pquo(d, g), _pquo(b, g))
-    return _pmul(b, fb), fb, fd
+    _, b1, d1 = _pgcd(b, d)
+    return _pmul(b, d1), d1, b1
 
 
 def _merge(acc, key, n, d):
@@ -862,7 +955,7 @@ def add_row(acc, row, *factors):
     multiplies the numerators over the product of the denominators, and
     two entries over different denominators meet over their lcm.  A sum
     that vanishes has the numerator ()."""
-    num, den = (1,), (1,)
+    num, den = _P1, _P1
     for x in factors:
         num, den = _pmul(num, x.num), _den_product(den, x.den)
     for k, y in row:
@@ -883,10 +976,10 @@ def finish_sum(acc):
     for k, (n, d) in acc.items():
         if not n:
             continue
-        if d != (1,):
-            g = _pgcd(n, d)
-            if g != (1,):
-                n, d = _pquo(n, g), _pquo(d, g)
+        if d != _P1:
+            g, n1, d1 = _pgcd(n, d)
+            if g != _P1:
+                n, d = n1, d1
                 SUM_STATS["cancelled"] += 1
         s = Scalar.__new__(Scalar)
         s.num, s.den = n, d

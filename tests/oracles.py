@@ -1,6 +1,9 @@
 """Reference code that several test modules share and that no code in
 the package calls."""
 
+from itertools import islice
+from math import gcd as _igcd
+
 from qhvb.scalars import ONE, Matrix, NoSolution, Scalar, Span, accumulate
 from qhvb import calculus, coeff, repmod, uea
 
@@ -211,3 +214,204 @@ def universal_R(m1, m2):
         theta = theta + a_n.tensor(b_n).scale(repmod.theta_coefficient(n))
         n += 1
     return cartan_factor(m1, m2) * theta
+
+
+# ----------------------------------------------------------------------
+# the dense polynomial kernel of scalars, before polynomials became flat
+# tuples of nonzero terms: tuples of ints, index = degree, no trailing
+# zeros, () the zero polynomial.  The oracle of the flat kernel.
+
+
+def _ptrim(c):
+    n = len(c)
+    while n and c[n - 1] == 0:
+        n -= 1
+    return tuple(c[:n])
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    c = list(a)
+    for i, x in enumerate(b):
+        c[i] += x
+    return _ptrim(c)
+
+
+def _pneg(a):
+    return tuple(-x for x in a)
+
+
+def _pmul(a, b):
+    """Product of two trimmed polynomials (so the result is trimmed).  A
+    unit operand returns the other one, which is already trimmed."""
+    if not a or not b:
+        return ()
+    if a == (1,):
+        return b
+    if b == (1,):
+        return a
+    nz = [(j, y) for j, y in enumerate(b) if y]
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nz:
+                c[i + j] += x * y
+    return tuple(c)
+
+
+def _pcontent(a, g=0):
+    """gcd of g and the coefficients of a (nonnegative)."""
+    for x in a:
+        g = _igcd(g, x)
+        if g == 1:
+            return 1
+    return g
+
+
+def _pquo(a, b):
+    """Exact quotient a / b of trimmed polynomials; ArithmeticError when b
+    does not divide a.  The power of u in b is divided out first, so a
+    monomial divisor costs one pass over a."""
+    v = 0
+    while not b[v]:
+        v += 1
+    db, lb = len(b) - 1 - v, b[-1]
+    nz = [(i, y) for i, y in enumerate(islice(b, v, len(b) - 1)) if y]
+    r = list(islice(a, v, None))
+    q = [0] * (len(r) - db)
+    for e in range(len(q) - 1, -1, -1):
+        t = r[e + db]
+        if t:
+            t, m = divmod(t, lb)
+            if m:
+                raise ArithmeticError("inexact polynomial division")
+            q[e] = t
+            for i, y in nz:
+                r[e + i] -= t * y
+    if any(a[:v]) or any(r[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(q)
+
+
+def _prs(a, b):
+    """gcd of primitive polynomials a, b (lists, len(a) >= len(b) >= 2,
+    nonzero constant terms) by the primitive remainder sequence on
+    mutable lists.  Each remainder may carry any nonzero integer factor, since it
+    is made primitive; its power of u is dropped, since no divisor of b
+    is divisible by u.  Returns a primitive list of unspecified sign."""
+    while True:
+        db, lb = len(b) - 1, b[-1]
+        nz = [(i, y) for i, y in enumerate(b) if y]
+        nz.pop()
+        r = a
+        while len(r) > db:
+            # r <- m*r - t*u^e*b, with the leading terms cancelling
+            lr = r.pop()
+            e = len(r) - db
+            if lr % lb:
+                g = _igcd(lb, lr)
+                m, t = lb // g, lr // g
+                r = [x * m for x in r]
+            else:
+                t = lr // lb
+            for i, y in nz:
+                r[e + i] -= t * y
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return b
+        v = 0
+        while not r[v]:
+            v += 1
+        if v:
+            del r[:v]
+        if len(r) == 1:
+            return [1]
+        c = _pcontent(r)
+        if c != 1:
+            r = [x // c for x in r]
+        a, b = b, r
+
+
+def _pgcd(a, b):
+    """gcd in Z[u]: content gcd times the primitive gcd, positive leading
+    coefficient.
+
+    What needs no remainder sequence is split off first: the common power
+    u^v, the integer contents, and a common exponent stride s (both
+    cofactors are polynomials in u^s; gcd commutes with u^s -> u).  A
+    constant cofactor ends there with c*u^v; otherwise the compressed
+    primitive cofactors go through `_prs`."""
+    if not a or not b:
+        g = a or b
+        return _pneg(g) if g and g[-1] < 0 else g
+    va = 0
+    while not a[va]:
+        va += 1
+    vb = 0
+    while not b[vb]:
+        vb += 1
+    v = min(va, vb)
+    if len(a) - va == 1:
+        return (0,) * v + (_pcontent(b, a[va]),)
+    if len(b) - vb == 1:
+        return (0,) * v + (_pcontent(a, b[vb]),)
+    s = 0
+    for p, vp in ((a, va), (b, vb)):
+        for i in range(vp + 1, len(p)):
+            if p[i]:
+                s = _igcd(s, i - vp)
+                if s == 1:
+                    break
+    ca, cb = _pcontent(a), _pcontent(b)
+    A = list(islice(a, va, None, s))
+    B = list(islice(b, vb, None, s))
+    if ca != 1:
+        A = [x // ca for x in A]
+    if cb != 1:
+        B = [x // cb for x in B]
+    G = _prs(A, B) if len(A) >= len(B) else _prs(B, A)
+    c = _igcd(ca, cb)
+    if len(G) == 1:
+        return (0,) * v + (c,)
+    if G[-1] < 0:
+        c = -c
+    g = [0] * (v + s * (len(G) - 1) + 1)
+    for k, x in enumerate(G):
+        g[v + s * k] = c * x
+    return tuple(g)
+
+
+def _pstr(a):
+    if not a:
+        return "0"
+    parts = []
+    for e in range(len(a) - 1, -1, -1):
+        c = a[e]
+        if c == 0:
+            continue
+        if e == 0:
+            t = str(abs(c))
+        elif e == 1:
+            t = "u" if abs(c) == 1 else "%d*u" % abs(c)
+        else:
+            t = "u^%d" % e if abs(c) == 1 else "%d*u^%d" % (abs(c), e)
+        if not parts:
+            parts.append(t if c > 0 else "-" + t)
+        else:
+            parts.append((" + " if c > 0 else " - ") + t)
+    return "".join(parts)
+
+
+def scalar_str(num, den):
+    """str() of the Scalar num/den, for its dense numerator and
+    denominator (the rule of Scalar.__str__)."""
+    if den == (1,):
+        return _pstr(num)
+    ns, ds = _pstr(num), _pstr(den)
+    if len(num) > 1 or (num and num[0] < 0):
+        ns = "(" + ns + ")"
+    if len(den) > 1:
+        ds = "(" + ds + ")"
+    return ns + "/" + ds

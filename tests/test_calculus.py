@@ -549,6 +549,7 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
     # the run built the basis products it multiplies by
     (algebra, _), = cold_tables.values()
     assert algebra._pair_prod
+    assert 0 < len(gcds)
     assert gcd_limit is None or len(gcds) <= gcd_limit
     # the calculus table caches the run built are counted on stderr
     err = capsys.readouterr().err.splitlines()

@@ -123,6 +123,11 @@ def test_verify_reduced_suites(tmp_path, capsys):
     stats = [line for line in err if line.startswith("gcd cofactor cache: ")]
     assert len(stats) == 1
     assert stats[0].endswith("/%d entries" % cli.scalars.CANCEL_CACHE_SIZE)
+    stats = [line for line in err if line.startswith("primitive gcd cache: ")]
+    assert len(stats) == 1
+    assert re.fullmatch(r"primitive gcd cache: \d+ hits, \d+ misses, "
+                        r"\d+/%d entries" % cli.scalars.PRS_CACHE_SIZE,
+                        stats[0])
     sums = [line for line in err if line.startswith("unreduced sums: ")]
     assert len(sums) == 1
     assert re.fullmatch(r"unreduced sums: \d+ finished, \d+ cancelled, "
@@ -140,6 +145,8 @@ def test_verify_reduced_suites(tmp_path, capsys):
                          shared[0])
     assert match
     assert int(match[1]) == len(cli._SHARED) > 0
+    # at least the borelweil suite's holomorphic sections
+    assert int(match[3]) > 0
     assert int(match[4]) == sum(len(m._monos)
                                 for m in cli.repmod._IRREPS.values()) > 0
     # neither suite builds a Calculus, so its table caches are empty
@@ -886,15 +893,15 @@ def test_sweep_suites_gcd_count(tmp_path, monkeypatch, cold_tables):
     (algebra, memo), = cold_tables.values()
     assert sorted(algebra._pairing_tables) == [1, 2, 3, 4]
     assert sorted(key[0] for key in memo) == [
-        "idempotent", "idempotent", "invariants", "sections"]
-    assert len(gcds) <= 3300
+        "holomorphic", "idempotent", "idempotent", "invariants", "sections"]
+    assert 0 < len(gcds) <= 3300
 
 
 def test_warm_sweep_equals_cold(tmp_path, monkeypatch, cold_tables):
-    # a second seed in one process reads the window's pairing tables and
-    # idempotents from the first, and reports what a cold run reports;
-    # its action matrices sum cached monomials, so it makes 62 matrix
-    # products where rebuilding the tables made 831
+    # a second seed in one process reads the window's pairing tables,
+    # idempotents and holomorphic sections from the first, and reports
+    # what a cold run reports; its action matrices sum cached monomials,
+    # so it makes 62 matrix products where rebuilding the tables made 831
     builds = []
     mul = scalars.Matrix.__mul__
     monkeypatch.setattr(scalars.Matrix, "__mul__", lambda self, other:
@@ -910,6 +917,9 @@ def test_warm_sweep_equals_cold(tmp_path, monkeypatch, cold_tables):
 
     count_builds(coeff.PairingTable)
     count_builds(bundle.BundleIdempotent)
+    holomorphic = bundle.holomorphic_sections
+    monkeypatch.setattr(bundle, "holomorphic_sections", lambda *args:
+                        builds.append("holomorphic") or holomorphic(*args))
     counts = []
     for seed in (0, 1):
         builds.clear()
@@ -918,7 +928,32 @@ def test_warm_sweep_equals_cold(tmp_path, monkeypatch, cold_tables):
     cold, warm = counts
     assert cold.count("BundleIdempotent") == 2
     assert cold.count("PairingTable") == 4
+    assert cold.count("holomorphic") == 1
     assert set(warm) == {"product"} and len(warm) <= 100
+
+
+def test_holomorphic_skip_replays_across_seeds(tmp_path, monkeypatch,
+                                               cold_tables):
+    # the holomorphic sections are solved once per window; a skip is
+    # memoised with them and replays at the next seed without a solve
+    calls = []
+
+    def overflow(algebra, lmodule, N):
+        calls.append(N)
+        raise coeff.LevelOverflow("sections of level %d beyond the "
+                                  "coefficient window 3" % N)
+
+    monkeypatch.setattr(bundle, "holomorphic_sections", overflow)
+    for seed in (0, 1):
+        out = tmp_path / ("seed-%d.json" % seed)
+        assert cli.main(["verify", "--seed", str(seed), "--suite",
+                         "borelweil", "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert {(c["status"], c["witness"]) for c in checks} == {
+            ("skip", "sections of level 4 beyond the coefficient window 3")}
+    assert calls == [4]
+    (_, memo), = cold_tables.values()
+    assert isinstance(memo[("holomorphic", (-1,), 4)], coeff.LevelOverflow)
 
 
 def test_failing_certificate_is_not_shared(tmp_path, monkeypatch,

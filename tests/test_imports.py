@@ -5,7 +5,10 @@ base of an attribute, or when the module's `__all__` lists it.
 The package defines no function, method or class that its own code never
 reads: code only the tests use lives in tests/.  The check goes by name,
 so a definition counts as read when any expression of the package reads
-that name, alone or as an attribute."""
+that name, alone or as an attribute.
+
+No module of the package but scalars touches the polynomial fields
+`num` and `den` of a Scalar."""
 
 import ast
 from pathlib import Path
@@ -135,3 +138,31 @@ def test_every_definition_of_the_package_is_read():
     sources = {path.stem: path.read_text()
                for path in sorted((ROOT / "src" / "qhvb").glob("*.py"))}
     assert unread_definitions(sources) == sorted(UNREAD_ALLOWED)
+
+
+# the polynomial layout of a Scalar is private to scalars: every other
+# module works with Scalars
+LAYOUT_ATTRIBUTES = {"num", "den"}
+
+
+def layout_reads(source):
+    """(line, attribute) of every use of a Scalar's polynomial fields in
+    source."""
+    return sorted((node.lineno, node.attr)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in LAYOUT_ATTRIBUTES)
+
+
+def test_the_layout_scan_sees_field_reads():
+    assert layout_reads("x = s.num\nn, d = a.b.den, s.numerator\n") == [
+        (1, "num"), (2, "den")]
+
+
+def test_only_scalars_reads_the_polynomial_layout():
+    found = {}
+    for path in sorted((ROOT / "src" / "qhvb").glob("*.py")):
+        reads = layout_reads(path.read_text())
+        if reads and path.name != "scalars.py":
+            found[path.name] = reads
+    assert found == {}

@@ -7,6 +7,7 @@ from math import gcd as _igcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from qhvb import coeff, repmod, uea, scalars as sc
 from qhvb.scalars import (
     Scalar,
@@ -25,6 +26,26 @@ from qhvb.scalars import (
 U = Scalar.u_power(1)
 
 
+def sparse(p):
+    """The flat form (e0, c0, e1, c1, ...) of the dense coefficient
+    sequence p: its nonzero terms by ascending exponent."""
+    return tuple(x for e, c in enumerate(p) if c for x in (e, c))
+
+
+def dense(p):
+    """The dense coefficient tuple of the flat polynomial p (index =
+    degree, no trailing zeros, () for zero)."""
+    out = [0] * (p[-2] + 1 if p else 0)
+    for e, c in zip(p[::2], p[1::2]):
+        out[e] = c
+    return tuple(out)
+
+
+def parts(s):
+    """The dense numerator and denominator of the Scalar s."""
+    return dense(s.num), dense(s.den)
+
+
 # ----------------------------------------------------------------------
 # canonical forms
 
@@ -36,7 +57,7 @@ def test_canonical_reduction():
     assert Scalar((-1, 0, 1), (-1, 1)) == Scalar((1, 1))
     # sign normalization: denominator leading coefficient is positive
     s = Scalar((1,), (-1, -2))
-    assert s.den[-1] > 0
+    assert dense(s.den)[-1] > 0
     assert s == Scalar((-1,), (1, 2))
 
 
@@ -572,15 +593,7 @@ def test_lincomb_types_and_scaling():
 # normalisation kernel
 
 
-def _ptrim(c):
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _pneg(a):
-    return tuple(-x for x in a)
+_ptrim, _pneg = oracles._ptrim, oracles._pneg
 
 
 def _pscale(a, k):
@@ -688,13 +701,15 @@ common_factors = st.one_of(monomials, shaped_polys(), dense_polys)
 
 
 @settings(max_examples=300, deadline=None)
-@given(polys, polys, common_factors)
+@given(nonzero_polys, nonzero_polys, common_factors)
 def test_pgcd_matches_prs_oracle(a, b, g):
+    # the flat gcd takes nonzero operands, as every caller passes
     g = _ptrim(g)
-    a, b = sc._pmul(_ptrim(a), g), sc._pmul(_ptrim(b), g)
-    got = sc._pgcd(a, b)
-    assert type(got) is tuple
-    assert got == _pgcd(a, b)
+    assume(g)
+    a, b = oracles._pmul(_ptrim(a), g), oracles._pmul(_ptrim(b), g)
+    got = sc._pgcd(sparse(a), sparse(b))
+    assert all(type(p) is tuple for p in got)
+    assert dense(got[0]) == _pgcd(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -702,20 +717,21 @@ def test_pgcd_matches_prs_oracle(a, b, g):
 def test_constructor_matches_oracle(num, den):
     s = Scalar(num, den)
     assert type(s.num) is tuple and type(s.den) is tuple
-    assert (s.num, s.den) == _oracle_canonical(num, den)
+    assert parts(s) == _oracle_canonical(num, den)
 
 
 @settings(max_examples=200, deadline=None)
 @given(scalars, nonzero_scalars)
 def test_products_match_oracle(x, y):
+    (a, b), (c, d) = parts(x), parts(y)
     p = x * y
     assert type(p.num) is tuple and type(p.den) is tuple
-    assert (p.num, p.den) == _oracle_canonical(
-        sc._pmul(x.num, y.num), sc._pmul(x.den, y.den))
+    assert parts(p) == _oracle_canonical(
+        oracles._pmul(a, c), oracles._pmul(b, d))
     q = x / y
     assert type(q.num) is tuple and type(q.den) is tuple
-    assert (q.num, q.den) == _oracle_canonical(
-        sc._pmul(x.num, y.den), sc._pmul(x.den, y.num))
+    assert parts(q) == _oracle_canonical(
+        oracles._pmul(a, d), oracles._pmul(b, c))
 
 
 def _seed_pmul(a, b):
@@ -734,18 +750,131 @@ def _seed_pmul(a, b):
 def test_pmul_matches_general_loop(a, b):
     a, b = _ptrim(a), _ptrim(b)
     for x, y in ((a, b), ((1,), b), (a, (1,)), ((1,), (1,))):
-        got = sc._pmul(x, y)
+        got = sc._pmul(sparse(x), sparse(y))
         assert type(got) is tuple
-        assert got == _seed_pmul(x, y)
+        assert dense(got) == _seed_pmul(x, y)
 
 
 def test_inexact_quotient_raises():
+    # the quotient of the gcd runs on compressed lists, whose constant
+    # terms are nonzero: u + 1 by 2u + 1, u^2 + 1 by u + 1, 3 by 2
     with pytest.raises(ArithmeticError):
-        sc._pquo((1, 1), (1, 2))
+        sc._lquo([1, 1], [1, 2])
     with pytest.raises(ArithmeticError):
-        sc._pquo((1, 0, 1), (0, 1))
+        sc._lquo([1, 0, 1], [1, 1])
     with pytest.raises(ArithmeticError):
-        sc._pquo((0, 0, 3), (0, 0, 2))
+        sc._lquo([3], [2])
+
+
+# ----------------------------------------------------------------------
+# the flat kernel against the dense one (tests/oracles.py), on the
+# shapes the verifier meets: u^v P(u^s) with s = 8 (q-numbers in q = u^4
+# times powers of v = u^2), s = 1 (dense) and s = 2, 4, up to degree 120
+
+
+@st.composite
+def kernel_polys(draw, max_degree=120):
+    """A nonzero dense polynomial u^v P(u^s) of degree <= max_degree."""
+    s = draw(st.sampled_from((1, 2, 4, 8)))
+    coeffs = draw(st.lists(st.integers(min_value=-40, max_value=40),
+                           min_size=1, max_size=min(8, max_degree // s + 1)))
+    assume(coeffs[-1])
+    v = draw(st.integers(min_value=0,
+                         max_value=max_degree - s * (len(coeffs) - 1)))
+    p = [0] * (v + s * (len(coeffs) - 1) + 1)
+    for k, c in enumerate(coeffs):
+        p[v + s * k] = c
+    return tuple(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_polys(), kernel_polys(), st.sampled_from(("free", "negated")))
+def test_kernel_sums_and_products_match_the_dense_kernel(a, b, kind):
+    if kind == "negated":
+        b = oracles._pneg(a)
+    for x, y in ((a, b), (a, (1,)), ((5,), b), (a, (0,) * 9 + (-3,))):
+        got = sc._padd(sparse(x), sparse(y))
+        assert type(got) is tuple and dense(got) == oracles._padd(x, y)
+        got = sc._pmul(sparse(x), sparse(y))
+        assert type(got) is tuple and dense(got) == oracles._pmul(x, y)
+    assert dense(sc._pneg(sparse(a))) == oracles._pneg(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_polys(60), kernel_polys(60), kernel_polys(60))
+def test_kernel_gcd_and_cofactors_match_the_dense_kernel(a, b, g):
+    a, b = oracles._pmul(a, g), oracles._pmul(b, g)
+    sa, sb = sparse(a), sparse(b)
+    got = sc._pgcd(sa, sb)
+    want = oracles._pgcd(a, b)
+    assert want == _pgcd(a, b)
+    assert all(type(p) is tuple for p in got)
+    assert [dense(p) for p in got] == [
+        want, oracles._pquo(a, want), oracles._pquo(b, want)]
+    if want == (1,):
+        assert got[1] is sa and got[2] is sb
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_polys(40), kernel_polys(40), st.booleans())
+def test_exact_quotient_matches_the_dense_kernel(a, b, exact):
+    # on the compressed lists of the gcd: nonzero constant terms
+    a, b = (p[next(i for i, x in enumerate(p) if x):] for p in (a, b))
+    if exact:
+        a = oracles._pmul(a, b)
+    A = list(a)
+    try:
+        want = oracles._pquo(a, b)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            sc._lquo(A, list(b))
+    else:
+        assert tuple(sc._lquo(A, list(b))) == want
+    assert tuple(A) == a
+
+
+def _horner(p, x):
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, st.sampled_from((Fraction(3, 5), Fraction(-2), 1, 0)))
+def test_kernel_evaluation_matches_horner(p, x):
+    assert sc._peval(sparse(p), x) == _horner(p, x)
+    assert sc._peval_mod(sparse(p)) == _horner(p, sc.U0) % sc.PRIME
+
+
+# the printer is where the layout reaches the report
+PRINTED = [
+    (Scalar(-3), "-3"), (U, "u"), (-U, "-u"), (Scalar((0, 0, 2)), "2*u^2"),
+    (Scalar((0, 0, -2), (1, 1)), "(-2*u^2)/(u + 1)"),
+    (Scalar((-1,), (0, 1)), "(-1)/(u)"), (Scalar((0, 1), (3,)), "(u)/3"),
+    (Scalar((1,), (1, 0, 0, 1)), "1/(u^3 + 1)"),
+    (Scalar((-4, 0, 1), (0, 0, 0, 2)), "(u^2 - 4)/(2*u^3)"),
+]
+
+
+def test_str_of_each_kind_of_scalar():
+    for s, text in PRINTED:
+        assert str(s) == oracles.scalar_str(*parts(s)) == text
+
+
+# negative constants and monomial numerators, over multi-term
+# denominators 1 + ... + u^k among others
+printed_scalars = st.one_of(
+    scalars,
+    st.builds(Scalar, monomials, st.one_of(nonzero_polys, monomials)),
+    st.builds(Scalar, polys, st.lists(small_ints, max_size=3).map(
+        lambda p: (1,) + tuple(p) + (1,))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(printed_scalars)
+def test_str_matches_the_dense_printer(s):
+    assert str(s) == repr(s) == oracles.scalar_str(*parts(s))
 
 
 # ----------------------------------------------------------------------
@@ -753,10 +882,7 @@ def test_inexact_quotient_raises():
 # cofactor cache
 
 
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    return _ptrim([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+_padd = oracles._padd
 
 
 @st.composite
@@ -768,37 +894,38 @@ def sum_operands(draw):
         return draw(scalars), draw(scalars)
     g = _ptrim(draw(common_factors))
     assume(any(g))
-    x = Scalar(draw(polys), sc._pmul(g, draw(nonzero_polys)))
+    x = Scalar(draw(polys), oracles._pmul(g, draw(nonzero_polys)))
     if kind == "negated":
         return x, -x
     if kind == "equal":
-        y = Scalar(draw(polys), x.den)
+        y = Scalar(draw(polys), dense(x.den))
         assume(not y or y.den == x.den)
         return x, y
-    return x, Scalar(draw(polys), sc._pmul(g, draw(nonzero_polys)))
+    return x, Scalar(draw(polys), oracles._pmul(g, draw(nonzero_polys)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(sum_operands())
 def test_sums_match_oracle(xy):
     x, y = xy
-    (a, b), (c, d) = (x.num, x.den), (y.num, y.den)
+    (a, b), (c, d) = parts(x), parts(y)
     for s, c_sign in ((x + y, c), (x - y, _pneg(c))):
         assert type(s.num) is tuple and type(s.den) is tuple
-        assert (s.num, s.den) == _oracle_canonical(
-            _padd(sc._pmul(a, d), sc._pmul(c_sign, b)), sc._pmul(b, d))
+        assert parts(s) == _oracle_canonical(
+            _padd(oracles._pmul(a, d), oracles._pmul(c_sign, b)),
+            oracles._pmul(b, d))
 
 
 def test_sum_cancels_through_both_gcds():
     # 2/((u-1)(u+1)) - 3/((u-1)(u+2)): gcd(b, d) = u - 1, and the
     # numerator 2(u+2) - 3(u+1) = -(u-1) cancels it again
     x = Scalar((2,), (-1, 0, 1))
-    y = Scalar((3,), sc._pmul((-1, 1), (2, 1)))
+    y = Scalar((3,), oracles._pmul((-1, 1), (2, 1)))
     s = x - y
-    assert (s.num, s.den) == ((-1,), (2, 3, 1))
+    assert parts(s) == ((-1,), (2, 3, 1))
     # an equal denominator that the sum reduces: u/(u^2-1) - 1/(u^2-1)
     s = Scalar((0, 1), (-1, 0, 1)) - Scalar((1,), (-1, 0, 1))
-    assert (s.num, s.den) == ((1,), (1, 1))
+    assert parts(s) == ((1,), (1, 1))
     assert Scalar((1,), (1, 1)) - Scalar((1,), (1, 1)) is ZERO
 
 
@@ -809,26 +936,29 @@ def test_cancel_cache_is_transparent():
     def operand():
         den = (1,)
         for f in rng.sample(factors, rng.randint(0, 3)):
-            den = sc._pmul(den, f)
+            den = oracles._pmul(den, f)
         num = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4)))
         return Scalar(num if any(num) else (1,), den)
 
     pairs = [(operand(), operand()) for _ in range(60)]
 
     def batch():
-        return [tuple((s.num, s.den) for s in (x + y, x - y, x * y, x / y))
+        return [tuple(parts(s) for s in (x + y, x - y, x * y, x / y))
                 for x, y in pairs]
 
     sc._cancel.cache_clear()
+    sc._primitive_gcd.cache_clear()
     cold = batch()
     warm = batch()
     assert cold == warm
+    assert sc._primitive_gcd.cache_info().hits > 0
     for (x, y), (s_add, _, s_mul, _) in zip(pairs, cold):
+        (a, b), (c, d) = parts(x), parts(y)
         assert s_add == _oracle_canonical(
-            _padd(sc._pmul(x.num, y.den), sc._pmul(y.num, x.den)),
-            sc._pmul(x.den, y.den))
-        assert s_mul == _oracle_canonical(sc._pmul(x.num, y.num),
-                                          sc._pmul(x.den, y.den))
+            _padd(oracles._pmul(a, d), oracles._pmul(c, b)),
+            oracles._pmul(b, d))
+        assert s_mul == _oracle_canonical(oracles._pmul(a, c),
+                                          oracles._pmul(b, d))
     info = sc._cancel.cache_info()
     assert info.maxsize == 256 == sc.CANCEL_CACHE_SIZE
     assert info.currsize <= 256
@@ -889,7 +1019,7 @@ def test_unreduced_sum_matches_the_term_by_term_sum(terms):
     assert got == expected
     for s in got.values():
         assert type(s.num) is tuple and type(s.den) is tuple
-        assert (s.num, s.den) == _oracle_canonical(s.num, s.den)
+        assert parts(s) == _oracle_canonical(*parts(s))
 
 
 @settings(max_examples=40, deadline=None)
@@ -920,7 +1050,8 @@ def test_unreduced_sum_cancels_to_zero_and_content():
     assert acc["a"][0] == ()
     assert sc.finish_sum(acc) == {"b": Scalar(3, 2)}
     stats = dict(sc.SUM_STATS)
-    assert sc.finish_sum({"c": ((2,), (4,))}) == {"c": Scalar(1, 2)}
+    assert sc.finish_sum({"c": (sparse((2,)), sparse((4,)))}) \
+        == {"c": Scalar(1, 2)}
     assert sc.SUM_STATS["finished"] == stats["finished"] + 1
     assert sc.SUM_STATS["cancelled"] == stats["cancelled"] + 1
 
@@ -930,7 +1061,7 @@ def test_unreduced_sum_over_the_pairing_denominators():
     # lcms, and the two cross terms of entry 1 cancel
     a, b = PAIRING_DENS
     x, y = Scalar((1,), a), Scalar((0, 0, 1), b)
-    z = Scalar((1, 1), sc._pmul(a, b))
+    z = Scalar((1, 1), oracles._pmul(a, b))
     terms = [([y], [(0, x), (1, y)]), ([x], [(0, y), (1, -y)]),
              ([x, z], [(0, x), (1, z)])]
     acc = {}
@@ -938,7 +1069,8 @@ def test_unreduced_sum_over_the_pairing_denominators():
         sc.add_row(acc, row, *factors)
     got = sc.finish_sum(acc)
     assert got == _term_by_term(terms)
-    assert got[0].den == sc._pmul(sc._pmul(a, a), sc._pmul(a, b))
+    assert dense(got[0].den) == oracles._pmul(oracles._pmul(a, a),
+                                              oracles._pmul(a, b))
 
 
 def test_cancelled_terms_above_the_window_do_not_overflow():
