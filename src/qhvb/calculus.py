@@ -62,7 +62,7 @@ import itertools
 
 from .scalars import (Scalar, Matrix, Echelon, Span, LinComb, ZERO, ONE,
                       add_row, eval_at, finish_sum, merge_sums,
-                      NoSolution)
+                      rank_lower_bound, NoSolution)
 from . import uea, repmod, coeff, homspace
 
 _UPOW = Scalar.u_power
@@ -74,85 +74,6 @@ class AxiomViolation(Exception):
 
 class SplitError(Exception):
     """The braiding does not split by eigenvalue sign at u = 1."""
-
-
-# ----------------------------------------------------------------------
-# polynomials over the scalar field (for eigenvalue extraction);
-# coefficient lists are lowest-degree first
-
-def _poly_mul(p, q):
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _poly_eval(p, x):
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_div_linear(p, root):
-    """Exact quotient p / (t - root); the remainder must vanish."""
-    out = [ZERO] * (len(p) - 1)
-    carry = ZERO
-    for i in range(len(p) - 1, 0, -1):
-        carry = p[i] + carry
-        out[i - 1] = carry
-        carry = carry * root
-    if p[0] + carry != ZERO:
-        raise AssertionError("nonzero remainder in deflation")
-    return out
-
-
-def _char_poly(m):
-    """det(t I - M) by cofactor expansion over polynomial entries."""
-    r = m.rows
-    entries = [[[-m[i, j], ONE] if i == j else [-m[i, j]]
-                for j in range(r)] for i in range(r)]
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return entries[rows[0]][cols[0]]
-        acc = [ZERO]
-        for pos, c in enumerate(cols):
-            term = _poly_mul(entries[rows[0]][c],
-                             det(rows[1:], cols[:pos] + cols[pos + 1:]))
-            if pos % 2:
-                term = [-x for x in term]
-            acc = [a + b for a, b in
-                   zip(acc + [ZERO] * (len(term) - len(acc)),
-                       term + [ZERO] * (len(acc) - len(term)))]
-        return acc
-
-    return det(list(range(r)), list(range(r)))
-
-
-def _monomial_roots(p, max_exp=48):
-    """Roots of a monic scalar polynomial, required to be of the form
-    +- u^k; raises SplitError otherwise.  Returned with multiplicity."""
-    roots = []
-    cur = list(p)
-    while len(cur) > 1:
-        found = None
-        for k in sorted(range(-max_exp, max_exp + 1), key=abs):
-            for cand in (_UPOW(k), -_UPOW(k)):
-                if _poly_eval(cur, cand) == ZERO:
-                    found = cand
-                    break
-            if found is not None:
-                break
-        if found is None:
-            raise SplitError("eigenvalue is not a signed power of u")
-        roots.append(found)
-        cur = _poly_div_linear(cur, found)
-    return roots
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +121,8 @@ def l_minus(wc):
     return out
 
 
-def _check_l_matrix(l, label):
+def _check_corepresentation(l, label):
+    """Require eps(l_rs) = delta_rs and D(l_rs) = sum_t l_rt (x) l_ts."""
     dim = len(l)
     for r in range(dim):
         for s in range(dim):
@@ -264,8 +186,8 @@ def from_rep(wc):
     K = d * d
     lp = l_plus(wc)
     lm = l_minus(wc)
-    _check_l_matrix(lp, "raising half")
-    _check_l_matrix(lm, "lowering half")
+    _check_corepresentation(lp, "raising half")
+    _check_corepresentation(lm, "lowering half")
     slp = [[uea.antipode(lp[i][r]) for r in range(d)] for i in range(d)]
 
     def flat(r, s):
@@ -287,19 +209,10 @@ def from_rep(wc):
             x = x - uea.UNIT
         X.append(x)
 
-    for a in range(K):
-        if uea.counit(X[a]) != ZERO:
+    for x in X:
+        if uea.counit(x) != ZERO:
             raise AxiomViolation("counit of tangent functional")
-        for b in range(K):
-            if uea.counit(F[a][b]) != (ONE if a == b else ZERO):
-                raise AxiomViolation("counit of shift functional")
-    for a in range(K):
-        for b in range(K):
-            acc = uea.TensorUEA()
-            for c in range(K):
-                acc = acc + uea.tensor(F[a][c], F[c][b])
-            if uea.coproduct(F[a][b]) != acc:
-                raise AxiomViolation("coproduct of shift functional")
+    _check_corepresentation(F, "shift functional")
     for a in range(K):
         acc = uea.tensor(uea.UNIT, X[a])
         for b in range(K):
@@ -622,11 +535,42 @@ def _braiding_matrix(wc, F):
     return sigma
 
 
+def _signed_power_eigenvalues(m):
+    """The eigenvalues lam of the r x r Matrix m with their multiplicities,
+    as [(lam, multiplicity)], for m diagonalizable with every eigenvalue
+    +-u^k, |k| <= 48.  Each candidate, in the order 1, -1, u^-1, -u^-1,
+    u, -u, u^-2, ..., with nullity r - rank(m - lam I) > 0 is an
+    eigenvalue of that multiplicity.  Eigenspaces of distinct eigenvalues
+    are independent, so they span exactly when m is such a matrix;
+    otherwise SplitError.  A candidate whose shift has full rank mod p
+    (scalars.rank_lower_bound, a lower bound of the rank over Q(u), as in
+    coeff.PairingTable) has nullity 0 without an exact elimination."""
+    r = m.rows
+    eigen = []
+    spanned = 0
+    for k in sorted(range(-48, 49), key=abs):
+        for lam in (_UPOW(k), -_UPOW(k)):
+            shifted = m - Matrix.identity(r).scale(lam)
+            if rank_lower_bound(shifted.a) == r:
+                continue
+            nullity = r - shifted.rank()
+            if nullity:
+                eigen.append((lam, nullity))
+                spanned += nullity
+                if spanned == r:
+                    return eigen
+    raise SplitError("multiplicity block is not diagonalizable over the "
+                     "signed powers of u (eigenspaces span %d of %d)"
+                     % (spanned, r))
+
+
 class BraidingSplit:
     """The braiding sigma on the invariant forms, split as
     sigma_+ - sigma_- by the sign of each eigenvalue at u = 1, with
-    sigma_+ sigma_- = sigma_- sigma_+ = 0.  Eigenvalues are computed
-    exactly on the multiplicity space of each isotypic component."""
+    sigma_+ sigma_- = sigma_- sigma_+ = 0.  By Schur's lemma sigma is
+    m (x) id on each isotypic component; the eigenvalues of each
+    multiplicity block m are found by rank (_signed_power_eigenvalues),
+    and sigma_+ and sigma_- are summed from the Lagrange projectors of m."""
 
     def __init__(self, module, sigma):
         self.module = module
@@ -649,33 +593,20 @@ class BraidingSplit:
                     if block != Matrix.identity(n + 1).scale(s):
                         raise AssertionError("braiding block is not scalar")
                     m.a[i][j] = s
-            roots = _monomial_roots(_char_poly(m))
-            distinct = []
-            for lam in roots:
-                if lam not in distinct:
-                    distinct.append(lam)
-            # diagonalizability: the squarefree minimal polynomial must vanish
-            prod = Matrix.identity(r)
-            for lam in distinct:
-                prod = prod * (m - Matrix.identity(r).scale(lam))
-            if prod != Matrix.zeros(r, r):
-                raise SplitError("multiplicity block is not diagonalizable")
+            eigen = _signed_power_eigenvalues(m)
             s_plus = Matrix.zeros(r, r)
             s_minus = Matrix.zeros(r, r)
-            for lam in distinct:
+            for lam, mult in eigen:
                 proj = Matrix.identity(r)
-                for mu in distinct:
+                for mu, _ in eigen:
                     if mu != lam:
                         proj = proj * (m - Matrix.identity(r).scale(mu)) \
                             .scale(ONE / (lam - mu))
-                sign = eval_at(lam, 1)
-                if sign == 0:
-                    raise SplitError("eigenvalue vanishes at u = 1")
-                if sign > 0:
+                if eval_at(lam, 1) > 0:
                     s_plus = s_plus + proj.scale(lam)
                 else:
                     s_minus = s_minus - proj.scale(lam)
-                self.eigenvalues.append((lam, n, roots.count(lam)))
+                self.eigenvalues.append((lam, n, mult))
             for i, (inci, prji) in enumerate(members):
                 for j, (incj, prjj) in enumerate(members):
                     if s_plus[i, j]:

@@ -970,8 +970,11 @@ def merge_sums(acc, index, terms):
 
 def finish_sum(acc):
     """The nonzero entries of an unreduced sum as canonical Scalars, one
-    gcd per entry over a denominator other than 1.  The gcd is taken
-    outside the `_cancel` cache, whose pairs recur and these do not."""
+    gcd per entry over a denominator other than 1.  The pairs do recur
+    (18,184 gcds over 7,002 distinct pairs on the connection and
+    curvature suites at seed 0), but taking them, and `_den_lcm`'s,
+    through the `_cancel` cache measured no faster in wall time, so the
+    gcd is taken directly."""
     out = {}
     for k, (n, d) in acc.items():
         if not n:

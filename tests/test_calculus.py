@@ -190,6 +190,28 @@ def test_braiding_eigenvalue_regression():
     ]
 
 
+def test_signed_power_eigenvalues_by_rank():
+    # diag(1, -u^-8, -u^8) conjugated by a unimodular integer matrix
+    p = Matrix([[Scalar(x) for x in row]
+                for row in ((1, 1, 0), (0, 1, 1), (1, 1, 1))])
+    d = Matrix([[ONE, ZERO, ZERO], [ZERO, -U(-8), ZERO], [ZERO, ZERO, -U(8)]])
+    m = p * d * p.inverse()
+    assert calculus._signed_power_eigenvalues(m) == [
+        (ONE, 1), (-U(-8), 1), (-U(8), 1)]
+    assert calculus._signed_power_eigenvalues(
+        Matrix.identity(2).scale(U(4))) == [(U(4), 2)]
+
+
+@pytest.mark.parametrize("rows, spanned", [
+    (((1, 1), (0, 1)), "span 1 of 2"),
+    (((2,),), "span 0 of 1"),
+], ids=["jordan-block", "not-a-signed-power"])
+def test_signed_power_eigenvalues_reject(rows, spanned):
+    m = Matrix([[Scalar(x) for x in row] for row in rows])
+    with pytest.raises(calculus.SplitError, match=spanned):
+        calculus._signed_power_eigenvalues(m)
+
+
 def test_antisymmetrizer_kernel():
     kernel = CALC._kernel_vectors()
     assert len(kernel) == 10

@@ -635,15 +635,16 @@ def _drop_last_kernel_vector(monkeypatch):
 
 def _double_braiding(monkeypatch):
     # sigma doubled: its eigenvalues are no longer signed powers of u, so
-    # the projector split fails (sigma u^4 would pass every check, since
-    # only ker sigma_- and sigma at u = 1 are read)
+    # no candidate has an eigenvector (sigma u^4 would pass every check,
+    # since only ker sigma_- and sigma at u = 1 are read)
     braiding_matrix = calculus._braiding_matrix
     monkeypatch.setattr(calculus, "_braiding_matrix",
                         lambda wc, F: braiding_matrix(wc, F).scale(2))
 
 
 _TANGENT_SPAN = "AxiomViolation: adjoint image leaves the tangent span"
-_SPLIT = "SplitError: eigenvalue is not a signed power of u"
+_SPLIT = ("SplitError: multiplicity block is not diagonalizable over the "
+          "signed powers of u (eigenspaces span 0 of 2)")
 _CALCULUS_ANCHORS = ["braiding-classical-limit", "braiding-projectors",
                      "d-squared-zero", "forms-top-degree", "graded-leibniz",
                      "structure-functionals", "translation-equivariance",
@@ -1049,20 +1050,22 @@ def test_certificates_fail_under_optimised_python():
 
 
 def test_calculus_result_checks_raise_under_optimised_python():
-    # t^2 + 1 leaves remainder 2 on division by t - 1
+    # a Jordan block has one eigenvector, one short of its size
     code = """
 from qhvb import calculus
-from qhvb.scalars import ONE, ZERO
+from qhvb.scalars import Matrix, ONE, ZERO
 try:
-    calculus._poly_div_linear([ONE, ZERO, ONE], ONE)
-except AssertionError as exc:
+    calculus._signed_power_eigenvalues(Matrix([[ONE, ONE], [ZERO, ONE]]))
+except calculus.SplitError as exc:
     print(exc)
 else:
     print("no error")
 """
     proc = _run_optimised(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["nonzero remainder in deflation"]
+    assert proc.stdout.splitlines() == [
+        "multiplicity block is not diagonalizable over the signed powers "
+        "of u (eigenspaces span 1 of 2)"]
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
