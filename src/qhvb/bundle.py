@@ -30,7 +30,7 @@ irreducible (or zero) by decomposing the resulting module.
 
 from fractions import Fraction
 
-from .scalars import (Scalar, Matrix, Echelon, Span, LinComb, ONE,
+from .scalars import (Scalar, Echelon, Span, LinComb, ZERO,
                       NoSolution, accumulate)
 from . import uea, repmod, coeff
 
@@ -51,16 +51,13 @@ class LModule:
     def is_integral(self):
         return all(m.denominator == 1 for m in self.weights)
 
-    def action(self, x):
-        """The matrix of a UEAElement on V.  Monomials containing e or f
-        act by zero; k^b acts by the weights."""
-        acc = Matrix.zeros(self.dim, self.dim)
-        for (a, b, c), s in x.terms.items():
-            if a or c:
-                continue
-            for r, m in enumerate(self.weights):
-                acc.a[r][r] = acc[r, r] + s * _UPOW(int(2 * m) * b)
-        return acc
+    def diagonal(self, x):
+        """The action of a UEAElement on V, one Scalar per weight line:
+        monomials containing e or f act by zero and k^b by u^{2mb}, so
+        every element acts diagonally."""
+        powers = [(b, s) for (a, b, c), s in x.terms.items() if not (a or c)]
+        return [sum((s * _UPOW(int(2 * m) * b) for b, s in powers), ZERO)
+                for m in self.weights]
 
     def __repr__(self):
         return "LModule(%s)" % (list(self.weights),)
@@ -90,11 +87,10 @@ class Section(coeff.CoeffVector):
 
     def satisfies_constraint(self, generators):
         for x in generators:
-            sx = self.lmodule.action(uea.antipode(x))
+            sx = self.lmodule.diagonal(uea.antipode(x))
             want = {}
-            for (r2, pw), s in self.terms.items():
-                for r in range(self.lmodule.dim):
-                    accumulate(want, (r, pw), sx[r, r2] * s)
+            for (r, pw), s in self.terms.items():
+                accumulate(want, (r, pw), sx[r] * s)
             if self.map(lambda f: self.algebra.circle(x, f)).terms != want:
                 return False
         return True
@@ -119,7 +115,9 @@ def _constraint_rows(lmodule, generators, n):
     level-n block, as sparse rows keyed by unknown index.  Unknowns are
     coefficients c[(r, i, j)]; for each generator x the condition is
 
-        sum_j pi_n(x)_{kj} c[(r, i, j)] = sum_{r'} S(x)_{r r'} c[(r', i, k)].
+        sum_j pi_n(x)_{kj} c[(r, i, j)] = S(x)_r c[(r, i, k)],
+
+    S(x)_r the diagonal action of S(x) on the line r.
     """
     dim_v = lmodule.dim
     block = n + 1
@@ -130,15 +128,14 @@ def _constraint_rows(lmodule, generators, n):
     rows = []
     for x in generators:
         pi = mod.act(x)
-        sx = lmodule.action(uea.antipode(x))
+        sx = lmodule.diagonal(uea.antipode(x))
         for r in range(dim_v):
             for i in range(block):
                 for k in range(block):
                     row = {}
                     for j in range(block):
                         accumulate(row, col[(r, i, j)], pi[k, j])
-                    for r2 in range(dim_v):
-                        accumulate(row, col[(r2, i, k)], -sx[r, r2])
+                    accumulate(row, col[(r, i, k)], -sx[r])
                     if row:
                         rows.append(row)
     return unknowns, rows
@@ -163,11 +160,12 @@ def sections_basis(algebra, lmodule, N, generators=(uea.K, uea.K_INV)):
 
 
 class Completion:
-    """A U_q-module W containing V as a U_l-submodule: one irreducible
-    summand of highest weight |m| per weight entry m, with i0 the
-    inclusion of each weight line at the matching weight vector and p0
-    the coordinate projection back.  p0 . i0 = id and both maps preserve
-    weights; verified at construction."""
+    """A U_q-module W containing V as a U_l-submodule, as index
+    arithmetic: one irreducible summand V_n, n = |m|, per weight entry
+    m, at offsets[r] in W.  Line r includes as w_j of its summand with
+    j = (n - m)/2 (v_index[r]), which has weight n - 2j = m (see
+    repmod.irrep); each line takes its own summand, so the inclusion is
+    injective and keeps the weights."""
 
     def __init__(self, lmodule):
         assert lmodule.is_integral()
@@ -179,27 +177,8 @@ class Completion:
             self.offsets.append(off)
             off += n + 1
         self.dim_w = off
-        self.w_module = repmod.direct_sum([repmod.irrep(n) for n in self.blocks])
-        # v_index[r]: the W basis index carrying the weight-m_r vector of
-        # the r-th summand (local index j = (n - m)/2)
-        self.v_index = []
-        for r, m in enumerate(lmodule.weights):
-            n = self.blocks[r]
-            j = (n - int(m)) // 2
-            self.v_index.append(self.offsets[r] + j)
-        self.i0 = Matrix.zeros(self.dim_w, lmodule.dim)
-        self.p0 = Matrix.zeros(lmodule.dim, self.dim_w)
-        for r, beta in enumerate(self.v_index):
-            self.i0.a[beta][r] = ONE
-            self.p0.a[r][beta] = ONE
-        if self.p0 * self.i0 != Matrix.identity(lmodule.dim):
-            raise AssertionError("p0 . i0 is not the identity")
-        for r, beta in enumerate(self.v_index):
-            if self.w_weight(beta) != lmodule.weights[r]:
-                raise AssertionError("inclusion moves the weight of line %d" % r)
-
-    def w_weight(self, beta):
-        return self.w_module.weights[beta]
+        self.v_index = [o + (n - int(m)) // 2 for o, n, m in zip(
+            self.offsets, self.blocks, lmodule.weights)]
 
     def block_of(self, beta):
         for r in range(len(self.blocks) - 1, -1, -1):

@@ -316,9 +316,11 @@ class Algebra:
         under the star when star is set; both keep the level.
         S(t_ij)(x) = t_ij(S x) lies in the class i - j of t_ij, and
         t_ij*(x) = conj t_ij((S x)*) in the class j - i, since (S mono)*
-        reverses the class; conjugation fixes Scalars."""
+        reverses the class; conjugation fixes Scalars.  A level beyond
+        the window raises LevelOverflow before any solve."""
         block = self._blocks.get((n, star))
         if block is None:
+            self.check_window(n)
             mod = repmod.irrep(n)
 
             def value(mono, i, j):

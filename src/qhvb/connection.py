@@ -52,7 +52,8 @@ class TensoredSectionSpace:
     """The realization e(W (x) Omega) of the sections tensored with the
     restricted forms, at a fixed section level window.  A weight-m line
     has sections from level |m| on; NoSections, before any other work,
-    when some line has none at level <= N."""
+    when some line has none at level <= N.  The section basis must hold
+    the weight-multiplicity count of sections, or AssertionError."""
 
     def __init__(self, calc, lmodule, N):
         for m in lmodule.weights:
@@ -79,6 +80,14 @@ class TensoredSectionSpace:
                     raise AssertionError("idempotent matrix identity fails "
                                          "at (%d, %d)" % (gamma, alpha))
         self.sections = bundle.sections_basis(self.algebra, lmodule, N)
+        # the weight-multiplicity count: a line m has n + 1 sections at
+        # each level n >= |m| with n = m mod 2
+        count = sum(n + 1 for m in lmodule.weights for n in range(N + 1)
+                    if n >= abs(m) and (n - m) % 2 == 0)
+        if len(self.sections) != count:
+            raise AssertionError("section count up to level %d: %d != "
+                                 "weight-multiplicity count %d"
+                                 % (N, len(self.sections), count))
         # the realization of each basis section, and of zeta_j a per
         # (j, a) once the right-linearity walk reads it
         self.vectors = [self.from_section(s) for s in self.sections]

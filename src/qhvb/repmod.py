@@ -178,23 +178,6 @@ def irrep(n):
     return mod
 
 
-def direct_sum(modules):
-    """Block-diagonal direct sum of a list of modules."""
-    dim = sum(m.dim for m in modules)
-    e = Matrix.zeros(dim, dim)
-    f = Matrix.zeros(dim, dim)
-    k = Matrix.zeros(dim, dim)
-    off = 0
-    for m in modules:
-        for i in range(m.dim):
-            for j in range(m.dim):
-                e.a[off + i][off + j] = m.e[i, j]
-                f.a[off + i][off + j] = m.f[i, j]
-                k.a[off + i][off + j] = m.k[i, j]
-        off += m.dim
-    return Module(e, f, k)
-
-
 def tensor(m1, m2):
     """Tensor product module, acting through the coproduct
     D(e) = e (x) k + k^{-1} (x) e (and likewise f); basis index

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from qhvb.scalars import Scalar, Echelon, Span, ONE
-from qhvb import uea, coeff, homspace, bundle
+from qhvb import uea, coeff, homspace, bundle, repmod
 
 from oracles import contains, invariant_span, is_invariant
 
@@ -88,13 +88,18 @@ def test_idempotent_solves_each_line_once(monkeypatch):
 
 
 def test_completion_structure():
-    V = bundle.LModule([1, -1])
-    comp = bundle.Completion(V)
-    assert comp.blocks == [1, 1]
+    # each line takes its own index, the vector of its summand V_|m|
+    # whose weight is m
+    for weights in [(1, -1), (2, 0, -3), (0,), (3,)]:
+        comp = bundle.Completion(bundle.LModule(weights))
+        assert comp.blocks == [abs(m) for m in weights]
+        assert len(set(comp.v_index)) == len(weights)
+        for r, m in enumerate(weights):
+            local = comp.v_index[r] - comp.offsets[r]
+            assert repmod.irrep(comp.blocks[r]).weights[local] == m
+    comp = bundle.Completion(bundle.LModule([1, -1]))
     assert comp.dim_w == 4
     assert comp.v_index == [0, 3]  # weight +1 in copy one, -1 in copy two
-    for r, beta in enumerate(comp.v_index):
-        assert comp.w_weight(beta) == V.weights[r]
     # cross-summand matrix coefficients vanish
     assert comp.coefficient(0, 2).is_zero()
     assert comp.coefficient(1, 0) == coeff.basis_element(1, 1, 0)

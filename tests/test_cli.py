@@ -293,6 +293,22 @@ def test_small_window_exits_2_with_one_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_weight_beyond_the_window_exits_2_before_any_solve(tmp_path, capsys):
+    # the antipode of a level-40 coefficient overflows before its block
+    # is solved, which at this level ran for minutes
+    path = tmp_path / "heavy.cfg"
+    path.write_text("weights = 40\n")
+    out = tmp_path / "idem.json"
+    t0 = time.perf_counter()
+    rc = cli.main(["idempotent", "--config", str(path), "--out", str(out)])
+    assert time.perf_counter() - t0 < 5
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "LevelOverflow: product needs level 40 beyond the coefficient "
+        "window 10\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, irrep, degree, words", [
     ("dims", 2, 10, "9^10 = 3486784401"),
     ("dims", 3, 17, "16^17"),
@@ -452,6 +468,16 @@ def _break_lambda_side(monkeypatch):
     monkeypatch.setattr(connection.ConnectionMap, "apply", right_acting)
 
 
+def _drop_level_zero_sections(monkeypatch):
+    # the section solver loses its level-0 block: the invariants lose the
+    # unit, and the restricted complex is no longer closed under d
+    sections_basis = bundle.sections_basis
+    monkeypatch.setattr(bundle, "sections_basis",
+                        lambda algebra, lmodule, N, **kw: [
+                            s for s in sections_basis(algebra, lmodule, N,
+                                                      **kw) if s.level > 0])
+
+
 # (suites, mutant, the anchors it fails with a residual of forms)
 RESIDUAL_MUTANTS = [
     ("projection", _break_section_times, ["projection-right-linear"]),
@@ -475,6 +501,8 @@ RESIDUAL_MUTANTS = [
      ["bianchi-operator-identity", "curvature-right-linear"]),
     ("connection", _break_lambda_side,
      ["connection-difference-linear", "connection-law-perturbed"]),
+    ("closure", _drop_level_zero_sections,
+     ["d-closure-degree-0", "d-closure-degree-1"]),
 ]
 
 
@@ -573,6 +601,16 @@ def _drop_last_section_of_each_level(monkeypatch):
     monkeypatch.setattr(bundle, "Echelon", ShortKernel)
 
 
+def _drop_top_section_level(monkeypatch):
+    # the section solver stops one level short of N: at the default
+    # weight 1 the connection's space, at level 1, holds no section, and
+    # the trivial bundle at level 2 only the unit
+    sections_basis = bundle.sections_basis
+    monkeypatch.setattr(bundle, "sections_basis",
+                        lambda algebra, lmodule, N, **kw: sections_basis(
+                            algebra, lmodule, N - 1, **kw))
+
+
 def _break_uq_coassociativity(monkeypatch):
     # D(k) gains g (x) g^2 + g^2 (x) g with g = k - k^-1: the counit kills
     # either leg (eps g = 0), both antipode contractions cancel (S g = -g)
@@ -651,6 +689,8 @@ _CALCULUS_ANCHORS = ["braiding-classical-limit", "braiding-projectors",
                      "d-closure-degree-0", "d-closure-degree-1",
                      "levi-epsilon-triviality"]
 _E_SQUARED = "AssertionError: e^2 != e on column (0, 1)"
+_NO_SECTIONS = ("AssertionError: section count up to level 1: 0 != "
+                "weight-multiplicity count 2")
 
 # (suites, mutant, {anchor: witness} of every check it does not pass)
 WITNESS_MUTANTS = [
@@ -718,6 +758,14 @@ WITNESS_MUTANTS = [
      dict.fromkeys(["idempotent-squared-v1", "idempotent-rank-v1",
                     "idempotent-squared-v1m1", "idempotent-rank-v1m1"],
                    _E_SQUARED)),
+    ("connection curvature", _drop_top_section_level,
+     dict(dict.fromkeys(["connection-law-nabla0", "connection-law-perturbed",
+                         "connection-difference-linear",
+                         "curvature-right-linear",
+                         "bianchi-operator-identity"], _NO_SECTIONS),
+          **{"curvature-trivial-flat": "AssertionError: section count up "
+                                       "to level 2: 1 != weight-multiplicity "
+                                       "count 4"})),
 ]
 
 
@@ -725,7 +773,8 @@ WITNESS_MUTANTS = [
     "haar-unit", "haar-positivity", "borel-weil", "inclusion-injective",
     "projection-surjective", "uq-coassociativity", "uq-star",
     "tq-coassociativity", "tq-star", "structure-functionals",
-    "forms-top-degree", "braiding", "pairing-nondegenerate", "idempotent"])
+    "forms-top-degree", "braiding", "pairing-nondegenerate", "idempotent",
+    "section-count"])
 def test_mutant_fails_exactly_its_anchors(tmp_path, monkeypatch, cold_tables,
                                           suite, breaker, witnesses):
     # exact witnesses, most of them not residuals of forms

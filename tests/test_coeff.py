@@ -158,6 +158,20 @@ def test_level_overflow():
     a.multiply(coeff.basis_element(1, 0, 0), coeff.basis_element(1, 0, 1))
 
 
+@pytest.mark.parametrize("operation", ["antipode", "star"])
+def test_antipode_and_star_respect_the_window(operation):
+    # both keep the level, so a level beyond the window overflows before
+    # the level-12 block is solved; the level at the window still solves
+    a = coeff.Algebra(10)
+    apply = getattr(a, operation)
+    with pytest.raises(coeff.LevelOverflow) as exc:
+        apply(coeff.basis_element(12, 0, 0))
+    assert str(exc.value) == ("product needs level 12 beyond the "
+                              "coefficient window 10")
+    assert (12, operation == "star") not in a._blocks
+    assert not apply(coeff.basis_element(2, 0, 1)).is_zero()
+
+
 def test_coproduct_counit_axioms():
     a = alg()
     for n in range(3):
