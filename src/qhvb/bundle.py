@@ -265,6 +265,10 @@ class BundleIdempotent:
         self.lmodule = lmodule
         self.completion = Completion(lmodule)
         self.N = N
+        # a summand beyond the window overflows before any solve; the
+        # domain alone has dim_w times |E_q| pairs
+        for n in self.completion.blocks:
+            algebra.check_window(n)
         # the sections of each weight line m up to a level, solved once
         # per (m, level): E_q up to level N is the trivial line's
         lines = {}

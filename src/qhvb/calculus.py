@@ -37,13 +37,12 @@ u = 1.  The differential in higher degree is d w = theta w -
 (-1)^n w theta; d^2 = 0 because theta^2 reduces to zero.
 
 Every form a Calculus method returns is in normal form: the canonical
-representative modulo that ideal, with no pivot word of the ideal's
-echelon.  The ideal lives in _j_echelon, and multiply, d and d0 read
-tables built off it through one contraction, _contract.  With rho(W)
-the reduction of the word W and T_{I,C}(n) the product of the
-transposed level-n blocks of F_{a_k c_k} ... F_{a_1 c_1} for
-I = (a_1..a_k), C = (c_1..c_k), the identity for I = (), the product
-table
+representative modulo that ideal, on normal words only.  The ideal is
+built degree by degree (_j_echelon), and multiply, d and d0 read tables
+of its normal forms through one contraction, _contract.  With rho(W) the
+normal form of the word W and T_{I,C}(n) the product of the transposed
+level-n blocks of F_{a_k c_k} ... F_{a_1 c_1} for I = (a_1..a_k),
+C = (c_1..c_k), the identity for I = (), the product table
 
     M_{I,J,n,N} = sum_C rho(C J)_N T_{I,C}(n)
 
@@ -52,7 +51,7 @@ w_I . b w_J, already reduced; for I = () it is rho(J)_N times the
 identity.  d's table adds those of the diagonal letters (a,) on J to
 -(-1)^{|J|} times those of the unit word on the words J a.  This is
 sound because the ideal is two-sided, because sums, scalings and the
-coefficient-only translation keep a form free of pivot words, and
+coefficient-only translation keep a form on normal words, and
 because forms of degree at most one are already normal.  So two forms
 are equal in the exterior algebra exactly when they are ==.
 """
@@ -61,7 +60,7 @@ import functools
 import itertools
 
 from .scalars import (Scalar, Matrix, Echelon, Span, LinComb, ZERO, ONE,
-                      add_row, eval_at, finish_sum, merge_sums,
+                      accumulate, add_row, eval_at, finish_sum, merge_sums,
                       rank_lower_bound, NoSolution)
 from . import uea, repmod, coeff, homspace
 
@@ -289,6 +288,8 @@ class Calculus:
         self._transfer = {}
         self._split = None
         self._j_ech = {}
+        self._normal = {0: [()]}
+        self._nf = {}
         self._product_tables = {}
         self._d_tables = {}
 
@@ -349,10 +350,9 @@ class Calculus:
                         if not p.is_zero():
                             nxt[(c,) + suffix] = p
                 states = nxt
-            ech = self._j_echelon(len(I) + len(J))
             mats = {}
             for C, t in states.items():
-                for N, s in ech.reduce({C + J: ONE}).items():
+                for N, s in self._normal_form(C + J).items():
                     mats.setdefault(N, []).append(t.scale(s))
             table = _nonzero_sums(mats)
             self._product_tables[(I, J, n)] = table
@@ -455,39 +455,64 @@ class Calculus:
                 for vec in self.braiding().sigma_minus.kernel()]
 
     def _j_echelon(self, degree):
-        """Echelon basis of the degree-n piece of the ideal generated by
-        ker sigma_-, in word space; the coefficient factor is free."""
+        """E_n, J_n modulo J_{n-1} (x) V on the columns N_{n-1} x letters:
+        as J_n = J_{n-1} (x) V + N_{n-2} (x) ker sigma_-, it is spanned by
+        sum_{ab} k_ab NF(u a) b, u in N_{n-2}, k in ker sigma_- (above degree
+        2, the rows of E_2, whose reduced entries keep the Scalars small).  A
+        reduced echelon is unique, so J_n's pivots and normal forms are those
+        of one elimination over all K^n words."""
         ech = self._j_ech.get(degree)
         if ech is None:
             ech = Echelon()
-            kernel = self._kernel_vectors()
-            letters = range(self.K)
-            for i in range(degree - 1):
-                for prefix in itertools.product(letters, repeat=i):
-                    for suffix in itertools.product(letters, repeat=degree - 2 - i):
-                        for kv in kernel:
-                            ech.add({prefix + ab + suffix: s for ab, s in kv.items()})
+            kernel = self._kernel_vectors() if degree == 2 else (
+                self._j_echelon(2).rows.values() if degree > 2 else ())
+            for kv in kernel:
+                for u in self._normal_words(degree - 2):
+                    vec = {}
+                    for (a, b), s in kv.items():
+                        for w, t in self._normal_form(u + (a,)).items():
+                            accumulate(vec, w + (b,), s * t)
+                    ech.add(vec)
             self._j_ech[degree] = ech
         return ech
 
+    def _normal_words(self, degree):
+        """N_n, the words of N_{n-1} x letters outside the pivots of E_n."""
+        words = self._normal.get(degree)
+        if words is None:
+            pivots = self._j_echelon(degree).rows
+            words = [w + (a,) for w in self._normal_words(degree - 1)
+                     for a in range(self.K) if w + (a,) not in pivots]
+            self._normal[degree] = words
+        return words
+
+    def _normal_form(self, word):
+        """NF(w) = E_n.reduce(NF(w[:-1]) w[-1]) as {normal word: Scalar},
+        memoised per word; words of degree below two are normal."""
+        nf = self._nf.get(word)
+        if nf is None:
+            nf = {word: ONE}
+            if len(word) > 1:
+                prefix = self._normal_form(word[:-1]).items()
+                nf = self._j_echelon(len(word)).reduce(
+                    {w + word[-1:]: s for w, s in prefix})
+            self._nf[word] = nf
+        return nf
+
     def reduce_mod_J(self, w):
-        """Canonical representative modulo the exterior ideal, computed
-        per Peter-Weyl key; w itself where the ideal is zero.  No code of
-        the package calls it, since every form a Calculus returns is
-        already normal; the tests use it as the oracle of normal form."""
-        ech = self._j_echelon(w.degree)
-        if not ech.rows:
-            return w
-        per_pw = {}
+        """Canonical representative modulo the exterior ideal, word by
+        word through _normal_form.  No code of the package calls it: every
+        form a Calculus returns is already normal; the tests reduce by it."""
+        out = {}
         for (word, pw), s in w.terms.items():
-            per_pw.setdefault(pw, {})[word] = s
-        return FormElement(w.degree, {(word, pw): s for pw, vec in per_pw.items()
-                                      for word, s in ech.reduce(vec).items()})
+            for N, t in self._normal_form(word).items():
+                accumulate(out, (N, pw), s * t)
+        return FormElement(w.degree, out)
 
     def omega_dims(self, n):
         """Dimension of the degree-n component of the exterior algebra
-        over the invariant forms."""
-        return self.K ** n - self._j_echelon(n).rank
+        over the invariant forms: the number of normal words."""
+        return len(self._normal_words(n))
 
     # -- covariance actions ----------------------------------------------
 

@@ -1,10 +1,13 @@
 """Reference code that several test modules share and that no code in
 the package calls."""
 
+import itertools
+from functools import lru_cache
 from itertools import islice
 from math import gcd as _igcd
 
-from qhvb.scalars import ONE, Matrix, NoSolution, Scalar, Span, accumulate
+from qhvb.scalars import (ONE, Echelon, Matrix, NoSolution, Scalar, Span,
+                          accumulate)
 from qhvb import calculus, coeff, repmod, uea
 
 
@@ -50,6 +53,28 @@ def outcome(fn, *args):
         return fn(*args)
     except coeff.LevelOverflow as exc:
         return str(exc)
+
+
+# ----------------------------------------------------------------------
+# the exterior ideal in word space, before it was built degree by degree
+
+
+@lru_cache(maxsize=None)
+def j_echelon(calc, degree):
+    """Echelon basis of the degree-n piece of the ideal generated by
+    ker sigma_- of the Calculus calc, in word space: one elimination of
+    every word prefix k suffix, k in ker sigma_-, over all K^n words; the
+    coefficient factor is free.  Its pivots and reductions are the
+    oracle of Calculus._normal_words and _normal_form."""
+    ech = Echelon()
+    kernel = calc._kernel_vectors()
+    letters = range(calc.K)
+    for i in range(degree - 1):
+        for prefix in itertools.product(letters, repeat=i):
+            for suffix in itertools.product(letters, repeat=degree - 2 - i):
+                for kv in kernel:
+                    ech.add({prefix + ab + suffix: s for ab, s in kv.items()})
+    return ech
 
 
 # ----------------------------------------------------------------------

@@ -228,12 +228,16 @@ def test_exterior_algebra_dimensions():
 
 def test_exterior_ideal_is_one_echelon_per_degree():
     # J in degree n is spanned by the words prefix k suffix, k in
-    # ker sigma_-; the normal words are the words outside the pivots
+    # ker sigma_-; modulo J_{n-1} (x) V it is one echelon E_n on the
+    # columns N_{n-1} x letters, and the normal words are the words of
+    # N_{n-1} x letters outside its pivots
     letters = range(DATA.K)
     kernel = CALC._kernel_vectors()
     f = coeff.unit() + coeff.basis_element(1, 0, 1)
     for n in (2, 3):
         ech = CALC._j_echelon(n)
+        columns = {w + (a,) for w in CALC._normal_words(n - 1) for a in letters}
+        assert all(set(row) <= columns for row in ech.rows.values())
         for i in range(n - 1):
             for prefix in itertools.product(letters, repeat=i):
                 for suffix in itertools.product(letters, repeat=n - 2 - i):
@@ -243,11 +247,29 @@ def test_exterior_ideal_is_one_echelon_per_degree():
                         assert CALC.reduce_mod_J(gen).is_zero()
         for word in itertools.product(letters, repeat=n):
             w = calculus.form(n, {word: f})
-            assert (CALC.reduce_mod_J(w) == w) == (word not in ech.rows)
-    normal = [sum(word not in CALC._j_echelon(n).rows
-                  for word in itertools.product(letters, repeat=n))
+            assert (CALC.reduce_mod_J(w) == w) == (word in columns
+                                                   and word not in ech.rows)
+    normal = [sum(CALC.reduce_mod_J(w) == w
+                  for w in (calculus.form(n, {word: f})
+                            for word in itertools.product(letters, repeat=n)))
               for n in range(6)]
     assert normal == [CALC.omega_dims(n) for n in range(6)] == [1, 4, 6, 4, 1, 0]
+
+
+def test_normal_forms_match_the_word_space_oracle():
+    # the recursion over degrees gives each of the 1,365 words of degree
+    # at most 5 the normal form of one elimination over all K^n words,
+    # and the same normal words; no E_n has more than 24 columns
+    calc = calculus.Calculus(A, DATA)
+    for n in range(6):
+        ech = oracles.j_echelon(calc, n)
+        words = list(itertools.product(range(calc.K), repeat=n))
+        assert calc._normal_words(n) == [w for w in words if w not in ech.rows]
+        for word in words:
+            assert calc._normal_form(word) == ech.reduce({word: ONE})
+    assert len(calc._nf) == 1365
+    assert [len({k for row in calc._j_echelon(n).rows.values() for k in row})
+            for n in range(6)] == [0, 0, 16, 24, 16, 4]
 
 
 def test_exterior_ideal_is_two_sided():
@@ -315,10 +337,10 @@ def test_d_squared_vanishes():
 
 def normal_words(calc):
     """Every normal word, degree by degree up to the top degree: the
-    words that are no pivot of the ideal's echelon."""
+    words that are no pivot of the ideal's word-space echelon."""
     out = []
     for degree in itertools.count():
-        pivots = calc._j_echelon(degree).rows
+        pivots = oracles.j_echelon(calc, degree).rows
         words = [w for w in itertools.product(range(calc.K), repeat=degree)
                  if w not in pivots]
         if not words:
@@ -427,10 +449,11 @@ def word_product(calc, w1, w2):
 def unit_word_product(calc, a, w):
     """The oracle of Calculus.multiply with the unit word on the left:
     a sum_N (sum_J rho(J)_N b_J) w_N, each word J of w reduced modulo
-    the exterior ideal, one coefficient product per normal word N."""
+    the exterior ideal in word space, one coefficient product per normal
+    word N."""
     h = {}
     for J, b in w.coords.items():
-        for N, s in calc._j_echelon(w.degree).reduce({J: ONE}).items():
+        for N, s in oracles.j_echelon(calc, w.degree).reduce({J: ONE}).items():
             terms = h.setdefault(N, {})
             for pw, x in b.terms.items():
                 accumulate(terms, pw, s * x)
@@ -530,15 +553,16 @@ def test_multiply_reads_its_tables_only(monkeypatch):
                    for _, m in table)
 
 
-@pytest.mark.parametrize("suites, limit, gcd_limit", [
-    (("calculus", "closure"), 2200, None),
-    (("connection", "curvature"), 3700, 30000),
+@pytest.mark.parametrize("suites, limit, gcd_limit, add_limit", [
+    (("calculus", "closure"), 2200, None, 900),
+    (("connection", "curvature"), 3700, 30000, None),
 ], ids=["calculus-closure", "connection-curvature"])
 def test_verify_contracts_words_before_coefficient_products(monkeypatch,
                                                            tmp_path, capsys,
                                                            cold_tables,
                                                            suites, limit,
-                                                           gcd_limit):
+                                                           gcd_limit,
+                                                           add_limit):
     # the calculus and closure suites make one coefficient product per
     # (left word, normal word) pair; one per (left word, shifted word,
     # right word) made 3,741.  The connection and curvature suites make
@@ -562,6 +586,13 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
     for cache in (scalars._cancel, scalars._den_product,
                   scalars._den_lcm):
         cache.cache_clear()
+    # every Echelon.add: the calculus and closure suites made 3,339 when
+    # the ideal was one elimination over all K^n words per degree, and
+    # 775 with one on N_{n-1} x letters
+    adds = []
+    add = scalars.Echelon.add
+    monkeypatch.setattr(scalars.Echelon, "add", lambda self, vec:
+                        adds.append(1) or add(self, vec))
     out = tmp_path / "report.json"
     args = ["verify", "--seed", "0", "--out", str(out)]
     for suite in suites:
@@ -573,6 +604,7 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
     assert algebra._pair_prod
     assert 0 < len(gcds)
     assert gcd_limit is None or len(gcds) <= gcd_limit
+    assert 0 < len(adds) and (add_limit is None or len(adds) <= add_limit)
     # the calculus table caches the run built are counted on stderr
     err = capsys.readouterr().err.splitlines()
     tables = [line.split(": ")[1] for line in err

@@ -309,6 +309,23 @@ def test_weight_beyond_the_window_exits_2_before_any_solve(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_weight_far_beyond_the_window_exits_2_before_the_domain(tmp_path,
+                                                                capsys):
+    # the summand of weight 10^7 overflows before the idempotent lists
+    # its dim_w x |E_q| domain pairs, whose memory grew with the weight
+    path = tmp_path / "huge.cfg"
+    path.write_text("weights = 10000000\n")
+    out = tmp_path / "idem.json"
+    t0 = time.perf_counter()
+    rc = cli.main(["idempotent", "--config", str(path), "--out", str(out)])
+    assert time.perf_counter() - t0 < 5
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "LevelOverflow: product needs level 10000000 beyond the coefficient "
+        "window 10\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, irrep, degree, words", [
     ("dims", 2, 10, "9^10 = 3486784401"),
     ("dims", 3, 17, "16^17"),
