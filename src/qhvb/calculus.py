@@ -451,8 +451,8 @@ class Calculus:
 
     def _kernel_vectors(self):
         """Basis of ker sigma_- as sparse vectors keyed by letter pairs."""
-        return [{divmod(i, self.K): s for i, s in enumerate(vec) if s}
-                for vec in self.braiding().sigma_minus.kernel()]
+        return [{divmod(i, self.K): s for i, s in vec.items()}
+                for vec in self.braiding().kernel_minus]
 
     def _j_echelon(self, degree):
         """E_n, J_n modulo J_{n-1} (x) V on the columns N_{n-1} x letters:
@@ -593,27 +593,30 @@ class BraidingSplit:
     """The braiding sigma on the invariant forms, split as
     sigma_+ - sigma_- by the sign of each eigenvalue at u = 1, with
     sigma_+ sigma_- = sigma_- sigma_+ = 0.  By Schur's lemma sigma is
-    m (x) id on each isotypic component; the eigenvalues of each
-    multiplicity block m are found by rank (_signed_power_eigenvalues),
-    and sigma_+ and sigma_- are summed from the Lagrange projectors of m."""
+    m (x) id on each isotypic component, so the split stays on the
+    multiplicity blocks m: their eigenvalues are found by rank
+    (_signed_power_eigenvalues), m = s_+ - s_- by the Lagrange projectors,
+    and ker sigma_- is spanned by sum_j k_j inc_j[:, c], k in ker s_-.
+    With sum inc prj = id and intertwining inc, prj (decompose), the
+    block identities and sigma commuting with e, f, k give those of
+    sigma_+ and sigma_- on V (x) V."""
 
     def __init__(self, module, sigma):
-        self.module = module
         K = module.dim
         tm = repmod.tensor(module, module)
         self.sigma = sigma
         groups = {}
         for n, inc, prj in repmod.decompose(tm):
-            groups.setdefault(n, []).append((inc, prj))
-        plus = Matrix.zeros(K * K, K * K)
-        minus = Matrix.zeros(K * K, K * K)
+            groups.setdefault(n, []).append((inc.mat, prj.mat))
         self.eigenvalues = []
+        kernel = Echelon()
         for n, members in sorted(groups.items()):
             r = len(members)
             m = Matrix.zeros(r, r)
-            for i, (inci, prji) in enumerate(members):
-                for j, (incj, prjj) in enumerate(members):
-                    block = prji.mat * self.sigma * incj.mat
+            for i, (_, prji) in enumerate(members):
+                row = prji * sigma
+                for j, (incj, _) in enumerate(members):
+                    block = row * incj
                     s = block[0, 0]
                     if block != Matrix.identity(n + 1).scale(s):
                         raise AssertionError("braiding block is not scalar")
@@ -632,28 +635,28 @@ class BraidingSplit:
                 else:
                     s_minus = s_minus - proj.scale(lam)
                 self.eigenvalues.append((lam, n, mult))
-            for i, (inci, prji) in enumerate(members):
-                for j, (incj, prjj) in enumerate(members):
-                    if s_plus[i, j]:
-                        plus = plus + (inci.mat * prjj.mat).scale(s_plus[i, j])
-                    if s_minus[i, j]:
-                        minus = minus + (inci.mat * prjj.mat).scale(s_minus[i, j])
-        self.sigma_plus = plus
-        self.sigma_minus = minus
-        if self.sigma_plus - self.sigma_minus != self.sigma:
-            raise AssertionError("sigma_+ - sigma_- != sigma")
-        zero = Matrix.zeros(K * K, K * K)
-        if self.sigma_plus * self.sigma_minus != zero:
-            raise AssertionError("sigma_+ sigma_- != 0")
-        if self.sigma_minus * self.sigma_plus != zero:
-            raise AssertionError("sigma_- sigma_+ != 0")
+            zero = Matrix.zeros(r, r)
+            if s_plus - s_minus != m:
+                raise AssertionError("s_+ - s_- != m on the V_%d block" % n)
+            if s_plus * s_minus != zero or s_minus * s_plus != zero:
+                raise AssertionError("s_+ s_- != 0 on the V_%d block" % n)
+            # the column c of every copy of V_n, keyed by -index so that
+            # the reduced rows are those of sigma_-.kernel()
+            for k in s_minus.kernel():
+                for c in range(n + 1):
+                    vec = {}
+                    for kj, (incj, _) in zip(k, members):
+                        for t, row in enumerate(incj.a):
+                            accumulate(vec, -t, kj * row[c])
+                    kernel.add(vec)
+        self.kernel_minus = [{-t: s for t, s in sorted(row.items(), reverse=True)}
+                             for _, row in sorted(kernel.rows.items(),
+                                                  reverse=True)]
         for g in ("e", "f", "k"):
             mat = getattr(tm, g)
-            if self.sigma_plus * mat != mat * self.sigma_plus:
-                raise AssertionError("sigma_+ does not commute with %s" % g)
-            if self.sigma_minus * mat != mat * self.sigma_minus:
-                raise AssertionError("sigma_- does not commute with %s" % g)
-        if self.sigma.eval_at(1) != repmod.flip_matrix(K, K).eval_at(1):
+            if sigma * mat != mat * sigma:
+                raise AssertionError("sigma does not commute with %s" % g)
+        if sigma.eval_at(1) != repmod.flip_matrix(K, K).eval_at(1):
             raise AssertionError("sigma at u = 1 is not the flip")
 
 

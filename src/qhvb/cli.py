@@ -681,12 +681,7 @@ def _suite_calculus(ws, checks):
                Matrix(repmod.flip_matrix(K, K).eval_at(1)))
 
     def projectors():
-        split = ws.calc().braiding()
-        zero = Matrix.zeros(split.sigma.rows, split.sigma.cols)
-        yield "sigma+ sigma-", split.sigma_plus * split.sigma_minus, zero
-        yield "sigma- sigma+", split.sigma_minus * split.sigma_plus, zero
-        yield ("sigma+ - sigma- against sigma",
-               split.sigma_plus - split.sigma_minus, split.sigma)
+        ws.calc().braiding()
 
     def top_degree():
         calc = ws.calc()
@@ -1000,10 +995,12 @@ def cmd_verify(cfg, out_path):
              sum(len(mod._monos) for mod in repmod._IRREPS.values())),
           file=sys.stderr)
     calc = ws._cache.get("calc")
-    tables = ((calc._product_tables, calc._d_tables)
-              if isinstance(calc, calculus.Calculus) else ((), ()))
+    memos = ((calc._product_tables, calc._d_tables, calc._nf, calc._normal,
+              calc._j_ech) if isinstance(calc, calculus.Calculus) else [()] * 5)
     print("calculus table cache: %d product tables, %d d tables"
-          % tuple(map(len, tables)), file=sys.stderr)
+          % tuple(map(len, memos[:2])), file=sys.stderr)
+    print("exterior ideal cache: %d normal forms, %d normal word degrees, "
+          "%d echelons" % tuple(map(len, memos[2:])), file=sys.stderr)
     tss = ws._cache.get("tss")
     rows = tss._rows if isinstance(tss, connection.TensoredSectionSpace) else ()
     print("connection table cache: %d projection rows" % len(rows),

@@ -662,15 +662,16 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "a")
 
-    def __init__(self, entries):
+    def __init__(self, entries, cols=0):
+        """The rows of Scalars in entries; cols is the width when empty."""
         self.a = [list(row) for row in entries]
         self.rows = len(self.a)
-        self.cols = len(self.a[0]) if self.a else 0
+        self.cols = len(self.a[0]) if self.a else cols
         assert all(len(r) == self.cols for r in self.a)
 
     @staticmethod
     def zeros(r, c):
-        return Matrix([[ZERO] * c for _ in range(r)])
+        return Matrix([[ZERO] * c for _ in range(r)], c)
 
     @staticmethod
     def identity(n):

@@ -7,8 +7,9 @@ from itertools import islice
 from math import gcd as _igcd
 
 from qhvb.scalars import (ONE, Echelon, Matrix, NoSolution, Scalar, Span,
-                          accumulate)
+                          accumulate, eval_at)
 from qhvb import calculus, coeff, repmod, uea
+from qhvb.calculus import _signed_power_eigenvalues
 
 
 def pairs(t):
@@ -75,6 +76,80 @@ def j_echelon(calc, degree):
                 for kv in kernel:
                     ech.add({prefix + ab + suffix: s for ab, s in kv.items()})
     return ech
+
+
+# ----------------------------------------------------------------------
+# the braiding split on V (x) V, before it stayed on the multiplicity
+# blocks: sigma_+ and sigma_- summed as K^2 x K^2 matrices and checked
+# there; sigma_minus.kernel() is the oracle of Calculus._kernel_vectors
+
+
+class BraidingSplit:
+    """The braiding sigma on the invariant forms, split as
+    sigma_+ - sigma_- by the sign of each eigenvalue at u = 1, with
+    sigma_+ sigma_- = sigma_- sigma_+ = 0.  By Schur's lemma sigma is
+    m (x) id on each isotypic component; the eigenvalues of each
+    multiplicity block m are found by rank (_signed_power_eigenvalues),
+    and sigma_+ and sigma_- are summed from the Lagrange projectors of m."""
+
+    def __init__(self, module, sigma):
+        self.module = module
+        K = module.dim
+        tm = repmod.tensor(module, module)
+        self.sigma = sigma
+        groups = {}
+        for n, inc, prj in repmod.decompose(tm):
+            groups.setdefault(n, []).append((inc, prj))
+        plus = Matrix.zeros(K * K, K * K)
+        minus = Matrix.zeros(K * K, K * K)
+        self.eigenvalues = []
+        for n, members in sorted(groups.items()):
+            r = len(members)
+            m = Matrix.zeros(r, r)
+            for i, (inci, prji) in enumerate(members):
+                for j, (incj, prjj) in enumerate(members):
+                    block = prji.mat * self.sigma * incj.mat
+                    s = block[0, 0]
+                    if block != Matrix.identity(n + 1).scale(s):
+                        raise AssertionError("braiding block is not scalar")
+                    m.a[i][j] = s
+            eigen = _signed_power_eigenvalues(m)
+            s_plus = Matrix.zeros(r, r)
+            s_minus = Matrix.zeros(r, r)
+            for lam, mult in eigen:
+                proj = Matrix.identity(r)
+                for mu, _ in eigen:
+                    if mu != lam:
+                        proj = proj * (m - Matrix.identity(r).scale(mu)) \
+                            .scale(ONE / (lam - mu))
+                if eval_at(lam, 1) > 0:
+                    s_plus = s_plus + proj.scale(lam)
+                else:
+                    s_minus = s_minus - proj.scale(lam)
+                self.eigenvalues.append((lam, n, mult))
+            for i, (inci, prji) in enumerate(members):
+                for j, (incj, prjj) in enumerate(members):
+                    if s_plus[i, j]:
+                        plus = plus + (inci.mat * prjj.mat).scale(s_plus[i, j])
+                    if s_minus[i, j]:
+                        minus = minus + (inci.mat * prjj.mat).scale(s_minus[i, j])
+        self.sigma_plus = plus
+        self.sigma_minus = minus
+        if self.sigma_plus - self.sigma_minus != self.sigma:
+            raise AssertionError("sigma_+ - sigma_- != sigma")
+        zero = Matrix.zeros(K * K, K * K)
+        if self.sigma_plus * self.sigma_minus != zero:
+            raise AssertionError("sigma_+ sigma_- != 0")
+        if self.sigma_minus * self.sigma_plus != zero:
+            raise AssertionError("sigma_- sigma_+ != 0")
+        for g in ("e", "f", "k"):
+            mat = getattr(tm, g)
+            if self.sigma_plus * mat != mat * self.sigma_plus:
+                raise AssertionError("sigma_+ does not commute with %s" % g)
+            if self.sigma_minus * mat != mat * self.sigma_minus:
+                raise AssertionError("sigma_- does not commute with %s" % g)
+        if self.sigma.eval_at(1) != repmod.flip_matrix(K, K).eval_at(1):
+            raise AssertionError("sigma at u = 1 is not the flip")
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ the restricted calculus dimensions are frozen regressions."""
 import functools
 import itertools
 import random
+import re
 
 import pytest
 
@@ -165,17 +166,66 @@ def test_word_action_respects_the_algebra():
 
 
 def test_braiding_split_invariants():
+    # the split summed on V (x) V, kept as the oracle, satisfies the
+    # identities the block split certifies, and reads the same ker sigma_-
+    # in the same order and the same eigenvalues
     split = CALC.braiding()
+    full = oracles.BraidingSplit(DATA.module, split.sigma)
     K = DATA.K
-    assert split.sigma_plus - split.sigma_minus == split.sigma
+    assert full.sigma_plus - full.sigma_minus == split.sigma
     zero = Matrix.zeros(K * K, K * K)
-    assert split.sigma_plus * split.sigma_minus == zero
-    assert split.sigma_minus * split.sigma_plus == zero
+    assert full.sigma_plus * full.sigma_minus == zero
+    assert full.sigma_minus * full.sigma_plus == zero
+    kernel = [{divmod(i, K): s for i, s in enumerate(vec) if s}
+              for vec in full.sigma_minus.kernel()]
+    assert CALC._kernel_vectors() == kernel
+    assert [list(kv) for kv in CALC._kernel_vectors()] == [
+        list(kv) for kv in kernel]
+    assert split.eigenvalues == full.eigenvalues
     assert split.sigma.eval_at(1) == repmod.flip_matrix(K, K).eval_at(1)
     eye = Matrix.identity(K)
     s1 = split.sigma.tensor(eye)
     s2 = eye.tensor(split.sigma)
     assert s1 * s2 * s1 == s2 * s1 * s2
+
+
+def test_braiding_split_stays_on_the_blocks(monkeypatch):
+    # the only K^2 x K^2 matrix sums are the two of D(e) and D(f) in
+    # repmod.tensor; summing sigma_+ and sigma_- on V (x) V made 23 sums,
+    # 5 differences and 45 products of that size
+    big = (DATA.K ** 2,) * 2
+    counts = {"__add__": 0, "__sub__": 0, "__mul__": 0}
+    for op in counts:
+        fn = getattr(Matrix, op)
+
+        def counted(self, other, fn=fn, op=op):
+            out = fn(self, other)
+            if isinstance(other, Matrix) and (out.rows, out.cols) == big:
+                counts[op] += 1
+            return out
+        monkeypatch.setattr(Matrix, op, counted)
+    calculus.Calculus(A, DATA).braiding()
+    assert counts["__add__"] == 2
+    assert counts["__sub__"] <= 4 and counts["__mul__"] <= 16
+
+
+def test_braiding_commutation_certificate_rejects_a_cross_term():
+    # sigma + inc_a X prj_b, a a copy of V_0, b one of V_2 and X the
+    # weight-0 matrix unit V_2 -> V_0: it commutes with k and every block
+    # within an isotypic group stays scalar, so only the commutation of
+    # sigma with e and f can reject it
+    sigma = CALC.braiding().sigma
+    copies = repmod.decompose(repmod.tensor(DATA.module, DATA.module))
+    inc_a = next(inc for n, inc, _ in copies if n == 0)
+    prj_b = next(prj for n, _, prj in copies if n == 2)
+    x = Matrix.zeros(1, 3)
+    x.a[0][repmod.irrep(2).weights.index(0)] = ONE
+    broken = sigma + inc_a.mat * x * prj_b.mat
+    with pytest.raises(AssertionError, match="sigma does not commute with e"):
+        calculus.BraidingSplit(DATA.module, broken)
+    # the split on V (x) V rejected it by the difference of its projectors
+    with pytest.raises(AssertionError, match=r"sigma_\+ - sigma_- != sigma"):
+        oracles.BraidingSplit(DATA.module, broken)
 
 
 def test_braiding_eigenvalue_regression():
@@ -612,6 +662,13 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
     assert len(tables) == 1
     products, _, _, ds, _, _ = tables[0].split()
     assert int(products) > 0 and int(ds) > 0
+    # and the normal forms, normal word lists and echelons of the ideal
+    ideal = [line.split(": ")[1] for line in err
+             if line.startswith("exterior ideal cache: ")]
+    assert len(ideal) == 1
+    counts = re.fullmatch(r"(\d+) normal forms, (\d+) normal word degrees, "
+                          r"(\d+) echelons", ideal[0])
+    assert counts and all(int(x) for x in counts.groups())
     # so are the projection rows of the workspace's TensoredSectionSpace
     rows = [line for line in err
             if line.startswith("connection table cache: ")]

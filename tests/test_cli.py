@@ -152,6 +152,9 @@ def test_verify_reduced_suites(tmp_path, capsys):
     # neither suite builds a Calculus, so its table caches are empty
     tables = [line for line in err if line.startswith("calculus table cache: ")]
     assert tables == ["calculus table cache: 0 product tables, 0 d tables"]
+    ideal = [line for line in err if line.startswith("exterior ideal cache: ")]
+    assert ideal == ["exterior ideal cache: 0 normal forms, 0 normal word "
+                     "degrees, 0 echelons"]
     rows = [line for line in err if line.startswith("connection table cache: ")]
     assert rows == ["connection table cache: 0 projection rows"]
     assert "cache" not in out.read_text()

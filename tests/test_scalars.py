@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd as _igcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from qhvb import coeff, repmod, uea, scalars as sc
@@ -562,6 +562,7 @@ def span_problems(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(span_problems())
+@example(([], {}, [0]))
 def test_span_matches_dense_solve(problem):
     vectors, target, keys = problem
     dense = Matrix([[vec.get(k, ZERO) for vec in vectors] for k in keys])
@@ -576,7 +577,13 @@ def test_span_matches_dense_solve(problem):
             span.coordinates(target)
         return
     assert span.coordinates(target) == want
-    assert span.coordinate_matrix([target]) == Matrix([[x] for x in want])
+    # one column also when the span is empty: Matrix([]) would be 0 x 0
+    column = Matrix.zeros(len(want), 1)
+    for i, x in enumerate(want):
+        column.a[i][0] = x
+    got = span.coordinate_matrix([target])
+    assert (got.rows, got.cols) == (len(want), 1)
+    assert got == column
 
 
 def test_lincomb_types_and_scaling():
