@@ -6,9 +6,11 @@ of weights.  Its sections form the right E_q-module
     H_q(V) = { zeta in V (x) T_q : x o zeta = (S(x) (x) id) zeta
                                    for all x in U_l },
 
-computed blockwise per Peter-Weyl level.  Completing V into a genuine
-U_q-module W (one irreducible summand per weight entry, smallest
-highest weight, no sharing) yields mutually inverse right-module maps
+read off the weights: k acts diagonally on both sides, so a basis is
+the Peter-Weyl coefficients whose column weight matches a line of V
+(sections_basis).  Completing V into a genuine U_q-module W (one
+irreducible summand per weight entry, smallest highest weight, no
+sharing) yields mutually inverse right-module maps
 
     wp(w_beta (x) a) = sum_r  v_r (x) S(t_{idx(r), beta}) a
     im(zeta)         = sum_{r, beta}  w_beta (x) t_{beta, idx(r)} f_r
@@ -16,21 +18,21 @@ highest weight, no sharing) yields mutually inverse right-module maps
 whose composite e = im . wp is an explicit idempotent exhibiting the
 sections as a finite-type projective module.  The Podles sphere E_q
 itself is H_q of the trivial line V = [0] (see `homspace.invariants`),
-and the idempotent reads the E_q of its domain off the same solver.
+and the idempotent reads the E_q of its domain off the same basis.
 Sections and elements of W (x) E_q are both coeff.CoeffVectors,
 LinCombs whose terms map (index, Peter-Weyl key) to Scalars, the index
 a weight line of V or a W basis index beta.
 
-Holomorphic sections impose the constraint for the parabolic generators
-as well; V extends to the parabolic subalgebra by letting the raising
-generator act as zero (weight lines and their direct sums).  The
-surviving space carries the left translation action and is checked
-irreducible (or zero) by decomposing the resulting module.
+Holomorphic sections impose the constraint for the raising generator
+as well; V extends to the parabolic subalgebra by letting it act as
+zero (weight lines and their direct sums).  The surviving space carries
+the left translation action and is checked irreducible (or zero) by
+decomposing the resulting module.
 """
 
 from fractions import Fraction
 
-from .scalars import (Scalar, Echelon, Span, LinComb, ZERO,
+from .scalars import (Scalar, Echelon, Span, LinComb, ONE, ZERO,
                       NoSolution, accumulate)
 from . import uea, repmod, coeff
 
@@ -110,52 +112,24 @@ class Section(coeff.CoeffVector):
                 and self.lmodule.weights == other.lmodule.weights)
 
 
-def _constraint_rows(lmodule, generators, n):
-    """The stacked linear system expressing the section constraint on the
-    level-n block, as sparse rows keyed by unknown index.  Unknowns are
-    coefficients c[(r, i, j)]; for each generator x the condition is
-
-        sum_j pi_n(x)_{kj} c[(r, i, j)] = S(x)_r c[(r, i, k)],
-
-    S(x)_r the diagonal action of S(x) on the line r.
-    """
-    dim_v = lmodule.dim
-    block = n + 1
-    unknowns = [(r, i, j) for r in range(dim_v) for i in range(block)
-                for j in range(block)]
-    col = {u: c for c, u in enumerate(unknowns)}
-    mod = repmod.irrep(n)
-    rows = []
-    for x in generators:
-        pi = mod.act(x)
-        sx = lmodule.diagonal(uea.antipode(x))
-        for r in range(dim_v):
-            for i in range(block):
-                for k in range(block):
-                    row = {}
-                    for j in range(block):
-                        accumulate(row, col[(r, i, j)], pi[k, j])
-                    accumulate(row, col[(r, i, k)], -sx[r])
-                    if row:
-                        rows.append(row)
-    return unknowns, rows
-
-
-def sections_basis(algebra, lmodule, N, generators=(uea.K, uea.K_INV)):
-    """Basis of the sections up to Peter-Weyl level N, blockwise.  For a
-    weight line m the level-n block contributes the column j = (n+m)/2
-    when that is an admissible integer, so (n+1) sections per matching
-    line; the weight-multiplicity count is the test oracle.  LevelOverflow
-    when N is beyond the coefficient window."""
+def sections_basis(algebra, lmodule, N):
+    """Basis of the sections up to Peter-Weyl level N.  k acts on
+    t[n;i,j] by u^{2(n-2j)} and S(k) on a line of weight m by u^{-2m},
+    so the sections are the coefficients t[n;i,j] of the line r with
+    j = (n+m_r)/2 when that is an admissible integer: (n+1) per matching
+    line and level, in the order n, r, i.  The constraint solve of
+    tests/oracles.py is the oracle.  LevelOverflow when N is beyond the
+    coefficient window."""
     if N > algebra.n_max:
         raise coeff.LevelOverflow("sections of level %d beyond the "
                                   "coefficient window %d" % (N, algebra.n_max))
     out = []
     for n in range(N + 1):
-        unknowns, rows = _constraint_rows(lmodule, generators, n)
-        for vec in Echelon(rows).kernel(len(unknowns)):
-            out.append(Section(algebra, lmodule, {
-                (r, (n, i, j)): s for (r, i, j), s in zip(unknowns, vec)}))
+        for r, m in enumerate(lmodule.weights):
+            j = (n + m) / 2
+            if j.denominator == 1 and 0 <= j <= n:
+                out.extend(Section(algebra, lmodule, {(r, (n, i, int(j))): ONE})
+                           for i in range(n + 1))
     return out
 
 
@@ -269,7 +243,7 @@ class BundleIdempotent:
         # domain alone has dim_w times |E_q| pairs
         for n in self.completion.blocks:
             algebra.check_window(n)
-        # the sections of each weight line m up to a level, solved once
+        # the sections of each weight line m up to a level, built once
         # per (m, level): E_q up to level N is the trivial line's
         lines = {}
 
@@ -308,14 +282,11 @@ def idempotent(algebra, lmodule, N):
 
 
 def holomorphic_sections(algebra, lmodule, N):
-    """Sections satisfying the constraint for the parabolic generators
-    k, k^{-1}, e as well (the raising generator acts by zero on V)."""
-    gens = (uea.K, uea.K_INV, uea.E)
-    out = sections_basis(algebra, lmodule, N, generators=gens)
-    for j, section in enumerate(out):
-        if not section.satisfies_constraint(gens):
-            raise AssertionError("section %d is not holomorphic" % j)
-    return out
+    """The sections that satisfy the constraint for the raising generator
+    e as well (e acts by zero on V).  e takes t[n;i,j] to [j] t[n;i,j-1],
+    so among the basis sections exactly those with j = 0 remain."""
+    return [s for s in sections_basis(algebra, lmodule, N)
+            if s.satisfies_constraint((uea.E,))]
 
 
 def dot_module(algebra, sections):

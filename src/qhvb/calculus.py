@@ -560,16 +560,17 @@ def _braiding_matrix(wc, F):
     return sigma
 
 
-def _signed_power_eigenvalues(m):
-    """The eigenvalues lam of the r x r Matrix m with their multiplicities,
-    as [(lam, multiplicity)], for m diagonalizable with every eigenvalue
-    +-u^k, |k| <= 48.  Each candidate, in the order 1, -1, u^-1, -u^-1,
-    u, -u, u^-2, ..., with nullity r - rank(m - lam I) > 0 is an
-    eigenvalue of that multiplicity.  Eigenspaces of distinct eigenvalues
-    are independent, so they span exactly when m is such a matrix;
-    otherwise SplitError.  A candidate whose shift has full rank mod p
-    (scalars.rank_lower_bound, a lower bound of the rank over Q(u), as in
-    coeff.PairingTable) has nullity 0 without an exact elimination."""
+def _signed_power_eigenspaces(m):
+    """The eigenspaces of the r x r Matrix m, as [(lam, basis)] with each
+    basis a list of column vectors, for m diagonalizable with every
+    eigenvalue +-u^k, |k| <= 48.  Each candidate, in the order 1, -1,
+    u^-1, -u^-1, u, -u, u^-2, ..., with a nonzero kernel of m - lam I is
+    an eigenvalue, its eigenspace that kernel.  Eigenspaces of distinct
+    eigenvalues are independent, so they span exactly when m is such a
+    matrix; otherwise SplitError.  A candidate whose shift has full rank
+    mod p (scalars.rank_lower_bound, a lower bound of the rank over Q(u),
+    as in coeff.PairingTable) has no eigenvector, without an exact
+    elimination."""
     r = m.rows
     eigen = []
     spanned = 0
@@ -578,10 +579,10 @@ def _signed_power_eigenvalues(m):
             shifted = m - Matrix.identity(r).scale(lam)
             if rank_lower_bound(shifted.a) == r:
                 continue
-            nullity = r - shifted.rank()
-            if nullity:
-                eigen.append((lam, nullity))
-                spanned += nullity
+            basis = shifted.kernel()
+            if basis:
+                eigen.append((lam, basis))
+                spanned += len(basis)
                 if spanned == r:
                     return eigen
     raise SplitError("multiplicity block is not diagonalizable over the "
@@ -594,12 +595,13 @@ class BraidingSplit:
     sigma_+ - sigma_- by the sign of each eigenvalue at u = 1, with
     sigma_+ sigma_- = sigma_- sigma_+ = 0.  By Schur's lemma sigma is
     m (x) id on each isotypic component, so the split stays on the
-    multiplicity blocks m: their eigenvalues are found by rank
-    (_signed_power_eigenvalues), m = s_+ - s_- by the Lagrange projectors,
-    and ker sigma_- is spanned by sum_j k_j inc_j[:, c], k in ker s_-.
+    multiplicity blocks m, whose eigenspaces are found by rank
+    (_signed_power_eigenspaces).  They span, so m is diagonalizable, and
+    ker sigma_- is spanned by sum_j k_j inc_j[:, c] for k in the
+    eigenspaces whose eigenvalue is positive at u = 1.
     With sum inc prj = id and intertwining inc, prj (decompose), the
-    block identities and sigma commuting with e, f, k give those of
-    sigma_+ and sigma_- on V (x) V."""
+    scalar blocks and sigma commuting with e, f, k give the identities
+    of sigma_+ and sigma_- on V (x) V."""
 
     def __init__(self, module, sigma):
         K = module.dim
@@ -621,34 +623,19 @@ class BraidingSplit:
                     if block != Matrix.identity(n + 1).scale(s):
                         raise AssertionError("braiding block is not scalar")
                     m.a[i][j] = s
-            eigen = _signed_power_eigenvalues(m)
-            s_plus = Matrix.zeros(r, r)
-            s_minus = Matrix.zeros(r, r)
-            for lam, mult in eigen:
-                proj = Matrix.identity(r)
-                for mu, _ in eigen:
-                    if mu != lam:
-                        proj = proj * (m - Matrix.identity(r).scale(mu)) \
-                            .scale(ONE / (lam - mu))
-                if eval_at(lam, 1) > 0:
-                    s_plus = s_plus + proj.scale(lam)
-                else:
-                    s_minus = s_minus - proj.scale(lam)
-                self.eigenvalues.append((lam, n, mult))
-            zero = Matrix.zeros(r, r)
-            if s_plus - s_minus != m:
-                raise AssertionError("s_+ - s_- != m on the V_%d block" % n)
-            if s_plus * s_minus != zero or s_minus * s_plus != zero:
-                raise AssertionError("s_+ s_- != 0 on the V_%d block" % n)
-            # the column c of every copy of V_n, keyed by -index so that
-            # the reduced rows are those of sigma_-.kernel()
-            for k in s_minus.kernel():
-                for c in range(n + 1):
-                    vec = {}
-                    for kj, (incj, _) in zip(k, members):
-                        for t, row in enumerate(incj.a):
-                            accumulate(vec, -t, kj * row[c])
-                    kernel.add(vec)
+            for lam, basis in _signed_power_eigenspaces(m):
+                self.eigenvalues.append((lam, n, len(basis)))
+                if eval_at(lam, 1) < 0:
+                    continue
+                # the column c of every copy of V_n, keyed by -index so
+                # that the reduced rows are those of sigma_-.kernel()
+                for k in basis:
+                    for c in range(n + 1):
+                        vec = {}
+                        for kj, (incj, _) in zip(k, members):
+                            for t, row in enumerate(incj.a):
+                                accumulate(vec, -t, kj * row[c])
+                        kernel.add(vec)
         self.kernel_minus = [{-t: s for t, s in sorted(row.items(), reverse=True)}
                              for _, row in sorted(kernel.rows.items(),
                                                   reverse=True)]

@@ -8,8 +8,8 @@ from math import gcd as _igcd
 
 from qhvb.scalars import (ONE, Echelon, Matrix, NoSolution, Scalar, Span,
                           accumulate, eval_at)
-from qhvb import calculus, coeff, repmod, uea
-from qhvb.calculus import _signed_power_eigenvalues
+from qhvb import bundle, calculus, coeff, repmod, uea
+from qhvb.calculus import _signed_power_eigenspaces
 
 
 def pairs(t):
@@ -57,6 +57,55 @@ def outcome(fn, *args):
 
 
 # ----------------------------------------------------------------------
+# the sections as the kernel of their constraint, before the basis was
+# read off the weights: the oracle of bundle.sections_basis and, with e
+# among the generators, of bundle.holomorphic_sections
+
+
+def _constraint_rows(lmodule, generators, n):
+    """The stacked linear system expressing the section constraint on the
+    level-n block, as sparse rows keyed by unknown index.  Unknowns are
+    coefficients c[(r, i, j)]; for each generator x the condition is
+
+        sum_j pi_n(x)_{kj} c[(r, i, j)] = S(x)_r c[(r, i, k)],
+
+    S(x)_r the diagonal action of S(x) on the line r.
+    """
+    dim_v = lmodule.dim
+    block = n + 1
+    unknowns = [(r, i, j) for r in range(dim_v) for i in range(block)
+                for j in range(block)]
+    col = {u: c for c, u in enumerate(unknowns)}
+    mod = repmod.irrep(n)
+    rows = []
+    for x in generators:
+        pi = mod.act(x)
+        sx = lmodule.diagonal(uea.antipode(x))
+        for r in range(dim_v):
+            for i in range(block):
+                for k in range(block):
+                    row = {}
+                    for j in range(block):
+                        accumulate(row, col[(r, i, j)], pi[k, j])
+                    accumulate(row, col[(r, i, k)], -sx[r])
+                    if row:
+                        rows.append(row)
+    return unknowns, rows
+
+
+def sections_basis(algebra, lmodule, N, generators):
+    """Basis of the solutions up to level N of the constraint for the
+    generators, blockwise: the kernel of each level's constraint rows."""
+    out = []
+    for n in range(N + 1):
+        unknowns, rows = _constraint_rows(lmodule, generators, n)
+        for vec in Echelon(rows).kernel(len(unknowns)):
+            out.append(bundle.Section(algebra, lmodule, {
+                (r, (n, i, j)): s for (r, i, j), s in zip(unknowns, vec)}))
+    return out
+
+
+# ----------------------------------------------------------------------
 # the exterior ideal in word space, before it was built degree by degree
 
 
@@ -89,7 +138,7 @@ class BraidingSplit:
     sigma_+ - sigma_- by the sign of each eigenvalue at u = 1, with
     sigma_+ sigma_- = sigma_- sigma_+ = 0.  By Schur's lemma sigma is
     m (x) id on each isotypic component; the eigenvalues of each
-    multiplicity block m are found by rank (_signed_power_eigenvalues),
+    multiplicity block m are found by rank (_signed_power_eigenspaces),
     and sigma_+ and sigma_- are summed from the Lagrange projectors of m."""
 
     def __init__(self, module, sigma):
@@ -113,7 +162,8 @@ class BraidingSplit:
                     if block != Matrix.identity(n + 1).scale(s):
                         raise AssertionError("braiding block is not scalar")
                     m.a[i][j] = s
-            eigen = _signed_power_eigenvalues(m)
+            eigen = [(lam, len(basis))
+                     for lam, basis in _signed_power_eigenspaces(m)]
             s_plus = Matrix.zeros(r, r)
             s_minus = Matrix.zeros(r, r)
             for lam, mult in eigen:

@@ -14,6 +14,7 @@ import pytest
 from qhvb.scalars import Scalar, Echelon, Span, ONE
 from qhvb import uea, coeff, homspace, bundle, repmod
 
+import oracles
 from oracles import contains, invariant_span, is_invariant
 
 U = Scalar.u_power
@@ -42,6 +43,35 @@ def test_sections_dimension_oracle():
         V = bundle.LModule(weights)
         sections = bundle.sections_basis(A, V, 4)
         assert dims_by_level(sections, 4) == expected_section_dims(weights, 4)
+
+
+@pytest.mark.parametrize("weights", [
+    (0,), (1,), (-1,), (2,), (1, -1), (1, 1), (0, 2), (Fraction(1, 2),),
+    (-1, -2), (3, -3, 0)], ids=str)
+def test_sections_read_off_the_weights_match_the_constraint_solve(weights):
+    # the same Sections in the same order as the kernel of the stacked
+    # constraint rows, for k, k^-1 and, holomorphic, e as well
+    V = bundle.LModule(weights)
+    for N in range(5):
+        assert bundle.sections_basis(A, V, N) == oracles.sections_basis(
+            A, V, N, (uea.K, uea.K_INV))
+        assert bundle.holomorphic_sections(A, V, N) == oracles.sections_basis(
+            A, V, N, (uea.K, uea.K_INV, uea.E))
+
+
+def test_sections_build_no_echelon(monkeypatch):
+    # the basis is read off the weights: no elimination, on a cold window
+    built = []
+    init = Echelon.__init__
+    monkeypatch.setattr(Echelon, "__init__", lambda self, vectors=():
+                        built.append(self) or init(self, vectors))
+    algebra = coeff.Algebra(4)
+    V = bundle.LModule([1, -1])
+    assert dims_by_level(bundle.sections_basis(algebra, V, 4), 4) == [
+        0, 4, 0, 8, 0]
+    assert dims_by_level(bundle.holomorphic_sections(algebra, V, 4), 4) == [
+        0, 2, 0, 0, 0]
+    assert built == []
 
 
 def test_trivial_bundle_sections_are_invariants():
@@ -77,7 +107,7 @@ def test_sections_compare_by_weights():
 def test_idempotent_solves_each_line_once(monkeypatch):
     # at weights 0 0 1 the domain and both weight-0 lines read the
     # trivial line's sections up to level 3, and the weight-1 line its
-    # sections up to level 4: two solves, where one per use made four
+    # sections up to level 4: two calls, where one per use made four
     calls = []
     solve = bundle.sections_basis
     monkeypatch.setattr(bundle, "sections_basis", lambda algebra, V, N:

@@ -194,8 +194,9 @@ def test_braiding_split_stays_on_the_blocks(monkeypatch):
     # repmod.tensor; summing sigma_+ and sigma_- on V (x) V made 23 sums,
     # 5 differences and 45 products of that size
     big = (DATA.K ** 2,) * 2
-    counts = {"__add__": 0, "__sub__": 0, "__mul__": 0}
-    for op in counts:
+    counts = dict.fromkeys(("__add__", "__sub__", "__mul__", "kernel",
+                            "rank"), 0)
+    for op in ("__add__", "__sub__", "__mul__"):
         fn = getattr(Matrix, op)
 
         def counted(self, other, fn=fn, op=op):
@@ -204,9 +205,20 @@ def test_braiding_split_stays_on_the_blocks(monkeypatch):
                 counts[op] += 1
             return out
         monkeypatch.setattr(Matrix, op, counted)
+    # the eliminations: five kernels in decompose and one per eigenvalue
+    # of the three multiplicity blocks, its eigenspace; ker sigma_- needs
+    # no kernel of its own and the eigenvalues no rank
+    for op in ("kernel", "rank"):
+        fn = getattr(Matrix, op)
+
+        def counted_unary(self, fn=fn, op=op):
+            counts[op] += 1
+            return fn(self)
+        monkeypatch.setattr(Matrix, op, counted_unary)
     calculus.Calculus(A, DATA).braiding()
     assert counts["__add__"] == 2
     assert counts["__sub__"] <= 4 and counts["__mul__"] <= 16
+    assert counts["kernel"] == 10 and counts["rank"] == 0
 
 
 def test_braiding_commutation_certificate_rejects_a_cross_term():
@@ -246,10 +258,16 @@ def test_signed_power_eigenvalues_by_rank():
                 for row in ((1, 1, 0), (0, 1, 1), (1, 1, 1))])
     d = Matrix([[ONE, ZERO, ZERO], [ZERO, -U(-8), ZERO], [ZERO, ZERO, -U(8)]])
     m = p * d * p.inverse()
-    assert calculus._signed_power_eigenvalues(m) == [
-        (ONE, 1), (-U(-8), 1), (-U(8), 1)]
-    assert calculus._signed_power_eigenvalues(
-        Matrix.identity(2).scale(U(4))) == [(U(4), 2)]
+    scaled = Matrix.identity(2).scale(U(4))
+    for mat, want in ((m, [(ONE, 1), (-U(-8), 1), (-U(8), 1)]),
+                      (scaled, [(U(4), 2)])):
+        eigen = calculus._signed_power_eigenspaces(mat)
+        assert [(lam, len(basis)) for lam, basis in eigen] == want
+        for lam, basis in eigen:
+            for v in basis:
+                col = Matrix([[x] for x in v])
+                assert not col.is_zero()
+                assert mat * col == col.scale(lam)
 
 
 @pytest.mark.parametrize("rows, spanned", [
@@ -259,7 +277,7 @@ def test_signed_power_eigenvalues_by_rank():
 def test_signed_power_eigenvalues_reject(rows, spanned):
     m = Matrix([[Scalar(x) for x in row] for row in rows])
     with pytest.raises(calculus.SplitError, match=spanned):
-        calculus._signed_power_eigenvalues(m)
+        calculus._signed_power_eigenspaces(m)
 
 
 def test_antisymmetrizer_kernel():

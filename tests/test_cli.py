@@ -493,9 +493,9 @@ def _drop_level_zero_sections(monkeypatch):
     # unit, and the restricted complex is no longer closed under d
     sections_basis = bundle.sections_basis
     monkeypatch.setattr(bundle, "sections_basis",
-                        lambda algebra, lmodule, N, **kw: [
-                            s for s in sections_basis(algebra, lmodule, N,
-                                                      **kw) if s.level > 0])
+                        lambda algebra, lmodule, N: [
+                            s for s in sections_basis(algebra, lmodule, N)
+                            if s.level > 0])
 
 
 # (suites, mutant, the anchors it fails with a residual of forms)
@@ -592,10 +592,7 @@ def _negate_star(monkeypatch):
 def _drop_holomorphic_constraint(monkeypatch):
     # holomorphic sections without the constraint of the raising
     # generator e: every section of the line up to the level
-    monkeypatch.setattr(bundle, "holomorphic_sections",
-                        lambda algebra, lmodule, N: bundle.sections_basis(
-                            algebra, lmodule, N,
-                            generators=(uea.K, uea.K_INV)))
+    monkeypatch.setattr(bundle, "holomorphic_sections", bundle.sections_basis)
 
 
 def _forget_section_rows(monkeypatch):
@@ -612,13 +609,17 @@ def _forget_section_rows(monkeypatch):
 
 
 def _drop_last_section_of_each_level(monkeypatch):
-    # the section solver loses the last kernel vector of every level
-    # block: the sections left stay independent and the invariants (the
-    # trivial line's sections) lose the unit and one level-2 element
-    class ShortKernel(scalars.Echelon):
-        def kernel(self, n):
-            return super().kernel(n)[:-1]
-    monkeypatch.setattr(bundle, "Echelon", ShortKernel)
+    # the section basis loses the last section of every level block: the
+    # sections left stay independent and the invariants (the trivial
+    # line's sections) lose the unit and one level-2 element
+    sections_basis = bundle.sections_basis
+
+    def short(algebra, lmodule, N):
+        levels = {}
+        for s in sections_basis(algebra, lmodule, N):
+            levels.setdefault(s.level, []).append(s)
+        return [s for level in levels.values() for s in level[:-1]]
+    monkeypatch.setattr(bundle, "sections_basis", short)
 
 
 def _drop_top_section_level(monkeypatch):
@@ -627,8 +628,8 @@ def _drop_top_section_level(monkeypatch):
     # the trivial bundle at level 2 only the unit
     sections_basis = bundle.sections_basis
     monkeypatch.setattr(bundle, "sections_basis",
-                        lambda algebra, lmodule, N, **kw: sections_basis(
-                            algebra, lmodule, N - 1, **kw))
+                        lambda algebra, lmodule, N: sections_basis(
+                            algebra, lmodule, N - 1))
 
 
 def _break_uq_coassociativity(monkeypatch):
@@ -1124,7 +1125,7 @@ def test_calculus_result_checks_raise_under_optimised_python():
 from qhvb import calculus
 from qhvb.scalars import Matrix, ONE, ZERO
 try:
-    calculus._signed_power_eigenvalues(Matrix([[ONE, ONE], [ZERO, ONE]]))
+    calculus._signed_power_eigenspaces(Matrix([[ONE, ONE], [ZERO, ONE]]))
 except calculus.SplitError as exc:
     print(exc)
 else:
