@@ -322,7 +322,7 @@ class Calculus:
                 row = []
                 for c in range(self.K):
                     mat = mod.act(self.data.F[a][c]).transpose()
-                    row.append(mat if any(any(r) for r in mat.a) else None)
+                    row.append(mat or None)
                 table.append(row)
             self._transfer[n] = table
         return table
@@ -372,8 +372,7 @@ class Calculus:
             for (n, i, t), x in b.terms.items():
                 for N, m in table(J, n):
                     add_row(h.setdefault(N, {}),
-                            [((n, i, j), y) for j, y in enumerate(m.a[t]) if y],
-                            x)
+                            [((n, i, j), y) for j, y in m.row(t)], x)
         return {N: finish_sum(terms) for N, terms in h.items()}
 
     def multiply(self, w1, w2):
@@ -541,7 +540,7 @@ def _braiding_matrix(wc, F):
     K = dim * dim
     fa = [[wc.act(F[a][e]) for e in range(K)] for a in range(K)]
     fs = [[wc.act(uea.antipode(F[e][c])) for c in range(K)] for e in range(K)]
-    sigma = Matrix.zeros(K * K, K * K)
+    sigma = {}
     for a in range(K):
         for b in range(K):
             b1, b2 = divmod(b, dim)
@@ -556,8 +555,8 @@ def _braiding_matrix(wc, F):
                             if y:
                                 acc = acc + x * y
                     if acc:
-                        sigma.a[dd * K + c][a * K + b] = acc
-    return sigma
+                        sigma[(dd * K + c, a * K + b)] = acc
+    return Matrix.sparse(K * K, K * K, sigma)
 
 
 def _signed_power_eigenspaces(m):
@@ -577,7 +576,7 @@ def _signed_power_eigenspaces(m):
     for k in sorted(range(-48, 49), key=abs):
         for lam in (_UPOW(k), -_UPOW(k)):
             shifted = m - Matrix.identity(r).scale(lam)
-            if rank_lower_bound(shifted.a) == r:
+            if rank_lower_bound(shifted) == r:
                 continue
             basis = shifted.kernel()
             if basis:
@@ -614,7 +613,7 @@ class BraidingSplit:
         kernel = Echelon()
         for n, members in sorted(groups.items()):
             r = len(members)
-            m = Matrix.zeros(r, r)
+            entries = {}
             for i, (_, prji) in enumerate(members):
                 row = prji * sigma
                 for j, (incj, _) in enumerate(members):
@@ -622,7 +621,8 @@ class BraidingSplit:
                     s = block[0, 0]
                     if block != Matrix.identity(n + 1).scale(s):
                         raise AssertionError("braiding block is not scalar")
-                    m.a[i][j] = s
+                    entries[(i, j)] = s
+            m = Matrix.sparse(r, r, entries)
             for lam, basis in _signed_power_eigenspaces(m):
                 self.eigenvalues.append((lam, n, len(basis)))
                 if eval_at(lam, 1) < 0:
@@ -630,11 +630,11 @@ class BraidingSplit:
                 # the column c of every copy of V_n, keyed by -index so
                 # that the reduced rows are those of sigma_-.kernel()
                 for k in basis:
-                    for c in range(n + 1):
-                        vec = {}
-                        for kj, (incj, _) in zip(k, members):
-                            for t, row in enumerate(incj.a):
-                                accumulate(vec, -t, kj * row[c])
+                    vecs = [{} for _ in range(n + 1)]
+                    for kj, (incj, _) in zip(k, members):
+                        for (t, c), x in incj.terms.items():
+                            accumulate(vecs[c], -t, kj * x)
+                    for vec in vecs:
                         kernel.add(vec)
         self.kernel_minus = [{-t: s for t, s in sorted(row.items(), reverse=True)}
                              for _, row in sorted(kernel.rows.items(),

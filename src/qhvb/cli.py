@@ -39,7 +39,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .scalars import (Scalar, Matrix, Echelon, LinComb, NoSolution,
+from .scalars import (Scalar, Echelon, LinComb, NoSolution,
                       PoleError, ONE, eval_at, accumulate)
 from . import (uea, coeff, repmod, homspace, bundle, calculus, connection,
                scalars)
@@ -367,11 +367,11 @@ def _check(checks, suite, anchor, name, fn):
 
 
 def _residual(lhs, rhs):
-    """None when lhs == rhs, else what differs: for LinCombs the
-    residual lhs - rhs, or the two kinds when their terms are equal (for
-    sections, the two weight lists), for vectors of forms its first
-    nonzero coordinate, for Matrices the nonzero entries of lhs - rhs,
-    and for anything else the two values."""
+    """None when lhs == rhs, else what differs: for LinCombs, Matrices
+    among them, the residual lhs - rhs, or the two kinds when their
+    terms are equal (for sections, the two weight lists), for vectors of
+    forms its first nonzero coordinate, and for anything else the two
+    values."""
     if lhs == rhs:
         return None
     if isinstance(lhs, LinComb):
@@ -379,10 +379,6 @@ def _residual(lhs, rhs):
         if residual:
             return scalars._residual_witness(residual)
         return "equal terms, but %s != %s" % (_kind(lhs), _kind(rhs))
-    if isinstance(lhs, Matrix):
-        return scalars._residual_witness(
-            {(i, j): x for i, row in enumerate((lhs - rhs).a)
-             for j, x in enumerate(row) if x})
     if isinstance(lhs, list) and lhs and isinstance(lhs[0], LinComb):
         gamma = next(g for g in range(len(lhs)) if lhs[g] != rhs[g])
         return "coordinate %d: %s" % (gamma, _residual(lhs[gamma], rhs[gamma]))
@@ -611,7 +607,8 @@ def _suite_projection(ws, checks):
         return bundle.wp(a, comp, bundle.simple_tensor(beta, f))
 
     def sections():
-        # solved once for the four checks; an overflow replays as a skip
+        # the section basis, read off the weights and memoised per
+        # (weights, level); an overflow replays as a skip
         return ws.sections(cfg.weights, m + 2)
 
     def retraction():
@@ -677,8 +674,8 @@ def _suite_calculus(ws, checks):
         calc = ws.calc()
         K = calc.data.K
         yield ("braiding at u=1 against the flip",
-               Matrix(calc.braiding().sigma.eval_at(1)),
-               Matrix(repmod.flip_matrix(K, K).eval_at(1)))
+               calc.braiding().sigma.eval_at(1),
+               repmod.flip_matrix(K, K).eval_at(1))
 
     def projectors():
         ws.calc().braiding()

@@ -144,15 +144,14 @@ class PairingTable:
             if not cols:
                 continue
             monos = _class_monomials(d, N)
-            m = Matrix.zeros(len(monos), len(cols))
-            for r, mono in enumerate(monos):
-                x = uea.monomial(*mono)
-                for c, (n, i, j) in enumerate(cols):
-                    m.a[r][c] = repmod.irrep(n).act(x)[i, j]
+            xs = [uea.monomial(*mono) for mono in monos]
+            m = Matrix.sparse(len(monos), len(cols), {
+                (r, c): repmod.irrep(n).act(x)[i, j]
+                for r, x in enumerate(xs) for c, (n, i, j) in enumerate(cols)})
             self.columns[d] = cols
             self.monomials[d] = monos
             self.matrix[d] = m
-            self.ranks[d] = (m.cols if rank_lower_bound(m.a) == m.cols
+            self.ranks[d] = (m.cols if rank_lower_bound(m) == m.cols
                              else m.rank())
 
     def certify(self):
@@ -295,10 +294,10 @@ class Algebra:
         if cached is None:
             pairs = [(max(d, 0) + t, max(-d, 0) + t) for t in range(n - abs(d) + 1)]
             monos = [(max(d, 0), b, max(-d, 0)) for b in range(n - abs(d) + 1)]
-            m = Matrix.zeros(len(monos), len(pairs))
-            for r, mono in enumerate(monos):
-                for c, (i, j) in enumerate(pairs):
-                    m.a[r][c] = self._act_entry(n, mono, i, j)
+            m = Matrix.sparse(len(monos), len(pairs), {
+                (r, c): self._act_entry(n, mono, i, j)
+                for r, mono in enumerate(monos)
+                for c, (i, j) in enumerate(pairs)})
             cached = (pairs, monos, m.inverse())
             self._class_inv[(n, d)] = cached
         return cached
@@ -353,35 +352,33 @@ class Algebra:
     # -- translation actions ---------------------------------------------
 
     @staticmethod
-    def _action_rows(x, f):
-        """{n: rows of pi_n(x)} for the levels n of f's terms, read from
-        the memoised action matrices (repmod.Module.act)."""
+    def _actions(x, f):
+        """{n: pi_n(x)} for the levels n of f's terms, read from the
+        memoised action matrices (repmod.Module.act)."""
         levels = {n for n, _, _ in f.terms}
-        return {n: repmod.irrep(n).act(x).a for n in levels}
+        return {n: repmod.irrep(n).act(x) for n in levels}
 
     def circle(self, x, f):
         """Right translation: x o f = sum f_(1) <f_(2), x>.  On the level-n
         block of coefficients C it is C pi_n(x)^T, so each term s t_ij
-        adds s pi_n(x)_kj at (n, i, k), read off the memoised action
+        adds s pi_n(x)_kj at (n, i, k), read off the transposed action
         matrix term by term."""
-        act = self._action_rows(x, f)
+        act = {n: m.transpose() for n, m in self._actions(x, f).items()}
         out = {}
         for (n, i, j), s in f.terms.items():
-            for k, row in enumerate(act[n]):
-                if row[j]:
-                    accumulate(out, (n, i, k), s * row[j])
+            for k, y in act[n].row(j):
+                accumulate(out, (n, i, k), s * y)
         return CoeffElement(out)
 
     def dot(self, x, f):
         """Left translation: x . f = sum <f_(1), S^{-1}(x)> f_(2).  On the
         level-n block C it is pi_n(S^{-1} x)^T C, so each term s t_ij adds
         s pi_n(S^{-1} x)_ik at (n, k, j), term by term as in circle."""
-        act = self._action_rows(uea.antipode_inv(x), f)
+        act = self._actions(uea.antipode_inv(x), f)
         out = {}
         for (n, i, j), s in f.terms.items():
-            for k, y in enumerate(act[n][i]):
-                if y:
-                    accumulate(out, (n, k, j), s * y)
+            for k, y in act[n].row(i):
+                accumulate(out, (n, k, j), s * y)
         return CoeffElement(out)
 
     # -- Haar functional -------------------------------------------------

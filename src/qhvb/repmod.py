@@ -27,7 +27,8 @@ of Theta^{-1}; the tests build R from them and re-derive c_n from that
 linear system.
 """
 
-from .scalars import Scalar, Matrix, ZERO, ONE, qint, NoSolution, PoleError
+from .scalars import (Scalar, Matrix, ZERO, ONE, qint, accumulate,
+                      NoSolution, PoleError)
 
 
 class DecompositionError(Exception):
@@ -71,11 +72,10 @@ class Module:
     def _diagonal_weights(self):
         """If k is diagonal with entries u^{2m}, the integer weights m;
         otherwise None."""
+        if any(i != j for i, j in self.k.terms):
+            return None
         ws = []
         for i in range(self.dim):
-            for j in range(self.dim):
-                if i != j and self.k[i, j]:
-                    return None
             d = self.k[i, i]
             # recognize u^{2m}: u^t is 2^t at u = 2, and any other entry
             # fails the comparison with the power of u read off there
@@ -100,10 +100,9 @@ class Module:
         """The matrix of a UEAElement on this module, memoised per module
         by the element (UEAElements hash by value); every element acting
         as zero shares one zero matrix.  The matrix is shared between
-        callers, so none may mutate it: every caller reads entries,
-        tensors, multiplies or transposes it into a new matrix.  A new
-        element costs no matrix product when its PBW monomials have
-        acted before (see _monomial)."""
+        callers, which is safe as no Matrix changes after it is built.
+        A new element costs no matrix product when its PBW monomials
+        have acted before (see _monomial)."""
         mat = self._acts.get(x)
         if mat is None:
             mat = self._act(x)
@@ -115,29 +114,25 @@ class Module:
         return mat
 
     def _monomial(self, mono):
-        """The nonzero entries (i, j, Scalar) of the matrix of the PBW
-        monomial f^a k^b e^c, built once per module from the cached
-        generator powers."""
-        entries = self._monos.get(mono)
-        if entries is None:
+        """The matrix of the PBW monomial f^a k^b e^c, built once per
+        module from the cached generator powers."""
+        m = self._monos.get(mono)
+        if m is None:
             a, b, c = mono
             m = self._power("f", a)
             m = m * (self._power("k", b) if b >= 0 else self._power("K", -b))
             m = m * self._power("e", c)
-            entries = [(i, j, y) for i, row in enumerate(m.a)
-                       for j, y in enumerate(row) if y]
-            self._monos[mono] = entries
-        return entries
+            self._monos[mono] = m
+        return m
 
     def _act(self, x):
         """The matrix of x: s times each term's monomial entries, summed
-        into a zero matrix."""
-        acc = Matrix.zeros(self.dim, self.dim)
-        rows = acc.a
+        entry by entry."""
+        acc = {}
         for mono, s in x.terms.items():
-            for i, j, y in self._monomial(mono):
-                rows[i][j] = rows[i][j] + s * y
-        return acc
+            for ij, y in self._monomial(mono).terms.items():
+                accumulate(acc, ij, s * y)
+        return Matrix.sparse(self.dim, self.dim, acc)
 
 
 class ModuleMap:
@@ -164,16 +159,10 @@ def irrep(n):
     if cached is not None:
         return cached
     dim = n + 1
-    e = Matrix.zeros(dim, dim)
-    f = Matrix.zeros(dim, dim)
-    k = Matrix.zeros(dim, dim)
-    for j in range(dim):
-        k.a[j][j] = _UPOW(2 * (n - 2 * j))
-        if j > 0:
-            e.a[j - 1][j] = qint(j)
-        if j < n:
-            f.a[j + 1][j] = qint(n - j)
-    mod = Module(e, f, k)
+    e = {(j - 1, j): qint(j) for j in range(1, dim)}
+    f = {(j + 1, j): qint(n - j) for j in range(n)}
+    k = {(j, j): _UPOW(2 * (n - 2 * j)) for j in range(dim)}
+    mod = Module(*(Matrix.sparse(dim, dim, t) for t in (e, f, k)))
     _IRREPS[n] = mod
     return mod
 
@@ -200,12 +189,12 @@ def decompose(mod):
     chains = []  # (n, [chain vectors])
     for m in sorted(set(mod.weights), reverse=True):
         idx = [i for i, w in enumerate(mod.weights) if w == m]
+        place = {i: c for c, i in enumerate(idx)}
         # highest-weight vectors of weight m: kernel of e restricted to
         # the weight space
-        sub = Matrix.zeros(mod.dim, len(idx))
-        for col, i in enumerate(idx):
-            for r in range(mod.dim):
-                sub.a[r][col] = mod.e[r, i]
+        sub = Matrix.sparse(mod.dim, len(idx), {
+            (r, place[i]): x for (r, i), x in mod.e.terms.items()
+            if i in place})
         for coords in sub.kernel():
             if m < 0:
                 raise DecompositionError("highest-weight vector of negative weight")
@@ -226,13 +215,9 @@ def decompose(mod):
     if total != mod.dim:
         raise DecompositionError("weight chains do not span (dim %d of %d)" % (total, mod.dim))
     # stack the chains as columns and invert for the projections
-    basis = Matrix.zeros(mod.dim, mod.dim)
-    col = 0
-    for n, chain in chains:
-        for v in chain:
-            for r in range(mod.dim):
-                basis.a[r][col] = v[r]
-            col += 1
+    columns = [v for _, chain in chains for v in chain]
+    basis = Matrix.sparse(mod.dim, mod.dim, {
+        (r, c): x for c, v in enumerate(columns) for r, x in enumerate(v)})
     try:
         inv = basis.inverse()
     except NoSolution:
@@ -241,12 +226,11 @@ def decompose(mod):
     row = 0
     for n, chain in chains:
         vn = irrep(n)
-        inc = Matrix.zeros(mod.dim, n + 1)
-        prj = Matrix.zeros(n + 1, mod.dim)
-        for j in range(n + 1):
-            for r in range(mod.dim):
-                inc.a[r][j] = basis[r, row + j]
-                prj.a[j][r] = inv[row + j, r]
+        inc = Matrix.sparse(mod.dim, n + 1, {
+            (r, j): x for j, v in enumerate(chain) for r, x in enumerate(v)})
+        prj = Matrix.sparse(n + 1, mod.dim, {
+            (j, r): x for j in range(n + 1)
+            for r, x in inv.row(row + j)})
         out.append((n, ModuleMap(vn, mod, inc), ModuleMap(mod, vn, prj)))
         row += n + 1
     return out
@@ -284,8 +268,5 @@ def theta_inverse_coefficients(nmax):
 
 def flip_matrix(d1, d2):
     """The flip V1 (x) V2 -> V2 (x) V1 on tensor-basis indices."""
-    m = Matrix.zeros(d1 * d2, d1 * d2)
-    for i in range(d1):
-        for j in range(d2):
-            m.a[j * d1 + i][i * d2 + j] = ONE
-    return m
+    return Matrix.sparse(d1 * d2, d1 * d2, {
+        (j * d1 + i, i * d2 + j): ONE for i in range(d1) for j in range(d2)})

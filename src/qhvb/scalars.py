@@ -55,14 +55,15 @@ Sparse vectors.  `LinComb` is the one sparse linear-combination type:
 nonzero Scalars keyed by basis labels, with the vector-space operations;
 the elements of U_q, U_q (x) U_q and T_q subclass it and add their own
 products.  `Tensor` is the LinComb keyed by pairs of leg keys, and both
-tensor squares, where the two coproducts land, subclass it.
-`accumulate` adds one term into such a dict, and `add_row` a whole row
-of products into an unreduced sum.  `Span` gives the rank of
-a family of sparse vectors and the coordinates of a vector in it
-(NoSolution outside), through an `Echelon` whose rows carry tags
-that record which inputs they combine.  `Echelon` is the only
-elimination: the dense `Matrix` reads its rank, rref and kernel off an
-`Echelon` of its rows and solves through a `Span` of its columns.
+tensor squares, where the two coproducts land, subclass it, and so does
+`Matrix`, keyed by (row, column) pairs.  `accumulate` adds one term
+into such a dict, and `add_row` a whole row of products into an
+unreduced sum.  `Span` gives the rank of a family of sparse vectors and
+the coordinates of a vector in it (NoSolution outside), through an
+`Echelon` whose rows carry tags that record which inputs they combine.
+`Echelon` is the only elimination: a `Matrix` reads its rank, rref and
+kernel off an `Echelon` of its rows and solves through a `Span` of its
+columns.
 
 Ranks by specialization.  `rank_lower_bound` maps a matrix to F_p by
 u -> U0 (p = PRIME) and eliminates there, on machine-size integers.
@@ -615,26 +616,22 @@ def _peval_mod(a):
                for e, c in zip(a[::2], a[1::2])) % PRIME
 
 
-def rank_lower_bound(rows):
-    """The rank over F_p of the rows (sequences of Scalars) specialized
-    at u = U0 mod p = PRIME, found by sparse forward elimination; None
-    when some denominator vanishes there.  The rank over Q(u) is at least
-    this (see the module docstring), so a bound equal to the column count
+def rank_lower_bound(m):
+    """The rank over F_p of the Matrix m specialized at u = U0 mod
+    p = PRIME, found by sparse forward elimination; None when some
+    denominator vanishes there.  The rank over Q(u) is at least this
+    (see the module docstring), so a bound equal to the column count
     certifies full column rank."""
-    specialized = []
-    for row in rows:
-        v = {}
-        for j, x in enumerate(row):
-            if x:
-                d = _peval_mod(x.den)
-                if not d:
-                    return None
-                y = _peval_mod(x.num) * pow(d, -1, PRIME) % PRIME
-                if y:
-                    v[j] = y
-        specialized.append(v)
+    specialized = {}
+    for (i, j), x in m.terms.items():
+        d = _peval_mod(x.den)
+        if not d:
+            return None
+        y = _peval_mod(x.num) * pow(d, -1, PRIME) % PRIME
+        if y:
+            specialized.setdefault(i, {})[j] = y
     pivots = {}  # pivot column -> row with pivot entry 1
-    for v in specialized:
+    for v in specialized.values():
         while v:
             j = min(v)
             row = pivots.get(j)
@@ -650,169 +647,6 @@ def rank_lower_bound(rows):
                 else:
                     v.pop(k, None)
     return len(pivots)
-
-
-# ----------------------------------------------------------------------
-# dense matrices over Q(u)
-
-
-class Matrix:
-    """A dense matrix of Scalars.  Rank, kernel, solve and inverse run on
-    the sparse Echelon below, the one elimination in this package."""
-
-    __slots__ = ("rows", "cols", "a")
-
-    def __init__(self, entries, cols=0):
-        """The rows of Scalars in entries; cols is the width when empty."""
-        self.a = [list(row) for row in entries]
-        self.rows = len(self.a)
-        self.cols = len(self.a[0]) if self.a else cols
-        assert all(len(r) == self.cols for r in self.a)
-
-    @staticmethod
-    def zeros(r, c):
-        return Matrix([[ZERO] * c for _ in range(r)], c)
-
-    @staticmethod
-    def identity(n):
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        return self.a[ij[0]][ij[1]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(self.a[i][j] == other.a[i][j] for i in range(self.rows) for j in range(self.cols))
-        )
-
-    def __add__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
-        return Matrix(
-            [[self.a[i][j] + other.a[i][j] for j in range(self.cols)] for i in range(self.rows)]
-        )
-
-    def __sub__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
-        return Matrix(
-            [[self.a[i][j] - other.a[i][j] for j in range(self.cols)] for i in range(self.rows)]
-        )
-
-    def __neg__(self):
-        return Matrix([[-x for x in row] for row in self.a])
-
-    def scale(self, s):
-        return Matrix([[s * x for x in row] for row in self.a])
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        assert self.cols == other.rows, "shape mismatch"
-        # the nonzero (j, y) of each row t of the right factor; every
-        # entry (i, j) still sums its products over t in increasing order
-        nz = [[(j, y) for j, y in enumerate(row) if y] for row in other.a]
-        out = []
-        for ai in self.a:
-            row = [ZERO] * other.cols
-            for x, nzt in zip(ai, nz):
-                if x:
-                    for j, y in nzt:
-                        row[j] = row[j] + x * y
-            out.append(row)
-        return Matrix(out)
-
-    def apply(self, vec):
-        """Matrix times column vector (a list of Scalars)."""
-        assert self.cols == len(vec)
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            for t, x in enumerate(self.a[i]):
-                if x and vec[t]:
-                    acc = acc + x * vec[t]
-            out.append(acc)
-        return out
-
-    def transpose(self):
-        return Matrix([[self.a[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def tensor(self, other):
-        """Kronecker product; index (i, k) flattens to i*other.rows + k."""
-        out = Matrix.zeros(self.rows * other.rows, self.cols * other.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                x = self.a[i][j]
-                if not x:
-                    continue
-                for k in range(other.rows):
-                    for l in range(other.cols):
-                        y = other.a[k][l]
-                        if y:
-                            out.a[i * other.rows + k][j * other.cols + l] = x * y
-        return out
-
-    def is_zero(self):
-        return all(not x for row in self.a for x in row)
-
-    def _echelon(self):
-        """An Echelon of the nonzero rows, keyed by column index."""
-        return Echelon({j: x for j, x in enumerate(row) if x} for row in self.a)
-
-    def _columns(self):
-        """The columns as sparse vectors keyed by row index."""
-        return [{i: row[j] for i, row in enumerate(self.a) if row[j]}
-                for j in range(self.cols)]
-
-    def rref(self):
-        """Reduced row echelon form, read off the Echelon of the rows;
-        returns (R, pivot_columns)."""
-        ech = self._echelon()
-        pivots = sorted(ech.rows)
-        R = Matrix.zeros(self.rows, self.cols)
-        for r, pc in enumerate(pivots):
-            for c, s in ech.rows[pc].items():
-                R.a[r][c] = s
-        return R, pivots
-
-    def rank(self):
-        return self._echelon().rank
-
-    def kernel(self):
-        """Basis of the right kernel, as a list of column vectors."""
-        return self._echelon().kernel(self.cols)
-
-    def solve(self, rhs):
-        """Solve self * x = rhs exactly; raises NoSolution if inconsistent.
-        rhs may be a vector (list) or a Matrix of right-hand sides; returns
-        the same shape.  With a nontrivial kernel the particular solution
-        with zero free variables is returned."""
-        span = Span(self._columns())
-        if not isinstance(rhs, Matrix):
-            assert len(rhs) == self.rows
-            return span.coordinates(dict(enumerate(rhs)))
-        assert rhs.rows == self.rows
-        return span.coordinate_matrix(rhs._columns())
-
-    def inverse(self):
-        assert self.rows == self.cols
-        X = self.solve(Matrix.identity(self.rows))
-        R = self * X - Matrix.identity(self.rows)
-        if not R.is_zero():
-            raise NoSolution("matrix is singular: " + _residual_witness(
-                {(i, j): x for i, row in enumerate(R.a)
-                 for j, x in enumerate(row) if x}))
-        return X
-
-    def eval_at(self, u0):
-        """Entrywise specialization to Fractions."""
-        return [[x.eval_at(u0) for x in row] for row in self.a]
-
-    def __str__(self):
-        return "[" + ",\n ".join("[" + ", ".join(str(x) for x in r) + "]" for r in self.a) + "]"
-
-    __repr__ = __str__
 
 
 # ----------------------------------------------------------------------
@@ -1112,8 +946,165 @@ class Span:
     def coordinate_matrix(self, targets):
         """The Matrix whose column j is coordinates(targets[j]); its shape
         is len(vectors) x len(targets) also when targets is empty."""
-        m = Matrix.zeros(self.size, len(targets))
-        for j, vec in enumerate(targets):
-            for i, s in enumerate(self.coordinates(vec)):
-                m.a[i][j] = s
+        return Matrix.sparse(self.size, len(targets), {
+            (i, j): s for j, vec in enumerate(targets)
+            for i, s in enumerate(self.coordinates(vec))})
+
+
+# ----------------------------------------------------------------------
+# matrices over Q(u)
+
+
+class Matrix(LinComb):
+    """A matrix of Scalars as the LinComb of its nonzero entries: `terms`
+    maps (row, column) to nonzero Scalars, and `rows` and `cols` give
+    the shape.  Sums, differences, negation, scaling and equality are
+    those of LinComb, with the shape checked.  A Matrix is never changed
+    after it is built, so it groups its entries by row once, the first
+    time a row is read (`row`); products run row by row over the
+    nonzeros (Gustavson 1978), and rank, kernel, solve and inverse on
+    the sparse Echelon, the one elimination in this package."""
+
+    __slots__ = ("rows", "cols", "_by_row")
+
+    def __init__(self, entries, cols=0):
+        """The rows of Scalars in entries; cols is the width when empty."""
+        entries = [list(row) for row in entries]
+        super().__init__({(i, j): x for i, row in enumerate(entries)
+                          for j, x in enumerate(row)})
+        self.rows = len(entries)
+        self.cols = len(entries[0]) if entries else cols
+        self._by_row = None
+        assert all(len(r) == self.cols for r in entries)
+
+    @staticmethod
+    def sparse(r, c, terms):
+        """The r x c Matrix with the entries terms ({(i, j): Scalar});
+        zero entries are dropped."""
+        m = Matrix.__new__(Matrix)
+        LinComb.__init__(m, terms)
+        m.rows, m.cols, m._by_row = r, c, None
+        assert all(0 <= i < r and 0 <= j < c for i, j in m.terms)
         return m
+
+    @staticmethod
+    def zeros(r, c):
+        return Matrix.sparse(r, c, {})
+
+    @staticmethod
+    def identity(n):
+        return Matrix.sparse(n, n, {(i, i): ONE for i in range(n)})
+
+    def _new(self, terms):
+        return Matrix.sparse(self.rows, self.cols, terms)
+
+    def __getitem__(self, ij):
+        return self.terms.get(ij, ZERO)
+
+    def row(self, i):
+        """The nonzero entries of row i as a tuple of (column, Scalar)
+        pairs by ascending column."""
+        if self._by_row is None:
+            rows = {}
+            for (r, c), x in sorted(self.terms.items()):
+                rows.setdefault(r, []).append((c, x))
+            self._by_row = {r: tuple(v) for r, v in rows.items()}
+        return self._by_row.get(i, ())
+
+    def __eq__(self, other):
+        return (LinComb.__eq__(self, other)
+                and (self.rows, self.cols) == (other.rows, other.cols))
+
+    def __add__(self, other):
+        assert (self.rows, self.cols) == (other.rows, other.cols), \
+            "shape mismatch"
+        return LinComb.__add__(self, other)
+
+    def __mul__(self, other):
+        if isinstance(other, Scalar):
+            return self.scale(other)
+        assert self.cols == other.rows, "shape mismatch"
+        out = {}
+        for (i, t), x in self.terms.items():
+            for j, y in other.row(t):
+                accumulate(out, (i, j), x * y)
+        return Matrix.sparse(self.rows, other.cols, out)
+
+    def apply(self, vec):
+        """Matrix times column vector (a list of Scalars)."""
+        assert self.cols == len(vec)
+        out = [ZERO] * self.rows
+        for (i, t), x in self.terms.items():
+            if vec[t]:
+                out[i] = out[i] + x * vec[t]
+        return out
+
+    def transpose(self):
+        return Matrix.sparse(self.cols, self.rows,
+                             {(j, i): x for (i, j), x in self.terms.items()})
+
+    def tensor(self, other):
+        """Kronecker product; index (i, k) flattens to i*other.rows + k."""
+        R, C = other.rows, other.cols
+        return Matrix.sparse(self.rows * R, self.cols * C, {
+            (i * R + k, j * C + l): x * y
+            for (i, j), x in self.terms.items()
+            for (k, l), y in other.terms.items()})
+
+    def _echelon(self):
+        """An Echelon of the rows, keyed by column index."""
+        return Echelon(dict(self.row(i)) for i in range(self.rows))
+
+    def _columns(self):
+        """The columns as sparse vectors keyed by row index."""
+        t = self.transpose()
+        return [dict(t.row(j)) for j in range(self.cols)]
+
+    def rref(self):
+        """Reduced row echelon form, read off the Echelon of the rows;
+        returns (R, pivot_columns)."""
+        ech = self._echelon()
+        pivots = sorted(ech.rows)
+        return Matrix.sparse(self.rows, self.cols, {
+            (r, c): s for r, pc in enumerate(pivots)
+            for c, s in ech.rows[pc].items()}), pivots
+
+    def rank(self):
+        return self._echelon().rank
+
+    def kernel(self):
+        """Basis of the right kernel, as a list of column vectors."""
+        return self._echelon().kernel(self.cols)
+
+    def solve(self, rhs):
+        """Solve self * x = rhs exactly; raises NoSolution if inconsistent.
+        rhs may be a vector (list) or a Matrix of right-hand sides; returns
+        the same shape.  With a nontrivial kernel the particular solution
+        with zero free variables is returned."""
+        span = Span(self._columns())
+        if not isinstance(rhs, Matrix):
+            assert len(rhs) == self.rows
+            return span.coordinates(dict(enumerate(rhs)))
+        assert rhs.rows == self.rows
+        return span.coordinate_matrix(rhs._columns())
+
+    def inverse(self):
+        assert self.rows == self.cols
+        X = self.solve(Matrix.identity(self.rows))
+        R = self * X - Matrix.identity(self.rows)
+        if R:
+            raise NoSolution("matrix is singular: "
+                             + _residual_witness(R.terms))
+        return X
+
+    def eval_at(self, u0):
+        """Entrywise specialization, as a Matrix of Fractions."""
+        return Matrix.sparse(self.rows, self.cols, {
+            ij: x.eval_at(u0) for ij, x in self.terms.items()})
+
+    def __str__(self):
+        return "[" + ",\n ".join(
+            "[" + ", ".join(str(self[i, j]) for j in range(self.cols)) + "]"
+            for i in range(self.rows)) + "]"
+
+    __repr__ = __str__

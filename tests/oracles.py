@@ -6,8 +6,8 @@ from functools import lru_cache
 from itertools import islice
 from math import gcd as _igcd
 
-from qhvb.scalars import (ONE, Echelon, Matrix, NoSolution, Scalar, Span,
-                          accumulate, eval_at)
+from qhvb.scalars import (ONE, ZERO, Echelon, Matrix, NoSolution, Scalar,
+                          Span, _residual_witness, accumulate, eval_at)
 from qhvb import bundle, calculus, coeff, repmod, uea
 from qhvb.calculus import _signed_power_eigenspaces
 
@@ -54,6 +54,176 @@ def outcome(fn, *args):
         return fn(*args)
     except coeff.LevelOverflow as exc:
         return str(exc)
+
+
+# ----------------------------------------------------------------------
+# the dense Matrix, before it became the LinComb of its nonzero entries:
+# rows of Scalars, every entry visited; the oracle of each public
+# operation of scalars.Matrix.  Its results now pass their width on, as
+# a matrix with no rows lost it (a 0 x c sum, product or scaling, or the
+# transpose of an r x 0 matrix, came out 0 x 0)
+
+
+class DenseMatrix:
+    """A dense matrix of Scalars.  Rank, kernel, solve and inverse run on
+    the sparse Echelon below, the one elimination in this package."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, entries, cols=0):
+        """The rows of Scalars in entries; cols is the width when empty."""
+        self.entries = [list(row) for row in entries]
+        self.rows = len(self.entries)
+        self.cols = len(self.entries[0]) if self.entries else cols
+        assert all(len(r) == self.cols for r in self.entries)
+
+    @staticmethod
+    def zeros(r, c):
+        return DenseMatrix([[ZERO] * c for _ in range(r)], c)
+
+    @staticmethod
+    def identity(n):
+        return DenseMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    def __getitem__(self, ij):
+        return self.entries[ij[0]][ij[1]]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, DenseMatrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and all(self.entries[i][j] == other.entries[i][j] for i in range(self.rows) for j in range(self.cols))
+        )
+
+    def __add__(self, other):
+        assert self.rows == other.rows and self.cols == other.cols
+        return DenseMatrix(
+            [[self.entries[i][j] + other.entries[i][j] for j in range(self.cols)] for i in range(self.rows)],
+            self.cols)
+
+    def __sub__(self, other):
+        assert self.rows == other.rows and self.cols == other.cols
+        return DenseMatrix(
+            [[self.entries[i][j] - other.entries[i][j] for j in range(self.cols)] for i in range(self.rows)],
+            self.cols)
+
+    def __neg__(self):
+        return DenseMatrix([[-x for x in row] for row in self.entries], self.cols)
+
+    def scale(self, s):
+        return DenseMatrix([[s * x for x in row] for row in self.entries], self.cols)
+
+    def __mul__(self, other):
+        if isinstance(other, Scalar):
+            return self.scale(other)
+        assert self.cols == other.rows, "shape mismatch"
+        # the nonzero (j, y) of each row t of the right factor; every
+        # entry (i, j) still sums its products over t in increasing order
+        nz = [[(j, y) for j, y in enumerate(row) if y] for row in other.entries]
+        out = []
+        for ai in self.entries:
+            row = [ZERO] * other.cols
+            for x, nzt in zip(ai, nz):
+                if x:
+                    for j, y in nzt:
+                        row[j] = row[j] + x * y
+            out.append(row)
+        return DenseMatrix(out, other.cols)
+
+    def apply(self, vec):
+        """Matrix times column vector (a list of Scalars)."""
+        assert self.cols == len(vec)
+        out = []
+        for i in range(self.rows):
+            acc = ZERO
+            for t, x in enumerate(self.entries[i]):
+                if x and vec[t]:
+                    acc = acc + x * vec[t]
+            out.append(acc)
+        return out
+
+    def transpose(self):
+        return DenseMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
+                           self.rows)
+
+    def tensor(self, other):
+        """Kronecker product; index (i, k) flattens to i*other.rows + k."""
+        out = DenseMatrix.zeros(self.rows * other.rows, self.cols * other.cols)
+        for i in range(self.rows):
+            for j in range(self.cols):
+                x = self.entries[i][j]
+                if not x:
+                    continue
+                for k in range(other.rows):
+                    for l in range(other.cols):
+                        y = other.entries[k][l]
+                        if y:
+                            out.entries[i * other.rows + k][j * other.cols + l] = x * y
+        return out
+
+    def is_zero(self):
+        return all(not x for row in self.entries for x in row)
+
+    def _echelon(self):
+        """An Echelon of the nonzero rows, keyed by column index."""
+        return Echelon({j: x for j, x in enumerate(row) if x} for row in self.entries)
+
+    def _columns(self):
+        """The columns as sparse vectors keyed by row index."""
+        return [{i: row[j] for i, row in enumerate(self.entries) if row[j]}
+                for j in range(self.cols)]
+
+    def rref(self):
+        """Reduced row echelon form, read off the Echelon of the rows;
+        returns (R, pivot_columns)."""
+        ech = self._echelon()
+        pivots = sorted(ech.rows)
+        R = DenseMatrix.zeros(self.rows, self.cols)
+        for r, pc in enumerate(pivots):
+            for c, s in ech.rows[pc].items():
+                R.entries[r][c] = s
+        return R, pivots
+
+    def rank(self):
+        return self._echelon().rank
+
+    def kernel(self):
+        """Basis of the right kernel, as a list of column vectors."""
+        return self._echelon().kernel(self.cols)
+
+    def solve(self, rhs):
+        """Solve self * x = rhs exactly; raises NoSolution if inconsistent.
+        rhs may be a vector (list) or a DenseMatrix of right-hand sides;
+        returns the same shape.  With a nontrivial kernel the particular
+        solution with zero free variables is returned."""
+        span = Span(self._columns())
+        if not isinstance(rhs, DenseMatrix):
+            assert len(rhs) == self.rows
+            return span.coordinates(dict(enumerate(rhs)))
+        assert rhs.rows == self.rows
+        cols = [span.coordinates(vec) for vec in rhs._columns()]
+        return DenseMatrix([[col[i] for col in cols]
+                            for i in range(self.cols)], len(cols))
+
+    def inverse(self):
+        assert self.rows == self.cols
+        X = self.solve(DenseMatrix.identity(self.rows))
+        R = self * X - DenseMatrix.identity(self.rows)
+        if not R.is_zero():
+            raise NoSolution("matrix is singular: " + _residual_witness(
+                {(i, j): x for i, row in enumerate(R.entries)
+                 for j, x in enumerate(row) if x}))
+        return X
+
+    def eval_at(self, u0):
+        """Entrywise specialization to Fractions."""
+        return [[x.eval_at(u0) for x in row] for row in self.entries]
+
+    def __str__(self):
+        return "[" + ",\n ".join("[" + ", ".join(str(x) for x in r) + "]" for r in self.entries) + "]"
+
+    __repr__ = __str__
 
 
 # ----------------------------------------------------------------------
@@ -154,14 +324,15 @@ class BraidingSplit:
         self.eigenvalues = []
         for n, members in sorted(groups.items()):
             r = len(members)
-            m = Matrix.zeros(r, r)
+            entries = {}
             for i, (inci, prji) in enumerate(members):
                 for j, (incj, prjj) in enumerate(members):
                     block = prji.mat * self.sigma * incj.mat
                     s = block[0, 0]
                     if block != Matrix.identity(n + 1).scale(s):
                         raise AssertionError("braiding block is not scalar")
-                    m.a[i][j] = s
+                    entries[(i, j)] = s
+            m = Matrix.sparse(r, r, entries)
             eigen = [(lam, len(basis))
                      for lam, basis in _signed_power_eigenspaces(m)]
             s_plus = Matrix.zeros(r, r)
@@ -237,9 +408,9 @@ def contract(coords, table):
         for (n, i, t), x in b.terms.items():
             for N, m in table(J, n):
                 terms = h.setdefault(N, {})
-                for j, y in enumerate(m.a[t]):
-                    if y:
-                        accumulate(terms, (n, i, j), x * y)
+                for j in range(m.cols):
+                    if m[t, j]:
+                        accumulate(terms, (n, i, j), x * m[t, j])
     return h
 
 
@@ -276,24 +447,17 @@ def project(tss, vec):
 
 def to_blocks(f):
     """{n: the (n+1) x (n+1) Matrix of f's level-n coefficients}."""
-    blocks = {}
+    entries = {}
     for (n, i, j), s in f.terms.items():
-        blk = blocks.get(n)
-        if blk is None:
-            blk = blocks[n] = Matrix.zeros(n + 1, n + 1)
-        blk.a[i][j] = s
-    return blocks
+        entries.setdefault(n, {})[(i, j)] = s
+    return {n: Matrix.sparse(n + 1, n + 1, blk)
+            for n, blk in entries.items()}
 
 
 def from_blocks(blocks):
     """The CoeffElement with the given level blocks."""
-    terms = {}
-    for n, blk in blocks.items():
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if blk.a[i][j]:
-                    terms[(n, i, j)] = blk.a[i][j]
-    return coeff.CoeffElement(terms)
+    return coeff.CoeffElement({(n, i, j): s for n, blk in blocks.items()
+                               for (i, j), s in blk.terms.items()})
 
 
 def circle(x, f):
@@ -343,11 +507,10 @@ def cartan_factor(m1, m2):
     """The diagonal operator u^{2 m m'} on a pair of weight modules."""
     assert m1.weights is not None and m2.weights is not None
     dim = m1.dim * m2.dim
-    c = Matrix.zeros(dim, dim)
-    for i, wi in enumerate(m1.weights):
-        for j, wj in enumerate(m2.weights):
-            c.a[i * m2.dim + j][i * m2.dim + j] = Scalar.u_power(2 * wi * wj)
-    return c
+    return Matrix.sparse(dim, dim, {
+        (i * m2.dim + j,) * 2: Scalar.u_power(2 * wi * wj)
+        for i, wi in enumerate(m1.weights)
+        for j, wj in enumerate(m2.weights)})
 
 
 def universal_R(m1, m2):

@@ -405,10 +405,7 @@ def test_haar_values_and_uniqueness():
         row[idx[(n, i, j)]] = ONE
         rows.append(row)
         rhs.append(ZERO)
-    m = Matrix.zeros(len(rows), len(keys))
-    for r, row in enumerate(rows):
-        for c, s in enumerate(row):
-            m.a[r][c] = s
+    m = Matrix(rows)
     assert m.rank() == len(keys)  # unique solution
     sol = m.solve(rhs)
     for key, c in idx.items():

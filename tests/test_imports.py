@@ -8,7 +8,9 @@ so a definition counts as read when any expression of the package reads
 that name, alone or as an attribute.
 
 No module of the package but scalars touches the polynomial fields
-`num` and `den` of a Scalar."""
+`num` and `den` of a Scalar or the row grouping `_by_row` that a Matrix
+caches, and no module changes the `terms` of a LinComb in place: the
+cached grouping would no longer match them."""
 
 import ast
 from pathlib import Path
@@ -140,14 +142,15 @@ def test_every_definition_of_the_package_is_read():
     assert unread_definitions(sources) == sorted(UNREAD_ALLOWED)
 
 
-# the polynomial layout of a Scalar is private to scalars: every other
-# module works with Scalars
-LAYOUT_ATTRIBUTES = {"num", "den"}
+# the polynomial layout of a Scalar and the row grouping of a Matrix are
+# private to scalars: every other module works with Scalars and reads
+# rows through Matrix.row
+LAYOUT_ATTRIBUTES = {"num", "den", "_by_row"}
 
 
 def layout_reads(source):
-    """(line, attribute) of every use of a Scalar's polynomial fields in
-    source."""
+    """(line, attribute) of every use of a Scalar's polynomial fields or
+    of a Matrix's row grouping in source."""
     return sorted((node.lineno, node.attr)
                   for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Attribute)
@@ -155,8 +158,9 @@ def layout_reads(source):
 
 
 def test_the_layout_scan_sees_field_reads():
-    assert layout_reads("x = s.num\nn, d = a.b.den, s.numerator\n") == [
-        (1, "num"), (2, "den")]
+    assert layout_reads("x = s.num\nn, d = a.b.den, s.numerator\n"
+                        "m._by_row = None\n") == [
+        (1, "num"), (2, "den"), (3, "_by_row")]
 
 
 def test_only_scalars_reads_the_polynomial_layout():
@@ -165,4 +169,55 @@ def test_only_scalars_reads_the_polynomial_layout():
         reads = layout_reads(path.read_text())
         if reads and path.name != "scalars.py":
             found[path.name] = reads
+    assert found == {}
+
+
+# the dict methods that change a dict in place
+MUTATORS = {"pop", "popitem", "update", "setdefault", "clear"}
+
+
+def _is_terms(node):
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def terms_changes(source):
+    """(line, statement or method) of every in-place change in source of
+    the terms of a LinComb: a subscript assignment or deletion, or a
+    call of a mutating dict method."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Subscript) and _is_terms(sub.value):
+                    found.append((node.lineno, type(node).__name__))
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS
+                and _is_terms(node.func.value)):
+            found.append((node.lineno, node.func.attr))
+    return sorted(found)
+
+
+def test_the_terms_scan_sees_in_place_changes():
+    source = ("x.terms[k] = s\ndel m.terms[k]\nf.terms.pop(k)\n"
+              "f.terms.update(g)\nf.terms.setdefault(k, s)\n"
+              "f.terms.clear()\nm.terms[k] += s\n"
+              "a, x.terms[k] = 1, s\n"
+              "d = dict(f.terms)\nd[k] = s\nf.terms.get(k)\n")
+    assert terms_changes(source) == [
+        (1, "Assign"), (2, "Delete"), (3, "pop"), (4, "update"),
+        (5, "setdefault"), (6, "clear"), (7, "AugAssign"), (8, "Assign")]
+
+
+def test_no_module_changes_terms_in_place():
+    found = {}
+    for path in sorted((ROOT / "src" / "qhvb").glob("*.py")):
+        changes = terms_changes(path.read_text())
+        if changes:
+            found[path.name] = changes
     assert found == {}

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from qhvb.scalars import Scalar, Matrix, ONE, qint, eval_at
+from qhvb.scalars import Scalar, Matrix, ONE, qint, eval_at, accumulate
 from qhvb import uea, repmod
 import oracles
 
@@ -47,16 +47,15 @@ def test_act_is_homomorphism():
 def _block_diagonal(ns):
     """The direct sum of the irreps V_n, n in ns, as one Module."""
     dim = sum(n + 1 for n in ns)
-    gens = [Matrix.zeros(dim, dim) for _ in range(3)]
+    gens = [{}, {}, {}]
     off = 0
     for n in ns:
         mod = repmod.irrep(n)
-        for mat, block in zip(gens, (mod.e, mod.f, mod.k)):
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    mat.a[off + i][off + j] = block[i, j]
+        for terms, block in zip(gens, (mod.e, mod.f, mod.k)):
+            for (i, j), x in block.terms.items():
+                terms[(off + i, off + j)] = x
         off += n + 1
-    return repmod.Module(*gens)
+    return repmod.Module(*(Matrix.sparse(dim, dim, t) for t in gens))
 
 
 @pytest.mark.parametrize("build", [
@@ -157,10 +156,7 @@ def test_decompose_requires_diagonal_k():
     # conjugating an irrep by a non-diagonal change of basis keeps the
     # relations but hides the weights
     m = repmod.irrep(1)
-    p = Matrix.zeros(2, 2)
-    p.a[0][0] = ONE
-    p.a[0][1] = ONE
-    p.a[1][1] = ONE
+    p = Matrix.sparse(2, 2, {(0, 0): ONE, (0, 1): ONE, (1, 1): ONE})
     pinv = p.inverse()
     twisted = repmod.Module(p * m.e * pinv, p * m.f * pinv, p * m.k * pinv)
     assert twisted.weights is None
@@ -201,10 +197,7 @@ def test_theta_coefficients_against_linear_solve():
                 if any(row) or mats[0][i, j]:
                     rows.append(row)
                     rhs.append(-mats[0][i, j])
-    sys_m = Matrix.zeros(len(rows), 2)
-    for r, row in enumerate(rows):
-        sys_m.a[r][0], sys_m.a[r][1] = row
-    sol = sys_m.solve(rhs)
+    sol = Matrix(rows, 2).solve(rhs)
     assert sol[0] == repmod.theta_coefficient(1)
     assert sol[1] == repmod.theta_coefficient(2)
 
@@ -257,7 +250,7 @@ def _embed_pair(rmat, dims, a, b):
     def flat(idx):
         return (idx[0] * d[1] + idx[1]) * d[2] + idx[2]
 
-    out = Matrix.zeros(tot, tot)
+    out = {}
     for idx in itertools.product(range(d[0]), range(d[1]), range(d[2])):
         col = flat(idx)
         for ja in range(d[a]):
@@ -265,9 +258,8 @@ def _embed_pair(rmat, dims, a, b):
                 tgt = list(idx)
                 tgt[a], tgt[b] = ja, jb
                 val = rmat[ja * d[b] + jb, idx[a] * d[b] + idx[b]]
-                if val:
-                    out.a[flat(tgt)][col] = out.a[flat(tgt)][col] + val
-    return out
+                accumulate(out, (flat(tgt), col), val)
+    return Matrix.sparse(tot, tot, out)
 
 
 def test_yang_baxter():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+from oracles import DenseMatrix
 from qhvb import coeff, repmod, uea, scalars as sc
 from qhvb.scalars import (
     Scalar,
@@ -270,12 +271,13 @@ def test_tensor_mixed_product():
 
 
 def _seed_matmul(a, b):
-    """The seed's Matrix.__mul__ (every (i, j, t) visited), kept verbatim
-    as the oracle of the product that iterates nonzeros."""
-    ot = b.a
+    """The seed's Matrix.__mul__ (every (i, j, t) visited) on
+    DenseMatrix, kept as the oracle of the product that iterates
+    nonzeros."""
+    ot = b.entries
     out = []
     for i in range(a.rows):
-        ai = a.a[i]
+        ai = a.entries[i]
         row = []
         for j in range(b.cols):
             acc = ZERO
@@ -287,7 +289,7 @@ def _seed_matmul(a, b):
                         acc = acc + x * y
             row.append(acc)
         out.append(row)
-    return Matrix(out)
+    return DenseMatrix(out)
 
 
 sparse_scalars = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ONE), scalars)
@@ -295,8 +297,8 @@ sparse_scalars = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ONE), scalars)
 
 @st.composite
 def matrix_pairs(draw):
-    """(a, b) with a.cols == b.rows, non-square, sparse or dense, with an
-    optional all-zero row in a and all-zero column in b."""
+    """The rows of (a, b) with a.cols == b.rows, non-square, sparse or
+    dense, with an optional all-zero row in a and all-zero column in b."""
     r, t, c = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
     entries = draw(st.sampled_from((sparse_scalars, nonzero_scalars)))
     a = [[draw(entries) for _ in range(t)] for _ in range(r)]
@@ -308,29 +310,111 @@ def matrix_pairs(draw):
     if zero_col is not None:
         for row in b:
             row[zero_col] = ZERO
-    return Matrix(a), Matrix(b)
+    return a, b
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrix_pairs())
 def test_matrix_product_matches_seed_loop(ab):
     a, b = ab
-    got = a * b
-    want = _seed_matmul(a, b)
-    assert (got.rows, got.cols) == (a.rows, b.cols)
-    assert [[(x.num, x.den) for x in row] for row in got.a] \
-        == [[(x.num, x.den) for x in row] for row in want.a]
+    got = Matrix(a) * Matrix(b)
+    want = _seed_matmul(DenseMatrix(a), DenseMatrix(b))
+    assert (got.rows, got.cols) == (len(a), len(b[0]))
+    assert _exact(got) == _exact(want)
+
+
+def _matrix_rows(draw, r, c):
+    """r rows of c Scalars, sparse or dense."""
+    entries = draw(st.sampled_from((sparse_scalars, nonzero_scalars)))
+    return [[draw(entries) for _ in range(c)] for _ in range(r)]
+
+
+def _failure(fn, *args):
+    """The message of the NoSolution fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except NoSolution as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matrix_matches_the_dense_oracle(data):
+    # every public operation of the sparse Matrix against the dense one,
+    # 0 x c and r x 0 shapes included
+    r, c, k = (data.draw(st.integers(0, 3)) for _ in range(3))
+    x, y = (_matrix_rows(data.draw, r, c) for _ in range(2))
+    z = _matrix_rows(data.draw, c, k)
+    s = data.draw(sparse_scalars)
+    vec = [data.draw(sparse_scalars) for _ in range(c)]
+    rhs = [data.draw(sparse_scalars) for _ in range(r)]
+    a, b, p = Matrix(x, c), Matrix(y, c), Matrix(z, k)
+    da, db, dp = DenseMatrix(x, c), DenseMatrix(y, c), DenseMatrix(z, k)
+    assert _exact(a) == _exact(da)
+    assert (a == b) == (da == db)
+    assert a.is_zero() == (not a) == da.is_zero()
+    for got, want in ((a + b, da + db), (a - b, da - db), (-a, -da),
+                      (a.scale(s), da.scale(s)), (a * s, da * s),
+                      (a * p, da * dp), (a.transpose(), da.transpose()),
+                      (a.tensor(p), da.tensor(dp))):
+        assert _exact(got) == _exact(want)
+        # rows by ascending column, whatever order the terms were built in
+        assert [got.row(i) for i in range(got.rows)] == [
+            tuple((j, v) for j, v in enumerate(row) if v)
+            for row in want.entries]
+    assert _exact(a.apply(vec)) == _exact(da.apply(vec))
+    for i in range(r):
+        for j in range(c):
+            assert a[i, j] == da[i, j]
+    assert str(a) == str(da)
+    try:
+        want = da.eval_at(2)
+    except PoleError:
+        with pytest.raises(PoleError):
+            a.eval_at(2)
+    else:
+        got = a.eval_at(2)
+        assert (got.rows, got.cols) == (r, c)
+        assert got.terms == {(i, j): v for i, row in enumerate(want)
+                             for j, v in enumerate(row) if v}
+    red, pivots = a.rref()
+    want_red, want_pivots = da.rref()
+    assert pivots == want_pivots and _exact(red) == _exact(want_red)
+    assert a.rank() == da.rank()
+    assert _exact(a.kernel()) == _exact(da.kernel())
+    assert _outcome(a.solve, rhs) == _outcome(da.solve, rhs)
+    assert _outcome(a.solve, b) == _outcome(da.solve, db)
+    n = min(r, c)
+    square = [row[:n] for row in x[:n]]
+    assert _outcome(Matrix(square, n).inverse) == _outcome(
+        DenseMatrix(square, n).inverse)
+    assert _failure(Matrix(square, n).inverse) == _failure(
+        DenseMatrix(square, n).inverse)
+
+
+def test_matrix_shapes_are_checked():
+    # equal terms with different shapes are different matrices, and
+    # sums and products of mismatched shapes fail
+    assert Matrix.zeros(2, 3) != Matrix.zeros(3, 2)
+    assert Matrix([], 2) != Matrix([], 3) and Matrix([], 2) == Matrix.zeros(0, 2)
+    assert Matrix.identity(2) != Matrix.sparse(3, 3, {(0, 0): ONE, (1, 1): ONE})
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(AssertionError):
+            op(Matrix.zeros(2, 3), Matrix.zeros(2, 2))
+    with pytest.raises(AssertionError):
+        Matrix.sparse(2, 2, {(2, 0): ONE})
 
 
 # ----------------------------------------------------------------------
 # the seed's dense Gauss-Jordan elimination (Matrix.rref, kernel, solve
-# and inverse), kept verbatim as functions of the matrix: the oracle of
-# the same methods on Echelon and Span
+# and inverse), kept as functions of a DenseMatrix: the oracle of the
+# same methods on Echelon and Span
 
 
 def _seed_rref(self):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    m = [row[:] for row in self.a]
+    m = [row[:] for row in self.entries]
     pivots = []
     r = 0
     for c in range(self.cols):
@@ -352,7 +436,7 @@ def _seed_rref(self):
         r += 1
         if r == self.rows:
             break
-    return Matrix(m), pivots
+    return DenseMatrix(m, self.cols), pivots
 
 
 def _seed_kernel(self):
@@ -365,48 +449,53 @@ def _seed_kernel(self):
         v = [ZERO] * self.cols
         v[fc] = ONE
         for r, pc in enumerate(pivots):
-            v[pc] = -red.a[r][fc]
+            v[pc] = -red.entries[r][fc]
         basis.append(v)
     return basis
 
 
 def _seed_solve(self, rhs):
     """Solve self * x = rhs exactly; raises NoSolution if inconsistent.
-    rhs may be a vector (list) or a Matrix of right-hand sides; returns
-    the same shape.  With a nontrivial kernel the particular solution
-    with zero free variables is returned."""
-    vec = not isinstance(rhs, Matrix)
-    B = Matrix([[x] for x in rhs]) if vec else rhs
+    rhs may be a vector (list) or a DenseMatrix of right-hand sides;
+    returns the same shape.  With a nontrivial kernel the particular
+    solution with zero free variables is returned."""
+    vec = not isinstance(rhs, DenseMatrix)
+    B = DenseMatrix([[x] for x in rhs], 1) if vec else rhs
     assert B.rows == self.rows
-    aug = Matrix([self.a[i] + B.a[i] for i in range(self.rows)])
+    aug = DenseMatrix([self.entries[i] + B.entries[i]
+                       for i in range(self.rows)], self.cols + B.cols)
     red, pivots = _seed_rref(aug)
     for r, pc in enumerate(pivots):
         if pc >= self.cols:
             raise NoSolution("inconsistent linear system")
-    X = Matrix.zeros(self.cols, B.cols)
+    X = DenseMatrix.zeros(self.cols, B.cols)
     for r, pc in enumerate(pivots):
         for j in range(B.cols):
-            X.a[pc][j] = red.a[r][self.cols + j]
+            X.entries[pc][j] = red.entries[r][self.cols + j]
     if vec:
-        return [X.a[i][0] for i in range(self.cols)]
+        return [X.entries[i][0] for i in range(self.cols)]
     return X
 
 
 def _seed_inverse(self):
     assert self.rows == self.cols
-    X = _seed_solve(self, Matrix.identity(self.rows))
-    if (self * X) != Matrix.identity(self.rows):
+    X = _seed_solve(self, DenseMatrix.identity(self.rows))
+    if (self * X) != DenseMatrix.identity(self.rows):
         raise NoSolution("matrix is singular")
     return X
 
 
 def _exact(x):
-    """Structural form of a Scalar, a vector, a list of vectors or a
-    Matrix, so that equal results are equal representations."""
+    """Structural form of a Scalar, a vector, a list of vectors, a
+    Matrix or a DenseMatrix, so that equal results are equal
+    representations whichever of the two matrix types holds them."""
     if isinstance(x, Scalar):
         return (x.num, x.den)
     if isinstance(x, Matrix):
-        return ("matrix", x.rows, x.cols, _exact(x.a))
+        x = DenseMatrix([[x[i, j] for j in range(x.cols)]
+                         for i in range(x.rows)], x.cols)
+    if isinstance(x, DenseMatrix):
+        return ("matrix", x.rows, x.cols, _exact(x.entries))
     return [_exact(y) for y in x]
 
 
@@ -420,10 +509,11 @@ def _outcome(fn, *args):
 
 @st.composite
 def elimination_problems(draw):
-    """(m, rhs_vec, rhs_mat): a matrix of up to 4 x 5, sparse or dense,
+    """(rows, rhs_vec, columns): a matrix of up to 4 x 5, sparse or dense,
     with an optional zero row, zero column and rows that combine earlier
     ones (so rank-deficient), and right-hand sides that lie in its column
-    span or are arbitrary (then often inconsistent)."""
+    span or are arbitrary (then often inconsistent), as a vector and as
+    up to two columns of a matrix of right-hand sides."""
     r, c = (draw(st.integers(min_value=1, max_value=n)) for n in (4, 5))
     entries = draw(st.sampled_from((sparse_scalars, nonzero_scalars)))
     rows = []
@@ -450,32 +540,36 @@ def elimination_problems(draw):
 
     rhs_vec = rhs()
     columns = [rhs() for _ in range(draw(st.integers(0, 2)))]
-    rhs_mat = Matrix([[col[i] for col in columns] for i in range(r)])
-    return m, rhs_vec, rhs_mat
+    return rows, rhs_vec, columns
 
 
 @settings(max_examples=150, deadline=None)
 @given(elimination_problems())
 def test_elimination_matches_seed_gauss_jordan(problem):
-    m, rhs_vec, rhs_mat = problem
+    rows, rhs_vec, columns = problem
+    m, dense = Matrix(rows), DenseMatrix(rows)
+    rhs_mat = [[col[i] for col in columns] for i in range(m.rows)]
     red, pivots = m.rref()
-    want_red, want_pivots = _seed_rref(m)
+    want_red, want_pivots = _seed_rref(dense)
     assert pivots == want_pivots
     assert _exact(red) == _exact(want_red)
     assert m.rank() == len(want_pivots)
-    assert _exact(m.kernel()) == _exact(_seed_kernel(m))
-    assert _outcome(m.solve, rhs_vec) == _outcome(_seed_solve, m, rhs_vec)
-    assert _outcome(m.solve, rhs_mat) == _outcome(_seed_solve, m, rhs_mat)
+    assert _exact(m.kernel()) == _exact(_seed_kernel(dense))
+    assert _outcome(m.solve, rhs_vec) == _outcome(_seed_solve, dense, rhs_vec)
+    assert _outcome(m.solve, Matrix(rhs_mat, len(columns))) == _outcome(
+        _seed_solve, dense, DenseMatrix(rhs_mat, len(columns)))
     k = min(m.rows, m.cols)
-    square = Matrix([row[:k] for row in m.a[:k]])
-    assert _outcome(Matrix.inverse, square) == _outcome(_seed_inverse, square)
+    square = [row[:k] for row in rows[:k]]
+    assert _outcome(Matrix.inverse, Matrix(square)) == _outcome(
+        _seed_inverse, DenseMatrix(square))
 
 
 def test_kernel_of_no_rows_is_the_unit_vectors():
     units = [[ONE if i == j else ZERO for i in range(3)] for j in range(3)]
     assert Echelon().kernel(3) == units
     assert Echelon([{}, {}]).kernel(3) == units
-    assert Matrix.zeros(2, 3).kernel() == _seed_kernel(Matrix.zeros(2, 3)) == units
+    assert Matrix.zeros(2, 3).kernel() == _seed_kernel(
+        DenseMatrix.zeros(2, 3)) == units
     assert Echelon().kernel(0) == []
 
 
@@ -511,9 +605,10 @@ def test_echelon_matches_dense_rank():
     rng = random.Random(11)
     for _ in range(6):
         r, c = rng.randint(1, 5), rng.randint(1, 5)
-        m = Matrix([[_random_scalar(rng) for _ in range(c)] for _ in range(r)])
+        m = DenseMatrix([[_random_scalar(rng) for _ in range(c)]
+                         for _ in range(r)])
         ech = Echelon()
-        for row in m.a:
+        for row in m.entries:
             ech.add({j: x for j, x in enumerate(row) if x})
         assert ech.rank == len(_seed_rref(m)[1])
 
@@ -565,7 +660,8 @@ def span_problems(draw):
 @example(([], {}, [0]))
 def test_span_matches_dense_solve(problem):
     vectors, target, keys = problem
-    dense = Matrix([[vec.get(k, ZERO) for vec in vectors] for k in keys])
+    dense = DenseMatrix([[vec.get(k, ZERO) for vec in vectors] for k in keys],
+                        len(vectors))
     span = Span(vectors)
     assert span.rank == len(_seed_rref(dense)[1])
     empty = span.coordinate_matrix([])
@@ -578,9 +674,7 @@ def test_span_matches_dense_solve(problem):
         return
     assert span.coordinates(target) == want
     # one column also when the span is empty: Matrix([]) would be 0 x 0
-    column = Matrix.zeros(len(want), 1)
-    for i, x in enumerate(want):
-        column.a[i][0] = x
+    column = Matrix.sparse(len(want), 1, {(i, 0): x for i, x in enumerate(want)})
     got = span.coordinate_matrix([target])
     assert (got.rows, got.cols) == (len(want), 1)
     assert got == column
@@ -1133,8 +1227,8 @@ def rank_problems(draw):
 @settings(max_examples=200, deadline=None)
 @given(rank_problems())
 def test_rank_lower_bound_is_a_lower_bound(m):
-    bound = sc.rank_lower_bound(m.a)
-    if any(_vanishes_mod_p(x.den) for row in m.a for x in row):
+    bound = sc.rank_lower_bound(m)
+    if any(_vanishes_mod_p(x.den) for x in m.terms.values()):
         assert bound is None
         return
     rank = m.rank()
@@ -1147,21 +1241,22 @@ def test_rank_lower_bound_is_a_lower_bound(m):
 def test_rank_lower_bound_certifies_full_rank_over_the_pairing_denominators():
     a, b = (Scalar((1,), d) for d in PAIRING_DENS)
     m = [[a, b, ONE], [ONE, a * b, U], [b, ONE, a + b], [ONE, ONE, ONE]]
-    assert Matrix(m).rank() == sc.rank_lower_bound(m) == 3
+    assert Matrix(m).rank() == sc.rank_lower_bound(Matrix(m)) == 3
     # the third row made the sum of the first two: still rank 3 over the
     # fourth row, and rank 2 without it
     m[2] = [x + y for x, y in zip(m[0], m[1])]
-    assert Matrix(m).rank() == sc.rank_lower_bound(m) == 3
-    assert Matrix(m[:3]).rank() == sc.rank_lower_bound(m[:3]) == 2
+    assert Matrix(m).rank() == sc.rank_lower_bound(Matrix(m)) == 3
+    assert Matrix(m[:3]).rank() == sc.rank_lower_bound(Matrix(m[:3])) == 2
 
 
 def test_rank_lower_bound_over_integer_contents_and_zero_rows():
     half, quarter = Scalar(1, 2), Scalar((1, 1), (4,))
     m = [[ZERO, ZERO], [half, quarter], [ZERO, ZERO], [ONE, 2 * quarter]]
-    assert Matrix(m).rank() == sc.rank_lower_bound(m) == 1
-    assert sc.rank_lower_bound([[ZERO, ZERO]]) == sc.rank_lower_bound([]) == 0
+    assert Matrix(m).rank() == sc.rank_lower_bound(Matrix(m)) == 1
+    assert sc.rank_lower_bound(Matrix([[ZERO, ZERO]])) == 0
+    assert sc.rank_lower_bound(Matrix([], 2)) == 0
     m[3] = [ONE, Scalar(1, 3)]
-    assert Matrix(m).rank() == sc.rank_lower_bound(m) == 2
+    assert Matrix(m).rank() == sc.rank_lower_bound(Matrix(m)) == 2
 
 
 def test_rank_lower_bound_gives_none_at_a_pole():
@@ -1169,7 +1264,7 @@ def test_rank_lower_bound_gives_none_at_a_pole():
     # one in any row leaves no bound, even after full rank is reached
     for den in ((-sc.U0, 1), (-sc.U0 - sc.PRIME, 1)):
         pole = Scalar((1,), den)
-        assert sc.rank_lower_bound([[pole]]) is None
-        assert sc.rank_lower_bound([[ONE, ZERO], [ZERO, ONE],
-                                    [pole, ONE]]) is None
-    assert sc.rank_lower_bound([[Scalar((1,), (-sc.U0 + 1, 1))]]) == 1
+        assert sc.rank_lower_bound(Matrix([[pole]])) is None
+        assert sc.rank_lower_bound(Matrix([[ONE, ZERO], [ZERO, ONE],
+                                           [pole, ONE]])) is None
+    assert sc.rank_lower_bound(Matrix([[Scalar((1,), (-sc.U0 + 1, 1))]])) == 1
