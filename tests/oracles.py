@@ -66,7 +66,7 @@ def outcome(fn, *args):
 
 class DenseMatrix:
     """A dense matrix of Scalars.  Rank, kernel, solve and inverse run on
-    the sparse Echelon below, the one elimination in this package."""
+    scalars.Echelon, the one elimination in the package."""
 
     __slots__ = ("rows", "cols", "entries")
 
