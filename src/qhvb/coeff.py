@@ -18,17 +18,19 @@ Every algebra carries a level window n_max; any operation that would
 produce a nonzero coefficient beyond the window raises LevelOverflow
 instead of truncating.
 
+The antipode and the star are read off the Peter-Weyl basis by the
+formulas of Klimyk and Schmuedgen (1997); see Algebra._block.
+
 The pairing respects the "diagonal class" d = i - j: t^{(n)}_{ij}
 pairs nonzero with the PBW monomial f^a k^b e^c only when a - c =
-i - j.  The basis re-expansions of the antipode and the star therefore
-split into small exact solves per class, and the nondegeneracy
-certificate (PairingTable) is a per-class column rank computation,
-certified by specialization mod p (scalars.rank_lower_bound) with the
-exact rank over Q(u) as its fallback.
+i - j.  The nondegeneracy certificate (PairingTable) is therefore a
+per-class column rank computation, certified by specialization mod p
+(scalars.rank_lower_bound) with the exact rank over Q(u) as its
+fallback.
 """
 
-from .scalars import (Matrix, ZERO, ONE, accumulate, add_row, finish_sum,
-                      rank_lower_bound, LinComb, Tensor)
+from .scalars import (Scalar, Matrix, ZERO, ONE, qint, accumulate, add_row,
+                      finish_sum, rank_lower_bound, LinComb, Tensor)
 from . import uea, repmod
 
 
@@ -175,21 +177,18 @@ class Algebra:
         self.n_max = n_max
         self._cg = {}
         self._pair_prod = {}
-        self._class_inv = {}
         self._blocks = {}
         self._pairing_tables = {}
 
     # -- pairing ------------------------------------------------------
 
-    def _act_entry(self, n, mono, i, j):
-        return repmod.irrep(n).act(uea.monomial(*mono))[i, j]
-
     def eval(self, f, x):
         """The dual pairing <f, x>."""
         acc = ZERO
         for (n, i, j), s in f.terms.items():
+            mod = repmod.irrep(n)
             for mono, c in x.terms.items():
-                acc = acc + s * c * self._act_entry(n, mono, i, j)
+                acc = acc + s * c * mod.act(uea.monomial(*mono))[i, j]
         return acc
 
     def pairing_table(self, N):
@@ -287,53 +286,30 @@ class Algebra:
                 acc = acc + s
         return acc
 
-    def _class_solver(self, n, d):
-        """Cached inverse of the square pairing system of block n,
-        class d (Vandermonde-like in the k-exponent)."""
-        cached = self._class_inv.get((n, d))
-        if cached is None:
-            pairs = [(max(d, 0) + t, max(-d, 0) + t) for t in range(n - abs(d) + 1)]
-            monos = [(max(d, 0), b, max(-d, 0)) for b in range(n - abs(d) + 1)]
-            m = Matrix.sparse(len(monos), len(pairs), {
-                (r, c): self._act_entry(n, mono, i, j)
-                for r, mono in enumerate(monos)
-                for c, (i, j) in enumerate(pairs)})
-            cached = (pairs, monos, m.inverse())
-            self._class_inv[(n, d)] = cached
-        return cached
-
-    def _solve_in_class(self, n, d, value_fn):
-        """The unique level-n class-d combination of t's with the given
-        pairings against the class monomial family."""
-        pairs, monos, inv = self._class_solver(n, d)
-        vals = [value_fn(mono) for mono in monos]
-        coeffs = inv.apply(vals)
-        return {(n, i, j): c for (i, j), c in zip(pairs, coeffs) if c}
-
     def _block(self, n, star):
         """{(i, j): image of t_ij} at level n under the antipode, or
-        under the star when star is set; both keep the level.
-        S(t_ij)(x) = t_ij(S x) lies in the class i - j of t_ij, and
-        t_ij*(x) = conj t_ij((S x)*) in the class j - i, since (S mono)*
-        reverses the class; conjugation fixes Scalars.  A level beyond
-        the window raises LevelOverflow before any solve."""
+        under the star when star is set (Klimyk and Schmuedgen 1997):
+
+            S(t_ij) = (-q)^{j-i} [n i] / [n j] t_{n-j,n-i},
+            t_ij*   = (-q)^{i-j} t_{n-i,n-j},
+
+        with [n i] the balanced q-binomial.  Both keep the level; a
+        level beyond the window raises LevelOverflow before the block
+        is built."""
         block = self._blocks.get((n, star))
         if block is None:
             self.check_window(n)
-            mod = repmod.irrep(n)
-
-            def value(mono, i, j):
-                x = uea.antipode(uea.monomial(*mono))
-                if star:
-                    return mod.act(uea.star(x))[i, j].conj()
-                return mod.act(x)[i, j]
-
+            binom = [ONE]
+            for i in range(1, n + 1):
+                binom.append(binom[-1] * qint(n + 1 - i) / qint(i))
             block = {}
             for i in range(n + 1):
                 for j in range(n + 1):
-                    block[(i, j)] = CoeffElement(self._solve_in_class(
-                        n, j - i if star else i - j,
-                        lambda mono, i=i, j=j: value(mono, i, j)))
+                    s = Scalar.q_power(i - j if star else j - i)
+                    s = -s if (i - j) % 2 else s
+                    block[(i, j)] = (basis_element(n, n - i, n - j, s) if star
+                                     else basis_element(n, n - j, n - i,
+                                                        s * binom[i] / binom[j]))
             self._blocks[(n, star)] = block
         return block
 

@@ -250,19 +250,15 @@ def theta_coefficient(n):
 def theta_inverse_coefficients(nmax):
     """d_0..d_nmax with Theta^{-1} = sum_n d_n (k^n e^n) (x) (k^{-n} f^n).
 
-    The span of E_n (x) F_n with E_n = k^n e^n, F_n = k^{-n} f^n is
-    closed under multiplication, (E_m (x) F_m)(E_n (x) F_n)
-    = q^{-2mn} E_{m+n} (x) F_{m+n}, so the inverse is a triangular
-    recursion against the expansion of Theta in the same basis."""
-    # Theta in the E_n (x) F_n basis: (ke)^n = q^{-n(n-1)/2} k^n e^n and
-    # the same factor for (k^{-1}f)^n
-    chat = [theta_coefficient(n) * _QPOW(-n * (n - 1)) for n in range(nmax + 1)]
-    d = [ONE]
-    for n in range(1, nmax + 1):
-        s = ZERO
-        for m in range(n):
-            s = s + chat[n - m] * d[m] * _QPOW(-2 * m * (n - m))
-        d.append(-s)
+    The products X_n = k^n e^n (x) k^{-n} f^n multiply as X_m X_n =
+    q^{-2mn} X_{m+n}, so z_n = q^{-n^2} X_n is the n-th power of z_1.
+    In z_1, Theta is the q-exponential sum_n q^{n(n-1)/2} (w z_1)^n / [n]!
+    with w = q - q^{-1}, and its inverse is the q^{-1}-exponential of
+    -w z_1, which reads d_n = (-1)^n q^{-2n(n-1)} c_n."""
+    d = []
+    for n in range(nmax + 1):
+        s = theta_coefficient(n) * _QPOW(-2 * n * (n - 1))
+        d.append(-s if n % 2 else s)
     return d
 
 

@@ -171,35 +171,25 @@ def tensor(x, y):
                       for m2, s2 in y.terms.items()})
 
 
-_DELTA_E_POW = {0: TensorUEA({((0, 0, 0), (0, 0, 0)): ONE})}
-_DELTA_F_POW = {0: TensorUEA({((0, 0, 0), (0, 0, 0)): ONE})}
 _DELTA_E = TensorUEA({((0, 0, 1), (0, 1, 0)): ONE, ((0, -1, 0), (0, 0, 1)): ONE})
 _DELTA_F = TensorUEA({((1, 0, 0), (0, 1, 0)): ONE, ((0, -1, 0), (1, 0, 0)): ONE})
 _DELTA_MONO = {}
 
 
 def _delta_mono(m):
+    """D(f^a k^b e^c), memoised per monomial: D(f) D(f^{a-1} k^b e^c),
+    or D(k^b e^{c-1}) D(e) when a = 0, down to D(k^b) = k^b (x) k^b."""
     cached = _DELTA_MONO.get(m)
-    if cached is not None:
-        return cached
-    a, b, c = m
-    if a not in _DELTA_F_POW:
-        _DELTA_F_POW[a] = _delta_power(_DELTA_F_POW, _DELTA_F, a)
-    if c not in _DELTA_E_POW:
-        _DELTA_E_POW[c] = _delta_power(_DELTA_E_POW, _DELTA_E, c)
-    kk = TensorUEA({((0, b, 0), (0, b, 0)): ONE})
-    out = _DELTA_F_POW[a] * kk * _DELTA_E_POW[c]
-    _DELTA_MONO[m] = out
-    return out
-
-
-def _delta_power(memo, base, n):
-    top = max(i for i in memo if i <= n)
-    acc = memo[top]
-    for i in range(top + 1, n + 1):
-        acc = acc * base
-        memo[i] = acc
-    return memo[n]
+    if cached is None:
+        a, b, c = m
+        if a:
+            cached = _DELTA_F * _delta_mono((a - 1, b, c))
+        elif c:
+            cached = _delta_mono((0, b, c - 1)) * _DELTA_E
+        else:
+            cached = TensorUEA({((0, b, 0), (0, b, 0)): ONE})
+        _DELTA_MONO[m] = cached
+    return cached
 
 
 def coproduct(x):
@@ -228,22 +218,20 @@ def iterated_coproduct(x, legs):
 # antipode and star
 
 _ANTIPODE_MEMO = {}
-_ANTIPODE_INV_MEMO = {}
 
 
-def _antipode_mono(m, inverse=False):
-    memo = _ANTIPODE_INV_MEMO if inverse else _ANTIPODE_MEMO
-    cached = memo.get(m)
+def _antipode_mono(m):
+    cached = _ANTIPODE_MEMO.get(m)
     if cached is not None:
         return cached
     a, b, c = m
     # S is an anti-homomorphism: S(f^a k^b e^c) = S(e)^c S(k)^b S(f)^a
-    # with S(e) = -q e, S(f) = -q^{-1} f (S^{-1}: -q^{-1} e, -q f).
-    sgn = _QPOW(c - a) if not inverse else _QPOW(a - c)
+    # with S(e) = -q e, S(f) = -q^{-1} f.
+    sgn = _QPOW(c - a)
     if (a + c) % 2:
         sgn = -sgn
     out = (monomial(0, 0, c) * monomial(0, -b, 0) * monomial(a, 0, 0)).scale(sgn)
-    memo[m] = out
+    _ANTIPODE_MEMO[m] = out
     return out
 
 
@@ -255,10 +243,8 @@ def antipode(x):
 
 
 def antipode_inv(x):
-    acc = UEAElement()
-    for m, s in x.terms.items():
-        acc = acc + _antipode_mono(m, inverse=True).scale(s)
-    return acc
+    """S^{-1} = * S *, as in any Hopf *-algebra: S(S(x*)*) = x."""
+    return star(antipode(star(x)))
 
 
 def star(x):

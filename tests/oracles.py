@@ -530,6 +530,159 @@ def universal_R(m1, m2):
 
 
 # ----------------------------------------------------------------------
+# the Theta^{-1} coefficients, before they were read off the
+# q-exponential: the oracle of repmod.theta_inverse_coefficients
+
+
+def theta_inverse_coefficients(nmax):
+    """d_0..d_nmax with Theta^{-1} = sum_n d_n (k^n e^n) (x) (k^{-n} f^n).
+
+    The span of E_n (x) F_n with E_n = k^n e^n, F_n = k^{-n} f^n is
+    closed under multiplication, (E_m (x) F_m)(E_n (x) F_n)
+    = q^{-2mn} E_{m+n} (x) F_{m+n}, so the inverse is a triangular
+    recursion against the expansion of Theta in the same basis."""
+    # Theta in the E_n (x) F_n basis: (ke)^n = q^{-n(n-1)/2} k^n e^n and
+    # the same factor for (k^{-1}f)^n
+    chat = [repmod.theta_coefficient(n) * Scalar.q_power(-n * (n - 1))
+            for n in range(nmax + 1)]
+    d = [ONE]
+    for n in range(1, nmax + 1):
+        s = ZERO
+        for m in range(n):
+            s = s + chat[n - m] * d[m] * Scalar.q_power(-2 * m * (n - m))
+        d.append(-s)
+    return d
+
+
+# ----------------------------------------------------------------------
+# the antipode and star blocks of T_q, before they were read off the
+# Peter-Weyl formulas: one pairing system per level and diagonal class,
+# inverted and cached, solved against the pairings with S x and (S x)*.
+# The oracle of coeff.Algebra._block
+
+
+class SolvedBlocks:
+    """{(i, j): image of t_ij} per level, solved through the pairing."""
+
+    def __init__(self):
+        self._class_inv = {}
+        self._blocks = {}
+
+    def _act_entry(self, n, mono, i, j):
+        return repmod.irrep(n).act(uea.monomial(*mono))[i, j]
+
+    def _class_solver(self, n, d):
+        """Cached inverse of the square pairing system of block n,
+        class d (Vandermonde-like in the k-exponent)."""
+        cached = self._class_inv.get((n, d))
+        if cached is None:
+            pairs = [(max(d, 0) + t, max(-d, 0) + t) for t in range(n - abs(d) + 1)]
+            monos = [(max(d, 0), b, max(-d, 0)) for b in range(n - abs(d) + 1)]
+            m = Matrix.sparse(len(monos), len(pairs), {
+                (r, c): self._act_entry(n, mono, i, j)
+                for r, mono in enumerate(monos)
+                for c, (i, j) in enumerate(pairs)})
+            cached = (pairs, monos, m.inverse())
+            self._class_inv[(n, d)] = cached
+        return cached
+
+    def _solve_in_class(self, n, d, value_fn):
+        """The unique level-n class-d combination of t's with the given
+        pairings against the class monomial family."""
+        pairs, monos, inv = self._class_solver(n, d)
+        vals = [value_fn(mono) for mono in monos]
+        coeffs = inv.apply(vals)
+        return {(n, i, j): c for (i, j), c in zip(pairs, coeffs) if c}
+
+    def block(self, n, star):
+        """{(i, j): image of t_ij} at level n under the antipode, or
+        under the star when star is set; both keep the level.
+        S(t_ij)(x) = t_ij(S x) lies in the class i - j of t_ij, and
+        t_ij*(x) = conj t_ij((S x)*) in the class j - i, since (S mono)*
+        reverses the class; conjugation fixes Scalars."""
+        block = self._blocks.get((n, star))
+        if block is None:
+            mod = repmod.irrep(n)
+
+            def value(mono, i, j):
+                x = uea.antipode(uea.monomial(*mono))
+                if star:
+                    return mod.act(uea.star(x))[i, j].conj()
+                return mod.act(x)[i, j]
+
+            block = {}
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    block[(i, j)] = coeff.CoeffElement(self._solve_in_class(
+                        n, j - i if star else i - j,
+                        lambda mono, i=i, j=j: value(mono, i, j)))
+            self._blocks[(n, star)] = block
+        return block
+
+
+# ----------------------------------------------------------------------
+# S^{-1} and the coproduct of U_q, before S^{-1} became * S * and the
+# coproduct of a monomial a product with D(f) or D(e) off its memo: the
+# oracles of uea.antipode_inv and uea._delta_mono
+
+_ANTIPODE_INV_MEMO = {}
+
+
+def _antipode_inv_mono(m):
+    cached = _ANTIPODE_INV_MEMO.get(m)
+    if cached is not None:
+        return cached
+    a, b, c = m
+    # S^{-1} is an anti-homomorphism: S^{-1}(f^a k^b e^c)
+    # = S^{-1}(e)^c S^{-1}(k)^b S^{-1}(f)^a with S^{-1}(e) = -q^{-1} e,
+    # S^{-1}(f) = -q f
+    sgn = Scalar.q_power(a - c)
+    if (a + c) % 2:
+        sgn = -sgn
+    out = (uea.monomial(0, 0, c) * uea.monomial(0, -b, 0)
+           * uea.monomial(a, 0, 0)).scale(sgn)
+    _ANTIPODE_INV_MEMO[m] = out
+    return out
+
+
+def antipode_inv(x):
+    acc = uea.UEAElement()
+    for m, s in x.terms.items():
+        acc = acc + _antipode_inv_mono(m).scale(s)
+    return acc
+
+
+_DELTA_E_POW = {0: uea.TensorUEA({((0, 0, 0), (0, 0, 0)): ONE})}
+_DELTA_F_POW = {0: uea.TensorUEA({((0, 0, 0), (0, 0, 0)): ONE})}
+_DELTA_MONO = {}
+
+
+def delta_mono(m):
+    """D(f^a k^b e^c) = D(f)^a (k^b (x) k^b) D(e)^c, the powers memoised."""
+    cached = _DELTA_MONO.get(m)
+    if cached is not None:
+        return cached
+    a, b, c = m
+    if a not in _DELTA_F_POW:
+        _DELTA_F_POW[a] = _delta_power(_DELTA_F_POW, uea._DELTA_F, a)
+    if c not in _DELTA_E_POW:
+        _DELTA_E_POW[c] = _delta_power(_DELTA_E_POW, uea._DELTA_E, c)
+    kk = uea.TensorUEA({((0, b, 0), (0, b, 0)): ONE})
+    out = _DELTA_F_POW[a] * kk * _DELTA_E_POW[c]
+    _DELTA_MONO[m] = out
+    return out
+
+
+def _delta_power(memo, base, n):
+    top = max(i for i in memo if i <= n)
+    acc = memo[top]
+    for i in range(top + 1, n + 1):
+        acc = acc * base
+        memo[i] = acc
+    return memo[n]
+
+
+# ----------------------------------------------------------------------
 # the dense polynomial kernel of scalars, before polynomials became flat
 # tuples of nonzero terms: tuples of ints, index = degree, no trailing
 # zeros, () the zero polynomial.  The oracle of the flat kernel.

@@ -83,6 +83,13 @@ def test_higher_representation_calculus_data():
     assert data.K == 9
     assert data.nondegenerate
     assert sorted(data.module.weights) == [-4, -2, -2, 0, 0, 0, 2, 2, 4]
+    # on V_3 the corepresentation check of L- reads d_2 and d_3 of the
+    # Theta^{-1} series, which the default calculus does not
+    data = calculus.from_rep(repmod.irrep(3))
+    assert data.K == 16
+    assert data.nondegenerate
+    assert sorted(data.module.weights) == [-6, -4, -4, -2, -2, -2, 0, 0, 0,
+                                           0, 2, 2, 2, 4, 4, 6]
 
 
 def test_trivial_representation_is_degenerate():

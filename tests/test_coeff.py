@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from qhvb.scalars import (Scalar, Matrix, ZERO, ONE, eval_at, NoSolution,
-                          Tensor, Span)
+                          Tensor, Span, Echelon)
 from qhvb import uea, repmod, coeff
 import oracles
 
@@ -161,7 +161,7 @@ def test_level_overflow():
 @pytest.mark.parametrize("operation", ["antipode", "star"])
 def test_antipode_and_star_respect_the_window(operation):
     # both keep the level, so a level beyond the window overflows before
-    # the level-12 block is solved; the level at the window still solves
+    # the level-12 block is built; the level at the window still builds
     a = coeff.Algebra(10)
     apply = getattr(a, operation)
     with pytest.raises(coeff.LevelOverflow) as exc:
@@ -170,6 +170,34 @@ def test_antipode_and_star_respect_the_window(operation):
                               "coefficient window 10")
     assert (12, operation == "star") not in a._blocks
     assert not apply(coeff.basis_element(2, 0, 1)).is_zero()
+
+
+def test_antipode_and_star_match_the_class_solve():
+    # the Peter-Weyl formulas against the pairing solve they replace,
+    # on every basis element of the default window
+    a = coeff.Algebra(10)
+    solved = oracles.SolvedBlocks()
+    for n in range(11):
+        for star, apply in ((False, a.antipode), (True, a.star)):
+            block = solved.block(n, star)
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    assert apply(coeff.basis_element(n, i, j)) == block[(i, j)]
+
+
+def test_antipode_and_star_solve_nothing(monkeypatch):
+    # the blocks are read off the formulas: no inverse and no
+    # elimination, on a cold window
+    calls = []
+    for cls, name in ((Matrix, "inverse"), (Echelon, "add")):
+        fn = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *args, fn=fn, name=name:
+                            calls.append(name) or fn(self, *args))
+    a = coeff.Algebra(10)
+    for n in range(11):
+        for star in (False, True):
+            assert len(a._block(n, star)) == (n + 1) ** 2
+    assert calls == []
 
 
 def test_coproduct_counit_axioms():
@@ -260,7 +288,7 @@ def test_antipode_block_and_axiom():
             for j in range(n + 1):
                 f = coeff.basis_element(n, i, j)
                 sf = a.antipode(f)
-                # defining property on monomials not used by the solver
+                # defining property <S f, x> = <f, S x> on sample monomials
                 for mono in monos:
                     x = uea.monomial(*mono)
                     assert a.eval(sf, x) == a.eval(f, uea.antipode(x))

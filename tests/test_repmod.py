@@ -283,8 +283,15 @@ def test_r_matrix_classical_limit_is_identity():
             assert eval_at(bmat[i, j], 1) == eval_at(fmat[i, j], 1)
 
 
+def test_theta_inverse_matches_the_recursion():
+    # the closed form d_n = (-1)^n q^{-2n(n-1)} c_n against the
+    # triangular recursion it replaces
+    assert repmod.theta_inverse_coefficients(10) == (
+        oracles.theta_inverse_coefficients(10))
+
+
 def test_theta_inverse_series():
-    # the triangular recursion inverts Theta in the PBW tensor basis:
+    # the closed form inverts Theta in the PBW tensor basis:
     # check it as U (x) U elements through matrices on V3 (x) V3
     m = repmod.irrep(3)
     dim = m.dim * m.dim

@@ -12,6 +12,7 @@ import random
 from qhvb import uea
 from qhvb.scalars import Scalar, ZERO, ONE, qint, eval_at
 
+import oracles
 from oracles import pairs
 
 Q = Scalar.q_power
@@ -225,6 +226,15 @@ def test_star_structure():
         assert lhs == rhs
         # S o * is an involution
         assert uea.antipode(uea.star(uea.antipode(uea.star(x)))) == x
+
+
+def test_antipode_inv_and_coproduct_match_their_oracles():
+    # S^{-1} = * S * and the coproduct off one memo, against the
+    # generator-by-generator S^{-1} and the memoised powers of D(f), D(e)
+    for m in uea.pbw_monomials(6):
+        x = uea.monomial(*m)
+        assert uea.antipode_inv(x) == oracles.antipode_inv(x)
+        assert uea.coproduct(x) == oracles.delta_mono(m)
 
 
 def test_counit_of_antipode_and_star():
