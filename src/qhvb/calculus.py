@@ -567,9 +567,9 @@ def _signed_power_eigenspaces(m):
     an eigenvalue, its eigenspace that kernel.  Eigenspaces of distinct
     eigenvalues are independent, so they span exactly when m is such a
     matrix; otherwise SplitError.  A candidate whose shift has full rank
-    mod p (scalars.rank_lower_bound, a lower bound of the rank over Q(u),
-    as in coeff.PairingTable) has no eigenvector, without an exact
-    elimination."""
+    mod p, by the rank of an Echelon over F_p (scalars.rank_lower_bound, a
+    lower bound of the rank over Q(u), as in coeff.PairingTable), has no
+    eigenvector, without an exact elimination."""
     r = m.rows
     eigen = []
     spanned = 0

@@ -24,8 +24,8 @@ formulas of Klimyk and Schmuedgen (1997); see Algebra._block.
 The pairing respects the "diagonal class" d = i - j: t^{(n)}_{ij}
 pairs nonzero with the PBW monomial f^a k^b e^c only when a - c =
 i - j.  The nondegeneracy certificate (PairingTable) is therefore a
-per-class column rank computation, certified by specialization mod p
-(scalars.rank_lower_bound) with the exact rank over Q(u) as its
+per-class column rank computation, certified by the rank of an Echelon
+over F_p (scalars.rank_lower_bound) with the exact rank over Q(u) as its
 fallback.
 """
 
@@ -125,11 +125,11 @@ class PairingTable:
     evaluation separates the basis (full column rank per class, each
     rank computed once).
 
-    A class whose specialization mod p (scalars.rank_lower_bound) has
-    full column rank records the column count: that rank is exact, since
-    the rank over Q(u) is at least the rank mod p, and no Q(u)
-    elimination runs.  Any other class, rank deficient or not certified
-    at that point, records the exact Matrix.rank."""
+    A class whose rank mod p, the rank of an Echelon over F_p
+    (scalars.rank_lower_bound), is its column count records that count:
+    the rank over Q(u) is at least the rank mod p, so it is exact, and no
+    Q(u) elimination runs.  Any other class, rank deficient or not
+    certified at that point, records the exact Matrix.rank."""
 
     def __init__(self, N):
         self.N = N

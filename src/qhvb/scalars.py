@@ -61,19 +61,18 @@ into such a dict, and `add_row` a whole row of products into an
 unreduced sum.  `Span` gives the rank of a family of sparse vectors and
 the coordinates of a vector in it (NoSolution outside), through an
 `Echelon` whose rows carry tags that record which inputs they combine.
-`Echelon` is the only elimination: a `Matrix` reads its rank, rref and
-kernel off an `Echelon` of its rows and solves through a `Span` of its
-columns.
+`Echelon` is the only elimination, over Q(u) and over F_p: a `Matrix`
+reads its rank, rref and kernel off an `Echelon` of its rows and solves
+through a `Span` of its columns.
 
-Ranks by specialization.  `rank_lower_bound` maps a matrix to F_p by
-u -> U0 (p = PRIME) and eliminates there, on machine-size integers.
-The fractions whose denominator does not vanish at U0 mod p form a local
-ring, and specialization is a ring map from it onto F_p; so a minor that
-is nonzero mod p is the image of a nonzero minor over Q(u), and the rank
-over Q(u) is at least the rank mod p.  When that bound reaches the column
-count it certifies full column rank exactly, with no Q(u) elimination;
-any other outcome says nothing, and the caller falls back to the exact
-rank.  A denominator that vanishes at U0 mod p gives no bound at all.
+Ranks by specialization.  `rank_lower_bound` is the rank of an `Echelon`
+over F_p (of `Fp`) of a matrix under u -> U0, p = PRIME.  The fractions
+whose denominator does not vanish at U0 mod p form a local ring, and
+specialization is a ring map from it onto F_p; so a nonzero minor mod p
+comes from a nonzero minor over Q(u), and the rank over Q(u) is at least
+the rank mod p.  At the column count the bound certifies full column
+rank with no Q(u) elimination; below it, or at a pole mod p, it says
+nothing, and the caller takes the exact rank.
 
 There is no floating point anywhere; specialization at a rational point
 goes through fractions.Fraction.
@@ -611,42 +610,45 @@ PRIME = 2 ** 61 - 1
 U0 = 1000003
 
 
+class Fp:
+    """An element of F_p, p = PRIME, with the -, *, / and truth that an
+    Echelon uses; not an int, so a missing operation raises."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value % PRIME
+
+    def __bool__(self):
+        return self.value != 0
+
+    def __sub__(self, other):
+        return Fp(self.value - other.value)
+
+    def __mul__(self, other):
+        return Fp(self.value * other.value)
+
+    def __truediv__(self, other):
+        return Fp(self.value * pow(other.value, -1, PRIME))
+
+
 def _peval_mod(a):
     return sum(c * pow(U0, e, PRIME)
                for e, c in zip(a[::2], a[1::2])) % PRIME
 
 
 def rank_lower_bound(m):
-    """The rank over F_p of the Matrix m specialized at u = U0 mod
-    p = PRIME, found by sparse forward elimination; None when some
-    denominator vanishes there.  The rank over Q(u) is at least this
-    (see the module docstring), so a bound equal to the column count
-    certifies full column rank."""
-    specialized = {}
+    """The rank of an Echelon over F_p of the Matrix m at u = U0 mod
+    p = PRIME; None when some denominator vanishes there.  The rank over
+    Q(u) is at least this (see the module docstring), so a bound equal to
+    the column count certifies full column rank."""
+    rows = {}
     for (i, j), x in m.terms.items():
         d = _peval_mod(x.den)
         if not d:
             return None
-        y = _peval_mod(x.num) * pow(d, -1, PRIME) % PRIME
-        if y:
-            specialized.setdefault(i, {})[j] = y
-    pivots = {}  # pivot column -> row with pivot entry 1
-    for v in specialized.values():
-        while v:
-            j = min(v)
-            row = pivots.get(j)
-            if row is None:
-                inv = pow(v[j], -1, PRIME)
-                pivots[j] = {k: y * inv % PRIME for k, y in v.items()}
-                break
-            f = v[j]
-            for k, y in row.items():
-                z = (v.get(k, 0) - f * y) % PRIME
-                if z:
-                    v[k] = z
-                else:
-                    v.pop(k, None)
-    return len(pivots)
+        rows.setdefault(i, {})[j] = Fp(_peval_mod(x.num)) / Fp(d)
+    return Echelon(rows.values(), Fp(1)).rank
 
 
 # ----------------------------------------------------------------------
@@ -655,14 +657,15 @@ def rank_lower_bound(m):
 
 class Echelon:
     """An incrementally built reduced echelon basis for a span of sparse
-    vectors.  Vectors are dicts mapping hashable, mutually comparable
-    column keys to Scalars; the pivot of a row is its smallest key.  Rows
-    are kept fully inter-reduced with pivot coefficient 1, so reduction
-    against the span is canonical: with integer keys 0..n-1 the rows
-    are the reduced row echelon form of the vectors added."""
+    vectors over the field whose unit is `one`.  Vectors are dicts mapping
+    hashable, mutually comparable column keys to field elements; the pivot
+    of a row is its smallest key.  Rows are kept fully inter-reduced with
+    pivot coefficient 1, so reduction against the span is canonical: with
+    integer keys 0..n-1 the rows are the reduced row echelon form."""
 
-    def __init__(self, vectors=()):
-        self.rows = {}  # pivot key -> {key: Scalar}
+    def __init__(self, vectors=(), one=ONE):
+        self.rows = {}  # pivot key -> {key: field element}
+        self.one, self.zero = one, one - one
         for vec in vectors:
             self.add(vec)
 
@@ -674,16 +677,13 @@ class Echelon:
         """Canonical representative of vec modulo the span (a new dict)."""
         v = {k: s for k, s in vec.items() if s}
         for key in sorted(v):
-            if key not in v:
-                continue
+            # no row has an entry in another's pivot column: v keeps its pivots
             row = self.rows.get(key)
             if row is None:
                 continue
-            f = v.get(key)
-            if not f:
-                continue
+            f = v[key]
             for k2, s2 in row.items():
-                nv = v.get(k2, ZERO) - f * s2
+                nv = v.get(k2, self.zero) - f * s2
                 if nv:
                     v[k2] = nv
                 elif k2 in v:
@@ -697,13 +697,13 @@ class Echelon:
         if not v:
             return v
         pivot = min(v)
-        inv = ONE / v[pivot]
+        inv = self.one / v[pivot]
         row = {k: inv * s for k, s in v.items()}
         for pk, r in self.rows.items():
             f = r.get(pivot)
             if f:
                 for k2, s2 in row.items():
-                    nv = r.get(k2, ZERO) - f * s2
+                    nv = r.get(k2, self.zero) - f * s2
                     if nv:
                         r[k2] = nv
                     elif k2 in r:
@@ -713,8 +713,8 @@ class Echelon:
 
     def kernel(self, n):
         """Basis of the right kernel of the rows over the columns 0..n-1,
-        as column vectors: free column fc gives fc -> 1 and each pivot
-        column pc -> -row_pc[fc]."""
+        as column vectors of Scalars (an Echelon over Q(u) only): free
+        column fc gives fc -> 1 and each pivot column pc -> -row_pc[fc]."""
         basis = []
         for fc in range(n):
             if fc in self.rows:

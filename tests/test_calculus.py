@@ -338,6 +338,32 @@ def test_exterior_ideal_is_one_echelon_per_degree():
     assert normal == [CALC.omega_dims(n) for n in range(6)] == [1, 4, 6, 4, 1, 0]
 
 
+def test_exterior_ideal_has_the_exact_pivots_mod_p():
+    # the generators of E_n, sum_ab k_ab NF(u a) b as _j_echelon builds
+    # them, specialized at u = U0 span an Echelon over F_p with the
+    # pivots of the exact E_n, so its normal words count the dims golden
+    def mod_p(x):
+        return (scalars.Fp(scalars._peval_mod(x.num))
+                / scalars.Fp(scalars._peval_mod(x.den)))
+
+    normal = {1: CALC._normal_words(1)}
+    for n in range(2, 6):
+        ech = scalars.Echelon((), scalars.Fp(1))
+        kernel = (CALC._kernel_vectors() if n == 2
+                  else CALC._j_echelon(2).rows.values())
+        for kv in kernel:
+            for u in CALC._normal_words(n - 2):
+                vec = {}
+                for (a, b), s in kv.items():
+                    for w, t in CALC._normal_form(u + (a,)).items():
+                        accumulate(vec, w + (b,), s * t)
+                ech.add({w: mod_p(s) for w, s in vec.items()})
+        assert ech.rows.keys() == CALC._j_echelon(n).rows.keys()
+        normal[n] = [w + (a,) for w in normal[n - 1] for a in range(DATA.K)
+                     if w + (a,) not in ech.rows]
+    assert [1] + [len(normal[n]) for n in range(1, 6)] == [1, 4, 6, 4, 1, 0]
+
+
 def test_normal_forms_match_the_word_space_oracle():
     # the recursion over degrees gives each of the 1,365 words of degree
     # at most 5 the normal form of one elimination over all K^n words,

@@ -10,7 +10,9 @@ that name, alone or as an attribute.
 No module of the package but scalars touches the polynomial fields
 `num` and `den` of a Scalar or the row grouping `_by_row` that a Matrix
 caches, and no module changes the `terms` of a LinComb in place: the
-cached grouping would no longer match them."""
+cached grouping would no longer match them.  No module but scalars reads
+the prime `PRIME`, and no code outside the class `Fp` takes a modular
+inverse."""
 
 import ast
 from pathlib import Path
@@ -169,6 +171,60 @@ def test_only_scalars_reads_the_polynomial_layout():
         reads = layout_reads(path.read_text())
         if reads and path.name != "scalars.py":
             found[path.name] = reads
+    assert found == {}
+
+
+# arithmetic mod p lives in scalars: no other module reads the prime, and
+# the one modular inverse is the division of Fp, so a second elimination
+# over F_p has nothing to build on
+def modular_uses(source):
+    """(line, use) of every import or read of PRIME in source, as a name
+    or an attribute, and of every modular inverse pow(_, -1, _) outside
+    the class Fp."""
+    found = []
+
+    def visit(node, in_fp):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom):
+                found.extend((child.lineno, "PRIME") for a in child.names
+                             if a.name == "PRIME")
+            elif (isinstance(child, ast.Name) and child.id == "PRIME"
+                  or isinstance(child, ast.Attribute)
+                  and child.attr == "PRIME"):
+                found.append((child.lineno, "PRIME"))
+            elif (not in_fp and isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Name)
+                  and child.func.id == "pow" and len(child.args) == 3
+                  and ast.unparse(child.args[1]) == "-1"):
+                found.append((child.lineno, "pow"))
+            visit(child, in_fp or isinstance(child, ast.ClassDef)
+                  and child.name == "Fp")
+
+    visit(ast.parse(source), False)
+    return sorted(found)
+
+
+def test_the_modular_scan_sees_the_prime_and_inverses():
+    source = ("from .scalars import PRIME as P\n"
+              "x = y % scalars.PRIME\n"
+              "class Fp:\n"
+              "    def __truediv__(self, other):\n"
+              "        return pow(other.value, -1, PRIME)\n"
+              "inv = pow(a, -1, p)\n"
+              "power = pow(a, 2, p)\n"
+              "def f(a, p):\n"
+              "    return pow(a, -1, p)\n")
+    assert modular_uses(source) == [
+        (1, "PRIME"), (2, "PRIME"), (5, "PRIME"), (6, "pow"), (9, "pow")]
+
+
+def test_only_scalars_does_arithmetic_mod_p():
+    found = {}
+    for path in sorted((ROOT / "src" / "qhvb").glob("*.py")):
+        uses = [(line, use) for line, use in modular_uses(path.read_text())
+                if path.name != "scalars.py" or use != "PRIME"]
+        if uses:
+            found[path.name] = uses
     assert found == {}
 
 

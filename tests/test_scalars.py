@@ -1225,7 +1225,8 @@ def rank_problems(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rank_problems())
+@given(st.one_of(rank_problems(),
+                 elimination_problems().map(lambda p: Matrix(p[0]))))
 def test_rank_lower_bound_is_a_lower_bound(m):
     bound = sc.rank_lower_bound(m)
     if any(_vanishes_mod_p(x.den) for x in m.terms.values()):
@@ -1257,6 +1258,30 @@ def test_rank_lower_bound_over_integer_contents_and_zero_rows():
     assert sc.rank_lower_bound(Matrix([], 2)) == 0
     m[3] = [ONE, Scalar(1, 3)]
     assert Matrix(m).rank() == sc.rank_lower_bound(Matrix(m)) == 2
+
+
+def test_rank_lower_bound_stays_in_the_prime_field(monkeypatch):
+    # the rows of the Echelon over F_p hold Fp values in 0..p-1 only, and
+    # no Scalar arithmetic runs: a ZERO, ONE or bare int in the F_p path
+    # raises or shows here
+    m = coeff.PairingTable(4).matrix[0]
+    built = []
+
+    class Recorded(Echelon):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sc, "Echelon", Recorded)
+    gcds = []
+    pgcd = sc._pgcd
+    monkeypatch.setattr(sc, "_pgcd", lambda a, b: gcds.append(1) or pgcd(a, b))
+    assert sc.rank_lower_bound(m) == m.cols
+    ech, = built
+    entries = [x for row in ech.rows.values() for x in row.values()]
+    assert len(entries) >= m.cols
+    assert all(type(x) is sc.Fp and 0 <= x.value < sc.PRIME for x in entries)
+    assert gcds == []
 
 
 def test_rank_lower_bound_gives_none_at_a_pole():
