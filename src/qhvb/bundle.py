@@ -117,7 +117,7 @@ def sections_basis(algebra, lmodule, N):
     t[n;i,j] by u^{2(n-2j)} and S(k) on a line of weight m by u^{-2m},
     so the sections are the coefficients t[n;i,j] of the line r with
     j = (n+m_r)/2 when that is an admissible integer: (n+1) per matching
-    line and level, in the order n, r, i.  The constraint solve of
+    line and level (sections_count), in the order n, r, i.  The constraint solve of
     tests/oracles.py is the oracle.  LevelOverflow when N is beyond the
     coefficient window."""
     if N > algebra.n_max:
@@ -131,6 +131,13 @@ def sections_basis(algebra, lmodule, N):
                 out.extend(Section(algebra, lmodule, {(r, (n, i, int(j))): ONE})
                            for i in range(n + 1))
     return out
+
+
+def sections_count(weights, N):
+    """The weight-multiplicity count of the sections up to level N: a
+    line of weight m has n + 1 at each level |m| <= n <= N, n = m mod 2."""
+    return sum(n + 1 for m in weights for n in range(N + 1)
+               if n >= abs(m) and (n - m) % 2 == 0)
 
 
 class Completion:
@@ -230,9 +237,9 @@ class BundleIdempotent:
     """The composite e = im . wp on W (x) (E_q up to level N), stored
     columnwise on the product basis w_beta (x) f.  e^2 = e is certified
     by applying e to each column image; the rank is compared with
-    sections_dim, the sum over the weight lines m of their sections up to
-    level N + |m|.  matched_level is N + |m| when every line has the
-    same |m|, and None otherwise."""
+    sections_dim, the sum over the weight lines m of their sections_count
+    up to level N + |m|.  matched_level is N + |m| when every line has
+    the same |m|, and None otherwise."""
 
     def __init__(self, algebra, lmodule, N):
         self.algebra = algebra
@@ -243,17 +250,8 @@ class BundleIdempotent:
         # domain alone has dim_w times |E_q| pairs
         for n in self.completion.blocks:
             algebra.check_window(n)
-        # the sections of each weight line m up to a level, built once
-        # per (m, level): E_q up to level N is the trivial line's
-        lines = {}
-
-        def line_sections(m, level):
-            if (m, level) not in lines:
-                lines[(m, level)] = sections_basis(algebra, LModule([m]),
-                                                   level)
-            return lines[(m, level)]
-
-        inv = [s.coords[0] for s in line_sections(0, N)]
+        # E_q up to level N: the sections of the trivial line
+        inv = [s.coords[0] for s in sections_basis(algebra, LModule([0]), N)]
         self.domain = [(beta, f) for beta in range(self.completion.dim_w)
                        for f in inv]
         self.columns = []
@@ -269,7 +267,7 @@ class BundleIdempotent:
         levels = set(self.completion.blocks)
         self.matched_level = N + max(levels) if len(levels) == 1 else None
         self.sections_dim = sum(
-            len(line_sections(m, N + level))
+            sections_count([m], N + level)
             for m, level in zip(lmodule.weights, self.completion.blocks))
 
     def apply(self, element):

@@ -59,10 +59,11 @@ SUITES = ("hopf", "pairing", "actions", "haar", "idempotent", "projection",
 _FAILURES = (AssertionError, NoSolution, calculus.AxiomViolation,
              calculus.SplitError, connection.NotLinear)
 
-# the largest form word space, K^degree words over K = (irrep + 1)^2
-# letters, that `dims`, `connection` and the suites of `verify` may
-# build: 4^5, the degree-5 space of `dims` at irrep = 1 (larger spaces
-# ran for minutes with no output)
+# a bound on K^degree, K = (irrep + 1)^2 letters, for the forms that
+# `dims`, `connection` and the suites of `verify` reach.  No K^n word
+# space is built; what the cap guards is the exact elimination of the
+# exterior ideal E_n (Calculus._j_echelon), which at irrep = 2 did not
+# finish degree 4 in 7 minutes.  4^5 admits `dims` at irrep = 1
 WORD_SPACE_CAP = 1024
 
 # the degree of the largest forms each verify suite builds, given K:
@@ -211,90 +212,92 @@ def build_config(file_data, seed=None, suites=None):
 
 
 # ----------------------------------------------------------------------
-# shared objects: what the seed cannot change is built once per process,
-# the rest once per run (a skip replays on reuse)
+# shared objects: the seed changes none, so each is built once per
+# process (a skip replays on reuse)
 
 # coefficient window -> (its coeff.Algebra, {key: object or skip} of the
-# seed-free workspace objects), read by every workspace of the process
+# workspace objects), read by every workspace of the process
 _SHARED = {}
 
 
 class _Workspace:
-    """The objects the suites of one run share.  The Algebra, the bundle
-    idempotents, the invariants, the projection suite's sections and the
-    Borel-Weil suite's holomorphic sections are fixed by the window and
-    the weights, not by the seed, so they live in the process-wide memo
-    of the window; the calculus and connection objects, whose caches
-    stderr reports per run, live in this run's memo.  A failing
-    certificate raises and is memoised in neither."""
+    """The objects the suites of one run share, read from the memo of
+    the window under a key that names their other inputs: idempotents,
+    invariants and section bases, the Calculus and its restriction, and
+    the tensored section spaces with nabla0 and its curvature.  A
+    failing certificate raises and is memoised nowhere."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         window = cfg.coefficient_window
         if window not in _SHARED:
             _SHARED[window] = (coeff.Algebra(window), {})
-        self.algebra, self._shared = _SHARED[window]
-        self._cache = {}
+        self.algebra, self._memo = _SHARED[window]
 
-    def _get(self, key, builder, memo=None):
-        memo = self._cache if memo is None else memo
-        if key in memo:
-            value = memo[key]
+    def _get(self, key, builder):
+        if key in self._memo:
+            value = self._memo[key]
             if isinstance(value, Exception):
                 raise value
             return value
         try:
             value = builder()
         except _SKIPS as e:
-            memo[key] = e
+            self._memo[key] = e
             raise
-        memo[key] = value
+        self._memo[key] = value
         return value
 
     def calc(self):
-        return self._get("calc", lambda: calculus.Calculus(
-            self.algebra, calculus.from_rep(repmod.irrep(self.cfg.irrep))))
+        irrep = self.cfg.irrep
+        return self._get(("calc", irrep), lambda: calculus.Calculus(
+            self.algebra, calculus.from_rep(repmod.irrep(irrep))))
 
     def restriction(self):
-        return self._get("restriction", lambda: self.calc().restrict(3))
+        return self._get(("restriction", self.cfg.irrep),
+                         lambda: self.calc().restrict(3))
 
-    def tss(self):
-        # a weight-m line has sections from level |m| on, so every line
-        # has one at level max |m|
-        level = max(abs(m) for m in self.cfg.weights)
-        return self._get("tss", lambda: connection.TensoredSectionSpace(
-            self.calc(), bundle.LModule(self.cfg.weights), level))
+    def _bundle_key(self, name, weights=None, level=None):
+        # the config's weights at level max |m| by default: a weight-m
+        # line has sections from level |m| on, so every line has one there
+        if weights is None:
+            weights = self.cfg.weights
+            level = max(abs(m) for m in weights)
+        return name, self.cfg.irrep, weights, level
 
-    def conn0(self):
-        return self._get("conn0",
-                         lambda: connection.make_connection(self.tss()))
+    def tss(self, weights=None, level=None):
+        key = self._bundle_key("tss", weights, level)
+        return self._get(key, lambda: connection.TensoredSectionSpace(
+            self.calc(), bundle.LModule(key[2]), key[3]))
 
-    def curvature0(self):
-        return self._get("curvature0",
-                         lambda: connection.CurvatureMap(self.conn0()))
+    def conn0(self, weights=None, level=None):
+        key = self._bundle_key("conn0", weights, level)
+        return self._get(key, lambda: connection.make_connection(
+            self.tss(*key[2:])))
+
+    def curvature0(self, weights=None, level=None):
+        key = self._bundle_key("curvature0", weights, level)
+        return self._get(key, lambda: connection.CurvatureMap(
+            self.conn0(*key[2:])))
 
     def idempotent(self, weights, N):
         return self._get(("idempotent", weights, N),
                          lambda: bundle.idempotent(
-                             self.algebra, bundle.LModule(weights), N),
-                         self._shared)
+                             self.algebra, bundle.LModule(weights), N))
 
     def invariants(self, N):
         return self._get(("invariants", N),
-                         lambda: homspace.invariants(self.algebra, N),
-                         self._shared)
+                         lambda: homspace.invariants(self.algebra, N))
 
     def sections(self, weights, N):
         return self._get(("sections", weights, N),
                          lambda: bundle.sections_basis(
-                             self.algebra, bundle.LModule(weights), N),
-                         self._shared)
+                             self.algebra, bundle.LModule(weights), N))
 
     def holomorphic(self, weights, N):
         return self._get(("holomorphic", weights, N),
                          lambda: bundle.holomorphic_sections(
-                             self.algebra, bundle.LModule(weights), N),
-                         self._shared)
+                             self.algebra, bundle.LModule(weights), N))
 
 
 def _rng(cfg, suite):
@@ -873,13 +876,12 @@ def _suite_curvature(ws, checks):
                    % (failing, failing[0]), *F.bianchi_sides(failing[0]))
 
     def trivial_flat():
-        tt = connection.TensoredSectionSpace(ws.calc(), bundle.LModule([0]), 2)
-        F = connection.CurvatureMap(connection.make_connection(tt))
+        F = ws.curvature0((0,), 2)
         for label, values in (("generator", F.on_generators),
                               ("basis section", F.on_sections)):
             for n, vec in enumerate(values):
                 yield ("trivial line bundle curvature on %s %d" % (label, n),
-                       vec, tt.zero(2))
+                       vec, F.conn.tss.zero(2))
 
     _check(checks, "curvature", "curvature-right-linear",
            "curvature is right-linear over the invariants", right_linear)
@@ -991,14 +993,15 @@ def cmd_verify(cfg, out_path):
              built["sections"] + built["invariants"] + built["holomorphic"],
              sum(len(mod._monos) for mod in repmod._IRREPS.values())),
           file=sys.stderr)
-    calc = ws._cache.get("calc")
+    # the memo entries of this config, built by this run or an earlier one
+    calc = ws._memo.get(("calc", cfg.irrep))
     memos = ((calc._product_tables, calc._d_tables, calc._nf, calc._normal,
               calc._j_ech) if isinstance(calc, calculus.Calculus) else [()] * 5)
     print("calculus table cache: %d product tables, %d d tables"
           % tuple(map(len, memos[:2])), file=sys.stderr)
     print("exterior ideal cache: %d normal forms, %d normal word degrees, "
           "%d echelons" % tuple(map(len, memos[2:])), file=sys.stderr)
-    tss = ws._cache.get("tss")
+    tss = ws._memo.get(ws._bundle_key("tss"))
     rows = tss._rows if isinstance(tss, connection.TensoredSectionSpace) else ()
     print("connection table cache: %d projection rows" % len(rows),
           file=sys.stderr)

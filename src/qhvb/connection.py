@@ -80,10 +80,7 @@ class TensoredSectionSpace:
                     raise AssertionError("idempotent matrix identity fails "
                                          "at (%d, %d)" % (gamma, alpha))
         self.sections = bundle.sections_basis(self.algebra, lmodule, N)
-        # the weight-multiplicity count: a line m has n + 1 sections at
-        # each level n >= |m| with n = m mod 2
-        count = sum(n + 1 for m in lmodule.weights for n in range(N + 1)
-                    if n >= abs(m) and (n - m) % 2 == 0)
+        count = bundle.sections_count(lmodule.weights, N)
         if len(self.sections) != count:
             raise AssertionError("section count up to level %d: %d != "
                                  "weight-multiplicity count %d"

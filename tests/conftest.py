@@ -1,8 +1,8 @@
 """Session fixtures.  `verify_reports` runs `qhvb verify --seed 0` at the
 default config once per benchmark workload and session, so the golden
 comparison and the acceptance criteria read one run.  `cold_tables`
-gives one test an empty process memo of the verifier's seed-free
-tables."""
+gives one test an empty process memo of the verifier's workspace
+objects."""
 
 import json
 
@@ -50,9 +50,11 @@ def verify_reports(tmp_path_factory):
 
 @pytest.fixture
 def cold_tables(monkeypatch):
-    """An empty memo of window algebras and seed-free workspace objects
-    (`cli._SHARED`) for one test: a mutant's run then builds every table
-    it reads instead of reading warm ones, a gate counts work from cold,
+    """An empty memo of window algebras and workspace objects
+    (`cli._SHARED`: the idempotents and section bases, the Calculus and
+    its restriction, the tensored section spaces, nabla0 and its
+    curvature) for one test: a mutant's run then builds every object it
+    reads instead of reading warm ones, a gate counts work from cold,
     and nothing built under a mutant reaches a later test, since the
     warm memo comes back when the test ends.  Returns the empty memo."""
     memo = {}

@@ -43,6 +43,7 @@ def test_sections_dimension_oracle():
         V = bundle.LModule(weights)
         sections = bundle.sections_basis(A, V, 4)
         assert dims_by_level(sections, 4) == expected_section_dims(weights, 4)
+        assert bundle.sections_count(V.weights, 4) == len(sections)
 
 
 @pytest.mark.parametrize("weights", [
@@ -104,17 +105,18 @@ def test_sections_compare_by_weights():
             == bundle.sections_basis(A, bundle.LModule([1, -1]), 3))
 
 
-def test_idempotent_solves_each_line_once(monkeypatch):
-    # at weights 0 0 1 the domain and both weight-0 lines read the
-    # trivial line's sections up to level 3, and the weight-1 line its
-    # sections up to level 4: two calls, where one per use made four
+def test_idempotent_reads_e_q_from_one_sections_call(monkeypatch):
+    # at weights 0 0 1 the domain reads the trivial line's sections up
+    # to level 3, and sections_dim counts the lines (two weight-0 lines
+    # up to level 3, the weight-1 line up to level 4) without a basis:
+    # one call, where a basis per line and level made two
     calls = []
     solve = bundle.sections_basis
     monkeypatch.setattr(bundle, "sections_basis", lambda algebra, V, N:
                         calls.append((V.weights, N)) or solve(algebra, V, N))
     proj = bundle.idempotent(A, bundle.LModule([0, 0, 1]), 3)
-    assert sorted(calls) == [((0,), 3), ((1,), 4)]
-    assert proj.rank == proj.sections_dim
+    assert calls == [((0,), 3)]
+    assert proj.rank == proj.sections_dim == 2 * 4 + 6
 
 
 def test_completion_structure():

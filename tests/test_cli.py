@@ -112,7 +112,7 @@ def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_verify_reduced_suites(tmp_path, capsys):
+def test_verify_reduced_suites(tmp_path, capsys, cold_tables):
     out = tmp_path / "report.json"
     rc = cli.main(["verify", "--suite", "haar", "--suite", "borelweil",
                    "--seed", "3", "--out", str(out)])
@@ -149,7 +149,8 @@ def test_verify_reduced_suites(tmp_path, capsys):
     assert int(match[3]) > 0
     assert int(match[4]) == sum(len(m._monos)
                                 for m in cli.repmod._IRREPS.values()) > 0
-    # neither suite builds a Calculus, so its table caches are empty
+    # neither suite builds a Calculus, and the memo is cold, so the
+    # calculus and connection cache lines read 0
     tables = [line for line in err if line.startswith("calculus table cache: ")]
     assert tables == ["calculus table cache: 0 product tables, 0 d tables"]
     ideal = [line for line in err if line.startswith("exterior ideal cache: ")]
@@ -553,7 +554,8 @@ def test_failing_check_names_its_residual(tmp_path, monkeypatch, cold_tables,
             assert ": coordinate " in witness
 
 
-def test_broken_projection_fails_the_connection_laws(tmp_path, monkeypatch):
+def test_broken_projection_fails_the_connection_laws(tmp_path, monkeypatch,
+                                                     cold_tables):
     # the doubled row breaks the law of nabla0, and the certificate of
     # E_00 theta rejects the seeded perturbations before their law and
     # difference checks compare anything
@@ -929,22 +931,32 @@ def test_pairing_tables_certify_without_exact_ranks(tmp_path, monkeypatch,
 
 SWEEP_SUITES = ("hopf", "pairing", "actions", "haar", "idempotent",
                 "projection", "borelweil")
-SWEEP_REFERENCES = (Path(__file__).resolve().parents[1] / "perfbench"
-                    / "references" / "verify-algebra-sweep")
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references"
 
 
-def _sweep(tmp_path, seed):
-    """The exit code and report bytes of `verify` over the seven suites
-    without a Calculus, as the benchmark's sweep runs them."""
+def _sweep(tmp_path, seed, suites=SWEEP_SUITES):
+    """The exit code and report bytes of `verify` over the suites, by
+    default the seven without a Calculus, as the benchmark's sweep runs
+    them."""
     out = tmp_path / ("seed-%d.json" % seed)
     args = ["verify", "--seed", str(seed), "--out", str(out)]
-    for suite in SWEEP_SUITES:
+    for suite in suites:
         args += ["--suite", suite]
     return cli.main(args), out.read_bytes()
 
 
-def _sweep_reference(seed):
-    return (SWEEP_REFERENCES / ("seed-%d.json" % seed)).read_bytes()
+def _sweep_reference(seed, workload="verify-algebra-sweep"):
+    return (REFERENCES / workload / ("seed-%d.json" % seed)).read_bytes()
+
+
+def _count_builds(monkeypatch, builds, cls):
+    """Append the name of cls to builds at each construction."""
+    init = cls.__init__
+
+    def counted(self, *args):
+        builds.append(cls.__name__)
+        init(self, *args)
+    monkeypatch.setattr(cls, "__init__", counted)
 
 
 def test_sweep_suites_gcd_count(tmp_path, monkeypatch, cold_tables):
@@ -978,16 +990,8 @@ def test_warm_sweep_equals_cold(tmp_path, monkeypatch, cold_tables):
     monkeypatch.setattr(scalars.Matrix, "__mul__", lambda self, other:
                         builds.append("product") or mul(self, other))
 
-    def count_builds(cls):
-        init = cls.__init__
-
-        def counted(self, *args):
-            builds.append(cls.__name__)
-            init(self, *args)
-        monkeypatch.setattr(cls, "__init__", counted)
-
-    count_builds(coeff.PairingTable)
-    count_builds(bundle.BundleIdempotent)
+    _count_builds(monkeypatch, builds, coeff.PairingTable)
+    _count_builds(monkeypatch, builds, bundle.BundleIdempotent)
     holomorphic = bundle.holomorphic_sections
     monkeypatch.setattr(bundle, "holomorphic_sections", lambda *args:
                         builds.append("holomorphic") or holomorphic(*args))
@@ -1001,6 +1005,29 @@ def test_warm_sweep_equals_cold(tmp_path, monkeypatch, cold_tables):
     assert cold.count("PairingTable") == 4
     assert cold.count("holomorphic") == 1
     assert set(warm) == {"product"} and len(warm) <= 100
+
+
+@pytest.mark.parametrize("workload, suites", [
+    ("verify-calculus", ("calculus", "closure")),
+    ("verify-connection", ("connection", "curvature"))])
+def test_warm_calculus_run_equals_cold(tmp_path, monkeypatch, cold_tables,
+                                       workload, suites):
+    # a second seed in one process reads the window's Calculus, its
+    # restriction, the tensored section spaces, nabla0 and the curvature
+    # from the first, builds none of them, and reports what a cold run
+    # of that seed reports
+    builds = []
+    for cls in (calculus.Calculus, connection.TensoredSectionSpace,
+                connection.CurvatureMap):
+        _count_builds(monkeypatch, builds, cls)
+    assert _sweep(tmp_path, 0, suites) == (0, _sweep_reference(0, workload))
+    assert "Calculus" in builds
+    builds.clear()
+    warm = _sweep(tmp_path, 1, suites)
+    assert builds == []
+    cold_tables.clear()
+    assert _sweep(tmp_path, 1, suites) == warm
+    assert warm[0] == 0 and "Calculus" in builds
 
 
 def test_holomorphic_skip_replays_across_seeds(tmp_path, monkeypatch,
@@ -1193,19 +1220,23 @@ def test_projection_suite_at_weights_beyond_one(tmp_path, weights, skipped):
 
 
 def _weight_2_at_level_1(monkeypatch):
-    """Build the workspace's TensoredSectionSpace on a weight-2 line at
-    section level 1, where it has no section.  The workspace itself
-    reads the level off the weights, so no config reaches NoSections."""
-    monkeypatch.setattr(cli._Workspace, "tss", lambda self: self._get(
-        "tss", lambda: connection.TensoredSectionSpace(
-            self.calc(), bundle.LModule([2]), 1)))
+    """Build the workspace's TensoredSectionSpace of the config's bundle
+    on a weight-2 line at section level 1, where it has no section.  The
+    workspace itself reads the level off the weights, so no config
+    reaches NoSections."""
+    tss = cli._Workspace.tss
+    monkeypatch.setattr(
+        cli._Workspace, "tss", lambda self, weights=None, level=None:
+        tss(self, (2,), 1) if weights in (None, self.cfg.weights)
+        else tss(self, weights, level))
 
 
 def test_connection_suites_skip_a_weight_without_sections(monkeypatch,
-                                                          tmp_path):
+                                                          tmp_path,
+                                                          cold_tables):
     # every check that reads the workspace's space skips with the
-    # NoSections witness; the trivial-flat check builds its own trivial
-    # bundle
+    # NoSections witness; the trivial-flat check reads the space of the
+    # trivial line at level 2
     _weight_2_at_level_1(monkeypatch)
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--suite", "connection", "--suite",
@@ -1229,7 +1260,7 @@ def test_connection_suites_skip_a_weight_without_sections(monkeypatch,
 
 
 def test_connection_command_without_sections_exits_2(monkeypatch, tmp_path,
-                                                      capsys):
+                                                      capsys, cold_tables):
     _weight_2_at_level_1(monkeypatch)
     out = tmp_path / "conn.json"
     assert cli.main(["connection", "--out", str(out)]) == 2

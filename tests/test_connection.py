@@ -254,7 +254,8 @@ def test_perturbation_is_e_lambda():
             assert CONN_A.apply(psi) == TSS.add(CONN0.apply(psi), a_psi)
 
 
-def test_verify_certifies_basis_entries_once(monkeypatch, tmp_path):
+def test_verify_certifies_basis_entries_once(monkeypatch, tmp_path,
+                                             cold_tables):
     # the connection and curvature suites build 13 diagonal scalar
     # perturbations, which certify the two entries E_ii theta between
     # them; certifying each Lambda on its own columns makes 130
@@ -270,7 +271,8 @@ def test_verify_certifies_basis_entries_once(monkeypatch, tmp_path):
     assert len(projections) <= 282
 
 
-def test_verify_builds_each_section_vector_once(monkeypatch, tmp_path):
+def test_verify_builds_each_section_vector_once(monkeypatch, tmp_path,
+                                               cold_tables):
     # a TensoredSectionSpace builds the vector of each basis section in
     # __init__ and that of zeta_j a once per test element a: the
     # workspace's space has 2 sections against 1 and the three Podles
@@ -289,7 +291,8 @@ def test_verify_builds_each_section_vector_once(monkeypatch, tmp_path):
 
 
 def test_connection_command_reads_nabla0_on_sections_once(monkeypatch,
-                                                          tmp_path):
+                                                          tmp_path,
+                                                          cold_tables):
     # `qhvb connection` reports nabla0 on the basis sections from the
     # curvature's nabla_sections: 2 section vectors and 2 * 3 products
     # with the Podles generators.  Recomputing it per section through
