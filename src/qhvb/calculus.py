@@ -40,9 +40,9 @@ Every form a Calculus method returns is in normal form: the canonical
 representative modulo that ideal, on normal words only.  The ideal is
 built degree by degree (_j_echelon), and multiply, d and d0 read tables
 of its normal forms through one contraction, _contract.  With rho(W) the
-normal form of the word W and T_{I,C}(n) the product of the transposed
-level-n blocks of F_{a_k c_k} ... F_{a_1 c_1} for I = (a_1..a_k),
-C = (c_1..c_k), the identity for I = (), the product table
+normal form of the word W and T_{I,C}(n) = (pi_n(F_{a_1 c_1}) ...
+pi_n(F_{a_k c_k}))^T, the level-n blocks read off repmod.Module.act, for
+I = (a_1..a_k), C = (c_1..c_k), the identity for I = (), the product table
 
     M_{I,J,n,N} = sum_C rho(C J)_N T_{I,C}(n)
 
@@ -285,7 +285,6 @@ class Calculus:
         self.algebra = algebra
         self.data = data
         self.K = data.K
-        self._transfer = {}
         self._split = None
         self._j_ech = {}
         self._normal = {0: [()]}
@@ -311,50 +310,36 @@ class Calculus:
 
     # -- multiplication ------------------------------------------------
 
-    def _f_transfer(self, n):
-        """K x K table of transposed level-n blocks of the shift
-        functionals (None marks a zero block)."""
-        table = self._transfer.get(n)
-        if table is None:
-            mod = repmod.irrep(n)
-            table = []
-            for a in range(self.K):
-                row = []
-                for c in range(self.K):
-                    mat = mod.act(self.data.F[a][c]).transpose()
-                    row.append(mat or None)
-                table.append(row)
-            self._transfer[n] = table
-        return table
-
     def _product_table(self, I, J, n):
         """The nonzero M_{I,J,n,N} = sum_C rho(C J)_N T_{I,C}(n) of
         multiply as pairs (N, M), built once per left word I, right
         word J, normal or not, and level n; each M is a new matrix.
-        T_{I,C}(n) = t[a_k][c_k] ... t[a_1][c_1] for I = (a_1..a_k),
-        C = (c_1..c_k) and t = _f_transfer(n), and the identity for
-        I = (), where M is rho(J)_N times the identity: the shift
-        operators act on a level-n block by right multiplication,
-        rightmost letter first."""
+        T_{I,C}(n) = (pi_n(F_{a_1 c_1}) ... pi_n(F_{a_k c_k}))^T for
+        I = (a_1..a_k) and C = (c_1..c_k), the blocks read off
+        repmod.Module.act and multiplied in word order, and the identity
+        for I = (), where M is rho(J)_N times the identity: the shift
+        operators act on a level-n block by right multiplication with
+        the transpose.  Each summed M is transposed once."""
         table = self._product_tables.get((I, J, n))
         if table is None:
-            transfer = self._f_transfer(n)
+            mod = repmod.irrep(n)
             states = {(): Matrix.identity(n + 1)}
-            for a in reversed(I):
+            for a in I:
                 nxt = {}
-                for suffix, m in states.items():
-                    for c, t in enumerate(transfer[a]):
-                        if t is None:
+                for prefix, m in states.items():
+                    for c, f in enumerate(self.data.F[a]):
+                        block = mod.act(f)
+                        if not block:
                             continue
-                        p = m * t
+                        p = m * block
                         if not p.is_zero():
-                            nxt[(c,) + suffix] = p
+                            nxt[prefix + (c,)] = p
                 states = nxt
             mats = {}
-            for C, t in states.items():
+            for C, p in states.items():
                 for N, s in self._normal_form(C + J).items():
-                    mats.setdefault(N, []).append(t.scale(s))
-            table = _nonzero_sums(mats)
+                    mats.setdefault(N, []).append(p.scale(s))
+            table = [(N, m.transpose()) for N, m in _nonzero_sums(mats)]
             self._product_tables[(I, J, n)] = table
         return table
 
@@ -406,7 +391,7 @@ class Calculus:
         word J, normal or not, and level n from product tables only: the
         theta w half is the sum of the tables of the diagonal letters
         (a,) on J, the w theta half -(-1)^{|J|} times those of the unit
-        word on J a.  No M is a cached transfer block."""
+        word on J a.  No M is a memoised action matrix."""
         table = self._d_tables.get((J, n))
         if table is None:
             sign = ONE if len(J) % 2 else -ONE

@@ -638,6 +638,8 @@ def _suite_projection(ws, checks):
         for j, zeta in enumerate(window):
             yield "section %d escapes the projection image" % j, \
                 LinComb(ech.reduce(zeta.terms)), LinComb()
+        yield "section count up to level %d" % (m + 2), len(sections()), \
+            bundle.sections_count(cfg.weights, m + 2)
 
     def right_linear():
         rnd = _rng(cfg, "projection")

@@ -30,7 +30,8 @@ fallback.
 """
 
 from .scalars import (Scalar, Matrix, ZERO, ONE, qint, accumulate, add_row,
-                      finish_sum, rank_lower_bound, LinComb, Tensor)
+                      finish_sum, format_terms, rank_lower_bound, LinComb,
+                      Tensor)
 from . import uea, repmod
 
 
@@ -49,19 +50,8 @@ class CoeffElement(LinComb):
         return max((n for (n, i, j) in self.terms), default=0)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms):
-            s = str(self.terms[key])
-            name = "1" if key == (0, 0, 0) else "t[%d;%d,%d]" % key
-            if s == "1" and name != "1":
-                bits.append(name)
-            else:
-                if any(ch in s for ch in "+/ ") or "-" in s[1:]:
-                    s = "(%s)" % s
-                bits.append(s if name == "1" else "%s %s" % (s, name))
-        return " + ".join(bits)
+        return format_terms(self.terms, lambda key: "1" if key == (0, 0, 0)
+                            else "t[%d;%d,%d]" % key)
 
     __repr__ = __str__
 
@@ -327,19 +317,13 @@ class Algebra:
 
     # -- translation actions ---------------------------------------------
 
-    @staticmethod
-    def _actions(x, f):
-        """{n: pi_n(x)} for the levels n of f's terms, read from the
-        memoised action matrices (repmod.Module.act)."""
-        levels = {n for n, _, _ in f.terms}
-        return {n: repmod.irrep(n).act(x) for n in levels}
-
     def circle(self, x, f):
         """Right translation: x o f = sum f_(1) <f_(2), x>.  On the level-n
         block of coefficients C it is C pi_n(x)^T, so each term s t_ij
         adds s pi_n(x)_kj at (n, i, k), read off the transposed action
-        matrix term by term."""
-        act = {n: m.transpose() for n, m in self._actions(x, f).items()}
+        matrix term by term (repmod.Module.act, per level of f)."""
+        act = {n: repmod.irrep(n).act(x).transpose()
+               for n in {n for n, _, _ in f.terms}}
         out = {}
         for (n, i, j), s in f.terms.items():
             for k, y in act[n].row(j):
@@ -350,7 +334,8 @@ class Algebra:
         """Left translation: x . f = sum <f_(1), S^{-1}(x)> f_(2).  On the
         level-n block C it is pi_n(S^{-1} x)^T C, so each term s t_ij adds
         s pi_n(S^{-1} x)_ik at (n, k, j), term by term as in circle."""
-        act = self._actions(uea.antipode_inv(x), f)
+        inv = uea.antipode_inv(x)
+        act = {n: repmod.irrep(n).act(inv) for n in {n for n, _, _ in f.terms}}
         out = {}
         for (n, i, j), s in f.terms.items():
             for k, y in act[n].row(i):

@@ -826,6 +826,21 @@ def finish_sum(acc):
     return out
 
 
+def format_terms(terms, name):
+    """Canonical text of {key: Scalar}: the terms in sorted key order,
+    joined by " + ", each "s name(key)" with a coefficient 1 dropped and
+    a compound s parenthesised; a key named "1" prints as s alone."""
+    if not terms:
+        return "0"
+    bits = []
+    for key in sorted(terms):
+        s, n = str(terms[key]), name(key)
+        if any(ch in s for ch in "+/ ") or "-" in s[1:]:
+            s = "(%s)" % s
+        bits.append(s if n == "1" else n if s == "1" else "%s %s" % (s, n))
+    return " + ".join(bits)
+
+
 class LinComb:
     """A finite Scalar-linear combination of hashable keys: `terms` maps
     each key to a nonzero Scalar.  Subclasses say what the keys are and

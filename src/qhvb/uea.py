@@ -25,7 +25,8 @@ This is one of several equivalent normalizations in use; it is fixed
 here once and all downstream matrix coefficients inherit it.
 """
 
-from .scalars import Scalar, ZERO, ONE, qint, accumulate, LinComb, Tensor
+from .scalars import (Scalar, ZERO, ONE, qint, accumulate, format_terms,
+                      LinComb, Tensor)
 
 _QPOW = Scalar.q_power
 
@@ -107,7 +108,7 @@ class UEAElement(LinComb):
         return acc
 
     def __str__(self):
-        return format_element(self)
+        return format_terms(self.terms, _mono_str)
 
     __repr__ = __str__
 
@@ -269,25 +270,6 @@ def _mono_str(m):
     if c:
         bits.append("e" if c == 1 else "e^%d" % c)
     return " ".join(bits)
-
-
-def format_element(x):
-    """Canonical text form: Scalar-coefficient terms in sorted PBW order."""
-    if not x.terms:
-        return "0"
-    bits = []
-    for m in sorted(x.terms):
-        s = x.terms[m]
-        txt = str(s)
-        if txt == "1" and m != (0, 0, 0):
-            bits.append(_mono_str(m))
-        elif m == (0, 0, 0):
-            bits.append(txt if ("/" not in txt and "+" not in txt and "-" not in txt[1:]) else "(%s)" % txt)
-        else:
-            if "/" in txt or "+" in txt or "-" in txt[1:] or " " in txt:
-                txt = "(%s)" % txt
-            bits.append("%s %s" % (txt, _mono_str(m)))
-    return " + ".join(bits)
 
 
 def pbw_monomials(max_degree):

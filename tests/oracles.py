@@ -7,7 +7,8 @@ from itertools import islice
 from math import gcd as _igcd
 
 from qhvb.scalars import (ONE, ZERO, Echelon, Matrix, NoSolution, Scalar,
-                          Span, _residual_witness, accumulate, eval_at)
+                          Span, _residual_witness, accumulate, add_row,
+                          eval_at, finish_sum)
 from qhvb import bundle, calculus, coeff, repmod, uea
 from qhvb.calculus import _signed_power_eigenspaces
 
@@ -588,11 +589,18 @@ class SolvedBlocks:
 
     def _solve_in_class(self, n, d, value_fn):
         """The unique level-n class-d combination of t's with the given
-        pairings against the class monomial family."""
+        pairings against the class monomial family: the inverse applied
+        to the pairings column by column as one unreduced sum
+        (scalars.add_row), cancelled once per coefficient."""
         pairs, monos, inv = self._class_solver(n, d)
-        vals = [value_fn(mono) for mono in monos]
-        coeffs = inv.apply(vals)
-        return {(n, i, j): c for (i, j), c in zip(pairs, coeffs) if c}
+        columns = inv.transpose()
+        acc = {}
+        for t, mono in enumerate(monos):
+            val = value_fn(mono)
+            if val:
+                add_row(acc, [((n,) + pairs[r], x) for r, x in columns.row(t)],
+                        val)
+        return finish_sum(acc)
 
     def block(self, n, star):
         """{(i, j): image of t_ij} at level n under the antipode, or

@@ -519,7 +519,8 @@ def word_action(calc, word, blocks):
     """All pairs (new word C, (F_{a1 c1} ... F_{an cn}) o b) for the
     word (a1..an) and the Peter-Weyl blocks of b; the shift operators act
     on each block by right multiplication with transposed F-blocks,
-    rightmost letter first."""
+    rightmost letter first, a second derivation of the product tables'
+    word-order product."""
     states = {(): blocks}
     for a in reversed(word):
         nxt = {}
@@ -527,8 +528,8 @@ def word_action(calc, word, blocks):
             for c in range(calc.K):
                 res = {}
                 for n, blk in blocks.items():
-                    t = calc._f_transfer(n)[a][c]
-                    if t is None:
+                    t = repmod.irrep(n).act(calc.data.F[a][c]).transpose()
+                    if not t:
                         continue
                     m = blk * t
                     if m:
@@ -638,10 +639,17 @@ def test_contract_matches_the_per_term_oracle():
     assert nonempty >= 60
 
 
+def memoised_actions():
+    """The ids of every action matrix the irreps have memoised
+    (repmod.Module.act)."""
+    return {id(m) for mod in repmod._IRREPS.values()
+            for m in mod._acts.values()}
+
+
 def test_multiply_reads_its_tables_only(monkeypatch):
     # multiply reads one cached table per (left word, right word, level),
     # the unit word included, and never calls reduce_mod_J; the tables
-    # are new matrices, never the cached transfer blocks
+    # are new matrices, never the memoised action matrices
     pairs = product_samples()
     calc = calculus.Calculus(A, DATA)
     calls = []
@@ -656,9 +664,8 @@ def test_multiply_reads_its_tables_only(monkeypatch):
     assert any(I == () for I, _, _ in used)
     assert set(calc._product_tables) == used
     assert calc._d_tables == {}
-    transfer = {id(t) for table in calc._transfer.values()
-                for row in table for t in row if t is not None}
-    assert not any(id(m) in transfer for table in calc._product_tables.values()
+    acts = memoised_actions()
+    assert not any(id(m) in acts for table in calc._product_tables.values()
                    for _, m in table)
 
 
@@ -751,7 +758,7 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
 def test_d_reads_its_tables_only(monkeypatch):
     # d reads one cached table per (word, level) it is given and calls
     # neither multiply nor reduce_mod_J; the tables are new matrices,
-    # never the cached transfer blocks
+    # never the memoised action matrices
     rnd = random.Random(15)
     forms = []
     for _ in range(10):
@@ -774,9 +781,8 @@ def test_d_reads_its_tables_only(monkeypatch):
         used |= {(J, pw[0]) for x in (w, dw) for J, pw in x.terms}
     assert calls == []
     assert set(calc._d_tables) == used
-    transfer = {id(t) for table in calc._transfer.values()
-                for row in table for t in row if t is not None}
-    assert not any(id(m) in transfer for table in calc._d_tables.values()
+    acts = memoised_actions()
+    assert not any(id(m) in acts for table in calc._d_tables.values()
                    for _, m in table)
 
 
@@ -898,7 +904,7 @@ def test_present_rejects_forms_outside_the_restriction():
 
 def test_cached_action_matrices_stay_intact():
     # a reduced calculus run reads the shared matrices of Module.act
-    # through circle, dot, the F-shift transfer tables, the pairing
+    # through circle, dot, the product tables, the pairing
     # tables and the R-matrix oracle; none of them may write into one
     rnd = random.Random(23)
     for _ in range(3):

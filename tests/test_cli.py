@@ -789,6 +789,8 @@ WITNESS_MUTANTS = [
           **{"curvature-trivial-flat": "AssertionError: section count up "
                                        "to level 2: 1 != weight-multiplicity "
                                        "count 4"})),
+    ("projection", _drop_top_section_level,
+     {"projection-surjective": "section count up to level 3: 2 != 6"}),
 ]
 
 
@@ -797,7 +799,7 @@ WITNESS_MUTANTS = [
     "projection-surjective", "uq-coassociativity", "uq-star",
     "tq-coassociativity", "tq-star", "structure-functionals",
     "forms-top-degree", "braiding", "pairing-nondegenerate", "idempotent",
-    "section-count"])
+    "section-count", "projection-section-count"])
 def test_mutant_fails_exactly_its_anchors(tmp_path, monkeypatch, cold_tables,
                                           suite, breaker, witnesses):
     # exact witnesses, most of them not residuals of forms
