@@ -190,13 +190,14 @@ def idempotent_matrix(algebra, completion):
     for beta in range(completion.dim_w):
         row = []
         for alpha in range(completion.dim_w):
-            acc = coeff.CoeffElement()
+            terms = []
             for idx in completion.v_index:
                 t1 = completion.coefficient(beta, idx)
                 t2 = completion.coefficient(idx, alpha)
                 if not (t1.is_zero() or t2.is_zero()):
-                    acc = acc + algebra.multiply(t1, algebra.antipode(t2))
-            row.append(acc)
+                    terms.append(
+                        (ONE, algebra.multiply(t1, algebra.antipode(t2))))
+            row.append(coeff.CoeffElement().combination(terms))
         e.append(row)
     return e
 

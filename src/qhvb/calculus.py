@@ -84,7 +84,7 @@ def l_plus(wc):
     assert weights is not None, "diagonal weights required"
     ke = uea.K * uea.E
     kf = uea.K_INV * uea.F
-    out = [[uea.UEAElement() for _ in range(wc.dim)] for _ in range(wc.dim)]
+    pairs = [[[] for _ in range(wc.dim)] for _ in range(wc.dim)]
     n = 0
     while True:
         low = wc.act(kf ** n)
@@ -94,10 +94,10 @@ def l_plus(wc):
         for r in range(wc.dim):
             for s in range(wc.dim):
                 if low[r, s]:
-                    term = (uea.monomial(0, weights[r], 0) * ke ** n)
-                    out[r][s] = out[r][s] + term.scale(c_n * low[r, s])
+                    term = uea.monomial(0, weights[r], 0) * ke ** n
+                    pairs[r][s].append((c_n * low[r, s], term))
         n += 1
-    return out
+    return [[uea.UEAElement().combination(p) for p in row] for row in pairs]
 
 
 def l_minus(wc):
@@ -108,7 +108,7 @@ def l_minus(wc):
     while wc.act(uea.monomial(0, nmax + 1, nmax + 1)) != Matrix.zeros(wc.dim, wc.dim):
         nmax += 1
     d = repmod.theta_inverse_coefficients(nmax)
-    out = [[uea.UEAElement() for _ in range(wc.dim)] for _ in range(wc.dim)]
+    pairs = [[[] for _ in range(wc.dim)] for _ in range(wc.dim)]
     for n in range(nmax + 1):
         high = wc.act(uea.monomial(0, n, n))  # k^n e^n is already normal form
         low = uea.K_INV ** n * uea.F ** n  # k^{-n} f^n is not: build honestly
@@ -116,8 +116,8 @@ def l_minus(wc):
             for s in range(wc.dim):
                 if high[r, s]:
                     term = low * uea.monomial(0, -weights[s], 0)
-                    out[r][s] = out[r][s] + term.scale(d[n] * high[r, s])
-    return out
+                    pairs[r][s].append((d[n] * high[r, s], term))
+    return [[uea.UEAElement().combination(p) for p in row] for row in pairs]
 
 
 def _check_corepresentation(l, label):
@@ -128,10 +128,8 @@ def _check_corepresentation(l, label):
             want = ONE if r == s else ZERO
             if uea.counit(l[r][s]) != want:
                 raise AxiomViolation("counit of %s" % label)
-            acc = uea.TensorUEA()
-            for t in range(dim):
-                acc = acc + uea.tensor(l[r][t], l[t][s])
-            if uea.coproduct(l[r][s]) != acc:
+            if uea.coproduct(l[r][s]) != uea.TensorUEA().combination(
+                    (ONE, uea.tensor(l[r][t], l[t][s])) for t in range(dim)):
                 raise AxiomViolation("coproduct of %s" % label)
 
 
@@ -153,11 +151,9 @@ class CalculusData:
 
 
 def _right_adjoint(x, g):
-    out = uea.UEAElement()
-    for (m1, m2), s in uea.coproduct(g).terms.items():
-        term = uea.antipode(uea.monomial(*m1)) * x * uea.monomial(*m2)
-        out = out + term.scale(s)
-    return out
+    return uea.UEAElement().combination(
+        (s, uea.antipode(uea.monomial(*m1)) * x * uea.monomial(*m2))
+        for (m1, m2), s in uea.coproduct(g).terms.items())
 
 
 def _tangent_module(span, X):
@@ -201,22 +197,19 @@ def from_rep(wc):
     diagonal = [flat(r, r) for r in range(d)]
     X = []
     for b in range(K):
-        x = uea.UEAElement()
-        for a in diagonal:
-            x = x + F[a][b]
+        pairs = [(ONE, F[a][b]) for a in diagonal]
         if b in diagonal:
-            x = x - uea.UNIT
-        X.append(x)
+            pairs.append((-ONE, uea.UNIT))
+        X.append(uea.UEAElement().combination(pairs))
 
     for x in X:
         if uea.counit(x) != ZERO:
             raise AxiomViolation("counit of tangent functional")
     _check_corepresentation(F, "shift functional")
     for a in range(K):
-        acc = uea.tensor(uea.UNIT, X[a])
-        for b in range(K):
-            acc = acc + uea.tensor(X[b], F[b][a])
-        if uea.coproduct(X[a]) != acc:
+        want = uea.tensor(uea.UNIT, X[a]).combination(
+            (ONE, uea.tensor(X[b], F[b][a])) for b in range(K))
+        if uea.coproduct(X[a]) != want:
             raise AxiomViolation("coproduct of tangent functional")
 
     span = Span([x.terms for x in X])
@@ -708,11 +701,11 @@ class Restriction:
         a, bs = combo
         calc = self.calc
         algebra = calc.algebra
-        out = calc.zero(len(bs))
+        terms = []
         for key, s in uea.iterated_coproduct(p, len(bs) + 1).items():
-            form = calc.form0(algebra.circle(uea.monomial(*key[0]), a).scale(s))
+            form = calc.form0(algebra.circle(uea.monomial(*key[0]), a))
             for leg, b in zip(key[1:], bs):
                 form = calc.multiply(
                     form, calc.d0(algebra.circle(uea.monomial(*leg), b)))
-            out = out + form
-        return out
+            terms.append((s, form))
+        return calc.zero(len(bs)).combination(terms)

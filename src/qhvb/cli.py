@@ -305,24 +305,23 @@ def _rng(cfg, suite):
 
 
 def _random_coeff(rnd, max_level=2, nterms=3):
-    out = coeff.CoeffElement()
+    pairs = []
     for _ in range(nterms):
         n = rnd.randint(0, max_level)
         i = rnd.randint(0, n)
         j = rnd.randint(0, n)
-        c = rnd.randint(-3, 3)
-        if c:
-            out = out + coeff.basis_element(n, i, j, coeff=Scalar(c))
-    return out
+        c = Scalar(rnd.randint(-3, 3))
+        pairs.append((c, coeff.basis_element(n, i, j)))
+    return coeff.CoeffElement().combination(pairs)
 
 
 def _random_invariant(rnd, elements, nterms=2):
-    out = coeff.CoeffElement()
+    pairs = []
     for _ in range(nterms):
         c = rnd.randint(-3, 3)
         if c:
-            out = out + rnd.choice(elements).scale(Scalar(c))
-    return out
+            pairs.append((Scalar(c), rnd.choice(elements)))
+    return coeff.CoeffElement().combination(pairs)
 
 
 def _seeded_norms(ws):
@@ -810,11 +809,10 @@ def _suite_connection(ws, checks):
         rnd = _rng(cfg, "connection-law")
         inv = ws.invariants(2)
         for k in range(50):
-            combo = tss.zero(0)
-            for vec in tss.vectors:
-                c = rnd.randint(-2, 2)
-                if c:
-                    combo = tss.add(combo, [x.scale(Scalar(c)) for x in vec])
+            cs = [Scalar(rnd.randint(-2, 2)) for _ in tss.vectors]
+            combo = [w.combination((c, vec[g]) for c, vec
+                                   in zip(cs, tss.vectors))
+                     for g, w in enumerate(tss.zero(0))]
             psi = tss.right_mult(combo, calc.theta()) if k % 3 == 2 else combo
             pick = k % 3
             if pick == 0:

@@ -304,16 +304,14 @@ class Algebra:
         return block
 
     def antipode(self, f):
-        acc = CoeffElement()
-        for (n, i, j), s in f.terms.items():
-            acc = acc + self._block(n, False)[(i, j)].scale(s)
-        return acc
+        return CoeffElement().combination(
+            (s, self._block(n, False)[(i, j)])
+            for (n, i, j), s in f.terms.items())
 
     def star(self, f):
-        acc = CoeffElement()
-        for (n, i, j), s in f.terms.items():
-            acc = acc + self._block(n, True)[(i, j)].scale(s.conj())
-        return acc
+        return CoeffElement().combination(
+            (s.conj(), self._block(n, True)[(i, j)])
+            for (n, i, j), s in f.terms.items())
 
     # -- translation actions ---------------------------------------------
 

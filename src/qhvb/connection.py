@@ -36,7 +36,7 @@ right-linear extension F-hat satisfies the operator identity
 nabla(F(zeta)) = F-hat(nabla(zeta)).
 """
 
-from .scalars import Scalar, add_row, finish_sum, merge_sums
+from .scalars import ONE, Scalar, add_row, finish_sum, merge_sums
 from . import coeff, homspace, bundle, calculus
 
 
@@ -72,11 +72,11 @@ class TensoredSectionSpace:
         # coefficient matrix realizing the relative tensor product
         for gamma in range(self.dim_w):
             for alpha in range(self.dim_w):
-                acc = coeff.CoeffElement()
-                for beta in range(self.dim_w):
-                    acc = acc + self.algebra.multiply(e[gamma][beta],
-                                                      e[beta][alpha])
-                if acc != e[gamma][alpha]:
+                square = coeff.CoeffElement().combination(
+                    (ONE, self.algebra.multiply(e[gamma][beta],
+                                                e[beta][alpha]))
+                    for beta in range(self.dim_w))
+                if square != e[gamma][alpha]:
                     raise AssertionError("idempotent matrix identity fails "
                                          "at (%d, %d)" % (gamma, alpha))
         self.sections = bundle.sections_basis(self.algebra, lmodule, N)
@@ -110,15 +110,10 @@ class TensoredSectionSpace:
         zeta_beta to values[beta], at sum_beta zeta_beta (x) vec[beta]:
         coordinate gamma is sum_beta values[beta][gamma] vec[beta]."""
         degree = values[0][0].degree + self.degree_of(vec)
-        out = []
-        for gamma in range(self.dim_w):
-            acc = self.calc.zero(degree)
-            for beta, psi in enumerate(vec):
-                v = values[beta][gamma]
-                if v and psi:
-                    acc = acc + self.calc.multiply(v, psi)
-            out.append(acc)
-        return out
+        return [self.calc.zero(degree).combination(
+            (ONE, self.calc.multiply(values[beta][gamma], psi))
+            for beta, psi in enumerate(vec) if values[beta][gamma] and psi)
+            for gamma in range(self.dim_w)]
 
     def _row(self, gamma, beta, key):
         """e_{gamma beta} t_key in the Peter-Weyl basis as a list of

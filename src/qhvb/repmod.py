@@ -27,8 +27,8 @@ of Theta^{-1}; the tests build R from them and re-derive c_n from that
 linear system.
 """
 
-from .scalars import (Scalar, Matrix, ZERO, ONE, qint, accumulate,
-                      NoSolution, PoleError)
+from .scalars import (Scalar, Matrix, ZERO, ONE, qint, NoSolution,
+                      PoleError)
 
 
 class DecompositionError(Exception):
@@ -126,13 +126,9 @@ class Module:
         return m
 
     def _act(self, x):
-        """The matrix of x: s times each term's monomial entries, summed
-        entry by entry."""
-        acc = {}
-        for mono, s in x.terms.items():
-            for ij, y in self._monomial(mono).terms.items():
-                accumulate(acc, ij, s * y)
-        return Matrix.sparse(self.dim, self.dim, acc)
+        """The matrix of x, sum s pi(m) over its terms s m."""
+        return Matrix.zeros(self.dim, self.dim).combination(
+            (s, self._monomial(mono)) for mono, s in x.terms.items())
 
 
 class ModuleMap:

@@ -58,8 +58,13 @@ products.  `Tensor` is the LinComb keyed by pairs of leg keys, and both
 tensor squares, where the two coproducts land, subclass it, and so does
 `Matrix`, keyed by (row, column) pairs.  `accumulate` adds one term
 into such a dict, and `add_row` a whole row of products into an
-unreduced sum.  `Span` gives the rank of a family of sparse vectors and
-the coordinates of a vector in it (NoSolution outside), through an
+unreduced sum.  `LinComb.combination` is the one builder of a linear
+combination sum s_i x_i: it adds every term into one dict through
+`accumulate`.  Every linear operation builds its result through
+`LinComb._new`, which takes nonzero terms and so skips the
+constructor's zero filter, kept for outside input.  `Span` gives the
+rank of a family of sparse vectors and the coordinates of a vector in
+it (NoSolution outside), through an
 `Echelon` whose rows carry tags that record which inputs they combine.
 `Echelon` is the only elimination, over Q(u) and over F_p: a `Matrix`
 reads its rank, rref and kernel off an `Echelon` of its rows and solves
@@ -845,7 +850,8 @@ class LinComb:
     """A finite Scalar-linear combination of hashable keys: `terms` maps
     each key to a nonzero Scalar.  Subclasses say what the keys are and
     add their own products; the linear structure is shared, and elements
-    compare equal only within one subclass."""
+    compare equal only within one subclass.  A sum of the form
+    sum s_i x_i is built by `combination`, in one pass."""
 
     __slots__ = ("terms",)
 
@@ -859,9 +865,11 @@ class LinComb:
         return bool(self.terms)
 
     def _new(self, terms):
-        """An element of the same kind with the given terms; every linear
-        operation builds its result through this hook."""
-        return type(self)(terms)
+        """An element of the same kind with the given nonzero terms, not
+        filtered again: every linear operation builds its result here."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        return out
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -878,9 +886,18 @@ class LinComb:
     def scale(self, s):
         if isinstance(s, int):
             s = Scalar(s)
-        if not s:
-            return self._new({})
-        return self._new({k: s * t for k, t in self.terms.items()})
+        return self._new({k: s * t for k, t in self.terms.items()}
+                         if s else {})
+
+    def combination(self, pairs):
+        """self + sum s x over the (Scalar s, LinComb x) pairs, summed in
+        one dict, as an element of self's kind."""
+        out = dict(self.terms)
+        for s, x in pairs:
+            if s:
+                for k, t in x.terms.items():
+                    accumulate(out, k, s * t)
+        return self._new(out)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
@@ -913,11 +930,11 @@ class Tensor(LinComb):
         """The sum of s fn(l, r) over the terms s l (x) r, with l and r as
         leg basis elements; fn defaults to the legs' product and may
         return any LinComb.  The zero tensor contracts to the zero leg."""
-        acc = None
-        for (l, r), s in self.terms.items():
-            term = fn(self.leg({l: ONE}), self.leg({r: ONE})).scale(s)
-            acc = term if acc is None else acc + term
-        return self.leg() if acc is None else acc
+        pairs = [(s, fn(self.leg({l: ONE}), self.leg({r: ONE})))
+                 for (l, r), s in self.terms.items()]
+        if not pairs:
+            return self.leg()
+        return pairs[0][1]._new({}).combination(pairs)
 
 
 class Span:

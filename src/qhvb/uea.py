@@ -194,10 +194,8 @@ def _delta_mono(m):
 
 
 def coproduct(x):
-    acc = TensorUEA()
-    for m, s in x.terms.items():
-        acc = acc + _delta_mono(m).scale(s)
-    return acc
+    return TensorUEA().combination((s, _delta_mono(m))
+                                   for m, s in x.terms.items())
 
 
 def iterated_coproduct(x, legs):
@@ -237,10 +235,8 @@ def _antipode_mono(m):
 
 
 def antipode(x):
-    acc = UEAElement()
-    for m, s in x.terms.items():
-        acc = acc + _antipode_mono(m).scale(s)
-    return acc
+    return UEAElement().combination((s, _antipode_mono(m))
+                                    for m, s in x.terms.items())
 
 
 def antipode_inv(x):

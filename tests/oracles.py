@@ -58,6 +58,20 @@ def outcome(fn, *args):
 
 
 # ----------------------------------------------------------------------
+# linear combinations before LinComb.combination: the oracle of each sum
+# sum_i s_i x_i of the package
+
+
+def combination_by_addition(x0, pairs):
+    """x0 + sum s x over the (Scalar s, LinComb x) pairs by repeated `+`
+    of x.scale(s), one intermediate element per pair."""
+    acc = x0
+    for s, x in pairs:
+        acc = acc + x.scale(s)
+    return acc
+
+
+# ----------------------------------------------------------------------
 # the dense Matrix, before it became the LinComb of its nonzero entries:
 # rows of Scalars, every entry visited; the oracle of each public
 # operation of scalars.Matrix.  Its results now pass their width on, as

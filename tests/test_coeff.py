@@ -185,6 +185,23 @@ def test_antipode_and_star_match_the_class_solve():
                     assert apply(coeff.basis_element(n, i, j)) == block[(i, j)]
 
 
+def test_antipode_and_star_match_the_addition_loop():
+    # one-pass sums against repeated addition, on a combination of every
+    # Peter-Weyl key of level <= 2
+    a = alg()
+    rng = random.Random(40)
+    f = coeff.CoeffElement({
+        (n, i, j): Scalar(rng.randint(-2, 2)) * Scalar.u_power(
+            rng.randint(-2, 2))
+        for n in range(3) for i in range(n + 1) for j in range(n + 1)})
+    assert a.antipode(f) == oracles.combination_by_addition(
+        coeff.CoeffElement(), [(s, a.antipode(coeff.basis_element(*key)))
+                               for key, s in f.terms.items()])
+    assert a.star(f) == oracles.combination_by_addition(
+        coeff.CoeffElement(), [(s.conj(), a.star(coeff.basis_element(*key)))
+                               for key, s in f.terms.items()])
+
+
 def test_antipode_and_star_solve_nothing(monkeypatch):
     # the blocks are read off the formulas: no inverse and no
     # elimination, on a cold window

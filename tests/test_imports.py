@@ -12,7 +12,8 @@ No module of the package but scalars touches the polynomial fields
 caches, and no module changes the `terms` of a LinComb in place: the
 cached grouping would no longer match them.  No module but scalars reads
 the prime `PRIME`, and no code outside the class `Fp` takes a modular
-inverse."""
+inverse.  No function of the package sums a linear combination by
+repeated `+` in a loop: `LinComb.combination` builds it in one pass."""
 
 import ast
 from pathlib import Path
@@ -276,4 +277,90 @@ def test_no_module_changes_terms_in_place():
         changes = terms_changes(path.read_text())
         if changes:
             found[path.name] = changes
+    assert found == {}
+
+
+# the calls that start a LinComb: its constructors, and the zero(...) of
+# a calculus or of a tensored section space
+LINCOMB_STARTS = {"LinComb", "CoeffElement", "UEAElement", "TensorUEA",
+                  "zero"}
+
+
+def _starts_lincomb(node):
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id in LINCOMB_STARTS
+        or isinstance(node.func, ast.Attribute)
+        and node.func.attr in LINCOMB_STARTS)
+
+
+def addition_loops(source):
+    """(line, name) of every `v = v + ...`, `v = v - ...` or `v += ...`
+    inside a loop of a function that binds v to a LinComb constructor
+    call, or to a zero(...), before the loop."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        started = {}
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and _starts_lincomb(node.value)):
+                name = node.targets[0].id
+                started[name] = min(started.get(name, node.lineno),
+                                    node.lineno)
+        for loop in ast.walk(func):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            for node in ast.walk(loop):
+                if (isinstance(node, ast.AugAssign)
+                        and isinstance(node.op, (ast.Add, ast.Sub))):
+                    target = node.target
+                elif (isinstance(node, ast.Assign)
+                      and len(node.targets) == 1
+                      and isinstance(node.value, ast.BinOp)
+                      and isinstance(node.value.op, (ast.Add, ast.Sub))
+                      and isinstance(node.value.left, ast.Name)):
+                    target = node.targets[0]
+                    if not (isinstance(target, ast.Name)
+                            and target.id == node.value.left.id):
+                        continue
+                else:
+                    continue
+                if (isinstance(target, ast.Name)
+                        and started.get(target.id, loop.lineno) < loop.lineno):
+                    found.add((node.lineno, target.id))
+    return sorted(found)
+
+
+def test_the_addition_scan_sees_linear_combination_loops():
+    source = ("def f(xs):\n"
+              "    acc = coeff.CoeffElement()\n"
+              "    for s, x in xs:\n"
+              "        acc = acc + x.scale(s)\n"
+              "    return acc\n"
+              "def g(calc, xs):\n"
+              "    out = calc.zero(1)\n"
+              "    while xs:\n"
+              "        out -= xs.pop()\n"
+              "    return out\n"
+              "def h(xs):\n"
+              "    acc = ZERO\n"
+              "    for x in xs:\n"
+              "        acc = acc + x\n"
+              "    total = UEAElement()\n"
+              "    total = total + xs[0]\n"
+              "    for x in xs:\n"
+              "        more = total + x\n"
+              "    n = LinComb()\n"
+              "    return acc\n")
+    assert addition_loops(source) == [(4, "acc"), (9, "out")]
+
+
+def test_no_linear_combination_is_summed_in_a_loop():
+    found = {}
+    for path in sorted((ROOT / "src" / "qhvb").glob("*.py")):
+        loops = addition_loops(path.read_text())
+        if loops:
+            found[path.name] = loops
     assert found == {}

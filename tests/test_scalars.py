@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import oracles
 from oracles import DenseMatrix
 from qhvb import coeff, repmod, uea, scalars as sc
+from qhvb.calculus import FormElement
 from qhvb.scalars import (
     Scalar,
     Matrix,
@@ -687,6 +688,83 @@ def test_lincomb_types_and_scaling():
     x = uea.UEAElement(terms)
     assert 2 * x == x.scale(2) == x * 2
     assert 0 * x == x.scale(ZERO) == uea.UEAElement()
+
+
+def _lincomb(kind, terms):
+    """The element of the kind with the terms {key 0..3: Scalar}: the
+    LinComb itself, a U_q element, a 2-form or a 2 x 3 Matrix."""
+    if kind == "lincomb":
+        return sc.LinComb(terms)
+    if kind == "uea":
+        return uea.UEAElement({(k, 0, k % 2): s for k, s in terms.items()})
+    if kind == "form":
+        return FormElement(2, {((k % 2, 1), (1, 0, k // 2)): s
+                               for k, s in terms.items()})
+    return Matrix.sparse(2, 3, {divmod(k, 3): s for k, s in terms.items()})
+
+
+@st.composite
+def combination_problems(draw):
+    """(x0, pairs) of one kind: the pairs may be empty, hold zero scalars,
+    and cancel one another or x0."""
+    kind = draw(st.sampled_from(("lincomb", "uea", "form", "matrix")))
+
+    def element():
+        return _lincomb(kind, draw(st.dictionaries(
+            st.integers(0, 3), sparse_scalars, max_size=4)))
+
+    x0, pairs = element(), []
+    for _ in range(draw(st.integers(0, 4))):
+        s, x = draw(sparse_scalars), element()
+        pairs.append((s, x))
+        if draw(st.booleans()):
+            pairs.append((-s, x))
+    if draw(st.booleans()):
+        pairs.append((-ONE, x0))
+    return x0, draw(st.permutations(pairs))
+
+
+def _zero_free(x):
+    return all(x.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(combination_problems())
+def test_combination_matches_repeated_addition(problem):
+    x0, pairs = problem
+    got = x0.combination(pairs)
+    assert got == oracles.combination_by_addition(x0, pairs)
+    # of x0's kind: a form keeps its degree and a Matrix its shape
+    assert type(got) is type(x0)
+    if isinstance(x0, FormElement):
+        assert got.degree == x0.degree
+    if isinstance(x0, Matrix):
+        assert (got.rows, got.cols) == (x0.rows, x0.cols)
+    # LinComb._new takes its terms unfiltered: no operation makes a zero
+    results = [got, -x0, x0.combination([])]
+    for s, x in pairs:
+        results += [x0 + x, x0 - x, x.scale(s), x0.combination([(s, x)])]
+    assert all(_zero_free(x) for x in results)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(uea.pbw_monomials(2)),
+                          sparse_scalars), max_size=4))
+def test_contractions_hold_no_zero_term(terms):
+    x = uea.UEAElement(dict(terms))
+    t = uea.coproduct(x)
+    # S(x_(1)) x_(2) = eps(x) 1 cancels every term of positive degree
+    assert t.contract(lambda l, r: uea.antipode(l) * r) == \
+        uea.UNIT.scale(uea.counit(x))
+    # the result has the kind of fn's results, and the zero tensor gives
+    # the zero leg
+    m = t.contract(lambda l, r: Matrix.identity(2).scale(uea.counit(l * r)))
+    assert m == (Matrix.identity(2).scale(uea.counit(x)) if t
+                 else uea.UEAElement())
+    for fn in (lambda l, r: l * r, lambda l, r: uea.antipode(l) * r,
+               lambda l, r: r.scale(uea.counit(l))):
+        assert _zero_free(t.contract(fn))
+    assert _zero_free(m)
 
 
 # ----------------------------------------------------------------------

@@ -237,6 +237,20 @@ def test_antipode_inv_and_coproduct_match_their_oracles():
         assert uea.coproduct(x) == oracles.delta_mono(m)
 
 
+def test_coproduct_and_antipode_match_the_addition_loop():
+    # one-pass sums against repeated addition, on a combination of every
+    # PBW monomial of degree <= 4 with coefficients in Z[u]
+    rng = random.Random(40)
+    x = uea.UEAElement({m: Scalar(rng.randint(-2, 2)) * Scalar.u_power(
+        rng.randint(-2, 2)) for m in uea.pbw_monomials(4)})
+    assert uea.coproduct(x) == oracles.combination_by_addition(
+        uea.TensorUEA(), [(s, oracles.delta_mono(m))
+                          for m, s in x.terms.items()])
+    assert uea.antipode(x) == oracles.combination_by_addition(
+        uea.UEAElement(), [(s, uea.antipode(uea.monomial(*m)))
+                           for m, s in x.terms.items()])
+
+
 def test_counit_of_antipode_and_star():
     for m in uea.pbw_monomials(3):
         x = uea.monomial(*m)
