@@ -824,25 +824,23 @@ def _suite_connection(ws, checks):
 
     def law_perturbed():
         tss = ws.tss()
-        calc = ws.calc()
         rnd = _rng(cfg, "connection-perturbed")
         gens = homspace.podles_generators()
-        # the Leibniz term zeta_j (x) da, once per (j, a)
-        leibniz = {}
-        for n, conn in enumerate(_seeded_perturbations(tss, rnd, 10)):
+        conns = _seeded_perturbations(tss, rnd, 10)
+        for n in range(len(conns)):
+            # each map, with the images it keeps, is freed after its walk
+            conn, conns[n] = conns[n], None
             for j, g, lhs, rhs in tss.right_linearity(conn.apply, gens):
-                if (j, g) not in leibniz:
-                    leibniz[(j, g)] = tss.right_mult(tss.vectors[j],
-                                                     calc.d0(g))
                 yield ("connection law fails for perturbation %d" % n,
-                       lhs, tss.add(rhs, leibniz[(j, g)]))
+                       lhs, tss.add(rhs, tss.leibniz(j, g)))
 
     def differences():
         tss = ws.tss()
         rnd = _rng(cfg, "connection-differences")
         conns = [ws.conn0()] + _seeded_perturbations(tss, rnd, 3)
         for n in range(len(conns) - 1):
-            c1, c2 = conns[n], conns[n + 1]
+            # c1 is freed after this pair, c2 after the next
+            c1, c2, conns[n] = conns[n], conns[n + 1], None
 
             def diff(vec):
                 return tss.add(c1.apply(vec),
@@ -864,7 +862,7 @@ def _suite_curvature(ws, checks):
     def right_linear():
         F = ws.curvature0()
         for j, g, lhs, rhs in F.conn.tss.right_linearity(
-                F.apply, homspace.podles_generators(), F.on_sections):
+                F.apply, homspace.podles_generators()):
             yield ("curvature not right-linear over the invariants on basis "
                    "section %d, a = %s" % (j, g), lhs, rhs)
 

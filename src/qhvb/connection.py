@@ -19,24 +19,29 @@ sections by right multiplication in the last leg.
 Every connection is e . (d + Lambda) for one W-matrix Lambda of
 one-forms acting by left multiplication (Connes 1994; Hajac-Majid 1999):
 nabla0 = e . d is Lambda = 0, and A = nabla - nabla0 = e . Lambda.  A
-scalar entry of Lambda means that multiple of theta.  A passes an exact
-right-linearity certificate against the invariant generators: a Lambda
-with scalar entries through the basis perturbations E_ij theta in its
+scalar entry of Lambda means that multiple of theta.  make_connection
+certifies A exactly against the invariant generators: a Lambda with
+scalar entries through the basis perturbations E_ij theta in its
 support, each certified once per TensoredSectionSpace (A is linear in
 Lambda), and any other Lambda on its own columns.  That certificate,
 the law and difference checks of verify and the curvature's
 right-linearity are one walk, TensoredSectionSpace.right_linearity, over
-section vectors built once per space.  On sections nabla0 is the chain
-im -> coordinatewise d -> project.  project, the left multiplication by
-e, reads cached rows of e: one list e_{gamma beta} t_key per (gamma,
-beta, Peter-Weyl key), so it makes no coefficient product, and it sums
-each coordinate unreduced with one cancellation per entry.  The
-curvature is the restriction of nabla^2 to the sections; its
-right-linear extension F-hat satisfies the operator identity
-nabla(F(zeta)) = F-hat(nabla(zeta)).
+the section vectors the space owns (zeta_j and zeta_j a, each built once
+and tagged with its walk key).  The space computes d zeta, theta zeta
+and the Leibniz terms once per key, and each map keeps its own images.
+Every nabla(zeta) is still one projection e . (d zeta + Lambda zeta) of
+its own sum, never recombined from nabla0 and the e . E_ij theta: that
+would make the perturbed law restate the certificate.
+On sections nabla0 is the chain im -> coordinatewise d -> project.
+project, the left multiplication by e, reads cached rows of e: one list
+e_{gamma beta} t_key per (gamma, beta, Peter-Weyl key), so it makes no
+coefficient product, and it sums each coordinate unreduced with one
+cancellation per entry.  The curvature is the restriction of nabla^2 to
+the sections; its right-linear extension F-hat satisfies the operator
+identity nabla(F(zeta)) = F-hat(nabla(zeta)).
 """
 
-from .scalars import ONE, Scalar, add_row, finish_sum, merge_sums
+from .scalars import ONE, ZERO, Scalar, add_row, finish_sum, merge_sums
 from . import coeff, homspace, bundle, calculus
 
 
@@ -46,6 +51,29 @@ class NotLinear(Exception):
 
 class NoSections(Exception):
     """A weight line of the bundle has no section at the section level."""
+
+
+class OwnedVector(list):
+    """A section vector that a TensoredSectionSpace builds once and keeps:
+    zeta_j under the walk key j, zeta_j a under (j, a).  Every value
+    cached per vector is keyed by that key."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key, coords):
+        super().__init__(coords)
+        self.key = key
+
+
+def _once(cache, vec, compute):
+    """compute(vec), stored in cache under the key of an owned vector;
+    any other vector is computed afresh."""
+    if not isinstance(vec, OwnedVector):
+        return compute(vec)
+    value = cache.get(vec.key)
+    if value is None:
+        value = cache[vec.key] = compute(vec)
+    return value
 
 
 class TensoredSectionSpace:
@@ -86,9 +114,12 @@ class TensoredSectionSpace:
                                  "weight-multiplicity count %d"
                                  % (N, len(self.sections), count))
         # the realization of each basis section, and of zeta_j a per
-        # (j, a) once the right-linearity walk reads it
-        self.vectors = [self.from_section(s) for s in self.sections]
+        # (j, a) once the right-linearity walk reads it; their d, theta
+        # products and Leibniz terms, per walk key (see right_linearity)
+        self.vectors = [OwnedVector(j, self.from_section(s))
+                        for j, s in enumerate(self.sections)]
         self._products = {}
+        self._d, self._theta, self._leibniz = {}, {}, {}
         # (gamma, beta, Peter-Weyl key) -> e_{gamma beta} t_key (see project)
         self._rows = {}
         # the entries (i, j) whose basis perturbation E_ij theta passed
@@ -172,18 +203,37 @@ class TensoredSectionSpace:
     def add(self, v1, v2):
         return [a + b for a, b in zip(v1, v2)]
 
-    def right_linearity(self, op, tests, images=None):
+    def d(self, vec):
+        """d, coordinatewise; once per owned vector."""
+        return _once(self._d, vec, lambda v: [self.calc.d(w) for w in v])
+
+    def theta_times(self, vec):
+        """theta psi_beta, coordinatewise; once per owned vector."""
+        return _once(self._theta, vec, lambda v: [
+            self.calc.multiply(self.calc.theta(), w) for w in v])
+
+    def leibniz(self, j, a):
+        """The Leibniz term zeta_j (x) da of the connection law, once per
+        (j, a)."""
+        term = self._leibniz.get((j, a))
+        if term is None:
+            term = self._leibniz[(j, a)] = self.right_mult(
+                self.vectors[j], self.calc.d0(a))
+        return term
+
+    def right_linearity(self, op, tests):
         """(j, a, op(zeta_j a), op(zeta_j) a) for every basis section
         zeta_j and test element a, lazily, in section order and then in
-        test order; images[j], when given, is op(zeta_j).  The vectors of
-        zeta_j and zeta_j a are each built once per space."""
+        test order.  zeta_j a is built once per space, as the owned
+        vector of key (j, a), so a map that keeps its images of owned
+        vectors computes each once across walks."""
         for j, vec in enumerate(self.vectors):
-            image = op(vec) if images is None else images[j]
+            image = op(vec)
             for a in tests:
                 product = self._products.get((j, a))
                 if product is None:
-                    product = self._products[(j, a)] = self.from_section(
-                        self.sections[j].times(a))
+                    product = self._products[(j, a)] = OwnedVector(
+                        (j, a), self.from_section(self.sections[j].times(a)))
                 yield (j, a, op(product),
                        self.right_mult(image, self.calc.form0(a)))
 
@@ -202,21 +252,20 @@ _SCOPE = ("certificate scope: the level-%d basis sections against 1 and the "
 class ConnectionMap:
     """nabla = e . (d + Lambda) on the realization, for a W-matrix Lambda
     of one-forms acting by left multiplication; Lambda = None is nabla0.
-    A scalar entry stands for that multiple of theta.  The perturbation
-    A = e . Lambda passes an exact right-linearity certificate against
-    the invariant generators; NotLinear if it fails.
+    A scalar entry stands for that multiple of theta, and a Lambda of
+    scalar entries is also kept as its Scalar matrix, `scalars`.  The
+    map itself is uncertified: make_connection certifies A = e . Lambda.
 
-    A is linear in Lambda (extend, project and Calculus.multiply are
-    Q(u)-linear): for scalar entries c_ij,
-    A(psi a) - A(psi) a = sum c_ij (A_ij(psi a) - A_ij(psi) a) with
-    A_ij = e . E_ij theta.  So a scalar Lambda is certified through the
-    connections E_ij theta with c_ij != 0, each once per
-    TensoredSectionSpace; a Lambda with a form-valued entry is certified
-    on its own columns."""
+    The map keeps its image of each vector the space owns, computed as
+    e . (d zeta + Lambda zeta) from the space's d zeta; for a scalar
+    Lambda, Lambda psi = sum_beta c_{gamma beta} (theta psi_beta), with
+    theta zeta read off the space's theta products.  A form-valued
+    Lambda goes through extend."""
 
     def __init__(self, tss, perturbation=None):
         self.tss = tss
-        self.columns = None
+        self.columns = self.scalars = None
+        self.images = {}
         if perturbation is None:
             return
         lam = [[_as_one_form(tss.calc, entry) for entry in row]
@@ -224,45 +273,34 @@ class ConnectionMap:
         assert len(lam) == tss.dim_w
         assert all(len(row) == tss.dim_w for row in lam)
         self.columns = list(zip(*lam))
-        if not all(isinstance(entry, (int, Scalar))
-                   for row in perturbation for entry in row):
-            self._certify()
-            return
-        for i, row in enumerate(perturbation):
-            for j, c in enumerate(row):
-                if c and (i, j) not in tss.certified:
-                    basis = [[tss.calc.zero(1)] * tss.dim_w
-                             for _ in range(tss.dim_w)]
-                    basis[i][j] = tss.calc.theta()
-                    try:
-                        ConnectionMap(tss, basis)
-                    except NotLinear as exc:
-                        raise NotLinear("Lambda basis entry (%d, %d): %s"
-                                        % (i, j, exc)) from None
-                    tss.certified.add((i, j))
+        if all(isinstance(entry, (int, Scalar))
+               for row in perturbation for entry in row):
+            self.scalars = [[c if isinstance(c, Scalar) else Scalar(c)
+                             for c in row] for row in perturbation]
+
+    def _lambda(self, vec):
+        """Lambda vec, for Lambda not None."""
+        tss = self.tss
+        if self.scalars is None:
+            return tss.extend(self.columns, vec)
+        theta = tss.theta_times(vec)
+        zero = tss.calc.zero(tss.degree_of(vec) + 1)
+        return [zero.combination(zip(row, theta)) for row in self.scalars]
 
     def perturbation(self, vec):
         """A(vec) = e . Lambda . vec, for Lambda not None."""
-        return self.tss.project(self.tss.extend(self.columns, vec))
-
-    def _certify(self):
-        """A(psi a) = A(psi) a exactly, for the level-N basis sections psi
-        and a in {1, the three Podles generators}.  A NotLinear names the
-        failing section and test element and states this scope: the
-        certificate checks no other pair."""
-        tss = self.tss
-        tests = [coeff.unit()] + list(homspace.podles_generators())
-        for j, g, lhs, rhs in tss.right_linearity(self.perturbation, tests):
-            if lhs != rhs:
-                raise NotLinear("basis section %d, a = %s: A(psi a) != "
-                                "A(psi) a; %s" % (j, g, _SCOPE % tss.N))
+        return self.tss.project(self._lambda(vec))
 
     def apply(self, vec):
-        """e . (d vec + Lambda vec), with one projection."""
+        """e . (d vec + Lambda vec), with one projection; once per owned
+        vector."""
+        return _once(self.images, vec, self._apply)
+
+    def _apply(self, vec):
         tss = self.tss
-        out = [tss.calc.d(w) for w in vec]
+        out = tss.d(vec)
         if self.columns is not None:
-            out = tss.add(out, tss.extend(self.columns, vec))
+            out = tss.add(out, self._lambda(vec))
         out = tss.project(out)
         assert tss.degree_of(out) == tss.degree_of(vec) + 1
         return out
@@ -271,29 +309,73 @@ class ConnectionMap:
         return self.apply(self.tss.from_section(section))
 
 
+def _certify(conn):
+    """A(psi a) = A(psi) a exactly for the perturbation A of conn, for
+    the level-N basis sections psi and a in {1, the three Podles
+    generators}.  A NotLinear names the failing section and test element
+    and states this scope: the certificate checks no other pair."""
+    tss = conn.tss
+    tests = [coeff.unit()] + list(homspace.podles_generators())
+    for j, g, lhs, rhs in tss.right_linearity(conn.perturbation, tests):
+        if lhs != rhs:
+            raise NotLinear("basis section %d, a = %s: A(psi a) != "
+                            "A(psi) a; %s" % (j, g, _SCOPE % tss.N))
+
+
 def make_connection(tss, perturbation=None):
-    return ConnectionMap(tss, perturbation)
+    """The ConnectionMap of Lambda once A = e . Lambda passes an exact
+    right-linearity certificate against the invariant generators;
+    NotLinear if it fails.
+
+    A is linear in Lambda (extend, project and Calculus.multiply are
+    Q(u)-linear): for scalar entries c_ij,
+    A(psi a) - A(psi) a = sum c_ij (A_ij(psi a) - A_ij(psi) a) with
+    A_ij = e . E_ij theta.  So a scalar Lambda is certified through the
+    basis maps E_ij theta with c_ij != 0, each on the scalar path and
+    once per TensoredSectionSpace; a Lambda with a form-valued entry is
+    certified on its own columns."""
+    conn = ConnectionMap(tss, perturbation)
+    if conn.scalars is None:
+        if conn.columns is not None:
+            _certify(conn)
+        return conn
+    for i, row in enumerate(conn.scalars):
+        for j, c in enumerate(row):
+            if c and (i, j) not in tss.certified:
+                basis = [[ONE if (g, b) == (i, j) else ZERO
+                          for b in range(tss.dim_w)]
+                         for g in range(tss.dim_w)]
+                try:
+                    _certify(ConnectionMap(tss, basis))
+                except NotLinear as exc:
+                    raise NotLinear("Lambda basis entry (%d, %d): %s"
+                                    % (i, j, exc)) from None
+                tss.certified.add((i, j))
+    return conn
 
 
 class CurvatureMap:
     """The restriction of nabla^2 to the sections, together with its
-    right-linear extension through the generator presentation.
-    nabla_sections[j] = nabla(zeta_j) is computed once; F(zeta_j) and the
-    Bianchi sides read it."""
+    right-linear extension through the generator presentation.  The map
+    keeps its image F(zeta) = nabla(nabla(zeta)) of each vector the
+    space owns, and the connection keeps nabla(zeta):
+    nabla_sections[j] = nabla(zeta_j) and on_sections[j] = F(zeta_j) are
+    those images, which the linearity walk and the Bianchi sides read.
+    No image is recombined from other maps' images."""
 
     def __init__(self, conn):
         self.conn = conn
+        self.images = {}
         tss = conn.tss
         self.on_generators = [self.apply(tss.generator(alpha))
                               for alpha in range(tss.dim_w)]
-        self.nabla_sections, self.on_sections = [], []
-        for vec in tss.vectors:
-            self.nabla_sections.append(conn.apply(vec))
-            self.on_sections.append(conn.apply(self.nabla_sections[-1]))
+        self.nabla_sections = [conn.apply(vec) for vec in tss.vectors]
+        self.on_sections = [self.apply(vec) for vec in tss.vectors]
 
     def apply(self, vec):
-        """F(vec) = nabla(nabla(vec))."""
-        return self.conn.apply(self.conn.apply(vec))
+        """F(vec) = nabla(nabla(vec)); once per owned vector."""
+        return _once(self.images, vec,
+                     lambda v: self.conn.apply(self.conn.apply(v)))
 
     def hat(self, vec):
         """F-hat(sum_beta zeta_beta (x) psi_beta)
@@ -305,8 +387,7 @@ class CurvatureMap:
         generator."""
         return all(lhs == rhs for _, _, lhs, rhs in
                    self.conn.tss.right_linearity(
-                       self.apply, homspace.podles_generators(),
-                       self.on_sections))
+                       self.apply, homspace.podles_generators()))
 
     def bianchi_sides(self, j):
         """nabla(F(zeta_j)) and F-hat(nabla(zeta_j)) for the j-th basis

@@ -455,6 +455,34 @@ def project(tss, vec):
     return out
 
 
+def right_linearity(tss, op, tests):
+    """TensoredSectionSpace.right_linearity before the space kept its
+    section vectors: zeta_j and zeta_j a are built afresh, as plain
+    lists, for every pair, so op caches nothing."""
+    for j, section in enumerate(tss.sections):
+        image = op(tss.from_section(section))
+        for a in tests:
+            yield (j, a, op(tss.from_section(section.times(a))),
+                   tss.right_mult(image, tss.calc.form0(a)))
+
+
+def perturbation(conn, vec):
+    """e . Lambda . vec of a connection with Lambda not None, through
+    extend on its form columns and the per-term projection."""
+    return project(conn.tss, conn.tss.extend(conn.columns, vec))
+
+
+def connection_apply(conn, vec):
+    """e . (d vec + Lambda vec), with d, Lambda and e applied afresh:
+    coordinatewise d, extend on the form columns and the per-term
+    projection."""
+    tss = conn.tss
+    out = [tss.calc.d(w) for w in vec]
+    if conn.columns is not None:
+        out = tss.add(out, tss.extend(conn.columns, vec))
+    return project(tss, out)
+
+
 # ----------------------------------------------------------------------
 # the translation actions on dense coefficient blocks, before they ran
 # term by term

@@ -17,7 +17,7 @@ import pytest
 
 from qhvb.scalars import (Scalar, Matrix, Span, ZERO, ONE, accumulate,
                           NoSolution)
-from qhvb import uea, repmod, coeff, calculus, cli, scalars
+from qhvb import uea, repmod, coeff, calculus, cli, connection, scalars
 from test_cli import _break_calculus
 import oracles
 
@@ -669,32 +669,49 @@ def test_multiply_reads_its_tables_only(monkeypatch):
                    for _, m in table)
 
 
-@pytest.mark.parametrize("suites, limit, gcd_limit, add_limit", [
-    (("calculus", "closure"), 2200, None, 900),
-    (("connection", "curvature"), 3700, 30000, None),
+# the connection and curvature row also bounds d, multiply and project
+@pytest.mark.parametrize("suites, limit, gcd_limit, add_limit, op_limits", [
+    (("calculus", "closure"), 2200, None, 900, {}),
+    (("connection", "curvature"), 2600, 20500, None,
+     {(calculus.Calculus, "d"): 320, (calculus.Calculus, "multiply"): 600,
+      (connection.TensoredSectionSpace, "project"): 270}),
 ], ids=["calculus-closure", "connection-curvature"])
 def test_verify_contracts_words_before_coefficient_products(monkeypatch,
                                                            tmp_path, capsys,
                                                            cold_tables,
                                                            suites, limit,
                                                            gcd_limit,
-                                                           add_limit):
+                                                           add_limit,
+                                                           op_limits):
     # the calculus and closure suites make one coefficient product per
     # (left word, normal word) pair; one per (left word, shifted word,
     # right word) made 3,741.  The connection and curvature suites make
-    # 3,658, most of them in right_mult; with one product per (gamma,
-    # beta, word) in TensoredSectionSpace.project they made 7,957, and
-    # with section vectors rebuilt by each right-linearity loop 4,524.
-    # product_terms is the one coefficient product: Algebra.multiply
-    # finishes it, and Calculus.multiply merges its terms unreduced
+    # 2,498, most of them in right_mult; with one product per (gamma,
+    # beta, word) in TensoredSectionSpace.project they made 7,957, with
+    # section vectors rebuilt by each right-linearity loop 4,524, and
+    # with d zeta, theta zeta and each map's images recomputed in every
+    # walk 3,658 (and 560 d, 804 multiply and 280 project calls, against
+    # 304, 572 and 256).  product_terms is the one coefficient product:
+    # Algebra.multiply finishes it, and Calculus.multiply merges its
+    # terms unreduced
     calls = []
     fn = coeff.Algebra.product_terms
     monkeypatch.setattr(coeff.Algebra, "product_terms", lambda self, f, g:
                         calls.append(1) or fn(self, f, g))
+    ops = {}
+
+    def count(cls, name):
+        fn, calls = getattr(cls, name), ops.setdefault(name, [])
+        monkeypatch.setattr(cls, name, lambda self, *args:
+                            calls.append(1) or fn(self, *args))
+
+    for cls, name in op_limits:
+        count(cls, name)
     # every gcd, from cold scalar caches and a cold window algebra: the
     # connection and curvature suites made 75,574 when each sum and
-    # product cancelled at once, and about 25,700 with one cancellation
-    # per entry of a row product
+    # product cancelled at once, about 25,700 with one cancellation per
+    # entry of a row product, and 24,544 before the walk's values were
+    # computed once per section space (19,443 after)
     gcds = []
     pgcd = scalars._pgcd
     monkeypatch.setattr(scalars, "_pgcd", lambda a, b:
@@ -715,6 +732,8 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
         args += ["--suite", suite]
     assert cli.main(args) == 0
     assert 0 < len(calls) <= limit
+    assert all(0 < len(ops[name]) <= bound
+               for (_, name), bound in op_limits.items())
     # the run built the basis products it multiplies by
     (algebra, _), = cold_tables.values()
     assert algebra._pair_prod

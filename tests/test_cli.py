@@ -87,15 +87,26 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("theta", ["a", "1 1.5"])
-def test_non_integer_theta_is_a_config_error(tmp_path, capsys, theta):
-    path = tmp_path / "theta.cfg"
-    path.write_text("theta = %s\n" % theta)
+@pytest.mark.parametrize("line, message", [
+    ("theta = a", "theta must be integers: ['a']"),
+    ("theta = 1 1.5", "theta must be integers: ['1', '1.5']"),
+    ("weights = 1 x", "weights must be integers: '1 x'"),
+    ("n_max = two", "n_max must be an integer: 'two'"),
+    ("seed = 1.5", "seed must be an integer: '1.5'"),
+    ("irrep = 1.0", "irrep must be an integer: '1.0'"),
+    ("samples = 1/0", "samples must be rationals: '1/0'"),
+    ("samples = a", "samples must be rationals: 'a'"),
+    ("suites =", "empty suite selection"),
+], ids=["a", "1 1.5", "weights", "n_max", "seed", "irrep", "samples-1/0",
+        "samples-a", "suites"])
+def test_non_integer_theta_is_a_config_error(tmp_path, capsys, line,
+                                             message):
+    # and every other config value of the wrong kind: one line, exit 2
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
     rc = cli.main(["dims", "--config", str(path)])
     assert rc == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("config error: theta must be integers")
+    assert capsys.readouterr().err.splitlines() == ["config error: " + message]
 
 
 def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
@@ -489,6 +500,25 @@ def _break_lambda_side(monkeypatch):
     monkeypatch.setattr(connection.ConnectionMap, "apply", right_acting)
 
 
+def _double_d(monkeypatch):
+    # 2 d is a derivation, so the law of nabla0, whose right side reads
+    # the same d, holds; the perturbed law adds zeta (x) da through d0,
+    # which stays whole.  That law reads only values the section space
+    # and each map keep, so from cold tables they carry the mutant
+    d = calculus.Calculus.d
+    monkeypatch.setattr(calculus.Calculus, "d",
+                        lambda self, w: d(self, w).scale(2))
+
+
+def _double_project(monkeypatch):
+    # 2 e . (d + Lambda): A = 2 e . Lambda passes its certificate, so the
+    # perturbed law fails on the cached images, not on NotLinear
+    project = connection.TensoredSectionSpace.project
+    monkeypatch.setattr(connection.TensoredSectionSpace, "project",
+                        lambda self, vec: [w.scale(2)
+                                           for w in project(self, vec)])
+
+
 def _drop_level_zero_sections(monkeypatch):
     # the section solver loses its level-0 block: the invariants lose the
     # unit, and the restricted complex is no longer closed under d
@@ -524,6 +554,9 @@ RESIDUAL_MUTANTS = [
      ["connection-difference-linear", "connection-law-perturbed"]),
     ("closure", _drop_level_zero_sections,
      ["d-closure-degree-0", "d-closure-degree-1"]),
+    ("connection", _double_d, ["connection-law-perturbed"]),
+    ("connection", _double_project,
+     ["connection-law-nabla0", "connection-law-perturbed"]),
 ]
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 from qhvb import coeff, repmod, calculus, bundle, homspace, connection, cli
-from qhvb.scalars import Scalar
+from qhvb.scalars import ONE, ZERO, Scalar
 from test_calculus import sample_coeff
 import oracles
 
@@ -323,41 +323,134 @@ def test_scalar_lambda_certifies_new_basis_entries_only(monkeypatch):
 
 
 def test_direct_certificate_is_the_oracle(monkeypatch):
-    # the same Lambda with form entries c.theta runs the certificate on
-    # its own columns and builds the same connection
+    # the same Lambda with form entries c.theta keeps no Scalar matrix: it
+    # runs the certificate on its own columns, through extend and with
+    # no theta product of the space, and builds the same connection
     calls = _count_calls(monkeypatch, connection.ConnectionMap, "perturbation")
+    extends = _count_calls(monkeypatch, connection.TensoredSectionSpace,
+                           "extend")
+    thetas = _count_calls(monkeypatch, connection.TensoredSectionSpace,
+                          "theta_times")
     rnd = random.Random(5)
     for _ in range(3):
         lam = [[Scalar(rnd.randint(-3, 3)) for _ in range(TSS.dim_w)]
                for _ in range(TSS.dim_w)]
         via_basis = connection.make_connection(TSS, lam)
-        del calls[:]
+        del calls[:], extends[:], thetas[:]
         direct = connection.make_connection(
             TSS, [[CALC.theta().scale(c) for c in row] for row in lam])
-        assert len(calls) == len(TSS.sections) * 5
+        assert direct.scalars is None
+        assert len(calls) == len(extends) == len(TSS.sections) * 5
+        assert thetas == []
         for s in TSS.sections:
             psi = TSS.from_section(s)
             assert via_basis.apply(psi) == direct.apply(psi)
+        # on the owned vectors the scalar Lambda reads theta zeta, and
+        # the form-valued one goes through extend, once per vector
+        owned = TSS.vectors + list(TSS._products.values())
+        del extends[:]
+        assert [direct.apply(vec) for vec in owned] == [
+            direct.apply(vec) for vec in owned]
+        assert len(extends) == len(owned)
+        for vec in owned:
+            assert via_basis.apply(vec) == direct.apply(vec)
+            assert via_basis.apply(vec) == oracles.connection_apply(
+                via_basis, list(vec))
 
 
 def test_broken_product_fails_both_certificates(monkeypatch):
     # a right factor of degree 0 doubles a form of positive degree, so
     # (theta f) g = 4 theta f g but theta (f g) = 2 theta f g
+    # on a space of its own, so no theta product made under the broken
+    # product stays in the shared space's cache
+    tss = connection.TensoredSectionSpace(CALC, V, 1)
     multiply = calculus.Calculus.multiply
     monkeypatch.setattr(calculus.Calculus, "multiply", lambda self, x, y:
                         multiply(self, x, y).scale(
                             2 if x.degree and not y.degree else 1))
-    monkeypatch.setattr(TSS, "certified", set())
     tail = (r"basis section 0, a = 1: A\(psi a\) != A\(psi\) a; "
             r"certificate scope: the level-1 basis sections against 1 and "
             r"the three Podles generators$")
     with pytest.raises(connection.NotLinear,
                        match=r"^Lambda basis entry \(0, 0\): " + tail):
-        connection.make_connection(TSS, [[1, 0], [0, 3]])
+        connection.make_connection(tss, [[1, 0], [0, 3]])
     with pytest.raises(connection.NotLinear, match="^" + tail):
-        connection.make_connection(TSS, [[CALC.theta(), CALC.zero(1)],
+        connection.make_connection(tss, [[CALC.theta(), CALC.zero(1)],
                                          [CALC.zero(1), CALC.theta()]])
-    assert TSS.certified == set()
+    assert tss.certified == set()
+
+
+def _basis_map(tss, i, j):
+    """The uncertified map of Lambda = E_ij theta on the scalar path."""
+    return connection.ConnectionMap(tss, [[ONE if (g, b) == (i, j) else ZERO
+                                           for b in range(tss.dim_w)]
+                                          for g in range(tss.dim_w)])
+
+
+def test_cached_walk_values_match_the_uncached_oracle(tmp_path, cold_tables):
+    # the connection and curvature suites fill the caches of the
+    # workspace's space, nabla0 and its curvature from cold; every cached
+    # value equals a fresh computation on a vector rebuilt as a plain
+    # list, for nabla0, the 13 seeded perturbations of verify and the
+    # basis maps E_ii theta that certify them
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--seed", "0", "--suite", "connection",
+                     "--suite", "curvature", "--out", str(out)]) == 0
+    ws = cli._Workspace(cli.RunConfig())
+    tss, conn0, F = ws.tss(), ws.conn0(), ws.curvature0()
+    calc = tss.calc
+    tests = [coeff.unit()] + PODLES
+    owned = tss.vectors + list(tss._products.values())
+    assert sorted(map(repr, (vec.key for vec in owned))) == sorted(
+        map(repr, list(range(2)) + [(j, a) for j in range(2) for a in tests]))
+    fresh = {}
+    for vec in owned:
+        j, a = vec.key if isinstance(vec.key, tuple) else (vec.key, None)
+        section = tss.sections[j] if a is None else tss.sections[j].times(a)
+        fresh[vec.key] = tss.from_section(section)
+        assert type(fresh[vec.key]) is list and fresh[vec.key] == vec
+    # the verify run read theta zeta of every owned vector (the
+    # certificate walks a = 1 too), and d zeta and the Leibniz terms of
+    # the sections and their products with the Podles generators
+    assert set(tss._theta) == set(fresh)
+    assert set(tss._d) == set(range(2)) | set(tss._leibniz)
+    assert set(tss._leibniz) == {(j, a) for j in range(2) for a in PODLES}
+    for vec in owned:
+        plain = fresh[vec.key]
+        assert tss.d(vec) is tss._d[vec.key]
+        assert tss.d(vec) == [calc.d(w) for w in plain]
+        assert tss.theta_times(vec) == [calc.multiply(calc.theta(), w)
+                                        for w in plain]
+    for (j, a), term in tss._leibniz.items():
+        assert term == tss.right_mult(fresh[j], calc.d0(a))
+    rng = lambda name: cli._rng(ws.cfg, name)
+    perturbed = (cli._seeded_perturbations(tss, rng("connection-perturbed"),
+                                           10)
+                 + cli._seeded_perturbations(
+                     tss, rng("connection-differences"), 3))
+    assert len(perturbed) == 13
+    assert all(conn.scalars for conn in perturbed)
+    for conn in [conn0] + perturbed:
+        walk = list(tss.right_linearity(conn.apply, PODLES))
+        assert walk == list(oracles.right_linearity(
+            tss, lambda vec: oracles.connection_apply(conn, vec), PODLES))
+        for vec in owned:
+            assert conn.apply(vec) is conn.images[vec.key]
+            assert conn.images[vec.key] == oracles.connection_apply(
+                conn, fresh[vec.key])
+    for vec in owned:
+        assert F.apply(vec) == conn0.apply(conn0.apply(fresh[vec.key]))
+    assert set(F.images) >= set(range(2))
+    assert tss.certified == {(0, 0), (1, 1)}
+    for i in range(tss.dim_w):
+        basis = _basis_map(tss, i, i)
+        walk = list(tss.right_linearity(basis.perturbation, tests))
+        assert walk == list(oracles.right_linearity(
+            tss, lambda vec: oracles.perturbation(basis, vec), tests))
+        assert all(lhs == rhs for _, _, lhs, rhs in walk)
+        for vec in owned:
+            assert basis.apply(vec) == oracles.connection_apply(
+                basis, fresh[vec.key])
 
 
 def test_difference_right_linear():
