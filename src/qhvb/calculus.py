@@ -642,11 +642,18 @@ class Restriction:
         self.echelons = {}
         self.filtration = {}
         for degree in (0, 1, 2):
+            # the tuples (a, (b_1..b_degree)) of invariant basis elements
+            # by total level, each level in product order
+            by_level = [[] for _ in range(degree * N + N + 1)]
+            for combo in itertools.product(self.invariants,
+                                           repeat=degree + 1):
+                by_level[sum(f.level for f in combo)].append(
+                    (combo[0], combo[1:]))
             basis = []
             ech = Echelon()
             filt = []
-            for bound in range(degree * N + N + 1):
-                for combo in self._presentations(degree, bound):
+            for combos in by_level:
+                for combo in combos:
                     form = self._realize(combo)
                     if form.is_zero():
                         continue
@@ -656,18 +663,6 @@ class Restriction:
             self.bases[degree] = basis
             self.echelons[degree] = ech
             self.filtration[degree] = filt
-
-    def _presentations(self, degree, bound):
-        """Tuples (a, (b_1..b_degree)) of invariant basis elements with
-        total level exactly `bound`."""
-        elements = self.invariants
-        out = []
-        for a in elements:
-            for bs in itertools.product(elements, repeat=degree):
-                total = a.level + sum(b.level for b in bs)
-                if total == bound:
-                    out.append((a, bs))
-        return out
 
     def _realize(self, combo):
         a, bs = combo

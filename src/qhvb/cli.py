@@ -12,10 +12,10 @@ Subcommands:
   haar        squared norms of seeded elements at the sample points
 
 Configuration is a flat key = value text file (see RunConfig for the
-keys) with --seed/--suite flag overrides.  Reports are canonical JSON:
-sorted keys, no wall-clock data (timings go to stderr), and all random
-sampling is derived from the configured seed, so identical config and
-seed give byte-identical output.
+six keys; build_config parses them) with --seed/--suite flag overrides.
+Reports are canonical JSON: sorted keys, no wall-clock data (timings go
+to stderr), and all random sampling is derived from the configured
+seed, so identical config and seed give byte-identical output.
 
 Every check of a verify suite yields its comparisons, (where, lhs, rhs)
 for an identity of exact values or a failure string for any other
@@ -53,17 +53,15 @@ class OutputError(Exception):
     """The report cannot be written to the --out path."""
 
 
-SUITES = ("hopf", "pairing", "actions", "haar", "idempotent", "projection",
-          "calculus", "closure", "connection", "curvature", "borelweil")
-
 _FAILURES = (AssertionError, NoSolution, calculus.AxiomViolation,
              calculus.SplitError, connection.NotLinear)
 
 # a bound on K^degree, K = (irrep + 1)^2 letters, for the forms that
 # `dims`, `connection` and the suites of `verify` reach.  No K^n word
 # space is built; what the cap guards is the exact elimination of the
-# exterior ideal E_n (Calculus._j_echelon), which at irrep = 2 did not
-# finish degree 4 in 7 minutes.  4^5 admits `dims` at irrep = 1
+# exterior ideal E_n (Calculus._j_echelon), which at irrep = 2 took 245 s
+# for degree 4 at commit 95d89bb (232 s in a second run; 2-vCPU VM).
+# 4^5 admits `dims` at irrep = 1
 WORD_SPACE_CAP = 1024
 
 # the degree of the largest forms each verify suite builds, given K:
@@ -82,54 +80,33 @@ _UNCOMPUTABLE = _SKIPS + (repmod.DecompositionError, calculus.SplitError,
 
 
 class RunConfig:
-    """algebra sl2; theta: simple-root subset (the verification suites
-    are pinned to the empty subset); weights: bundle weight list; n_max:
-    level bound steering the coefficient window 2*n_max + 2; irrep:
-    index of the module the calculus is built from; samples: rational
-    evaluation points in (0,1); seed; suites: selection to run."""
+    """weights: bundle weight list; n_max: level bound steering the
+    coefficient window 2*n_max + 2; irrep: index of the module the
+    calculus is built from; samples: rational evaluation points in
+    (0,1); seed; suites: selection to run, all of SUITES by default.
+    The values are typed (build_config converts a config file's text);
+    only their ranges and shapes are checked here."""
 
-    def __init__(self, algebra="sl2", theta=(), weights=(1,), n_max=4,
-                 irrep=1, samples=(Fraction(1, 2), Fraction(2, 3),
-                                   Fraction(9, 10)),
-                 seed=0, suites=SUITES):
-        if algebra != "sl2":
-            raise ConfigError("unknown algebra %r (only sl2)" % (algebra,))
-        self.algebra = algebra
-        try:
-            theta = tuple(sorted(set(int(t) for t in theta)))
-        except (TypeError, ValueError):
-            raise ConfigError("theta must be integers: %r" % (theta,))
-        for t in theta:
-            if t != 1:
-                raise ConfigError("theta index %d out of range for the "
-                                  "rank-one root set {1}" % t)
-        if theta:
-            raise ConfigError("the verification suites are pinned to the "
-                              "empty theta subset")
-        self.theta = theta
-        try:
-            self.weights = tuple(int(w) for w in weights)
-        except (TypeError, ValueError):
-            raise ConfigError("weights must be integers: %r" % (weights,))
+    def __init__(self, weights=(1,), n_max=4, irrep=1,
+                 samples=(Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)),
+                 seed=0, suites=None):
+        self.weights = tuple(weights)
         if not self.weights:
             raise ConfigError("weights must be nonempty")
-        self.n_max = int(n_max)
-        if self.n_max < 1:
+        if n_max < 1:
             raise ConfigError("n_max must be at least 1")
-        self.irrep = int(irrep)
-        if self.irrep < 1:
+        self.n_max = n_max
+        if irrep < 1:
             raise ConfigError("calculus source irrep index must be >= 1")
-        pts = []
-        for p in samples:
-            p = Fraction(p)
+        self.irrep = irrep
+        self.samples = tuple(samples)
+        for p in self.samples:
             if not (0 < p < 1):
                 raise ConfigError("sample point %s outside (0,1)" % p)
-            pts.append(p)
-        if not pts:
+        if not self.samples:
             raise ConfigError("at least one sample point is required")
-        self.samples = tuple(pts)
-        self.seed = int(seed)
-        suites = tuple(suites)
+        self.seed = seed
+        suites = SUITES if suites is None else tuple(suites)
         for s in suites:
             if s not in SUITES:
                 raise ConfigError("unknown suite %r (choose from %s)"
@@ -148,8 +125,10 @@ class RunConfig:
 
     def as_dict(self):
         return {
-            "algebra": self.algebra,
-            "theta": list(self.theta),
+            # the one construction verified: U_q(sl2) over the Podles
+            # sphere, with theta the empty simple-root subset
+            "algebra": "sl2",
+            "theta": [],
             "weights": list(self.weights),
             "n_max": self.n_max,
             "irrep": self.irrep,
@@ -179,13 +158,11 @@ def read_config_file(path):
 
 
 def build_config(file_data, seed=None, suites=None):
+    """The RunConfig of a config file's {key: text} with the --seed and
+    --suite overrides; the only place a key's text is converted."""
     kwargs = {}
     for key, value in file_data.items():
-        if key == "algebra":
-            kwargs["algebra"] = value
-        elif key == "theta":
-            kwargs["theta"] = value.split()
-        elif key == "weights":
+        if key == "weights":
             try:
                 kwargs["weights"] = [int(w) for w in value.split()]
             except ValueError:
@@ -924,6 +901,9 @@ _SUITE_RUNNERS = {
     "borelweil": _suite_borelweil,
 }
 
+# the canonical suite order
+SUITES = tuple(_SUITE_RUNNERS)
+
 
 # ----------------------------------------------------------------------
 # commands
@@ -1075,18 +1055,14 @@ def cmd_idempotent(cfg, out_path):
 
 def cmd_connection(cfg, out_path):
     _check_word_space(cfg, "connection", 3)
-    ws = _Workspace(cfg)
-    tss = ws.tss()
-    conn = ws.conn0()
-    F = ws.curvature0()
+    F = _Workspace(cfg).curvature0()
     bianchi = F.bianchi_check()
     payload = {
         "config": cfg.as_dict(),
         "partial_on_sections": [[_form_json(w) for w in nabla]
                                 for nabla in F.nabla_sections],
-        "nabla0_on_generators": [
-            [_form_json(w) for w in conn.apply(tss.generator(alpha))]
-            for alpha in range(tss.dim_w)],
+        "nabla0_on_generators": [[_form_json(w) for w in nabla]
+                                 for nabla in F.nabla_generators],
         "curvature_on_generators": [[_form_json(w) for w in fv]
                                     for fv in F.on_generators],
         "curvature_right_linear": F.linearity_check(),

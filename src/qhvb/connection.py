@@ -361,14 +361,17 @@ class CurvatureMap:
     space owns, and the connection keeps nabla(zeta):
     nabla_sections[j] = nabla(zeta_j) and on_sections[j] = F(zeta_j) are
     those images, which the linearity walk and the Bianchi sides read.
-    No image is recombined from other maps' images."""
+    nabla_generators[alpha] = nabla(zeta_alpha) is the inner value of
+    on_generators[alpha] = F(zeta_alpha) on the generators.  No image is
+    recombined from other maps' images."""
 
     def __init__(self, conn):
         self.conn = conn
         self.images = {}
         tss = conn.tss
-        self.on_generators = [self.apply(tss.generator(alpha))
-                              for alpha in range(tss.dim_w)]
+        self.nabla_generators = [conn.apply(tss.generator(alpha))
+                                 for alpha in range(tss.dim_w)]
+        self.on_generators = [conn.apply(v) for v in self.nabla_generators]
         self.nabla_sections = [conn.apply(vec) for vec in tss.vectors]
         self.on_sections = [self.apply(vec) for vec in tss.vectors]
 

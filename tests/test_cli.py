@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,28 +19,22 @@ from qhvb import (bundle, calculus, cli, coeff, connection, repmod, scalars,
 
 def test_default_config():
     cfg = cli.RunConfig()
-    assert cfg.algebra == "sl2"
-    assert cfg.theta == ()
     assert cfg.weights == (1,)
     assert cfg.n_max == 4
     assert cfg.coefficient_window == 10
     assert cfg.suites == cli.SUITES
     d = cfg.as_dict()
+    assert d["algebra"] == "sl2"
+    assert d["theta"] == []
     assert d["samples"] == ["1/2", "2/3", "9/10"]
     assert d["coefficient_window"] == 10
 
 
 def test_config_validation():
     with pytest.raises(cli.ConfigError):
-        cli.RunConfig(algebra="gl3")
-    with pytest.raises(cli.ConfigError):
-        cli.RunConfig(theta=(5,))
-    with pytest.raises(cli.ConfigError):
-        cli.RunConfig(theta=(1,))  # suites are pinned to the empty subset
-    with pytest.raises(cli.ConfigError):
         cli.RunConfig(n_max=0)
     with pytest.raises(cli.ConfigError):
-        cli.RunConfig(samples=("3/2",))
+        cli.RunConfig(samples=(Fraction(3, 2),))
     with pytest.raises(cli.ConfigError):
         cli.RunConfig(samples=())
     with pytest.raises(cli.ConfigError):
@@ -87,9 +82,28 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_readme_keys_and_defaults_are_the_default_config(tmp_path):
+    # the block README documents parses to the defaults of RunConfig
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("The keys and defaults:\n\n```\n", 1)[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block.split("```", 1)[0])
+    file_data = cli.read_config_file(str(path))
+    assert len(file_data) == 6
+    cfg = cli.build_config(file_data)
+    assert cfg.as_dict() == cli.RunConfig().as_dict()
+
+
 @pytest.mark.parametrize("line, message", [
-    ("theta = a", "theta must be integers: ['a']"),
-    ("theta = 1 1.5", "theta must be integers: ['1', '1.5']"),
+    # algebra and theta are constants of every report, not keys: any
+    # value, a non-integer theta included, is an unknown key
+    ("theta = a", "unknown config key 'theta'"),
+    ("theta = 1 1.5", "unknown config key 'theta'"),
+    ("theta =", "unknown config key 'theta'"),
+    ("theta = 1", "unknown config key 'theta'"),
+    ("algebra = sl2", "unknown config key 'algebra'"),
+    ("algebra = gl3", "unknown config key 'algebra'"),
     ("weights = 1 x", "weights must be integers: '1 x'"),
     ("n_max = two", "n_max must be an integer: 'two'"),
     ("seed = 1.5", "seed must be an integer: '1.5'"),
@@ -97,16 +111,22 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("samples = 1/0", "samples must be rationals: '1/0'"),
     ("samples = a", "samples must be rationals: 'a'"),
     ("suites =", "empty suite selection"),
-], ids=["a", "1 1.5", "weights", "n_max", "seed", "irrep", "samples-1/0",
+], ids=["a", "1 1.5", "theta-empty", "theta-1", "algebra-sl2",
+        "algebra-gl3", "weights", "n_max", "seed", "irrep", "samples-1/0",
         "samples-a", "suites"])
 def test_non_integer_theta_is_a_config_error(tmp_path, capsys, line,
                                              message):
-    # and every other config value of the wrong kind: one line, exit 2
+    # and every other unknown key or config value of the wrong kind: one
+    # line, exit 2, nothing written
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")
-    rc = cli.main(["dims", "--config", str(path)])
+    out = tmp_path / "dims.json"
+    rc = cli.main(["dims", "--config", str(path), "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err.splitlines() == ["config error: " + message]
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["config error: " + message]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
@@ -254,7 +274,6 @@ def test_idempotent_command_at_mixed_block_weights(tmp_path, weights, rank):
 
 
 def test_haar_command(tmp_path):
-    from fractions import Fraction
     out = tmp_path / "haar.json"
     rc = cli.main(["haar", "--seed", "2", "--out", str(out)])
     assert rc == 0

@@ -293,17 +293,19 @@ def test_verify_builds_each_section_vector_once(monkeypatch, tmp_path,
 def test_connection_command_reads_nabla0_on_sections_once(monkeypatch,
                                                           tmp_path,
                                                           cold_tables):
-    # `qhvb connection` reports nabla0 on the basis sections from the
-    # curvature's nabla_sections: 2 section vectors and 2 * 3 products
-    # with the Podles generators.  Recomputing it per section through
-    # ConnectionMap.on_section made 10 vectors and 26 projections
+    # `qhvb connection` reports nabla0 on the basis sections and on the
+    # generators from the curvature's nabla_sections and
+    # nabla_generators: 2 section vectors and 2 * 3 products with the
+    # Podles generators.  Recomputing it per section through
+    # ConnectionMap.on_section made 10 vectors and 26 projections, and
+    # applying nabla0 to the generators again 2 more projections
     sections = _count_calls(monkeypatch, connection.TensoredSectionSpace,
                             "from_section")
     projections = _count_calls(monkeypatch, connection.TensoredSectionSpace,
                                "project")
     out = tmp_path / "connection.json"
     assert cli.main(["connection", "--out", str(out)]) == 0
-    assert (len(sections), len(projections)) == (8, 24)
+    assert (len(sections), len(projections)) == (8, 22)
 
 
 def test_scalar_lambda_certifies_new_basis_entries_only(monkeypatch):
