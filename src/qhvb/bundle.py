@@ -1,7 +1,9 @@
 """Quantum homogeneous vector bundles over the Podles sphere.
 
-A finite-dimensional module V over the Cartan subalgebra U_l is a list
-of weights.  Its sections form the right E_q-module
+A finite-dimensional module V over the Cartan subalgebra U_l is its
+tuple of integer weights m, the generator k acting by u^{2m} on the line
+of weight m (diagonal); every function here takes V as those weights.
+Its sections form the right E_q-module
 
     H_q(V) = { zeta in V (x) T_q : x o zeta = (S(x) (x) id) zeta
                                    for all x in U_l },
@@ -17,7 +19,7 @@ sharing) yields mutually inverse right-module maps
 
 whose composite e = im . wp is an explicit idempotent exhibiting the
 sections as a finite-type projective module.  The Podles sphere E_q
-itself is H_q of the trivial line V = [0] (see `homspace.invariants`),
+itself is H_q of the trivial line V = (0,) (see `homspace.invariants`),
 and the idempotent reads the E_q of its domain off the same basis.
 Sections and elements of W (x) E_q are both coeff.CoeffVectors,
 LinCombs whose terms map (index, Peter-Weyl key) to Scalars, the index
@@ -30,8 +32,6 @@ the left translation action and is checked irreducible (or zero) by
 decomposing the resulting module.
 """
 
-from fractions import Fraction
-
 from .scalars import (Scalar, Echelon, Span, LinComb, ONE, ZERO,
                       NoSolution, accumulate)
 from . import uea, repmod, coeff
@@ -39,30 +39,14 @@ from . import uea, repmod, coeff
 _UPOW = Scalar.u_power
 
 
-class LModule:
-    """A module over the Cartan subalgebra: a list of weights m, the
-    generator k acting by u^{2m} on the corresponding line.  Weights may
-    be half-integral (denominator 2); only integral weights admit a
-    completion, and half-integral ones have no sections at all."""
-
-    def __init__(self, weights):
-        self.weights = tuple(Fraction(m) for m in weights)
-        assert all(m.denominator in (1, 2) for m in self.weights)
-        self.dim = len(self.weights)
-
-    def is_integral(self):
-        return all(m.denominator == 1 for m in self.weights)
-
-    def diagonal(self, x):
-        """The action of a UEAElement on V, one Scalar per weight line:
-        monomials containing e or f act by zero and k^b by u^{2mb}, so
-        every element acts diagonally."""
-        powers = [(b, s) for (a, b, c), s in x.terms.items() if not (a or c)]
-        return [sum((s * _UPOW(int(2 * m) * b) for b, s in powers), ZERO)
-                for m in self.weights]
-
-    def __repr__(self):
-        return "LModule(%s)" % (list(self.weights),)
+def diagonal(weights, x):
+    """The action of a UEAElement on the U_l-module with these weights,
+    one Scalar per weight line: monomials containing e or f act by zero
+    and k^b by u^{2mb} on a line of weight m, so every element acts
+    diagonally."""
+    powers = [(b, s) for (a, b, c), s in x.terms.items() if not (a or c)]
+    return [sum((s * _UPOW(2 * m * b) for b, s in powers), ZERO)
+            for m in weights]
 
 
 def simple_tensor(beta, f):
@@ -72,24 +56,24 @@ def simple_tensor(beta, f):
 
 class Section(coeff.CoeffVector):
     """An element of V (x) T_q satisfying the defining constraint
-    x o zeta = (S(x) (x) id) zeta for the Cartan generators; the index
-    of a term is the weight line r of V."""
+    x o zeta = (S(x) (x) id) zeta for the Cartan generators; V is given
+    by its weights, and the index of a term is the weight line r of V."""
 
-    __slots__ = ("algebra", "lmodule")
+    __slots__ = ("algebra", "weights")
 
-    def __init__(self, algebra, lmodule, terms=None, check=True):
+    def __init__(self, algebra, weights, terms=None, check=True):
         coeff.CoeffVector.__init__(self, terms)
         self.algebra = algebra
-        self.lmodule = lmodule
+        self.weights = tuple(weights)
         if check and not self.satisfies_constraint((uea.K, uea.K_INV)):
             raise AssertionError("components violate the section constraint")
 
     def _new(self, terms):
-        return Section(self.algebra, self.lmodule, terms, check=False)
+        return Section(self.algebra, self.weights, terms, check=False)
 
     def satisfies_constraint(self, generators):
         for x in generators:
-            sx = self.lmodule.diagonal(uea.antipode(x))
+            sx = diagonal(self.weights, uea.antipode(x))
             want = {}
             for (r, pw), s in self.terms.items():
                 accumulate(want, (r, pw), sx[r] * s)
@@ -106,13 +90,12 @@ class Section(coeff.CoeffVector):
         return self.map(lambda f: self.algebra.dot(x, f))
 
     def __eq__(self, other):
-        # sections over equal weight lists are elements of one module,
-        # whichever LModule object each was built on
+        # sections over equal weights are elements of one module
         return (LinComb.__eq__(self, other)
-                and self.lmodule.weights == other.lmodule.weights)
+                and self.weights == other.weights)
 
 
-def sections_basis(algebra, lmodule, N):
+def sections_basis(algebra, weights, N):
     """Basis of the sections up to Peter-Weyl level N.  k acts on
     t[n;i,j] by u^{2(n-2j)} and S(k) on a line of weight m by u^{-2m},
     so the sections are the coefficients t[n;i,j] of the line r with
@@ -123,12 +106,13 @@ def sections_basis(algebra, lmodule, N):
     if N > algebra.n_max:
         raise coeff.LevelOverflow("sections of level %d beyond the "
                                   "coefficient window %d" % (N, algebra.n_max))
+    weights = tuple(weights)
     out = []
     for n in range(N + 1):
-        for r, m in enumerate(lmodule.weights):
-            j = (n + m) / 2
-            if j.denominator == 1 and 0 <= j <= n:
-                out.extend(Section(algebra, lmodule, {(r, (n, i, int(j))): ONE})
+        for r, m in enumerate(weights):
+            if (n + m) % 2 == 0 and abs(m) <= n:
+                j = (n + m) // 2
+                out.extend(Section(algebra, weights, {(r, (n, i, j)): ONE})
                            for i in range(n + 1))
     return out
 
@@ -148,18 +132,17 @@ class Completion:
     repmod.irrep); each line takes its own summand, so the inclusion is
     injective and keeps the weights."""
 
-    def __init__(self, lmodule):
-        assert lmodule.is_integral()
-        self.lmodule = lmodule
-        self.blocks = [abs(int(m)) for m in lmodule.weights]
+    def __init__(self, weights):
+        self.weights = tuple(weights)
+        self.blocks = [abs(m) for m in self.weights]
         self.offsets = []
         off = 0
         for n in self.blocks:
             self.offsets.append(off)
             off += n + 1
         self.dim_w = off
-        self.v_index = [o + (n - int(m)) // 2 for o, n, m in zip(
-            self.offsets, self.blocks, lmodule.weights)]
+        self.v_index = [o + (n - m) // 2 for o, n, m in zip(
+            self.offsets, self.blocks, self.weights)]
 
     def block_of(self, beta):
         for r in range(len(self.blocks) - 1, -1, -1):
@@ -177,7 +160,8 @@ class Completion:
         return coeff.basis_element(self.blocks[rb], ib, ja)
 
     def __repr__(self):
-        return "Completion(%r -> blocks %s)" % (self.lmodule, self.blocks)
+        return "Completion(%s -> blocks %s)" % (list(self.weights),
+                                                 self.blocks)
 
 
 def idempotent_matrix(algebra, completion):
@@ -205,16 +189,15 @@ def idempotent_matrix(algebra, completion):
 def wp(algebra, completion, element):
     """The map from W (x) E_q onto the sections: w_beta (x) a goes to
     sum_r v_r (x) S(t_{idx(r), beta}) a."""
-    V = completion.lmodule
     out = {}
     for beta, a in element.coords.items():
-        for r in range(V.dim):
-            t = completion.coefficient(completion.v_index[r], beta)
+        for r, idx in enumerate(completion.v_index):
+            t = completion.coefficient(idx, beta)
             if t.is_zero():
                 continue
             for pw, s in algebra.multiply(algebra.antipode(t), a).terms.items():
                 accumulate(out, (r, pw), s)
-    return Section(algebra, V, out)
+    return Section(algebra, completion.weights, out)
 
 
 def im(algebra, completion, section):
@@ -242,17 +225,17 @@ class BundleIdempotent:
     up to level N + |m|.  matched_level is N + |m| when every line has
     the same |m|, and None otherwise."""
 
-    def __init__(self, algebra, lmodule, N):
+    def __init__(self, algebra, weights, N):
         self.algebra = algebra
-        self.lmodule = lmodule
-        self.completion = Completion(lmodule)
+        self.completion = Completion(weights)
+        self.weights = self.completion.weights
         self.N = N
         # a summand beyond the window overflows before any solve; the
         # domain alone has dim_w times |E_q| pairs
         for n in self.completion.blocks:
             algebra.check_window(n)
         # E_q up to level N: the sections of the trivial line
-        inv = [s.coords[0] for s in sections_basis(algebra, LModule([0]), N)]
+        inv = [s.coords[0] for s in sections_basis(algebra, (0,), N)]
         self.domain = [(beta, f) for beta in range(self.completion.dim_w)
                        for f in inv]
         self.columns = []
@@ -269,22 +252,22 @@ class BundleIdempotent:
         self.matched_level = N + max(levels) if len(levels) == 1 else None
         self.sections_dim = sum(
             sections_count([m], N + level)
-            for m, level in zip(lmodule.weights, self.completion.blocks))
+            for m, level in zip(self.weights, self.completion.blocks))
 
     def apply(self, element):
         return im(self.algebra, self.completion,
                   wp(self.algebra, self.completion, element))
 
 
-def idempotent(algebra, lmodule, N):
-    return BundleIdempotent(algebra, lmodule, N)
+def idempotent(algebra, weights, N):
+    return BundleIdempotent(algebra, weights, N)
 
 
-def holomorphic_sections(algebra, lmodule, N):
+def holomorphic_sections(algebra, weights, N):
     """The sections that satisfy the constraint for the raising generator
     e as well (e acts by zero on V).  e takes t[n;i,j] to [j] t[n;i,j-1],
     so among the basis sections exactly those with j = 0 remain."""
-    return [s for s in sections_basis(algebra, lmodule, N)
+    return [s for s in sections_basis(algebra, weights, N)
             if s.satisfies_constraint((uea.E,))]
 
 

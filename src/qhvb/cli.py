@@ -9,10 +9,11 @@ Subcommands:
   idempotent  the bundle idempotent: coefficient matrix, rank, identity
   connection  the distinguished connection and its curvature on the
               configured bundle
-  haar        squared norms of seeded elements at the sample points
+  haar        squared norms of seeded elements at the fixed sample
+              points (SAMPLE_POINTS)
 
 Configuration is a flat key = value text file (see RunConfig for the
-six keys; build_config parses them) with --seed/--suite flag overrides.
+five keys; build_config parses them) with --seed/--suite flag overrides.
 Reports are canonical JSON: sorted keys, no wall-clock data (timings go
 to stderr), and all random sampling is derived from the configured
 seed, so identical config and seed give byte-identical output.
@@ -56,6 +57,9 @@ class OutputError(Exception):
 _FAILURES = (AssertionError, NoSolution, calculus.AxiomViolation,
              calculus.SplitError, connection.NotLinear)
 
+# the rational points in (0, 1) at which haar evaluates squared norms
+SAMPLE_POINTS = (Fraction(1, 2), Fraction(2, 3), Fraction(9, 10))
+
 # a bound on K^degree, K = (irrep + 1)^2 letters, for the forms that
 # `dims`, `connection` and the suites of `verify` reach.  No K^n word
 # space is built; what the cap guards is the exact elimination of the
@@ -82,14 +86,13 @@ _UNCOMPUTABLE = _SKIPS + (repmod.DecompositionError, calculus.SplitError,
 class RunConfig:
     """weights: bundle weight list; n_max: level bound steering the
     coefficient window 2*n_max + 2; irrep: index of the module the
-    calculus is built from; samples: rational evaluation points in
-    (0,1); seed; suites: selection to run, all of SUITES by default.
+    calculus is built from; seed; suites: selection to run, all of
+    SUITES by default.  These five are the settable keys; the report
+    also names the constants algebra, theta and SAMPLE_POINTS.
     The values are typed (build_config converts a config file's text);
     only their ranges and shapes are checked here."""
 
-    def __init__(self, weights=(1,), n_max=4, irrep=1,
-                 samples=(Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)),
-                 seed=0, suites=None):
+    def __init__(self, weights=(1,), n_max=4, irrep=1, seed=0, suites=None):
         self.weights = tuple(weights)
         if not self.weights:
             raise ConfigError("weights must be nonempty")
@@ -99,12 +102,6 @@ class RunConfig:
         if irrep < 1:
             raise ConfigError("calculus source irrep index must be >= 1")
         self.irrep = irrep
-        self.samples = tuple(samples)
-        for p in self.samples:
-            if not (0 < p < 1):
-                raise ConfigError("sample point %s outside (0,1)" % p)
-        if not self.samples:
-            raise ConfigError("at least one sample point is required")
         self.seed = seed
         suites = SUITES if suites is None else tuple(suites)
         for s in suites:
@@ -132,7 +129,7 @@ class RunConfig:
             "weights": list(self.weights),
             "n_max": self.n_max,
             "irrep": self.irrep,
-            "samples": [str(p) for p in self.samples],
+            "samples": [str(p) for p in SAMPLE_POINTS],
             "seed": self.seed,
             "suites": list(self.suites),
             "coefficient_window": self.coefficient_window,
@@ -172,11 +169,6 @@ def build_config(file_data, seed=None, suites=None):
                 kwargs[key] = int(value)
             except ValueError:
                 raise ConfigError("%s must be an integer: %r" % (key, value))
-        elif key == "samples":
-            try:
-                kwargs["samples"] = [Fraction(p) for p in value.split()]
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError("samples must be rationals: %r" % value)
         elif key == "suites":
             kwargs["suites"] = SUITES if value == "all" else value.split()
         else:
@@ -245,7 +237,7 @@ class _Workspace:
     def tss(self, weights=None, level=None):
         key = self._bundle_key("tss", weights, level)
         return self._get(key, lambda: connection.TensoredSectionSpace(
-            self.calc(), bundle.LModule(key[2]), key[3]))
+            self.calc(), key[2], key[3]))
 
     def conn0(self, weights=None, level=None):
         key = self._bundle_key("conn0", weights, level)
@@ -259,8 +251,7 @@ class _Workspace:
 
     def idempotent(self, weights, N):
         return self._get(("idempotent", weights, N),
-                         lambda: bundle.idempotent(
-                             self.algebra, bundle.LModule(weights), N))
+                         lambda: bundle.idempotent(self.algebra, weights, N))
 
     def invariants(self, N):
         return self._get(("invariants", N),
@@ -269,12 +260,12 @@ class _Workspace:
     def sections(self, weights, N):
         return self._get(("sections", weights, N),
                          lambda: bundle.sections_basis(
-                             self.algebra, bundle.LModule(weights), N))
+                             self.algebra, weights, N))
 
     def holomorphic(self, weights, N):
         return self._get(("holomorphic", weights, N),
                          lambda: bundle.holomorphic_sections(
-                             self.algebra, bundle.LModule(weights), N))
+                             self.algebra, weights, N))
 
 
 def _rng(cfg, suite):
@@ -368,7 +359,7 @@ def _kind(value):
     """The type of a value, with the weights of a section's module."""
     if isinstance(value, bundle.Section):
         return "Section over weights [%s]" % ", ".join(
-            str(m) for m in value.lmodule.weights)
+            str(m) for m in value.weights)
     return type(value).__name__
 
 
@@ -521,7 +512,6 @@ def _suite_actions(ws, checks):
 
 def _suite_haar(ws, checks):
     a = ws.algebra
-    cfg = ws.cfg
 
     def unit_value():
         yield "normalization h(1) = 1 fails", a.haar(coeff.unit()), ONE
@@ -539,7 +529,7 @@ def _suite_haar(ws, checks):
         for _, norm in _seeded_norms(ws):
             if not norm:
                 yield "vanishing squared norm of a nonzero element"
-            for u0 in cfg.samples:
+            for u0 in SAMPLE_POINTS:
                 if eval_at(norm, u0) <= 0:
                     yield "norm not positive at u0=%s" % u0
 
@@ -576,8 +566,7 @@ def _suite_idempotent(ws, checks):
 def _suite_projection(ws, checks):
     a = ws.algebra
     cfg = ws.cfg
-    V = bundle.LModule(cfg.weights)
-    comp = bundle.Completion(V)
+    comp = bundle.Completion(cfg.weights)
     # a weight-m line has sections from level |m| on, and the images of
     # the level <= 2 invariants on it reach level |m| + 2
     m = max(abs(w) for w in cfg.weights)
@@ -941,9 +930,9 @@ def cmd_verify(cfg, out_path):
     ws = _Workspace(cfg)
     checks = []
     for suite in cfg.suites:
-        t0 = time.time()
+        t0 = time.perf_counter()
         _SUITE_RUNNERS[suite](ws, checks)
-        print("suite %-11s %6.1fs" % (suite, time.time() - t0),
+        print("suite %-11s %6.1fs" % (suite, time.perf_counter() - t0),
               file=sys.stderr)
     for name, cache in (("gcd cofactor cache", scalars._cancel),
                         ("primitive gcd cache", scalars._primitive_gcd)):
@@ -1078,7 +1067,7 @@ def cmd_haar(cfg, out_path):
     ok = True
     for f, norm in _seeded_norms(_Workspace(cfg)):
         values = {}
-        for u0 in cfg.samples:
+        for u0 in SAMPLE_POINTS:
             val = eval_at(norm, u0)
             values[str(u0)] = str(val)
             ok = ok and val > 0

@@ -83,16 +83,16 @@ class TensoredSectionSpace:
     when some line has none at level <= N.  The section basis must hold
     the weight-multiplicity count of sections, or AssertionError."""
 
-    def __init__(self, calc, lmodule, N):
-        for m in lmodule.weights:
+    def __init__(self, calc, weights, N):
+        self.weights = tuple(weights)
+        for m in self.weights:
             if abs(m) > N:
                 raise NoSections("no section of weight %s at level <= %d"
                                  % (m, N))
         self.calc = calc
         self.algebra = calc.algebra
-        self.lmodule = lmodule
         self.N = N
-        self.completion = bundle.Completion(lmodule)
+        self.completion = bundle.Completion(self.weights)
         self.dim_w = self.completion.dim_w
         e = self.e_matrix = bundle.idempotent_matrix(self.algebra,
                                                      self.completion)
@@ -107,8 +107,8 @@ class TensoredSectionSpace:
                 if square != e[gamma][alpha]:
                     raise AssertionError("idempotent matrix identity fails "
                                          "at (%d, %d)" % (gamma, alpha))
-        self.sections = bundle.sections_basis(self.algebra, lmodule, N)
-        count = bundle.sections_count(lmodule.weights, N)
+        self.sections = bundle.sections_basis(self.algebra, self.weights, N)
+        count = bundle.sections_count(self.weights, N)
         if len(self.sections) != count:
             raise AssertionError("section count up to level %d: %d != "
                                  "weight-multiplicity count %d"

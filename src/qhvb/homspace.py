@@ -20,7 +20,7 @@ def invariants(algebra, N):
     coordinate of each section of the trivial line.  Linear independence
     is verified."""
     elements = [s.coords[0] for s in
-                bundle.sections_basis(algebra, bundle.LModule([0]), N)]
+                bundle.sections_basis(algebra, (0,), N)]
     if Echelon(f.terms for f in elements).rank != len(elements):
         raise AssertionError("invariant basis is linearly dependent")
     return elements

@@ -247,7 +247,7 @@ class DenseMatrix:
 # among the generators, of bundle.holomorphic_sections
 
 
-def _constraint_rows(lmodule, generators, n):
+def _constraint_rows(weights, generators, n):
     """The stacked linear system expressing the section constraint on the
     level-n block, as sparse rows keyed by unknown index.  Unknowns are
     coefficients c[(r, i, j)]; for each generator x the condition is
@@ -256,7 +256,7 @@ def _constraint_rows(lmodule, generators, n):
 
     S(x)_r the diagonal action of S(x) on the line r.
     """
-    dim_v = lmodule.dim
+    dim_v = len(weights)
     block = n + 1
     unknowns = [(r, i, j) for r in range(dim_v) for i in range(block)
                 for j in range(block)]
@@ -265,7 +265,7 @@ def _constraint_rows(lmodule, generators, n):
     rows = []
     for x in generators:
         pi = mod.act(x)
-        sx = lmodule.diagonal(uea.antipode(x))
+        sx = bundle.diagonal(weights, uea.antipode(x))
         for r in range(dim_v):
             for i in range(block):
                 for k in range(block):
@@ -278,14 +278,14 @@ def _constraint_rows(lmodule, generators, n):
     return unknowns, rows
 
 
-def sections_basis(algebra, lmodule, N, generators):
+def sections_basis(algebra, weights, N, generators):
     """Basis of the solutions up to level N of the constraint for the
     generators, blockwise: the kernel of each level's constraint rows."""
     out = []
     for n in range(N + 1):
-        unknowns, rows = _constraint_rows(lmodule, generators, n)
+        unknowns, rows = _constraint_rows(weights, generators, n)
         for vec in Echelon(rows).kernel(len(unknowns)):
-            out.append(bundle.Section(algebra, lmodule, {
+            out.append(bundle.Section(algebra, weights, {
                 (r, (n, i, j)): s for (r, i, j), s in zip(unknowns, vec)}))
     return out
 

@@ -9,7 +9,7 @@ import oracles
 
 A = coeff.Algebra(10)
 CALC = calculus.Calculus(A, calculus.from_rep(repmod.irrep(1)))
-V = bundle.LModule([1])
+V = (1,)
 TSS = connection.TensoredSectionSpace(CALC, V, 1)
 CONN0 = connection.make_connection(TSS)
 CONN_A = connection.make_connection(TSS, [[Scalar(1), 0], [0, Scalar(3)]])
@@ -156,7 +156,7 @@ def project_oracle(tss, vec):
 
 @pytest.mark.parametrize("weights", [[1], [1, -1]], ids=["1", "1_-1"])
 def test_project_matches_the_extend_oracle(weights):
-    tss = connection.TensoredSectionSpace(CALC, bundle.LModule(weights), 1)
+    tss = connection.TensoredSectionSpace(CALC, weights, 1)
     rnd = random.Random(23)
     for degree in (0, 1, 2):
         for _ in range(3):
@@ -509,7 +509,7 @@ def test_curvature_regression():
 
 
 def test_trivial_bundle():
-    tt = connection.TensoredSectionSpace(CALC, bundle.LModule([0]), 2)
+    tt = connection.TensoredSectionSpace(CALC, (0,), 2)
     assert tt.dim_w == 1
     conn = connection.make_connection(tt)
     for s in tt.sections:
