@@ -949,6 +949,14 @@ def cmd_verify(cfg, out_path):
     print("action matrix cache: %d entries"
           % sum(len(mod._acts) for mod in repmod._IRREPS.values()),
           file=sys.stderr)
+    # the translations' memos: S^{-1} x per window, and the cached action
+    # matrices whose columns circle has grouped
+    print("translation cache: %d inverse antipodes, %d column-grouped "
+          "action matrices"
+          % (sum(len(alg._antipode_inv) for alg, _ in _SHARED.values()),
+             sum(mat.columns_grouped() for mod in repmod._IRREPS.values()
+                 for mat in mod._acts.values())),
+          file=sys.stderr)
     built = collections.Counter(
         key[0] for _, memo in _SHARED.values() for key, value in memo.items()
         if not isinstance(value, Exception))

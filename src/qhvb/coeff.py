@@ -10,9 +10,13 @@ the dual pairing, (fg)(x) = sum f(x_(1)) g(x_(2)), and re-expanded in
 the basis using the exact Clebsch-Gordan embeddings from
 repmod.decompose; the coproduct, counit, antipode, star, the two
 translation actions, and the Haar functional all land back in the
-basis.  The coproduct is a CoeffTensor, the scalars.Tensor keyed by
-pairs of Peter-Weyl keys, D t_{ij} = sum_k t_{ik} (x) t_{kj}, as the
-coproduct of U_q is a uea.TensorUEA.
+basis.  The translations read the action matrices pi_n(x) that
+repmod.Module.act memoises per process, by row or by column as each
+needs, and the left one reads S^{-1} x from a memo on the Algebra, so
+no transposed matrix and no second S^{-1} x is built.  The coproduct
+is a CoeffTensor, the scalars.Tensor keyed by pairs of Peter-Weyl
+keys, D t_{ij} = sum_k t_{ik} (x) t_{kj}, as the coproduct of U_q is a
+uea.TensorUEA.
 
 Every algebra carries a level window n_max; any operation that would
 produce a nonzero coefficient beyond the window raises LevelOverflow
@@ -169,6 +173,7 @@ class Algebra:
         self._pair_prod = {}
         self._blocks = {}
         self._pairing_tables = {}
+        self._antipode_inv = {}
 
     # -- pairing ------------------------------------------------------
 
@@ -318,27 +323,37 @@ class Algebra:
     def circle(self, x, f):
         """Right translation: x o f = sum f_(1) <f_(2), x>.  On the level-n
         block of coefficients C it is C pi_n(x)^T, so each term s t_ij
-        adds s pi_n(x)_kj at (n, i, k), read off the transposed action
-        matrix term by term (repmod.Module.act, per level of f)."""
-        act = {n: repmod.irrep(n).act(x).transpose()
-               for n in {n for n, _, _ in f.terms}}
+        adds s pi_n(x)_kj at (n, i, k), read off column j of the memoised
+        action matrix (repmod.Module.act, looked up once per level of f),
+        which groups its columns once and builds no transpose."""
+        acts = {}
         out = {}
         for (n, i, j), s in f.terms.items():
-            for k, y in act[n].row(j):
+            act = acts.get(n)
+            if act is None:
+                act = acts[n] = repmod.irrep(n).act(x)
+            for k, y in act.col(j):
                 accumulate(out, (n, i, k), s * y)
-        return CoeffElement(out)
+        return f._new(out)
 
     def dot(self, x, f):
         """Left translation: x . f = sum <f_(1), S^{-1}(x)> f_(2).  On the
         level-n block C it is pi_n(S^{-1} x)^T C, so each term s t_ij adds
-        s pi_n(S^{-1} x)_ik at (n, k, j), term by term as in circle."""
-        inv = uea.antipode_inv(x)
-        act = {n: repmod.irrep(n).act(inv) for n in {n for n, _, _ in f.terms}}
+        s pi_n(S^{-1} x)_ik at (n, k, j), read off row i of the memoised
+        action matrix as in circle.  S^{-1} x is computed once per element
+        and window (_antipode_inv)."""
+        inv = self._antipode_inv.get(x)
+        if inv is None:
+            inv = self._antipode_inv[x] = uea.antipode_inv(x)
+        acts = {}
         out = {}
         for (n, i, j), s in f.terms.items():
-            for k, y in act[n].row(i):
+            act = acts.get(n)
+            if act is None:
+                act = acts[n] = repmod.irrep(n).act(inv)
+            for k, y in act.row(i):
                 accumulate(out, (n, k, j), s * y)
-        return CoeffElement(out)
+        return f._new(out)
 
     # -- Haar functional -------------------------------------------------
 

@@ -56,7 +56,10 @@ nonzero Scalars keyed by basis labels, with the vector-space operations;
 the elements of U_q, U_q (x) U_q and T_q subclass it and add their own
 products.  `Tensor` is the LinComb keyed by pairs of leg keys, and both
 tensor squares, where the two coproducts land, subclass it, and so does
-`Matrix`, keyed by (row, column) pairs.  `accumulate` adds one term
+`Matrix`, keyed by (row, column) pairs.  A Matrix is never changed
+after it is built, so it groups its entries by row once and by column
+once, each the first time a row or a column is read; a column is read
+in place, with no transposed Matrix built.  `accumulate` adds one term
 into such a dict, and `add_row` a whole row of products into an
 unreduced sum.  `LinComb.combination` is the one builder of a linear
 combination sum s_i x_i: it adds every term into one dict through
@@ -402,6 +405,9 @@ def _pstr(a):
 # ----------------------------------------------------------------------
 # the field Q(u)
 
+# the powers u^n that Scalar.u_power has built, by n
+_U_POWERS = {}
+
 
 class Scalar:
     """An element of Q(u) in canonical reduced form."""
@@ -427,10 +433,17 @@ class Scalar:
 
     @staticmethod
     def u_power(n):
-        """u^n for any integer n."""
-        if n >= 0:
-            return Scalar((0,) * n + (1,))
-        return Scalar((1,), (0,) * (-n) + (1,))
+        """u^n for any integer n, built in its canonical form (u^n over 1,
+        or 1 over u^-n) with no constructor and no gcd.  Powers are
+        interned in _U_POWERS, so every call with one n returns one
+        object; that is safe because a Scalar is never changed after it
+        is built."""
+        s = _U_POWERS.get(n)
+        if s is None:
+            s = Scalar.__new__(Scalar)
+            s.num, s.den = ((n, 1), _P1) if n >= 0 else (_P1, (-n, 1))
+            _U_POWERS[n] = s
+        return s
 
     @staticmethod
     def q_power(n):
@@ -993,11 +1006,12 @@ class Matrix(LinComb):
     the shape.  Sums, differences, negation, scaling and equality are
     those of LinComb, with the shape checked.  A Matrix is never changed
     after it is built, so it groups its entries by row once, the first
-    time a row is read (`row`); products run row by row over the
-    nonzeros (Gustavson 1978), and rank, kernel, solve and inverse on
-    the sparse Echelon, the one elimination in this package."""
+    time a row is read (`row`), and by column once, the first time a
+    column is read (`col`); products run row by row over the nonzeros
+    (Gustavson 1978), and rank, kernel, solve and inverse on the sparse
+    Echelon, the one elimination in this package."""
 
-    __slots__ = ("rows", "cols", "_by_row")
+    __slots__ = ("rows", "cols", "_by_row", "_by_col")
 
     def __init__(self, entries, cols=0):
         """The rows of Scalars in entries; cols is the width when empty."""
@@ -1006,7 +1020,7 @@ class Matrix(LinComb):
                           for j, x in enumerate(row)})
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else cols
-        self._by_row = None
+        self._by_row = self._by_col = None
         assert all(len(r) == self.cols for r in entries)
 
     @staticmethod
@@ -1015,7 +1029,8 @@ class Matrix(LinComb):
         zero entries are dropped."""
         m = Matrix.__new__(Matrix)
         LinComb.__init__(m, terms)
-        m.rows, m.cols, m._by_row = r, c, None
+        m.rows, m.cols = r, c
+        m._by_row = m._by_col = None
         assert all(0 <= i < r and 0 <= j < c for i, j in m.terms)
         return m
 
@@ -1033,15 +1048,32 @@ class Matrix(LinComb):
     def __getitem__(self, ij):
         return self.terms.get(ij, ZERO)
 
+    def _group(self, side):
+        """The nonzero entries grouped by row (side 0) or column (side 1):
+        {line: tuple of (index along the line, Scalar) pairs, ascending}."""
+        lines = {}
+        for key, x in sorted(self.terms.items()):
+            lines.setdefault(key[side], []).append((key[1 - side], x))
+        return {k: tuple(v) for k, v in lines.items()}
+
     def row(self, i):
         """The nonzero entries of row i as a tuple of (column, Scalar)
         pairs by ascending column."""
         if self._by_row is None:
-            rows = {}
-            for (r, c), x in sorted(self.terms.items()):
-                rows.setdefault(r, []).append((c, x))
-            self._by_row = {r: tuple(v) for r, v in rows.items()}
+            self._by_row = self._group(0)
         return self._by_row.get(i, ())
+
+    def col(self, j):
+        """The nonzero entries of column j as a tuple of (row, Scalar)
+        pairs by ascending row: row j of the transpose, with no transpose
+        built."""
+        if self._by_col is None:
+            self._by_col = self._group(1)
+        return self._by_col.get(j, ())
+
+    def columns_grouped(self):
+        """Whether col has grouped the entries by column."""
+        return self._by_col is not None
 
     def __eq__(self, other):
         return (LinComb.__eq__(self, other)
@@ -1089,8 +1121,7 @@ class Matrix(LinComb):
 
     def _columns(self):
         """The columns as sparse vectors keyed by row index."""
-        t = self.transpose()
-        return [dict(t.row(j)) for j in range(self.cols)]
+        return [dict(self.col(j)) for j in range(self.cols)]
 
     def rref(self):
         """Reduced row echelon form, read off the Echelon of the rows;

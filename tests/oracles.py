@@ -510,8 +510,10 @@ def circle(x, f):
 
 
 def dot(x, f):
-    """coeff.Algebra.dot on blocks: C goes to pi_n(S^{-1} x)^T C."""
-    xs = uea.antipode_inv(x)
+    """coeff.Algebra.dot on blocks: C goes to pi_n(S^{-1} x)^T C, with
+    S^{-1} x from its monomial formula (antipode_inv below), so neither
+    uea.antipode_inv nor the Algebra's memo of it enters the oracle."""
+    xs = antipode_inv(x)
     return from_blocks({n: repmod.irrep(n).act(xs).transpose() * blk
                         for n, blk in to_blocks(f).items()})
 

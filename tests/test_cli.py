@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -155,6 +156,18 @@ def test_verify_reduced_suites(tmp_path, capsys, cold_tables):
     count = int(acts[0].split(": ")[1].split()[0])
     assert count == sum(len(m._acts) for m in cli.repmod._IRREPS.values())
     assert count > 0
+    # the translations' memos: S^-1 x on the window Algebra, and the
+    # cached action matrices circle has read by column
+    memo = [line for line in err if line.startswith("translation cache: ")]
+    assert len(memo) == 1
+    match = re.fullmatch(r"translation cache: (\d+) inverse antipodes, "
+                         r"(\d+) column-grouped action matrices", memo[0])
+    assert match
+    (algebra, _), = cli._SHARED.values()
+    assert int(match[1]) == len(algebra._antipode_inv) > 0
+    assert int(match[2]) == sum(
+        mat.columns_grouped() for m in cli.repmod._IRREPS.values()
+        for mat in m._acts.values()) > 0
     # the seed-free tables the process shares between runs
     shared = [line for line in err if line.startswith("shared tables: ")]
     assert len(shared) == 1
@@ -1019,6 +1032,35 @@ def test_sweep_suites_gcd_count(tmp_path, monkeypatch, cold_tables):
     assert sorted(key[0] for key in memo) == [
         "holomorphic", "idempotent", "idempotent", "invariants", "sections"]
     assert 0 < len(gcds) <= 3300
+
+
+@pytest.mark.parametrize("suites, limits", [
+    (SWEEP_SUITES, {"Matrix.transpose": 100, "uea.antipode_inv": 100,
+                    "Scalar.__init__": 1000}),
+    (("calculus", "closure"), {"uea.antipode_inv": 10}),
+], ids=["sweep", "calculus-closure"])
+def test_translations_build_each_operator_once(tmp_path, monkeypatch,
+                                               cold_tables, suites, limits):
+    # from a fresh window Algebra and an empty intern of powers of u, at
+    # seed 0: circle reads the columns of the memoised action matrices
+    # and builds no transpose (1,925 on the sweep when it transposed per
+    # call), dot reads S^-1 x from the Algebra's memo (506 sweep and
+    # 2,384 calculus calls of uea.antipode_inv when it computed it per
+    # call), and u_power builds no Scalar through the constructor (3,042
+    # sweep constructions when it did)
+    calls = collections.Counter()
+    for owner, name, key in ((scalars.Matrix, "transpose", "Matrix.transpose"),
+                             (uea, "antipode_inv", "uea.antipode_inv"),
+                             (scalars.Scalar, "__init__", "Scalar.__init__")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, fn=fn, key=key:
+                            calls.update([key]) or fn(*args))
+    monkeypatch.setattr(scalars, "_U_POWERS", {})
+    assert _sweep(tmp_path, 0, suites)[0] == 0
+    (algebra, _), = cold_tables.values()
+    assert 0 < len(algebra._antipode_inv) <= calls["uea.antipode_inv"]
+    assert {key: calls[key] for key, limit in limits.items()
+            if calls[key] > limit} == {}
 
 
 def test_warm_sweep_equals_cold(tmp_path, monkeypatch, cold_tables):

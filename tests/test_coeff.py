@@ -394,31 +394,69 @@ def test_circle_against_pairing_definition():
         # x . f = sum <f_(1), S^{-1}(x)> f_(2)
         want = coeff.CoeffElement()
         for (k1, k2), s in a.coproduct(f).terms.items():
-            want = want + leg(k2, s).scale(a.eval(leg(k1), uea.antipode_inv(x)))
+            want = want + leg(k2, s).scale(a.eval(leg(k1),
+                                                  oracles.antipode_inv(x)))
         assert a.dot(x, f) == want
+
+
+# the elements the translations are checked on, and three random
+# elements up to the window for each
+TRANSLATION_XS = [uea.UNIT, uea.E, uea.F, uea.K, uea.K_INV, uea.E * uea.F,
+                  uea.K * uea.E] + [uea.monomial(*m)
+                                    for m in uea.pbw_monomials(2)]
+
+
+def translation_samples():
+    rng = random.Random(410)
+    return [(x, random_element(rng, 6, nterms=8))
+            for x in TRANSLATION_XS for _ in range(3)]
+
+
+def translation_mismatches(a, samples):
+    """The (x, f) of samples on which the Algebra a's circle or dot
+    differs from its block oracle.  The oracle takes S^{-1} x from its
+    own monomial formula, never from uea.antipode_inv or a's memo."""
+    return [(x, f) for x, f in samples
+            if (a.circle(x, f), a.dot(x, f))
+            != (oracles.circle(x, f), oracles.dot(x, f))]
 
 
 def test_translations_match_the_block_oracle(monkeypatch):
     # circle and dot run term by term on the memoised action matrices;
     # the dense block forms C pi_n(x)^T and pi_n(S^-1 x)^T C are their
-    # oracle, on random elements up to the window.  The oracle runs
-    # first, so every action matrix is memoised when the translations
-    # run, and they make no Matrix product of their own
-    a = alg()
-    rng = random.Random(410)
-    xs = [uea.UNIT, uea.E, uea.F, uea.K, uea.K_INV, uea.E * uea.F,
-          uea.K * uea.E] + [uea.monomial(*m) for m in uea.pbw_monomials(2)]
+    # oracle, on random elements up to the window.  Each pair runs twice
+    # on a fresh Algebra, first with its S^-1 memo cold and then warm.
+    # The oracle runs first, so every action matrix is memoised when the
+    # translations run, and they make no Matrix product of their own
     products = []
     mul = Matrix.__mul__
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other:
                         products.append(1) or mul(self, other))
-    for x in xs:
-        for _ in range(3):
-            f = random_element(rng, a.n_max, nterms=8)
-            want = oracles.circle(x, f), oracles.dot(x, f)
+    for x, f in translation_samples():
+        want = oracles.circle(x, f), oracles.dot(x, f)
+        a = alg()
+        for warm in (False, True):
+            assert (x in a._antipode_inv) == warm
             del products[:]
             assert (a.circle(x, f), a.dot(x, f)) == want
             assert products == []
+        assert a._antipode_inv == {x: uea.antipode_inv(x)}
+
+
+def test_the_block_oracle_pins_the_inverse_antipode():
+    # x . f is a left action with S in place of S^-1 too, so only a check
+    # that reads which antipode dot uses tells the two apart: a fresh
+    # Algebra whose S^-1 memo holds S(x) fails the block oracle on every
+    # sampled x with S(x) != S^-1(x), and on no other
+    samples = translation_samples()
+    a = alg()
+    for x in TRANSLATION_XS:
+        a._antipode_inv[x] = uea.antipode(x)
+    differ = {x for x in TRANSLATION_XS
+              if uea.antipode(x) != oracles.antipode_inv(x)}
+    assert len(differ) >= 5
+    assert {x for x, _ in translation_mismatches(a, samples)} == differ
+    assert translation_mismatches(alg(), samples) == []
 
 
 def test_haar_values_and_uniqueness():

@@ -196,6 +196,29 @@ def test_powers():
     assert Scalar.u_power(-3) * Scalar.u_power(3) == ONE
 
 
+def test_u_powers_are_interned_canonical_monomials(monkeypatch):
+    # u_power builds u^n in the constructor's canonical form with no gcd,
+    # and a second call returns the same object; q_power reads the same
+    # intern
+    monkeypatch.setattr(sc, "_U_POWERS", {})
+    cancels = []
+    cancel = sc._cancel
+    monkeypatch.setattr(sc, "_cancel", lambda a, b:
+                        cancels.append((a, b)) or cancel(a, b))
+    powers = {n: Scalar.u_power(n) for n in range(-96, 97)}
+    assert cancels == []
+    assert len(sc._U_POWERS) == 193
+    for n, s in powers.items():
+        want = (Scalar((0,) * n + (1,)) if n >= 0
+                else Scalar(1, (0,) * -n + (1,)))
+        assert (s.num, s.den) == (want.num, want.den)
+        assert s == want and hash(s) == hash(want) and str(s) == str(want)
+        assert Scalar.u_power(n) is s
+        if n % 4 == 0:
+            assert Scalar.q_power(n // 4) is s
+    assert powers[0] == ONE and powers[1] * powers[-1] == ONE
+
+
 # ----------------------------------------------------------------------
 # matrices
 
@@ -392,6 +415,33 @@ def test_matrix_matches_the_dense_oracle(data):
         DenseMatrix(square, n).inverse)
     assert _failure(Matrix(square, n).inverse) == _failure(
         DenseMatrix(square, n).inverse)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_columns_are_the_rows_of_the_transpose(data):
+    # col(j) is row j of the transpose, read off the entries grouped once
+    # with no transpose built; sparse entries leave columns empty, and
+    # 0 x c and r x 0 shapes are drawn
+    r, c = (data.draw(st.integers(0, 4)) for _ in range(2))
+    m = Matrix.sparse(r, c, data.draw(st.dictionaries(
+        st.tuples(st.integers(0, max(r - 1, 0)),
+                  st.integers(0, max(c - 1, 0))),
+        sparse_scalars, max_size=r * c)) if r and c else {})
+    t = m.transpose()
+    assert not m.columns_grouped()
+    assert [m.col(j) for j in range(c)] == [t.row(j) for j in range(c)]
+    assert m.columns_grouped() == bool(c)
+
+
+def test_empty_columns_and_shapes():
+    m = Matrix.sparse(3, 4, {(2, 1): U, (0, 1): ONE, (1, 3): -ONE})
+    assert [m.col(j) for j in range(4)] == [
+        (), ((0, ONE), (2, U)), (), ((1, -ONE),)]
+    for r, c in ((0, 3), (3, 0), (0, 0), (2, 2)):
+        z = Matrix([[ZERO] * c for _ in range(r)], c)
+        assert (z.rows, z.cols) == (r, c)
+        assert [z.col(j) for j in range(c)] == [()] * c
 
 
 def test_matrix_shapes_are_checked():
