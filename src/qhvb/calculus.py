@@ -40,15 +40,15 @@ Every form a Calculus method returns is in normal form: the canonical
 representative modulo that ideal, on normal words only.  The ideal is
 built degree by degree (_j_echelon), and multiply, d and d0 read tables
 of its normal forms through one contraction, _contract.  With rho(W) the
-normal form of the word W and T_{I,C}(n) = (pi_n(F_{a_1 c_1}) ...
-pi_n(F_{a_k c_k}))^T, the level-n blocks read off repmod.Module.act, for
+normal form of the word W and T_{I,C}(n) = pi_n(F_{a_1 c_1}) ...
+pi_n(F_{a_k c_k}), the level-n blocks read off repmod.Module.act, for
 I = (a_1..a_k), C = (c_1..c_k), the identity for I = (), the product table
 
     M_{I,J,n,N} = sum_C rho(C J)_N T_{I,C}(n)
 
-takes a level-n block B of b to the coefficient B M_{I,J,n,N} of w_N in
-w_I . b w_J, already reduced; for I = () it is rho(J)_N times the
-identity.  d's table adds those of the diagonal letters (a,) on J to
+takes a level-n block B of b to the coefficient B M_{I,J,n,N}^T of w_N
+in w_I . b w_J, already reduced, read off the columns of M; for I = ()
+M is rho(J)_N times the identity.  d's table adds those of the diagonal letters (a,) on J to
 -(-1)^{|J|} times those of the unit word on the words J a.  This is
 sound because the ideal is two-sided, because sums, scalings and the
 coefficient-only translation keep a form on normal words, and
@@ -235,8 +235,16 @@ class FormElement(coeff.CoeffVector):
         coeff.CoeffVector.__init__(self, terms)
         self.degree = degree
 
+    @staticmethod
+    def _graded(degree, terms):
+        """The degree-n form with the given nonzero terms, not filtered
+        again."""
+        out = FormElement._of(terms)
+        out.degree = degree
+        return out
+
     def _new(self, terms):
-        return FormElement(self.degree, terms)
+        return FormElement._graded(self.degree, terms)
 
     def __add__(self, other):
         if other.degree != self.degree:
@@ -256,8 +264,9 @@ class FormElement(coeff.CoeffVector):
 
 def form(degree, coords):
     """The degree-n form with coordinates {word: CoeffElement}."""
-    return FormElement(degree, {(word, pw): s for word, f in coords.items()
-                                for pw, s in f.terms.items()})
+    return FormElement._graded(degree, {(word, pw): s
+                                        for word, f in coords.items()
+                                        for pw, s in f.terms.items()})
 
 
 def _nonzero_sums(mats):
@@ -307,12 +316,13 @@ class Calculus:
         """The nonzero M_{I,J,n,N} = sum_C rho(C J)_N T_{I,C}(n) of
         multiply as pairs (N, M), built once per left word I, right
         word J, normal or not, and level n; each M is a new matrix.
-        T_{I,C}(n) = (pi_n(F_{a_1 c_1}) ... pi_n(F_{a_k c_k}))^T for
+        T_{I,C}(n) = pi_n(F_{a_1 c_1}) ... pi_n(F_{a_k c_k}) for
         I = (a_1..a_k) and C = (c_1..c_k), the blocks read off
         repmod.Module.act and multiplied in word order, and the identity
         for I = (), where M is rho(J)_N times the identity: the shift
         operators act on a level-n block by right multiplication with
-        the transpose.  Each summed M is transposed once."""
+        the transpose, which _contract reads as the columns of M, so no
+        transpose is built."""
         table = self._product_tables.get((I, J, n))
         if table is None:
             mod = repmod.irrep(n)
@@ -332,25 +342,25 @@ class Calculus:
             for C, p in states.items():
                 for N, s in self._normal_form(C + J).items():
                     mats.setdefault(N, []).append(p.scale(s))
-            table = [(N, m.transpose()) for N, m in _nonzero_sums(mats)]
+            table = _nonzero_sums(mats)
             self._product_tables[(I, J, n)] = table
         return table
 
     @staticmethod
     def _contract(coords, table):
-        """h_N = sum_J sum_n B_{J,n} M_{J,n,N} as {N: {Peter-Weyl key:
+        """h_N = sum_J sum_n B_{J,n} M_{J,n,N}^T as {N: {Peter-Weyl key:
         Scalar}}, B_{J,n} the level-n block of coords[J] and (N, M) the
         pairs of table(J, n): the one right translation of a form's
         coefficients through tables on (word, level).  B is read off
         the nonzero entries, so the entry x at (n, i, t) adds x times
-        row t of M at (n, i, j), into one unreduced sum per N that is
+        column t of M at (n, i, j), into one unreduced sum per N that is
         finished once."""
         h = {}
         for J, b in coords.items():
             for (n, i, t), x in b.terms.items():
                 for N, m in table(J, n):
                     add_row(h.setdefault(N, {}),
-                            [((n, i, j), y) for j, y in m.row(t)], x)
+                            [((n, i, j), y) for j, y in m.col(t)], x)
         return {N: finish_sum(terms) for N, terms in h.items()}
 
     def multiply(self, w1, w2):
@@ -359,7 +369,7 @@ class Calculus:
         Reduction modulo the exterior ideal is linear word by word, so
         the product is sum_N a h_{I,N} (x) w_N with
 
-            h_{I,N} = sum_J sum_n B_{J,n} M_{I,J,n,N},
+            h_{I,N} = sum_J sum_n B_{J,n} M_{I,J,n,N}^T,
 
         B_{J,n} the level-n Peter-Weyl block of b_J and M the product
         table (_product_table), for I = () too.  So each pair (left
@@ -373,8 +383,8 @@ class Calculus:
             for N, terms in h.items():
                 if terms:
                     merge_sums(out, N, self.algebra.product_terms(
-                        a, coeff.CoeffElement(terms)))
-        return FormElement(w1.degree + w2.degree, finish_sum(out))
+                        a, coeff.CoeffElement._of(terms)))
+        return FormElement._graded(w1.degree + w2.degree, finish_sum(out))
 
     def left_mult(self, a, w):
         return self.multiply(self.form0(a), w)
@@ -407,7 +417,7 @@ class Calculus:
                       - (-1)^{|J|} sum_{a diagonal} rho(J a)_N eps,
 
         rho(W) the reduction of the word W modulo the exterior ideal.  On
-        a level-n block B of b, H_{J,N} o b is B M_{J,n,N} (_d_table)."""
+        a level-n block B of b, H_{J,N} o b is B M_{J,n,N}^T (_d_table)."""
         self.algebra.check_window(w.level)
         return self._differential(w.degree, w.coords)
 
@@ -415,8 +425,8 @@ class Calculus:
         """d of the degree-n form with the coefficients {word:
         CoeffElement}, read off the d tables."""
         h = self._contract(coords, self._d_table)
-        return FormElement(degree + 1, {(N, pw): s for N, terms in h.items()
-                                        for pw, s in terms.items()})
+        return FormElement._graded(degree + 1, {
+            (N, pw): s for N, terms in h.items() for pw, s in terms.items()})
 
     # -- braiding and the exterior ideal ---------------------------------
 
@@ -484,7 +494,7 @@ class Calculus:
         for (word, pw), s in w.terms.items():
             for N, t in self._normal_form(word).items():
                 accumulate(out, (N, pw), s * t)
-        return FormElement(w.degree, out)
+        return FormElement._graded(w.degree, out)
 
     def omega_dims(self, n):
         """Dimension of the degree-n component of the exterior algebra

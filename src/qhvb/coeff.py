@@ -80,7 +80,7 @@ class CoeffVector(LinComb):
         out = {}
         for (i, pw), s in self.terms.items():
             out.setdefault(i, {})[pw] = s
-        return {i: CoeffElement(t) for i, t in out.items()}
+        return {i: CoeffElement._of(t) for i, t in out.items()}
 
     @property
     def level(self):
@@ -93,12 +93,12 @@ class CoeffVector(LinComb):
 
 
 def unit():
-    return CoeffElement({(0, 0, 0): ONE})
+    return CoeffElement._of({(0, 0, 0): ONE})
 
 
 def basis_element(n, i, j, coeff=ONE):
     assert 0 <= i <= n and 0 <= j <= n
-    return CoeffElement({(n, i, j): coeff})
+    return CoeffElement._of({(n, i, j): coeff} if coeff else {})
 
 
 def _class_monomials(d, N):
@@ -240,7 +240,7 @@ class Algebra:
     def multiply(self, f, g):
         """f g in the Peter-Weyl basis: product_terms, cancelled once per
         entry."""
-        return CoeffElement(finish_sum(self.product_terms(f, g)))
+        return CoeffElement._of(finish_sum(self.product_terms(f, g)))
 
     def times_basis(self, f, key):
         """f t_key in the Peter-Weyl basis as {key: Scalar}: the basis
@@ -270,9 +270,9 @@ class Algebra:
 
     def coproduct(self, f):
         """D t_{ij} = sum_k t_{ik} (x) t_{kj}."""
-        return CoeffTensor({((n, i, k), (n, k, j)): s
-                            for (n, i, j), s in f.terms.items()
-                            for k in range(n + 1)})
+        return CoeffTensor._of({((n, i, k), (n, k, j)): s
+                                for (n, i, j), s in f.terms.items()
+                                for k in range(n + 1)})
 
     def counit(self, f):
         acc = ZERO

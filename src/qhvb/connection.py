@@ -181,7 +181,7 @@ class TensoredSectionSpace:
                 for word, terms in product.items():
                     self.algebra.check_sum(terms)
                     merge_sums(acc, word, terms)
-            out.append(calculus.FormElement(degree, finish_sum(acc)))
+            out.append(calculus.FormElement._graded(degree, finish_sum(acc)))
         return out
 
     def from_section(self, section):

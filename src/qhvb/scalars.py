@@ -65,7 +65,15 @@ unreduced sum.  `LinComb.combination` is the one builder of a linear
 combination sum s_i x_i: it adds every term into one dict through
 `accumulate`.  Every linear operation builds its result through
 `LinComb._new`, which takes nonzero terms and so skips the
-constructor's zero filter, kept for outside input.  `Span` gives the
+constructor's zero filter, kept for outside input; the builders of the
+other modules (a monomial or a Peter-Weyl basis element, which keep a
+zero coefficient out, the star and the products of U_q, the product of
+T_q, the legs of `Tensor.contract`, and a Matrix of a given shape,
+`Matrix._shaped`) take their nonzero terms through `_new` or
+`LinComb._of` unfiltered too.  No Scalar and no LinComb is changed
+after it is built, so a unit factor costs nothing: a product with the
+unit returns the other factor and scaling by the unit returns the
+element itself, and a LinComb computes its hash once.  `Span` gives the
 rank of a family of sparse vectors and the coordinates of a vector in
 it (NoSolution outside), through an
 `Echelon` whose rows carry tags that record which inputs they combine.
@@ -481,8 +489,15 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product; a unit operand returns the other one, which is
+        safe to share because a Scalar is never changed after it is
+        built."""
         if isinstance(other, int):
             other = Scalar(other)
+        if self.num == _P1 and self.den == _P1:
+            return other
+        if other.num == _P1 and other.den == _P1:
+            return self
         if not self.num or not other.num:
             return ZERO
         return _product(self.num, self.den, other.num, other.den)
@@ -864,12 +879,23 @@ class LinComb:
     each key to a nonzero Scalar.  Subclasses say what the keys are and
     add their own products; the linear structure is shared, and elements
     compare equal only within one subclass.  A sum of the form
-    sum s_i x_i is built by `combination`, in one pass."""
+    sum s_i x_i is built by `combination`, in one pass.  No element is
+    changed after it is built, so its hash is computed once, the first
+    time it is asked for, and kept in `_hash`."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         self.terms = {k: s for k, s in (terms or {}).items() if s}
+
+    @classmethod
+    def _of(cls, terms):
+        """The element of this kind with the given nonzero terms, not
+        filtered again; a kind with fields besides its terms builds
+        through `_new`."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     def is_zero(self):
         return not self.terms
@@ -880,9 +906,7 @@ class LinComb:
     def _new(self, terms):
         """An element of the same kind with the given nonzero terms, not
         filtered again: every linear operation builds its result here."""
-        out = object.__new__(type(self))
-        out.terms = terms
-        return out
+        return self._of(terms)
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -897,8 +921,11 @@ class LinComb:
         return self._new({k: -s for k, s in self.terms.items()})
 
     def scale(self, s):
+        """s times self; self itself when s is the unit."""
         if isinstance(s, int):
             s = Scalar(s)
+        if s.num == _P1 and s.den == _P1:
+            return self
         return self._new({k: s * t for k, t in self.terms.items()}
                          if s else {})
 
@@ -916,7 +943,11 @@ class LinComb:
         return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.terms.items()))
+            return self._hash
 
 
 class Tensor(LinComb):
@@ -931,9 +962,10 @@ class Tensor(LinComb):
     def map_legs(self, left_fn=None, right_fn=None):
         """Apply linear maps (leg -> leg) to the legs."""
         out = {}
+        leg = self.leg._of
         for (l, r), s in self.terms.items():
-            lx = left_fn(self.leg({l: ONE})) if left_fn else self.leg({l: ONE})
-            rx = right_fn(self.leg({r: ONE})) if right_fn else self.leg({r: ONE})
+            lx = left_fn(leg({l: ONE})) if left_fn else leg({l: ONE})
+            rx = right_fn(leg({r: ONE})) if right_fn else leg({r: ONE})
             for ml, sl in lx.terms.items():
                 for mr, sr in rx.terms.items():
                     accumulate(out, (ml, mr), s * sl * sr)
@@ -943,10 +975,11 @@ class Tensor(LinComb):
         """The sum of s fn(l, r) over the terms s l (x) r, with l and r as
         leg basis elements; fn defaults to the legs' product and may
         return any LinComb.  The zero tensor contracts to the zero leg."""
-        pairs = [(s, fn(self.leg({l: ONE}), self.leg({r: ONE})))
+        leg = self.leg._of
+        pairs = [(s, fn(leg({l: ONE}), leg({r: ONE})))
                  for (l, r), s in self.terms.items()]
         if not pairs:
-            return self.leg()
+            return leg({})
         return pairs[0][1]._new({}).combination(pairs)
 
 
@@ -1027,11 +1060,17 @@ class Matrix(LinComb):
     def sparse(r, c, terms):
         """The r x c Matrix with the entries terms ({(i, j): Scalar});
         zero entries are dropped."""
-        m = Matrix.__new__(Matrix)
-        LinComb.__init__(m, terms)
+        m = Matrix._shaped(r, c, {k: s for k, s in terms.items() if s})
+        assert all(0 <= i < r and 0 <= j < c for i, j in m.terms)
+        return m
+
+    @staticmethod
+    def _shaped(r, c, terms):
+        """The r x c Matrix with the given nonzero terms, which lie in
+        that shape: neither filtered nor checked again."""
+        m = Matrix._of(terms)
         m.rows, m.cols = r, c
         m._by_row = m._by_col = None
-        assert all(0 <= i < r and 0 <= j < c for i, j in m.terms)
         return m
 
     @staticmethod
@@ -1043,7 +1082,7 @@ class Matrix(LinComb):
         return Matrix.sparse(n, n, {(i, i): ONE for i in range(n)})
 
     def _new(self, terms):
-        return Matrix.sparse(self.rows, self.cols, terms)
+        return Matrix._shaped(self.rows, self.cols, terms)
 
     def __getitem__(self, ij):
         return self.terms.get(ij, ZERO)
@@ -1092,7 +1131,7 @@ class Matrix(LinComb):
         for (i, t), x in self.terms.items():
             for j, y in other.row(t):
                 accumulate(out, (i, j), x * y)
-        return Matrix.sparse(self.rows, other.cols, out)
+        return Matrix._shaped(self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix times column vector (a list of Scalars)."""
@@ -1104,13 +1143,13 @@ class Matrix(LinComb):
         return out
 
     def transpose(self):
-        return Matrix.sparse(self.cols, self.rows,
-                             {(j, i): x for (i, j), x in self.terms.items()})
+        return Matrix._shaped(self.cols, self.rows,
+                              {(j, i): x for (i, j), x in self.terms.items()})
 
     def tensor(self, other):
         """Kronecker product; index (i, k) flattens to i*other.rows + k."""
         R, C = other.rows, other.cols
-        return Matrix.sparse(self.rows * R, self.cols * C, {
+        return Matrix._shaped(self.rows * R, self.cols * C, {
             (i * R + k, j * C + l): x * y
             for (i, j), x in self.terms.items()
             for (k, l), y in other.terms.items()})

@@ -96,7 +96,7 @@ class UEAElement(LinComb):
                 s12 = s1 * s2
                 for m, s in _mono_mul(m1, m2).items():
                     accumulate(out, m, s12 * s)
-        return UEAElement(out)
+        return self._new(out)
 
     __rmul__ = LinComb.scale
 
@@ -115,7 +115,7 @@ class UEAElement(LinComb):
 
 def monomial(a, b, c, coeff=ONE):
     assert a >= 0 and c >= 0
-    return UEAElement({(a, b, c): coeff})
+    return UEAElement._of({(a, b, c): coeff} if coeff else {})
 
 
 UNIT = monomial(0, 0, 0)
@@ -153,7 +153,7 @@ class TensorUEA(Tensor):
                 for ml, sl in left.items():
                     for mr, sr in right.items():
                         accumulate(out, (ml, mr), s12 * sl * sr)
-        return TensorUEA(out)
+        return self._new(out)
 
     def __str__(self):
         if not self.terms:
@@ -168,8 +168,8 @@ class TensorUEA(Tensor):
 
 def tensor(x, y):
     """Simple tensor of two elements."""
-    return TensorUEA({(m1, m2): s1 * s2 for m1, s1 in x.terms.items()
-                      for m2, s2 in y.terms.items()})
+    return TensorUEA._of({(m1, m2): s1 * s2 for m1, s1 in x.terms.items()
+                          for m2, s2 in y.terms.items()})
 
 
 _DELTA_E = TensorUEA({((0, 0, 1), (0, 1, 0)): ONE, ((0, -1, 0), (0, 0, 1)): ONE})
@@ -188,12 +188,17 @@ def _delta_mono(m):
         elif c:
             cached = _delta_mono((0, b, c - 1)) * _DELTA_E
         else:
-            cached = TensorUEA({((0, b, 0), (0, b, 0)): ONE})
+            cached = TensorUEA._of({((0, b, 0), (0, b, 0)): ONE})
         _DELTA_MONO[m] = cached
     return cached
 
 
 def coproduct(x):
+    """D(x), the memoised D(m) of each monomial m of x scaled and summed;
+    a one-term x scales its D(m) alone."""
+    if len(x.terms) == 1:
+        (m, s), = x.terms.items()
+        return _delta_mono(m).scale(s)
     return TensorUEA().combination((s, _delta_mono(m))
                                    for m, s in x.terms.items())
 
@@ -247,7 +252,7 @@ def antipode_inv(x):
 def star(x):
     """The compact real form: e* = f, f* = e, k* = k, extended as an
     anti-involution; on PBW monomials (f^a k^b e^c)* = f^c k^b e^a."""
-    return UEAElement({(c, b, a): s.conj() for (a, b, c), s in x.terms.items()})
+    return x._new({(c, b, a): s.conj() for (a, b, c), s in x.terms.items()})
 
 
 # ----------------------------------------------------------------------

@@ -423,9 +423,9 @@ def contract(coords, table):
         for (n, i, t), x in b.terms.items():
             for N, m in table(J, n):
                 terms = h.setdefault(N, {})
-                for j in range(m.cols):
-                    if m[t, j]:
-                        accumulate(terms, (n, i, j), x * m[t, j])
+                for j in range(m.rows):
+                    if m[j, t]:
+                        accumulate(terms, (n, i, j), x * m[j, t])
     return h
 
 

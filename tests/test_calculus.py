@@ -458,19 +458,20 @@ def normal_words(calc):
 
 def d_matrices(calc, J, n):
     """{N: M_{J,n,N}} read through d: d maps a level-n block B of the
-    coefficient of w_J to sum_N B M_{J,n,N} w_N, so row t of M_{J,n,N}
-    is the row-0 block of the coefficient of w_N in d(t[n;0,t] w_J)."""
+    coefficient of w_J to sum_N B M_{J,n,N}^T w_N, so column t of
+    M_{J,n,N} is the row-0 block of the coefficient of w_N in
+    d(t[n;0,t] w_J)."""
     entries = {}
     for t in range(n + 1):
         dw = calc.d(calculus.form(len(J), {J: coeff.basis_element(n, 0, t)}))
         for (N, (_, _, j)), s in dw.terms.items():
-            entries.setdefault(N, {})[(t, j)] = s
+            entries.setdefault(N, {})[(j, t)] = s
     return {N: Matrix.sparse(n + 1, n + 1, terms)
             for N, terms in entries.items()}
 
 
 def d_squared_failures(calc):
-    """The (J, n) with sum_N M_{J,n,N} M_{N,n,P} != 0 for some normal
+    """The (J, n) with sum_N M_{N,n,P} M_{J,n,N} != 0 for some normal
     word P, over every normal word J and level n <= the window: d^2 = 0
     on every form of the window exactly when there are none."""
     memo = {}
@@ -486,7 +487,7 @@ def d_squared_failures(calc):
             square = {}
             for N, m in table(J, n).items():
                 for P, m2 in table(N, n).items():
-                    square[P] = square[P] + m * m2 if P in square else m * m2
+                    square[P] = square[P] + m2 * m if P in square else m2 * m
             if any(not m.is_zero() for m in square.values()):
                 failures.append((J, n))
     return failures

@@ -1063,6 +1063,38 @@ def test_translations_build_each_operator_once(tmp_path, monkeypatch,
             if calls[key] > limit} == {}
 
 
+@pytest.mark.parametrize("suites, limits", [
+    (SWEEP_SUITES, {"_product": 8000, "LinComb.__init__": 10000}),
+    (("calculus", "closure"), {"_product": 15000, "Matrix.transpose": 10}),
+], ids=["sweep", "calculus-closure"])
+def test_unit_factors_and_built_terms_cost_nothing(tmp_path, monkeypatch,
+                                                   cold_tables, suites,
+                                                   limits):
+    # from cold U_q, irrep and power memos and a fresh window Algebra, at
+    # seed 0: a product with a unit factor returns the other factor
+    # without _product (21,732 sweep and 22,279 calculus calls when it
+    # multiplied; about 6,300 and 12,300 now), the internal builders take
+    # their nonzero terms unfiltered (17,439 sweep constructor calls when
+    # they filtered again; about 2,500 now), and the product tables are
+    # read by column, untransposed (433 calculus transposes when they
+    # were transposed once per summed table; 6 now, all the tangent
+    # module's)
+    calls = collections.Counter()
+    for owner, name, key in ((scalars, "_product", "_product"),
+                             (scalars.LinComb, "__init__", "LinComb.__init__"),
+                             (scalars.Matrix, "transpose", "Matrix.transpose")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, fn=fn, key=key:
+                            calls.update([key]) or fn(*args))
+    for owner, memo in ((scalars, "_U_POWERS"), (uea, "_EF_MEMO"),
+                        (uea, "_DELTA_MONO"), (uea, "_ANTIPODE_MEMO"),
+                        (repmod, "_IRREPS")):
+        monkeypatch.setattr(owner, memo, {})
+    assert _sweep(tmp_path, 0, suites)[0] == 0
+    assert {key: calls[key] for key, limit in limits.items()
+            if calls[key] > limit} == {}
+
+
 def test_warm_sweep_equals_cold(tmp_path, monkeypatch, cold_tables):
     # a second seed in one process reads the window's pairing tables,
     # idempotents and holomorphic sections from the first, and reports

@@ -8,9 +8,10 @@ so a definition counts as read when any expression of the package reads
 that name, alone or as an attribute.
 
 No module of the package but scalars touches the polynomial fields
-`num` and `den` of a Scalar or the row and column groupings `_by_row`
-and `_by_col` that a Matrix caches, and no module changes the `terms` of a LinComb in place: the
-cached grouping would no longer match them.  No module but scalars reads
+`num` and `den` of a Scalar, the row and column groupings `_by_row`
+and `_by_col` that a Matrix caches or the hash `_hash` that a LinComb
+caches, and no module changes the `terms` of a LinComb in place: the
+cached grouping and hash would no longer match them.  No module but scalars reads
 the prime `PRIME`, and no code outside the class `Fp` takes a modular
 inverse.  No function of the package sums a linear combination by
 repeated `+` in a loop: `LinComb.combination` builds it in one pass."""
@@ -148,12 +149,13 @@ def test_every_definition_of_the_package_is_read():
 # the polynomial layout of a Scalar and the row and column groupings of a
 # Matrix are private to scalars: every other module works with Scalars
 # and reads rows and columns through Matrix.row and Matrix.col
-LAYOUT_ATTRIBUTES = {"num", "den", "_by_row", "_by_col"}
+LAYOUT_ATTRIBUTES = {"num", "den", "_by_row", "_by_col", "_hash"}
 
 
 def layout_reads(source):
-    """(line, attribute) of every use of a Scalar's polynomial fields or
-    of a Matrix's row or column grouping in source."""
+    """(line, attribute) of every use of a Scalar's polynomial fields, of
+    a Matrix's row or column grouping or of a LinComb's cached hash in
+    source."""
     return sorted((node.lineno, node.attr)
                   for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Attribute)
@@ -162,8 +164,9 @@ def layout_reads(source):
 
 def test_the_layout_scan_sees_field_reads():
     assert layout_reads("x = s.num\nn, d = a.b.den, s.numerator\n"
-                        "m._by_row = m._by_col = None\n") == [
-        (1, "num"), (2, "den"), (3, "_by_col"), (3, "_by_row")]
+                        "m._by_row = m._by_col = None\nh = x._hash\n") == [
+        (1, "num"), (2, "den"), (3, "_by_col"), (3, "_by_row"),
+        (4, "_hash")]
 
 
 def test_only_scalars_reads_the_polynomial_layout():

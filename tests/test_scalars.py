@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import oracles
 from oracles import DenseMatrix
 from qhvb import coeff, repmod, uea, scalars as sc
-from qhvb.calculus import FormElement
+from qhvb.calculus import FormElement, form
 from qhvb.scalars import (
     Scalar,
     Matrix,
@@ -731,6 +731,34 @@ def test_span_matches_dense_solve(problem):
     assert got == column
 
 
+def _hashable_lincomb(kind, terms):
+    """The element of the kind with the terms {key 0..3: Scalar}, for the
+    kinds that hash: the LinComb itself, a U_q element and a T_q
+    element."""
+    if kind == "coeff":
+        return coeff.CoeffElement({(1, k // 2, k % 2): s
+                                   for k, s in terms.items()})
+    return _lincomb(kind, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("lincomb", "uea", "coeff")),
+       st.dictionaries(st.integers(0, 3), sparse_scalars, max_size=4))
+def test_a_hash_is_computed_once(kind, terms):
+    # the hash is that of the frozenset of the terms, built on the first
+    # call only; an equal element built by _new, unfiltered, hashes equal
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "frozenset", lambda items:
+                   built.append(1) or frozenset(items), raising=False)
+        x = _hashable_lincomb(kind, terms)
+        h = hash(x)
+        assert h == hash(frozenset(x.terms.items()))
+        assert hash(x) == h and len({x, x}) == 1 and len(built) == 1
+        y = x._new(dict(x.terms))
+        assert y == x and hash(y) == h and len(built) == 2
+
+
 def test_lincomb_types_and_scaling():
     terms = {(0, 0, 0): U, (1, 0, 1): ONE}
     assert coeff.CoeffElement(terms) != uea.UEAElement(terms)
@@ -790,11 +818,42 @@ def test_combination_matches_repeated_addition(problem):
         assert got.degree == x0.degree
     if isinstance(x0, Matrix):
         assert (got.rows, got.cols) == (x0.rows, x0.cols)
-    # LinComb._new takes its terms unfiltered: no operation makes a zero
-    results = [got, -x0, x0.combination([])]
+    # LinComb._new and the other builders take their terms unfiltered:
+    # no operation makes a zero, also from a zero coefficient
+    results = [got, -x0, x0.combination([])] + _built_from(x0, x0)
     for s, x in pairs:
-        results += [x0 + x, x0 - x, x.scale(s), x0.combination([(s, x)])]
+        results += [x0 + x, x0 - x, x.scale(s), x0.combination([(s, x)]),
+                    uea.monomial(1, -1, 2, s), coeff.basis_element(2, 1, 0, s)]
+        results += _built_from(x0, x)
     assert all(_zero_free(x) for x in results)
+
+
+def _built_from(x, y):
+    """What the builders that take their terms unfiltered make from two
+    elements x and y of one kind."""
+    if isinstance(x, uea.UEAElement):
+        t = uea.coproduct(x)
+        return [x * y, uea.star(x), uea.antipode(x), t, uea.tensor(x, y),
+                uea.tensor(uea.E, uea.F) * t, t.contract(),
+                t.map_legs(uea.star)]
+    if isinstance(x, Matrix):
+        return [x.transpose(), x * y.transpose(), x.tensor(y)]
+    if isinstance(x, FormElement):
+        f, g = (z.coords.get((0, 1), coeff.CoeffElement()) for z in (x, y))
+        return [form(x.degree, x.coords), f, A4.multiply(f, g),
+                A4.coproduct(f), A4.coproduct(f).contract(A4.multiply)]
+    return []
+
+
+A4 = coeff.Algebra(4)
+
+
+def test_builders_keep_a_zero_coefficient_out():
+    assert uea.monomial(1, 0, 2, ZERO) == uea.UEAElement()
+    assert uea.monomial(1, 0, 2, ZERO).terms == {}
+    assert coeff.basis_element(2, 1, 0, ZERO).terms == {}
+    assert uea.monomial(0, 1, 0).terms == {(0, 1, 0): ONE}
+    assert coeff.basis_element(2, 1, 0).terms == {(2, 1, 0): ONE}
 
 
 @settings(max_examples=60, deadline=None)
@@ -961,6 +1020,22 @@ def test_products_match_oracle(x, y):
     assert type(q.num) is tuple and type(q.den) is tuple
     assert parts(q) == _oracle_canonical(
         oracles._pmul(a, d), oracles._pmul(b, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_scalars, sparse_scalars)
+def test_a_unit_factor_returns_the_other_one(x, y):
+    # a unit operand, interned or built by the constructor, returns the
+    # other operand itself, which _product never does (of two units, one
+    # is returned); every other product is the _product path
+    for one in (ONE, Scalar(1), Scalar((2,), (2,))):
+        assert one * x == x == x * one
+        if x != ONE:
+            assert one * x is x and x * one is x
+    if x and y:
+        assert x * y == sc._product(x.num, x.den, y.num, y.den)
+    else:
+        assert x * y == ZERO
 
 
 def _seed_pmul(a, b):
