@@ -48,12 +48,12 @@ I = (a_1..a_k), C = (c_1..c_k), the identity for I = (), the product table
 
 takes a level-n block B of b to the coefficient B M_{I,J,n,N}^T of w_N
 in w_I . b w_J, already reduced, read off the columns of M; for I = ()
-M is rho(J)_N times the identity.  d's table adds those of the diagonal letters (a,) on J to
--(-1)^{|J|} times those of the unit word on the words J a.  This is
-sound because the ideal is two-sided, because sums, scalings and the
-coefficient-only translation keep a form on normal words, and
-because forms of degree at most one are already normal.  So two forms
-are equal in the exterior algebra exactly when they are ==.
+M is rho(J)_N times the identity.  d's table adds those of the diagonal
+letters (a,) on J to -(-1)^{|J|} times those of the unit word on the
+words J a.  This is sound because the ideal is two-sided, because sums,
+scalings and the coefficient-only translation keep a form on normal
+words, and because forms of degree at most one are already normal.  So
+two forms are equal in the exterior algebra exactly when they are ==.
 """
 
 import functools

@@ -65,18 +65,15 @@ unreduced sum.  `LinComb.combination` is the one builder of a linear
 combination sum s_i x_i: it adds every term into one dict through
 `accumulate`.  Every linear operation builds its result through
 `LinComb._new`, which takes nonzero terms and so skips the
-constructor's zero filter, kept for outside input; the builders of the
-other modules (a monomial or a Peter-Weyl basis element, which keep a
-zero coefficient out, the star and the products of U_q, the product of
-T_q, the legs of `Tensor.contract`, and a Matrix of a given shape,
-`Matrix._shaped`) take their nonzero terms through `_new` or
-`LinComb._of` unfiltered too.  No Scalar and no LinComb is changed
-after it is built, so a unit factor costs nothing: a product with the
-unit returns the other factor and scaling by the unit returns the
-element itself, and a LinComb computes its hash once.  `Span` gives the
-rank of a family of sparse vectors and the coordinates of a vector in
-it (NoSolution outside), through an
-`Echelon` whose rows carry tags that record which inputs they combine.
+constructor's zero filter, kept for outside input; the internal
+builders of U_q, T_q, their tensors and matrices take their nonzero
+terms unfiltered too, through `_new` or `LinComb._of`.  No Scalar and
+no LinComb is changed after it is built, so a unit factor costs
+nothing (a product with the unit returns the other factor, and scaling
+by the unit the element itself) and a LinComb computes its hash once.
+`Span` gives the rank of a family of sparse vectors and the coordinates
+of a vector in it (NoSolution outside), through an `Echelon` whose rows
+carry tags that record which inputs they combine.
 `Echelon` is the only elimination, over Q(u) and over F_p: a `Matrix`
 reads its rank, rref and kernel off an `Echelon` of its rows and solves
 through a `Span` of its columns.

@@ -1080,9 +1080,10 @@ def test_unit_factors_and_built_terms_cost_nothing(tmp_path, monkeypatch,
     # were transposed once per summed table; 6 now, all the tangent
     # module's)
     calls = collections.Counter()
-    for owner, name, key in ((scalars, "_product", "_product"),
-                             (scalars.LinComb, "__init__", "LinComb.__init__"),
-                             (scalars.Matrix, "transpose", "Matrix.transpose")):
+    for owner, name, key in (
+            (scalars, "_product", "_product"),
+            (scalars.LinComb, "__init__", "LinComb.__init__"),
+            (scalars.Matrix, "transpose", "Matrix.transpose")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, fn=fn, key=key:
                             calls.update([key]) or fn(*args))

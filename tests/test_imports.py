@@ -11,10 +11,11 @@ No module of the package but scalars touches the polynomial fields
 `num` and `den` of a Scalar, the row and column groupings `_by_row`
 and `_by_col` that a Matrix caches or the hash `_hash` that a LinComb
 caches, and no module changes the `terms` of a LinComb in place: the
-cached grouping and hash would no longer match them.  No module but scalars reads
-the prime `PRIME`, and no code outside the class `Fp` takes a modular
-inverse.  No function of the package sums a linear combination by
-repeated `+` in a loop: `LinComb.combination` builds it in one pass."""
+cached grouping and hash would no longer match them.  No module but
+scalars reads the prime `PRIME`, and no code outside the class `Fp`
+takes a modular inverse.  No function of the package sums a linear
+combination by repeated `+` in a loop: `LinComb.combination` builds it
+in one pass."""
 
 import ast
 from pathlib import Path
