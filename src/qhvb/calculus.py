@@ -60,7 +60,7 @@ import functools
 import itertools
 
 from .scalars import (Scalar, Matrix, Echelon, Span, LinComb, ZERO, ONE,
-                      accumulate, add_row, eval_at, finish_sum, merge_sums,
+                      accumulate, add_row, finish_sum, merge_sums,
                       rank_lower_bound, NoSolution)
 from . import uea, repmod, coeff, homspace
 
@@ -79,37 +79,32 @@ class SplitError(Exception):
 # L-operators and the calculus data
 
 def l_plus(wc):
-    """Matrix of elements L+_{r s} = k^{m_r} sum_n c_n pi((k^{-1}f)^n)_{r s} (k e)^n."""
+    """Matrix of elements L+_{r s} = k^{m_r} sum_n c_n pi((k^{-1}f)^n)_{r s} (k e)^n.
+    f lowers the weight by 2, so (k^{-1}f)^n acts as 0 from n = dim on."""
     weights = wc.weights
     assert weights is not None, "diagonal weights required"
     ke = uea.K * uea.E
     kf = uea.K_INV * uea.F
     pairs = [[[] for _ in range(wc.dim)] for _ in range(wc.dim)]
-    n = 0
-    while True:
+    for n in range(wc.dim):
         low = wc.act(kf ** n)
-        if low == Matrix.zeros(wc.dim, wc.dim):
-            break
         c_n = repmod.theta_coefficient(n)
         for r in range(wc.dim):
             for s in range(wc.dim):
                 if low[r, s]:
                     term = uea.monomial(0, weights[r], 0) * ke ** n
                     pairs[r][s].append((c_n * low[r, s], term))
-        n += 1
     return [[uea.UEAElement().combination(p) for p in row] for row in pairs]
 
 
 def l_minus(wc):
-    """Matrix of elements L-_{r s} = [sum_n d_n pi(k^n e^n)_{r s} k^{-n} f^n] k^{-m_s}."""
+    """Matrix of elements L-_{r s} = [sum_n d_n pi(k^n e^n)_{r s} k^{-n} f^n] k^{-m_s}.
+    e raises the weight by 2, so k^n e^n acts as 0 from n = dim on."""
     weights = wc.weights
     assert weights is not None, "diagonal weights required"
-    nmax = 0
-    while wc.act(uea.monomial(0, nmax + 1, nmax + 1)) != Matrix.zeros(wc.dim, wc.dim):
-        nmax += 1
-    d = repmod.theta_inverse_coefficients(nmax)
+    d = repmod.theta_inverse_coefficients(wc.dim - 1)
     pairs = [[[] for _ in range(wc.dim)] for _ in range(wc.dim)]
-    for n in range(nmax + 1):
+    for n in range(wc.dim):
         high = wc.act(uea.monomial(0, n, n))  # k^n e^n is already normal form
         low = uea.K_INV ** n * uea.F ** n  # k^{-n} f^n is not: build honestly
         for r in range(wc.dim):
@@ -578,14 +573,14 @@ def _signed_power_eigenspaces(m):
 
 
 class BraidingSplit:
-    """The braiding sigma on the invariant forms, split as
-    sigma_+ - sigma_- by the sign of each eigenvalue at u = 1, with
+    """The braiding sigma on the invariant forms, split as sigma_+ -
+    sigma_- by the sign of each eigenvalue +-u^k (Scalar.monomial), with
     sigma_+ sigma_- = sigma_- sigma_+ = 0.  By Schur's lemma sigma is
     m (x) id on each isotypic component, so the split stays on the
     multiplicity blocks m, whose eigenspaces are found by rank
     (_signed_power_eigenspaces).  They span, so m is diagonalizable, and
     ker sigma_- is spanned by sum_j k_j inc_j[:, c] for k in the
-    eigenspaces whose eigenvalue is positive at u = 1.
+    eigenspaces whose eigenvalue is +u^k.  sigma(1) must be the flip.
     With sum inc prj = id and intertwining inc, prj (decompose), the
     scalar blocks and sigma commuting with e, f, k give the identities
     of sigma_+ and sigma_- on V (x) V."""
@@ -613,7 +608,7 @@ class BraidingSplit:
             m = Matrix.sparse(r, r, entries)
             for lam, basis in _signed_power_eigenspaces(m):
                 self.eigenvalues.append((lam, n, len(basis)))
-                if eval_at(lam, 1) < 0:
+                if lam.monomial()[0] < 0:
                     continue
                 # the column c of every copy of V_n, keyed by -index so
                 # that the reduced rows are those of sigma_-.kernel()

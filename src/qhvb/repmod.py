@@ -27,8 +27,7 @@ of Theta^{-1}; the tests build R from them and re-derive c_n from that
 linear system.
 """
 
-from .scalars import (Scalar, Matrix, ZERO, ONE, qint, NoSolution,
-                      PoleError)
+from .scalars import Scalar, Matrix, ZERO, ONE, qint, NoSolution
 
 
 class DecompositionError(Exception):
@@ -70,23 +69,17 @@ class Module:
             raise AssertionError("e f - f e != (k^2 - k^{-2})/(q - q^{-1})")
 
     def _diagonal_weights(self):
-        """If k is diagonal with entries u^{2m}, the integer weights m;
-        otherwise None."""
+        """The weight m of each basis vector when k is diagonal and each
+        diagonal entry reads (1, 2m) as a monomial (Scalar.monomial), so
+        is u^{2m}; otherwise None."""
         if any(i != j for i, j in self.k.terms):
             return None
         ws = []
         for i in range(self.dim):
-            d = self.k[i, i]
-            # recognize u^{2m}: u^t is 2^t at u = 2, and any other entry
-            # fails the comparison with the power of u read off there
-            try:
-                x = d.eval_at(2)
-            except PoleError:
+            mono = self.k[i, i].monomial()
+            if mono is None or mono[0] != 1 or mono[1] % 2:
                 return None
-            twice = x.numerator.bit_length() - x.denominator.bit_length()
-            if twice % 2 or d != _UPOW(twice):
-                return None
-            ws.append(twice // 2)
+            ws.append(mono[1] // 2)
         return ws
 
     def _power(self, which, n):

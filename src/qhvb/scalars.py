@@ -87,8 +87,11 @@ the rank mod p.  At the column count the bound certifies full column
 rank with no Q(u) elimination; below it, or at a pole mod p, it says
 nothing, and the caller takes the exact rank.
 
-There is no floating point anywhere; specialization at a rational point
-goes through fractions.Fraction.
+There is no floating point anywhere.  `Scalar.monomial` reads c u^n off
+the canonical form, with no evaluation.  Specialization at a rational
+point (`eval_at`, through fractions.Fraction) is left to three reads: the
+classical limit in calculus.BraidingSplit, and Haar positivity in
+cli._suite_haar and cli.cmd_haar.
 """
 
 from fractions import Fraction
@@ -458,6 +461,14 @@ class Scalar:
 
     def __bool__(self):
         return bool(self.num)
+
+    def monomial(self):
+        """(c, n) when this Scalar is c u^n with c a nonzero integer, read
+        off the canonical form (c u^n over 1, or c over u^-n); else None."""
+        num, den = self.num, self.den
+        if len(num) != 2 or len(den) != 2 or den[1] != 1:
+            return None
+        return num[1], num[0] - den[0]
 
     # -- arithmetic
 

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from qhvb.scalars import Scalar, Echelon, Span, ONE
+from qhvb.scalars import Scalar, Echelon, Span, ONE, ZERO, qint
 from qhvb import uea, coeff, homspace, bundle, repmod
 
 import oracles
@@ -213,6 +213,23 @@ def test_idempotent_certificates():
     for beta, f in trivial.domain:
         image = trivial.apply(bundle.simple_tensor(beta, f))
         assert image == bundle.simple_tensor(beta, f)
+
+
+def test_the_twisted_haar_trace_of_a_line_idempotent_is_q_to_the_m():
+    # the charge of the line of weight m, read off its idempotent e_m on
+    # W = V_|m| (Hajac and Majid 1999): h(e_bb) = q^m / [|m| + 1]_q on
+    # every diagonal entry, and the trace twisted by pi(k^2), whose
+    # diagonal is q^(|m| - 2b), is q^m; at q = 1 both read the rank 1
+    a = coeff.Algebra(10)
+    k2 = uea.K * uea.K
+    for m in range(-4, 5):
+        n = abs(m)
+        e = bundle.idempotent_matrix(a, bundle.Completion((m,)))
+        values = [a.haar(e[b][b]) for b in range(n + 1)]
+        assert values == [Scalar.q_power(m) / qint(n + 1)] * (n + 1)
+        twist = repmod.irrep(n).act(k2)
+        assert sum((twist[b, b] * h for b, h in enumerate(values)),
+                   ZERO) == Scalar.q_power(m)
 
 
 def generation_certificate(algebra, weights, N):

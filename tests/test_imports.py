@@ -15,7 +15,9 @@ cached grouping and hash would no longer match them.  No module but
 scalars reads the prime `PRIME`, and no code outside the class `Fp`
 takes a modular inverse.  No function of the package sums a linear
 combination by repeated `+` in a loop: `LinComb.combination` builds it
-in one pass."""
+in one pass.  Outside scalars, a Scalar is evaluated at a rational point
+only where the exact run alone can read it: the classical limit of the
+braiding and the Haar positivity at the sample points."""
 
 import ast
 from pathlib import Path
@@ -284,10 +286,11 @@ def test_no_module_changes_terms_in_place():
     assert found == {}
 
 
-# the calls that start a LinComb: its constructors, and the zero(...) of
-# a calculus or of a tensored section space
+# the calls that start a LinComb: its constructors, the unfiltered
+# builders LinComb._of, Matrix._shaped and FormElement._graded, and the
+# zero(...) of a calculus or of a tensored section space
 LINCOMB_STARTS = {"LinComb", "CoeffElement", "UEAElement", "TensorUEA",
-                  "zero"}
+                  "_of", "_shaped", "_graded", "zero"}
 
 
 def _starts_lincomb(node):
@@ -357,8 +360,18 @@ def test_the_addition_scan_sees_linear_combination_loops():
               "    for x in xs:\n"
               "        more = total + x\n"
               "    n = LinComb()\n"
-              "    return acc\n")
-    assert addition_loops(source) == [(4, "acc"), (9, "out")]
+              "    return acc\n"
+              "def i(xs):\n"
+              "    a = CoeffElement._of({})\n"
+              "    b = Matrix._shaped(2, 2, {})\n"
+              "    c = FormElement._graded(1, {})\n"
+              "    for x in xs:\n"
+              "        a = a + x\n"
+              "        b -= x\n"
+              "        c += x\n"
+              "    return a, b, c\n")
+    assert addition_loops(source) == [(4, "acc"), (9, "out"), (26, "a"),
+                                      (27, "b"), (28, "c")]
 
 
 def test_no_linear_combination_is_summed_in_a_loop():
@@ -368,3 +381,63 @@ def test_no_linear_combination_is_summed_in_a_loop():
         if loops:
             found[path.name] = loops
     assert found == {}
+
+
+# the reads of a Scalar at a rational point.  An image of the run at one
+# residue of u mod p cannot make them, so each is a read that only the
+# exact run makes: the classical limit of the braiding, and the Haar
+# positivity check and command at the sample points
+EVALUATION_SITES = ["calculus.BraidingSplit.__init__", "cli._suite_haar",
+                    "cli.cmd_haar"]
+
+
+def evaluation_sites(module, source):
+    """Sorted "module.Class.function" of the outermost function (a nested
+    function counts to it), or "module" at module level, of every read
+    of eval_at in source, called or not: eval_at(...), x.eval_at(...)."""
+    found = set()
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if not in_function and isinstance(
+                    child, (ast.ClassDef, ast.FunctionDef,
+                            ast.AsyncFunctionDef)):
+                inner = scope + "." + child.name
+            if (isinstance(child, ast.Name) and child.id == "eval_at"
+                    or isinstance(child, ast.Attribute)
+                    and child.attr == "eval_at"):
+                found.add(scope)
+            visit(child, inner, in_function
+                  or isinstance(child, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef)))
+
+    visit(ast.parse(source), module, False)
+    return sorted(found)
+
+
+def test_the_evaluation_scan_sees_calls_by_outermost_function():
+    source = ("from .scalars import eval_at\n"
+              "def f(s):\n"
+              "    return eval_at(s, 1)\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        def inner():\n"
+              "            return self.mat.eval_at(2)\n"
+              "        return inner\n"
+              "    def aliased(self, s):\n"
+              "        at = s.eval_at\n"
+              "        return at(1)\n"
+              "    def clean(self, s):\n"
+              "        return s.monomial()\n"
+              "x = scalars.eval_at(ONE, 0)\n")
+    assert evaluation_sites("a", source) == [
+        "a", "a.C.aliased", "a.C.m", "a.f"]
+
+
+def test_only_the_exact_reads_evaluate_a_scalar():
+    found = []
+    for path in sorted((ROOT / "src" / "qhvb").glob("*.py")):
+        if path.name != "scalars.py":
+            found += evaluation_sites(path.stem, path.read_text())
+    assert found == EVALUATION_SITES

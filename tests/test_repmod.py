@@ -164,6 +164,14 @@ def test_decompose_requires_diagonal_k():
         repmod.decompose(twisted)
 
 
+def test_a_diagonal_of_signed_powers_has_no_weights():
+    # k -> -k keeps the relations (the module of type -1), but its
+    # diagonal entries -u^{2m} are not powers of u
+    for n in range(4):
+        m = repmod.irrep(n)
+        assert repmod.Module(m.e, m.f, m.k.scale(-ONE)).weights is None
+
+
 # ----------------------------------------------------------------------
 # R-matrix
 

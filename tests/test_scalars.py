@@ -219,6 +219,32 @@ def test_u_powers_are_interned_canonical_monomials(monkeypatch):
     assert powers[0] == ONE and powers[1] * powers[-1] == ONE
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.sampled_from((1, -1)), st.integers(-96, 96),
+       st.integers(0, 3), st.sampled_from((1, -1, 3)))
+def test_monomial_reads_c_u_to_the_n(c, sign, n, extra, g):
+    # c u^n built unreduced, as (g c u^(n+extra)) / (g u^extra) over a
+    # denominator of either sign, reads (c, n) off its canonical form
+    c *= sign
+    shift = extra - min(n, 0)
+    s = Scalar((0,) * (n + shift) + (g * c,), (0,) * shift + (g,))
+    assert s.monomial() == (c, n)
+    assert s == Scalar.u_power(n) * Scalar(c)
+
+
+def test_monomial_is_none_off_the_integer_monomials():
+    for s in (ZERO, Scalar(1, 2), U + ONE, Scalar(1, 2) * Scalar.u_power(-3)):
+        assert s.monomial() is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars)
+def test_a_monomial_read_is_the_value(a):
+    mono = a.monomial()
+    if mono is not None:
+        assert mono[0] != 0 and a == Scalar(mono[0]) * Scalar.u_power(mono[1])
+
+
 # ----------------------------------------------------------------------
 # matrices
 
