@@ -18,7 +18,10 @@ sharing) yields mutually inverse right-module maps
     im(zeta)         = sum_{r, beta}  w_beta (x) t_{beta, idx(r)} f_r
 
 whose composite e = im . wp is an explicit idempotent exhibiting the
-sections as a finite-type projective module.  The Podles sphere E_q
+sections as a finite-type projective module.  t_{beta, idx(r)} vanishes
+unless beta lies in line r's own summand, so wp and im touch that
+summand alone and e is block diagonal, the direct sum of the line
+idempotents (Completion).  The Podles sphere E_q
 itself is H_q of the trivial line V = (0,) (see `homspace.invariants`),
 and the idempotent reads the E_q of its domain off the same basis.
 Sections and elements of W (x) E_q are both coeff.CoeffVectors,
@@ -127,93 +130,76 @@ def sections_count(weights, N):
 class Completion:
     """A U_q-module W containing V as a U_l-submodule, as index
     arithmetic: one irreducible summand V_n, n = |m|, per weight entry
-    m, at offsets[r] in W.  Line r includes as w_j of its summand with
-    j = (n - m)/2 (v_index[r]), which has weight n - 2j = m (see
-    repmod.irrep); each line takes its own summand, so the inclusion is
-    injective and keeps the weights."""
+    m, at offsets[r] in W; line_of[beta] is the line whose summand
+    holds w_beta.  Line r includes as w_j of its summand with
+    j = (n - m)/2, which has weight n - 2j = m (see repmod.irrep); each
+    line takes its own summand, so the inclusion is injective and keeps
+    the weights, and a matrix coefficient t_{beta alpha} of W vanishes
+    unless beta and alpha lie in one summand."""
 
     def __init__(self, weights):
         self.weights = tuple(weights)
         self.blocks = [abs(m) for m in self.weights]
         self.offsets = []
-        off = 0
-        for n in self.blocks:
-            self.offsets.append(off)
-            off += n + 1
-        self.dim_w = off
-        self.v_index = [o + (n - m) // 2 for o, n, m in zip(
-            self.offsets, self.blocks, self.weights)]
+        self.line_of = []
+        for r, n in enumerate(self.blocks):
+            self.offsets.append(len(self.line_of))
+            self.line_of.extend([r] * (n + 1))
+        self.dim_w = len(self.line_of)
 
-    def block_of(self, beta):
-        for r in range(len(self.blocks) - 1, -1, -1):
-            if beta >= self.offsets[r]:
-                return r, beta - self.offsets[r]
-        raise IndexError(beta)
-
-    def coefficient(self, beta, alpha):
-        """The matrix coefficient t_{beta alpha} of W: zero across
-        distinct summands, a Peter-Weyl basis element within one."""
-        rb, ib = self.block_of(beta)
-        ra, ja = self.block_of(alpha)
-        if rb != ra:
-            return coeff.CoeffElement()
-        return coeff.basis_element(self.blocks[rb], ib, ja)
-
-    def __repr__(self):
-        return "Completion(%s -> blocks %s)" % (list(self.weights),
-                                                 self.blocks)
+    def summand(self, r):
+        """(n, offset, j): line r is w_j of the summand V_n at offset."""
+        n = self.blocks[r]
+        return n, self.offsets[r], (n - self.weights[r]) // 2
 
 
 def idempotent_matrix(algebra, completion):
     """The coefficient matrix of the bundle idempotent on W, as rows of
     CoeffElements:
 
-        e_{beta alpha} = sum_r t_{beta, idx(r)} S(t_{idx(r), alpha}).
-    """
-    e = []
-    for beta in range(completion.dim_w):
-        row = []
-        for alpha in range(completion.dim_w):
-            terms = []
-            for idx in completion.v_index:
-                t1 = completion.coefficient(beta, idx)
-                t2 = completion.coefficient(idx, alpha)
-                if not (t1.is_zero() or t2.is_zero()):
-                    terms.append(
-                        (ONE, algebra.multiply(t1, algebra.antipode(t2))))
-            row.append(coeff.CoeffElement().combination(terms))
-        e.append(row)
+        e_{beta alpha} = sum_r t_{beta, idx(r)} S(t_{idx(r), alpha}),
+
+    idx(r) the index of line r in W.  Only line r's own summand meets
+    idx(r), so e is block diagonal: on the summand V_n of line r, with
+    idx(r) = w_j, the entry (i, k) is t^(n)_{ij} S(t^(n)_{jk})."""
+    dim = completion.dim_w
+    e = [[coeff.CoeffElement() for _ in range(dim)] for _ in range(dim)]
+    for r in range(len(completion.weights)):
+        n, off, j = completion.summand(r)
+        for i in range(n + 1):
+            for k in range(n + 1):
+                e[off + i][off + k] = algebra.multiply(
+                    coeff.basis_element(n, i, j),
+                    algebra.antipode(coeff.basis_element(n, j, k)))
     return e
 
 
 def wp(algebra, completion, element):
     """The map from W (x) E_q onto the sections: w_beta (x) a goes to
-    sum_r v_r (x) S(t_{idx(r), beta}) a."""
+    sum_r v_r (x) S(t_{idx(r), beta}) a, whose one term is the line r
+    of beta's summand."""
     out = {}
     for beta, a in element.coords.items():
-        for r, idx in enumerate(completion.v_index):
-            t = completion.coefficient(idx, beta)
-            if t.is_zero():
-                continue
-            for pw, s in algebra.multiply(algebra.antipode(t), a).terms.items():
-                accumulate(out, (r, pw), s)
+        r = completion.line_of[beta]
+        n, off, j = completion.summand(r)
+        t = algebra.antipode(coeff.basis_element(n, j, beta - off))
+        for pw, s in algebra.multiply(t, a).terms.items():
+            accumulate(out, (r, pw), s)
     return Section(algebra, completion.weights, out)
 
 
 def im(algebra, completion, section):
     """The map from sections into W (x) E_q: v_r (x) f goes to
-    sum_beta w_beta (x) t_{beta, idx(r)} f.  The E_q legs of the image
-    are invariant because the coefficient column weight cancels the
-    section weight."""
+    sum_beta w_beta (x) t_{beta, idx(r)} f over the beta of line r's
+    summand.  The E_q legs of the image are invariant because the
+    coefficient column weight cancels the section weight."""
     out = {}
     for r, f in section.coords.items():
-        idx = completion.v_index[r]
-        for beta in range(completion.dim_w):
-            t = completion.coefficient(beta, idx)
-            if t.is_zero():
-                continue
+        n, off, j = completion.summand(r)
+        for i in range(n + 1):
+            t = coeff.basis_element(n, i, j)
             for pw, s in algebra.multiply(t, f).terms.items():
-                accumulate(out, (beta, pw), s)
+                accumulate(out, (off + i, pw), s)
     return coeff.CoeffVector(out)
 
 

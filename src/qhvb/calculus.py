@@ -268,7 +268,7 @@ def _nonzero_sums(mats):
     """The pairs (N, sum of the matrices mats[N]) with a nonzero sum."""
     table = []
     for N, terms in mats.items():
-        m = sum(terms[1:], terms[0])
+        m = terms[0].combination((ONE, t) for t in terms[1:])
         if not m.is_zero():
             table.append((N, m))
     return table
@@ -591,7 +591,7 @@ class BraidingSplit:
         self.sigma = sigma
         groups = {}
         for n, inc, prj in repmod.decompose(tm):
-            groups.setdefault(n, []).append((inc.mat, prj.mat))
+            groups.setdefault(n, []).append((inc, prj))
         self.eigenvalues = []
         kernel = Echelon()
         for n, members in sorted(groups.items()):
@@ -682,11 +682,10 @@ class Restriction:
     def remainder(self, w):
         """The terms of w left over after reduction against the
         restricted basis of its degree: empty exactly when w lies in the
-        restricted span (all of w when no basis of that degree is
-        stored).  w must be in normal form, as every form a Calculus
-        returns is; the basis is stored in normal form too."""
-        ech = self.echelons.get(w.degree)
-        return ech.reduce(w.terms) if ech is not None else w.terms
+        restricted span.  A degree with no stored basis raises KeyError.
+        w must be in normal form, as every form a Calculus returns is;
+        the basis is stored in normal form too."""
+        return self.echelons[w.degree].reduce(w.terms)
 
     def closure_check(self, degree):
         """The remainder of d of each degree-n basis entry against the

@@ -199,8 +199,8 @@ class Algebra:
     def _cg_data(self, m, n):
         data = self._cg.get((m, n))
         if data is None:
-            t = repmod.tensor(repmod.irrep(m), repmod.irrep(n))
-            data = [(p, inc.mat, prj.mat) for p, inc, prj in repmod.decompose(t)]
+            data = repmod.decompose(
+                repmod.tensor(repmod.irrep(m), repmod.irrep(n)))
             self._cg[(m, n)] = data
         return data
 

@@ -124,18 +124,14 @@ class Module:
             (s, self._monomial(mono)) for mono, s in x.terms.items())
 
 
-class ModuleMap:
-    """A linear map between modules; intertwining with e, f, k is
-    checked at construction."""
-
-    def __init__(self, source, target, mat):
-        assert mat.cols == source.dim and mat.rows == target.dim
-        self.source = source
-        self.target = target
-        self.mat = mat
-        for g in ("e", "f", "k"):
-            if mat * getattr(source, g) != getattr(target, g) * mat:
-                raise AssertionError("not an intertwiner (fails on %s)" % g)
+def intertwine(source, target, mat):
+    """mat, certified as a linear map from the module source to the
+    module target that intertwines e, f and k."""
+    assert mat.cols == source.dim and mat.rows == target.dim
+    for g in ("e", "f", "k"):
+        if mat * getattr(source, g) != getattr(target, g) * mat:
+            raise AssertionError("not an intertwiner (fails on %s)" % g)
+    return mat
 
 
 _IRREPS = {}
@@ -169,10 +165,10 @@ def tensor(m1, m2):
 def decompose(mod):
     """Decompose a module with diagonal k-action into irreducibles.
 
-    Returns a list of (n, inclusion, projection) triples of ModuleMaps
-    with sum(incl . proj) = id; multiple triples share n when V_n has
-    multiplicity.  Raises DecompositionError if the module is not a
-    direct sum of irreps V_n."""
+    Returns a list of (n, inclusion, projection) triples of Matrices,
+    each certified by intertwine, with sum(incl . proj) = id; multiple
+    triples share n when V_n has multiplicity.  Raises
+    DecompositionError if the module is not a direct sum of irreps V_n."""
     if mod.weights is None:
         raise DecompositionError("k-action is not diagonal with u^{2m} entries")
     chains = []  # (n, [chain vectors])
@@ -220,7 +216,7 @@ def decompose(mod):
         prj = Matrix.sparse(n + 1, mod.dim, {
             (j, r): x for j in range(n + 1)
             for r, x in inv.row(row + j)})
-        out.append((n, ModuleMap(vn, mod, inc), ModuleMap(mod, vn, prj)))
+        out.append((n, intertwine(vn, mod, inc), intertwine(mod, vn, prj)))
         row += n + 1
     return out
 

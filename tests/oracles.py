@@ -291,6 +291,96 @@ def sections_basis(algebra, weights, N, generators):
 
 
 # ----------------------------------------------------------------------
+# the bundle completion before it was read line by line: a W index found
+# by a scan over the lines, every matrix coefficient of W looked up (zero
+# across summands), and sums over every line and every W index; the
+# oracle of bundle.idempotent_matrix, bundle.wp and bundle.im
+
+
+class Completion:
+    """W from the weights alone: the summand V_|m| of line r at
+    offsets[r], and line r at v_index[r], the vector of weight m in it."""
+
+    def __init__(self, weights):
+        self.weights = tuple(weights)
+        self.blocks = [abs(m) for m in self.weights]
+        self.offsets = []
+        off = 0
+        for n in self.blocks:
+            self.offsets.append(off)
+            off += n + 1
+        self.dim_w = off
+        self.v_index = [o + (n - m) // 2 for o, n, m in zip(
+            self.offsets, self.blocks, self.weights)]
+
+    def block_of(self, beta):
+        for r in range(len(self.blocks) - 1, -1, -1):
+            if beta >= self.offsets[r]:
+                return r, beta - self.offsets[r]
+        raise IndexError(beta)
+
+    def coefficient(self, beta, alpha):
+        """The matrix coefficient t_{beta alpha} of W: zero across
+        distinct summands, a Peter-Weyl basis element within one."""
+        rb, ib = self.block_of(beta)
+        ra, ja = self.block_of(alpha)
+        if rb != ra:
+            return coeff.CoeffElement()
+        return coeff.basis_element(self.blocks[rb], ib, ja)
+
+
+def idempotent_matrix(algebra, weights):
+    """e_{beta alpha} = sum_r t_{beta, idx(r)} S(t_{idx(r), alpha}) over
+    every (beta, alpha, r)."""
+    w = Completion(weights)
+    e = []
+    for beta in range(w.dim_w):
+        row = []
+        for alpha in range(w.dim_w):
+            terms = []
+            for idx in w.v_index:
+                t1 = w.coefficient(beta, idx)
+                t2 = w.coefficient(idx, alpha)
+                if not (t1.is_zero() or t2.is_zero()):
+                    terms.append(
+                        (ONE, algebra.multiply(t1, algebra.antipode(t2))))
+            row.append(coeff.CoeffElement().combination(terms))
+        e.append(row)
+    return e
+
+
+def wp(algebra, weights, element):
+    """w_beta (x) a goes to sum_r v_r (x) S(t_{idx(r), beta}) a, over
+    every line r."""
+    w = Completion(weights)
+    out = {}
+    for beta, a in element.coords.items():
+        for r, idx in enumerate(w.v_index):
+            t = w.coefficient(idx, beta)
+            if t.is_zero():
+                continue
+            for pw, s in algebra.multiply(algebra.antipode(t), a).terms.items():
+                accumulate(out, (r, pw), s)
+    return bundle.Section(algebra, w.weights, out)
+
+
+def im(algebra, weights, section):
+    """v_r (x) f goes to sum_beta w_beta (x) t_{beta, idx(r)} f, over
+    every W index beta."""
+    w = Completion(weights)
+    out = {}
+    for r, f in section.coords.items():
+        idx = w.v_index[r]
+        for beta in range(w.dim_w):
+            t = w.coefficient(beta, idx)
+            if t.is_zero():
+                continue
+            for pw, s in algebra.multiply(t, f).terms.items():
+                accumulate(out, (beta, pw), s)
+    return coeff.CoeffVector(out)
+
+
+# ----------------------------------------------------------------------
 # the exterior ideal in word space, before it was built degree by degree
 
 
@@ -342,7 +432,7 @@ class BraidingSplit:
             entries = {}
             for i, (inci, prji) in enumerate(members):
                 for j, (incj, prjj) in enumerate(members):
-                    block = prji.mat * self.sigma * incj.mat
+                    block = prji * self.sigma * incj
                     s = block[0, 0]
                     if block != Matrix.identity(n + 1).scale(s):
                         raise AssertionError("braiding block is not scalar")
@@ -366,9 +456,9 @@ class BraidingSplit:
             for i, (inci, prji) in enumerate(members):
                 for j, (incj, prjj) in enumerate(members):
                     if s_plus[i, j]:
-                        plus = plus + (inci.mat * prjj.mat).scale(s_plus[i, j])
+                        plus = plus + (inci * prjj).scale(s_plus[i, j])
                     if s_minus[i, j]:
-                        minus = minus + (inci.mat * prjj.mat).scale(s_minus[i, j])
+                        minus = minus + (inci * prjj).scale(s_minus[i, j])
         self.sigma_plus = plus
         self.sigma_minus = minus
         if self.sigma_plus - self.sigma_minus != self.sigma:

@@ -111,24 +111,47 @@ def test_idempotent_reads_e_q_from_one_sections_call(monkeypatch):
 
 
 def test_completion_structure():
-    # each line takes its own index, the vector of its summand V_|m|
-    # whose weight is m
+    # each line takes its own summand V_|m|, one after the other, and in
+    # it the vector whose weight is m; line_of reads the line back
     for weights in [(1, -1), (2, 0, -3), (0,), (3,)]:
         comp = bundle.Completion(weights)
-        assert comp.blocks == [abs(m) for m in weights]
-        assert len(set(comp.v_index)) == len(weights)
+        off = 0
         for r, m in enumerate(weights):
-            local = comp.v_index[r] - comp.offsets[r]
-            assert repmod.irrep(comp.blocks[r]).weights[local] == m
+            n, offset, j = comp.summand(r)
+            assert (n, offset) == (abs(m), off)
+            assert repmod.irrep(n).weights[j] == m
+            assert comp.line_of[off:off + n + 1] == [r] * (n + 1)
+            off += n + 1
+        assert comp.dim_w == len(comp.line_of) == off
     comp = bundle.Completion((1, -1))
-    assert comp.dim_w == 4
-    assert comp.v_index == [0, 3]  # weight +1 in copy one, -1 in copy two
-    # cross-summand matrix coefficients vanish
-    assert comp.coefficient(0, 2).is_zero()
-    assert comp.coefficient(1, 0) == coeff.basis_element(1, 1, 0)
+    # weight +1 at index 0 of copy one, -1 at index 3 of copy two
+    assert [comp.summand(r) for r in (0, 1)] == [(1, 0, 0), (1, 2, 1)]
+    assert comp.line_of == [0, 0, 1, 1]
     trivial = bundle.Completion((0,))
-    assert trivial.dim_w == 1
-    assert trivial.coefficient(0, 0) == coeff.unit()
+    assert (trivial.dim_w, trivial.summand(0)) == (1, (0, 0, 0))
+
+
+@pytest.mark.parametrize("weights", [
+    (1,), (1, -1), (0, 0, 1), (2, 0, -3), (3,)], ids=str)
+def test_completion_maps_match_the_sums_over_all_of_w(weights):
+    # e, wp and im read line by line equal the sums over every line and
+    # every W index with a coefficient lookup per term, zero across
+    # summands; wp and im also on elements spread over every index and
+    # every line
+    comp = bundle.Completion(weights)
+    assert (bundle.idempotent_matrix(A, comp)
+            == oracles.idempotent_matrix(A, weights))
+    inv = homspace.invariants(A, 2)
+    tensors = [bundle.simple_tensor(beta, f)
+               for beta in range(comp.dim_w) for f in inv]
+    spread = coeff.CoeffVector().combination(
+        (ONE, bundle.simple_tensor(beta, inv[beta % len(inv)]))
+        for beta in range(comp.dim_w))
+    for x in tensors + [spread]:
+        assert bundle.wp(A, comp, x) == oracles.wp(A, weights, x)
+    basis = bundle.sections_basis(A, weights, 3)
+    for zeta in basis + [basis[0].combination((ONE, z) for z in basis[1:])]:
+        assert bundle.im(A, comp, zeta) == oracles.im(A, weights, zeta)
 
 
 def generators(algebra, weights):
@@ -244,7 +267,7 @@ def generation_certificate(algebra, weights, N):
     basis = bundle.sections_basis(algebra, weights, N)
     products = []
     for alpha, zeta in enumerate(gens):
-        bound = N - completion.blocks[completion.block_of(alpha)[0]]
+        bound = N - completion.summand(completion.line_of[alpha])[0]
         for a in inv:
             if a.level <= max(bound, 0):
                 products.append(zeta.times(a))

@@ -246,7 +246,7 @@ def test_braiding_commutation_certificate_rejects_a_cross_term():
     inc_a = next(inc for n, inc, _ in copies if n == 0)
     prj_b = next(prj for n, _, prj in copies if n == 2)
     x = Matrix.sparse(1, 3, {(0, repmod.irrep(2).weights.index(0)): ONE})
-    broken = sigma + inc_a.mat * x * prj_b.mat
+    broken = sigma + inc_a * x * prj_b
     with pytest.raises(AssertionError, match="sigma does not commute with e"):
         calculus.BraidingSplit(DATA.module, broken)
     # the split on V (x) V rejected it by the difference of its projectors

@@ -14,8 +14,9 @@ caches, and no module changes the `terms` of a LinComb in place: the
 cached grouping and hash would no longer match them.  No module but
 scalars reads the prime `PRIME`, and no code outside the class `Fp`
 takes a modular inverse.  No function of the package sums a linear
-combination by repeated `+` in a loop: `LinComb.combination` builds it
-in one pass.  Outside scalars, a Scalar is evaluated at a rational point
+combination by repeated `+`, in a loop or through the builtin `sum`
+from a start that is not a number: `LinComb.combination` builds it in
+one pass.  Outside scalars, a Scalar is evaluated at a rational point
 only where the exact run alone can read it: the classical limit of the
 braiding and the Haar positivity at the sample points."""
 
@@ -300,12 +301,38 @@ def _starts_lincomb(node):
         and node.func.attr in LINCOMB_STARTS)
 
 
+# the starts of a builtin sum over numbers or Scalars: the Scalar
+# constants and a Fraction, besides a literal number
+NUMBER_STARTS = {"ZERO", "ONE", "Fraction"}
+
+
+def _sums_by_addition(node):
+    """Is node a builtin sum(xs, start) whose start is neither a number
+    nor a Scalar constant, so that it may add LinCombs by repeated `+`?"""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"):
+        return False
+    starts = node.args[1:] + [k.value for k in node.keywords
+                              if k.arg == "start"]
+    return any(not (isinstance(start, ast.Constant)
+                    and isinstance(start.value, (int, float))
+                    or isinstance(start, ast.Name)
+                    and start.id in NUMBER_STARTS
+                    or isinstance(start, ast.Call)
+                    and isinstance(start.func, ast.Name)
+                    and start.func.id in NUMBER_STARTS)
+               for start in starts)
+
+
 def addition_loops(source):
     """(line, name) of every `v = v + ...`, `v = v - ...` or `v += ...`
     inside a loop of a function that binds v to a LinComb constructor
-    call, or to a zero(...), before the loop."""
-    found = set()
-    for func in ast.walk(ast.parse(source)):
+    call, or to a zero(...), before the loop, and (line, "sum") of every
+    builtin sum whose start is not a number or a Scalar constant."""
+    tree = ast.parse(source)
+    found = {(node.lineno, "sum") for node in ast.walk(tree)
+             if _sums_by_addition(node)}
+    for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         started = {}
@@ -369,9 +396,15 @@ def test_the_addition_scan_sees_linear_combination_loops():
               "        a = a + x\n"
               "        b -= x\n"
               "        c += x\n"
-              "    return a, b, c\n")
+              "    return a, b, c\n"
+              "def j(ms):\n"
+              "    whole = sum(ms[1:], ms[0])\n"
+              "    part = sum(ms, start=Matrix.zeros(2, 2))\n"
+              "    n = sum(len(m) for m in ms) + sum(ms, 0) + sum(ms, ZERO)\n"
+              "    return whole, part, n + sum(ms, Fraction(0))\n")
     assert addition_loops(source) == [(4, "acc"), (9, "out"), (26, "a"),
-                                      (27, "b"), (28, "c")]
+                                      (27, "b"), (28, "c"), (31, "sum"),
+                                      (32, "sum")]
 
 
 def test_no_linear_combination_is_summed_in_a_loop():

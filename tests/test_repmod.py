@@ -104,7 +104,7 @@ def test_casimir_eigenvalues():
     parts = repmod.decompose(t)
     for n, inc, prj in parts:
         lam = (Q(n + 1) + Q(-(n + 1)) - Scalar(2)) / qd2
-        assert cmat * inc.mat == inc.mat.scale(lam)
+        assert cmat * inc == inc.scale(lam)
 
 
 def test_highest_weight_count_matches_clebsch_gordan():
@@ -130,11 +130,11 @@ def test_decompose_clebsch_gordan_patterns():
         # resolution of identity and orthogonality
         total = Matrix.zeros(t.dim, t.dim)
         for n, inc, prj in parts:
-            total = total + inc.mat * prj.mat
+            total = total + inc * prj
         assert total == Matrix.identity(t.dim)
         for i, (n1, inc1, _) in enumerate(parts):
             for j, (n2, _, prj2) in enumerate(parts):
-                prod = prj2.mat * inc1.mat
+                prod = prj2 * inc1
                 if i == j:
                     assert prod == Matrix.identity(n1 + 1)
                 else:
@@ -148,8 +148,19 @@ def test_decompose_with_multiplicity():
     assert sorted(n for n, _, _ in parts) == [1, 1, 3]
     total = Matrix.zeros(t.dim, t.dim)
     for n, inc, prj in parts:
-        total = total + inc.mat * prj.mat
+        total = total + inc * prj
     assert total == Matrix.identity(t.dim)
+
+
+def test_intertwine_rejects_a_map_that_does_not_commute():
+    # the projection of V_1 onto its highest-weight line commutes with k
+    # but not with e; the identity passes and comes back unchanged
+    m = repmod.irrep(1)
+    ident = Matrix.identity(2)
+    assert repmod.intertwine(m, m, ident) is ident
+    top = Matrix.sparse(2, 2, {(0, 0): ONE})
+    with pytest.raises(AssertionError, match=r"fails on e\)"):
+        repmod.intertwine(m, m, top)
 
 
 def test_decompose_requires_diagonal_k():
@@ -211,10 +222,11 @@ def test_theta_coefficients_against_linear_solve():
 
 
 def braiding_map(m1, m2):
-    """flip . R as a ModuleMap m1 (x) m2 -> m2 (x) m1 (the check at
-    construction proves the intertwining property of R)."""
+    """flip . R as a map m1 (x) m2 -> m2 (x) m1, certified by
+    repmod.intertwine (which proves the intertwining property of R)."""
     mat = repmod.flip_matrix(m1.dim, m2.dim) * oracles.universal_R(m1, m2)
-    return repmod.ModuleMap(repmod.tensor(m1, m2), repmod.tensor(m2, m1), mat)
+    return repmod.intertwine(repmod.tensor(m1, m2), repmod.tensor(m2, m1),
+                             mat)
 
 
 def universal_R_inverse(m1, m2):
@@ -237,7 +249,7 @@ def universal_R_inverse(m1, m2):
 def test_r_matrix_intertwines_all_small_pairs():
     for a, b in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (0, 2)]:
         m1, m2 = repmod.irrep(a), repmod.irrep(b)
-        # ModuleMap verifies flip . R intertwines the two tensor orders
+        # intertwine verifies flip . R intertwines the two tensor orders
         braiding_map(m1, m2)
 
 
@@ -284,7 +296,7 @@ def test_r_matrix_classical_limit_is_identity():
     # at u = 1 both the Cartan factor and Theta collapse, so the
     # braiding flip . R degenerates to the plain flip
     m1, m2 = repmod.irrep(1), repmod.irrep(2)
-    bmat = braiding_map(m1, m2).mat
+    bmat = braiding_map(m1, m2)
     fmat = repmod.flip_matrix(m1.dim, m2.dim)
     for i in range(bmat.rows):
         for j in range(bmat.cols):
