@@ -97,13 +97,15 @@ class TensoredSectionSpace:
         e = self.e_matrix = bundle.idempotent_matrix(self.algebra,
                                                      self.completion)
         # e^2 = e entrywise: the projectivity certificate for the
-        # coefficient matrix realizing the relative tensor product
+        # coefficient matrix realizing the relative tensor product; a
+        # product with an empty factor is zero and is skipped
         for gamma in range(self.dim_w):
             for alpha in range(self.dim_w):
                 square = coeff.CoeffElement().combination(
                     (ONE, self.algebra.multiply(e[gamma][beta],
                                                 e[beta][alpha]))
-                    for beta in range(self.dim_w))
+                    for beta in range(self.dim_w)
+                    if e[gamma][beta] and e[beta][alpha])
                 if square != e[gamma][alpha]:
                     raise AssertionError("idempotent matrix identity fails "
                                          "at (%d, %d)" % (gamma, alpha))

@@ -23,15 +23,16 @@ other one, and a binomial factor adds two such copies.
 Normalisation.  Every gcd goes through `_pgcd`, which first splits off
 the common power of u, the integer contents and a common exponent stride
 (most operands are polynomials in u^8), so a monomial or constant gcd
-needs no remainder sequence; only the compressed primitive cofactors
-run the primitive PRS, on dense lists, and both cofactors are divided by
-the gcd there before they are expanded again.  A shift or an integer
-multiple of a polynomial compresses to the same tuple, so compressed
-pairs recur much more often than the polynomials, and `_primitive_gcd`
-keeps the last PRS_CACHE_SIZE of them.  Arithmetic on reduced
-fractions skips the constructor (Henrici 1956; Knuth, TAOCP vol. 2,
-4.5.1).  Products and quotients cancel the two cross gcds (each skipped
-when its denominator is 1) and multiply the cofactors.  Sums cancel
+needs no polynomial arithmetic; `_primitive_gcd` reads the gcd of the
+compressed primitive cofactors, and both cofactors, off one integer gcd
+at u = 2^k and certifies them by a coefficient bound (Char, Geddes and
+Gonnet 1989).  A shift or an integer multiple of a polynomial compresses
+to the same tuple, so compressed pairs recur much more often than the
+polynomials, and `_primitive_gcd` keeps the last
+PRIMITIVE_GCD_CACHE_SIZE of them.  Arithmetic on reduced fractions skips
+the constructor (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1).  Products
+and quotients cancel the two cross gcds (each skipped when its
+denominator is 1) and multiply the cofactors.  Sums cancel
 g = gcd(b, d) of the denominators first: a/b + c/d = t / (b1 d1 g) with
 t = a d1 + c b1 prime to b1 d1, so only gcd(t, g) is left to divide
 out.  Both results are already reduced.  A gcd always comes with its
@@ -220,69 +221,6 @@ def _pmul(a, b):
     return tuple(out)
 
 
-def _lquo(a, b):
-    """Exact quotient a / b of dense coefficient sequences whose constant
-    terms are nonzero, as a tuple; ArithmeticError when b does not
-    divide a."""
-    db, lb = len(b) - 1, b[-1]
-    nz = [(i, y) for i, y in enumerate(b[:db]) if y]
-    r = list(a)
-    q = [0] * (len(r) - db)
-    for e in range(len(q) - 1, -1, -1):
-        t = r[e + db]
-        if t:
-            t, m = divmod(t, lb)
-            if m:
-                raise ArithmeticError("inexact polynomial division")
-            q[e] = t
-            for i, y in nz:
-                r[e + i] -= t * y
-    if any(r[:db]):
-        raise ArithmeticError("inexact polynomial division")
-    return tuple(q)
-
-
-def _prs(a, b):
-    """gcd of primitive polynomials a, b (lists, len(a) >= len(b) >= 2,
-    nonzero constant terms) by the primitive remainder sequence on
-    mutable lists, which it consumes.  Each remainder may carry any
-    nonzero integer factor, since it is made primitive; its power of u is
-    dropped, since no divisor of b is divisible by u.  Returns a
-    primitive list of unspecified sign."""
-    while True:
-        db, lb = len(b) - 1, b[-1]
-        nz = [(i, y) for i, y in enumerate(b) if y]
-        nz.pop()
-        r = a
-        while len(r) > db:
-            # r <- m*r - t*u^e*b, with the leading terms cancelling
-            lr = r.pop()
-            e = len(r) - db
-            if lr % lb:
-                g = _igcd(lb, lr)
-                m, t = lb // g, lr // g
-                r = [x * m for x in r]
-            else:
-                t = lr // lb
-            for i, y in nz:
-                r[e + i] -= t * y
-            while r and not r[-1]:
-                r.pop()
-        if not r:
-            return b
-        v = 0
-        while not r[v]:
-            v += 1
-        if v:
-            del r[:v]
-        if len(r) == 1:
-            return [1]
-        c = _igcd(*r)
-        if c != 1:
-            r = [x // c for x in r]
-        a, b = b, r
-
-
 def _unshift(a, v, c):
     """a / (c u^v) for a monomial c u^v that divides a."""
     if not v and c == 1:
@@ -318,30 +256,78 @@ def _expand(p, v, s, c):
     return tuple(out)
 
 
-# how many compressed gcds `_primitive_gcd` keeps: the shifts and integer
-# multiples of a polynomial all compress to one tuple, so pairs recur
-# much more often than the polynomials themselves (of the remainder
-# sequences on the connection suites, 51 % are found at 128 entries,
-# 61 % at 256 and 74 % at 1,024); a larger cache trades peak memory for
-# fewer remainder sequences
-PRS_CACHE_SIZE = 128
+def _digits(n, k):
+    """The symmetric 2^k-adic digits of the integer n, lowest first, each
+    in (-2^(k-1), 2^(k-1)]."""
+    mask, half, out = (1 << k) - 1, 1 << (k - 1), []
+    while n:
+        d = n & mask
+        if d > half:
+            d -= mask + 1
+        out.append(d)
+        n = (n - d) >> k
+    return out
 
 
-@lru_cache(maxsize=PRS_CACHE_SIZE)
+def _gcd_at(A, B, k):
+    """`_primitive_gcd` read off g = gcd(A(2^k), B(2^k)): a certified
+    (G, A/G, B/G), None when g has one digit, False when not certified.
+
+    G is the primitive part, lc(G) > 0, of H, whose coefficients are the
+    symmetric 2^k-adic digits of g.  The cofactor Q of P in (A, B) has
+    the digits of P(2^k) / G(2^k), which must be exact, and G Q = P once
+    ||G||_1 ||Q||_oo + ||P||_oo < 2^(k-1): both sides then have
+    coefficients below 2^(k-1) in size and agree at 2^k."""
+    values = [sum(c << k * i for i, c in enumerate(P)) for P in (A, B)]
+    g = _igcd(*values)
+    H = _digits(g, k)
+    if len(H) == 1:
+        return None
+    c = _igcd(*H) if H[-1] > 0 else -_igcd(*H)
+    G = tuple([h // c for h in H])
+    gx, norm, out = g // c, sum(map(abs, G)), [G]
+    for P, x in zip((A, B), values):
+        q, r = divmod(x, gx)
+        Q = _digits(q, k)
+        bound = norm * max(map(abs, Q), default=0) + max(map(abs, P))
+        if r or 2 * bound >= 1 << k:
+            return False
+        out.append(tuple(Q))
+    return tuple(out)
+
+
+# how many compressed gcds `_primitive_gcd` keeps: shifts and integer
+# multiples of a polynomial compress to one tuple, so pairs recur (on the
+# connection suites 51 % are found at 128 entries, 61 % at 256 and 74 %
+# at 1,024); a larger cache trades peak memory for fewer gcds
+PRIMITIVE_GCD_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=PRIMITIVE_GCD_CACHE_SIZE)
 def _primitive_gcd(A, B):
     """(G, A/G, B/G) for primitive dense tuples A, B of length 2 or more
     with nonzero constant terms and their gcd G of positive leading
-    coefficient, all tuples; None when G = 1."""
-    P, Q = (A, B) if len(A) >= len(B) else (B, A)
-    G = _prs(list(P), list(Q))
-    if len(G) == 1:
-        return None
-    if G[-1] < 0:
-        G = [-x for x in G]
-    # a primitive divisor of the same degree is the operand up to sign
-    QA = (A[-1] // G[-1],) if len(A) == len(G) else _lquo(A, G)
-    QB = (B[-1] // G[-1],) if len(B) == len(G) else _lquo(B, G)
-    return tuple(G), QA, QB
+    coefficient, all tuples; None when G = 1.
+
+    The heuristic gcd (Char, Geddes and Gonnet 1989): `_gcd_at` from
+    k = bitlen(max(|A|, |B|)) + max(len A, len B) + 4, |.| the largest
+    coefficient size, doubling k until it certifies; x = 2^k is then at
+    least 2 M + 2 for M = min(|A|, |B|).
+    Exact: G (1 when g has one digit) divides A and B, so it divides
+    their gcd D, and F = D / G divides both cofactors, so F(x) divides
+    g / G(x), the content of H, at most x/2 in size.  F divides the
+    operand of size M, whose roots are below 1 + M in size, so |F(x)| >
+    (x - 1 - M)^deg F >= x/2 unless F is constant, hence a unit.
+    It ends: A/D and B/D are coprime, so m = gcd(A/D(x), B/D(x))
+    divides their resultant, whatever x, and g = m D(x).  Once x/2
+    exceeds the coefficients of m D and the bound of `_gcd_at`, g has
+    the digits of m D, and G = D certifies."""
+    k = max(map(abs, A + B)).bit_length() + max(len(A), len(B)) + 4
+    while True:
+        found = _gcd_at(A, B, k)
+        if found is not False:
+            return found
+        k *= 2
 
 
 def _pgcd(a, b):
@@ -349,7 +335,7 @@ def _pgcd(a, b):
     Z[u]: content gcd times the primitive gcd, positive leading
     coefficient; a and b themselves when g = 1.
 
-    What needs no remainder sequence is split off first: the common power
+    What needs no polynomial gcd is split off first: the common power
     u^v, the integer contents, and a common exponent stride s (both
     cofactors are polynomials in u^s; gcd commutes with u^s -> u).  A
     monomial operand ends there with g = c*u^v; otherwise the compressed
@@ -939,13 +925,16 @@ class LinComb:
 
     def combination(self, pairs):
         """self + sum s x over the (Scalar s, LinComb x) pairs, summed in
-        one dict, as an element of self's kind."""
-        out = dict(self.terms)
+        one dict, as an element of self's kind; self itself when no pair
+        adds a term."""
+        out = None
         for s, x in pairs:
-            if s:
+            if s and x.terms:
+                if out is None:
+                    out = dict(self.terms)
                 for k, t in x.terms.items():
                     accumulate(out, k, s * t)
-        return self._new(out)
+        return self if out is None else self._new(out)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms

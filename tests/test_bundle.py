@@ -255,6 +255,26 @@ def test_the_twisted_haar_trace_of_a_line_idempotent_is_q_to_the_m():
                    ZERO) == Scalar.q_power(m)
 
 
+@pytest.mark.parametrize("weights, trace", [
+    ((1, -1), Scalar.q_power(1) + Scalar.q_power(-1)),
+    ((0, 0, 1), Scalar(2) + Scalar.q_power(1))], ids=["1_-1", "0_0_1"])
+def test_the_twisted_haar_trace_adds_over_the_lines(weights, trace):
+    # e of a sum of lines is block diagonal, one block per line, and
+    # pi(k^2) acts on each block as on V_|m|: the twisted trace of e is
+    # the sum of the lines' q^m
+    a = coeff.Algebra(10)
+    k2 = uea.K * uea.K
+    comp = bundle.Completion(weights)
+    e = bundle.idempotent_matrix(a, comp)
+    total = ZERO
+    for r in range(len(weights)):
+        n, offset, _ = comp.summand(r)
+        twist = repmod.irrep(n).act(k2)
+        for b in range(n + 1):
+            total += twist[b, b] * a.haar(e[offset + b][offset + b])
+    assert total == trace
+
+
 def generation_certificate(algebra, weights, N):
     """Solve every basis section of level <= N as an E_q-combination
     sum_alpha zeta_alpha a_alpha, exactly.  zeta_alpha has level n_alpha

@@ -717,8 +717,18 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
     pgcd = scalars._pgcd
     monkeypatch.setattr(scalars, "_pgcd", lambda a, b:
                         gcds.append(1) or pgcd(a, b))
-    for cache in (scalars._cancel, scalars._den_product,
-                  scalars._den_lcm):
+    # and every primitive gcd certifies at its first point u = 2^k: no
+    # _gcd_at call returns False (not certified)
+    certified = []
+    gcd_at = scalars._gcd_at
+
+    def first_point(A, B, k):
+        found = gcd_at(A, B, k)
+        certified.append(found is not False)
+        return found
+    monkeypatch.setattr(scalars, "_gcd_at", first_point)
+    for cache in (scalars._cancel, scalars._primitive_gcd,
+                  scalars._den_product, scalars._den_lcm):
         cache.cache_clear()
     # every Echelon.add: the calculus and closure suites made 3,339 when
     # the ideal was one elimination over all K^n words per degree, and
@@ -740,6 +750,7 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
     assert algebra._pair_prod
     assert 0 < len(gcds)
     assert gcd_limit is None or len(gcds) <= gcd_limit
+    assert certified and all(certified)
     assert 0 < len(adds) and (add_limit is None or len(adds) <= add_limit)
     # the calculus table caches the run built are counted on stderr
     err = capsys.readouterr().err.splitlines()

@@ -145,8 +145,8 @@ def test_verify_reduced_suites(tmp_path, capsys, cold_tables):
     stats = [line for line in err if line.startswith("primitive gcd cache: ")]
     assert len(stats) == 1
     assert re.fullmatch(r"primitive gcd cache: \d+ hits, \d+ misses, "
-                        r"\d+/%d entries" % cli.scalars.PRS_CACHE_SIZE,
-                        stats[0])
+                        r"\d+/%d entries"
+                        % cli.scalars.PRIMITIVE_GCD_CACHE_SIZE, stats[0])
     sums = [line for line in err if line.startswith("unreduced sums: ")]
     assert len(sums) == 1
     assert re.fullmatch(r"unreduced sums: \d+ finished, \d+ cancelled, "

@@ -171,6 +171,33 @@ def test_project_matches_the_extend_oracle(weights):
             assert oracles.project(tss, vec) == expected
 
 
+@pytest.mark.parametrize("weights, products", [
+    ((1, -1), 16), ((0, 0, 1), 10)], ids=["1_-1", "0_0_1"])
+def test_idempotent_certificate_skips_empty_factors(monkeypatch, weights,
+                                                    products):
+    # e is block diagonal, one block per line, so the e^2 = e certificate
+    # makes only the products e_{gamma beta} e_{beta alpha} of two
+    # nonempty entries: 16 and 10 of the 64, counted from the built e to
+    # the section basis
+    calls = _count_calls(monkeypatch, coeff.Algebra, "multiply")
+    idempotent_matrix = bundle.idempotent_matrix
+    sections_basis = bundle.sections_basis
+    seen = []
+
+    def built(*args):
+        e = idempotent_matrix(*args)
+        del calls[:]
+        return e
+    monkeypatch.setattr(bundle, "idempotent_matrix", built)
+    monkeypatch.setattr(bundle, "sections_basis", lambda *args:
+                        seen.append(len(calls)) or sections_basis(*args))
+    tss = connection.TensoredSectionSpace(CALC, weights, 1)
+    assert seen == [products]
+    e = tss.e_matrix
+    assert products == sum(1 for g in e for b in range(tss.dim_w)
+                           for a in range(tss.dim_w) if g[b] and e[b][a])
+
+
 def test_project_raises_where_the_oracle_overflows():
     # e has level 2, so at window 4 a level-3 entry needs level 5 and a
     # level-4 entry level 6; the first word that overflows names its
