@@ -970,10 +970,6 @@ def cmd_verify(cfg, out_path):
           % tuple(map(len, memos[:2])), file=sys.stderr)
     print("exterior ideal cache: %d normal forms, %d normal word degrees, "
           "%d echelons" % tuple(map(len, memos[2:])), file=sys.stderr)
-    tss = ws._memo.get(ws._bundle_key("tss"))
-    rows = tss._rows if isinstance(tss, connection.TensoredSectionSpace) else ()
-    print("connection table cache: %d projection rows" % len(rows),
-          file=sys.stderr)
     checks.sort(key=lambda c: (c["suite"], c["anchor"]))
     summary = {status: sum(c["status"] == status for c in checks)
                for status in ("pass", "fail", "skip")}

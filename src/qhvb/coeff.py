@@ -204,7 +204,7 @@ class Algebra:
             self._cg[(m, n)] = data
         return data
 
-    def _basis_product(self, m, i, j, n, k, l):
+    def basis_product(self, m, i, j, n, k, l):
         """t^{(m)}_{ij} t^{(n)}_{kl} in the Peter-Weyl basis: since
         (fg)(x) = (f (x) g)(D x) and (pi_m (x) pi_n)(D x) decomposes by
         Clebsch-Gordan, the product re-expands through the embeddings."""
@@ -232,7 +232,7 @@ class Algebra:
         out = {}
         for (m, i, j), s in f.terms.items():
             for (n, k, l), t in g.terms.items():
-                add_row(out, self._basis_product(m, i, j, n, k, l).items(),
+                add_row(out, self.basis_product(m, i, j, n, k, l).items(),
                         s, t)
         self.check_sum(out)
         return out
@@ -241,15 +241,6 @@ class Algebra:
         """f g in the Peter-Weyl basis: product_terms, cancelled once per
         entry."""
         return CoeffElement._of(finish_sum(self.product_terms(f, g)))
-
-    def times_basis(self, f, key):
-        """f t_key in the Peter-Weyl basis as {key: Scalar}: the basis
-        products of f's terms with t_key, summed.  Unlike multiply it
-        makes no window check; a caller that sums these checks the sum."""
-        out = {}
-        for (m, i, j), s in f.terms.items():
-            add_row(out, self._basis_product(m, i, j, *key).items(), s)
-        return finish_sum(out)
 
     def check_window(self, level):
         """LevelOverflow when an exact product has a nonzero coefficient

@@ -33,12 +33,11 @@ Every nabla(zeta) is still one projection e . (d zeta + Lambda zeta) of
 its own sum, never recombined from nabla0 and the e . E_ij theta: that
 would make the perturbed law restate the certificate.
 On sections nabla0 is the chain im -> coordinatewise d -> project.
-project, the left multiplication by e, reads cached rows of e: one list
-e_{gamma beta} t_key per (gamma, beta, Peter-Weyl key), so it makes no
-coefficient product, and it sums each coordinate unreduced with one
-cancellation per entry.  The curvature is the restriction of nabla^2 to
-the sections; its right-linear extension F-hat satisfies the operator
-identity nabla(F(zeta)) = F-hat(nabla(zeta)).
+project, the left multiplication by e, applies wp and then im to the
+coefficients of each word, summing over the basis products unreduced
+with one cancellation per entry of each stage.  The curvature is the
+restriction of nabla^2 to the sections; its right-linear extension
+F-hat satisfies the operator identity nabla(F(zeta)) = F-hat(nabla(zeta)).
 """
 
 from .scalars import ONE, ZERO, Scalar, add_row, finish_sum, merge_sums
@@ -122,8 +121,6 @@ class TensoredSectionSpace:
                         for j, s in enumerate(self.sections)]
         self._products = {}
         self._d, self._theta, self._leibniz = {}, {}, {}
-        # (gamma, beta, Peter-Weyl key) -> e_{gamma beta} t_key (see project)
-        self._rows = {}
         # the entries (i, j) whose basis perturbation E_ij theta passed
         # the right-linearity certificate (see ConnectionMap)
         self.certified = set()
@@ -148,43 +145,49 @@ class TensoredSectionSpace:
             for beta, psi in enumerate(vec) if values[beta][gamma] and psi)
             for gamma in range(self.dim_w)]
 
-    def _row(self, gamma, beta, key):
-        """e_{gamma beta} t_key in the Peter-Weyl basis as a list of
-        (key, Scalar), built once from the basis products."""
-        row = self._rows.get((gamma, beta, key))
-        if row is None:
-            row = list(self.algebra.times_basis(self.e_matrix[gamma][beta],
-                                                key).items())
-            self._rows[(gamma, beta, key)] = row
-        return row
-
     def project(self, vec):
-        """Left multiplication by the idempotent matrix on a vector of
-        normal forms: coordinate gamma is sum_beta e_{gamma beta} psi_beta.
-        Every entry x at (word, key) of psi_beta adds x times the cached
-        row e_{gamma beta} t_key at that word, so project makes no
-        coefficient product.  The products of one (gamma, beta) are
-        unreduced sums per word (scalars.add_row); each is checked
-        against the window on its unreduced entries, as one coefficient
-        product per word of Calculus.multiply would be, and merges
-        unreduced into coordinate gamma, which is cancelled once per
-        entry.  extend with the generator columns is the oracle."""
+        """Left multiplication by the idempotent matrix e = im . wp on a
+        vector of normal forms, word by word.  For the coefficients a_beta
+        of one word in psi_beta and line r, the summand V_n at offset off
+        with idx(r) = w_j, with the factors of bundle.wp and bundle.im:
+
+            s_r = sum_{beta in line r} S(t_{j, beta - off}) a_beta    (wp)
+            coordinate off + i gets t_{ij} s_r                        (im)
+
+        which is sum_beta e_{off + i, beta} psi_beta by associativity.
+        Each s_r is one unreduced sum of basis products (scalars.add_row),
+        checked against the window and finished once; each im product is
+        checked unreduced and merges into its coordinate, which is
+        finished once.  extend with the generator columns is the oracle."""
+        algebra, completion = self.algebra, self.completion
         degree = self.degree_of(vec)
-        out = []
-        for gamma, e_row in enumerate(self.e_matrix):
-            acc = {}
-            for beta, psi in enumerate(vec):
-                if not e_row[beta]:
-                    continue
-                product = {}
-                for (word, key), x in psi.terms.items():
-                    add_row(product.setdefault(word, {}),
-                            self._row(gamma, beta, key), x)
-                for word, terms in product.items():
-                    self.algebra.check_sum(terms)
-                    merge_sums(acc, word, terms)
-            out.append(calculus.FormElement._graded(degree, finish_sum(acc)))
-        return out
+        words = {}
+        for beta, psi in enumerate(vec):
+            for word, a in psi.coords.items():
+                words.setdefault(word, {})[beta] = a.terms.items()
+        accs = [{} for _ in range(self.dim_w)]
+        for r in range(len(completion.weights)):
+            n, off, j = completion.summand(r)
+            factors = [algebra.antipode(coeff.basis_element(n, j, k)).terms
+                       for k in range(n + 1)]
+            for word, coords in words.items():
+                part = {}
+                for k, factor in enumerate(factors):
+                    for key, x in coords.get(off + k, ()):
+                        for (m, a, b), c in factor.items():
+                            add_row(part, algebra.basis_product(m, a, b, *key)
+                                    .items(), c, x)
+                algebra.check_sum(part)
+                s_r = finish_sum(part)
+                for i in range(n + 1):
+                    terms = {}
+                    for key, y in s_r.items():
+                        add_row(terms, algebra.basis_product(n, i, j, *key)
+                                .items(), y)
+                    algebra.check_sum(terms)
+                    merge_sums(accs[off + i], word, terms)
+        return [calculus.FormElement._graded(degree, finish_sum(acc))
+                for acc in accs]
 
     def from_section(self, section):
         """The W coordinates of im(section), as degree-0 forms."""

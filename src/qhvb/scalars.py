@@ -278,7 +278,12 @@ def _gcd_at(A, B, k):
     the digits of P(2^k) / G(2^k), which must be exact, and G Q = P once
     ||G||_1 ||Q||_oo + ||P||_oo < 2^(k-1): both sides then have
     coefficients below 2^(k-1) in size and agree at 2^k."""
-    values = [sum(c << k * i for i, c in enumerate(P)) for P in (A, B)]
+    values = []
+    for P in (A, B):
+        x = 0
+        for c in reversed(P):
+            x = (x << k) + c
+        values.append(x)
     g = _igcd(*values)
     H = _digits(g, k)
     if len(H) == 1:

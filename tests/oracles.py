@@ -479,9 +479,10 @@ class BraidingSplit:
 
 
 # ----------------------------------------------------------------------
-# the per-term loops of the four row products, before they summed
-# unreduced (scalars.add_row): each adds x * y into a dict of canonical
-# Scalars term by term
+# the per-term loops of the row products, before they summed unreduced
+# (scalars.add_row), and the per-entry projection by the rows of e that
+# project replaced: each adds x * y into a dict of canonical Scalars term
+# by term
 
 
 def algebra_multiply(algebra, f, g):
@@ -490,17 +491,18 @@ def algebra_multiply(algebra, f, g):
     for (m, i, j), s in f.terms.items():
         for (n, k, l), t in g.terms.items():
             st = s * t
-            for key, c in algebra._basis_product(m, i, j, n, k, l).items():
+            for key, c in algebra.basis_product(m, i, j, n, k, l).items():
                 accumulate(out, key, st * c)
     algebra.check_window(max((p for (p, r, s) in out), default=0))
     return coeff.CoeffElement(out)
 
 
 def times_basis(algebra, f, key):
-    """coeff.Algebra.times_basis, one accumulate per basis-product term."""
+    """f t_key, one accumulate per basis-product term, unchecked against
+    the window: the row of the per-entry projection (see project)."""
     out = {}
     for (m, i, j), s in f.terms.items():
-        for k, c in algebra._basis_product(m, i, j, *key).items():
+        for k, c in algebra.basis_product(m, i, j, *key).items():
             accumulate(out, k, s * c)
     return out
 
@@ -520,9 +522,11 @@ def contract(coords, table):
 
 
 def project(tss, vec):
-    """connection.TensoredSectionSpace.project, one accumulate per row
-    term, with the rows e_{gamma beta} t_key of the times_basis oracle;
-    each (gamma, beta) product is checked word by word."""
+    """connection.TensoredSectionSpace.project before it applied wp and
+    im word by word: coordinate gamma is sum_beta e_{gamma beta} psi_beta,
+    one accumulate per term of the rows e_{gamma beta} t_key of the
+    times_basis oracle, and each (gamma, beta) product is checked word by
+    word, so an entry's product may overflow where wp and im do not."""
     degree = tss.degree_of(vec)
     out = []
     for gamma, e_row in enumerate(tss.e_matrix):

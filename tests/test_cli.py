@@ -181,14 +181,12 @@ def test_verify_reduced_suites(tmp_path, capsys, cold_tables):
     assert int(match[4]) == sum(len(m._monos)
                                 for m in cli.repmod._IRREPS.values()) > 0
     # neither suite builds a Calculus, and the memo is cold, so the
-    # calculus and connection cache lines read 0
+    # calculus cache lines read 0; the exterior ideal line is the last
     tables = [line for line in err if line.startswith("calculus table cache: ")]
     assert tables == ["calculus table cache: 0 product tables, 0 d tables"]
     ideal = [line for line in err if line.startswith("exterior ideal cache: ")]
     assert ideal == ["exterior ideal cache: 0 normal forms, 0 normal word "
-                     "degrees, 0 echelons"]
-    rows = [line for line in err if line.startswith("connection table cache: ")]
-    assert rows == ["connection table cache: 0 projection rows"]
+                     "degrees, 0 echelons"] == err[-1:]
     assert "cache" not in out.read_text()
     assert "unreduced" not in out.read_text()
     assert "shared" not in out.read_text()
@@ -309,18 +307,21 @@ def test_bad_command_rejected():
         cli.main(["explode"])
 
 
-@pytest.mark.parametrize("command", ["dims", "connection"])
-def test_small_window_exits_2_with_one_line(tmp_path, capsys, command):
-    # the level-6 products of these commands do not fit the n_max = 1
-    # window; the overflow is reported, not raised as a traceback
+@pytest.mark.parametrize("command, config, window", [
+    ("dims", "n_max = 1\n", 4),
+    ("connection", "n_max = 2\nweights = 2\n", 6)], ids=["dims", "connection"])
+def test_small_window_exits_2_with_one_line(tmp_path, capsys, command, config,
+                                            window):
+    # the products of these commands do not fit the window; the overflow
+    # is reported, not raised as a traceback
     path = tmp_path / "small.cfg"
-    path.write_text("n_max = 1\n")
+    path.write_text(config)
     out = tmp_path / "out.json"
     rc = cli.main([command, "--config", str(path), "--out", str(out)])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("LevelOverflow: ")
-    assert "coefficient window 4" in captured.err
+    assert "coefficient window %d" % window in captured.err
     assert "n_max=" not in captured.err
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
@@ -488,15 +489,17 @@ def _break_circle_presented(monkeypatch):
 
 
 def _break_projection(monkeypatch):
-    # the row e_{00} t[0;0,0] of project doubled: project is no longer
-    # left multiplication by the idempotent matrix, and no longer
-    # commutes with right multiplication
-    row = connection.TensoredSectionSpace._row
-    monkeypatch.setattr(connection.TensoredSectionSpace, "_row",
-                        lambda self, gamma, beta, key:
-                        [(pw, s * 2) for pw, s in row(self, gamma, beta, key)]
-                        if (gamma, beta, key) == (0, 0, (0, 0, 0))
-                        else row(self, gamma, beta, key))
+    # the wp product S(t_{j0}) t[0;0,0] of beta = 0 doubled: project is
+    # no longer left multiplication by the idempotent matrix, and no
+    # longer commutes with right multiplication
+    project = connection.TensoredSectionSpace.project
+
+    def doubled(self, vec):
+        psi = vec[0]
+        return project(self, [psi + psi._new({
+            (word, key): s for (word, key), s in psi.terms.items()
+            if key == (0, 0, 0)})] + vec[1:])
+    monkeypatch.setattr(connection.TensoredSectionSpace, "project", doubled)
 
 
 def _break_lambda_side(monkeypatch):
@@ -608,7 +611,7 @@ def test_failing_check_names_its_residual(tmp_path, monkeypatch, cold_tables,
 
 def test_broken_projection_fails_the_connection_laws(tmp_path, monkeypatch,
                                                      cold_tables):
-    # the doubled row breaks the law of nabla0, and the certificate of
+    # the doubled wp product breaks the law of nabla0, and the certificate of
     # E_00 theta rejects the seeded perturbations before their law and
     # difference checks compare anything
     _break_projection(monkeypatch)

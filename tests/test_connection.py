@@ -154,11 +154,17 @@ def project_oracle(tss, vec):
                       vec)
 
 
-@pytest.mark.parametrize("weights", [[1], [1, -1]], ids=["1", "1_-1"])
-def test_project_matches_the_extend_oracle(weights):
-    tss = connection.TensoredSectionSpace(CALC, weights, 1)
+@pytest.mark.parametrize("weights, degrees", [
+    ([1], (0, 1, 2)), ([1, -1], (0, 1, 2)), ([2], (0, 1)),
+    ([0, 0, 1], (0, 1, 2))], ids=["1", "1_-1", "2", "0_0_1"])
+def test_project_matches_the_extend_oracle(weights, degrees):
+    # a weight-2 line has its sections from level 2 on, and its entries
+    # of e have level 4, so the oracle's products with sampled 2-forms
+    # overflow the window 10: it runs on 0- and 1-forms there
+    tss = connection.TensoredSectionSpace(CALC, weights,
+                                          max(1, *map(abs, weights)))
     rnd = random.Random(23)
-    for degree in (0, 1, 2):
+    for degree in degrees:
         for _ in range(3):
             while True:
                 vec = [sample_form(rnd, CALC, degree)
@@ -199,9 +205,12 @@ def test_idempotent_certificate_skips_empty_factors(monkeypatch, weights,
 
 
 def test_project_raises_where_the_oracle_overflows():
-    # e has level 2, so at window 4 a level-3 entry needs level 5 and a
-    # level-4 entry level 6; the first word that overflows names its
-    # level, in coordinate order and then word order
+    # e has level 2, so at window 4 the per-entry products e_{gamma beta}
+    # psi_beta of a level-3 entry need level 5 and of a level-4 entry
+    # level 6; project checks wp, one level above the entry, and then im,
+    # one more, so a level-4 entry overflows in wp and a level-3 entry in
+    # im, both at level 5.  project raises only where the per-entry
+    # oracle does, and otherwise returns the oracle's value
     narrow = calculus.Calculus(coeff.Algebra(4), CALC.data)
     tss = connection.TensoredSectionSpace(narrow, V, 1)
     low, mid, high = (coeff.basis_element(n, 1, 1) for n in (2, 3, 4))
@@ -214,36 +223,33 @@ def test_project_raises_where_the_oracle_overflows():
         [calculus.form(1, {(0,): low}), calculus.form(1, {(3,): mid})],
     ]
     outcomes = [oracles.outcome(tss.project, vec) for vec in vectors]
-    assert outcomes == [oracles.outcome(project_oracle, tss, vec)
-                        for vec in vectors]
-    assert outcomes == [oracles.outcome(oracles.project, tss, vec)
-                        for vec in vectors]
+    expected = [oracles.outcome(oracles.project, tss, vec)
+                for vec in vectors]
+    for outcome, oracle in zip(outcomes, expected):
+        assert isinstance(oracle, str) or outcome == oracle
+        assert isinstance(outcome, list) or isinstance(oracle, str)
+    assert outcomes[0] == expected[0] != tss.zero(1)
     window = "product needs level %d beyond the coefficient window 4"
-    assert outcomes[1:] == [window % 5, window % 6, window % 6, window % 5]
-    assert outcomes[0] != tss.zero(1)
+    assert outcomes[1:] == [window % 5] * 4
+    assert expected[1:] == [window % n for n in (5, 6, 6, 5)]
 
 
 def test_project_makes_no_coefficient_product(monkeypatch):
-    # the rows e_{gamma beta} t_key come from the basis products, and
-    # project reads them; the cached rows are the coefficient products
+    # wp and im read the basis products, and the space keeps no rows
     tss = connection.TensoredSectionSpace(CALC, V, 1)
     rnd = random.Random(29)
     vecs = [[sample_form(rnd, CALC, degree) for _ in range(tss.dim_w)]
             for degree in (0, 1, 2)]
+
+    def kept():
+        return {name: len(value) for name, value in vars(tss).items()
+                if isinstance(value, (dict, set))}
     calls = _count_calls(monkeypatch, coeff.Algebra, "product_terms")
-    assert tss._rows == {}
-    cold = [tss.project(vec) for vec in vecs]
-    assert calls == [] and tss._rows
-    rows = dict(tss._rows)
-    assert [tss.project(vec) for vec in vecs] == cold
-    assert calls == [] and tss._rows == rows
+    before = kept()
+    projected = [tss.project(vec) for vec in vecs]
+    assert calls == [] and kept() == before
     monkeypatch.undo()
-    for (gamma, beta, key), row in rows.items():
-        assert tss.e_matrix[gamma][beta]
-        assert dict(row) == A.multiply(tss.e_matrix[gamma][beta],
-                                       coeff.basis_element(*key)).terms
-        assert dict(row) == oracles.times_basis(A, tss.e_matrix[gamma][beta],
-                                                key)
+    assert projected == [project_oracle(tss, vec) for vec in vecs]
 
 
 def _unprojected_lambda(self, vec):
@@ -552,10 +558,12 @@ def test_level_overflow_propagates():
     narrow = calculus.Calculus(coeff.Algebra(4),
                                calculus.from_rep(repmod.irrep(1)))
     tss = connection.TensoredSectionSpace(narrow, V, 1)
-    with pytest.raises(coeff.LevelOverflow):
-        connection.make_connection(tss).on_section(
-            tss.sections[0].times(PODLES[0]))
-    with pytest.raises(coeff.LevelOverflow):
+    # nabla0(zeta_0 a) fits the window 4 through wp and im, and equals its
+    # value at window 10
+    assert connection.make_connection(tss).on_section(
+        tss.sections[0].times(PODLES[0])) == CONN0.on_section(
+            TSS.sections[0].times(PODLES[0]))
+    with pytest.raises(coeff.LevelOverflow, match="^product needs level 5 "):
         connection.make_connection(tss, [[1, 0], [0, 3]])
     with pytest.raises(coeff.LevelOverflow):
         narrow.d(calculus.form(1, {(0,): coeff.basis_element(5, 0, 1)}))

@@ -8,8 +8,12 @@ bundle vectors became LinCombs, and the connection and curvature suites
 at n_max = 1 and at weights = 1 -1 before one right-linearity walk
 replaced the four loops of those suites.  The connection at weights = 2,
 on the sections of level 2, was recorded before the row products summed
-unreduced."""
+unreduced.  The connection and curvature suites at n_max = 1 were
+re-recorded when project became wp and then im word by word: two checks
+that had skipped on an entry product of level 6 now pass, and the other
+two name the level 5 of a wp or im product."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -36,6 +40,21 @@ def test_default_config_output_matches_golden(tmp_path, command):
     out = tmp_path / (command + ".json")
     assert cli.main([command, "--out", str(out)]) == 0
     assert out.read_bytes() == (TESTS / "golden" / (command + ".json")).read_bytes()
+
+
+def test_level_one_connection_matches_the_default_golden(tmp_path):
+    # at n_max = 1 (window 4) every product of wp and im fits the window,
+    # and the connection on the level-1 sections is the default one
+    config = tmp_path / "n1.cfg"
+    config.write_text("n_max = 1\n")
+    out = tmp_path / "connection.json"
+    assert cli.main(["connection", "--config", str(config),
+                     "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    golden = json.loads((TESTS / "golden" / "connection.json").read_text())
+    assert payload["config"]["coefficient_window"] == 4
+    del payload["config"], golden["config"]
+    assert payload == golden
 
 
 def test_weight_two_connection_matches_golden(tmp_path):
@@ -66,7 +85,7 @@ def test_two_weight_output_matches_golden(tmp_path, command):
     ("v1m1", "weights = 1 -1\n", 0),
 ])
 def test_connection_suites_match_golden(tmp_path, name, config, rc):
-    # at n_max = 1 (window 4) four checks skip, each witness naming the
+    # at n_max = 1 (window 4) two checks skip, each witness naming the
     # first product that overflows; at weights = 1 -1 every check runs
     path = tmp_path / (name + ".cfg")
     path.write_text(config)
