@@ -21,9 +21,12 @@ whose composite e = im . wp is an explicit idempotent exhibiting the
 sections as a finite-type projective module.  t_{beta, idx(r)} vanishes
 unless beta lies in line r's own summand, so wp and im touch that
 summand alone and e is block diagonal, the direct sum of the line
-idempotents (Completion).  The Podles sphere E_q
-itself is H_q of the trivial line V = (0,) (see `homspace.invariants`),
-and the idempotent reads the E_q of its domain off the same basis.
+idempotents (Completion).  e has no other representation: its column
+beta is im(wp(w_beta (x) 1)), and BundleIdempotent and
+connection.TensoredSectionSpace.project apply it as wp, then im.  The
+Podles sphere E_q itself is H_q of the trivial line V = (0,) (see
+`homspace.invariants`), and the idempotent reads the E_q of its domain
+off the same basis.
 Sections and elements of W (x) E_q are both coeff.CoeffVectors,
 LinCombs whose terms map (index, Peter-Weyl key) to Scalars, the index
 a weight line of V or a W basis index beta.
@@ -151,27 +154,6 @@ class Completion:
         """(n, offset, j): line r is w_j of the summand V_n at offset."""
         n = self.blocks[r]
         return n, self.offsets[r], (n - self.weights[r]) // 2
-
-
-def idempotent_matrix(algebra, completion):
-    """The coefficient matrix of the bundle idempotent on W, as rows of
-    CoeffElements:
-
-        e_{beta alpha} = sum_r t_{beta, idx(r)} S(t_{idx(r), alpha}),
-
-    idx(r) the index of line r in W.  Only line r's own summand meets
-    idx(r), so e is block diagonal: on the summand V_n of line r, with
-    idx(r) = w_j, the entry (i, k) is t^(n)_{ij} S(t^(n)_{jk})."""
-    dim = completion.dim_w
-    e = [[coeff.CoeffElement() for _ in range(dim)] for _ in range(dim)]
-    for r in range(len(completion.weights)):
-        n, off, j = completion.summand(r)
-        for i in range(n + 1):
-            for k in range(n + 1):
-                e[off + i][off + k] = algebra.multiply(
-                    coeff.basis_element(n, i, j),
-                    algebra.antipode(coeff.basis_element(n, j, k)))
-    return e
 
 
 def wp(algebra, completion, element):

@@ -1024,8 +1024,11 @@ def cmd_idempotent(cfg, out_path):
     ws = _Workspace(cfg)
     N = min(cfg.n_max, 3)
     proj = ws.idempotent(cfg.weights, N)
-    matrix = [[str(x) for x in row] for row in
-              bundle.idempotent_matrix(ws.algebra, proj.completion)]
+    # column beta of e is e(w_beta (x) 1), certified by proj
+    columns = [proj.apply(bundle.simple_tensor(beta, coeff.unit())).coords
+               for beta in range(proj.completion.dim_w)]
+    matrix = [[str(column.get(gamma, coeff.CoeffElement()))
+               for column in columns] for gamma in range(len(columns))]
     payload = {
         "config": cfg.as_dict(),
         "level": N,

@@ -1,17 +1,16 @@
 """Connections and curvature on quantum homogeneous vector bundles.
 
 The sections tensored with forms over the invariant subalgebra are
-realized through the bundle idempotent: an element of H(V) (x) Omega^n
-is a W-indexed vector of degree-n forms fixed by left multiplication
-with the idempotent's coefficient matrix
-
-    e_{beta alpha} = sum_r t_{beta, idx(r)} S(t_{idx(r), alpha}),
-
+realized through the bundle idempotent e = im . wp (bundle): an element
+of H(V) (x) Omega^n is a W-indexed vector of degree-n forms fixed by e,
 which turns every operator of interest into finite exact linear
-algebra.  Because e acts as the identity on such a vector, its entries
-are themselves the coefficients of the presentation
+algebra.  Column alpha of e is the generating section
 
-    psi = sum_beta zeta_beta (x) psi_beta,    zeta_beta = wp(w_beta),
+    zeta_alpha = im(wp(w_alpha (x) 1)),
+
+and because e acts as the identity on such a vector psi, it reads
+
+    psi = sum_beta zeta_beta (x) psi_beta,
 
 so right-linear maps extend from their values on the generating
 sections by right multiplication in the last leg.
@@ -40,7 +39,8 @@ restriction of nabla^2 to the sections; its right-linear extension
 F-hat satisfies the operator identity nabla(F(zeta)) = F-hat(nabla(zeta)).
 """
 
-from .scalars import ONE, ZERO, Scalar, add_row, finish_sum, merge_sums
+from .scalars import (ONE, ZERO, Scalar, add_row, finish_sum, merge_sums,
+                      _residual_witness)
 from . import coeff, homspace, bundle, calculus
 
 
@@ -79,8 +79,10 @@ class TensoredSectionSpace:
     """The realization e(W (x) Omega) of the sections tensored with the
     restricted forms, at a fixed section level window.  A weight-m line
     has sections from level |m| on; NoSections, before any other work,
-    when some line has none at level <= N.  The section basis must hold
-    the weight-multiplicity count of sections, or AssertionError."""
+    when some line has none at level <= N.  project must fix each
+    generator zeta_alpha, or AssertionError naming the generator, the
+    coordinate and the residual; the section basis must hold the
+    weight-multiplicity count of sections, or AssertionError."""
 
     def __init__(self, calc, weights, N):
         self.weights = tuple(weights)
@@ -93,21 +95,20 @@ class TensoredSectionSpace:
         self.N = N
         self.completion = bundle.Completion(self.weights)
         self.dim_w = self.completion.dim_w
-        e = self.e_matrix = bundle.idempotent_matrix(self.algebra,
-                                                     self.completion)
-        # e^2 = e entrywise: the projectivity certificate for the
-        # coefficient matrix realizing the relative tensor product; a
-        # product with an empty factor is zero and is skipped
-        for gamma in range(self.dim_w):
-            for alpha in range(self.dim_w):
-                square = coeff.CoeffElement().combination(
-                    (ONE, self.algebra.multiply(e[gamma][beta],
-                                                e[beta][alpha]))
-                    for beta in range(self.dim_w)
-                    if e[gamma][beta] and e[beta][alpha])
-                if square != e[gamma][alpha]:
-                    raise AssertionError("idempotent matrix identity fails "
-                                         "at (%d, %d)" % (gamma, alpha))
+        # the coordinates of zeta_alpha = im(wp(w_alpha (x) 1)), the
+        # alpha-th column of e, once per space, and e^2 = e on each: the
+        # projectivity certificate, on the projection every connection
+        # applies
+        self.generators = [self.from_section(bundle.wp(
+            self.algebra, self.completion,
+            bundle.simple_tensor(alpha, coeff.unit())))
+            for alpha in range(self.dim_w)]
+        for alpha, zeta in enumerate(self.generators):
+            for gamma, (w, z) in enumerate(zip(self.project(zeta), zeta)):
+                if w != z:
+                    raise AssertionError(
+                        "e^2 != e on generator %d: coordinate %d: %s"
+                        % (alpha, gamma, _residual_witness((w - z).terms)))
         self.sections = bundle.sections_basis(self.algebra, self.weights, N)
         count = bundle.sections_count(self.weights, N)
         if len(self.sections) != count:
@@ -146,8 +147,8 @@ class TensoredSectionSpace:
             for gamma in range(self.dim_w)]
 
     def project(self, vec):
-        """Left multiplication by the idempotent matrix e = im . wp on a
-        vector of normal forms, word by word.  For the coefficients a_beta
+        """Left multiplication by the idempotent e = im . wp on a vector
+        of normal forms, word by word.  For the coefficients a_beta
         of one word in psi_beta and line r, the summand V_n at offset off
         with idx(r) = w_j, with the factors of bundle.wp and bundle.im:
 
@@ -193,12 +194,6 @@ class TensoredSectionSpace:
         """The W coordinates of im(section), as degree-0 forms."""
         coords = bundle.im(self.algebra, self.completion, section).coords
         return [self.calc.form0(coords.get(beta, coeff.CoeffElement()))
-                for beta in range(self.dim_w)]
-
-    def generator(self, alpha):
-        """The coordinates of zeta_alpha = wp(w_alpha (x) 1): the
-        alpha-th column of the idempotent matrix."""
-        return [self.calc.form0(self.e_matrix[beta][alpha])
                 for beta in range(self.dim_w)]
 
     def right_mult(self, vec, w):
@@ -374,8 +369,7 @@ class CurvatureMap:
         self.conn = conn
         self.images = {}
         tss = conn.tss
-        self.nabla_generators = [conn.apply(tss.generator(alpha))
-                                 for alpha in range(tss.dim_w)]
+        self.nabla_generators = [conn.apply(g) for g in tss.generators]
         self.on_generators = [conn.apply(v) for v in self.nabla_generators]
         self.nabla_sections = [conn.apply(vec) for vec in tss.vectors]
         self.on_sections = [self.apply(vec) for vec in tss.vectors]

@@ -294,7 +294,7 @@ def sections_basis(algebra, weights, N, generators):
 # the bundle completion before it was read line by line: a W index found
 # by a scan over the lines, every matrix coefficient of W looked up (zero
 # across summands), and sums over every line and every W index; the
-# oracle of bundle.idempotent_matrix, bundle.wp and bundle.im
+# oracle of the idempotent e = im . wp, bundle.wp and bundle.im
 
 
 class Completion:
@@ -524,12 +524,13 @@ def contract(coords, table):
 def project(tss, vec):
     """connection.TensoredSectionSpace.project before it applied wp and
     im word by word: coordinate gamma is sum_beta e_{gamma beta} psi_beta,
-    one accumulate per term of the rows e_{gamma beta} t_key of the
+    e the closed form idempotent_matrix, one accumulate per term of the rows e_{gamma beta} t_key of the
     times_basis oracle, and each (gamma, beta) product is checked word by
     word, so an entry's product may overflow where wp and im do not."""
     degree = tss.degree_of(vec)
     out = []
-    for gamma, e_row in enumerate(tss.e_matrix):
+    for gamma, e_row in enumerate(idempotent_matrix(tss.algebra,
+                                                    tss.weights)):
         acc = {}
         for beta, psi in enumerate(vec):
             if not e_row[beta]:

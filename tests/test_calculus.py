@@ -687,12 +687,13 @@ def test_verify_contracts_words_before_coefficient_products(monkeypatch,
     # the calculus and closure suites make one coefficient product per
     # (left word, normal word) pair; one per (left word, shifted word,
     # right word) made 3,741.  The connection and curvature suites make
-    # 2,498, most of them in right_mult; with one product per (gamma,
+    # 2,492, most of them in right_mult (2,498 with the entrywise e^2 = e
+    # certificate of the closed-form idempotent); with one product per (gamma,
     # beta, word) in TensoredSectionSpace.project they made 7,957, with
     # section vectors rebuilt by each right-linearity loop 4,524, and
     # with d zeta, theta zeta and each map's images recomputed in every
     # walk 3,658 (and 560 d, 804 multiply and 280 project calls, against
-    # 304, 572 and 256).  product_terms is the one coefficient product:
+    # 304, 572 and 259).  product_terms is the one coefficient product:
     # Algebra.multiply finishes it, and Calculus.multiply merges its
     # terms unreduced
     calls = []

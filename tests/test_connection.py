@@ -3,7 +3,7 @@ import random
 
 import pytest
 from qhvb import coeff, repmod, calculus, bundle, homspace, connection, cli
-from qhvb.scalars import ONE, ZERO, Scalar
+from qhvb.scalars import ONE, ZERO, Scalar, qint
 from test_calculus import sample_coeff
 import oracles
 
@@ -34,8 +34,8 @@ def to_section(tss, vec):
 def test_realization_shape():
     assert TSS.dim_w == 2
     assert len(TSS.sections) == 2
-    for alpha in range(TSS.dim_w):
-        assert is_invariant(TSS, TSS.generator(alpha))
+    for zeta in TSS.generators:
+        assert is_invariant(TSS, zeta)
     for s in TSS.sections:
         psi = TSS.from_section(s)
         assert is_invariant(TSS, psi)
@@ -47,7 +47,7 @@ def test_realization_shape():
     for beta in range(TSS.dim_w):
         zeta = bundle.wp(A, TSS.completion,
                          bundle.simple_tensor(beta, coeff.unit()))
-        assert TSS.from_section(zeta) == TSS.generator(beta)
+        assert TSS.from_section(zeta) == TSS.generators[beta]
 
 
 def test_partial_leibniz():
@@ -66,7 +66,7 @@ def test_partial_explicit_formula():
         el = bundle.im(A, TSS.completion, s)
         out = TSS.zero(1)
         for beta, a_beta in el.coords.items():
-            out = TSS.add(out, TSS.right_mult(TSS.generator(beta),
+            out = TSS.add(out, TSS.right_mult(TSS.generators[beta],
                                               CALC.d0(a_beta)))
         assert out == CONN0.on_section(s)
 
@@ -76,7 +76,7 @@ def test_nabla0_realizations_agree():
     # + zeta_beta (x) d(psi_beta) has second term e.d(psi), the
     # connection with Lambda = 0; its first term is e.de.psi, zero on
     # invariant psi because e.de.e = 0
-    partials = [CONN0.apply(TSS.generator(beta)) for beta in range(TSS.dim_w)]
+    partials = [CONN0.apply(zeta) for zeta in TSS.generators]
     for s in TSS.sections:
         psi = TSS.from_section(s)
         one = CONN0.apply(psi)
@@ -150,8 +150,7 @@ def sample_form(rnd, calc, degree):
 def project_oracle(tss, vec):
     """e . vec through Calculus.multiply: extend by the generator
     columns, which are the columns of the idempotent matrix."""
-    return tss.extend([tss.generator(alpha) for alpha in range(tss.dim_w)],
-                      vec)
+    return tss.extend(tss.generators, vec)
 
 
 @pytest.mark.parametrize("weights, degrees", [
@@ -177,31 +176,20 @@ def test_project_matches_the_extend_oracle(weights, degrees):
             assert oracles.project(tss, vec) == expected
 
 
-@pytest.mark.parametrize("weights, products", [
-    ((1, -1), 16), ((0, 0, 1), 10)], ids=["1_-1", "0_0_1"])
-def test_idempotent_certificate_skips_empty_factors(monkeypatch, weights,
-                                                    products):
-    # e is block diagonal, one block per line, so the e^2 = e certificate
-    # makes only the products e_{gamma beta} e_{beta alpha} of two
-    # nonempty entries: 16 and 10 of the 64, counted from the built e to
-    # the section basis
-    calls = _count_calls(monkeypatch, coeff.Algebra, "multiply")
-    idempotent_matrix = bundle.idempotent_matrix
-    sections_basis = bundle.sections_basis
-    seen = []
-
-    def built(*args):
-        e = idempotent_matrix(*args)
-        del calls[:]
-        return e
-    monkeypatch.setattr(bundle, "idempotent_matrix", built)
-    monkeypatch.setattr(bundle, "sections_basis", lambda *args:
-                        seen.append(len(calls)) or sections_basis(*args))
+@pytest.mark.parametrize("weights", [(1, -1), (0, 0, 1)],
+                         ids=["1_-1", "0_0_1"])
+def test_idempotent_certificate_projects_each_generator_once(monkeypatch,
+                                                             weights):
+    # e^2 = e is certified as project(zeta_alpha) == zeta_alpha, one
+    # projection per generator: dim W = 4 at both weights, where the
+    # entrywise certificate of the closed form made 16 and 10 products
+    calls = _count_calls(monkeypatch, connection.TensoredSectionSpace,
+                         "project")
     tss = connection.TensoredSectionSpace(CALC, weights, 1)
-    assert seen == [products]
-    e = tss.e_matrix
-    assert products == sum(1 for g in e for b in range(tss.dim_w)
-                           for a in range(tss.dim_w) if g[b] and e[b][a])
+    assert len(calls) == tss.dim_w == 4
+    assert tss.generators == [
+        [CALC.form0(entry) for entry in column]
+        for column in zip(*oracles.idempotent_matrix(A, weights))]
 
 
 def test_project_raises_where_the_oracle_overflows():
@@ -266,7 +254,7 @@ def test_nabla_lands_in_the_realization(monkeypatch):
     # psi, for nabla0 and a scalar Lambda on the basis sections and the
     # generators; no verify check compares project(nabla psi) with nabla
     # psi, so the mutant e . d + Lambda passes verify and fails here
-    vecs = TSS.vectors + [TSS.generator(a) for a in range(TSS.dim_w)]
+    vecs = TSS.vectors + TSS.generators
     for conn in (CONN0, CONN_A):
         assert all(is_invariant(TSS, conn.apply(vec)) for vec in vecs)
     monkeypatch.setattr(connection.ConnectionMap, "apply",
@@ -306,11 +294,12 @@ def test_verify_certifies_basis_entries_once(monkeypatch, tmp_path,
 
 def test_verify_builds_each_section_vector_once(monkeypatch, tmp_path,
                                                cold_tables):
-    # a TensoredSectionSpace builds the vector of each basis section in
-    # __init__ and that of zeta_j a once per test element a: the
-    # workspace's space has 2 sections against 1 and the three Podles
-    # generators, the trivial bundle's space 4 sections and no product.
-    # Rebuilding them in every right-linearity loop made 239 calls
+    # a TensoredSectionSpace builds the vector of each generator and each
+    # basis section in __init__ and that of zeta_j a once per test
+    # element a: the workspace's space has 2 generators and 2 sections
+    # against 1 and the three Podles generators, the trivial bundle's
+    # space 1 generator, 4 sections and no product.  Rebuilding them in
+    # every right-linearity loop made 239 calls
     calls = collections.Counter()
     fn = connection.TensoredSectionSpace.from_section
     monkeypatch.setattr(connection.TensoredSectionSpace, "from_section",
@@ -320,7 +309,7 @@ def test_verify_builds_each_section_vector_once(monkeypatch, tmp_path,
     assert cli.main(["verify", "--seed", "0", "--suite", "connection",
                      "--suite", "curvature", "--out", str(out)]) == 0
     assert sorted((len(tss.sections), n) for tss, n in calls.items()) == [
-        (2, 2 * 5), (4, 4)]
+        (2, 2 + 2 * 5), (4, 1 + 4)]
 
 
 def test_connection_command_reads_nabla0_on_sections_once(monkeypatch,
@@ -328,8 +317,9 @@ def test_connection_command_reads_nabla0_on_sections_once(monkeypatch,
                                                           cold_tables):
     # `qhvb connection` reports nabla0 on the basis sections and on the
     # generators from the curvature's nabla_sections and
-    # nabla_generators: 2 section vectors and 2 * 3 products with the
-    # Podles generators.  Recomputing it per section through
+    # nabla_generators: 2 generator and 2 section vectors and 2 * 3
+    # products with the Podles generators, and one e^2 = e projection
+    # per generator.  Recomputing it per section through
     # ConnectionMap.on_section made 10 vectors and 26 projections, and
     # applying nabla0 to the generators again 2 more projections
     sections = _count_calls(monkeypatch, connection.TensoredSectionSpace,
@@ -338,7 +328,7 @@ def test_connection_command_reads_nabla0_on_sections_once(monkeypatch,
                                "project")
     out = tmp_path / "connection.json"
     assert cli.main(["connection", "--out", str(out)]) == 0
-    assert (len(sections), len(projections)) == (8, 22)
+    assert (len(sections), len(projections)) == (10, 24)
 
 
 def test_scalar_lambda_certifies_new_basis_entries_only(monkeypatch):
@@ -571,3 +561,34 @@ def test_level_overflow_propagates():
                        "beyond the coefficient window 4$"):
         narrow.multiply(calculus.form(1, {(0,): coeff.basis_element(3, 0, 1)}),
                         narrow.d0(coeff.basis_element(2, 1, 0)))
+
+
+@pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
+def test_curvature_of_a_line_is_a_constant_two_form(m):
+    # line m is w_j of V_n, n = |m|, j = (n - m)/2, so e_{gamma alpha}
+    # = v_gamma eta_alpha with v_gamma = t_{gamma j} and eta_alpha =
+    # S(t_{j alpha}).  The curvature of nabla0 on the generators is
+    # F(zeta_alpha)_gamma = v_gamma X_m eta_alpha for the one 2-form
+    # X_m = sum eta_gamma F(zeta_alpha)_gamma v_alpha, and X_m is
+    # kappa_m times the word (2, 1): at q = 1, kappa_m / (q - 1/q)^2
+    # reads -m, the charge of the line (Hajac and Majid 1999)
+    F = cli._Workspace(cli.RunConfig(weights=(m,))).curvature0()
+    calc = F.conn.tss.calc
+    n, _, j = F.conn.tss.completion.summand(0)
+    v = [calc.form0(coeff.basis_element(n, g, j)) for g in range(n + 1)]
+    eta = [calc.form0(calc.algebra.antipode(coeff.basis_element(n, j, a)))
+           for a in range(n + 1)]
+    x = calc.zero(2).combination(
+        (ONE, calc.multiply(calc.multiply(eta[g], image[g]), v[a]))
+        for a, image in enumerate(F.on_generators) for g in range(n + 1))
+    for a, image in enumerate(F.on_generators):
+        assert image == [calc.multiply(calc.multiply(v[g], x), eta[a])
+                         for g in range(n + 1)]
+    q = Scalar.q_power
+    kappa = (-q(3 - m if m > 0 else 1 - m) * (q(1) - q(-1)) * (q(1) - q(-1))
+             * qint(m))
+    assert x == calculus.form(2, {(2, 1): coeff.basis_element(0, 0, 0,
+                                                              kappa)})
+    assert str(kappa) == {
+        -2: "u^24 - u^16 - u^8 + 1", -1: "u^16 - 2*u^8 + 1", 0: "0",
+        1: "-u^16 + 2*u^8 - 1", 2: "(-u^24 + u^16 + u^8 - 1)/(u^8)"}[m]

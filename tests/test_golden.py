@@ -83,10 +83,13 @@ def test_two_weight_output_matches_golden(tmp_path, command):
 @pytest.mark.parametrize("name, config, rc", [
     ("n1", "n_max = 1\n", 1),
     ("v1m1", "weights = 1 -1\n", 0),
+    ("n2w2", "n_max = 2\nweights = 2\n", 1),
 ])
 def test_connection_suites_match_golden(tmp_path, name, config, rc):
     # at n_max = 1 (window 4) two checks skip, each witness naming the
-    # first product that overflows; at weights = 1 -1 every check runs
+    # first product that overflows; at weights = 1 -1 every check runs;
+    # at n_max = 2, weights = 2 (window 6) the law of nabla0 and the
+    # curvature's right-linearity run and three checks skip on level 8
     path = tmp_path / (name + ".cfg")
     path.write_text(config)
     out = tmp_path / "report.json"
